@@ -32,13 +32,6 @@
 //! * `SCALE_FRAMES` — frames per pair (default 3).
 //! * `SCALE_MIN_EPS` — absolute sim-phase events/s floor applied to
 //!   every point (default 0 = disabled).
-//! * `SCALE_PREFAULT_MB` — size of an optional one-shot page prefault
-//!   before the sweep (default 0 = off). The PR 8 harness hit a
-//!   superlinear 128k setup cliff (0.54 s -> 5.7 s from 64k -> 128k)
-//!   from kernel minor-fault cost past ~2 GB of heap; the sharded
-//!   calendar's flatter allocation profile removed the cliff outright,
-//!   and the prefault measured as a net loss (see EXPERIMENTS.md), so
-//!   it survives only as an experiment knob.
 //!
 //! The default `SCALE_EPS_FACTOR` of 4.0 reflects measured behavior on
 //! a 1-vCPU host: throughput holds ≥1M events/s through 16k pairs, then
@@ -54,8 +47,7 @@
 //! path with one arena across the sweep, like the campaign executor.
 //! `peak_rss_bytes` is the absolute `VmHWM` after each point; the
 //! per-pair gate uses the counting-allocator high-water delta instead,
-//! so the gate is unaffected by allocator-level overcommit (and by the
-//! opt-in prefault, which pins `VmHWM` at the prefault size).
+//! so the gate is unaffected by allocator-level overcommit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -64,8 +56,8 @@ use mdflow::prelude::*;
 
 /// Counting wrapper over the system allocator: total allocation calls
 /// plus live-byte current/high-water marks, so the sweep can report
-/// allocs/event and attribute heap growth per point even when the page
-/// prefault saturates `VmHWM`.
+/// allocs/event and attribute heap growth per point independently of
+/// `VmHWM`.
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
@@ -166,38 +158,6 @@ fn env_f64(name: &str, default: f64) -> f64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Optional one-shot page prefault: touch every page of a large
-/// allocation once, up front, and leak it so the pages stay mapped.
-/// Kept as an experiment knob, **default off**: with the sharded
-/// calendar the 128k setup cliff is gone without it, and a measured A/B
-/// (see EXPERIMENTS.md) shows the resident prefault *costs* ~25% of
-/// sim-phase throughput at the small points (TLB/page-table pressure
-/// from ~1M extra resident pages) while buying nothing at the top
-/// point. `black_box` stops LLVM from deleting the dead writes.
-fn prefault(_max_pairs: u32) {
-    let mb = std::env::var("SCALE_PREFAULT_MB")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    if mb == 0 {
-        return;
-    }
-    let bytes = (mb as usize) * 1024 * 1024;
-    let t0 = std::time::Instant::now();
-    let mut v: Vec<u8> = vec![0; bytes];
-    let mut i = 0;
-    while i < v.len() {
-        v[i] = 1;
-        i += 4096;
-    }
-    std::hint::black_box(&mut v);
-    std::mem::forget(v);
-    println!(
-        "  [prefaulted {mb} MiB in {:.2}s]",
-        t0.elapsed().as_secs_f64()
-    );
 }
 
 /// The sweep workload: DYAD on a quiet testbed (no PFS interference
@@ -478,7 +438,6 @@ fn main() {
     }
 
     println!("SCALE — leaf/spine scale-ceiling benchmark");
-    prefault(*pairs_list.last().expect("SCALE_PAIRS must be non-empty"));
     let heap_base = HEAP_HWM.load(Relaxed);
     let mut arena = RunArena::new();
     let mut points = Vec::new();

@@ -138,6 +138,9 @@ pub struct FaultTotals {
     pub frames_lost: u64,
     /// Spilled/lost frames re-published to the KVS by restart hooks.
     pub republished_frames: u64,
+    /// Consumption acks dropped inside a fault window (the frame was
+    /// consumed; only its retention ack never reached the broker).
+    pub acks_dropped: u64,
     /// Producer-side whole-produce retries after a typed error.
     pub produce_outer_retries: u64,
     /// Consumer-side whole-consume retries after a typed error.
@@ -207,22 +210,6 @@ pub struct RunMetrics {
     pub faults: FaultTotals,
     /// Metadata-plane counters (zero for solutions without a KVS).
     pub kvs: KvsTotals,
-}
-
-/// Spawn a process on calendar shard `shard` and record the simulated
-/// time at which it finished. Shard placement is a locality hint only
-/// (see [`simcore::Ctx::spawn_on`]); the workload pins each producer and
-/// consumer to its node's leaf shard.
-fn spawn_timed(
-    ctx: &simcore::Ctx,
-    shard: u32,
-    fut: impl std::future::Future<Output = Profile> + 'static,
-) -> simcore::JoinHandle<(Profile, SimTime)> {
-    let ctx2 = ctx.clone();
-    ctx.spawn_on(shard, async move {
-        let p = fut.await;
-        (p, ctx2.now())
-    })
 }
 
 /// Execute one repetition of `wf` with `seed`.
@@ -586,22 +573,14 @@ fn run_prepared(
                     let (frame_dir, consumer_id) = &snap.registrations[pair as usize];
                     mgr.register_consumer(frame_dir, consumer_id);
                 }
-                prod_handles.push(spawn_timed(
-                    &ctx,
-                    node_shard(pn),
-                    producer_dyad(pargs, psvc, rng_stream),
-                ));
-                cons_handles.push(spawn_timed(
-                    &ctx,
-                    node_shard(cn),
-                    consumer_dyad(cargs, csvc),
-                ));
+                prod_handles
+                    .push(ctx.spawn_on(node_shard(pn), producer_dyad(pargs, psvc, rng_stream)));
+                cons_handles.push(ctx.spawn_on(node_shard(cn), consumer_dyad(cargs, csvc)));
             }
             Solution::Xfs => {
                 let storage = Storage::Local(local_fs[pn as usize].clone());
                 let s = pair_sync();
-                prod_handles.push(spawn_timed(
-                    &ctx,
+                prod_handles.push(ctx.spawn_on(
                     node_shard(pn),
                     producer_manual(
                         pargs,
@@ -612,8 +591,7 @@ fn run_prepared(
                         rng_stream,
                     ),
                 ));
-                cons_handles.push(spawn_timed(
-                    &ctx,
+                cons_handles.push(ctx.spawn_on(
                     node_shard(cn),
                     consumer_manual(
                         cargs,
@@ -630,8 +608,7 @@ fn run_prepared(
                 let pstore = Storage::Pfs(fs.client(&ctx, NodeId(pn)));
                 let cstore = Storage::Pfs(fs.client(&ctx, NodeId(cn)));
                 let s = pair_sync();
-                prod_handles.push(spawn_timed(
-                    &ctx,
+                prod_handles.push(ctx.spawn_on(
                     node_shard(pn),
                     producer_manual(
                         pargs,
@@ -642,8 +619,7 @@ fn run_prepared(
                         rng_stream,
                     ),
                 ));
-                cons_handles.push(spawn_timed(
-                    &ctx,
+                cons_handles.push(ctx.spawn_on(
                     node_shard(cn),
                     consumer_manual(
                         cargs,
@@ -659,13 +635,11 @@ fn run_prepared(
                 let fs = pfs.as_ref().expect("pfs built");
                 let pstore = Storage::Pfs(fs.client(&ctx, NodeId(pn)));
                 let cstore = Storage::Pfs(fs.client(&ctx, NodeId(cn)));
-                prod_handles.push(spawn_timed(
-                    &ctx,
+                prod_handles.push(ctx.spawn_on(
                     node_shard(pn),
                     producer_dyad_on_pfs(pargs, pstore, kvs_client(pn), NodeId(pn), rng_stream),
                 ));
-                cons_handles.push(spawn_timed(
-                    &ctx,
+                cons_handles.push(ctx.spawn_on(
                     node_shard(cn),
                     consumer_dyad_on_pfs(cargs, cstore, kvs_client(cn), wf.dyad_warm_sync),
                 ));
@@ -739,8 +713,7 @@ fn run_prepared(
                     leaf: l as u32,
                     ..role
                 };
-                prod_handles.push(spawn_timed(
-                    &ctx,
+                prod_handles.push(ctx.spawn_on(
                     node_shard(pn),
                     publisher_stream(
                         pargs,
@@ -769,14 +742,10 @@ fn run_prepared(
                 };
                 let svc = stream_services[cn as usize].clone();
                 if s.fanin > 1 {
-                    cons_handles.push(spawn_timed(
-                        &ctx,
-                        node_shard(cn),
-                        reducer_stream(cargs, svc, role),
-                    ));
+                    cons_handles
+                        .push(ctx.spawn_on(node_shard(cn), reducer_stream(cargs, svc, role)));
                 } else {
-                    cons_handles.push(spawn_timed(
-                        &ctx,
+                    cons_handles.push(ctx.spawn_on(
                         node_shard(cn),
                         subscriber_stream(cargs, svc, role, j as u32),
                     ));
@@ -815,10 +784,9 @@ fn run_prepared(
     // Makespan = when the workload finished, not when the horizon cut
     // off the (never-terminating) background-interference processes.
     let mut makespan = SimTime::ZERO;
-    let mut take = |h: simcore::JoinHandle<(Profile, SimTime)>| {
-        let (p, done) = h.try_take().expect("process finished");
-        makespan = makespan.max(done);
-        p
+    let mut take = |h: simcore::JoinHandle<Profile>| {
+        makespan = makespan.max(h.finished_at().expect("process finished"));
+        h.try_take().expect("process finished")
     };
     let producers: Vec<Profile> = prod_handles.into_iter().map(&mut take).collect();
     let consumers: Vec<Profile> = cons_handles.into_iter().map(&mut take).collect();
@@ -833,6 +801,7 @@ fn run_prepared(
         staging_totals.absorb(&s);
         fault_totals.frames_lost += s.frames_lost;
         fault_totals.republished_frames += s.republished_frames;
+        fault_totals.acks_dropped += s.acks_dropped;
         // Retention invariant: nothing retires before every registered
         // consumer acknowledged it (cheap; guards every study we run).
         for r in mgr.retire_log() {

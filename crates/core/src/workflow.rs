@@ -25,21 +25,27 @@
 //! region — *outside* `produce` — mirroring how the paper's production
 //! time shows no significant idle while consumption idle dominates
 //! (DESIGN.md §2 discusses this interpretation).
+//!
+//! Every role has **one frame loop**, fault runs included. The DYAD,
+//! DYAD-on-PFS and streaming roles wrap each data-plane operation in
+//! `recovering`: with no fault board it runs the operation once, inline;
+//! with one it is the boxed freeze/retry/backoff loop (DESIGN.md §8).
 
 use std::rc::Rc;
 
 use bytes::Bytes;
 use dyad::{DyadConsumer, DyadError, DyadService, FrameLocation, FrameMeta};
-use faults::FaultBoard;
+use faults::{FaultBoard, RetryPolicy};
 use instrument::{Profile, Recorder};
 use kvs::KvsHandle;
 use localfs::LocalFs;
 use mdsim::{FrameHeader, FrameTemplate, StepClock};
 use pfs::{LdlmClient, LockMode, PfsClient};
+use rand::rngs::StdRng;
 use simcore::sync::{channel, Receiver, Sender};
 use simcore::trace::Tracer;
 use simcore::{Ctx, SimDuration};
-use streaming::StreamAcker;
+use streaming::{StreamAcker, StreamError};
 use transport::Payload;
 
 use crate::config::ManualSync;
@@ -193,6 +199,37 @@ fn md_phase(
     }
 }
 
+/// What every producer role starts from: its recorder, the MD-phase rng
+/// and the variable-rate schedule, if one is set.
+fn producer_setup(
+    args: &ProducerArgs,
+    rng_stream: u64,
+) -> (Recorder, StdRng, Option<crate::schedule::ScheduleGen>) {
+    let name = format!("producer-{:03}", args.pair);
+    let rec = Recorder::traced(&args.ctx, args.tracer.clone(), &name);
+    let rng = args.ctx.rng(rng_stream);
+    let sched = (args.schedule.as_ref()).map(|s| s.generator(args.ctx.rng(rng_stream ^ 0x5C4E)));
+    (rec, rng, sched)
+}
+
+/// One frame's `md_sim` and `serialize` phases; returns the frame rope.
+async fn simulate_frame(
+    args: &ProducerArgs,
+    rec: &Recorder,
+    sched: &mut Option<crate::schedule::ScheduleGen>,
+    rng: &mut StdRng,
+    frame: u64,
+) -> Payload {
+    let g = rec.region("md_sim");
+    args.ctx.sleep(md_phase(args, sched, rng)).await;
+    g.end();
+    let g = rec.region("serialize");
+    args.ctx.sleep(args.serialize_cpu).await;
+    let payload = args.template.frame_segments(frame);
+    g.end();
+    payload
+}
+
 /// Frame path for `(pair, frame)` in a run's namespace.
 pub fn frame_path(pair: u32, frame: u64) -> String {
     format!("frames/p{pair:04}/f{frame:05}")
@@ -203,100 +240,90 @@ pub fn lock_path(pair: u32, frame: u64) -> String {
     format!("locks/p{pair:04}/f{frame:05}")
 }
 
-/// DYAD producer process. Returns its Caliper-style profile.
-pub async fn producer_dyad(args: ProducerArgs, svc: Rc<DyadService>, rng_stream: u64) -> Profile {
-    let rec = Recorder::traced(
-        &args.ctx,
-        args.tracer.clone(),
-        &format!("producer-{:03}", args.pair),
-    );
-    let mut rng = args.ctx.rng(rng_stream);
-    let mut sched = args
-        .schedule
-        .as_ref()
-        .map(|s| s.generator(args.ctx.rng(rng_stream ^ 0x5C4E)));
-    args.ctx.sleep(args.start_offset).await;
-    for frame in 0..args.frames {
-        {
-            let g = rec.region("md_sim");
-            let d = md_phase(&args, &mut sched, &mut rng);
-            args.ctx.sleep(d).await;
-            g.end();
-        }
-        let payload = {
-            let g = rec.region("serialize");
-            args.ctx.sleep(args.serialize_cpu).await;
-            let p = args.template.frame_segments(frame);
-            g.end();
-            p
+/// Run one data-plane operation under the run's fault model. `side` is
+/// `"produce"` or `"consume"` and names the `<side>_outer_retries` /
+/// `<side>_failures` counters of [`crate::runner::FaultTotals`]; `op`
+/// gets the backoff-jitter stream (fault runs only) and returns a typed
+/// error; `terminal` names the counter of an error no retry can cure (a
+/// tombstoned frame), which ends the operation with `None`.
+///
+/// With no fault board the operation runs once, inline — no rng is
+/// built and nothing is boxed — and an error is a simulator bug. With
+/// one, a crashed node runs nothing (freeze until the restart) and
+/// whatever outlasts the operation's own retry budget (dead owners,
+/// broker outages) is re-run here with backoff: every fault window is
+/// finite by construction, so this terminates. The loop is boxed so the
+/// (large, rarely-live) recovery state machine does not inflate every
+/// fault-free process task.
+#[allow(clippy::too_many_arguments)]
+async fn recovering<T, E: std::fmt::Display>(
+    ctx: &Ctx,
+    faults: Option<&FaultBoard>,
+    node: u32,
+    rec: &Recorder,
+    side: &'static str,
+    policy: &RetryPolicy,
+    jitter_stream: u64,
+    mut op: impl AsyncFnMut(Option<&mut StdRng>) -> Result<T, E>,
+    terminal: impl Fn(&E) -> Option<&'static str>,
+) -> Option<T> {
+    let Some(board) = faults else {
+        return match op(None).await {
+            Ok(v) => Some(v),
+            Err(e) => panic!("{side} failed without a fault board: {e}"),
         };
-        match &args.faults {
-            None => {
-                svc.produce(&rec, &frame_path(args.pair, frame), payload)
-                    .await;
+    };
+    Box::pin(async {
+        let mut frng = ctx.rng(jitter_stream);
+        let mut outer = 0u32;
+        loop {
+            board.hold_until_up(node).await;
+            let e = match op(Some(&mut frng)).await {
+                Ok(v) => return Some(v),
+                Err(e) => e,
+            };
+            if let Some(counter) = terminal(&e) {
+                rec.annotate(counter, 1.0);
+                return None;
             }
-            Some(board) => {
-                // Boxed so the (large, rarely-live) recovery state
-                // machine doesn't inflate every fault-free producer task.
-                Box::pin(produce_dyad_faulted(
-                    &args, board, &svc, &rec, frame, payload, rng_stream,
-                ))
-                .await;
+            outer += 1;
+            if outer >= 64 {
+                rec.annotate(&format!("{side}_failures"), 1.0);
+                return None;
             }
+            rec.annotate(&format!("{side}_outer_retries"), 1.0);
+            let pause = policy.backoff(outer.min(9), &mut frng);
+            ctx.sleep(pause).await;
         }
-    }
-    rec.finish()
+    })
+    .await
 }
 
-/// One fault-tolerant DYAD produce. Device-error windows are absorbed
-/// inside [`DyadService::try_produce`]; broker outages that outlast its
-/// budget are absorbed here by re-running the (idempotent) produce with
-/// backoff. Every fault window is finite by construction, so this
-/// terminates; a frame that is truly unwritable is tombstoned by the
-/// service and surfaces to consumers as a typed `FrameLost`.
-async fn produce_dyad_faulted(
-    args: &ProducerArgs,
-    board: &FaultBoard,
-    svc: &Rc<DyadService>,
-    rec: &Recorder,
-    frame: u64,
-    payload: Payload,
-    rng_stream: u64,
-) {
+/// DYAD producer process. Returns its Caliper-style profile.
+pub async fn producer_dyad(args: ProducerArgs, svc: Rc<DyadService>, rng_stream: u64) -> Profile {
+    let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
+    args.ctx.sleep(args.start_offset).await;
     let policy = dyad::dyad_retry_policy();
-    let mut frng = args.ctx.rng(rng_stream ^ 0xFA17);
-    let mut outer = 0u32;
-    loop {
-        // A crashed node runs nothing: freeze until the restart.
-        board.hold_until_up(args.node).await;
-        match svc
-            .try_produce(
-                rec,
-                &frame_path(args.pair, frame),
-                payload.clone(),
-                &policy,
-                &mut frng,
-            )
-            .await
-        {
-            Ok(()) => break,
-            Err(DyadError::Storage { .. }) => {
-                // Retry budget exhausted and tombstone published.
-                rec.annotate("produce_failures", 1.0);
-                break;
-            }
-            Err(_) => {
-                outer += 1;
-                if outer >= 64 {
-                    rec.annotate("produce_failures", 1.0);
-                    break;
-                }
-                rec.annotate("produce_outer_retries", 1.0);
-                let pause = policy.backoff(outer.min(9), &mut frng);
-                args.ctx.sleep(pause).await;
-            }
-        }
+    for frame in 0..args.frames {
+        let payload = simulate_frame(&args, &rec, &mut sched, &mut rng, frame).await;
+        let path = frame_path(args.pair, frame);
+        // Device-error windows are absorbed inside `try_produce`; a frame
+        // that is truly unwritable is tombstoned by the service and
+        // surfaces to consumers as a typed `FrameLost`.
+        recovering(
+            &args.ctx,
+            args.faults.as_ref(),
+            args.node,
+            &rec,
+            "produce",
+            &policy,
+            rng_stream ^ 0xFA17,
+            async |rng| svc.try_produce(&rec, &path, &payload, &policy, rng).await,
+            |e| matches!(e, DyadError::Storage { .. }).then_some("produce_failures"),
+        )
+        .await;
     }
+    rec.finish()
 }
 
 /// Manual-baseline producer process (XFS or Lustre).
@@ -311,16 +338,7 @@ pub async fn producer_manual(
     rng_stream: u64,
 ) -> Profile {
     let (ready_tx, mut done_rx) = sync;
-    let rec = Recorder::traced(
-        &args.ctx,
-        args.tracer.clone(),
-        &format!("producer-{:03}", args.pair),
-    );
-    let mut rng = args.ctx.rng(rng_stream);
-    let mut sched = args
-        .schedule
-        .as_ref()
-        .map(|s| s.generator(args.ctx.rng(rng_stream ^ 0x5C4E)));
+    let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
     args.ctx.sleep(args.start_offset).await;
     storage
         .ensure_dir(&format!("frames/p{:04}", args.pair))
@@ -330,19 +348,7 @@ pub async fn producer_manual(
             // A crashed node runs nothing: freeze until the restart.
             board.hold_until_up(args.node).await;
         }
-        {
-            let g = rec.region("md_sim");
-            let d = md_phase(&args, &mut sched, &mut rng);
-            args.ctx.sleep(d).await;
-            g.end();
-        }
-        let payload = {
-            let g = rec.region("serialize");
-            args.ctx.sleep(args.serialize_cpu).await;
-            let p = args.template.frame_segments(frame);
-            g.end();
-            p
-        };
+        let payload = simulate_frame(&args, &rec, &mut sched, &mut rng, frame).await;
         {
             let g = rec.region("produce");
             if mode == ManualSync::LockBased {
@@ -422,94 +428,54 @@ pub struct ConsumerArgs {
     pub node: u32,
 }
 
-/// One analytics-phase duration with jitter applied.
-fn analytics_sleep(args: &ConsumerArgs, rng: &mut rand::rngs::StdRng) -> SimDuration {
-    if args.jitter <= 0.0 {
-        return args.analytics;
-    }
+/// What every consumer role starts from: its recorder and analytics rng.
+fn consumer_setup(args: &ConsumerArgs) -> (Recorder, StdRng) {
+    let name = format!("consumer-{:03}", args.pair);
+    let rec = Recorder::traced(&args.ctx, args.tracer.clone(), &name);
+    (rec, args.ctx.rng(args.rng_stream))
+}
+
+/// The `analytics` phase over `frames` frames' worth of data: one
+/// jittered analytics duration per delivery, scaled by its frame count.
+async fn analytics(args: &ConsumerArgs, rec: &Recorder, rng: &mut StdRng, frames: u64) {
     use rand::RngExt;
-    let k: f64 = rng.random_range(1.0 - args.jitter..1.0 + args.jitter);
-    args.analytics.mul_f64(k)
+    let g = rec.region("analytics");
+    let mut d = args.analytics;
+    if args.jitter > 0.0 {
+        d = d.mul_f64(rng.random_range(1.0 - args.jitter..1.0 + args.jitter));
+    }
+    args.ctx.sleep(d.mul_f64(frames as f64)).await;
+    g.end();
 }
 
 /// DYAD consumer process.
 pub async fn consumer_dyad(args: ConsumerArgs, svc: Rc<DyadService>) -> Profile {
-    let rec = Recorder::traced(
-        &args.ctx,
-        args.tracer.clone(),
-        &format!("consumer-{:03}", args.pair),
-    );
-    let mut rng = args.ctx.rng(args.rng_stream);
+    let (rec, mut rng) = consumer_setup(&args);
     args.ctx.sleep(args.start_offset).await;
     // Ack id must match what the runner registered on the producer
     // node's staging manager, or frames would never become retireable.
     let mut session: DyadConsumer = svc.consumer_with_id(&format!("c{}", args.pair));
     for frame in 0..args.frames {
-        let data = match &args.faults {
-            None => Some(session.consume(&rec, &frame_path(args.pair, frame)).await),
-            // Boxed for the same reason as the producer: keep the
-            // recovery state machine out of fault-free consumer tasks.
-            Some(board) => {
-                Box::pin(consume_dyad_faulted(
-                    &args,
-                    board,
-                    &mut session,
-                    &rec,
-                    frame,
-                ))
-                .await
-            }
-        };
-        // A typed loss has nothing to analyze; move to the next frame.
+        let path = frame_path(args.pair, frame);
+        // A `FrameLost` tombstone is terminal: typed, counted, and there
+        // is nothing to analyze — move to the next frame.
+        let data = recovering(
+            &args.ctx,
+            args.faults.as_ref(),
+            args.node,
+            &rec,
+            "consume",
+            &dyad::dyad_retry_policy(),
+            args.rng_stream ^ 0xFA17 ^ frame,
+            async |_| session.try_consume(&rec, &path).await,
+            |e| matches!(e, DyadError::FrameLost { .. }).then_some("frames_lost_observed"),
+        )
+        .await;
         let Some(data) = data else { continue };
         deserialize_and_validate(&args, &rec, &data, frame).await;
-        {
-            let g = rec.region("analytics");
-            let d = analytics_sleep(&args, &mut rng);
-            args.ctx.sleep(d).await;
-            g.end();
-        }
+        analytics(&args, &rec, &mut rng, 1).await;
     }
     rec.finish()
-}
-
-/// One fault-tolerant DYAD consume. Dead-owner and broker-outage errors
-/// from [`DyadConsumer::try_consume`] are retried here with backoff
-/// (fault windows are finite); a `FrameLost` tombstone is terminal and
-/// yields `None`, counted in the `frames_lost_observed` metric.
-async fn consume_dyad_faulted(
-    args: &ConsumerArgs,
-    board: &FaultBoard,
-    session: &mut DyadConsumer,
-    rec: &Recorder,
-    frame: u64,
-) -> Option<Payload> {
-    let policy = dyad::dyad_retry_policy();
-    let mut frng = args.ctx.rng(args.rng_stream ^ 0xFA17 ^ frame);
-    let mut outer = 0u32;
-    loop {
-        board.hold_until_up(args.node).await;
-        match session
-            .try_consume(rec, &frame_path(args.pair, frame))
-            .await
-        {
-            Ok(data) => return Some(data),
-            Err(DyadError::FrameLost { .. }) => {
-                rec.annotate("frames_lost_observed", 1.0);
-                return None;
-            }
-            Err(_) => {
-                outer += 1;
-                if outer >= 64 {
-                    rec.annotate("consume_failures", 1.0);
-                    return None;
-                }
-                rec.annotate("consume_outer_retries", 1.0);
-                let pause = policy.backoff(outer.min(9), &mut frng);
-                args.ctx.sleep(pause).await;
-            }
-        }
-    }
 }
 
 /// Manual-baseline consumer process (XFS or Lustre).
@@ -522,12 +488,7 @@ pub async fn consumer_manual(
     poll_interval: SimDuration,
 ) -> Profile {
     let (mut ready_rx, done_tx) = sync;
-    let rec = Recorder::traced(
-        &args.ctx,
-        args.tracer.clone(),
-        &format!("consumer-{:03}", args.pair),
-    );
-    let mut rng = args.ctx.rng(args.rng_stream);
+    let (rec, mut rng) = consumer_setup(&args);
     args.ctx.sleep(args.start_offset).await;
     for frame in 0..args.frames {
         if let Some(board) = &args.faults {
@@ -589,12 +550,7 @@ pub async fn consumer_manual(
             // analytics so the next stride overlaps with it.
             done_tx.send(frame);
         }
-        {
-            let g = rec.region("analytics");
-            let d = analytics_sleep(&args, &mut rng);
-            args.ctx.sleep(d).await;
-            g.end();
-        }
+        analytics(&args, &rec, &mut rng, 1).await;
         if mode == ManualSync::Coarse {
             // The paper's coarse-grained barrier: the producer stays
             // blocked until the consumer has completely finished.
@@ -615,42 +571,20 @@ pub async fn producer_dyad_on_pfs(
     owner: cluster::NodeId,
     rng_stream: u64,
 ) -> Profile {
-    let rec = Recorder::traced(
-        &args.ctx,
-        args.tracer.clone(),
-        &format!("producer-{:03}", args.pair),
-    );
-    let mut rng = args.ctx.rng(rng_stream);
-    let mut sched = args
-        .schedule
-        .as_ref()
-        .map(|s| s.generator(args.ctx.rng(rng_stream ^ 0x5C4E)));
+    let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
     args.ctx.sleep(args.start_offset).await;
     for frame in 0..args.frames {
         if let Some(board) = &args.faults {
             board.hold_until_up(args.node).await;
         }
-        {
-            let g = rec.region("md_sim");
-            let d = md_phase(&args, &mut sched, &mut rng);
-            args.ctx.sleep(d).await;
-            g.end();
-        }
-        let payload = {
-            let g = rec.region("serialize");
-            args.ctx.sleep(args.serialize_cpu).await;
-            let p = args.template.frame_segments(frame);
-            g.end();
-            p
-        };
+        let payload = simulate_frame(&args, &rec, &mut sched, &mut rng, frame).await;
         let size = transport::payload_len(&payload);
+        let path = frame_path(args.pair, frame);
         {
             let g = rec.region("dyad_produce");
             {
                 let w = rec.region("dyad_prod_write");
-                storage
-                    .write_frame(&frame_path(args.pair, frame), payload)
-                    .await;
+                storage.write_frame(&path, payload).await;
                 w.end();
             }
             {
@@ -660,8 +594,20 @@ pub async fn producer_dyad_on_pfs(
                     size,
                     location: FrameLocation::Pfs,
                 };
-                kvs.commit(&frame_path(args.pair, frame), meta.encode())
-                    .await;
+                // A broker outage that outlasts the client's own retry
+                // budget is waited out here, like DYAD's commit.
+                recovering(
+                    &args.ctx,
+                    args.faults.as_ref(),
+                    args.node,
+                    &rec,
+                    "produce",
+                    &dyad::dyad_retry_policy(),
+                    rng_stream ^ 0xFA17,
+                    async |_| kvs.try_commit(&path, meta.encode()).await,
+                    |_| None,
+                )
+                .await;
                 c.end();
             }
             g.end();
@@ -677,12 +623,7 @@ pub async fn consumer_dyad_on_pfs(
     kvs: KvsHandle,
     warm_sync: bool,
 ) -> Profile {
-    let rec = Recorder::traced(
-        &args.ctx,
-        args.tracer.clone(),
-        &format!("consumer-{:03}", args.pair),
-    );
-    let mut rng = args.ctx.rng(args.rng_stream);
+    let (rec, mut rng) = consumer_setup(&args);
     args.ctx.sleep(args.start_offset).await;
     let mut warmed = false;
     for frame in 0..args.frames {
@@ -694,12 +635,29 @@ pub async fn consumer_dyad_on_pfs(
             let g = rec.region("dyad_consume");
             {
                 let f = rec.region("dyad_fetch");
-                if warmed && warm_sync {
-                    if kvs.lookup(&path).await.is_none() {
-                        kvs.wait_key(&path).await;
-                    }
-                } else {
-                    kvs.wait_key(&path).await;
+                let warm = warmed && warm_sync;
+                // Warm: one cheap lookup; cold (or not yet published): the
+                // parked watch. A frame whose metadata stays unreachable
+                // past the outer budget is a counted failure — skip it.
+                let synced = recovering(
+                    &args.ctx,
+                    args.faults.as_ref(),
+                    args.node,
+                    &rec,
+                    "consume",
+                    &dyad::dyad_retry_policy(),
+                    args.rng_stream ^ 0xFA17 ^ frame,
+                    async |_| {
+                        if warm && kvs.try_lookup(&path).await?.is_some() {
+                            return Ok(());
+                        }
+                        kvs.try_wait_key(&path).await.map(drop)
+                    },
+                    |_: &transport::TransportError| None,
+                )
+                .await;
+                if synced.is_none() {
+                    continue;
                 }
                 warmed = true;
                 f.end();
@@ -711,12 +669,7 @@ pub async fn consumer_dyad_on_pfs(
             data
         };
         deserialize_and_validate(&args, &rec, &data, frame).await;
-        {
-            let g = rec.region("analytics");
-            let d = analytics_sleep(&args, &mut rng);
-            args.ctx.sleep(d).await;
-            g.end();
-        }
+        analytics(&args, &rec, &mut rng, 1).await;
     }
     rec.finish()
 }
@@ -781,21 +734,10 @@ pub async fn publisher_stream(
     group_ackers: Vec<StreamAcker>,
     rng_stream: u64,
 ) -> Profile {
-    let rec = Recorder::traced(
-        &args.ctx,
-        args.tracer.clone(),
-        &format!("producer-{:03}", args.pair),
-    );
-    let mut rng = args.ctx.rng(rng_stream);
-    let mut sched = args
-        .schedule
-        .as_ref()
-        .map(|s| s.generator(args.ctx.rng(rng_stream ^ 0x5C4E)));
+    let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
     args.ctx.sleep(args.start_offset).await;
-    let mut publisher = match &args.faults {
-        Some(board) => svc.publisher_faulted(board.clone()),
-        None => svc.publisher(),
-    };
+    let mut publisher = svc.publisher();
+    let policy = streaming::stream_retry_policy();
     let agg = role.agg_frames.max(1);
     let steps = role.steps(args.frames);
     let mut frame = 0u64;
@@ -824,77 +766,27 @@ pub async fn publisher_stream(
         frame += in_step;
         let ackers = role.step_ackers(step, &group_ackers);
         let name = role.step_name(role.leaf, step);
-        match &args.faults {
-            None => {
-                publisher.publish(&rec, &name, step, payload, &ackers).await;
-            }
-            Some(board) => {
-                // Boxed like the DYAD bodies: keep the recovery state
-                // machine out of fault-free publisher tasks.
-                Box::pin(publish_stream_faulted(
-                    &args,
-                    board,
-                    &mut publisher,
-                    &rec,
-                    &name,
-                    step,
-                    payload,
-                    &ackers,
-                    rng_stream,
-                ))
-                .await;
-            }
-        }
+        // Window stalls and device errors are absorbed inside
+        // `try_publish`; a step that is truly unwritable is tombstoned by
+        // the service and surfaces to subscribers as a typed `StepLost`.
+        recovering(
+            &args.ctx,
+            args.faults.as_ref(),
+            args.node,
+            &rec,
+            "produce",
+            &policy,
+            rng_stream ^ 0xFA17 ^ step,
+            async |rng| {
+                publisher
+                    .try_publish(&rec, &name, step, &payload, &ackers, &policy, rng)
+                    .await
+            },
+            |e| matches!(e, StreamError::Storage { .. }).then_some("produce_failures"),
+        )
+        .await;
     }
     rec.finish()
-}
-
-/// One fault-tolerant streaming publish. Window stalls poll with crash
-/// reclaim and device/broker errors are absorbed inside
-/// [`streaming::StreamPublisher::try_publish`]; whatever outlasts its
-/// budget is re-run here with backoff. A step that is truly unwritable
-/// is tombstoned by the service and surfaces to subscribers as a typed
-/// `StepLost`.
-#[allow(clippy::too_many_arguments)]
-async fn publish_stream_faulted(
-    args: &ProducerArgs,
-    board: &FaultBoard,
-    publisher: &mut streaming::StreamPublisher,
-    rec: &Recorder,
-    name: &str,
-    step: u64,
-    payload: Payload,
-    ackers: &[StreamAcker],
-    rng_stream: u64,
-) {
-    let policy = streaming::stream_retry_policy();
-    let mut frng = args.ctx.rng(rng_stream ^ 0xFA17 ^ step);
-    let mut outer = 0u32;
-    loop {
-        // A crashed node runs nothing: freeze until the restart.
-        board.hold_until_up(args.node).await;
-        match publisher
-            .try_publish(rec, name, step, payload.clone(), ackers, &policy, &mut frng)
-            .await
-        {
-            Ok(()) => break,
-            Err(streaming::StreamError::Storage { .. }) => {
-                // Retry budget exhausted and tombstone published.
-                rec.annotate("produce_failures", 1.0);
-                break;
-            }
-            Err(_) => {
-                outer += 1;
-                if outer >= 64 {
-                    rec.annotate("produce_failures", 1.0);
-                    break;
-                }
-                rec.annotate("produce_outer_retries", 1.0);
-                let pause = policy.backoff(outer.min(9), &mut frng);
-                args.ctx.sleep(pause).await;
-            }
-        }
-    }
 }
 
 /// Streaming fan-out subscriber process: member `sub_idx` of a group of
@@ -907,12 +799,7 @@ pub async fn subscriber_stream(
     role: StreamRole,
     sub_idx: u32,
 ) -> Profile {
-    let rec = Recorder::traced(
-        &args.ctx,
-        args.tracer.clone(),
-        &format!("consumer-{:03}", args.pair),
-    );
-    let mut rng = args.ctx.rng(args.rng_stream);
+    let (rec, mut rng) = consumer_setup(&args);
     args.ctx.sleep(args.start_offset).await;
     // Session id must match what the runner registered on the publisher
     // node's staging manager (and what the publisher's window waits on).
@@ -928,70 +815,40 @@ pub async fn subscriber_stream(
             continue;
         }
         let name = role.step_name(0, step);
-        let data = match &args.faults {
-            None => Some(session.consume_step(&rec, &name).await),
-            Some(board) => {
-                Box::pin(consume_stream_faulted(
-                    &args,
-                    board,
-                    &mut session,
-                    &rec,
-                    &name,
-                    step,
-                ))
-                .await
-            }
-        };
+        let data = consume_step_recovering(&args, &mut session, &rec, &name, step).await;
         // A typed loss has nothing to analyze; move to the next step.
         let Some(data) = data else { continue };
         let first = step * agg;
         let in_step = agg.min(args.frames - first);
         deserialize_step(&args, &rec, &data, first, in_step).await;
-        {
-            let g = rec.region("analytics");
-            let d = analytics_sleep(&args, &mut rng).mul_f64(in_step as f64);
-            args.ctx.sleep(d).await;
-            g.end();
-        }
+        analytics(&args, &rec, &mut rng, in_step).await;
     }
     rec.finish()
 }
 
-/// One fault-tolerant streaming consume; `salt` keys the backoff-jitter
-/// stream (step index, plus the leaf for reducers). A `StepLost`
-/// tombstone is terminal and yields `None`, counted in the
+/// One streaming consume under the run's fault model; `salt` keys the
+/// backoff-jitter stream (step index, plus the leaf for reducers). A
+/// `StepLost` tombstone is terminal and yields `None`, counted in the
 /// `frames_lost_observed` metric.
-async fn consume_stream_faulted(
+async fn consume_step_recovering(
     args: &ConsumerArgs,
-    board: &FaultBoard,
     session: &mut streaming::StreamSubscriber,
     rec: &Recorder,
     name: &str,
     salt: u64,
 ) -> Option<Payload> {
-    let policy = streaming::stream_retry_policy();
-    let mut frng = args.ctx.rng(args.rng_stream ^ 0xFA17 ^ salt);
-    let mut outer = 0u32;
-    loop {
-        board.hold_until_up(args.node).await;
-        match session.try_consume_step(rec, name).await {
-            Ok(data) => return Some(data),
-            Err(streaming::StreamError::StepLost { .. }) => {
-                rec.annotate("frames_lost_observed", 1.0);
-                return None;
-            }
-            Err(_) => {
-                outer += 1;
-                if outer >= 64 {
-                    rec.annotate("consume_failures", 1.0);
-                    return None;
-                }
-                rec.annotate("consume_outer_retries", 1.0);
-                let pause = policy.backoff(outer.min(9), &mut frng);
-                args.ctx.sleep(pause).await;
-            }
-        }
-    }
+    recovering(
+        &args.ctx,
+        args.faults.as_ref(),
+        args.node,
+        rec,
+        "consume",
+        &streaming::stream_retry_policy(),
+        args.rng_stream ^ 0xFA17 ^ salt,
+        async |_| session.try_consume_step(rec, name).await,
+        |e| matches!(e, StreamError::StepLost { .. }).then_some("frames_lost_observed"),
+    )
+    .await
 }
 
 /// Streaming fan-in reducer: consumes one step from every leaf
@@ -1003,12 +860,7 @@ pub async fn reducer_stream(
     svc: Rc<streaming::StreamService>,
     role: StreamRole,
 ) -> Profile {
-    let rec = Recorder::traced(
-        &args.ctx,
-        args.tracer.clone(),
-        &format!("consumer-{:03}", args.pair),
-    );
-    let mut rng = args.ctx.rng(args.rng_stream);
+    let (rec, mut rng) = consumer_setup(&args);
     args.ctx.sleep(args.start_offset).await;
     let mut session = svc.subscriber(&format!("g{}r", role.group));
     let tree = streaming::ReductionTree::new(role.fanin as usize);
@@ -1019,20 +871,8 @@ pub async fn reducer_stream(
         let mut head: Option<Payload> = None;
         for leaf in 0..role.fanin {
             let name = role.step_name(leaf, step);
-            let data = match &args.faults {
-                None => Some(session.consume_step(&rec, &name).await),
-                Some(board) => {
-                    Box::pin(consume_stream_faulted(
-                        &args,
-                        board,
-                        &mut session,
-                        &rec,
-                        &name,
-                        step ^ (u64::from(leaf) << 32),
-                    ))
-                    .await
-                }
-            };
+            let salt = step ^ (u64::from(leaf) << 32);
+            let data = consume_step_recovering(&args, &mut session, &rec, &name, salt).await;
             let Some(data) = data else { continue };
             leaf_bytes.push(transport::payload_len(&data));
             if head.is_none() {
@@ -1062,12 +902,7 @@ pub async fn reducer_stream(
             // A lost leaf leaves a partial reduction — typed, visible.
             rec.annotate("partial_reductions", 1.0);
         }
-        {
-            let g = rec.region("analytics");
-            let d = analytics_sleep(&args, &mut rng).mul_f64(in_step as f64);
-            args.ctx.sleep(d).await;
-            g.end();
-        }
+        analytics(&args, &rec, &mut rng, in_step).await;
     }
     rec.finish()
 }

@@ -183,6 +183,69 @@ fn xfs_survives_every_fault_class() {
     }
 }
 
+/// The DYAD-sync-over-PFS ablation keeps its metadata on the same KVS
+/// as DYAD, so a broker outage that outlasts the client's retry budget
+/// (a commit issued inside the node-0 crash window, a watch across the
+/// 400 ms link-down) must be waited out by the role, not unwrapped: every
+/// frame is still consumed, or given up with a typed, counted failure.
+#[test]
+fn dyad_on_pfs_survives_every_fault_class() {
+    let total = u64::from(PAIRS) * FRAMES;
+    for (class, kind) in fault_classes(Solution::DyadOnPfs) {
+        let m = run_scenario(Solution::DyadOnPfs, kind);
+        check_common(class, Solution::DyadOnPfs, &m);
+        let consumed: u64 = m
+            .consumers
+            .iter()
+            .map(|p| p.node(&["analytics"]).map_or(0, |n| n.count))
+            .sum();
+        assert_eq!(
+            consumed + m.faults.consume_failures,
+            total,
+            "dyad_on_pfs/{class}: a frame was neither consumed nor counted as failed"
+        );
+        if class == "link_down" {
+            assert!(
+                m.faults.consume_outer_retries > 0,
+                "dyad_on_pfs/{class}: the outage never outlasted the KVS retry budget"
+            );
+        }
+    }
+}
+
+/// The ablation under chaos and under an armed-but-idle board: generated
+/// plans terminate with a byte-stable report, and a board whose only
+/// event lands after the workload leaves the makespan where it was.
+#[test]
+fn dyad_on_pfs_is_deterministic_under_chaos_and_unperturbed_when_idle() {
+    let cal = Calibration::quiet();
+    for &seed in &SEEDS {
+        let wf = base(Solution::DyadOnPfs).with_faults(FaultConfig::chaos(seed, 1));
+        let a = run_once(&wf, &cal, seed);
+        assert!(a.faults.injected > 0, "seed {seed}: plan injected nothing");
+        let b = run_once(&wf, &cal, seed);
+        assert_eq!(
+            StudyReport::from_runs(&wf, &[a]).to_json(),
+            StudyReport::from_runs(&wf, &[b]).to_json(),
+            "seed {seed}: report not byte-stable"
+        );
+    }
+    let late = base(Solution::DyadOnPfs).with_faults(FaultConfig::scheduled(vec![FaultEvent {
+        at: SimDuration::from_secs_f64(3600.0),
+        kind: FaultKind::NodeCrash {
+            node: 0,
+            down_for: ms(100),
+        },
+    }]));
+    let plain = run_once(&base(Solution::DyadOnPfs), &cal, 5);
+    let idle = run_once(&late, &cal, 5);
+    assert_eq!(
+        plain.makespan, idle.makespan,
+        "idle board moved the makespan"
+    );
+    assert_eq!(idle.faults.injected, 0);
+}
+
 /// Streaming accounting, the M:N generalization of the DYAD check:
 /// every *step delivery* (steps × subscribers per group) ends consumed,
 /// observed lost via a tombstone, or given up with a typed failure —
@@ -534,6 +597,43 @@ fn armed_board_with_out_of_window_plan_preserves_makespan() {
         assert_eq!(
             b.faults.injected, 0,
             "{solution:?}: out-of-window event fired inside the run"
+        );
+    }
+}
+
+/// The detached ack task was the one place an ack could fail uncounted:
+/// under the chaos plan at run seed 26 DYAD consumes every frame, but
+/// one ack commit exhausts its retries inside a fault window. Every
+/// consumed frame's ack is now either published or counted as dropped.
+#[test]
+fn every_consumed_frame_acks_or_counts_a_dropped_ack() {
+    for pairs in [4u32, 8] {
+        let wf = WorkflowConfig::new(
+            Solution::Dyad,
+            pairs,
+            Placement::Split { pairs_per_node: 8 },
+        )
+        .with_frames(64)
+        .with_faults(FaultConfig::chaos(42, 2));
+        let m = run_once(&wf, &Calibration::corona(), 26);
+        let consumed: u64 = m
+            .consumers
+            .iter()
+            .map(|p| p.node(&["analytics"]).map_or(0, |n| n.count))
+            .sum();
+        assert_eq!(
+            consumed,
+            u64::from(pairs) * 64,
+            "{pairs} pairs: a frame went missing"
+        );
+        assert!(
+            m.faults.acks_dropped >= 1,
+            "{pairs} pairs: seed 26 no longer drops an ack"
+        );
+        assert_eq!(
+            m.staging.acks_published + m.faults.acks_dropped,
+            consumed,
+            "{pairs} pairs: an ack is neither published nor counted"
         );
     }
 }

@@ -22,6 +22,15 @@
 //! Every phase is wrapped in [`instrument`] regions with the paper's
 //! region names, so Thicket queries can split data-movement time from
 //! synchronization (idle) time the same way the authors did.
+//!
+//! Each operation has one body — `try_produce`, `try_consume` — that
+//! returns a typed [`DyadError`]. The fault board's absence is the
+//! infallible case: every substrate op underneath is then a single
+//! attempt that cannot fail, no timer is armed and no jitter drawn, and
+//! `produce`/`consume` simply unwrap the result. The policies that differ
+//! under a board (produce: local-write retry; consume: re-resolve
+//! backoff, attempt bound) select on `Transport::faults()` and nothing
+//! else.
 
 #![warn(missing_docs)]
 
@@ -34,7 +43,6 @@ use faults::RetryPolicy;
 use instrument::Recorder;
 use kvs::KvsHandle;
 use localfs::{FsResult, LocalFs, LockKind};
-use pfs::PfsClient;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simcore::resource::FifoResource;
@@ -44,8 +52,10 @@ use transport::{AmId, Endpoint, LocalBoxFuture, Payload, Transport, TransportErr
 
 pub use staging::{FrameLocation, FrameMeta};
 
-/// Errors surfaced by the fallible produce/consume paths under a fault
-/// plan. Without faults these paths cannot fail.
+/// Errors of [`DyadService::try_produce`] and
+/// [`DyadConsumer::try_consume`], the only produce/consume bodies. Most
+/// arise only under a fault plan; a tombstoned or unresolvable frame and
+/// a failed local write are typed without one too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DyadError {
     /// Every copy of the frame is gone: the owner crashed before the
@@ -284,24 +294,23 @@ impl DyadService {
         }
     }
 
-    /// Write a frame to the managed directory with atomic tmp+rename
-    /// publication. On failure (device-error window) the tmp file is
-    /// removed so a retry starts clean.
-    async fn write_frame(&self, path: &str, frame: Payload) -> FsResult<()> {
+    /// Write a frame (or a fetched copy of one) to the managed directory
+    /// with atomic `tmp`+rename publication. On failure (device-error
+    /// window) the tmp file is removed so a retry starts clean.
+    async fn write_frame(&self, path: &str, tmp: &str, frame: &[Bytes]) -> FsResult<()> {
         self.ensure_dirs(path).await;
-        let tmp = format!("{path}.tmp");
         let res: FsResult<()> = async {
-            let fd = self.fs.create(&tmp).await?;
+            let fd = self.fs.create(tmp).await?;
             for seg in frame {
-                self.fs.write_bytes(fd, seg).await?;
+                self.fs.write_bytes(fd, seg.clone()).await?;
             }
             self.fs.close(fd).await?;
-            self.fs.rename(&tmp, path).await?;
+            self.fs.rename(tmp, path).await?;
             Ok(())
         }
         .await;
         if res.is_err() {
-            let _ = self.fs.unlink(&tmp).await;
+            let _ = self.fs.unlink(tmp).await;
         }
         res
     }
@@ -310,9 +319,26 @@ impl DyadService {
     /// metadata to the KVS.
     ///
     /// Call tree: `dyad_produce` → { `dyad_prod_write`, `dyad_commit` }.
-    pub async fn produce(&self, rec: &Recorder, name: &str, frame: Payload) {
+    ///
+    /// Under a fault board, local writes retry through NVMe device-error
+    /// windows per `policy`, backing off on `jitter` — the caller's stream,
+    /// because its outer recovery loop draws from the same one; a board
+    /// without it is a caller bug. Without a board a failed write is final
+    /// and `jitter` is never touched. The metadata commit retries through
+    /// broker outages inside the KVS client. Fails typed once the budget
+    /// is exhausted.
+    pub async fn try_produce(
+        &self,
+        rec: &Recorder,
+        name: &str,
+        frame: &[Bytes],
+        policy: &RetryPolicy,
+        jitter: Option<&mut StdRng>,
+    ) -> Result<(), DyadError> {
         let path = self.managed_path(name);
-        let size = transport::payload_len(&frame);
+        let size = transport::payload_len(frame);
+        let mut jitter = (self.ep.faults())
+            .map(|_| jitter.expect("under a fault board the caller passes its jitter stream"));
         let g = rec.region("dyad_produce");
         // Admission control: above the staging high watermark the
         // producer blocks here until the evictor frees space. The stall
@@ -325,74 +351,24 @@ impl DyadService {
                 b.end();
             }
         }
-        {
-            // Write to a temp name and rename: the frame becomes visible
-            // atomically, so a same-node consumer can never observe a
-            // partially written file.
-            let w = rec.region("dyad_prod_write");
-            self.write_frame(&path, frame).await.expect("local write");
-            w.end();
-        }
-        if let Some(st) = &self.staging {
-            st.frame_written(&path, size);
-        }
-        {
-            let c = rec.region("dyad_commit");
-            // Global-namespace bookkeeping (hashing, path registration).
-            self.ctx.sleep(self.spec.produce_overhead).await;
-            let meta = FrameMeta {
-                owner: self.node,
-                size,
-                location: FrameLocation::Nvme,
-            };
-            self.kvs.commit(&path, meta.encode()).await;
-            c.end();
-        }
-        if let Some(st) = &self.staging {
-            st.frame_published(&path);
-        }
-        g.end();
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.produces += 1;
-        inner.stats.bytes_produced += size;
-    }
-
-    /// Fallible [`DyadService::produce`] for fault runs: local writes
-    /// retry through NVMe device-error windows with backoff, and the
-    /// metadata commit retries through broker outages. Fails typed once
-    /// the retry budget is exhausted.
-    pub async fn try_produce(
-        &self,
-        rec: &Recorder,
-        name: &str,
-        frame: Payload,
-        policy: &RetryPolicy,
-        rng: &mut StdRng,
-    ) -> Result<(), DyadError> {
-        let path = self.managed_path(name);
-        let size = transport::payload_len(&frame);
-        let g = rec.region("dyad_produce");
-        if let Some(st) = &self.staging {
-            if st.would_block(size) {
-                let b = rec.region("staging_backpressure");
-                st.admit(size).await;
-                b.end();
-            }
-        }
+        // Write to a temp name and rename: the frame becomes visible
+        // atomically, so a same-node consumer can never observe a
+        // partially written file.
+        let tmp = format!("{path}.tmp");
         let mut attempts = 0;
         loop {
             attempts += 1;
             let w = rec.region("dyad_prod_write");
-            let res = self.write_frame(&path, frame.clone()).await;
+            let res = self.write_frame(&path, &tmp, frame).await;
             w.end();
-            match res {
-                Ok(()) => break,
-                Err(_) if attempts < policy.max_attempts => {
+            match (res, jitter.as_deref_mut()) {
+                (Ok(()), _) => break,
+                (Err(_), Some(rng)) if attempts < policy.max_attempts => {
                     rec.annotate("produce_retries", 1.0);
                     let pause = policy.backoff(attempts - 1, rng);
                     self.ctx.sleep(pause).await;
                 }
-                Err(_) => {
+                (Err(_), _) => {
                     // The frame can never appear: publish a Lost
                     // tombstone (best effort) so consumers surface a
                     // typed FrameLost instead of parking forever on a
@@ -413,6 +389,7 @@ impl DyadService {
         }
         let commit_res = {
             let c = rec.region("dyad_commit");
+            // Global-namespace bookkeeping (hashing, path registration).
             self.ctx.sleep(self.spec.produce_overhead).await;
             let meta = FrameMeta {
                 owner: self.node,
@@ -432,6 +409,14 @@ impl DyadService {
         inner.stats.produces += 1;
         inner.stats.bytes_produced += size;
         Ok(())
+    }
+
+    /// [`DyadService::try_produce`] for callers running without a fault
+    /// board.
+    pub async fn produce(&self, rec: &Recorder, name: &str, frame: Payload) {
+        self.try_produce(rec, name, &frame, &dyad_retry_policy(), None)
+            .await
+            .expect("produce cannot fail without a fault board (local write error?)")
     }
 
     /// Open a consumer session (tracks warm/cold synchronization state,
@@ -480,212 +465,35 @@ impl DyadConsumer {
     /// Call tree: `dyad_consume` → { `dyad_sync_flock` or `dyad_fetch`,
     /// `dyad_get_data`, `dyad_cons_store`, `read_single_buf` }, matching
     /// Figure 9.
-    pub async fn consume(&mut self, rec: &Recorder, name: &str) -> Payload {
+    ///
+    /// Metadata ops and the RDMA fetch ride the retrying clients, which
+    /// without a fault board are single attempts that cannot fail. The
+    /// staging evictor can move a frame between the metadata read and the
+    /// data fetch (NVMe → PFS on spill); the spill republishes metadata
+    /// *before* unlinking the NVMe copy, so one re-lookup observes the new
+    /// location. Two policies depend on whether a board is attached:
+    ///
+    /// * **re-resolve after a miss** — immediate without a board (the
+    ///   evictor already republished); after a jittered backoff with one
+    ///   (the owner may be down — its PFS spill copy is tried first);
+    /// * **attempt bound** — a defensive 8 without a board, the policy's
+    ///   `max_attempts` with one; past it, [`DyadError::Unresolvable`].
+    ///
+    /// A [`FrameLocation::Lost`] tombstone (owner crashed before the
+    /// frame could spill) surfaces as [`DyadError::FrameLost`] either way.
+    pub async fn try_consume(&mut self, rec: &Recorder, name: &str) -> Result<Payload, DyadError> {
         let svc = self.svc.clone();
         let path = svc.managed_path(name);
+        let policy = dyad_retry_policy();
+        // The board's absence is the infallible case; the two policy
+        // differences below are selected on it and nothing else.
+        let faulted = svc.ep.faults().is_some();
+        let max_attempts = if faulted { policy.max_attempts } else { 8 };
         let g = rec.region("dyad_consume");
 
         // --- Synchronization ------------------------------------------
         // Local presence first (single-node deployments): a flock probe
         // suffices once the producer shares our filesystem.
-        let mut data: Option<Payload> = None;
-        if svc.fs.exists(&path) {
-            let f = rec.region("dyad_sync_flock");
-            svc.fs
-                .flock(&path, LockKind::Shared)
-                .await
-                .expect("flock on existing file");
-            svc.fs
-                .funlock(&path, LockKind::Shared)
-                .await
-                .expect("funlock");
-            f.end();
-            // Node-local: direct read. Under staging, the evictor may
-            // retire or spill the frame between the probe and the read;
-            // a miss falls through to metadata resolution below.
-            let r = rec.region("read_single_buf");
-            data = try_read_local(&svc.fs, &path).await;
-            r.end();
-            if data.is_some() {
-                svc.inner.borrow_mut().stats.local_hits += 1;
-                self.warmed = true;
-            }
-        }
-
-        if data.is_none() {
-            // Remote (or evicted) data: resolve the owner through the
-            // KVS.
-            let f = rec.region("dyad_fetch");
-            let mut meta;
-            if self.warmed && svc.spec.warm_sync {
-                // Warm path: data is normally already published — one
-                // cheap, non-blocking lookup.
-                match svc.kvs.lookup(&path).await {
-                    Some(v) => {
-                        svc.inner.borrow_mut().stats.warm_syncs += 1;
-                        meta = FrameMeta::decode(v.value);
-                    }
-                    None => {
-                        // Producer fell behind: fall back to the
-                        // loosely coupled blocking watch.
-                        rec.annotate("cold_fallbacks", 1.0);
-                        svc.inner.borrow_mut().stats.cold_syncs += 1;
-                        let v = cold_wait(&svc, rec, &path).await;
-                        meta = FrameMeta::decode(v.value);
-                    }
-                }
-            } else {
-                // Cold path (first access): park in a KVS watch (or
-                // poll, if the ablation knob says so).
-                svc.inner.borrow_mut().stats.cold_syncs += 1;
-                let v = cold_wait(&svc, rec, &path).await;
-                meta = FrameMeta::decode(v.value);
-            }
-            f.end();
-            self.warmed = true;
-
-            // --- Data movement ----------------------------------------
-            // The staging evictor can move a frame between our metadata
-            // read and the data fetch (NVMe → PFS on spill). The spill
-            // republishes metadata *before* unlinking the NVMe copy, so
-            // one re-lookup always observes the new location; the bound
-            // is a defensive backstop.
-            let mut attempts = 0;
-            let fetched = loop {
-                attempts += 1;
-                assert!(
-                    attempts <= 8,
-                    "frame {path} unresolvable (evicted mid-consume?)"
-                );
-                match meta.location {
-                    FrameLocation::Lost => {
-                        // Only fault runs mint Lost tombstones, and they
-                        // consume through the fallible path.
-                        panic!("frame {path} lost to a node crash (use try_consume under faults)");
-                    }
-                    FrameLocation::Pfs => {
-                        // Spilled: fetch the PFS copy directly.
-                        let pfs = svc
-                            .staging
-                            .as_ref()
-                            .and_then(|st| st.pfs_client())
-                            .expect("spilled frame but no PFS client configured");
-                        let r = rec.region("dyad_pfs_fallback");
-                        let got = read_pfs(pfs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            if let Some(st) = &svc.staging {
-                                st.note_pfs_fallback();
-                            }
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme if meta.owner == svc.node => {
-                        // Published by a producer on our own node.
-                        let r = rec.region("read_single_buf");
-                        let got = try_read_local(&svc.fs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme => {
-                        // RDMA fetch from the owner's node-local
-                        // storage. An empty payload means the owner no
-                        // longer holds the file (spilled underneath us).
-                        let r = rec.region("dyad_get_data");
-                        let (_, got) = svc
-                            .ep
-                            .bulk_rpc(
-                                meta.owner,
-                                DYAD_AM,
-                                Bytes::copy_from_slice(path.as_bytes()),
-                                Vec::new(),
-                            )
-                            .await;
-                        r.end();
-                        if transport::payload_len(&got) > 0 {
-                            // Stage into our node-local cache, with the
-                            // same atomic rename publication (other
-                            // consumer sessions on this node must never
-                            // see a partial cache file).
-                            let s = rec.region("dyad_cons_store");
-                            svc.ensure_dirs(&path).await;
-                            let tmp = format!("{path}.tmp-{}", svc.node.0);
-                            let fd = svc.fs.create(&tmp).await.expect("managed dir");
-                            let size = transport::payload_len(&got);
-                            for seg in got {
-                                svc.fs.write_bytes(fd, seg).await.expect("store");
-                            }
-                            svc.fs.close(fd).await.expect("close");
-                            svc.fs.rename(&tmp, &path).await.expect("cache rename");
-                            if let Some(st) = &svc.staging {
-                                st.cache_inserted(&path, size);
-                            }
-                            s.end();
-                            // Application read from the warm local cache.
-                            let r = rec.region("read_single_buf");
-                            let got = try_read_local(&svc.fs, &path).await;
-                            r.end();
-                            if let Some(got) = got {
-                                break got;
-                            }
-                        }
-                    }
-                }
-                // Re-read the metadata and try again at its new home.
-                let v = svc
-                    .kvs
-                    .lookup(&path)
-                    .await
-                    .unwrap_or_else(|| panic!("frame {path} retired before consume"));
-                meta = FrameMeta::decode(v.value);
-            };
-            data = Some(fetched);
-        }
-        let data = data.expect("consume resolved a payload");
-        g.end();
-
-        // Publish the consumption ack asynchronously: retention cares,
-        // the application does not, so the commit must not add to the
-        // consume latency.
-        if let Some(st) = &svc.staging {
-            let st = st.clone();
-            let p = path.clone();
-            let id = self.id.clone();
-            svc.ctx.spawn(async move {
-                st.publish_ack(&p, &id).await;
-            });
-        }
-
-        let size = transport::payload_len(&data);
-        let mut inner = svc.inner.borrow_mut();
-        inner.stats.consumes += 1;
-        inner.stats.bytes_consumed += size;
-        data
-    }
-
-    /// Fallible [`DyadConsumer::consume`] for fault runs. Differences
-    /// from the infallible path:
-    ///
-    /// * metadata ops ride the retrying KVS client (broker outages are
-    ///   absorbed, then surface as [`DyadError::Transport`]);
-    /// * the RDMA fetch retries with backoff; when the owner node is
-    ///   down the consumer falls back to the frame's PFS spill copy
-    ///   (re-fetching through the spill path) instead of waiting for
-    ///   the restart;
-    /// * a [`FrameLocation::Lost`] tombstone (owner crashed before the
-    ///   frame could spill) surfaces as [`DyadError::FrameLost`] instead
-    ///   of blocking forever;
-    /// * the resolve loop is bounded by the policy's attempt budget and
-    ///   fails typed ([`DyadError::Unresolvable`]) instead of panicking.
-    pub async fn try_consume(&mut self, rec: &Recorder, name: &str) -> Result<Payload, DyadError> {
-        let svc = self.svc.clone();
-        let path = svc.managed_path(name);
-        let policy = dyad_retry_policy();
-        let g = rec.region("dyad_consume");
-
-        // --- Synchronization ------------------------------------------
         let mut data: Option<Payload> = None;
         if svc.fs.exists(&path) {
             let f = rec.region("dyad_sync_flock");
@@ -695,6 +503,9 @@ impl DyadConsumer {
             }
             f.end();
             if locked {
+                // Node-local: direct read. Under staging, the evictor may
+                // retire or spill the frame between the probe and the
+                // read; a miss falls through to metadata resolution.
                 let r = rec.region("read_single_buf");
                 data = try_read_local(&svc.fs, &path).await;
                 r.end();
@@ -706,42 +517,40 @@ impl DyadConsumer {
         }
 
         if data.is_none() {
-            let meta_res: Result<FrameMeta, DyadError> = {
-                let f = rec.region("dyad_fetch");
-                let r = if self.warmed && svc.spec.warm_sync {
-                    match svc.kvs.try_lookup(&path).await {
-                        Ok(Some(v)) => {
-                            svc.inner.borrow_mut().stats.warm_syncs += 1;
-                            Ok(FrameMeta::decode(v.value))
-                        }
-                        Ok(None) => {
-                            rec.annotate("cold_fallbacks", 1.0);
-                            svc.inner.borrow_mut().stats.cold_syncs += 1;
-                            try_cold_wait(&svc, rec, &path)
-                                .await
-                                .map(|v| FrameMeta::decode(v.value))
-                                .map_err(DyadError::from)
-                        }
-                        Err(e) => Err(e.into()),
-                    }
-                } else {
-                    svc.inner.borrow_mut().stats.cold_syncs += 1;
-                    try_cold_wait(&svc, rec, &path)
-                        .await
-                        .map(|v| FrameMeta::decode(v.value))
-                        .map_err(DyadError::from)
-                };
-                f.end();
-                r
+            // Remote (or evicted) data: resolve the owner through the
+            // KVS.
+            let f = rec.region("dyad_fetch");
+            // Warm path: data is normally already published — one cheap,
+            // non-blocking lookup. Cold path (first access, or the
+            // producer fell behind): the loosely coupled blocking watch.
+            let warm = self.warmed && svc.spec.warm_sync;
+            let hit = if warm {
+                svc.kvs.try_lookup(&path).await?
+            } else {
+                None
             };
-            let mut meta = meta_res?;
+            let v = match hit {
+                Some(v) => {
+                    svc.inner.borrow_mut().stats.warm_syncs += 1;
+                    v
+                }
+                None => {
+                    if warm {
+                        rec.annotate("cold_fallbacks", 1.0);
+                    }
+                    svc.inner.borrow_mut().stats.cold_syncs += 1;
+                    cold_wait(&svc, rec, &path).await?
+                }
+            };
+            f.end();
+            let mut meta = FrameMeta::decode(v.value);
             self.warmed = true;
 
             // --- Data movement with recovery --------------------------
             let mut attempts = 0;
             let fetched = loop {
                 attempts += 1;
-                if attempts > policy.max_attempts {
+                if attempts > max_attempts {
                     return Err(DyadError::Unresolvable {
                         path,
                         attempts: attempts - 1,
@@ -752,19 +561,10 @@ impl DyadConsumer {
                         return Err(DyadError::FrameLost { path });
                     }
                     FrameLocation::Pfs => {
-                        if let Some(pfs) = svc.staging.as_ref().and_then(|st| st.pfs_client()) {
-                            let r = rec.region("dyad_pfs_fallback");
-                            let got = read_pfs(pfs, &path).await;
-                            r.end();
-                            if let Some(got) = got {
-                                if let Some(st) = &svc.staging {
-                                    st.note_pfs_fallback();
-                                }
-                                break got;
-                            }
-                            // Spill copy gone: the owner (or its
-                            // restart hook) will tombstone or
-                            // re-publish; re-resolve below.
+                        // Spill copy gone: the owner (or its restart
+                        // hook) will tombstone or re-publish; re-resolve.
+                        if let Some(got) = fetch_spill(&svc, rec, &path).await {
+                            break got;
                         }
                     }
                     FrameLocation::Nvme if meta.owner == svc.node => {
@@ -776,6 +576,9 @@ impl DyadConsumer {
                         }
                     }
                     FrameLocation::Nvme => {
+                        // RDMA fetch from the owner's node-local
+                        // storage. An empty payload means the owner no
+                        // longer holds the file (spilled underneath us).
                         let r = rec.region("dyad_get_data");
                         let fetch = svc
                             .ep
@@ -806,27 +609,19 @@ impl DyadConsumer {
                                 // try the PFS spill copy before waiting
                                 // out the restart.
                                 rec.annotate("dead_owner_fallbacks", 1.0);
-                                if let Some(pfs) =
-                                    svc.staging.as_ref().and_then(|st| st.pfs_client())
-                                {
-                                    let r = rec.region("dyad_pfs_fallback");
-                                    let got = read_pfs(pfs, &path).await;
-                                    r.end();
-                                    if let Some(got) = got {
-                                        if let Some(st) = &svc.staging {
-                                            st.note_pfs_fallback();
-                                        }
-                                        break got;
-                                    }
+                                if let Some(got) = fetch_spill(&svc, rec, &path).await {
+                                    break got;
                                 }
                             }
                         }
                     }
                 }
-                // Back off, then re-read the metadata and retry at the
-                // frame's (possibly new) home.
-                let pause = policy.backoff(attempts - 1, &mut self.rng);
-                svc.ctx.sleep(pause).await;
+                // Re-read the metadata and retry at the frame's (possibly
+                // new) home — after a backoff when an outage may be why.
+                if faulted {
+                    let pause = policy.backoff(attempts - 1, &mut self.rng);
+                    svc.ctx.sleep(pause).await;
+                }
                 match svc.kvs.try_lookup(&path).await {
                     Ok(Some(v)) => meta = FrameMeta::decode(v.value),
                     // Metadata gone while we hold an unconsumed
@@ -840,6 +635,9 @@ impl DyadConsumer {
         let data = data.expect("consume resolved a payload");
         g.end();
 
+        // Publish the consumption ack asynchronously: retention cares,
+        // the application does not, so the commit must not add to the
+        // consume latency. A dropped ack is counted by the manager.
         if let Some(st) = &svc.staging {
             let st = st.clone();
             let p = path.clone();
@@ -856,6 +654,14 @@ impl DyadConsumer {
         Ok(data)
     }
 
+    /// [`DyadConsumer::try_consume`] for callers running without a fault
+    /// board.
+    pub async fn consume(&mut self, rec: &Recorder, name: &str) -> Payload {
+        self.try_consume(rec, name)
+            .await
+            .expect("consume cannot fail without a fault board (lost or evicted frame?)")
+    }
+
     /// Stage a fetched remote frame into the local cache and read it
     /// back. `None` when the cache write failed (device-error window) —
     /// the caller re-resolves; meanwhile serve nothing rather than a
@@ -863,26 +669,15 @@ impl DyadConsumer {
     async fn store_cache(&self, rec: &Recorder, path: &str, got: Payload) -> Option<Payload> {
         let svc = &self.svc;
         let s = rec.region("dyad_cons_store");
-        svc.ensure_dirs(path).await;
+        // Same atomic rename publication as a produce: other consumer
+        // sessions on this node must never see a partial cache file.
         let tmp = format!("{path}.tmp-{}", svc.node.0);
-        let size = transport::payload_len(&got);
-        let write: FsResult<()> = async {
-            let fd = svc.fs.create(&tmp).await?;
-            for seg in got {
-                svc.fs.write_bytes(fd, seg).await?;
-            }
-            svc.fs.close(fd).await?;
-            svc.fs.rename(&tmp, path).await?;
-            Ok(())
-        }
-        .await;
-        if write.is_err() {
-            let _ = svc.fs.unlink(&tmp).await;
+        if svc.write_frame(path, &tmp, &got).await.is_err() {
             s.end();
             return None;
         }
         if let Some(st) = &svc.staging {
-            st.cache_inserted(path, size);
+            st.cache_inserted(path, transport::payload_len(&got));
         }
         s.end();
         let r = rec.region("read_single_buf");
@@ -897,8 +692,9 @@ impl DyadConsumer {
     }
 }
 
-/// Fallible cold synchronization (see [`cold_wait`]).
-async fn try_cold_wait(
+/// The cold synchronization: a parked server-side watch by default, or
+/// client-side polling under the `cold_sync_poll` ablation.
+async fn cold_wait(
     svc: &Rc<DyadService>,
     rec: &Recorder,
     path: &str,
@@ -913,18 +709,6 @@ async fn try_cold_wait(
         res
     } else {
         svc.kvs.try_wait_key(path).await
-    }
-}
-
-/// The cold synchronization: a parked server-side watch by default, or
-/// client-side polling under the `cold_sync_poll` ablation.
-async fn cold_wait(svc: &Rc<DyadService>, rec: &Recorder, path: &str) -> kvs::VersionedValue {
-    if svc.spec.cold_sync_poll {
-        let (v, polls) = svc.kvs.wait_key_poll(path).await;
-        annotate_polls(svc, rec, path, polls);
-        v
-    } else {
-        svc.kvs.wait_key(path).await
     }
 }
 
@@ -948,12 +732,24 @@ async fn try_read_local(fs: &LocalFs, path: &str) -> Option<Payload> {
     Some(data)
 }
 
-/// Read a spilled frame's PFS copy; `None` when it is already retired.
-async fn read_pfs(pfs: &PfsClient, path: &str) -> Option<Payload> {
-    let fd = pfs.open(&staging::spill_path(path)).await.ok()?;
-    let data = pfs.read_segments(fd).await.ok()?;
-    let _ = pfs.close(fd).await;
-    Some(data)
+/// Fetch a spilled frame's PFS copy; `None` when no PFS client is
+/// configured or the copy is already retired.
+async fn fetch_spill(svc: &DyadService, rec: &Recorder, path: &str) -> Option<Payload> {
+    let st = svc.staging.as_ref()?;
+    let pfs = st.pfs_client()?;
+    let r = rec.region("dyad_pfs_fallback");
+    let got: Option<Payload> = async {
+        let fd = pfs.open(&staging::spill_path(path)).await.ok()?;
+        let data = pfs.read_segments(fd).await.ok()?;
+        let _ = pfs.close(fd).await;
+        Some(data)
+    }
+    .await;
+    r.end();
+    if got.is_some() {
+        st.note_pfs_fallback();
+    }
+    got
 }
 
 #[cfg(test)]
@@ -1191,6 +987,31 @@ mod tests {
     }
 
     #[test]
+    fn lost_tombstone_without_a_board_is_a_typed_error() {
+        // No fault board anywhere; the tombstone is committed by hand.
+        let sim = Sim::new(0);
+        let rig = setup(&sim, 2, DyadSpec::default());
+        let (prod, cons) = (rig.services[0].clone(), rig.services[1].clone());
+        let ctx = sim.ctx();
+        let h = sim.spawn(async move {
+            let meta = FrameMeta {
+                owner: NodeId(0),
+                size: 1,
+                location: FrameLocation::Lost,
+            };
+            prod.kvs
+                .try_commit("/dyad/gone", meta.encode())
+                .await
+                .unwrap();
+            let rec = Recorder::new(&ctx);
+            cons.consumer().try_consume(&rec, "gone").await
+        });
+        assert!(sim.run().is_clean());
+        let path = "/dyad/gone".to_string();
+        assert_eq!(h.try_take().unwrap(), Err(DyadError::FrameLost { path }));
+    }
+
+    #[test]
     fn consume_falls_back_to_pfs_after_spill() {
         // Tight staging budget on the producer node: the evictor spills
         // unconsumed frames to the PFS; a cross-node consumer must still
@@ -1423,6 +1244,14 @@ mod tests {
         }
     }
 
+    /// Produce as a role under a fault board does: with a jitter stream.
+    async fn produce_faulted(svc: &DyadService, rec: &Recorder, name: &str, f: Payload) {
+        let mut jitter = StdRng::seed_from_u64(1);
+        svc.try_produce(rec, name, &f, &dyad_retry_policy(), Some(&mut jitter))
+            .await
+            .expect("produce under an idle board");
+    }
+
     #[test]
     fn try_consume_survives_producer_crash_via_pfs_and_tombstones() {
         // Producer writes two frames; the tight budget spills frame 0 to
@@ -1449,7 +1278,7 @@ mod tests {
                 let rec = Recorder::new(&ctx);
                 for i in 0..2u64 {
                     let (_, f) = frame(i);
-                    prod.produce(&rec, &format!("s/{i}"), f).await;
+                    produce_faulted(&prod, &rec, &format!("s/{i}"), f).await;
                     ctx.sleep(SimDuration::from_millis(200)).await;
                 }
             });
@@ -1506,7 +1335,7 @@ mod tests {
             sim.spawn(async move {
                 let rec = Recorder::new(&ctx);
                 let (_, f) = frame(0);
-                prod.produce(&rec, "s/0", f).await;
+                produce_faulted(&prod, &rec, "s/0", f).await;
                 // Wait out the evictor (budget of one frame forces the
                 // spill), then lose the spill copy.
                 ctx.sleep(SimDuration::from_secs(2)).await;

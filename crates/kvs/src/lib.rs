@@ -9,8 +9,13 @@
 //!   bounded pool of service threads, and **server-side watches** (a
 //!   `WaitKey` RPC parks inside the broker until the key is committed);
 //! * **clients** ([`KvsClient`]) on every node, issuing RPCs over the
-//!   UCX-like [`transport`] layer, with an optional read cache and a
-//!   client-side polling fallback (used by the synchronization ablation).
+//!   UCX-like [`transport`] layer, with an optional read cache; the
+//!   client-side polling wait of the synchronization ablation lives on
+//!   [`KvsHandle`], over either plane's lookup.
+//!   Each client op has one body, `try_*`, returning a typed error: under
+//!   a fault board it retries through broker outages, and without one it
+//!   is a single RPC that cannot fail — `commit`/`lookup`/`wait_key`/
+//!   `unlink` are that case unwrapped, for callers that run without one.
 //!
 //! All costs are explicit: each operation pays the fabric round trip plus
 //! broker service time on a FIFO server pool.
@@ -50,7 +55,7 @@ pub struct KvsSpec {
     pub service_time: SimDuration,
     /// Parallel service threads in the broker.
     pub server_threads: u64,
-    /// Client polling interval for [`KvsClient::wait_key_poll`].
+    /// Client polling interval for [`KvsHandle::try_wait_key_poll_counted`].
     pub poll_interval: SimDuration,
 }
 
@@ -390,20 +395,50 @@ impl KvsClient {
         StdRng::seed_from_u64(self.rng.borrow_mut().random())
     }
 
+    /// One request/response exchange with the broker. With no fault
+    /// board attached this is a single board-blind RPC: no jitter stream
+    /// is forked and no timer armed. With one, the RPC retries through
+    /// broker outages per `policy` and errors only once the budget is
+    /// exhausted; a shard killed by `KvsShardCrash` answers `ShardDown`,
+    /// surfaced as `Unreachable` so mesh clients fail over.
+    async fn call(&self, req: Bytes, policy: &RetryPolicy) -> Result<Response, TransportError> {
+        let raw = if self.ep.faults().is_some() {
+            let mut rng = self.fork_rng();
+            self.ep
+                .rpc_retrying(self.broker, self.am, req, policy, &mut rng)
+                .await?
+        } else {
+            self.ep.rpc(self.broker, self.am, req).await
+        };
+        match Response::decode(raw) {
+            Response::ShardDown => Err(TransportError::Unreachable { node: self.broker }),
+            resp => Ok(resp),
+        }
+    }
+
+    /// Cache and return a broker-supplied value.
+    fn cached(&self, key: Symbol, version: u64, value: Bytes) -> VersionedValue {
+        let v = VersionedValue { version, value };
+        self.cache.borrow_mut().insert(key, v.clone());
+        v
+    }
+
     /// Commit `value` under `key`; returns the new global version.
-    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
+    /// Commits are idempotent (last-writer-wins on the same key), so a
+    /// retry after a lost reply is safe.
+    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
         let key = intern(key);
         let req = Request::Commit {
             key,
             value: value.clone(),
-        };
-        let resp = Response::decode(self.ep.rpc(self.broker, self.am, req.encode()).await);
-        match resp {
+        }
+        .encode();
+        match self.call(req, &self.retry).await? {
             Response::Committed { version } => {
                 self.cache
                     .borrow_mut()
                     .insert(key, VersionedValue { version, value });
-                version
+                Ok(version)
             }
             other => panic!("unexpected commit response {other:?}"),
         }
@@ -411,17 +446,12 @@ impl KvsClient {
 
     /// Read `key` from the broker (always a round trip; updates the
     /// cache).
-    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
+    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
         let key = intern(key);
-        let req = Request::Lookup { key };
-        let resp = Response::decode(self.ep.rpc(self.broker, self.am, req.encode()).await);
-        match resp {
-            Response::Value { version, value } => {
-                let v = VersionedValue { version, value };
-                self.cache.borrow_mut().insert(key, v.clone());
-                Some(v)
-            }
-            Response::NotFound => None,
+        let req = Request::Lookup { key }.encode();
+        match self.call(req, &self.retry).await? {
+            Response::Value { version, value } => Ok(Some(self.cached(key, version, value))),
+            Response::NotFound => Ok(None),
             other => panic!("unexpected lookup response {other:?}"),
         }
     }
@@ -434,166 +464,52 @@ impl KvsClient {
 
     /// Block until `key` exists, using a **server-side watch**: one RPC
     /// that parks in the broker. This is DYAD's cold-path synchronization.
-    pub async fn wait_key(&self, key: &str) -> VersionedValue {
+    /// Uses the wait policy (no per-attempt timeout), so only
+    /// unreachability triggers a retry.
+    pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
         let key = intern(key);
-        let req = Request::WaitKey { key };
-        let resp = Response::decode(self.ep.rpc(self.broker, self.am, req.encode()).await);
-        match resp {
-            Response::Value { version, value } => {
-                let v = VersionedValue { version, value };
-                self.cache.borrow_mut().insert(key, v.clone());
-                v
-            }
+        let req = Request::WaitKey { key }.encode();
+        match self.call(req, &self.wait_retry).await? {
+            Response::Value { version, value } => Ok(self.cached(key, version, value)),
             other => panic!("unexpected wait response {other:?}"),
-        }
-    }
-
-    /// Block until `key` exists by **client-side polling** every
-    /// [`KvsSpec::poll_interval`]. Each probe is a full lookup RPC. Used
-    /// by the synchronization-protocol ablation; returns the value and the
-    /// number of polls issued.
-    pub async fn wait_key_poll(&self, key: &str) -> (VersionedValue, u64) {
-        let mut polls = 0;
-        loop {
-            polls += 1;
-            if let Some(v) = self.lookup(key).await {
-                return (v, polls);
-            }
-            self.ctx.sleep(self.spec.poll_interval).await;
         }
     }
 
     /// Remove `key` on the broker and locally.
-    pub async fn unlink(&self, key: &str) {
-        let key = intern(key);
-        let req = Request::Unlink { key };
-        let _ = self.ep.rpc(self.broker, self.am, req.encode()).await;
-        self.cache.borrow_mut().remove(&key);
-    }
-
-    /// Fallible [`KvsClient::commit`]: retries through broker outages per
-    /// the client's retry policy; errors only once the budget is
-    /// exhausted. Commits are idempotent (last-writer-wins on the same
-    /// key), so a retry after a lost reply is safe.
-    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        let key = intern(key);
-        let req = Request::Commit {
-            key,
-            value: value.clone(),
-        };
-        let mut rng = self.fork_rng();
-        let raw = self
-            .ep
-            .rpc_retrying(self.broker, self.am, req.encode(), &self.retry, &mut rng)
-            .await?;
-        match Response::decode(raw) {
-            Response::Committed { version } => {
-                self.cache
-                    .borrow_mut()
-                    .insert(key, VersionedValue { version, value });
-                Ok(version)
-            }
-            Response::ShardDown => Err(TransportError::Unreachable { node: self.broker }),
-            other => panic!("unexpected commit response {other:?}"),
-        }
-    }
-
-    /// Fallible [`KvsClient::lookup`] with retry.
-    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        let key = intern(key);
-        let req = Request::Lookup { key };
-        let mut rng = self.fork_rng();
-        let raw = self
-            .ep
-            .rpc_retrying(self.broker, self.am, req.encode(), &self.retry, &mut rng)
-            .await?;
-        match Response::decode(raw) {
-            Response::Value { version, value } => {
-                let v = VersionedValue { version, value };
-                self.cache.borrow_mut().insert(key, v.clone());
-                Ok(Some(v))
-            }
-            Response::NotFound => Ok(None),
-            Response::ShardDown => Err(TransportError::Unreachable { node: self.broker }),
-            other => panic!("unexpected lookup response {other:?}"),
-        }
-    }
-
-    /// Fallible [`KvsClient::wait_key`] with retry. Uses the wait policy
-    /// (no per-attempt timeout): the RPC parks server-side until the key
-    /// is committed, so only unreachability triggers a retry.
-    pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
-        let key = intern(key);
-        let req = Request::WaitKey { key };
-        let mut rng = self.fork_rng();
-        let raw = self
-            .ep
-            .rpc_retrying(
-                self.broker,
-                self.am,
-                req.encode(),
-                &self.wait_retry,
-                &mut rng,
-            )
-            .await?;
-        match Response::decode(raw) {
-            Response::Value { version, value } => {
-                let v = VersionedValue { version, value };
-                self.cache.borrow_mut().insert(key, v.clone());
-                Ok(v)
-            }
-            Response::ShardDown => Err(TransportError::Unreachable { node: self.broker }),
-            other => panic!("unexpected wait response {other:?}"),
-        }
-    }
-
-    /// Fallible [`KvsClient::wait_key_poll`] with retry: each probe is a
-    /// fallible lookup, so broker outages shorter than the retry budget
-    /// are absorbed inside the poll loop.
-    pub async fn try_wait_key_poll(
-        &self,
-        key: &str,
-    ) -> Result<(VersionedValue, u64), TransportError> {
-        match self.try_wait_key_poll_counted(key).await {
-            (Ok(v), polls) => Ok((v, polls)),
-            (Err(e), _) => Err(e),
-        }
-    }
-
-    /// Like [`KvsClient::try_wait_key_poll`], but the poll count is
-    /// reported on *both* exits — callers can account for the RPCs a
-    /// failed wait already issued instead of dropping them on the error
-    /// path.
-    pub async fn try_wait_key_poll_counted(
-        &self,
-        key: &str,
-    ) -> (Result<VersionedValue, TransportError>, u64) {
-        let mut polls = 0;
-        loop {
-            polls += 1;
-            match self.try_lookup(key).await {
-                Ok(Some(v)) => return (Ok(v), polls),
-                Ok(None) => {}
-                Err(e) => return (Err(e), polls),
-            }
-            self.ctx.sleep(self.spec.poll_interval).await;
-        }
-    }
-
-    /// Fallible [`KvsClient::unlink`] with retry.
     pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
         let key = intern(key);
-        let req = Request::Unlink { key };
-        let mut rng = self.fork_rng();
-        let raw = self
-            .ep
-            .rpc_retrying(self.broker, self.am, req.encode(), &self.retry, &mut rng)
-            .await?;
-        if let Response::ShardDown = Response::decode(raw) {
-            return Err(TransportError::Unreachable { node: self.broker });
-        }
+        let req = Request::Unlink { key }.encode();
+        self.call(req, &self.retry).await?;
         self.cache.borrow_mut().remove(&key);
         Ok(())
+    }
+
+    /// [`KvsClient::try_commit`] for callers running without a fault board.
+    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
+        self.try_commit(key, value)
+            .await
+            .expect("commit cannot fail without a fault board")
+    }
+
+    /// [`KvsClient::try_lookup`] for callers running without a fault board.
+    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
+        self.try_lookup(key)
+            .await
+            .expect("lookup cannot fail without a fault board")
+    }
+
+    /// [`KvsClient::try_wait_key`] for callers running without a fault board.
+    pub async fn wait_key(&self, key: &str) -> VersionedValue {
+        self.try_wait_key(key)
+            .await
+            .expect("wait_key cannot fail without a fault board")
+    }
+
+    /// [`KvsClient::try_unlink`] for callers running without a fault board.
+    pub async fn unlink(&self, key: &str) {
+        self.try_unlink(key)
+            .await
+            .expect("unlink cannot fail without a fault board")
     }
 }
 
@@ -755,7 +671,11 @@ mod tests {
         let sim = Sim::new(0);
         let rig = setup(&sim, 3);
         let consumer = client(&sim, &rig, 2);
-        let h = sim.spawn(async move { consumer.wait_key_poll("x").await });
+        let h = sim.spawn(async move {
+            KvsHandle::from(consumer)
+                .try_wait_key_poll_counted("x")
+                .await
+        });
         let producer = client(&sim, &rig, 1);
         let ctx = sim.ctx();
         sim.spawn(async move {
@@ -764,7 +684,7 @@ mod tests {
         });
         sim.run();
         let (v, polls) = h.try_take().unwrap();
-        assert_eq!(v.value, Bytes::from_static(b"y"));
+        assert_eq!(v.unwrap().value, Bytes::from_static(b"y"));
         // ~10 ms at 1 ms poll interval: about 10 polls.
         assert!((8..=13).contains(&polls), "{polls} polls");
     }

@@ -25,9 +25,9 @@
 //! * **Failover** — [`MeshKvsClient`] routes every operation to the
 //!   first *live* shard of the key's preference list. A shard killed by
 //!   a `KvsShardCrash` fault answers `ShardDown` (parked waits are
-//!   flushed), the client maps that to `Unreachable`, and the fallible
-//!   `try_*` paths walk down the preference list — so a replicated
-//!   namespace heals while an unreplicated one fails typed.
+//!   flushed), the client maps that to `Unreachable`, and every op
+//!   walks down the preference list (one `failover` helper) — so a
+//!   replicated namespace heals while an unreplicated one fails typed.
 //!
 //! Shard 0 listens on the legacy [`crate::KVS_AM`] id; a mesh with one
 //! shard and R=1 is event-for-event identical to the standalone broker.
@@ -486,8 +486,9 @@ impl KvsMesh {
 // ---------------------------------------------------------------------------
 
 /// A mesh client bound to one node: routes every operation to the
-/// owning shard of the key and, on the fallible paths, fails over down
-/// the preference list when shards die.
+/// owning shard of the key and fails over down the preference list when
+/// shards die. Each op has one body (`try_*`, typed error); with no fault
+/// board the owner cannot fail and `commit`/`lookup` just unwrap it.
 #[derive(Clone)]
 pub struct MeshKvsClient {
     topo: Rc<MeshTopology>,
@@ -532,29 +533,45 @@ impl MeshKvsClient {
         }
     }
 
-    /// The shard an operation on `key` is routed to: the first live
-    /// member of the preference list (the owner when healthy), or the
-    /// owner if the whole list is dead (the op then fails typed).
-    fn route(&self, key: &str) -> u32 {
-        let pref = self.topo.preference(key);
-        pref.iter()
-            .copied()
-            .find(|&s| self.live(s))
-            .unwrap_or(pref[0])
-    }
-
     fn client(&self, shard: u32) -> &KvsClient {
         &self.inner[shard as usize]
     }
 
-    /// Infallible commit, routed to the first live replica of `key`.
-    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
-        self.client(self.route(key)).commit(key, value).await
+    /// Preference-list failover: run `op` against each live replica of
+    /// `key` in preference order (the owner first — with no fault board
+    /// every shard is live and the owner cannot fail), each with the
+    /// inner client's full retry budget; errors only when every replica
+    /// is exhausted or down.
+    async fn failover<T>(
+        &self,
+        key: &str,
+        op: impl AsyncFn(&KvsClient) -> Result<T, TransportError>,
+    ) -> Result<T, TransportError> {
+        let pref = self.topo.preference(key);
+        let mut last = TransportError::Unreachable {
+            node: self.topo.node(pref[0]),
+        };
+        for &s in &pref {
+            if !self.live(s) {
+                continue;
+            }
+            match op(self.client(s)).await {
+                Ok(v) => return Ok(v),
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
     }
 
-    /// Infallible lookup on the first live replica of `key`.
-    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
-        self.client(self.route(key)).lookup(key).await
+    /// Commit on the first live replica of `key`.
+    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
+        self.failover(key, async |c| c.try_commit(key, value.clone()).await)
+            .await
+    }
+
+    /// Lookup on the first live replica of `key`.
+    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
+        self.failover(key, async |c| c.try_lookup(key).await).await
     }
 
     /// Cache-only read: checks the preference list's client caches in
@@ -567,132 +584,32 @@ impl MeshKvsClient {
             .find_map(|s| self.client(s).lookup_cached(key))
     }
 
-    /// Infallible server-side wait on the first live replica of `key`.
-    pub async fn wait_key(&self, key: &str) -> VersionedValue {
-        self.client(self.route(key)).wait_key(key).await
-    }
-
-    /// Infallible polling wait (the synchronization ablation), routed
-    /// per poll so a mid-wait crash fails over.
-    pub async fn wait_key_poll(&self, key: &str) -> (VersionedValue, u64) {
-        let mut polls = 0;
-        loop {
-            polls += 1;
-            if let Some(v) = self.client(self.route(key)).lookup(key).await {
-                return (v, polls);
-            }
-            let c = self.client(0);
-            c.ctx.sleep(c.spec.poll_interval).await;
-        }
-    }
-
-    /// Infallible unlink on the first live replica of `key`.
-    pub async fn unlink(&self, key: &str) {
-        self.client(self.route(key)).unlink(key).await
-    }
-
-    /// Fallible commit with preference-list failover: each live replica
-    /// is tried with the inner client's full retry budget; errors only
-    /// when every replica is exhausted or down.
-    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        let mut last = self.all_down_error(key);
-        for s in self.topo.preference(key) {
-            if !self.live(s) {
-                continue;
-            }
-            match self.client(s).try_commit(key, value.clone()).await {
-                Ok(v) => return Ok(v),
-                Err(e) => last = Err(e),
-            }
-        }
-        last
-    }
-
-    /// Fallible lookup with preference-list failover.
-    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        let mut last = self.all_down_error(key);
-        for s in self.topo.preference(key) {
-            if !self.live(s) {
-                continue;
-            }
-            match self.client(s).try_lookup(key).await {
-                Ok(v) => return Ok(v),
-                Err(e) => last = Err(e),
-            }
-        }
-        last
-    }
-
-    /// Fallible server-side wait with preference-list failover: a wait
-    /// parked on a shard that then crashes is flushed with `ShardDown`
-    /// and re-parked on the next live replica (which the synchronous
-    /// replication protocol guarantees will see the commit).
+    /// Server-side wait: a wait parked on a shard that then crashes is
+    /// flushed with `ShardDown` and re-parked on the next live replica
+    /// (which the synchronous replication protocol guarantees will see
+    /// the commit).
     pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
-        let mut last = self.all_down_error(key);
-        for s in self.topo.preference(key) {
-            if !self.live(s) {
-                continue;
-            }
-            match self.client(s).try_wait_key(key).await {
-                Ok(v) => return Ok(v),
-                Err(e) => last = Err(e),
-            }
-        }
-        last
+        self.failover(key, async |c| c.try_wait_key(key).await)
+            .await
     }
 
-    /// Fallible polling wait; see
-    /// [`MeshKvsClient::try_wait_key_poll_counted`] for the poll count
-    /// on the error path.
-    pub async fn try_wait_key_poll(
-        &self,
-        key: &str,
-    ) -> Result<(VersionedValue, u64), TransportError> {
-        match self.try_wait_key_poll_counted(key).await {
-            (Ok(v), polls) => Ok((v, polls)),
-            (Err(e), _) => Err(e),
-        }
-    }
-
-    /// Fallible polling wait reporting the poll count on both exits.
-    /// Each poll is a [`MeshKvsClient::try_lookup`], so failover happens
-    /// inside the probe; an error means every replica of the key failed.
-    pub async fn try_wait_key_poll_counted(
-        &self,
-        key: &str,
-    ) -> (Result<VersionedValue, TransportError>, u64) {
-        let mut polls = 0;
-        loop {
-            polls += 1;
-            match self.try_lookup(key).await {
-                Ok(Some(v)) => return (Ok(v), polls),
-                Ok(None) => {}
-                Err(e) => return (Err(e), polls),
-            }
-            let c = self.client(0);
-            c.ctx.sleep(c.spec.poll_interval).await;
-        }
-    }
-
-    /// Fallible unlink with preference-list failover.
+    /// Unlink on the first live replica of `key`.
     pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
-        let mut last = self.all_down_error(key);
-        for s in self.topo.preference(key) {
-            if !self.live(s) {
-                continue;
-            }
-            match self.client(s).try_unlink(key).await {
-                Ok(()) => return Ok(()),
-                Err(e) => last = Err(e),
-            }
-        }
-        last
+        self.failover(key, async |c| c.try_unlink(key).await).await
     }
 
-    fn all_down_error<T>(&self, key: &str) -> Result<T, TransportError> {
-        Err(TransportError::Unreachable {
-            node: self.topo.node(self.topo.owner(key)),
-        })
+    /// [`MeshKvsClient::try_commit`] for callers running without a fault board.
+    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
+        self.try_commit(key, value)
+            .await
+            .expect("commit cannot fail without a fault board")
+    }
+
+    /// [`MeshKvsClient::try_lookup`] for callers running without a fault board.
+    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
+        self.try_lookup(key)
+            .await
+            .expect("lookup cannot fail without a fault board")
     }
 }
 
@@ -736,19 +653,20 @@ impl KvsHandle {
         }
     }
 
-    /// Commit `value` under `key`; returns the broker's new version.
-    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
+    /// Commit `value` under `key`; returns the broker's new version
+    /// (retry + mesh failover under a fault board).
+    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
         match self {
-            KvsHandle::Single(c) => c.commit(key, value).await,
-            KvsHandle::Mesh(m) => m.commit(key, value).await,
+            KvsHandle::Single(c) => c.try_commit(key, value).await,
+            KvsHandle::Mesh(m) => m.try_commit(key, value).await,
         }
     }
 
     /// Read `key` (full round trip).
-    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
+    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
         match self {
-            KvsHandle::Single(c) => c.lookup(key).await,
-            KvsHandle::Mesh(m) => m.lookup(key).await,
+            KvsHandle::Single(c) => c.try_lookup(key).await,
+            KvsHandle::Mesh(m) => m.try_lookup(key).await,
         }
     }
 
@@ -761,46 +679,6 @@ impl KvsHandle {
     }
 
     /// Server-side blocking wait.
-    pub async fn wait_key(&self, key: &str) -> VersionedValue {
-        match self {
-            KvsHandle::Single(c) => c.wait_key(key).await,
-            KvsHandle::Mesh(m) => m.wait_key(key).await,
-        }
-    }
-
-    /// Client-side polling wait; returns `(value, polls)`.
-    pub async fn wait_key_poll(&self, key: &str) -> (VersionedValue, u64) {
-        match self {
-            KvsHandle::Single(c) => c.wait_key_poll(key).await,
-            KvsHandle::Mesh(m) => m.wait_key_poll(key).await,
-        }
-    }
-
-    /// Remove `key`.
-    pub async fn unlink(&self, key: &str) {
-        match self {
-            KvsHandle::Single(c) => c.unlink(key).await,
-            KvsHandle::Mesh(m) => m.unlink(key).await,
-        }
-    }
-
-    /// Fallible commit (retry + mesh failover).
-    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_commit(key, value).await,
-            KvsHandle::Mesh(m) => m.try_commit(key, value).await,
-        }
-    }
-
-    /// Fallible lookup (retry + mesh failover).
-    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_lookup(key).await,
-            KvsHandle::Mesh(m) => m.try_lookup(key).await,
-        }
-    }
-
-    /// Fallible server-side wait (retry + mesh failover).
     pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
         match self {
             KvsHandle::Single(c) => c.try_wait_key(key).await,
@@ -808,29 +686,33 @@ impl KvsHandle {
         }
     }
 
-    /// Fallible polling wait (retry + mesh failover).
-    pub async fn try_wait_key_poll(
-        &self,
-        key: &str,
-    ) -> Result<(VersionedValue, u64), TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_wait_key_poll(key).await,
-            KvsHandle::Mesh(m) => m.try_wait_key_poll(key).await,
-        }
-    }
-
-    /// Fallible polling wait reporting the poll count on both exits.
+    /// Block until `key` exists by **client-side polling** every
+    /// [`KvsSpec::poll_interval`] (the synchronization-protocol
+    /// ablation). Each probe is a full [`KvsHandle::try_lookup`], so
+    /// retries and mesh failover happen inside it and an error means the
+    /// key's every replica failed. The poll count is reported on *both*
+    /// exits — a wait that gave up still issued its RPCs.
     pub async fn try_wait_key_poll_counted(
         &self,
         key: &str,
     ) -> (Result<VersionedValue, TransportError>, u64) {
-        match self {
-            KvsHandle::Single(c) => c.try_wait_key_poll_counted(key).await,
-            KvsHandle::Mesh(m) => m.try_wait_key_poll_counted(key).await,
+        let c = match self {
+            KvsHandle::Single(c) => c,
+            KvsHandle::Mesh(m) => m.client(0),
+        };
+        let mut polls = 0;
+        loop {
+            polls += 1;
+            match self.try_lookup(key).await {
+                Ok(Some(v)) => return (Ok(v), polls),
+                Ok(None) => {}
+                Err(e) => return (Err(e), polls),
+            }
+            c.ctx.sleep(c.spec.poll_interval).await;
         }
     }
 
-    /// Fallible unlink (retry + mesh failover).
+    /// Remove `key`.
     pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
         match self {
             KvsHandle::Single(c) => c.try_unlink(key).await,

@@ -1443,14 +1443,15 @@ impl Ctx {
         let inner: Rc<RefCell<JoinInner<T>>> = Rc::new(RefCell::new(JoinInner {
             value: None,
             waker: None,
-            finished: false,
+            finished_at: None,
         }));
         let inner2 = inner.clone();
+        let ctx = self.clone();
         let wrapped = async move {
             let value = fut.await;
             let mut st = inner2.borrow_mut();
             st.value = Some(value);
-            st.finished = true;
+            st.finished_at = Some(ctx.now());
             if let Some(w) = st.waker.take() {
                 w.wake();
             }
@@ -1727,7 +1728,7 @@ impl Future for YieldNow {
 struct JoinInner<T> {
     value: Option<T>,
     waker: Option<Waker>,
-    finished: bool,
+    finished_at: Option<SimTime>,
 }
 
 /// Awaitable handle to a spawned process.
@@ -1738,7 +1739,12 @@ pub struct JoinHandle<T> {
 impl<T> JoinHandle<T> {
     /// True once the process has completed.
     pub fn is_finished(&self) -> bool {
-        self.inner.borrow().finished
+        self.finished_at().is_some()
+    }
+
+    /// The simulated time at which the process completed, once it has.
+    pub fn finished_at(&self) -> Option<SimTime> {
+        self.inner.borrow().finished_at
     }
 
     /// Take the result if the process has completed (non-blocking).
@@ -1755,7 +1761,7 @@ impl<T> Future for JoinHandle<T> {
             return Poll::Ready(v);
         }
         assert!(
-            !st.finished,
+            st.finished_at.is_none(),
             "JoinHandle polled after its value was already taken"
         );
         st.waker = Some(cx.waker().clone());

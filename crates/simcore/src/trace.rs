@@ -11,6 +11,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::executor::Ctx;
+use crate::intern::FxHashMap;
 use crate::time::SimTime;
 
 /// One trace record.
@@ -140,16 +141,16 @@ impl Tracer {
     /// thread id.
     pub fn to_chrome_json(&self) -> String {
         let st = self.state.borrow();
-        let tid = |track: &str, tracks: &mut Vec<String>| -> usize {
-            match tracks.iter().position(|t| t == track) {
-                Some(i) => i,
-                None => {
-                    tracks.push(track.to_string());
-                    tracks.len() - 1
-                }
-            }
+        // Thread ids are assigned in first-appearance order; the map makes
+        // the lookup O(1) per event (a scan was quadratic in tracks).
+        let mut track_ids: FxHashMap<&str, usize> = FxHashMap::default();
+        let mut track_names: Vec<&str> = Vec::new();
+        let mut tid = |track| -> usize {
+            *track_ids.entry(track).or_insert_with(|| {
+                track_names.push(track);
+                track_names.len() - 1
+            })
         };
-        let mut track_names: Vec<String> = Vec::new();
         let mut out = String::from("[");
         for (i, ev) in st.events.iter().enumerate() {
             if i > 0 {
@@ -162,7 +163,7 @@ impl Tracer {
                     category,
                     name,
                 } => {
-                    let t = tid(track, &mut track_names);
+                    let t = tid(track);
                     out.push_str(&format!(
                         r#"{{"name":{},"cat":"{}","ph":"i","ts":{},"pid":1,"tid":{},"s":"t"}}"#,
                         json_str(name),
@@ -178,7 +179,7 @@ impl Tracer {
                     category,
                     name,
                 } => {
-                    let t = tid(track, &mut track_names);
+                    let t = tid(track);
                     out.push_str(&format!(
                         r#"{{"name":{},"cat":"{}","ph":"X","ts":{},"dur":{},"pid":1,"tid":{}}}"#,
                         json_str(name),
@@ -313,6 +314,27 @@ mod tests {
         assert!(json.contains("thread_name"));
         // Escaped quotes in names survive.
         assert!(json.contains(r#"read \"frame\""#));
+    }
+
+    #[test]
+    fn chrome_json_numbers_tracks_in_first_appearance_order() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let tracer = Tracer::enabled();
+        for track in ["zeta", "alpha", "zeta", "mid", "alpha"] {
+            tracer.instant(&ctx, track, "c", "ev");
+        }
+        let json = tracer.to_chrome_json();
+        let tids: Vec<&str> = json
+            .match_indices(r#""tid":"#)
+            .map(|(i, pat)| &json[i + pat.len()..i + pat.len() + 1])
+            .collect();
+        // Five events, then one thread_name record per track.
+        assert_eq!(tids, ["0", "1", "0", "2", "1", "0", "1", "2"]);
+        for (tid, name) in ["zeta", "alpha", "mid"].iter().enumerate() {
+            let label = format!(r#""tid":{tid},"args":{{"name":"{name}"}}"#);
+            assert!(json.contains(&label), "missing {label}");
+        }
     }
 
     #[test]

@@ -49,6 +49,7 @@ use pfs::PfsClient;
 use simcore::intern::{intern, FxHashMap, Symbol};
 use simcore::sync::Notify;
 use simcore::{race, Ctx, SimDuration};
+use transport::TransportError;
 
 /// Where a published frame's bytes currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,6 +233,8 @@ pub struct StagingStats {
     pub pfs_fallbacks: u64,
     /// Consumption acks committed through this manager.
     pub acks_published: u64,
+    /// Consumption acks whose commit failed inside a fault window.
+    pub acks_dropped: u64,
     /// Frames whose every copy was lost (crash before spill, or the
     /// spill copy dropped).
     pub frames_lost: u64,
@@ -242,6 +245,7 @@ pub struct StagingStats {
     pub republished_frames: u64,
 }
 
+#[derive(Default)]
 struct Inner {
     // Paths are interned once on track; every later lifecycle hit
     // (publish, ack, evict scan) keys on the 4-byte symbol.
@@ -256,6 +260,9 @@ struct Inner {
     pending_demand: u64,
     stats: StagingStats,
     retire_log: Vec<RetireRecord>,
+    /// Retired frames whose KVS keys a broker outage kept from being
+    /// unlinked; every evictor pass retries them first.
+    unlink_backlog: Vec<Symbol>,
 }
 
 /// Per-node staged-data lifecycle manager.
@@ -310,15 +317,7 @@ impl StagingManager {
             kvs: kvs.into(),
             pfs,
             spec,
-            inner: RefCell::new(Inner {
-                frames: FxHashMap::default(),
-                order: BTreeMap::new(),
-                next_seq: 0,
-                consumers: Vec::new(),
-                pending_demand: 0,
-                stats: StagingStats::default(),
-                retire_log: Vec::new(),
-            }),
+            inner: RefCell::default(),
             pressure: Notify::new(),
             release: Notify::new(),
         })
@@ -493,31 +492,31 @@ impl StagingManager {
     }
 
     /// Commit the consumption acknowledgement for (`path`, `consumer`).
-    pub async fn publish_ack(&self, path: &str, consumer: &str) {
-        self.kvs
-            .commit(&ack_key(path, consumer), Bytes::from_static(b"1"))
+    /// A commit that fails inside a fault window is counted
+    /// (`acks_dropped`), not fatal: the frame is merely retained longer.
+    pub async fn try_publish_ack(&self, path: &str, consumer: &str) -> Result<(), TransportError> {
+        let res = self
+            .kvs
+            .try_commit(&ack_key(path, consumer), Bytes::from_static(b"1"))
             .await;
-        self.inner.borrow_mut().stats.acks_published += 1;
+        let mut inner = self.inner.borrow_mut();
+        match res {
+            Ok(_) => inner.stats.acks_published += 1,
+            Err(_) => inner.stats.acks_dropped += 1,
+        }
+        res.map(|_| ())
+    }
+
+    /// [`StagingManager::try_publish_ack`] without a fault board.
+    pub async fn publish_ack(&self, path: &str, consumer: &str) {
+        self.try_publish_ack(path, consumer)
+            .await
+            .expect("publish_ack cannot fail without a fault board")
     }
 
     /// Note a consumer fetch that fell back to the PFS copy.
     pub fn note_pfs_fallback(&self) {
         self.inner.borrow_mut().stats.pfs_fallbacks += 1;
-    }
-
-    /// Fallible [`StagingManager::publish_ack`]: under a fault plan the
-    /// broker may be unreachable; the caller decides whether a lost ack
-    /// is fatal (it is not — an unacked frame is merely retained longer).
-    pub async fn try_publish_ack(
-        &self,
-        path: &str,
-        consumer: &str,
-    ) -> Result<(), transport::TransportError> {
-        self.kvs
-            .try_commit(&ack_key(path, consumer), Bytes::from_static(b"1"))
-            .await?;
-        self.inner.borrow_mut().stats.acks_published += 1;
-        Ok(())
     }
 
     /// Lifecycle state of a tracked frame, if tracked.
@@ -595,20 +594,20 @@ impl StagingManager {
                 FrameState::Spilled => FrameLocation::Pfs,
                 _ => FrameLocation::Lost,
             };
-            let meta = FrameMeta {
-                owner: self.node,
-                size,
-                location,
-            };
-            if self
-                .kvs
-                .try_commit(&path.resolve(), meta.encode())
-                .await
-                .is_ok()
-            {
+            if self.republish(&path.resolve(), size, location).await {
                 self.inner.borrow_mut().stats.republished_frames += 1;
             }
         }
+    }
+
+    /// Point `path`'s KVS metadata at `location`; `false` if unreachable.
+    async fn republish(&self, path: &str, size: u64, location: FrameLocation) -> bool {
+        let meta = FrameMeta {
+            owner: self.node,
+            size,
+            location,
+        };
+        self.kvs.try_commit(path, meta.encode()).await.is_ok()
     }
 
     /// A spilled frame's PFS copy is gone (dropped by a crash or an
@@ -630,12 +629,7 @@ impl StagingManager {
             inner.stats.lost_bytes += size;
             size
         };
-        let meta = FrameMeta {
-            owner: self.node,
-            size,
-            location: FrameLocation::Lost,
-        };
-        let _ = self.kvs.try_commit(path, meta.encode()).await;
+        self.republish(path, size, FrameLocation::Lost).await;
     }
 
     /// Spawn the background evictor: a per-node process in simulated
@@ -656,20 +650,35 @@ impl StagingManager {
         });
     }
 
-    /// How many acks are present for `path` right now.
+    /// Acks present for `path` right now (an unreachable broker shows none).
     async fn count_acks(&self, path: &str) -> (usize, usize) {
         let consumers = self.consumers_for(path);
         let mut seen = 0;
         for c in &consumers {
-            if self.kvs.lookup(&ack_key(path, c)).await.is_some() {
+            if let Ok(Some(_)) = self.kvs.try_lookup(&ack_key(path, c)).await {
                 seen += 1;
             }
         }
         (seen, consumers.len())
     }
 
+    /// Unlink a retired frame's KVS metadata and ack keys. `false` when
+    /// the broker is unreachable and nothing was unlinked; past the
+    /// metadata, a failed unlink only leaks an ack key.
+    async fn unlink_keys(&self, path: &str) -> bool {
+        if self.kvs.try_unlink(path).await.is_err() {
+            return false;
+        }
+        for c in self.consumers_for(path) {
+            let _ = self.kvs.try_unlink(&ack_key(path, &c)).await;
+        }
+        true
+    }
+
     /// Remove every trace of a fully-consumed frame: the data copy
-    /// (NVMe or PFS), the KVS metadata, and the ack keys.
+    /// (NVMe or PFS), the KVS metadata, and the ack keys. Every consumer
+    /// has acked, so the data goes regardless; if the broker drops out
+    /// before the keys can follow, they wait in the backlog.
     async fn retire(&self, frame: &Staged, acks_seen: usize, required: usize) {
         let path = frame.path.resolve();
         match frame.state {
@@ -683,12 +692,7 @@ impl StagingManager {
                 let _ = self.fs.unlink(&path).await;
             }
         }
-        if frame.kind == FrameKind::Produced {
-            self.kvs.unlink(&path).await;
-            for c in self.consumers_for(&path) {
-                self.kvs.unlink(&ack_key(&path, &c)).await;
-            }
-        }
+        let keys_left = frame.kind == FrameKind::Produced && !self.unlink_keys(&path).await;
         let mut inner = self.inner.borrow_mut();
         let was_spilled = frame.state == FrameState::Spilled;
         if matches!(frame.state, FrameState::Written | FrameState::Published) {
@@ -704,6 +708,9 @@ impl StagingManager {
         });
         inner.order.remove(&frame.seq);
         inner.frames.remove(&frame.path);
+        if keys_left {
+            inner.unlink_backlog.push(frame.path);
+        }
     }
 
     /// Move a still-needed frame to the PFS and republish its metadata
@@ -729,12 +736,10 @@ impl StagingManager {
         // reads the updated metadata goes straight to the PFS; one that
         // raced ahead with the old metadata gets a not-found from the
         // owner's data service and retries through the KVS.
-        let meta = FrameMeta {
-            owner: self.node,
-            size: frame.size,
-            location: FrameLocation::Pfs,
-        };
-        self.kvs.commit(&path, meta.encode()).await;
+        // Not republished: the NVMe copy stays for a later pass.
+        if !self.republish(&path, frame.size, FrameLocation::Pfs).await {
+            return false;
+        }
         let _ = self.fs.unlink(&path).await;
         let mut inner = self.inner.borrow_mut();
         inner.stats.staged_bytes -= frame.size;
@@ -775,6 +780,12 @@ impl StagingManager {
     /// (or drop cache copies of) still-needed ones until usage reaches
     /// the low watermark.
     pub async fn evict_pass(&self) {
+        let backlog = std::mem::take(&mut self.inner.borrow_mut().unlink_backlog);
+        for p in backlog {
+            if !self.unlink_keys(&p.resolve()).await {
+                self.inner.borrow_mut().unlink_backlog.push(p);
+            }
+        }
         let eager = self.spec.retention == RetentionPolicy::EagerRetire;
         let bounded = self.is_bounded();
         // Pressure = usage above the low watermark, or blocked

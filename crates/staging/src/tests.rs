@@ -9,6 +9,7 @@ use transport::{Transport, TransportSpec};
 const KIB: u64 = 1024;
 
 struct Rig {
+    tp: Transport,
     mgr: Rc<StagingManager>,
     fs: LocalFs,
     kvs: KvsClient,
@@ -35,6 +36,7 @@ fn setup(sim: &Sim, spec: StagingSpec, with_pfs: bool) -> Rig {
     let pfs_client = pfs.as_ref().map(|p| p.client(&ctx, NodeId(0)));
     let mgr = StagingManager::new(&ctx, NodeId(0), fs.clone(), kvs.clone(), pfs_client, spec);
     Rig {
+        tp,
         mgr,
         fs,
         kvs,
@@ -91,20 +93,11 @@ fn unbounded_keepall_never_touches_frames() {
     let mgr = rig.mgr.clone();
     let fs = rig.fs.clone();
     mgr.spawn_evictor(); // no-op under KeepAll
-    {
-        let rig2 = Rig {
-            mgr: rig.mgr.clone(),
-            fs: rig.fs.clone(),
-            kvs: rig.kvs.clone(),
-            pfs: None,
-            kvs_server: rig.kvs_server.clone(),
-        };
-        sim.spawn(async move {
-            for i in 0..8 {
-                produce(&rig2, &format!("/dyad/f{i}"), 32 * KIB).await;
-            }
-        });
-    }
+    sim.spawn(async move {
+        for i in 0..8 {
+            produce(&rig, &format!("/dyad/f{i}"), 32 * KIB).await;
+        }
+    });
     run_for(&sim, 5);
     assert_eq!(mgr.stats().retired_frames, 0);
     assert_eq!(mgr.stats().spilled_frames, 0);
@@ -409,6 +402,91 @@ fn retire_removes_kvs_metadata_and_acks() {
     });
     run_for(&sim, 5);
     assert_eq!(h.try_take().unwrap(), (true, true));
+}
+
+/// `EagerRetire` rig with a fault board attached; `crash_broker` takes
+/// node 0 (manager and broker) off the fabric for 200 ms, `after` from
+/// the call — far longer than the evictor's metadata RPCs retry.
+fn outage_rig(sim: &Sim) -> (Rig, impl Fn(SimDuration)) {
+    use faults::{FaultBoard, FaultEvent, FaultKind, FaultPlan};
+    let spec = StagingSpec {
+        retention: RetentionPolicy::EagerRetire,
+        ..StagingSpec::default()
+    };
+    let rig = setup(sim, spec, false);
+    let board = FaultBoard::new(&sim.ctx(), 3, 0);
+    rig.tp.set_faults(board.clone());
+    rig.mgr.register_consumer("/dyad/frames", "c0");
+    let crash_broker = move |after| {
+        board.arm(&FaultPlan::scheduled(vec![FaultEvent {
+            at: after,
+            kind: FaultKind::NodeCrash {
+                node: 0,
+                down_for: SimDuration::from_millis(200),
+            },
+        }]))
+    };
+    (rig, crash_broker)
+}
+
+#[test]
+fn evict_pass_inside_a_broker_outage_leaves_the_frame_for_the_next_pass() {
+    let sim = Sim::new(0);
+    let (rig, crash_broker) = outage_rig(&sim);
+    let (path, ctx) = ("/dyad/frames/f0", sim.ctx());
+    let h = sim.spawn(async move {
+        produce(&rig, path, 32 * KIB).await;
+        rig.mgr.try_publish_ack(path, "c0").await.unwrap();
+        crash_broker(SimDuration::ZERO);
+        ctx.sleep(SimDuration::from_millis(1)).await;
+        // Inside the window the acks cannot be read: nothing is touched.
+        rig.mgr.evict_pass().await;
+        assert_eq!(rig.mgr.stats().retired_frames, 0);
+        assert_eq!(rig.mgr.frame_state(path), Some(FrameState::Published));
+        assert!(rig.fs.exists(path));
+        ctx.sleep(SimDuration::from_millis(300)).await;
+        rig.mgr.evict_pass().await;
+        assert_eq!(rig.mgr.stats().retired_frames, 1);
+        assert_eq!(rig.mgr.stats().frames_lost, 0);
+        assert!(!rig.fs.exists(path));
+        assert!(rig.kvs.try_lookup(path).await.unwrap().is_none());
+    });
+    run_for(&sim, 2);
+    h.try_take().expect("evict pass hung");
+}
+
+#[test]
+fn outage_between_ack_count_and_retire_defers_only_the_kvs_keys() {
+    let sim = Sim::new(0);
+    let (rig, crash_broker) = outage_rig(&sim);
+    let (path, ack, ctx) = (
+        "/dyad/frames/f0",
+        ack_key("/dyad/frames/f0", "c0"),
+        sim.ctx(),
+    );
+    let h = sim.spawn(async move {
+        produce(&rig, path, 32 * KIB).await;
+        rig.mgr.try_publish_ack(path, "c0").await.unwrap();
+        // Time the pass's ack lookup on a twin key, then open the window
+        // right behind it: the pass sees every ack, drops the data copy,
+        // and finds the broker gone when it turns to the KVS keys.
+        let t0 = ctx.now();
+        rig.kvs.try_lookup(&ack).await.unwrap();
+        crash_broker(ctx.now() - t0 + SimDuration::from_nanos(1));
+        rig.mgr.evict_pass().await;
+        assert_eq!(rig.mgr.stats().retired_frames, 1);
+        assert_eq!(rig.mgr.stats().staged_bytes, 0);
+        assert!(!rig.fs.exists(path));
+        ctx.sleep(SimDuration::from_millis(300)).await;
+        assert!(rig.kvs.try_lookup(path).await.unwrap().is_some());
+        // The next pass, window closed, finishes the job.
+        rig.mgr.evict_pass().await;
+        assert!(rig.kvs.try_lookup(path).await.unwrap().is_none());
+        assert!(rig.kvs.try_lookup(&ack).await.unwrap().is_none());
+        assert_eq!(rig.mgr.stats().retired_frames, 1);
+    });
+    run_for(&sim, 2);
+    h.try_take().expect("evict pass hung");
 }
 
 #[test]

@@ -28,6 +28,12 @@
 //! * Under a fault plan, a crashed subscriber's window slots can be
 //!   **reclaimed** (`reclaim_on_crash`) instead of head-of-line
 //!   stalling the publisher until the restart.
+//! * Each operation has **one body** (`try_publish`,
+//!   `try_consume_step`) returning a typed [`StreamError`]; the fault
+//!   board's absence is the infallible case, which `publish` and
+//!   `consume_step` unwrap. Policies that differ under a board (window
+//!   wait, local-write retry, re-resolve backoff, attempt bound) select
+//!   on `Transport::faults()` and nothing else.
 //!
 //! Every phase is wrapped in [`instrument`] regions (`stream_publish`,
 //! `stream_window_wait`, `stream_sync`, `stream_get_data`, ...) so the
@@ -46,7 +52,6 @@ use faults::{FaultBoard, RetryPolicy};
 use instrument::Recorder;
 use kvs::KvsHandle;
 use localfs::{FsResult, LocalFs, LockKind};
-use pfs::PfsClient;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simcore::resource::FifoResource;
@@ -218,7 +223,7 @@ impl StreamWindow {
         }
     }
 
-    /// Forget `step` entirely: a fallible publish failed before the
+    /// Forget `step` entirely: a publish failed before the
     /// step became consumable, so no ack will ever arrive for it.
     /// Returns whether the step was open.
     pub fn abort(&mut self, step: u64) -> bool {
@@ -353,8 +358,10 @@ impl ReductionTree {
 // Errors and policy
 // ---------------------------------------------------------------------------
 
-/// Errors surfaced by the fallible publish/consume paths under a fault
-/// plan. Without faults these paths cannot fail.
+/// Errors of [`StreamPublisher::try_publish`] and
+/// [`StreamSubscriber::try_consume_step`], the only publish/consume
+/// bodies. Most arise only under a fault plan; a tombstoned or
+/// unresolvable step and a failed local write are typed without one too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {
     /// Every copy of the step is gone (publisher node crashed before
@@ -437,8 +444,8 @@ pub struct StreamSpec {
     /// Under a fault plan, reclaim window slots held by subscribers on
     /// crashed nodes instead of head-of-line stalling until restart.
     pub reclaim_on_crash: bool,
-    /// Poll interval of the faulted window-stall loop (the infallible
-    /// path parks on a KVS watch instead and never polls).
+    /// Poll interval of the window-stall loop under a fault board
+    /// (without one the wait parks on a KVS watch and never polls).
     pub stall_poll: SimDuration,
 }
 
@@ -609,24 +616,23 @@ impl StreamService {
         }
     }
 
-    /// Write a step to the managed directory with atomic tmp+rename
-    /// publication; on failure the tmp file is removed so a retry
-    /// starts clean.
-    async fn write_step(&self, path: &str, step: Payload) -> FsResult<()> {
+    /// Write a step (or a fetched copy of one) to the managed directory
+    /// with atomic `tmp`+rename publication; on failure the tmp file is
+    /// removed so a retry starts clean.
+    async fn write_step(&self, path: &str, tmp: &str, step: &[Bytes]) -> FsResult<()> {
         self.ensure_dirs(path).await;
-        let tmp = format!("{path}.tmp");
         let res: FsResult<()> = async {
-            let fd = self.fs.create(&tmp).await?;
+            let fd = self.fs.create(tmp).await?;
             for seg in step {
-                self.fs.write_bytes(fd, seg).await?;
+                self.fs.write_bytes(fd, seg.clone()).await?;
             }
             self.fs.close(fd).await?;
-            self.fs.rename(&tmp, path).await?;
+            self.fs.rename(tmp, path).await?;
             Ok(())
         }
         .await;
         if res.is_err() {
-            let _ = self.fs.unlink(&tmp).await;
+            let _ = self.fs.unlink(tmp).await;
         }
         res
     }
@@ -636,17 +642,6 @@ impl StreamService {
         StreamPublisher {
             svc: self.clone(),
             window: StreamWindow::new(self.spec.window as usize),
-            faults: None,
-        }
-    }
-
-    /// Open a publisher session that consults `board` for subscriber
-    /// liveness (enables `reclaim_on_crash` window recovery).
-    pub fn publisher_faulted(self: &Rc<Self>, board: FaultBoard) -> StreamPublisher {
-        StreamPublisher {
-            svc: self.clone(),
-            window: StreamWindow::new(self.spec.window as usize),
-            faults: Some(board),
         }
     }
 
@@ -683,7 +678,6 @@ impl StreamService {
 pub struct StreamPublisher {
     svc: Rc<StreamService>,
     window: StreamWindow,
-    faults: Option<FaultBoard>,
 }
 
 impl StreamPublisher {
@@ -695,25 +689,7 @@ impl StreamPublisher {
     /// Sweep the KVS ack keys of every pending step and release the
     /// fully-acked ones. Lazy: only called when the window looks full,
     /// so steady-state publishes cost no extra metadata traffic.
-    async fn refresh_acks(&mut self) {
-        for (step, path, waiters) in self.window.entries() {
-            for a in waiters {
-                if self
-                    .svc
-                    .kvs
-                    .lookup(&ack_key(&path, &a.consumer))
-                    .await
-                    .is_some()
-                {
-                    self.window.ack(step, &a.consumer);
-                }
-            }
-        }
-        self.svc.inner.borrow_mut().stats.ack_refreshes += 1;
-    }
-
-    /// Fallible [`StreamPublisher::refresh_acks`] for fault runs.
-    async fn try_refresh_acks(&mut self) -> Result<(), TransportError> {
+    async fn refresh_acks(&mut self) -> Result<(), TransportError> {
         for (step, path, waiters) in self.window.entries() {
             for a in waiters {
                 if self
@@ -732,55 +708,29 @@ impl StreamPublisher {
     }
 
     /// Drop outstanding acks owed by subscribers on crashed nodes.
-    fn reclaim_crashed(&mut self) {
-        let Some(board) = &self.faults else {
+    fn reclaim_crashed(&mut self, board: Option<&FaultBoard>) {
+        let Some(board) = board else {
             return;
         };
         if !self.svc.spec.reclaim_on_crash {
             return;
         }
-        let board = board.clone();
         let reclaimed = self.window.reclaim_down(|node| !board.node_up(node));
         if reclaimed > 0 {
             self.svc.inner.borrow_mut().stats.slots_reclaimed += reclaimed;
         }
     }
 
-    /// Block until the window admits another step. The infallible path
-    /// parks on the head-of-line ack's KVS watch (no polling); records
-    /// a window stall if it actually waited.
-    async fn await_window(&mut self, rec: &Recorder) {
-        if self.window.can_open() {
-            return;
-        }
-        let w = rec.region("stream_window_wait");
-        let t0 = self.svc.ctx.now();
-        let mut stalled = false;
-        loop {
-            self.refresh_acks().await;
-            if self.window.can_open() {
-                break;
-            }
-            stalled = true;
-            let (_, path, consumer) = self
-                .window
-                .oldest_waiter()
-                .expect("full window has a waiter");
-            self.svc.kvs.wait_key(&ack_key(&path, &consumer)).await;
-        }
-        if stalled {
-            let mut inner = self.svc.inner.borrow_mut();
-            inner.stats.window_stalls += 1;
-            inner.stats.window_stall_ns += (self.svc.ctx.now() - t0).nanos();
-        }
-        w.end();
-    }
-
-    /// Faulted window wait: polls (the watch could park on a key whose
-    /// committer crashed), reclaiming crashed subscribers' slots each
-    /// sweep when `reclaim_on_crash` is set.
-    async fn try_await_window(&mut self, rec: &Recorder) -> Result<(), TransportError> {
-        self.reclaim_crashed();
+    /// Block until the window admits another step; records a window
+    /// stall if it actually waited. How it waits is selected on the
+    /// fault board: without one it parks on the head-of-line ack's KVS
+    /// watch (no polling); with one it polls every `stall_poll` (the
+    /// watch could park on a key whose committer crashed), reclaiming
+    /// crashed subscribers' slots each sweep when `reclaim_on_crash` is
+    /// set.
+    async fn await_window(&mut self, rec: &Recorder) -> Result<(), TransportError> {
+        let board = self.svc.ep.faults();
+        self.reclaim_crashed(board.as_ref());
         if self.window.can_open() {
             return Ok(());
         }
@@ -789,13 +739,22 @@ impl StreamPublisher {
         let mut stalled = false;
         let res: Result<(), TransportError> = async {
             loop {
-                self.try_refresh_acks().await?;
-                self.reclaim_crashed();
+                self.refresh_acks().await?;
+                self.reclaim_crashed(board.as_ref());
                 if self.window.can_open() {
                     return Ok(());
                 }
                 stalled = true;
-                self.svc.ctx.sleep(self.svc.spec.stall_poll).await;
+                if board.is_some() {
+                    self.svc.ctx.sleep(self.svc.spec.stall_poll).await;
+                } else {
+                    let (_, path, consumer) = self
+                        .window
+                        .oldest_waiter()
+                        .expect("full window has a waiter");
+                    let key = ack_key(&path, &consumer);
+                    self.svc.kvs.try_wait_key(&key).await?;
+                }
             }
         }
         .await;
@@ -815,75 +774,33 @@ impl StreamPublisher {
     ///
     /// Call tree: `stream_publish` → { `stream_window_wait`,
     /// `staging_backpressure`, `stream_write`, `stream_commit` }.
-    pub async fn publish(
-        &mut self,
-        rec: &Recorder,
-        name: &str,
-        seq: u64,
-        step: Payload,
-        ackers: &[StreamAcker],
-    ) {
-        let path = self.svc.managed_path(name);
-        let size = transport::payload_len(&step);
-        let g = rec.region("stream_publish");
-        self.await_window(rec).await;
-        self.window.open(seq, &path, ackers);
-        if let Some(st) = &self.svc.staging {
-            if st.would_block(size) {
-                let b = rec.region("staging_backpressure");
-                st.admit(size).await;
-                b.end();
-            }
-        }
-        {
-            let w = rec.region("stream_write");
-            self.svc.write_step(&path, step).await.expect("local write");
-            w.end();
-        }
-        if let Some(st) = &self.svc.staging {
-            st.frame_written(&path, size);
-        }
-        {
-            let c = rec.region("stream_commit");
-            self.svc.ctx.sleep(self.svc.spec.publish_overhead).await;
-            let meta = FrameMeta {
-                owner: self.svc.node,
-                size,
-                location: FrameLocation::Nvme,
-            };
-            self.svc.kvs.commit(&path, meta.encode()).await;
-            c.end();
-        }
-        if let Some(st) = &self.svc.staging {
-            st.frame_published(&path);
-        }
-        g.end();
-        let mut inner = self.svc.inner.borrow_mut();
-        inner.stats.steps_published += 1;
-        inner.stats.bytes_published += size;
-    }
-
-    /// Fallible [`StreamPublisher::publish`] for fault runs: the window
-    /// wait polls with crash reclaim, local writes retry through NVMe
-    /// device-error windows, and the metadata commit retries through
-    /// broker outages. Fails typed once the budget is exhausted.
+    ///
+    /// Under a fault board, local writes retry through NVMe device-error
+    /// windows per `policy`, backing off on `jitter` — the caller's stream,
+    /// because its outer recovery loop draws from the same one; a board
+    /// without it is a caller bug. Without a board a failed write is final
+    /// and `jitter` is never touched. The metadata commit retries through
+    /// broker outages inside the KVS client. Fails typed once the budget
+    /// is exhausted.
     #[allow(clippy::too_many_arguments)]
     pub async fn try_publish(
         &mut self,
         rec: &Recorder,
         name: &str,
         seq: u64,
-        step: Payload,
+        step: &[Bytes],
         ackers: &[StreamAcker],
         policy: &RetryPolicy,
-        rng: &mut StdRng,
+        jitter: Option<&mut StdRng>,
     ) -> Result<(), StreamError> {
         let path = self.svc.managed_path(name);
-        let size = transport::payload_len(&step);
+        let size = transport::payload_len(step);
+        let mut jitter = (self.svc.ep.faults())
+            .map(|_| jitter.expect("under a fault board the caller passes its jitter stream"));
         let g = rec.region("stream_publish");
         // On any error below, `g` drops (closing the region) and the
         // aborted slot is recycled so the outer retry starts clean.
-        self.try_await_window(rec).await?;
+        self.await_window(rec).await?;
         self.window.open(seq, &path, ackers);
         if let Some(st) = &self.svc.staging {
             if st.would_block(size) {
@@ -892,20 +809,21 @@ impl StreamPublisher {
                 b.end();
             }
         }
+        let tmp = format!("{path}.tmp");
         let mut attempts = 0;
         loop {
             attempts += 1;
             let w = rec.region("stream_write");
-            let res = self.svc.write_step(&path, step.clone()).await;
+            let res = self.svc.write_step(&path, &tmp, step).await;
             w.end();
-            match res {
-                Ok(()) => break,
-                Err(_) if attempts < policy.max_attempts => {
+            match (res, jitter.as_deref_mut()) {
+                (Ok(()), _) => break,
+                (Err(_), Some(rng)) if attempts < policy.max_attempts => {
                     rec.annotate("produce_retries", 1.0);
                     let pause = policy.backoff(attempts - 1, rng);
                     self.svc.ctx.sleep(pause).await;
                 }
-                Err(_) => {
+                (Err(_), _) => {
                     // The step can never appear: publish a Lost
                     // tombstone (best effort) so subscribers surface a
                     // typed StepLost instead of parking forever.
@@ -953,6 +871,21 @@ impl StreamPublisher {
         inner.stats.bytes_published += size;
         Ok(())
     }
+
+    /// [`StreamPublisher::try_publish`] for callers running without a
+    /// fault board.
+    pub async fn publish(
+        &mut self,
+        rec: &Recorder,
+        name: &str,
+        seq: u64,
+        step: Payload,
+        ackers: &[StreamAcker],
+    ) {
+        self.try_publish(rec, name, seq, &step, ackers, &stream_retry_policy(), None)
+            .await
+            .expect("publish cannot fail without a fault board (local write error?)")
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -985,145 +918,16 @@ impl StreamSubscriber {
     ///
     /// Call tree: `stream_consume` → { `stream_sync`,
     /// `stream_get_data`, `stream_cons_store`, `read_single_buf` }.
-    pub async fn consume_step(&mut self, rec: &Recorder, name: &str) -> Payload {
-        let svc = self.svc.clone();
-        let path = svc.managed_path(name);
-        let g = rec.region("stream_consume");
-
-        // --- Synchronization ------------------------------------------
-        // Local presence first: a flock probe suffices once the
-        // publisher shares our filesystem.
-        let mut data: Option<Payload> = None;
-        if svc.fs.exists(&path) {
-            let f = rec.region("stream_sync");
-            svc.fs
-                .flock(&path, LockKind::Shared)
-                .await
-                .expect("flock on existing file");
-            svc.fs
-                .funlock(&path, LockKind::Shared)
-                .await
-                .expect("funlock");
-            f.end();
-            let r = rec.region("read_single_buf");
-            data = try_read_local(&svc.fs, &path).await;
-            r.end();
-            if data.is_some() {
-                svc.inner.borrow_mut().stats.local_hits += 1;
-                self.warmed = true;
-            }
-        }
-
-        if data.is_none() {
-            // Remote (or evicted) step: resolve the owner through the
-            // KVS rendezvous.
-            let f = rec.region("stream_sync");
-            let mut meta;
-            if self.warmed && svc.spec.warm_sync {
-                match svc.kvs.lookup(&path).await {
-                    Some(v) => {
-                        svc.inner.borrow_mut().stats.warm_syncs += 1;
-                        meta = FrameMeta::decode(v.value);
-                    }
-                    None => {
-                        rec.annotate("cold_fallbacks", 1.0);
-                        svc.inner.borrow_mut().stats.cold_syncs += 1;
-                        let v = svc.kvs.wait_key(&path).await;
-                        meta = FrameMeta::decode(v.value);
-                    }
-                }
-            } else {
-                svc.inner.borrow_mut().stats.cold_syncs += 1;
-                let v = svc.kvs.wait_key(&path).await;
-                meta = FrameMeta::decode(v.value);
-            }
-            f.end();
-            self.warmed = true;
-
-            // --- Data movement ----------------------------------------
-            let mut attempts = 0;
-            let fetched = loop {
-                attempts += 1;
-                assert!(
-                    attempts <= 8,
-                    "step {path} unresolvable (evicted mid-consume?)"
-                );
-                match meta.location {
-                    FrameLocation::Lost => {
-                        panic!(
-                            "step {path} lost to a node crash (use try_consume_step under faults)"
-                        );
-                    }
-                    FrameLocation::Pfs => {
-                        let pfs = svc
-                            .staging
-                            .as_ref()
-                            .and_then(|st| st.pfs_client())
-                            .expect("spilled step but no PFS client configured");
-                        let r = rec.region("stream_pfs_fallback");
-                        let got = read_pfs(pfs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            if let Some(st) = &svc.staging {
-                                st.note_pfs_fallback();
-                            }
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme if meta.owner == svc.node => {
-                        let r = rec.region("read_single_buf");
-                        let got = try_read_local(&svc.fs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme => {
-                        // RMA fetch from the owner's node-local storage.
-                        let r = rec.region("stream_get_data");
-                        let (_, got) = svc
-                            .ep
-                            .bulk_rpc(
-                                meta.owner,
-                                STREAM_AM,
-                                Bytes::copy_from_slice(path.as_bytes()),
-                                Vec::new(),
-                            )
-                            .await;
-                        r.end();
-                        if transport::payload_len(&got) > 0 {
-                            if let Some(got) = self.store_cache(rec, &path, got).await {
-                                break got;
-                            }
-                        }
-                    }
-                }
-                let v = svc
-                    .kvs
-                    .lookup(&path)
-                    .await
-                    .unwrap_or_else(|| panic!("step {path} retired before consume"));
-                meta = FrameMeta::decode(v.value);
-            };
-            data = Some(fetched);
-        }
-        let data = data.expect("consume resolved a payload");
-        g.end();
-
-        self.spawn_ack(&path, false);
-
-        let size = transport::payload_len(&data);
-        let mut inner = svc.inner.borrow_mut();
-        inner.stats.steps_consumed += 1;
-        inner.stats.bytes_consumed += size;
-        data
-    }
-
-    /// Fallible [`StreamSubscriber::consume_step`] for fault runs:
-    /// metadata ops ride the retrying KVS client, the RMA fetch retries
-    /// with backoff and falls back to a PFS spill copy when the owner
-    /// is down, `Lost` tombstones surface as [`StreamError::StepLost`],
-    /// and the resolve loop is bounded.
+    ///
+    /// Metadata ops and the RMA fetch ride the retrying clients (single
+    /// attempts that cannot fail without a fault board); with a board the
+    /// fetch falls back to a PFS spill copy when the owner is down. As in
+    /// `dyad`, two policies are selected on the board: the re-resolve
+    /// after a miss is immediate without one and backs off with one, and
+    /// the resolve loop is bounded by a defensive 8 attempts without one
+    /// and the policy's `max_attempts` with one
+    /// ([`StreamError::Unresolvable`]). `Lost` tombstones surface as
+    /// [`StreamError::StepLost`] either way.
     pub async fn try_consume_step(
         &mut self,
         rec: &Recorder,
@@ -1132,8 +936,13 @@ impl StreamSubscriber {
         let svc = self.svc.clone();
         let path = svc.managed_path(name);
         let policy = stream_retry_policy();
+        let faulted = svc.ep.faults().is_some();
+        let max_attempts = if faulted { policy.max_attempts } else { 8 };
         let g = rec.region("stream_consume");
 
+        // --- Synchronization ------------------------------------------
+        // Local presence first: a flock probe suffices once the
+        // publisher shares our filesystem.
         let mut data: Option<Payload> = None;
         if svc.fs.exists(&path) {
             let f = rec.region("stream_sync");
@@ -1154,43 +963,37 @@ impl StreamSubscriber {
         }
 
         if data.is_none() {
-            let meta_res: Result<FrameMeta, StreamError> = {
-                let f = rec.region("stream_sync");
-                let r = if self.warmed && svc.spec.warm_sync {
-                    match svc.kvs.try_lookup(&path).await {
-                        Ok(Some(v)) => {
-                            svc.inner.borrow_mut().stats.warm_syncs += 1;
-                            Ok(FrameMeta::decode(v.value))
-                        }
-                        Ok(None) => {
-                            rec.annotate("cold_fallbacks", 1.0);
-                            svc.inner.borrow_mut().stats.cold_syncs += 1;
-                            svc.kvs
-                                .try_wait_key(&path)
-                                .await
-                                .map(|v| FrameMeta::decode(v.value))
-                                .map_err(StreamError::from)
-                        }
-                        Err(e) => Err(e.into()),
-                    }
-                } else {
-                    svc.inner.borrow_mut().stats.cold_syncs += 1;
-                    svc.kvs
-                        .try_wait_key(&path)
-                        .await
-                        .map(|v| FrameMeta::decode(v.value))
-                        .map_err(StreamError::from)
-                };
-                f.end();
-                r
+            // Remote (or evicted) step: resolve the owner through the
+            // KVS rendezvous.
+            let f = rec.region("stream_sync");
+            let warm = self.warmed && svc.spec.warm_sync;
+            let hit = if warm {
+                svc.kvs.try_lookup(&path).await?
+            } else {
+                None
             };
-            let mut meta = meta_res?;
+            let v = match hit {
+                Some(v) => {
+                    svc.inner.borrow_mut().stats.warm_syncs += 1;
+                    v
+                }
+                None => {
+                    if warm {
+                        rec.annotate("cold_fallbacks", 1.0);
+                    }
+                    svc.inner.borrow_mut().stats.cold_syncs += 1;
+                    svc.kvs.try_wait_key(&path).await?
+                }
+            };
+            f.end();
+            let mut meta = FrameMeta::decode(v.value);
             self.warmed = true;
 
+            // --- Data movement with recovery --------------------------
             let mut attempts = 0;
             let fetched = loop {
                 attempts += 1;
-                if attempts > policy.max_attempts {
+                if attempts > max_attempts {
                     return Err(StreamError::Unresolvable {
                         path,
                         attempts: attempts - 1,
@@ -1201,16 +1004,10 @@ impl StreamSubscriber {
                         return Err(StreamError::StepLost { path });
                     }
                     FrameLocation::Pfs => {
-                        if let Some(pfs) = svc.staging.as_ref().and_then(|st| st.pfs_client()) {
-                            let r = rec.region("stream_pfs_fallback");
-                            let got = read_pfs(pfs, &path).await;
-                            r.end();
-                            if let Some(got) = got {
-                                if let Some(st) = &svc.staging {
-                                    st.note_pfs_fallback();
-                                }
-                                break got;
-                            }
+                        // Spill copy gone: the owner (or its restart
+                        // hook) will tombstone or re-publish; re-resolve.
+                        if let Some(got) = fetch_spill(&svc, rec, &path).await {
+                            break got;
                         }
                     }
                     FrameLocation::Nvme if meta.owner == svc.node => {
@@ -1222,6 +1019,7 @@ impl StreamSubscriber {
                         }
                     }
                     FrameLocation::Nvme => {
+                        // RMA fetch from the owner's node-local storage.
                         let r = rec.region("stream_get_data");
                         let fetch = svc
                             .ep
@@ -1237,7 +1035,7 @@ impl StreamSubscriber {
                         r.end();
                         match fetch {
                             Ok((_, got)) if transport::payload_len(&got) > 0 => {
-                                if let Some(got) = self.try_store_cache(rec, &path, got).await {
+                                if let Some(got) = self.store_cache(rec, &path, got).await {
                                     break got;
                                 }
                             }
@@ -1249,25 +1047,17 @@ impl StreamSubscriber {
                                 // Owner unreachable: try the PFS spill
                                 // copy before waiting out the restart.
                                 rec.annotate("dead_owner_fallbacks", 1.0);
-                                if let Some(pfs) =
-                                    svc.staging.as_ref().and_then(|st| st.pfs_client())
-                                {
-                                    let r = rec.region("stream_pfs_fallback");
-                                    let got = read_pfs(pfs, &path).await;
-                                    r.end();
-                                    if let Some(got) = got {
-                                        if let Some(st) = &svc.staging {
-                                            st.note_pfs_fallback();
-                                        }
-                                        break got;
-                                    }
+                                if let Some(got) = fetch_spill(&svc, rec, &path).await {
+                                    break got;
                                 }
                             }
                         }
                     }
                 }
-                let pause = policy.backoff(attempts - 1, &mut self.rng);
-                svc.ctx.sleep(pause).await;
+                if faulted {
+                    let pause = policy.backoff(attempts - 1, &mut self.rng);
+                    svc.ctx.sleep(pause).await;
+                }
                 match svc.kvs.try_lookup(&path).await {
                     Ok(Some(v)) => meta = FrameMeta::decode(v.value),
                     Ok(None) => return Err(StreamError::StepLost { path }),
@@ -1279,7 +1069,7 @@ impl StreamSubscriber {
         let data = data.expect("consume resolved a payload");
         g.end();
 
-        self.spawn_ack(&path, true);
+        self.spawn_ack(&path);
 
         let size = transport::payload_len(&data);
         let mut inner = svc.inner.borrow_mut();
@@ -1288,92 +1078,52 @@ impl StreamSubscriber {
         Ok(data)
     }
 
+    /// [`StreamSubscriber::try_consume_step`] for callers running
+    /// without a fault board.
+    pub async fn consume_step(&mut self, rec: &Recorder, name: &str) -> Payload {
+        self.try_consume_step(rec, name)
+            .await
+            .expect("consume_step cannot fail without a fault board (lost or evicted step?)")
+    }
+
     /// Publish the consumption ack asynchronously: retention and window
     /// release care, the application does not, so the commit must not
     /// add to the consume latency. Without a staging manager (bare
     /// rigs) the ack key is still committed — the publisher's window
-    /// watches it.
-    fn spawn_ack(&self, path: &str, fallible: bool) {
+    /// watches it. A dropped ack is counted by the staging manager.
+    fn spawn_ack(&self, path: &str) {
         let svc = self.svc.clone();
         let p = path.to_string();
         let id = self.id.clone();
         self.svc.ctx.spawn(async move {
-            match &svc.staging {
-                Some(st) if fallible => {
-                    let _ = st.try_publish_ack(&p, &id).await;
-                }
-                Some(st) => st.publish_ack(&p, &id).await,
-                None if fallible => {
-                    let _ = svc
-                        .kvs
-                        .try_commit(&ack_key(&p, &id), Bytes::from_static(b"1"))
-                        .await;
-                }
-                None => {
-                    svc.kvs
-                        .commit(&ack_key(&p, &id), Bytes::from_static(b"1"))
-                        .await;
-                }
-            }
+            let _ = match &svc.staging {
+                Some(st) => st.try_publish_ack(&p, &id).await,
+                None => svc
+                    .kvs
+                    .try_commit(&ack_key(&p, &id), Bytes::from_static(b"1"))
+                    .await
+                    .map(|_| ()),
+            };
         });
     }
 
     /// Stage a fetched remote step into the local cache and read it
-    /// back (atomic rename publication).
+    /// back (atomic rename publication). `None` when the cache write
+    /// failed (device-error window) — the caller re-resolves rather
+    /// than serving a partial step.
     async fn store_cache(&self, rec: &Recorder, path: &str, got: Payload) -> Option<Payload> {
         let svc = &self.svc;
         let s = rec.region("stream_cons_store");
-        svc.ensure_dirs(path).await;
         // Session-unique tmp name: same-node sessions of a broadcast
         // group can fetch the same step concurrently, and create()
         // truncates, so a shared tmp would interleave their writes.
         let tmp = format!("{path}.tmp-{}-{}", svc.node.0, self.id);
-        let fd = svc.fs.create(&tmp).await.expect("managed dir");
-        let size = transport::payload_len(&got);
-        for seg in got {
-            svc.fs.write_bytes(fd, seg).await.expect("store");
-        }
-        svc.fs.close(fd).await.expect("close");
-        svc.fs.rename(&tmp, path).await.expect("cache rename");
-        if let Some(st) = &svc.staging {
-            st.cache_inserted(path, size);
-        }
-        s.end();
-        let r = rec.region("read_single_buf");
-        let got = try_read_local(&svc.fs, path).await;
-        r.end();
-        got
-    }
-
-    /// Fallible [`StreamSubscriber::store_cache`]: `None` when the
-    /// cache write failed (device-error window) — the caller
-    /// re-resolves rather than serving a partial step.
-    async fn try_store_cache(&self, rec: &Recorder, path: &str, got: Payload) -> Option<Payload> {
-        let svc = &self.svc;
-        let s = rec.region("stream_cons_store");
-        svc.ensure_dirs(path).await;
-        // Session-unique tmp name: same-node sessions of a broadcast
-        // group can fetch the same step concurrently, and create()
-        // truncates, so a shared tmp would interleave their writes.
-        let tmp = format!("{path}.tmp-{}-{}", svc.node.0, self.id);
-        let size = transport::payload_len(&got);
-        let write: FsResult<()> = async {
-            let fd = svc.fs.create(&tmp).await?;
-            for seg in got {
-                svc.fs.write_bytes(fd, seg).await?;
-            }
-            svc.fs.close(fd).await?;
-            svc.fs.rename(&tmp, path).await?;
-            Ok(())
-        }
-        .await;
-        if write.is_err() {
-            let _ = svc.fs.unlink(&tmp).await;
+        if svc.write_step(path, &tmp, &got).await.is_err() {
             s.end();
             return None;
         }
         if let Some(st) = &svc.staging {
-            st.cache_inserted(path, size);
+            st.cache_inserted(path, transport::payload_len(&got));
         }
         s.end();
         let r = rec.region("read_single_buf");
@@ -1392,12 +1142,24 @@ async fn try_read_local(fs: &LocalFs, path: &str) -> Option<Payload> {
     Some(data)
 }
 
-/// Read a spilled step's PFS copy; `None` when it is already retired.
-async fn read_pfs(pfs: &PfsClient, path: &str) -> Option<Payload> {
-    let fd = pfs.open(&staging::spill_path(path)).await.ok()?;
-    let data = pfs.read_segments(fd).await.ok()?;
-    let _ = pfs.close(fd).await;
-    Some(data)
+/// Fetch a spilled step's PFS copy; `None` when no PFS client is
+/// configured or the copy is already retired.
+async fn fetch_spill(svc: &StreamService, rec: &Recorder, path: &str) -> Option<Payload> {
+    let st = svc.staging.as_ref()?;
+    let pfs = st.pfs_client()?;
+    let r = rec.region("stream_pfs_fallback");
+    let got: Option<Payload> = async {
+        let fd = pfs.open(&staging::spill_path(path)).await.ok()?;
+        let data = pfs.read_segments(fd).await.ok()?;
+        let _ = pfs.close(fd).await;
+        Some(data)
+    }
+    .await;
+    r.end();
+    if got.is_some() {
+        st.note_pfs_fallback();
+    }
+    got
 }
 
 #[cfg(test)]
@@ -1411,6 +1173,7 @@ mod tests {
     use transport::TransportSpec;
 
     struct Rig {
+        tp: Transport,
         services: Vec<Rc<StreamService>>,
         #[allow(dead_code)]
         kvs_server: Rc<KvsServer>,
@@ -1435,6 +1198,7 @@ mod tests {
             })
             .collect();
         Rig {
+            tp,
             services,
             kvs_server,
         }
@@ -1610,6 +1374,7 @@ mod tests {
         let rig = setup(&sim, 2, spec);
         let ctx = sim.ctx();
         let board = FaultBoard::new(&ctx, 2, 1);
+        rig.tp.set_faults(board.clone());
         let plan = faults::FaultPlan::scheduled(vec![faults::FaultEvent {
             at: SimDuration::from_millis(100),
             kind: faults::FaultKind::NodeCrash {
@@ -1621,24 +1386,64 @@ mod tests {
         let prod = rig.services[0].clone();
         let h = sim.spawn(async move {
             let rec = Recorder::new(&ctx);
-            let mut pb = prod.publisher_faulted(board);
-            let policy = stream_retry_policy();
-            let mut rng = StdRng::seed_from_u64(9);
+            let mut pb = prod.publisher();
+            let (policy, mut rng) = (stream_retry_policy(), StdRng::seed_from_u64(9));
             let (_, f0) = step_payload(0);
-            pb.try_publish(&rec, "r/0", 0, f0, &[acker("c0", 1)], &policy, &mut rng)
-                .await
-                .expect("publish 0");
+            pb.try_publish(
+                &rec,
+                "r/0",
+                0,
+                &f0,
+                &[acker("c0", 1)],
+                &policy,
+                Some(&mut rng),
+            )
+            .await
+            .expect("publish 0");
             ctx.sleep(SimDuration::from_millis(300)).await;
             let (_, f1) = step_payload(1);
-            pb.try_publish(&rec, "r/1", 1, f1, &[acker("c0", 1)], &policy, &mut rng)
-                .await
-                .expect("publish 1");
+            pb.try_publish(
+                &rec,
+                "r/1",
+                1,
+                &f1,
+                &[acker("c0", 1)],
+                &policy,
+                Some(&mut rng),
+            )
+            .await
+            .expect("publish 1");
             ctx.now().as_secs_f64()
         });
         sim.run_until(SimTime::from_nanos(10_000_000_000));
         let t = h.try_take().expect("reclaim never freed the window");
         assert!(t < 1.0, "reclaim took until {t}s");
         assert!(rig.services[0].stats().slots_reclaimed >= 1);
+    }
+
+    #[test]
+    fn lost_tombstone_without_a_board_is_a_typed_error() {
+        // No fault board anywhere; the tombstone is committed by hand.
+        let sim = Sim::new(0);
+        let rig = setup(&sim, 2, StreamSpec::default());
+        let (prod, cons) = (rig.services[0].clone(), rig.services[1].clone());
+        let ctx = sim.ctx();
+        let h = sim.spawn(async move {
+            let meta = FrameMeta {
+                owner: NodeId(0),
+                size: 1,
+                location: FrameLocation::Lost,
+            };
+            prod.kvs
+                .try_commit("/stream/gone", meta.encode())
+                .await
+                .unwrap();
+            let rec = Recorder::new(&ctx);
+            cons.subscriber("c0").try_consume_step(&rec, "gone").await
+        });
+        assert!(sim.run().is_clean());
+        let path = "/stream/gone".to_string();
+        assert_eq!(h.try_take().unwrap(), Err(StreamError::StepLost { path }));
     }
 
     #[test]

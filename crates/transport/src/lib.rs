@@ -34,8 +34,8 @@ use simcore::intern::FxHashMap;
 use simcore::sync::{oneshot, OneSender};
 use simcore::{timeout, Ctx};
 
-/// Errors surfaced by the fallible RPC paths when a fault board is
-/// attached. Without a board these paths cannot fail.
+/// Errors surfaced by the RPC paths when a fault board is attached.
+/// Without a board an RPC cannot fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportError {
     /// The destination node is down, or the link to it is flapped.
@@ -228,9 +228,9 @@ impl Transport {
         *self.inner.stats.borrow()
     }
 
-    /// Attach a fault board. The fallible RPC paths consult it for
-    /// reachability; the infallible paths are unaffected. Without a board
-    /// the fallible paths reduce to the infallible ones.
+    /// Attach a fault board. `try_*`/`*_retrying` RPCs consult it for
+    /// reachability; `rpc`/`bulk_rpc` stay board-blind. Without a board
+    /// every RPC is the same single attempt that cannot fail.
     pub fn set_faults(&self, board: FaultBoard) {
         *self.inner.faults.borrow_mut() = Some(board);
     }
@@ -334,6 +334,11 @@ impl Endpoint {
         self.node
     }
 
+    /// The transport's fault board, if one is attached.
+    pub fn faults(&self) -> Option<FaultBoard> {
+        self.tp.faults()
+    }
+
     /// Send `payload` to `dst` with tag `tag`, completing when the
     /// receiver has the data (UCX semantics for rendezvous sends).
     pub async fn tag_send(&self, dst: NodeId, tag: Tag, payload: Bytes) {
@@ -435,144 +440,27 @@ impl Endpoint {
         }
     }
 
-    /// Issue a bulk request/response RPC: a small `header` plus a
-    /// zero-copy `payload`. The wire charges descriptor + payload length
-    /// in each direction (RPC descriptor followed by bulk RDMA, as in
-    /// Lustre `brw` and UCX rendezvous).
-    pub async fn bulk_rpc(
+    /// One bulk RPC attempt: a small `header` plus a zero-copy `payload`.
+    /// The wire charges descriptor + payload length in each direction
+    /// (RPC descriptor followed by bulk RDMA, as in Lustre `brw` and UCX
+    /// rendezvous). Reachability is probed as in [`Endpoint::rpc_attempt`].
+    async fn bulk_attempt(
         &self,
-        dst: NodeId,
-        id: AmId,
-        header: Bytes,
-        payload: Payload,
-    ) -> (Bytes, Payload) {
-        let spec = self.tp.spec;
-        {
-            let mut st = self.tp.inner.stats.borrow_mut();
-            st.bulk_rpcs += 1;
-            st.bulk_bytes += payload_len(&payload);
-        }
-        self.tp
-            .fabric
-            .send(
-                self.node,
-                dst,
-                spec.header_bytes + header.len() as u64 + payload_len(&payload),
-            )
-            .await;
-        let handler = {
-            let w = self.tp.inner.workers[dst.0 as usize].borrow();
-            w.bulk_handlers
-                .get(&id)
-                .unwrap_or_else(|| panic!("no bulk handler {id:?} on {dst}"))
-                .clone()
-        };
-        let (resp_header, resp_payload) = handler(header, payload).await;
-        self.tp.inner.stats.borrow_mut().bulk_bytes += payload_len(&resp_payload);
-        self.tp
-            .fabric
-            .send(
-                dst,
-                self.node,
-                spec.header_bytes + resp_header.len() as u64 + payload_len(&resp_payload),
-            )
-            .await;
-        (resp_header, resp_payload)
-    }
-
-    /// Issue a request/response RPC against the handler registered as
-    /// `(dst, id)`. The handler runs on the destination node's worker.
-    pub async fn rpc(&self, dst: NodeId, id: AmId, request: Bytes) -> Bytes {
-        let spec = self.tp.spec;
-        self.tp.inner.stats.borrow_mut().rpcs += 1;
-        // Control-plane requests are small; model as header + payload.
-        self.tp
-            .fabric
-            .send(self.node, dst, spec.header_bytes + request.len() as u64)
-            .await;
-        let handler = {
-            let w = self.tp.inner.workers[dst.0 as usize].borrow();
-            w.handlers
-                .get(&id)
-                .unwrap_or_else(|| panic!("no AM handler {id:?} on {dst}"))
-                .clone()
-        };
-        let response = handler(request).await;
-        self.tp
-            .fabric
-            .send(dst, self.node, spec.header_bytes + response.len() as u64)
-            .await;
-        response
-    }
-
-    /// One fallible RPC attempt. With no fault board attached this is
-    /// exactly [`Endpoint::rpc`] and cannot fail. With a board, the
-    /// destination's reachability is checked before the request goes on
-    /// the wire, after it lands (the node may crash mid-flight), and
-    /// before the response is sent back (a reply lost to a crash still
-    /// leaves the handler's side effects applied, as on real systems).
-    pub async fn try_rpc(
-        &self,
-        dst: NodeId,
-        id: AmId,
-        request: Bytes,
-    ) -> Result<Bytes, TransportError> {
-        let spec = self.tp.spec;
-        let board = self.tp.faults();
-        self.tp.inner.stats.borrow_mut().rpcs += 1;
-        if let Some(b) = &board {
-            if !b.reachable(self.node.0, dst.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
-        }
-        self.tp
-            .fabric
-            .send(self.node, dst, spec.header_bytes + request.len() as u64)
-            .await;
-        if let Some(b) = &board {
-            if !b.node_up(dst.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
-        }
-        let handler = {
-            let w = self.tp.inner.workers[dst.0 as usize].borrow();
-            w.handlers
-                .get(&id)
-                .unwrap_or_else(|| panic!("no AM handler {id:?} on {dst}"))
-                .clone()
-        };
-        let response = handler(request).await;
-        if let Some(b) = &board {
-            if !b.reachable(dst.0, self.node.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
-        }
-        self.tp
-            .fabric
-            .send(dst, self.node, spec.header_bytes + response.len() as u64)
-            .await;
-        Ok(response)
-    }
-
-    /// One fallible bulk RPC attempt; see [`Endpoint::try_rpc`].
-    pub async fn try_bulk_rpc(
-        &self,
+        board: Option<&FaultBoard>,
         dst: NodeId,
         id: AmId,
         header: Bytes,
         payload: Payload,
     ) -> Result<(Bytes, Payload), TransportError> {
         let spec = self.tp.spec;
-        let board = self.tp.faults();
+        let down = || Err(TransportError::Unreachable { node: dst });
         {
             let mut st = self.tp.inner.stats.borrow_mut();
             st.bulk_rpcs += 1;
             st.bulk_bytes += payload_len(&payload);
         }
-        if let Some(b) = &board {
-            if !b.reachable(self.node.0, dst.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
+        if board.is_some_and(|b| !b.reachable(self.node.0, dst.0)) {
+            return down();
         }
         self.tp
             .fabric
@@ -582,10 +470,8 @@ impl Endpoint {
                 spec.header_bytes + header.len() as u64 + payload_len(&payload),
             )
             .await;
-        if let Some(b) = &board {
-            if !b.node_up(dst.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
+        if board.is_some_and(|b| !b.node_up(dst.0)) {
+            return down();
         }
         let handler = {
             let w = self.tp.inner.workers[dst.0 as usize].borrow();
@@ -596,10 +482,8 @@ impl Endpoint {
         };
         let (resp_header, resp_payload) = handler(header, payload).await;
         self.tp.inner.stats.borrow_mut().bulk_bytes += payload_len(&resp_payload);
-        if let Some(b) = &board {
-            if !b.reachable(dst.0, self.node.0) {
-                return Err(TransportError::Unreachable { node: dst });
-            }
+        if board.is_some_and(|b| !b.reachable(dst.0, self.node.0)) {
+            return down();
         }
         self.tp
             .fabric
@@ -612,35 +496,96 @@ impl Endpoint {
         Ok((resp_header, resp_payload))
     }
 
-    /// RPC with retry: exponential backoff with jitter between attempts
-    /// and a per-attempt timeout, per `policy`. With no fault board
-    /// attached this is a single infallible [`Endpoint::rpc`] — no timer
-    /// is armed and `rng` is not drawn, so healthy-path trajectories are
-    /// unchanged.
-    pub async fn rpc_retrying(
+    /// One RPC attempt against the handler registered as `(dst, id)`; the
+    /// handler runs on the destination node's worker. With `board: None`
+    /// the attempt cannot fail. With a board, the destination's
+    /// reachability is checked before the request goes on the wire, after
+    /// it lands (the node may crash mid-flight), and before the response
+    /// is sent back (a reply lost to a crash still leaves the handler's
+    /// side effects applied, as on real systems).
+    async fn rpc_attempt(
         &self,
+        board: Option<&FaultBoard>,
         dst: NodeId,
         id: AmId,
         request: Bytes,
+    ) -> Result<Bytes, TransportError> {
+        let spec = self.tp.spec;
+        let down = || Err(TransportError::Unreachable { node: dst });
+        self.tp.inner.stats.borrow_mut().rpcs += 1;
+        if board.is_some_and(|b| !b.reachable(self.node.0, dst.0)) {
+            return down();
+        }
+        // Control-plane requests are small; model as header + payload.
+        self.tp
+            .fabric
+            .send(self.node, dst, spec.header_bytes + request.len() as u64)
+            .await;
+        if board.is_some_and(|b| !b.node_up(dst.0)) {
+            return down();
+        }
+        let handler = {
+            let w = self.tp.inner.workers[dst.0 as usize].borrow();
+            w.handlers
+                .get(&id)
+                .unwrap_or_else(|| panic!("no AM handler {id:?} on {dst}"))
+                .clone()
+        };
+        let response = handler(request).await;
+        if board.is_some_and(|b| !b.reachable(dst.0, self.node.0)) {
+            return down();
+        }
+        self.tp
+            .fabric
+            .send(dst, self.node, spec.header_bytes + response.len() as u64)
+            .await;
+        Ok(response)
+    }
+
+    /// Board-blind bulk RPC (`pfs` data path): never consults the fault
+    /// board, so it cannot fail.
+    pub async fn bulk_rpc(
+        &self,
+        dst: NodeId,
+        id: AmId,
+        header: Bytes,
+        payload: Payload,
+    ) -> (Bytes, Payload) {
+        self.bulk_attempt(None, dst, id, header, payload)
+            .await
+            .expect("bulk_rpc cannot fail without a fault board")
+    }
+
+    /// Board-blind RPC (`pfs` control path, mesh replication): never
+    /// consults the fault board, so it cannot fail.
+    pub async fn rpc(&self, dst: NodeId, id: AmId, request: Bytes) -> Bytes {
+        self.rpc_attempt(None, dst, id, request)
+            .await
+            .expect("rpc cannot fail without a fault board")
+    }
+
+    /// The retry loop behind both `*_retrying` forms: exponential backoff
+    /// with jitter between attempts and a per-attempt timeout, per
+    /// `policy`.
+    async fn retrying<T, F>(
+        &self,
+        dst: NodeId,
         policy: &RetryPolicy,
         rng: &mut StdRng,
-    ) -> Result<Bytes, TransportError> {
-        if self.tp.faults().is_none() {
-            return Ok(self.rpc(dst, id, request).await);
-        }
-        let ctx = self.tp.ctx.clone();
+        mut attempt: impl FnMut() -> F,
+    ) -> Result<T, TransportError>
+    where
+        F: Future<Output = Result<T, TransportError>>,
+    {
+        let ctx = &self.tp.ctx;
         let mut attempts = 0;
         loop {
-            let attempt_fut = self.try_rpc(dst, id, request.clone());
-            let outcome = match timeout(&ctx, policy.attempt_timeout, attempt_fut).await {
-                Ok(Ok(resp)) => return Ok(resp),
-                Ok(Err(e)) => e,
-                Err(_) => TransportError::Timeout { node: dst },
-            };
+            if let Ok(Ok(resp)) = timeout(ctx, policy.attempt_timeout, attempt()).await {
+                return Ok(resp);
+            }
             attempts += 1;
             if attempts >= policy.max_attempts {
                 self.tp.inner.stats.borrow_mut().rpc_giveups += 1;
-                let _ = outcome;
                 return Err(TransportError::Exhausted {
                     node: dst,
                     attempts,
@@ -654,6 +599,25 @@ impl Endpoint {
             }
             ctx.sleep(pause).await;
         }
+    }
+
+    /// RPC with retry (the `retrying` loop). With no fault board
+    /// attached this is a single attempt that cannot fail — no timer is
+    /// armed and `rng` is not drawn, so healthy-path trajectories are
+    /// unchanged.
+    pub async fn rpc_retrying(
+        &self,
+        dst: NodeId,
+        id: AmId,
+        request: Bytes,
+        policy: &RetryPolicy,
+        rng: &mut StdRng,
+    ) -> Result<Bytes, TransportError> {
+        let Some(board) = self.tp.faults() else {
+            return self.rpc_attempt(None, dst, id, request).await;
+        };
+        let attempt = || self.rpc_attempt(Some(&board), dst, id, request.clone());
+        self.retrying(dst, policy, rng, attempt).await
     }
 
     /// Bulk RPC with retry; see [`Endpoint::rpc_retrying`]. Payload
@@ -667,35 +631,11 @@ impl Endpoint {
         policy: &RetryPolicy,
         rng: &mut StdRng,
     ) -> Result<(Bytes, Payload), TransportError> {
-        if self.tp.faults().is_none() {
-            return Ok(self.bulk_rpc(dst, id, header, payload).await);
-        }
-        let ctx = self.tp.ctx.clone();
-        let mut attempts = 0;
-        loop {
-            let attempt_fut = self.try_bulk_rpc(dst, id, header.clone(), payload.clone());
-            let outcome = match timeout(&ctx, policy.attempt_timeout, attempt_fut).await {
-                Ok(Ok(resp)) => return Ok(resp),
-                Ok(Err(e)) => e,
-                Err(_) => TransportError::Timeout { node: dst },
-            };
-            attempts += 1;
-            if attempts >= policy.max_attempts {
-                self.tp.inner.stats.borrow_mut().rpc_giveups += 1;
-                let _ = outcome;
-                return Err(TransportError::Exhausted {
-                    node: dst,
-                    attempts,
-                });
-            }
-            let pause = policy.backoff(attempts - 1, rng);
-            {
-                let mut st = self.tp.inner.stats.borrow_mut();
-                st.rpc_retries += 1;
-                st.retry_backoff_ns += pause.nanos();
-            }
-            ctx.sleep(pause).await;
-        }
+        let Some(board) = self.tp.faults() else {
+            return self.bulk_attempt(None, dst, id, header, payload).await;
+        };
+        let attempt = || self.bulk_attempt(Some(&board), dst, id, header.clone(), payload.clone());
+        self.retrying(dst, policy, rng, attempt).await
     }
 }
 
