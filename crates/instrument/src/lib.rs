@@ -13,6 +13,20 @@
 //!
 //! Metric annotations ([`Recorder::annotate`]) attach numeric values
 //! (e.g. bytes moved, KVS polls) to the current path.
+//!
+//! # Guard layout
+//!
+//! A [`RegionGuard`] lives inside the future of the process that opened
+//! it, across every await of the region — up to three nested in the
+//! DYAD consume path — and a role future is as large as its largest
+//! state, so a guard's bytes are paid once per nesting level by every
+//! process of the ensemble whether or not it ever traces. The guard is
+//! therefore three words: the recorder (one `Rc`: clock, tracer, track
+//! name and tree all sit behind it), the start instant, and an
+//! `Option<Box<SpanGuard>>` that is `None` unless a tracer is enabled.
+//! The span's two label strings and its own tracer and clock handles —
+//! 104 bytes that used to sit inline — are allocated only by traced
+//! runs. `crates/core/tests/footprint.rs` pins the size.
 
 #![warn(missing_docs)]
 
@@ -117,80 +131,98 @@ impl Profile {
     }
 }
 
-/// Internal tree node: region names stay interned while recording so
-/// the per-region hot path never allocates; [`Recorder::finish`]
+/// Parent index of a top-level region (and the node id of the synthetic
+/// root, for annotations made outside any region).
+const ROOT: u32 = u32::MAX;
+
+/// One region of the recording tree. Names stay interned while recording
+/// so the per-region hot path never allocates; [`Recorder::finish`]
 /// resolves symbols back to strings when building the public
 /// [`Profile`].
-///
-/// Metrics and children live in insertion-ordered vecs rather than hash
-/// maps: real region trees are a handful of entries wide, so a linear
-/// scan over `u32` symbols beats two hash probes, and a `Vec` carries
-/// none of the map's bucket overhead — at 100k+ pairs the recorder trees
-/// are a measurable share of peak RSS (see DESIGN.md §11).
-#[derive(Default)]
 struct RecNode {
+    name: Symbol,
+    /// Index of the enclosing region in [`RecState::nodes`], or [`ROOT`].
+    parent: u32,
     count: u64,
     inclusive: SimDuration,
-    metrics: Vec<(Symbol, f64)>,
-    children: Vec<(Symbol, RecNode)>,
 }
 
-impl RecNode {
-    /// Child node for `name`, created on first use (insertion order).
-    fn child(&mut self, name: Symbol) -> &mut RecNode {
-        let idx = match self.children.iter().position(|(k, _)| *k == name) {
-            Some(i) => i,
-            None => {
-                self.children.push((name, RecNode::default()));
-                self.children.len() - 1
-            }
-        };
-        &mut self.children[idx].1
+/// The recording tree as one flat arena per recorder: a node names its
+/// parent by index, a region is found by a linear scan for `(parent,
+/// name)` and metrics sit in one side list. Real region trees are a
+/// dozen nodes, so the scan beats a hash probe, and one `Vec` of 24-byte
+/// nodes replaces a `Vec` of children in every interior node — at 100k+
+/// pairs the recorder trees are a measurable share of peak RSS (see
+/// DESIGN.md §11).
+#[derive(Default)]
+struct RecState {
+    /// Creation order: a child always follows its parent.
+    nodes: Vec<RecNode>,
+    /// `(node, key, sum)` in first-use order.
+    metrics: Vec<(u32, Symbol, f64)>,
+    /// Indices of the currently open regions, outermost first.
+    stack: Vec<u32>,
+}
+
+impl RecState {
+    /// Node for region `name` under `parent`, created on first entry.
+    fn child(&mut self, parent: u32, name: Symbol) -> u32 {
+        let found = self
+            .nodes
+            .iter()
+            .position(|n| n.parent == parent && n.name == name);
+        let idx = found.unwrap_or_else(|| {
+            self.nodes.push(RecNode {
+                name,
+                parent,
+                count: 0,
+                inclusive: SimDuration::ZERO,
+            });
+            self.nodes.len() - 1
+        });
+        u32::try_from(idx).expect("region tree fits in u32")
     }
 
-    /// Accumulator slot for metric `key`, created on first use.
-    fn metric(&mut self, key: Symbol) -> &mut f64 {
-        let idx = match self.metrics.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                self.metrics.push((key, 0.0));
-                self.metrics.len() - 1
-            }
-        };
-        &mut self.metrics[idx].1
+    /// Innermost open region, or [`ROOT`].
+    fn current(&self) -> u32 {
+        self.stack.last().copied().unwrap_or(ROOT)
     }
 
-    fn to_profile(&self) -> ProfileNode {
+    fn to_profile(&self, id: u32) -> ProfileNode {
+        let (count, inclusive) = match self.nodes.get(id as usize) {
+            Some(n) => (n.count, n.inclusive),
+            None => (0, SimDuration::ZERO),
+        };
         ProfileNode {
-            count: self.count,
-            inclusive: self.inclusive,
+            count,
+            inclusive,
             metrics: self
                 .metrics
                 .iter()
-                .map(|(k, v)| (k.resolve().to_string(), *v))
+                .filter(|(node, ..)| *node == id)
+                .map(|(_, k, v)| (k.resolve().to_string(), *v))
                 .collect(),
-            children: self
-                .children
-                .iter()
-                .map(|(k, v)| (k.resolve().to_string(), v.to_profile()))
+            children: (0u32..)
+                .zip(&self.nodes)
+                .filter(|(_, n)| n.parent == id)
+                .map(|(i, n)| (n.name.resolve().to_string(), self.to_profile(i)))
                 .collect(),
         }
     }
 }
 
-struct RecState {
-    root: RecNode,
-    /// Names of the currently open regions, outermost first.
-    stack: Vec<Symbol>,
+/// Everything a recorder's clones share, behind one `Rc`.
+struct RecShared {
+    ctx: Ctx,
+    tracer: Tracer,
+    track: String,
+    state: RefCell<RecState>,
 }
 
 /// A per-process region recorder.
 #[derive(Clone)]
 pub struct Recorder {
-    ctx: Ctx,
-    state: Rc<RefCell<RecState>>,
-    tracer: Tracer,
-    track: Rc<String>,
+    shared: Rc<RecShared>,
 }
 
 impl Recorder {
@@ -204,13 +236,12 @@ impl Recorder {
     /// trace of the run falls out for free.
     pub fn traced(ctx: &Ctx, tracer: Tracer, track: &str) -> Self {
         Recorder {
-            ctx: ctx.clone(),
-            state: Rc::new(RefCell::new(RecState {
-                root: RecNode::default(),
-                stack: Vec::new(),
-            })),
-            tracer,
-            track: Rc::new(track.to_string()),
+            shared: Rc::new(RecShared {
+                ctx: ctx.clone(),
+                tracer,
+                track: track.to_string(),
+                state: RefCell::default(),
+            }),
         }
     }
 
@@ -218,17 +249,21 @@ impl Recorder {
     /// must be closed in LIFO order (guards enforce this naturally when
     /// kept in scope).
     pub fn region(&self, name: &str) -> RegionGuard {
-        self.state.borrow_mut().stack.push(intern(name));
-        let span = if self.tracer.is_enabled() {
-            Some(self.tracer.span(&self.ctx, &self.track, "region", name))
-        } else {
-            None
-        };
+        let sh = &*self.shared;
+        {
+            let mut st = sh.state.borrow_mut();
+            let parent = st.current();
+            let node = st.child(parent, intern(name));
+            st.stack.push(node);
+        }
+        let span = sh
+            .tracer
+            .is_enabled()
+            .then(|| Box::new(sh.tracer.span(&sh.ctx, &sh.track, "region", name)));
         RegionGuard {
             rec: self.clone(),
-            start: self.ctx.now(),
-            closed: false,
-            span,
+            start: sh.ctx.now(),
+            _span: span,
         }
     }
 
@@ -240,76 +275,71 @@ impl Recorder {
 
     /// Attach a numeric metric to the current path (summed across calls).
     pub fn annotate(&self, key: &str, value: f64) {
-        let mut st = self.state.borrow_mut();
-        // Split-borrow so the stack can be read while the tree is walked
-        // mutably — no clone of the path on this hot call.
-        let RecState { root, stack } = &mut *st;
-        let node = Self::node_at(root, stack);
-        *node.metric(intern(key)) += value;
-    }
-
-    fn node_at<'a>(root: &'a mut RecNode, path: &[Symbol]) -> &'a mut RecNode {
-        let mut cur = root;
-        for comp in path {
-            cur = cur.child(*comp);
+        let mut st = self.shared.state.borrow_mut();
+        let (node, key) = (st.current(), intern(key));
+        match st
+            .metrics
+            .iter_mut()
+            .find(|(n, k, _)| *n == node && *k == key)
+        {
+            Some((.., sum)) => *sum += value,
+            None => st.metrics.push((node, key, value)),
         }
-        cur
     }
 
     fn close_region(&self, start: SimTime) {
-        let now = self.ctx.now();
-        let mut st = self.state.borrow_mut();
-        assert!(!st.stack.is_empty(), "region closed with empty stack");
-        let RecState { root, stack } = &mut *st;
-        let node = Self::node_at(root, stack);
+        let now = self.shared.ctx.now();
+        let mut st = self.shared.state.borrow_mut();
+        let node = st.stack.pop().expect("region closed with empty stack");
+        let node = &mut st.nodes[node as usize];
         node.count += 1;
         node.inclusive += now - start;
-        st.stack.pop();
     }
 
     /// Finalize into a [`Profile`]. Panics if regions are still open.
     pub fn finish(self) -> Profile {
-        let st = self.state.borrow();
+        let st = self.shared.state.borrow();
         assert!(
             st.stack.is_empty(),
             "finish() with open regions: {:?}",
-            st.stack.iter().map(|s| s.resolve()).collect::<Vec<_>>()
+            st.stack
+                .iter()
+                .map(|&n| st.nodes[n as usize].name.resolve())
+                .collect::<Vec<_>>()
         );
         Profile {
-            root: st.root.to_profile(),
+            root: st.to_profile(ROOT),
         }
     }
 
-    /// Snapshot without consuming (open regions are not included).
+    /// Snapshot without consuming. A region that is still open shows the
+    /// visits completed so far (none, on its first).
     pub fn snapshot(&self) -> Profile {
         Profile {
-            root: self.state.borrow().root.to_profile(),
+            root: self.shared.state.borrow().to_profile(ROOT),
         }
     }
 }
 
-/// RAII guard returned by [`Recorder::region`].
+/// RAII guard returned by [`Recorder::region`]. See "Guard layout" in
+/// the crate docs for why it is three words.
 pub struct RegionGuard {
     rec: Recorder,
     start: SimTime,
-    closed: bool,
-    span: Option<SpanGuard>,
+    /// Mirror span, present only while tracing. Dropped after
+    /// [`Drop::drop`] has closed the region, so the profile is updated
+    /// before the span is recorded.
+    _span: Option<Box<SpanGuard>>,
 }
 
 impl RegionGuard {
     /// Close the region explicitly (otherwise closes on drop).
-    pub fn end(mut self) {
-        self.rec.close_region(self.start);
-        self.closed = true;
-        self.span.take();
-    }
+    pub fn end(self) {}
 }
 
 impl Drop for RegionGuard {
     fn drop(&mut self) {
-        if !self.closed {
-            self.rec.close_region(self.start);
-        }
+        self.rec.close_region(self.start);
     }
 }
 

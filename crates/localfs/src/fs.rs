@@ -156,6 +156,10 @@ enum InodeKind {
         extents: Vec<Extent>,
         /// True when content is resident in the page cache.
         cached: bool,
+        /// Open descriptors on this file (directories are never opened),
+        /// so an unlink decides "free now or orphan" without scanning
+        /// the descriptor table.
+        open: u32,
     },
     Dir {
         children: FxHashMap<Symbol, Ino>,
@@ -164,7 +168,10 @@ enum InodeKind {
 
 struct Inode {
     kind: InodeKind,
-    lock: Rc<RefCell<FlockState>>,
+    /// Advisory-lock state, created by the first `flock` on the inode:
+    /// most inodes (every directory, every file of a cold-sync run) are
+    /// never locked.
+    lock: Option<Rc<RefCell<FlockState>>>,
 }
 
 impl Inode {
@@ -175,8 +182,9 @@ impl Inode {
                 size: 0,
                 extents: Vec::new(),
                 cached: false,
+                open: 0,
             },
-            lock: Rc::default(),
+            lock: None,
         }
     }
 
@@ -185,7 +193,7 @@ impl Inode {
             kind: InodeKind::Dir {
                 children: FxHashMap::default(),
             },
-            lock: Rc::default(),
+            lock: None,
         }
     }
 }
@@ -196,9 +204,76 @@ struct OpenFile {
     mode: OpenMode,
 }
 
+/// The inode table: a slab indexed by inode number. Numbers are handed
+/// out densely from 1 and a freed number is reused, so the table is as
+/// long as the most inodes that were ever live at once and a lookup is
+/// an index. (A hash map keyed by `Ino` paid a 16-bucket rehash — 1.3 KB
+/// — on every filesystem that holds more than seven inodes, which at
+/// 16,384 filesystems was the third-largest structure of a run.) A
+/// number is only reused once nothing can name the old inode: directory
+/// entries go first, and an inode with open descriptors is parked in
+/// `FsInner::orphans` until the last one closes.
+#[derive(Default)]
+struct InodeTable {
+    /// `slots[ino - 1]`.
+    slots: Vec<Option<Inode>>,
+    free: Vec<Ino>,
+}
+
+impl InodeTable {
+    fn get(&self, ino: Ino) -> Option<&Inode> {
+        self.slots.get(ino.0 as usize - 1)?.as_ref()
+    }
+
+    fn get_mut(&mut self, ino: Ino) -> Option<&mut Inode> {
+        self.slots.get_mut(ino.0 as usize - 1)?.as_mut()
+    }
+
+    fn insert(&mut self, node: Inode) -> Ino {
+        match self.free.pop() {
+            Some(ino) => {
+                self.slots[ino.0 as usize - 1] = Some(node);
+                ino
+            }
+            None => {
+                self.slots.push(Some(node));
+                Ino(self.slots.len() as u64)
+            }
+        }
+    }
+
+    fn remove(&mut self, ino: Ino) -> Inode {
+        let node = self.slots[ino.0 as usize - 1]
+            .take()
+            .expect("removed inode is live");
+        self.free.push(ino);
+        node
+    }
+
+    /// Live inodes in inode-number order.
+    fn iter(&self) -> impl Iterator<Item = (Ino, &Inode)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| Some((Ino(i as u64 + 1), n.as_ref()?)))
+    }
+}
+
+impl std::ops::Index<Ino> for InodeTable {
+    type Output = Inode;
+    fn index(&self, ino: Ino) -> &Inode {
+        self.get(ino).expect("inode is live")
+    }
+}
+
+impl std::ops::IndexMut<Ino> for InodeTable {
+    fn index_mut(&mut self, ino: Ino) -> &mut Inode {
+        self.get_mut(ino).expect("inode is live")
+    }
+}
+
 struct FsInner {
-    inodes: FxHashMap<Ino, Inode>,
-    next_ino: u64,
+    inodes: InodeTable,
     root: Ino,
     fds: FxHashMap<Fd, OpenFile>,
     next_fd: u64,
@@ -234,14 +309,30 @@ impl FsInner {
     /// when no descriptor references it, otherwise park it as an orphan
     /// until the last [`LocalFs::close`].
     fn remove_or_orphan(&mut self, ino: Ino) {
-        if self.fds.values().any(|of| of.ino == ino) {
+        if matches!(self.inodes[ino].kind, InodeKind::File { open, .. } if open > 0) {
             self.orphans.insert(ino);
             return;
         }
-        let node = self.inodes.remove(&ino).unwrap();
-        if let InodeKind::File { extents, .. } = node.kind {
+        self.reap(ino);
+    }
+
+    /// Drop an inode nothing references any more and free its extents.
+    fn reap(&mut self, ino: Ino) {
+        if let InodeKind::File { extents, .. } = self.inodes.remove(ino).kind {
             self.free_extents(&extents);
         }
+    }
+
+    /// Register a descriptor on file `ino`.
+    fn open_fd(&mut self, ino: Ino, offset: u64, mode: OpenMode) -> Fd {
+        match &mut self.inodes[ino].kind {
+            InodeKind::File { open, .. } => *open += 1,
+            InodeKind::Dir { .. } => unreachable!("directories are never opened"),
+        }
+        let fd = Fd(self.next_fd);
+        self.next_fd += 1;
+        self.fds.insert(fd, OpenFile { ino, offset, mode });
+        fd
     }
 }
 
@@ -270,16 +361,14 @@ impl LocalFs {
     /// Create (format) a filesystem on `dev`.
     pub fn new(ctx: &Ctx, dev: NvmeDevice, spec: LocalFsSpec) -> Self {
         let total_blocks = spec.capacity_bytes / spec.block_size;
-        let root = Ino(1);
-        let mut inodes = FxHashMap::default();
-        inodes.insert(root, Inode::new_dir());
+        let mut inodes = InodeTable::default();
+        let root = inodes.insert(Inode::new_dir());
         LocalFs {
             ctx: ctx.clone(),
             dev,
             spec,
             inner: Rc::new(RefCell::new(FsInner {
                 inodes,
-                next_ino: 2,
                 root,
                 fds: FxHashMap::default(),
                 next_fd: 3, // 0,1,2 "reserved", POSIX-style
@@ -360,14 +449,14 @@ impl LocalFs {
         let mut entries = Vec::new();
         // Reachability: which inodes do directory entries reference?
         let mut referenced: Vec<Ino> = vec![inner.root];
-        for node in inner.inodes.values() {
+        for (_, node) in inner.inodes.iter() {
             if let InodeKind::Dir { children } = &node.kind {
                 referenced.extend(children.values().copied());
             }
         }
         // Dangling dirents: references to inodes that do not exist.
         for &ino in &referenced {
-            if !inner.inodes.contains_key(&ino) {
+            if inner.inodes.get(ino).is_none() {
                 entries.push(crate::fsck::FsckEntry {
                     ino: ino.0,
                     is_dir: false,
@@ -377,7 +466,7 @@ impl LocalFs {
                 });
             }
         }
-        for (&ino, node) in &inner.inodes {
+        for (ino, node) in inner.inodes.iter() {
             match &node.kind {
                 InodeKind::File { size, extents, .. } => {
                     entries.push(crate::fsck::FsckEntry {
@@ -422,7 +511,7 @@ impl LocalFs {
         }
         let mut cur = inner.root;
         for comp in dir.split('/').filter(|c| !c.is_empty()) {
-            let node = inner.inodes.get(&cur).ok_or(FsError::NotFound)?;
+            let node = inner.inodes.get(cur).ok_or(FsError::NotFound)?;
             match &node.kind {
                 InodeKind::Dir { children } => {
                     cur = *children.get(&intern(comp)).ok_or(FsError::NotFound)?;
@@ -431,7 +520,7 @@ impl LocalFs {
             }
         }
         if matches!(
-            inner.inodes.get(&cur).map(|n| &n.kind),
+            inner.inodes.get(cur).map(|n| &n.kind),
             Some(InodeKind::Dir { .. })
         ) {
             inner.dcache.borrow_mut().insert(sym, cur);
@@ -445,7 +534,7 @@ impl LocalFs {
             return Ok(inner.root);
         }
         let parent = Self::resolve_dir(inner, dir)?;
-        let node = inner.inodes.get(&parent).ok_or(FsError::NotFound)?;
+        let node = inner.inodes.get(parent).ok_or(FsError::NotFound)?;
         match &node.kind {
             InodeKind::Dir { children } => children
                 .get(&intern(name))
@@ -478,7 +567,7 @@ impl LocalFs {
         let mut cur = inner.root;
         for comp in p.split('/').filter(|c| !c.is_empty()) {
             let next = {
-                let node = inner.inodes.get(&cur).ok_or(FsError::NotFound)?;
+                let node = inner.inodes.get(cur).ok_or(FsError::NotFound)?;
                 match &node.kind {
                     InodeKind::Dir { children } => children.get(&intern(comp)).copied(),
                     InodeKind::File { .. } => return Err(FsError::NotDirectory),
@@ -487,10 +576,8 @@ impl LocalFs {
             cur = match next {
                 Some(ino) => ino,
                 None => {
-                    let ino = Ino(inner.next_ino);
-                    inner.next_ino += 1;
-                    inner.inodes.insert(ino, Inode::new_dir());
-                    match &mut inner.inodes.get_mut(&cur).unwrap().kind {
+                    let ino = inner.inodes.insert(Inode::new_dir());
+                    match &mut inner.inodes[cur].kind {
                         InodeKind::Dir { children } => {
                             children.insert(intern(comp), ino);
                         }
@@ -515,7 +602,7 @@ impl LocalFs {
         let mut inner = self.inner.borrow_mut();
         let (parent, name) = Self::lookup_parent(&inner, path)?;
         let existing = {
-            let node = inner.inodes.get(&parent).ok_or(FsError::NotFound)?;
+            let node = inner.inodes.get(parent).ok_or(FsError::NotFound)?;
             match &node.kind {
                 InodeKind::Dir { children } => children.get(&intern(name)).copied(),
                 InodeKind::File { .. } => return Err(FsError::NotDirectory),
@@ -525,13 +612,14 @@ impl LocalFs {
             Some(ino) => {
                 // Truncate.
                 let freed = {
-                    let node = inner.inodes.get_mut(&ino).unwrap();
+                    let node = &mut inner.inodes[ino];
                     match &mut node.kind {
                         InodeKind::File {
                             segments,
                             size,
                             extents,
                             cached,
+                            ..
                         } => {
                             segments.clear();
                             *size = 0;
@@ -546,10 +634,8 @@ impl LocalFs {
                 ino
             }
             None => {
-                let ino = Ino(inner.next_ino);
-                inner.next_ino += 1;
-                inner.inodes.insert(ino, Inode::new_file());
-                match &mut inner.inodes.get_mut(&parent).unwrap().kind {
+                let ino = inner.inodes.insert(Inode::new_file());
+                match &mut inner.inodes[parent].kind {
                     InodeKind::Dir { children } => {
                         children.insert(intern(name), ino);
                     }
@@ -561,17 +647,7 @@ impl LocalFs {
                 ino
             }
         };
-        let fd = Fd(inner.next_fd);
-        inner.next_fd += 1;
-        inner.fds.insert(
-            fd,
-            OpenFile {
-                ino,
-                offset: 0,
-                mode: OpenMode::Write,
-            },
-        );
-        Ok(fd)
+        Ok(inner.open_fd(ino, 0, OpenMode::Write))
     }
 
     /// Open an existing file read-only.
@@ -586,7 +662,7 @@ impl LocalFs {
         self.ctx.sleep(self.spec.meta_cpu).await;
         let mut inner = self.inner.borrow_mut();
         let ino = Self::lookup(&inner, path)?;
-        let (size, is_dir) = match &inner.inodes[&ino].kind {
+        let (size, is_dir) = match &inner.inodes[ino].kind {
             InodeKind::File { size, .. } => (*size, false),
             InodeKind::Dir { .. } => (0, true),
         };
@@ -597,10 +673,7 @@ impl LocalFs {
             OpenMode::Append => size,
             _ => 0,
         };
-        let fd = Fd(inner.next_fd);
-        inner.next_fd += 1;
-        inner.fds.insert(fd, OpenFile { ino, offset, mode });
-        Ok(fd)
+        Ok(inner.open_fd(ino, offset, mode))
     }
 
     /// Write `data` at the descriptor's offset (write-through to the
@@ -626,7 +699,7 @@ impl LocalFs {
             let offset = of.offset;
             let end = offset + bytes;
             // Grow the extent map to cover `end`.
-            let cur_blocks = match &inner.inodes[&ino].kind {
+            let cur_blocks = match &inner.inodes[ino].kind {
                 InodeKind::File { extents, .. } => extents.iter().map(|e| e.len).sum::<u64>(),
                 InodeKind::Dir { .. } => return Err(FsError::IsDirectory),
             };
@@ -635,7 +708,7 @@ impl LocalFs {
                 let new = inner.alloc.alloc(need_blocks - cur_blocks)?;
                 inner.used_blocks += need_blocks - cur_blocks;
                 let n_new = new.len();
-                match &mut inner.inodes.get_mut(&ino).unwrap().kind {
+                match &mut inner.inodes[ino].kind {
                     InodeKind::File { extents, .. } => extents.extend(new),
                     InodeKind::Dir { .. } => unreachable!(),
                 }
@@ -643,7 +716,7 @@ impl LocalFs {
                     inner.journal.append(RecordKind::ExtentMap);
                 }
             }
-            match &mut inner.inodes.get_mut(&ino).unwrap().kind {
+            match &mut inner.inodes[ino].kind {
                 InodeKind::File {
                     segments,
                     size,
@@ -725,7 +798,7 @@ impl LocalFs {
             let of = inner.fds.get(&fd).ok_or(FsError::BadDescriptor)?;
             let ino = of.ino;
             let offset = of.offset;
-            let (slice, cached) = match &inner.inodes[&ino].kind {
+            let (slice, cached) = match &inner.inodes[ino].kind {
                 InodeKind::File {
                     segments,
                     size,
@@ -762,7 +835,7 @@ impl LocalFs {
                     let mut inner = self.inner.borrow_mut();
                     // The descriptor may have been closed during the await.
                     if let Some(ino) = inner.fds.get(&fd).map(|of| of.ino) {
-                        if let Some(node) = inner.inodes.get_mut(&ino) {
+                        if let Some(node) = inner.inodes.get_mut(ino) {
                             if let InodeKind::File { cached, .. } = &mut node.kind {
                                 *cached = true;
                             }
@@ -784,7 +857,7 @@ impl LocalFs {
             let of = inner.fds.get(&fd).ok_or(FsError::BadDescriptor)?;
             let ino = of.ino;
             let offset = of.offset;
-            let (parts, cached) = match &inner.inodes[&ino].kind {
+            let (parts, cached) = match &inner.inodes[ino].kind {
                 InodeKind::File {
                     segments,
                     size,
@@ -869,13 +942,16 @@ impl LocalFs {
         let was_write = {
             let mut inner = self.inner.borrow_mut();
             let of = inner.fds.remove(&fd).ok_or(FsError::BadDescriptor)?;
-            // Reap an orphaned inode once its last descriptor closes.
-            if inner.orphans.contains(&of.ino) && !inner.fds.values().any(|o| o.ino == of.ino) {
-                inner.orphans.remove(&of.ino);
-                let node = inner.inodes.remove(&of.ino).unwrap();
-                if let InodeKind::File { extents, .. } = node.kind {
-                    inner.free_extents(&extents);
+            let still_open = match &mut inner.inodes[of.ino].kind {
+                InodeKind::File { open, .. } => {
+                    *open -= 1;
+                    *open > 0
                 }
+                InodeKind::Dir { .. } => unreachable!("directories are never opened"),
+            };
+            // Reap an orphaned inode once its last descriptor closes.
+            if !still_open && inner.orphans.remove(&of.ino) {
+                inner.reap(of.ino);
                 inner.journal.append(RecordKind::ExtentMap);
             }
             of.mode != OpenMode::Read
@@ -895,7 +971,7 @@ impl LocalFs {
         // Detach the source dirent.
         let (src_parent, src_name) = Self::lookup_parent(&inner, from)?;
         let ino = {
-            let node = inner.inodes.get(&src_parent).ok_or(FsError::NotFound)?;
+            let node = inner.inodes.get(src_parent).ok_or(FsError::NotFound)?;
             match &node.kind {
                 InodeKind::Dir { children } => {
                     *children.get(&intern(src_name)).ok_or(FsError::NotFound)?
@@ -903,7 +979,7 @@ impl LocalFs {
                 InodeKind::File { .. } => return Err(FsError::NotDirectory),
             }
         };
-        if matches!(inner.inodes[&ino].kind, InodeKind::Dir { .. }) {
+        if matches!(inner.inodes[ino].kind, InodeKind::Dir { .. }) {
             return Err(FsError::IsDirectory);
         }
         let (dst_parent, dst_name) = Self::lookup_parent(&inner, to)?;
@@ -911,25 +987,25 @@ impl LocalFs {
         let src_name = intern(src_name);
         // Replace any existing destination, freeing its extents.
         let replaced = {
-            let node = inner.inodes.get(&dst_parent).ok_or(FsError::NotFound)?;
+            let node = inner.inodes.get(dst_parent).ok_or(FsError::NotFound)?;
             match &node.kind {
                 InodeKind::Dir { children } => children.get(&dst_name).copied(),
                 InodeKind::File { .. } => return Err(FsError::NotDirectory),
             }
         };
         if let Some(old) = replaced {
-            if matches!(inner.inodes[&old].kind, InodeKind::Dir { .. }) {
+            if matches!(inner.inodes[old].kind, InodeKind::Dir { .. }) {
                 return Err(FsError::IsDirectory);
             }
             inner.remove_or_orphan(old);
         }
-        match &mut inner.inodes.get_mut(&src_parent).unwrap().kind {
+        match &mut inner.inodes[src_parent].kind {
             InodeKind::Dir { children } => {
                 children.remove(&src_name);
             }
             InodeKind::File { .. } => unreachable!(),
         }
-        match &mut inner.inodes.get_mut(&dst_parent).unwrap().kind {
+        match &mut inner.inodes[dst_parent].kind {
             InodeKind::Dir { children } => {
                 children.insert(dst_name, ino);
             }
@@ -947,7 +1023,7 @@ impl LocalFs {
         let mut inner = self.inner.borrow_mut();
         let (parent, name) = Self::lookup_parent(&inner, path)?;
         let ino = {
-            let node = inner.inodes.get(&parent).ok_or(FsError::NotFound)?;
+            let node = inner.inodes.get(parent).ok_or(FsError::NotFound)?;
             match &node.kind {
                 InodeKind::Dir { children } => {
                     *children.get(&intern(name)).ok_or(FsError::NotFound)?
@@ -955,10 +1031,10 @@ impl LocalFs {
                 InodeKind::File { .. } => return Err(FsError::NotDirectory),
             }
         };
-        if matches!(inner.inodes[&ino].kind, InodeKind::Dir { .. }) {
+        if matches!(inner.inodes[ino].kind, InodeKind::Dir { .. }) {
             return Err(FsError::IsDirectory);
         }
-        match &mut inner.inodes.get_mut(&parent).unwrap().kind {
+        match &mut inner.inodes[parent].kind {
             InodeKind::Dir { children } => {
                 children.remove(&intern(name));
             }
@@ -977,7 +1053,7 @@ impl LocalFs {
         self.ctx.sleep(self.spec.meta_cpu).await;
         let inner = self.inner.borrow();
         let ino = Self::lookup(&inner, path)?;
-        let st = match &inner.inodes[&ino].kind {
+        let st = match &inner.inodes[ino].kind {
             InodeKind::File { size, extents, .. } => Stat {
                 ino: ino.0,
                 size: *size,
@@ -1005,9 +1081,9 @@ impl LocalFs {
     pub async fn flock(&self, path: &str, kind: LockKind) -> FsResult<()> {
         self.ctx.sleep(self.spec.lock_op_cost).await;
         let lock = {
-            let inner = self.inner.borrow();
+            let mut inner = self.inner.borrow_mut();
             let ino = Self::lookup(&inner, path)?;
-            inner.inodes[&ino].lock.clone()
+            inner.inodes[ino].lock.get_or_insert_default().clone()
         };
         loop {
             let wait = {
@@ -1032,9 +1108,9 @@ impl LocalFs {
     /// Non-blocking lock attempt; returns whether the lock was taken.
     pub async fn try_flock(&self, path: &str, kind: LockKind) -> FsResult<bool> {
         self.ctx.sleep(self.spec.lock_op_cost).await;
-        let inner = self.inner.borrow();
+        let mut inner = self.inner.borrow_mut();
         let ino = Self::lookup(&inner, path)?;
-        let mut st = inner.inodes[&ino].lock.borrow_mut();
+        let mut st = inner.inodes[ino].lock.get_or_insert_default().borrow_mut();
         let compatible = match kind {
             LockKind::Shared => !st.writer,
             LockKind::Exclusive => !st.writer && st.readers == 0,
@@ -1053,7 +1129,11 @@ impl LocalFs {
         self.ctx.sleep(self.spec.lock_op_cost).await;
         let inner = self.inner.borrow();
         let ino = Self::lookup(&inner, path)?;
-        let mut st = inner.inodes[&ino].lock.borrow_mut();
+        let mut st = inner.inodes[ino]
+            .lock
+            .as_ref()
+            .expect("funlock without flock")
+            .borrow_mut();
         match kind {
             LockKind::Shared => {
                 assert!(st.readers > 0, "funlock without flock");

@@ -34,6 +34,20 @@
 //! batching decision — consumption still follows the global
 //! `(time, seq)` order across staged runs *and* heaps — so reports and
 //! traces are byte-identical for any worker count.
+//!
+//! # The spawn wrapper
+//!
+//! A task is one heap box: the process future, the `Rc` of its
+//! [`JoinHandle`] and a [`Ctx`] to read the completion instant —
+//! `size_of::<F>() + 16` bytes. The box is a hand-written future
+//! (`Process`) that polls the process where it lies, not
+//! `async move { let v = fut.await; .. }`: rustc lays that block out as
+//! the captured `fut` *plus* the awaited `fut`, two full copies of the
+//! process, which at 16k pairs made the two role futures of a pair 10 KB
+//! instead of 5 and the task boxes a third of peak RSS. The same holds
+//! for every detached per-frame task (ack publishers, KVS request
+//! handlers), so the wrapper also halves what a `spawn` writes. The
+//! price is one `unsafe` pin projection, argued where it is made.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -1445,16 +1459,10 @@ impl Ctx {
             waker: None,
             finished_at: None,
         }));
-        let inner2 = inner.clone();
-        let ctx = self.clone();
-        let wrapped = async move {
-            let value = fut.await;
-            let mut st = inner2.borrow_mut();
-            st.value = Some(value);
-            st.finished_at = Some(ctx.now());
-            if let Some(w) = st.waker.take() {
-                w.wake();
-            }
+        let wrapped = Process {
+            fut,
+            join: inner.clone(),
+            ctx: self.clone(),
         };
         let core = self.core();
         let mut core = core.borrow_mut();
@@ -1729,6 +1737,42 @@ struct JoinInner<T> {
     value: Option<T>,
     waker: Option<Waker>,
     finished_at: Option<SimTime>,
+}
+
+/// What a task's box holds: the process, polled where it lies, and the
+/// two words that publish its result (see "The spawn wrapper" in the
+/// module docs for why this is not an `async` block).
+struct Process<F: Future> {
+    fut: F,
+    join: Rc<RefCell<JoinInner<F::Output>>>,
+    ctx: Ctx,
+}
+
+impl<F: Future> Future for Process<F> {
+    type Output = ();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: `fut` is structurally pinned. `Process` has no `Drop`
+        // impl and is not `repr(packed)`, it is `Unpin` only if `F` is
+        // (auto trait over its fields), and the only code that touches
+        // `fut` is this function, which re-pins it before use and never
+        // moves it: the box `spawn_on` pinned it in is the only place it
+        // ever lives, and it is dropped there. `join` and `ctx` are
+        // plain handles with no pinning requirement.
+        let this = unsafe { self.get_unchecked_mut() };
+        // SAFETY: `this.fut` has not moved since `self` was pinned (above).
+        let fut = unsafe { Pin::new_unchecked(&mut this.fut) };
+        let value = match fut.poll(cx) {
+            Poll::Ready(v) => v,
+            Poll::Pending => return Poll::Pending,
+        };
+        let mut st = this.join.borrow_mut();
+        st.value = Some(value);
+        st.finished_at = Some(this.ctx.now());
+        if let Some(w) = st.waker.take() {
+            w.wake();
+        }
+        Poll::Ready(())
+    }
 }
 
 /// Awaitable handle to a spawned process.
@@ -2271,6 +2315,170 @@ mod tests {
             assert!(s.fired > 0, "shard {} never fired", s.shard);
             assert_eq!(s.pending, 0);
         }
+    }
+
+    /// The task box holds the process once: the process plus the two
+    /// handles that publish its result, nothing else. (`async move {
+    /// fut.await; .. }` laid the process out twice — as a capture and as
+    /// the awaited value.)
+    #[test]
+    fn task_box_is_the_process_plus_two_words() {
+        fn overhead<F: Future>(_: &F) -> usize {
+            std::mem::size_of::<Process<F>>() - std::mem::size_of::<F>()
+        }
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let big = async move {
+            let pad = [7u8; 1000];
+            ctx.sleep(SimDuration::from_nanos(1)).await;
+            pad[0]
+        };
+        assert!(std::mem::size_of_val(&big) >= 1000);
+        assert!(overhead(&big) <= 16, "overhead {} B", overhead(&big));
+        assert!(overhead(&std::future::ready(0u64)) <= 16);
+    }
+
+    #[test]
+    fn finished_at_is_the_completion_instant() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let h = sim.spawn(async move {
+            ctx.sleep(SimDuration::from_nanos(40)).await;
+        });
+        // A later event, so "when the run ended" is not the answer.
+        let ctx = sim.ctx();
+        sim.spawn(async move { ctx.sleep(SimDuration::from_nanos(90)).await });
+        assert_eq!(h.finished_at(), None);
+        sim.run();
+        assert_eq!(h.finished_at(), Some(SimTime::from_nanos(40)));
+        assert!(h.is_finished());
+    }
+
+    #[test]
+    fn dropped_handle_detaches_the_process() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let done = Rc::new(Cell::new(false));
+        let done2 = done.clone();
+        drop(sim.spawn(async move {
+            ctx.sleep(SimDuration::from_nanos(5)).await;
+            done2.set(true);
+            17u32
+        }));
+        assert!(sim.run().is_clean());
+        assert!(done.get());
+    }
+
+    /// A task awaiting another task's handle is polled twice — parked on
+    /// the first, woken once by the completion — and not again.
+    #[test]
+    fn joiner_is_woken_exactly_once() {
+        struct CountPolls<F>(F, Rc<Cell<u32>>);
+        impl<F: Future + Unpin> Future for CountPolls<F> {
+            type Output = F::Output;
+            fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+                self.1.set(self.1.get() + 1);
+                Pin::new(&mut self.0).poll(cx)
+            }
+        }
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let child = sim.spawn(async move {
+            ctx.sleep(SimDuration::from_nanos(10)).await;
+            ctx.sleep(SimDuration::from_nanos(10)).await;
+            "done"
+        });
+        let polls = Rc::new(Cell::new(0));
+        let ctx = sim.ctx();
+        let joiner = sim.spawn({
+            let polls = polls.clone();
+            async move {
+                let v = CountPolls(child, polls).await;
+                // Outlive the join, so a second (spurious) wake would show.
+                ctx.sleep(SimDuration::from_nanos(100)).await;
+                v
+            }
+        });
+        assert!(sim.run().is_clean());
+        assert_eq!(joiner.try_take(), Some("done"));
+        assert_eq!(polls.get(), 2);
+    }
+
+    /// Tearing a simulation down with parked tasks drops every value a
+    /// process captured or held exactly once, through either exit.
+    #[test]
+    fn parked_tasks_drop_their_captures_exactly_once() {
+        struct Counted(Rc<Cell<u32>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        // Half the handles are dropped at once, half outlive the `Sim`.
+        let park = |sim: &Sim, drops: &Rc<Cell<u32>>| {
+            let mut kept = Vec::new();
+            for i in 0..8u64 {
+                let ctx = sim.ctx();
+                let captured = Counted(drops.clone());
+                let h = sim.spawn(async move {
+                    let held = Counted(captured.0.clone());
+                    ctx.sleep(SimDuration::from_secs(1 + i)).await;
+                    drop((captured, held));
+                });
+                if i % 2 == 1 {
+                    kept.push(h);
+                }
+            }
+            // Finishes the first process, leaves seven parked mid-sleep.
+            let report = sim.run_until(SimTime::from_nanos(1_500_000_000));
+            assert_eq!(report.deadlocked_tasks, 7);
+            assert_eq!(drops.get(), 2);
+            kept
+        };
+
+        let drops = Rc::new(Cell::new(0));
+        let sim = Sim::new(0);
+        let kept = park(&sim, &drops);
+        drop(sim);
+        assert_eq!(drops.get(), 16);
+        drop(kept);
+        assert_eq!(drops.get(), 16);
+
+        let drops = Rc::new(Cell::new(0));
+        let sim = Sim::new(0);
+        let kept = park(&sim, &drops);
+        let arena = sim.into_arena();
+        assert_eq!(drops.get(), 16);
+        drop(kept);
+        // The recycled arena starts a clean simulation.
+        let sim = Sim::with_arena(0, arena);
+        park(&sim, &Rc::new(Cell::new(0)));
+    }
+
+    /// The wrapper polls the process where it lies: an `async` block that
+    /// holds a borrow of its own local across awaits is self-referential
+    /// and `!Unpin`, and only works if it never moves after its first
+    /// poll.
+    #[test]
+    fn self_referential_process_runs_in_place() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let h = sim.spawn(async move {
+            let mut cells = [0u64; 32];
+            let mut sum = 0;
+            for (i, cell) in cells.iter_mut().enumerate() {
+                // `cell` points into `cells`, a field of this very future.
+                ctx.sleep(SimDuration::from_nanos(3)).await;
+                *cell = ctx.now().nanos() + i as u64;
+                sum += *cell;
+            }
+            let first: &u64 = &cells[0];
+            ctx.yield_now().await;
+            (*first, sum, cells[31])
+        });
+        assert!(sim.run().is_clean());
+        let expect: u64 = (0..32u64).map(|i| 3 * (i + 1) + i).sum();
+        assert_eq!(h.try_take(), Some((3, expect, 96 + 31)));
     }
 
     #[cfg(test)]

@@ -32,7 +32,7 @@ use faults::{FaultBoard, RetryPolicy};
 use rand::rngs::StdRng;
 use simcore::intern::FxHashMap;
 use simcore::sync::{oneshot, OneSender};
-use simcore::{timeout, Ctx};
+use simcore::{timeout, Ctx, SimDuration};
 
 /// Errors surfaced by the RPC paths when a fault board is attached.
 /// Without a board an RPC cannot fail.
@@ -182,17 +182,20 @@ pub struct TransportStats {
 }
 
 struct Inner {
+    ctx: Ctx,
+    fabric: Fabric,
+    spec: TransportSpec,
     workers: Vec<RefCell<WorkerState>>,
     stats: RefCell<TransportStats>,
     faults: RefCell<Option<FaultBoard>>,
 }
 
-/// The transport context: one worker per cluster node.
+/// The transport context: one worker per cluster node. A handle is one
+/// `Rc`: every client of every service on every node holds an
+/// [`Endpoint`], so whatever a handle carries inline is paid tens of
+/// thousands of times in a large run.
 #[derive(Clone)]
 pub struct Transport {
-    ctx: Ctx,
-    fabric: Fabric,
-    spec: TransportSpec,
     inner: Rc<Inner>,
 }
 
@@ -212,10 +215,10 @@ impl Transport {
             })
             .collect();
         Transport {
-            ctx: ctx.clone(),
-            fabric,
-            spec,
             inner: Rc::new(Inner {
+                ctx: ctx.clone(),
+                fabric,
+                spec,
                 workers,
                 stats: RefCell::new(TransportStats::default()),
                 faults: RefCell::new(None),
@@ -242,12 +245,12 @@ impl Transport {
 
     /// Protocol parameters.
     pub fn spec(&self) -> TransportSpec {
-        self.spec
+        self.inner.spec
     }
 
     /// The underlying fabric.
     pub fn fabric(&self) -> &Fabric {
-        &self.fabric
+        &self.inner.fabric
     }
 
     /// Obtain the endpoint handle for a node.
@@ -271,9 +274,6 @@ impl Transport {
     /// while the transport that dispatched it is alive.
     pub fn downgrade(&self) -> WeakTransport {
         WeakTransport {
-            ctx: self.ctx.clone(),
-            fabric: self.fabric.clone(),
-            spec: self.spec,
             inner: Rc::downgrade(&self.inner),
         }
     }
@@ -299,9 +299,6 @@ impl Transport {
 /// A non-owning [`Transport`] handle (see [`Transport::downgrade`]).
 #[derive(Clone)]
 pub struct WeakTransport {
-    ctx: Ctx,
-    fabric: Fabric,
-    spec: TransportSpec,
     inner: std::rc::Weak<Inner>,
 }
 
@@ -310,9 +307,6 @@ impl WeakTransport {
     /// down — valid inside handlers, which only run while it is alive.
     pub fn upgrade(&self) -> Transport {
         Transport {
-            ctx: self.ctx.clone(),
-            fabric: self.fabric.clone(),
-            spec: self.spec,
             inner: self
                 .inner
                 .upgrade()
@@ -342,7 +336,7 @@ impl Endpoint {
     /// Send `payload` to `dst` with tag `tag`, completing when the
     /// receiver has the data (UCX semantics for rendezvous sends).
     pub async fn tag_send(&self, dst: NodeId, tag: Tag, payload: Bytes) {
-        let spec = self.tp.spec;
+        let spec = self.tp.spec();
         let len = payload.len() as u64;
         {
             let mut st = self.tp.inner.stats.borrow_mut();
@@ -356,7 +350,7 @@ impl Endpoint {
         if len <= spec.rndv_threshold {
             // Eager: header + payload in one message.
             self.tp
-                .fabric
+                .fabric()
                 .send(self.node, dst, spec.header_bytes + len)
                 .await;
             let (done_tx, done_rx) = oneshot();
@@ -376,7 +370,10 @@ impl Endpoint {
         } else {
             // Rendezvous: RTS header now; the receiver RDMA-reads the
             // payload and FINs. `done` resolves at FIN.
-            self.tp.fabric.send(self.node, dst, spec.header_bytes).await;
+            self.tp
+                .fabric()
+                .send(self.node, dst, spec.header_bytes)
+                .await;
             let (done_tx, done_rx) = oneshot();
             deliver_send(
                 &self.tp,
@@ -422,7 +419,7 @@ impl Endpoint {
     }
 
     async fn complete_recv(&self, pending: PendingSend) -> (NodeId, Bytes) {
-        let spec = self.tp.spec;
+        let spec = self.tp.spec();
         let len = pending.payload.len() as u64;
         if len <= spec.rndv_threshold {
             // Eager: payload already arrived with the message.
@@ -430,9 +427,12 @@ impl Endpoint {
             (pending.src, pending.payload)
         } else {
             // Rendezvous: pull payload via RDMA read, then FIN.
-            self.tp.fabric.rdma_read(self.node, pending.src, len).await;
             self.tp
-                .fabric
+                .fabric()
+                .rdma_read(self.node, pending.src, len)
+                .await;
+            self.tp
+                .fabric()
                 .send(self.node, pending.src, spec.header_bytes)
                 .await;
             let _ = pending.done.send(());
@@ -452,7 +452,7 @@ impl Endpoint {
         header: Bytes,
         payload: Payload,
     ) -> Result<(Bytes, Payload), TransportError> {
-        let spec = self.tp.spec;
+        let spec = self.tp.spec();
         let down = || Err(TransportError::Unreachable { node: dst });
         {
             let mut st = self.tp.inner.stats.borrow_mut();
@@ -463,7 +463,7 @@ impl Endpoint {
             return down();
         }
         self.tp
-            .fabric
+            .fabric()
             .send(
                 self.node,
                 dst,
@@ -486,7 +486,7 @@ impl Endpoint {
             return down();
         }
         self.tp
-            .fabric
+            .fabric()
             .send(
                 dst,
                 self.node,
@@ -510,7 +510,7 @@ impl Endpoint {
         id: AmId,
         request: Bytes,
     ) -> Result<Bytes, TransportError> {
-        let spec = self.tp.spec;
+        let spec = self.tp.spec();
         let down = || Err(TransportError::Unreachable { node: dst });
         self.tp.inner.stats.borrow_mut().rpcs += 1;
         if board.is_some_and(|b| !b.reachable(self.node.0, dst.0)) {
@@ -518,7 +518,7 @@ impl Endpoint {
         }
         // Control-plane requests are small; model as header + payload.
         self.tp
-            .fabric
+            .fabric()
             .send(self.node, dst, spec.header_bytes + request.len() as u64)
             .await;
         if board.is_some_and(|b| !b.node_up(dst.0)) {
@@ -536,7 +536,7 @@ impl Endpoint {
             return down();
         }
         self.tp
-            .fabric
+            .fabric()
             .send(dst, self.node, spec.header_bytes + response.len() as u64)
             .await;
         Ok(response)
@@ -564,47 +564,35 @@ impl Endpoint {
             .expect("rpc cannot fail without a fault board")
     }
 
-    /// The retry loop behind both `*_retrying` forms: exponential backoff
-    /// with jitter between attempts and a per-attempt timeout, per
-    /// `policy`.
-    async fn retrying<T, F>(
+    /// Book a failed attempt of the `*_retrying` forms: the pause before
+    /// the next one (exponential backoff with jitter, per `policy`), or
+    /// the give-up error once the budget is spent.
+    fn retry_pause(
         &self,
         dst: NodeId,
         policy: &RetryPolicy,
         rng: &mut StdRng,
-        mut attempt: impl FnMut() -> F,
-    ) -> Result<T, TransportError>
-    where
-        F: Future<Output = Result<T, TransportError>>,
-    {
-        let ctx = &self.tp.ctx;
-        let mut attempts = 0;
-        loop {
-            if let Ok(Ok(resp)) = timeout(ctx, policy.attempt_timeout, attempt()).await {
-                return Ok(resp);
-            }
-            attempts += 1;
-            if attempts >= policy.max_attempts {
-                self.tp.inner.stats.borrow_mut().rpc_giveups += 1;
-                return Err(TransportError::Exhausted {
-                    node: dst,
-                    attempts,
-                });
-            }
-            let pause = policy.backoff(attempts - 1, rng);
-            {
-                let mut st = self.tp.inner.stats.borrow_mut();
-                st.rpc_retries += 1;
-                st.retry_backoff_ns += pause.nanos();
-            }
-            ctx.sleep(pause).await;
+        attempts: &mut u32,
+    ) -> Result<SimDuration, TransportError> {
+        *attempts += 1;
+        let mut st = self.tp.inner.stats.borrow_mut();
+        if *attempts >= policy.max_attempts {
+            st.rpc_giveups += 1;
+            return Err(TransportError::Exhausted {
+                node: dst,
+                attempts: *attempts,
+            });
         }
+        let pause = policy.backoff(*attempts - 1, rng);
+        st.rpc_retries += 1;
+        st.retry_backoff_ns += pause.nanos();
+        Ok(pause)
     }
 
-    /// RPC with retry (the `retrying` loop). With no fault board
-    /// attached this is a single attempt that cannot fail — no timer is
-    /// armed and `rng` is not drawn, so healthy-path trajectories are
-    /// unchanged.
+    /// RPC with retry: attempts under a per-attempt timeout, with
+    /// backoff between them, per `policy`. With no fault board attached
+    /// this is a single attempt that cannot fail — no timer is armed and
+    /// `rng` is not drawn, so healthy-path trajectories are unchanged.
     pub async fn rpc_retrying(
         &self,
         dst: NodeId,
@@ -616,8 +604,16 @@ impl Endpoint {
         let Some(board) = self.tp.faults() else {
             return self.rpc_attempt(None, dst, id, request).await;
         };
-        let attempt = || self.rpc_attempt(Some(&board), dst, id, request.clone());
-        self.retrying(dst, policy, rng, attempt).await
+        let ctx = &self.tp.inner.ctx;
+        let mut attempts = 0;
+        loop {
+            let attempt = self.rpc_attempt(Some(&board), dst, id, request.clone());
+            if let Ok(Ok(resp)) = timeout(ctx, policy.attempt_timeout, attempt).await {
+                return Ok(resp);
+            }
+            let pause = self.retry_pause(dst, policy, rng, &mut attempts)?;
+            ctx.sleep(pause).await;
+        }
     }
 
     /// Bulk RPC with retry; see [`Endpoint::rpc_retrying`]. Payload
@@ -634,8 +630,16 @@ impl Endpoint {
         let Some(board) = self.tp.faults() else {
             return self.bulk_attempt(None, dst, id, header, payload).await;
         };
-        let attempt = || self.bulk_attempt(Some(&board), dst, id, header.clone(), payload.clone());
-        self.retrying(dst, policy, rng, attempt).await
+        let ctx = &self.tp.inner.ctx;
+        let mut attempts = 0;
+        loop {
+            let attempt = self.bulk_attempt(Some(&board), dst, id, header.clone(), payload.clone());
+            if let Ok(Ok(resp)) = timeout(ctx, policy.attempt_timeout, attempt).await {
+                return Ok(resp);
+            }
+            let pause = self.retry_pause(dst, policy, rng, &mut attempts)?;
+            ctx.sleep(pause).await;
+        }
     }
 }
 
