@@ -349,6 +349,7 @@ pub async fn producer_manual(
             board.hold_until_up(args.node).await;
         }
         let payload = simulate_frame(&args, &rec, &mut sched, &mut rng, frame).await;
+        let path = frame_path(args.pair, frame);
         {
             let g = rec.region("produce");
             if mode == ManualSync::LockBased {
@@ -361,9 +362,7 @@ pub async fn producer_manual(
             }
             {
                 let w = rec.region("write_single_buf");
-                storage
-                    .write_frame(&frame_path(args.pair, frame), payload)
-                    .await;
+                storage.write_frame(&path, payload).await;
                 w.end();
             }
             {
@@ -373,7 +372,7 @@ pub async fn producer_manual(
                 let s = rec.region("explicit_sync");
                 match mode {
                     ManualSync::Polling => {
-                        storage.write_marker(&frame_path(args.pair, frame)).await;
+                        storage.write_marker(&path).await;
                     }
                     ManualSync::LockBased => {
                         ldlm.as_ref()
@@ -494,6 +493,7 @@ pub async fn consumer_manual(
         if let Some(board) = &args.faults {
             board.hold_until_up(args.node).await;
         }
+        let path = frame_path(args.pair, frame);
         let data = {
             let g = rec.region("consume");
             {
@@ -503,7 +503,7 @@ pub async fn consumer_manual(
                 let s = rec.region("explicit_sync");
                 match mode {
                     ManualSync::Polling => {
-                        let marker = format!("{}.done", frame_path(args.pair, frame));
+                        let marker = format!("{path}.done");
                         let mut polls = 0f64;
                         while !storage.probe(&marker).await {
                             polls += 1.0;
@@ -521,7 +521,7 @@ pub async fn consumer_manual(
                         let mut retries = 0f64;
                         loop {
                             ldlm.lock(&lock, LockMode::ProtectedRead).await;
-                            let present = storage.probe(&frame_path(args.pair, frame)).await;
+                            let present = storage.probe(&path).await;
                             ldlm.unlock(&lock, LockMode::ProtectedRead).await;
                             if present {
                                 break;
@@ -539,7 +539,7 @@ pub async fn consumer_manual(
                 s.end();
             }
             let r = rec.region("read_single_buf");
-            let data = storage.read_frame(&frame_path(args.pair, frame)).await;
+            let data = storage.read_frame(&path).await;
             r.end();
             g.end();
             data

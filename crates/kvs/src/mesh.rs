@@ -99,10 +99,14 @@ pub fn shard_for(key: &str, shards: u32) -> u32 {
 pub fn preference_list(key: &str, shards: u32, r: u32) -> Vec<u32> {
     assert!(shards > 0, "mesh needs at least one shard");
     let h = fnv1a(key);
-    let mut scored: Vec<(u64, u32)> = (0..shards).map(|s| (shard_score(h, s), s)).collect();
-    scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    scored.truncate(r.clamp(1, shards) as usize);
-    scored.into_iter().map(|(_, s)| s).collect()
+    // Every mesh call routes through here, so the list is the call's one
+    // allocation: rank the shard ids themselves (a score is a few
+    // multiplies to recompute) with the unstable sort, which needs no
+    // scratch space and, the key being a total order, loses nothing.
+    let mut ranked: Vec<u32> = (0..shards).collect();
+    ranked.sort_unstable_by_key(|&s| (std::cmp::Reverse(shard_score(h, s)), s));
+    ranked.truncate(r.clamp(1, shards) as usize);
+    ranked
 }
 
 // ---------------------------------------------------------------------------

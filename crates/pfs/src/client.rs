@@ -3,14 +3,18 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::Poll;
 
 use bytes::{Bytes, BytesMut};
 use cluster::NodeId;
-use simcore::{join_all, Ctx};
+use simcore::intern::{intern, Symbol};
+use simcore::{Ctx, JoinHandle};
 use transport::{AmId, Endpoint, Payload, Transport};
 
-use crate::codec::{Layout, MdsRequest, MdsResponse, OssRequest, OssResponse};
+use crate::codec::{Layout, MdsOp, MdsRequestRef, MdsResponse, OssRequest, OssResponse};
 use crate::server::{PfsSpec, MDS_AM, OSS_AM_BASE};
 
 /// Errors surfaced by the client.
@@ -54,6 +58,63 @@ fn rope_slice(rope: &[Bytes], start: u64, len: u64) -> Payload {
     out
 }
 
+/// How many tasks of one striped I/O are tracked in place: a frame of
+/// up to three stripes (JAC, ApoA1) and its throttle drain never send
+/// the bookkeeping to the allocator; a larger one spills the rest.
+const INLINE: usize = 4;
+
+/// A spawned stripe task, then its result.
+enum Stripe<T> {
+    Running(JoinHandle<T>),
+    Done(T),
+}
+
+/// The tasks of one striped I/O, in spawn order.
+struct Stripes<T> {
+    head: [Option<Stripe<T>>; INLINE],
+    tail: Vec<Stripe<T>>,
+}
+
+impl<T> Stripes<T> {
+    fn new() -> Self {
+        Stripes {
+            head: [const { None }; INLINE],
+            tail: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, task: JoinHandle<T>) {
+        match self.head.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(Stripe::Running(task)),
+            None => self.tail.push(Stripe::Running(task)),
+        }
+    }
+
+    /// Await every task; results in spawn order. Each wake polls all
+    /// unfinished tasks in spawn order, so the caller is woken and the
+    /// tasks are polled exactly as a `Vec`-based join-all would do it.
+    async fn join(mut self) -> impl Iterator<Item = T> {
+        poll_fn(|cx| {
+            let mut all = Poll::Ready(());
+            for stripe in self.head.iter_mut().flatten().chain(&mut self.tail) {
+                if let Stripe::Running(task) = stripe {
+                    match Pin::new(task).poll(cx) {
+                        Poll::Ready(v) => *stripe = Stripe::Done(v),
+                        Poll::Pending => all = Poll::Pending,
+                    }
+                }
+            }
+            all
+        })
+        .await;
+        let stripes = self.head.into_iter().flatten().chain(self.tail);
+        stripes.map(|stripe| match stripe {
+            Stripe::Done(v) => v,
+            Stripe::Running(_) => unreachable!("join returned with a task running"),
+        })
+    }
+}
+
 /// Client-side file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PfsFd(u64);
@@ -65,8 +126,11 @@ enum Mode {
 }
 
 struct OpenFile {
-    path: String,
-    layout: Layout,
+    // The MDS interned the path serving the open; keep its symbol, not a
+    // copy of the text.
+    path: Symbol,
+    // Shared with every I/O in flight on the descriptor.
+    layout: Rc<Layout>,
     size: u64,
     offset: u64,
     mode: Mode,
@@ -132,8 +196,9 @@ impl PfsClient {
         }
     }
 
-    async fn mds_rpc(&self, req: MdsRequest) -> MdsResponse {
-        MdsResponse::decode(self.ep.rpc(self.mds, MDS_AM, req.encode()).await)
+    async fn mds_rpc(&self, op: MdsOp, path: &str, size: u64) -> MdsResponse {
+        let req = MdsRequestRef { op, path, size }.encode();
+        MdsResponse::decode(self.ep.rpc(self.mds, MDS_AM, req).await)
     }
 
     async fn oss_rpc(&self, ost: u32, req: OssRequest, payload: Payload) -> (OssResponse, Payload) {
@@ -153,34 +218,28 @@ impl PfsClient {
         fd
     }
 
-    /// Create (or truncate) a file for writing.
-    pub async fn create(&self, path: &str) -> Result<PfsFd, PfsError> {
-        match self.mds_rpc(MdsRequest::Create { path: path.into() }).await {
+    async fn open_as(&self, op: MdsOp, path: &str, mode: Mode) -> Result<PfsFd, PfsError> {
+        match self.mds_rpc(op, path, 0).await {
             MdsResponse::Meta { layout, size } => Ok(self.new_fd(OpenFile {
-                path: path.into(),
-                layout,
+                path: intern(path),
+                layout: Rc::new(layout),
                 size,
                 offset: 0,
-                mode: Mode::Write,
+                mode,
                 dirty: false,
             })),
             _ => Err(PfsError::NotFound),
         }
     }
 
+    /// Create (or truncate) a file for writing.
+    pub async fn create(&self, path: &str) -> Result<PfsFd, PfsError> {
+        self.open_as(MdsOp::Create, path, Mode::Write).await
+    }
+
     /// Open an existing file read-only.
     pub async fn open(&self, path: &str) -> Result<PfsFd, PfsError> {
-        match self.mds_rpc(MdsRequest::Open { path: path.into() }).await {
-            MdsResponse::Meta { layout, size } => Ok(self.new_fd(OpenFile {
-                path: path.into(),
-                layout,
-                size,
-                offset: 0,
-                mode: Mode::Read,
-                dirty: false,
-            })),
-            _ => Err(PfsError::NotFound),
-        }
+        self.open_as(MdsOp::Open, path, Mode::Read).await
     }
 
     /// Write at the descriptor's offset: stripes go to their OSTs in
@@ -198,9 +257,9 @@ impl PfsClient {
 
     /// Zero-copy write of a segment rope (e.g. a frame's
     /// `[header, body]` pair) as one logical write.
-    pub async fn write_segments(&self, fd: PfsFd, data: Payload) -> Result<(), PfsError> {
+    pub async fn write_segments(&self, fd: PfsFd, mut data: Payload) -> Result<(), PfsError> {
         let total = transport::payload_len(&data);
-        let (layout, chunks) = {
+        let (layout, offset) = {
             let mut st = self.state.borrow_mut();
             let of = st.fds.get_mut(&fd).ok_or(PfsError::BadDescriptor)?;
             if of.mode != Mode::Write {
@@ -210,27 +269,33 @@ impl PfsClient {
             of.offset += total;
             of.size = of.size.max(of.offset);
             of.dirty = true;
-            (of.layout.clone(), of.layout.chunks(offset, total))
+            (Rc::clone(&of.layout), offset)
         };
         // Fire all stripe writes concurrently, as the Lustre client
         // does, while the logical I/O drains through the client stream
         // throttle.
         let mut pos = 0u64;
-        let mut handles = Vec::with_capacity(chunks.len() + 1);
+        let mut stripes = Stripes::new();
         {
             let throttle = self.throttle.clone();
             let cap = self.stream_cap(total, layout.stripe_count());
-            handles.push(self.ctx.spawn(async move {
+            stripes.push(self.ctx.spawn(async move {
                 throttle.transfer_capped(total, Some(cap)).await;
             }));
         }
-        for (column, obj_off, len) in chunks {
-            let chunk = rope_slice(&data, pos, len);
+        for (column, obj_off, len) in layout.chunks(offset, total) {
+            // A chunk that is the whole rope (every one-stripe frame)
+            // travels as the rope it came in.
+            let chunk = if len == total {
+                std::mem::take(&mut data)
+            } else {
+                rope_slice(&data, pos, len)
+            };
             pos += len;
             let ost = layout.osts[column];
             let object = layout.objects[column];
             let this = self.clone();
-            handles.push(self.ctx.spawn(async move {
+            stripes.push(self.ctx.spawn(async move {
                 this.oss_rpc(
                     ost,
                     OssRequest::Write {
@@ -244,7 +309,7 @@ impl PfsClient {
                 .await;
             }));
         }
-        join_all(handles).await;
+        stripes.join().await.for_each(drop);
         Ok(())
     }
 
@@ -256,7 +321,7 @@ impl PfsClient {
             let take = len.min(of.size.saturating_sub(of.offset));
             let offset = of.offset;
             of.offset += take;
-            (of.layout.clone(), offset, take)
+            (Rc::clone(&of.layout), offset, take)
         };
         if take == 0 {
             return Ok(Bytes::new());
@@ -273,42 +338,43 @@ impl PfsClient {
     }
 
     async fn read_chunks(&self, layout: &Layout, offset: u64, take: u64) -> Vec<Bytes> {
-        let chunks = layout.chunks(offset, take);
-        {
-            // Drain the logical read through the client stream throttle
-            // in parallel with the chunk RPCs.
-            let throttle = self.throttle.clone();
-            let cap = self.stream_cap(take, layout.stripe_count());
-            let h = self.ctx.spawn(async move {
-                throttle.transfer_capped(take, Some(cap)).await;
-            });
-            // Collected below together with the chunk data via join.
-            let mut handles = Vec::with_capacity(chunks.len());
-            for (column, obj_off, clen) in &chunks {
-                let ost = layout.osts[*column];
-                let object = layout.objects[*column];
-                let (obj_off, clen) = (*obj_off, *clen);
-                let this = self.clone();
-                handles.push(self.ctx.spawn(async move {
-                    let (_, data) = this
-                        .oss_rpc(
-                            ost,
-                            OssRequest::Read {
-                                object,
-                                offset: obj_off,
-                                len: clen,
-                                total: take,
-                            },
-                            Vec::new(),
-                        )
-                        .await;
-                    data
-                }));
-            }
-            let ropes = join_all(handles).await;
-            h.await;
-            ropes.into_iter().flatten().collect()
+        // Drain the logical read through the client stream throttle in
+        // parallel with the chunk RPCs.
+        let throttle = self.throttle.clone();
+        let cap = self.stream_cap(take, layout.stripe_count());
+        let drained = self.ctx.spawn(async move {
+            throttle.transfer_capped(take, Some(cap)).await;
+        });
+        let mut stripes = Stripes::new();
+        for (column, obj_off, clen) in layout.chunks(offset, take) {
+            let ost = layout.osts[column];
+            let object = layout.objects[column];
+            let this = self.clone();
+            stripes.push(self.ctx.spawn(async move {
+                let (_, data) = this
+                    .oss_rpc(
+                        ost,
+                        OssRequest::Read {
+                            object,
+                            offset: obj_off,
+                            len: clen,
+                            total: take,
+                        },
+                        Vec::new(),
+                    )
+                    .await;
+                data
+            }));
         }
+        let mut ropes = stripes.join().await;
+        drained.await;
+        // The first chunk's rope, as it arrived, takes the others on: a
+        // one-stripe read hands back the server's own vector.
+        let mut out = ropes.next().unwrap_or_default();
+        for rope in ropes {
+            out.extend(rope);
+        }
+        out
     }
 
     /// Read the remainder of the file.
@@ -325,7 +391,7 @@ impl PfsClient {
             let take = of.size.saturating_sub(of.offset);
             let offset = of.offset;
             of.offset += take;
-            (of.layout.clone(), offset, take)
+            (Rc::clone(&of.layout), offset, take)
         };
         if take == 0 {
             return Ok(Vec::new());
@@ -341,37 +407,62 @@ impl PfsClient {
             (of.path, of.size, of.dirty)
         };
         if dirty {
-            self.mds_rpc(MdsRequest::SetSize { path, size }).await;
+            self.mds_rpc(MdsOp::SetSize, &path.resolve(), size).await;
         }
         Ok(())
     }
 
     /// Unlink: MDS removal plus object destruction on every OST column.
     pub async fn unlink(&self, path: &str) -> Result<(), PfsError> {
-        let meta = self.mds_rpc(MdsRequest::Stat { path: path.into() }).await;
-        let layout = match meta {
-            MdsResponse::Meta { layout, .. } => layout,
-            _ => return Err(PfsError::NotFound),
-        };
-        self.mds_rpc(MdsRequest::Unlink { path: path.into() }).await;
-        let mut handles = Vec::new();
-        for (i, &ost) in layout.osts.iter().enumerate() {
-            let object = layout.objects[i];
+        let (layout, _) = self.stat(path).await?;
+        self.mds_rpc(MdsOp::Unlink, path, 0).await;
+        let mut stripes = Stripes::new();
+        for (&ost, &object) in layout.osts.iter().zip(&layout.objects) {
             let this = self.clone();
-            handles.push(self.ctx.spawn(async move {
+            stripes.push(self.ctx.spawn(async move {
                 this.oss_rpc(ost, OssRequest::Destroy { object }, Vec::new())
                     .await;
             }));
         }
-        join_all(handles).await;
+        stripes.join().await.for_each(drop);
         Ok(())
     }
 
     /// Stat via the MDS.
     pub async fn stat(&self, path: &str) -> Result<(Layout, u64), PfsError> {
-        match self.mds_rpc(MdsRequest::Stat { path: path.into() }).await {
+        match self.mds_rpc(MdsOp::Stat, path, 0).await {
             MdsResponse::Meta { layout, size } => Ok((layout, size)),
             _ => Err(PfsError::NotFound),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::{Sim, SimDuration};
+
+    /// Results come back in spawn order whatever order the tasks finish
+    /// in, across the inline slots and the spilled tail alike.
+    #[test]
+    fn stripes_join_in_spawn_order() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let h = sim.spawn(async move {
+            let mut stripes = Stripes::new();
+            for i in 0..(INLINE as u64 + 3) {
+                let tctx = ctx.clone();
+                stripes.push(ctx.spawn(async move {
+                    tctx.sleep(SimDuration::from_nanos(100 - i * 10)).await;
+                    i
+                }));
+            }
+            stripes.join().await.collect::<Vec<_>>()
+        });
+        sim.run();
+        assert_eq!(
+            h.try_take().unwrap(),
+            (0..INLINE as u64 + 3).collect::<Vec<_>>()
+        );
     }
 }

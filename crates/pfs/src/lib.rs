@@ -25,7 +25,7 @@ mod ldlm;
 mod server;
 
 pub use client::{PfsClient, PfsError, PfsFd};
-pub use codec::{Layout, MdsRequest, MdsResponse, OssRequest, OssResponse};
+pub use codec::{CodecError, Layout, MdsRequest, MdsResponse, OssRequest, OssResponse};
 pub use ldlm::{LdlmClient, LdlmServer, LdlmSpec, LdlmStats, LockMode, LDLM_AM};
 pub use server::{MdsServer, MdsStats, OstServer, OstStats, PfsSpec, MDS_AM, OSS_AM_BASE};
 
@@ -274,6 +274,90 @@ mod tests {
         let st = fs.mds().stats();
         assert_eq!(st.creates, 5);
         assert_eq!(st.setattrs, 5);
+    }
+
+    /// Four pairs × eight JAC-sized frames through the calls the manual
+    /// roles make (create / write rope / close, then open / read /
+    /// close), with interference on. Event count, end time and every
+    /// node's NIC byte counts were captured on the commit before the
+    /// sized, borrowed codec: wire bytes decide every fabric charge, so
+    /// a codec that writes one byte differently moves all three.
+    #[test]
+    fn lustre_run_replays_pinned_schedule_and_fabric_bytes() {
+        let sim = Sim::new(7);
+        let ctx = sim.ctx();
+        // Node 0 = MDS, 1..=4 OSTs, 5..=8 producers, 9..=12 consumers.
+        let cl = Cluster::build(&ctx, &ClusterSpec::corona(13));
+        let tp = Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default());
+        let spec = PfsSpec {
+            interference: 0.25,
+            ..PfsSpec::default()
+        };
+        let osts = (1..=4).map(NodeId).collect();
+        let fs = ParallelFs::start(&ctx, &tp, NodeId(0), osts, spec);
+        let header = Bytes::from(vec![0xA5u8; 64]);
+        let body = Bytes::from(
+            (0..659_607u32)
+                .map(|i| (i % 251) as u8)
+                .collect::<Vec<u8>>(),
+        );
+        let makespan = Rc::new(std::cell::Cell::new(0u64));
+        for pair in 0..4u32 {
+            let (w, r) = (
+                fs.client(&ctx, NodeId(5 + pair)),
+                fs.client(&ctx, NodeId(9 + pair)),
+            );
+            let (ready_tx, mut ready_rx) = simcore::sync::channel::<u64>();
+            let rope = vec![header.clone(), body.clone()];
+            let pctx = ctx.clone();
+            sim.spawn(async move {
+                for frame in 0..8u64 {
+                    pctx.sleep(SimDuration::from_millis(3 + u64::from(pair)))
+                        .await;
+                    let path = format!("frames/p{pair:04}/f{frame:05}");
+                    let fd = w.create(&path).await.unwrap();
+                    w.write_segments(fd, rope.clone()).await.unwrap();
+                    w.close(fd).await.unwrap();
+                    ready_tx.send(frame);
+                }
+            });
+            let (body, cctx, makespan) = (body.clone(), ctx.clone(), makespan.clone());
+            sim.spawn(async move {
+                while let Some(frame) = ready_rx.recv().await {
+                    let path = format!("frames/p{pair:04}/f{frame:05}");
+                    let fd = r.open(&path).await.unwrap();
+                    let rope = r.read_segments(fd).await.unwrap();
+                    r.close(fd).await.unwrap();
+                    assert_eq!(transport::payload_len(&rope), 659_671);
+                    assert_eq!(rope.last(), Some(&body));
+                }
+                makespan.set(makespan.get().max(cctx.now().nanos()));
+            });
+        }
+        // Interference streams never finish: stop once the pairs have.
+        let report = sim.run_until(simcore::SimTime::from_nanos(200_000_000));
+        assert_eq!(fs.mds().stats().opens, 32);
+        assert_eq!(
+            (report.events_processed, makespan.get()),
+            (1486, 70_710_663),
+            "(events by the deadline, last consumer's finish)"
+        );
+        let moved: Vec<(u64, u64)> = (0..13)
+            .map(|n| {
+                let fabric = fs.tp.fabric();
+                (
+                    fabric.tx_stats(NodeId(n)).bytes_moved,
+                    fabric.rx_stats(NodeId(n)).bytes_moved,
+                )
+            })
+            .collect();
+        // Every frame is one stripe, and with as many columns as OSTs
+        // column 0 of every file is OST 0 (node 1).
+        let mut pinned = vec![(10_464, 8_512), (21_113_888, 21_115_680)];
+        pinned.extend([(0, 0); 3]);
+        pinned.extend([(5_279_584, 2_088); 4]);
+        pinned.extend([(1_464, 5_279_000); 4]);
+        assert_eq!(moved, pinned, "per-node (tx, rx) bytes");
     }
 
     #[cfg(test)]

@@ -20,7 +20,9 @@ use simcore::resource::{FifoResource, SharedBandwidth};
 use simcore::{Ctx, SimDuration};
 use transport::{payload_len, AmId, LocalBoxFuture, Payload, Transport};
 
-use crate::codec::{Layout, MdsRequest, MdsResponse, OssRequest, OssResponse};
+use crate::codec::{
+    encode_meta, Layout, MdsOp, MdsRequestRef, MdsResponse, OssRequest, OssResponse,
+};
 
 /// AM id of the MDS.
 pub const MDS_AM: AmId = AmId(0x4D44);
@@ -163,8 +165,9 @@ impl MdsServer {
                             ctx.sleep(until.since(ctx.now())).await;
                         }
                     }
-                    let req = MdsRequest::decode(raw);
-                    mds_handle(&state, &spec, req).encode()
+                    let req = MdsRequestRef::try_decode(&raw)
+                        .expect("MDS requests come from this crate's client");
+                    mds_handle(&state, &spec, req)
                 }) as LocalBoxFuture<Bytes>
             }),
         );
@@ -187,10 +190,14 @@ impl MdsServer {
     }
 }
 
-fn mds_handle(state: &Rc<RefCell<MdsState>>, spec: &PfsSpec, req: MdsRequest) -> MdsResponse {
+/// Serve one request, decoded in place: the path is interned straight
+/// from the request bytes and a `Meta` reply is encoded from the stored
+/// layout, so neither is copied on the way.
+fn mds_handle(state: &RefCell<MdsState>, spec: &PfsSpec, req: MdsRequestRef<'_>) -> Bytes {
     let mut st = state.borrow_mut();
-    match req {
-        MdsRequest::Create { path } => {
+    let path = intern(req.path);
+    match req.op {
+        MdsOp::Create => {
             st.stats.creates += 1;
             let count = spec.default_stripe_count.min(st.n_osts as usize).max(1);
             let mut osts = Vec::with_capacity(count);
@@ -206,50 +213,36 @@ fn mds_handle(state: &Rc<RefCell<MdsState>>, spec: &PfsSpec, req: MdsRequest) ->
                 osts,
                 objects,
             };
-            st.files.insert(
-                intern(&path),
-                FileMeta {
-                    layout: layout.clone(),
-                    size: 0,
-                },
-            );
-            MdsResponse::Meta { layout, size: 0 }
+            let meta = encode_meta(&layout, 0);
+            st.files.insert(path, FileMeta { layout, size: 0 });
+            meta
         }
-        MdsRequest::Open { path } => {
-            st.stats.opens += 1;
-            match st.files.get(&intern(&path)) {
-                Some(m) => MdsResponse::Meta {
-                    layout: m.layout.clone(),
-                    size: m.size,
-                },
-                None => MdsResponse::NotFound,
+        MdsOp::Open | MdsOp::Stat => {
+            if req.op == MdsOp::Open {
+                st.stats.opens += 1;
+            } else {
+                st.stats.stats += 1;
+            }
+            match st.files.get(&path) {
+                Some(m) => encode_meta(&m.layout, m.size),
+                None => MdsResponse::NotFound.encode(),
             }
         }
-        MdsRequest::SetSize { path, size } => {
+        MdsOp::SetSize => {
             st.stats.setattrs += 1;
-            match st.files.get_mut(&intern(&path)) {
+            match st.files.get_mut(&path) {
                 Some(m) => {
-                    m.size = m.size.max(size);
-                    MdsResponse::Ok
+                    m.size = m.size.max(req.size);
+                    MdsResponse::Ok.encode()
                 }
-                None => MdsResponse::NotFound,
+                None => MdsResponse::NotFound.encode(),
             }
         }
-        MdsRequest::Unlink { path } => {
+        MdsOp::Unlink => {
             st.stats.unlinks += 1;
-            match st.files.remove(&intern(&path)) {
-                Some(_) => MdsResponse::Ok,
-                None => MdsResponse::NotFound,
-            }
-        }
-        MdsRequest::Stat { path } => {
-            st.stats.stats += 1;
-            match st.files.get(&intern(&path)) {
-                Some(m) => MdsResponse::Meta {
-                    layout: m.layout.clone(),
-                    size: m.size,
-                },
-                None => MdsResponse::NotFound,
+            match st.files.remove(&path) {
+                Some(_) => MdsResponse::Ok.encode(),
+                None => MdsResponse::NotFound.encode(),
             }
         }
     }
@@ -506,6 +499,7 @@ impl OstServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::MdsRequest;
     use cluster::{Cluster, ClusterSpec};
     use simcore::Sim;
     use transport::TransportSpec;

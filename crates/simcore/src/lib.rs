@@ -51,59 +51,3 @@ pub use executor::{
     Sleep, TimerHandle, YieldNow,
 };
 pub use time::{SimDuration, SimTime};
-
-/// Await multiple futures of the same type concurrently and collect their
-/// results in order. A tiny substitute for `futures::join_all` so the
-/// workspace needs no external async runtime.
-pub async fn join_all<T, F>(futs: Vec<F>) -> Vec<T>
-where
-    F: std::future::Future<Output = T> + Unpin,
-{
-    let mut futs: Vec<Option<F>> = futs.into_iter().map(Some).collect();
-    let mut results: Vec<Option<T>> = (0..futs.len()).map(|_| None).collect();
-    std::future::poll_fn(move |cx| {
-        let mut all_done = true;
-        for (slot, result) in futs.iter_mut().zip(results.iter_mut()) {
-            if let Some(f) = slot {
-                match std::pin::Pin::new(f).poll(cx) {
-                    std::task::Poll::Ready(v) => {
-                        *result = Some(v);
-                        *slot = None;
-                    }
-                    std::task::Poll::Pending => all_done = false,
-                }
-            }
-        }
-        if all_done {
-            std::task::Poll::Ready(results.iter_mut().map(|r| r.take().unwrap()).collect())
-        } else {
-            std::task::Poll::Pending
-        }
-    })
-    .await
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn join_all_collects_in_order() {
-        let sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            let handles: Vec<_> = (0..4u64)
-                .map(|i| {
-                    let ctx = ctx.clone();
-                    ctx.clone().spawn(async move {
-                        ctx.sleep(SimDuration::from_nanos(100 - i * 10)).await;
-                        i
-                    })
-                })
-                .collect();
-            join_all(handles).await
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), vec![0, 1, 2, 3]);
-    }
-}
