@@ -19,13 +19,6 @@
 //!   the first point, and consecutive setup times growing no faster
 //!   than `SCALE_SETUP_FACTOR` (default 1.5) times the pair-count ratio
 //!   — the guard against the superlinear setup cliff fixed in PR 9.
-//! * `scale --verify-workers` — determinism check instead of a sweep:
-//!   each `SCALE_VERIFY_PAIRS` point (default `4096,16384`) runs at
-//!   `workers = 1` and `workers = 2` and the serialized reports must be
-//!   byte-identical; exit 1 on any drift. A streaming point
-//!   (`SCALE_VERIFY_STREAM_GROUPS` fan-out 4 groups, default 1024, on
-//!   the same multi-leaf fabric) rides along so the M:N window/ack
-//!   machinery is covered by the same worker-identity gate.
 //! * `SCALE_PAIRS` — comma-separated pair counts
 //!   (default `4096,16384,65536,131072`; CI runs `4096,16384` with the
 //!   tighter `SCALE_EPS_FACTOR=2.0` and a 1e6 `SCALE_MIN_EPS` floor).
@@ -323,90 +316,6 @@ fn enforce(points: &[Point]) -> bool {
     ok
 }
 
-/// Canonical serialized report for the worker-identity check: every
-/// trajectory-derived field, in a fixed order, no wall-clock noise.
-fn report_bytes(m: &RunMetrics) -> String {
-    let staging = serde_json::to_string(&m.staging).expect("staging json");
-    let streaming = serde_json::to_string(&m.streaming).expect("streaming json");
-    format!(
-        "{{\"makespan_ns\":{},\"events\":{},\"staging\":{staging},\
-         \"streaming\":{streaming},\
-         \"kvs_commits\":{},\"kvs_lookups\":{},\"kvs_waits\":{}}}",
-        m.makespan.nanos(),
-        m.events,
-        m.kvs.commits,
-        m.kvs.lookups,
-        m.kvs.waits,
-    )
-}
-
-/// `--verify-workers`: the staging pool must be behavior-invisible.
-/// Each point runs at `workers = 1` and `workers = 2`; the serialized
-/// reports must be byte-identical. Returns false on any drift.
-fn verify_workers(frames: u64) -> bool {
-    let pairs_list: Vec<u32> = std::env::var("SCALE_VERIFY_PAIRS")
-        .unwrap_or_else(|_| "4096,16384".to_string())
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .expect("SCALE_VERIFY_PAIRS entries must be u32")
-        })
-        .collect();
-    let mut ok = true;
-    for pairs in pairs_list {
-        let (wf, cal) = workload(pairs, frames);
-        ok &= verify_point(&format!("{pairs} pairs"), &wf, &cal);
-    }
-    // Streaming point: fan-out 4 groups on the same oversubscribed
-    // leaf/spine fabric, packed 8 processes per node so the group spans
-    // several leaves — the M:N window/ack release path must be just as
-    // worker-invisible as the DYAD pipeline.
-    let groups: u32 = std::env::var("SCALE_VERIFY_STREAM_GROUPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024);
-    let wf = WorkflowConfig::new(
-        Solution::Streaming,
-        groups,
-        Placement::Split { pairs_per_node: 8 },
-    )
-    .with_frames(frames)
-    .with_fanout(4);
-    let (_, cal) = workload(groups, frames);
-    ok &= verify_point(&format!("{groups} stream groups (fanout 4)"), &wf, &cal);
-    ok
-}
-
-/// One worker-identity comparison: run `wf` at `workers ∈ {1, 2}` and
-/// require byte-identical serialized reports.
-fn verify_point(label: &str, wf: &WorkflowConfig, cal: &Calibration) -> bool {
-    let mut reports = Vec::new();
-    for workers in [1usize, 2] {
-        let snap = ClusterSnapshot::prepare(wf, cal, 0x5CA1E).with_workers(workers);
-        let shards = snap.sim_config(0x5CA1E).shards;
-        let mut arena = RunArena::new();
-        let (m, _) = run_once_warm(&snap, 0x5CA1E, &mut arena);
-        println!(
-            "  {label:>7} workers={workers} ({shards} shards): makespan {} ns, {} events",
-            m.makespan.nanos(),
-            m.events
-        );
-        reports.push(report_bytes(&m));
-    }
-    if reports[0] == reports[1] {
-        println!("  {label:>7}: workers=2 report byte-identical to workers=1");
-        true
-    } else {
-        eprintln!(
-            "scale: VERIFY FAIL {label}: workers=2 drifted from workers=1\n  \
-             w1: {}\n  w2: {}",
-            reports[0], reports[1]
-        );
-        false
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag_value = |flag: &str| -> Option<String> {
@@ -427,15 +336,6 @@ fn main() {
         pairs_list.windows(2).all(|w| w[0] < w[1]),
         "SCALE_PAIRS must be ascending (the heap attribution depends on it)"
     );
-
-    if args.iter().any(|a| a == "--verify-workers") {
-        println!("SCALE — worker-pool determinism check");
-        if !verify_workers(frames) {
-            std::process::exit(1);
-        }
-        println!("  worker identity: OK");
-        return;
-    }
 
     println!("SCALE — leaf/spine scale-ceiling benchmark");
     let heap_base = HEAP_HWM.load(Relaxed);

@@ -102,12 +102,11 @@ impl FabricSpec {
     }
 
     /// Minimum simulated time for an event on one leaf to influence
-    /// another leaf — the conservative window lookahead. A cross-leaf
-    /// message pays the per-message overhead plus four wire hops
-    /// (node→leaf→spine→leaf→node) before anything remote can observe
-    /// it; a flat fabric pays overhead plus two hops. Lookahead only
-    /// sizes staging windows (batching); correctness never depends on
-    /// it.
+    /// another leaf: a cross-leaf message pays the per-message overhead
+    /// plus four wire hops (node→leaf→spine→leaf→node) before anything
+    /// remote can observe it; a flat fabric pays overhead plus two hops.
+    /// No caller in this workspace; kept only because the frozen `perf/`
+    /// probe `cluster_fabric_leafspine` calls it.
     pub fn shard_lookahead(&self) -> SimDuration {
         match self.topology {
             TopologySpec::Flat => self.msg_overhead + self.hop_latency * 2,

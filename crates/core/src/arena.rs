@@ -70,9 +70,9 @@ pub struct RunTimings {
     pub setup_secs: f64,
     /// Seconds spent advancing the simulation and collecting results.
     pub sim_secs: f64,
-    /// Calendar-shard load summary (worker-invariant counters only).
-    /// Not serialized: host-facing diagnostics, kept out of anything
-    /// that is byte-compared across runs.
+    /// Calendar-shard load summary. Not serialized: host-facing
+    /// diagnostics, kept out of anything that is byte-compared across
+    /// runs.
     #[serde(skip)]
     pub shard_load: Option<instrument::ShardLoad>,
 }
@@ -125,10 +125,6 @@ pub struct ClusterSnapshot {
     /// subscriber_id)`, one per subscriber session that must ack a
     /// group's steps before they can retire.
     pub(crate) stream_regs: Vec<(u32, String, String)>,
-    /// Executor worker threads every run built from this snapshot uses
-    /// (1 = classic single-threaded core). Like shard placement, worker
-    /// count never changes the schedule.
-    pub(crate) workers: usize,
 }
 
 impl ClusterSnapshot {
@@ -250,29 +246,15 @@ impl ClusterSnapshot {
             registrations,
             stream_plan,
             stream_regs,
-            workers: 1,
         }
     }
 
-    /// Set the executor worker count for runs built from this snapshot.
-    /// Reports and traces are byte-identical for any value; values above
-    /// 1 only help when the host actually has spare cores.
-    pub fn with_workers(mut self, workers: usize) -> ClusterSnapshot {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Executor configuration for one run at `seed`: calendar shards and
-    /// conservative-window lookahead derived from the snapshot's fabric
-    /// topology (one shard per leaf plus cross-leaf shard 0; a flat
-    /// fabric degenerates to the classic single shard), plus the
-    /// snapshot's worker count.
+    /// Executor configuration for one run at `seed`: calendar shards
+    /// derived from the snapshot's fabric topology (one shard per leaf
+    /// plus cross-leaf shard 0; a flat fabric degenerates to the classic
+    /// single shard).
     pub fn sim_config(&self, seed: u64) -> simcore::SimConfig {
-        let fabric = &self.spec.fabric;
-        simcore::SimConfig::new(seed)
-            .with_shards(fabric.shard_count(self.n_total))
-            .with_workers(self.workers)
-            .with_lookahead(fabric.shard_lookahead())
+        simcore::SimConfig::new(seed).with_shards(self.spec.fabric.shard_count(self.n_total))
     }
 
     /// The workflow this snapshot was prepared for.

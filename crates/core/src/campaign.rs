@@ -187,9 +187,10 @@ pub(crate) fn execute_points(
     (reports, stats)
 }
 
-/// [`crate::runner::run_study`] through the campaign executor: same
-/// seeding (`study.seed + rep`), byte-identical report, but repetitions
-/// fan out across `jobs` warm-started workers.
+/// One study through the campaign executor with the historical study
+/// seeding (`study.seed + rep`): repetitions fan out across `jobs`
+/// warm-started workers, and the report is byte-identical to a cold
+/// [`crate::runner::run_once`] loop over the same seeds.
 pub fn run_study_jobs(study: &StudyConfig, jobs: usize) -> StudyReport {
     let (mut reports, _) = execute_points(vec![ExecPoint::legacy(study)], jobs);
     reports.pop().expect("one study in, one report out")

@@ -11,7 +11,6 @@ use kvs::{KvsClient, KvsHandle, KvsMesh, KvsServer};
 use localfs::LocalFs;
 use mdsim::StepClock;
 use pfs::{LdlmClient, LdlmServer, LdlmSpec, ParallelFs};
-use rayon::prelude::*;
 use serde::Serialize;
 use simcore::{Sim, SimDuration, SimTime};
 use staging::{RetentionPolicy, StagingManager, StagingSpec, StagingStats};
@@ -240,10 +239,9 @@ pub fn run_once_traced(
     (metrics, tracer)
 }
 
-/// Traced run against a prepared snapshot, honoring the snapshot's
-/// worker count. This is what the worker-identity fixtures drive: the
-/// returned tracer's Chrome JSON must be byte-identical for any
-/// [`ClusterSnapshot::with_workers`] value.
+/// Traced run against a prepared snapshot, also returning the
+/// wall-clock split and shard load. The cold-vs-warm identity fixtures
+/// compare the returned tracer's Chrome JSON byte for byte.
 pub fn run_once_traced_snap(
     snap: &ClusterSnapshot,
     seed: u64,
@@ -878,14 +876,11 @@ fn run_prepared(
     }
 }
 
-/// Execute a full study (all repetitions, rayon-parallel) and reduce it
-/// to a [`crate::report::StudyReport`].
+/// Execute a full study (all repetitions, across
+/// [`crate::campaign::default_jobs`] workers) and reduce it to a
+/// [`crate::report::StudyReport`].
 pub fn run_study(study: &StudyConfig) -> crate::report::StudyReport {
-    let runs: Vec<RunMetrics> = (0..study.repetitions)
-        .into_par_iter()
-        .map(|rep| run_once(&study.workflow, &study.calibration, study.seed + rep as u64))
-        .collect();
-    crate::report::StudyReport::from_runs(&study.workflow, &runs)
+    crate::campaign::run_study_jobs(study, crate::campaign::default_jobs())
 }
 
 #[cfg(test)]

@@ -74,12 +74,18 @@ fn run_study_jobs_matches_legacy_run_study() {
     let mut study = StudyConfig::paper(wf);
     study.repetitions = 3;
     study.calibration = Calibration::quiet();
-    let legacy = run_study(&study).to_json();
+    // The legacy seeding, checked against something that shares no code
+    // with the campaign executor: a cold `run_once` per repetition.
+    let runs: Vec<RunMetrics> = (0..study.repetitions as u64)
+        .map(|rep| run_once(&study.workflow, &study.calibration, study.seed + rep))
+        .collect();
+    let legacy = StudyReport::from_runs(&study.workflow, &runs).to_json();
     for jobs in [1, 4] {
         assert_eq!(
             run_study_jobs(&study, jobs).to_json(),
             legacy,
-            "run_study_jobs diverged from run_study at jobs={jobs}"
+            "run_study_jobs diverged from the cold run_once loop at jobs={jobs}"
         );
     }
+    assert_eq!(run_study(&study).to_json(), legacy);
 }

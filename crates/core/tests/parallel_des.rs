@@ -1,17 +1,17 @@
 //! Parallel-DES determinism fixtures (PR 9).
 //!
-//! The sharded calendar and the staging worker pool are required to be
-//! *behavior-invisible*: shard placement is a locality hint and window
-//! staging is pure batching, so for any `(shard count, worker count)`
-//! the executor must replay the exact serial schedule. These tests pin
-//! that guarantee at the workflow level:
+//! The sharded calendar is required to be *behavior-invisible*: shard
+//! placement is a locality hint, so for any shard count the executor
+//! must replay the exact serial schedule. These tests pin that
+//! guarantee at the workflow level:
 //!
-//! * `workers = 1` replays freshly captured pinned schedules for both a
-//!   `Flat` fabric (degenerate single shard) and a genuinely multi-leaf
-//!   `LeafSpine` fabric (one calendar shard per leaf plus the
+//! * the sharded executor replays freshly captured pinned schedules for
+//!   both a `Flat` fabric (degenerate single shard) and a genuinely
+//!   multi-leaf `LeafSpine` fabric (one calendar shard per leaf plus the
 //!   cross-leaf/spine shard 0) — makespans and event counts exactly.
-//! * `workers ∈ {1, 2, 4}` produce byte-identical serialized reports
-//!   *and* byte-identical Chrome traces on the fig6-sized scenario.
+//! * a cold run and two runs through one recycled arena produce
+//!   byte-identical serialized reports *and* byte-identical Chrome
+//!   traces on the fig6-sized multi-leaf scenario.
 //!
 //! Re-pin the constants deliberately (and say so in the commit message)
 //! only after an intentional trajectory change.
@@ -32,10 +32,10 @@ const MULTI_LEAF: TopologySpec = TopologySpec::LeafSpine {
     oversubscription: 2.0,
 };
 
-/// Pinned `(makespan_ns, events)` captures for the current model,
-/// workers = 1. The `Flat` rows must equal `determinism_pr4_pinned.json`
-/// (the sharded executor degenerates to the serial calendar); the
-/// `LeafSpine` rows were captured fresh on the multi-leaf fabric above.
+/// Pinned `(makespan_ns, events)` captures for the current model. The
+/// `Flat` rows must equal `determinism_pr4_pinned.json` (the sharded
+/// executor degenerates to the serial calendar); the `LeafSpine` rows
+/// were captured fresh on the multi-leaf fabric above.
 const PINS: &[(Solution, Topo, u64, u64)] = &[
     (Solution::Dyad, Topo::Flat, 11_554_585_966, 41_835),
     (Solution::Xfs, Topo::Flat, 20_615_097_294, 10_159),
@@ -68,10 +68,10 @@ fn calibration(topo: Topo) -> Calibration {
     cal
 }
 
-/// Canonical serialized report for byte comparison: every field a worker
-/// could perturb, in a fixed order. Wall-clock timings are deliberately
-/// excluded (they are nondeterministic by nature and `#[serde(skip)]`ed
-/// out of persisted reports for the same reason).
+/// Canonical serialized report for byte comparison: every
+/// trajectory-derived field, in a fixed order. Wall-clock timings are
+/// deliberately excluded (they are nondeterministic by nature and
+/// `#[serde(skip)]`ed out of persisted reports for the same reason).
 fn report_bytes(m: &RunMetrics) -> String {
     let staging = serde_json::to_string(&m.staging).expect("staging json");
     format!(
@@ -87,11 +87,11 @@ fn report_bytes(m: &RunMetrics) -> String {
     )
 }
 
-/// `workers = 1` on the sharded executor replays the pinned serial
-/// schedules exactly — on the degenerate single-shard `Flat` fabric and
-/// on a genuinely multi-leaf `LeafSpine` fabric alike.
+/// The sharded executor replays the pinned serial schedules exactly —
+/// on the degenerate single-shard `Flat` fabric and on a genuinely
+/// multi-leaf `LeafSpine` fabric alike.
 #[test]
-fn sharded_workers1_replays_pinned_schedules() {
+fn sharded_executor_replays_pinned_schedules() {
     for &(solution, topo, makespan_ns, events) in PINS {
         let wf = workflow(solution);
         let cal = calibration(topo);
@@ -116,54 +116,41 @@ fn sharded_workers1_replays_pinned_schedules() {
     }
 }
 
-/// Worker-pool identity on the fig6-sized scenario: for `workers ∈
-/// {1, 2, 4}` the serialized report *and* the full Chrome trace are
-/// byte-identical. The trace pins every event timestamp and track, so
-/// this is the strongest whole-workflow statement of the conservative
-/// window design: staging never reorders, it only batches.
+/// Cold-vs-warm identity on the fig6-sized multi-leaf scenario: a cold
+/// traced run, two runs through one recycled arena and a second traced
+/// run afterwards all serialize to the same report, and the two Chrome
+/// traces — every event timestamp and track — are byte-identical. (No
+/// entry point traces a warm-arena run, so the trace pair is cold vs
+/// rerun on the warmed thread.)
 #[test]
-fn worker_pool_reports_and_traces_are_byte_identical() {
+fn cold_and_warm_arena_reports_and_traces_are_byte_identical() {
     let wf = workflow(Solution::Dyad);
     let cal = calibration(Topo::MultiLeaf);
-    let mut baseline: Option<(String, String)> = None;
-    for workers in [1usize, 2, 4] {
-        let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A).with_workers(workers);
-        assert!(
-            snap.sim_config(SEED).shards > 2,
-            "scenario must actually shard for the pool to engage"
-        );
+    let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
+    assert!(
+        snap.sim_config(SEED).shards > 2,
+        "scenario must actually shard"
+    );
+    let traced = || {
         let (metrics, timings, tracer) =
             run_once_traced_snap(&snap, SEED, std::time::Instant::now());
-        let report = report_bytes(&metrics);
-        let trace = tracer.to_chrome_json();
         let load = timings.shard_load.expect("sharded run reports shard load");
         assert_eq!(load.fired_total, metrics.events);
         assert!(load.fired_max >= load.fired_total / u64::from(load.shards));
-        match &baseline {
-            None => baseline = Some((report, trace)),
-            Some((r1, t1)) => {
-                assert_eq!(&report, r1, "workers={workers}: serialized report drifted");
-                assert_eq!(&trace, t1, "workers={workers}: Chrome trace drifted");
-            }
-        }
-    }
-}
-
-/// The warm-start arena path honors the snapshot's worker count and
-/// stays trajectory-identical to the cold path across recycles.
-#[test]
-fn warm_arena_with_workers_matches_cold_run() {
-    let wf = workflow(Solution::Dyad);
-    let cal = calibration(Topo::MultiLeaf);
-    let cold = run_once(&wf, &cal, SEED);
-    let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A).with_workers(2);
+        (report_bytes(&metrics), tracer.to_chrome_json())
+    };
+    let (report, trace) = traced();
+    assert_eq!(report, report_bytes(&run_once(&wf, &cal, SEED)));
     let mut arena = RunArena::default();
     for round in 0..2 {
         let (m, _) = run_once_warm(&snap, SEED, &mut arena);
         assert_eq!(
-            (m.makespan, m.events),
-            (cold.makespan, cold.events),
-            "round {round}: warm 2-worker run drifted from the cold serial run"
+            report_bytes(&m),
+            report,
+            "round {round}: warm-arena report drifted from the cold run"
         );
     }
+    let (report2, trace2) = traced();
+    assert_eq!(report2, report, "rerun: serialized report drifted");
+    assert_eq!(trace2, trace, "rerun: Chrome trace drifted");
 }

@@ -5,12 +5,13 @@
 //! release path, and the M:N group spawn order are all required to be
 //! pure functions of the seed. These tests pin that guarantee:
 //!
-//! * `workers = 1` replays freshly captured pinned schedules for
+//! * the executor replays freshly captured pinned schedules for
 //!   fan-out ∈ {1, 4} on both a `Flat` fabric and a genuinely
 //!   multi-leaf `LeafSpine` fabric — makespans and event counts
 //!   exactly.
-//! * `workers ∈ {1, 2, 4}` produce byte-identical serialized reports
-//!   *and* byte-identical Chrome traces on the fan-out 4 scenario.
+//! * a cold run and two runs through one recycled arena produce
+//!   byte-identical serialized reports *and* byte-identical Chrome
+//!   traces on the fan-out 4 multi-leaf scenario.
 //! * `fanout = 1` is pinned against DYAD as a shape regression: same
 //!   staging, same rendezvous, so per-frame consumption must stay in
 //!   the same amortized regime.
@@ -33,7 +34,7 @@ const MULTI_LEAF: TopologySpec = TopologySpec::LeafSpine {
 };
 
 /// Pinned `(fanout, topo, makespan_ns, events)` captures for the
-/// current model, workers = 1.
+/// current model.
 const PINS: &[(u32, Topo, u64, u64)] = &[
     (1, Topo::Flat, 11_471_638_645, 11_193),
     (4, Topo::Flat, 11_505_111_950, 23_581),
@@ -67,9 +68,9 @@ fn calibration(topo: Topo) -> Calibration {
     cal
 }
 
-/// Canonical serialized report for byte comparison: every field a
-/// worker could perturb, in a fixed order (the parallel-DES shape plus
-/// the streaming totals).
+/// Canonical serialized report for byte comparison: every
+/// trajectory-derived field, in a fixed order (the parallel-DES shape
+/// plus the streaming totals).
 fn report_bytes(m: &RunMetrics) -> String {
     let staging = serde_json::to_string(&m.staging).expect("staging json");
     let streaming = serde_json::to_string(&m.streaming).expect("streaming json");
@@ -87,11 +88,11 @@ fn report_bytes(m: &RunMetrics) -> String {
     )
 }
 
-/// `workers = 1` replays the pinned streaming schedules exactly, on the
+/// The executor replays the pinned streaming schedules exactly, on the
 /// degenerate single-shard `Flat` fabric and on a multi-leaf
 /// `LeafSpine` fabric alike, at fan-out 1 and 4.
 #[test]
-fn streaming_workers1_replays_pinned_schedules() {
+fn streaming_replays_pinned_schedules() {
     for &(fanout, topo, makespan_ns, events) in PINS {
         let wf = workflow(fanout);
         let cal = calibration(topo);
@@ -124,31 +125,40 @@ fn streaming_workers1_replays_pinned_schedules() {
     }
 }
 
-/// Worker-pool identity on the fan-out 4 multi-leaf scenario: for
-/// `workers ∈ {1, 2, 4}` the serialized report *and* the full Chrome
-/// trace are byte-identical.
+/// Cold-vs-warm identity on the fan-out 4 multi-leaf scenario: a cold
+/// traced run, two runs through one recycled arena and a second traced
+/// run afterwards all serialize to the same report, and the two Chrome
+/// traces are byte-identical.
 #[test]
-fn streaming_worker_pool_reports_and_traces_are_byte_identical() {
+fn streaming_cold_and_warm_arena_reports_and_traces_are_byte_identical() {
     let wf = workflow(4);
     let cal = calibration(Topo::MultiLeaf);
-    let mut baseline: Option<(String, String)> = None;
-    for workers in [1usize, 2, 4] {
-        let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A).with_workers(workers);
-        assert!(
-            snap.sim_config(SEED).shards > 2,
-            "scenario must actually shard for the pool to engage"
+    let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
+    assert!(
+        snap.sim_config(SEED).shards > 2,
+        "scenario must actually shard"
+    );
+    let traced = || {
+        let (metrics, timings, tracer) =
+            run_once_traced_snap(&snap, SEED, std::time::Instant::now());
+        let load = timings.shard_load.expect("sharded run reports shard load");
+        assert_eq!(load.fired_total, metrics.events);
+        assert!(load.fired_max >= load.fired_total / u64::from(load.shards));
+        (report_bytes(&metrics), tracer.to_chrome_json())
+    };
+    let (report, trace) = traced();
+    let mut arena = RunArena::default();
+    for round in 0..2 {
+        let (m, _) = run_once_warm(&snap, SEED, &mut arena);
+        assert_eq!(
+            report_bytes(&m),
+            report,
+            "round {round}: warm-arena report drifted from the cold run"
         );
-        let (metrics, _, tracer) = run_once_traced_snap(&snap, SEED, std::time::Instant::now());
-        let report = report_bytes(&metrics);
-        let trace = tracer.to_chrome_json();
-        match &baseline {
-            None => baseline = Some((report, trace)),
-            Some((r1, t1)) => {
-                assert_eq!(&report, r1, "workers={workers}: serialized report drifted");
-                assert_eq!(&trace, t1, "workers={workers}: Chrome trace drifted");
-            }
-        }
     }
+    let (report2, trace2) = traced();
+    assert_eq!(report2, report, "rerun: serialized report drifted");
+    assert_eq!(trace2, trace, "rerun: Chrome trace drifted");
 }
 
 /// `fanout = 1` is the near-DYAD shape: same staging lifecycle, same

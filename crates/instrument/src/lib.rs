@@ -343,12 +343,8 @@ impl Drop for RegionGuard {
     }
 }
 
-/// Calendar-shard load summary distilled from [`simcore::ShardStats`].
-///
-/// Built from *worker-invariant* counters only (events fired per shard),
-/// so it is safe to surface in any report that must stay byte-identical
-/// across worker counts. The worker-variant staging counter is
-/// deliberately not carried here.
+/// Calendar-shard load summary distilled from [`simcore::ShardStats`]
+/// (events fired per shard).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ShardLoad {
     /// Number of calendar shards the run was configured with.

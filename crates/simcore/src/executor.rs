@@ -11,7 +11,7 @@
 //! increasing sequence number breaks ties), which makes runs fully
 //! deterministic for a fixed seed and spawn order.
 //!
-//! # Sharded calendars and conservative windows
+//! # Sharded calendars
 //!
 //! The calendar can be split into *shards* ([`SimConfig::shards`]) —
 //! one per topology domain (leaf switch) plus a cross-domain shard 0 —
@@ -25,15 +25,8 @@
 //! hot heaps shrink from one multi-megabyte structure to cache-resident
 //! per-shard ones.
 //!
-//! On top of that, [`SimConfig::workers`] (default 1) enables a
-//! conservative-window worker pool: when the next event opens a new time
-//! window `[t, t + lookahead]`, worker threads drain each shard's heap
-//! of entries inside the window into a sorted *staged run* in parallel;
-//! the (single-threaded) dispatch loop then consumes staged runs with
-//! cheap cursor advances instead of heap pops. Window sealing is a pure
-//! batching decision — consumption still follows the global
-//! `(time, seq)` order across staged runs *and* heaps — so reports and
-//! traces are byte-identical for any worker count.
+//! The executor is single-threaded: parallelism lives one level up, over
+//! independent runs (`mdflow::campaign`; DESIGN.md §12 has the measurement).
 //!
 //! # The spawn wrapper
 //!
@@ -58,7 +51,7 @@ use std::sync::Arc;
 
 use std::task::{Context, Poll, Wake, Waker};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -246,101 +239,23 @@ impl EventHeap {
 /// (no real entry carries `seq == u64::MAX`).
 const NO_EVENT: (SimTime, u64) = (SimTime::MAX, u64::MAX);
 
-/// One calendar shard: a heap of future entries plus an optional
-/// *staged run* — entries inside the current conservative window, moved
-/// out of the heap in sorted `(at, seq)` order (heap pops are sorted)
-/// and consumed through `cursor` with plain increments.
-///
-/// A shard's head is the smaller of the staged-run head and the heap
-/// head; consumption always takes the global minimum across all shard
-/// heads, so where an entry sits (heap vs staged run) never affects
-/// execution order — staging is batching, not scheduling.
+/// One calendar shard: a heap of future entries and the count of
+/// events fired from it.
 #[derive(Default)]
 struct ShardCal {
     heap: EventHeap,
-    staged: Vec<Event>,
-    cursor: usize,
-    /// Events fired from this shard (worker-invariant).
     fired: u64,
-    /// Entries that went through a staged window (worker-*variant*:
-    /// zero for `workers = 1`; must never enter serialized reports).
-    staged_total: u64,
 }
 
 impl ShardCal {
     fn head_key(&self) -> (SimTime, u64) {
-        let s = self.staged.get(self.cursor).map(|e| (e.at, e.seq));
-        let h = self.heap.peek().map(|e| (e.at, e.seq));
-        match (s, h) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => NO_EVENT,
-        }
-    }
-
-    fn peek_head(&self) -> Option<Event> {
-        match (self.staged.get(self.cursor), self.heap.peek()) {
-            (Some(s), Some(h)) => Some(if (s.at, s.seq) <= (h.at, h.seq) {
-                *s
-            } else {
-                *h
-            }),
-            (Some(s), None) => Some(*s),
-            (None, Some(h)) => Some(*h),
-            (None, None) => None,
-        }
-    }
-
-    fn pop_head(&mut self) -> Option<Event> {
-        let take_staged = match (self.staged.get(self.cursor), self.heap.peek()) {
-            (Some(s), Some(h)) => (s.at, s.seq) <= (h.at, h.seq),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if take_staged {
-            let e = self.staged[self.cursor];
-            self.cursor += 1;
-            if self.cursor == self.staged.len() {
-                self.staged.clear();
-                self.cursor = 0;
-            }
-            Some(e)
-        } else {
-            self.heap.pop()
-        }
-    }
-
-    fn pending_len(&self) -> usize {
-        self.heap.len() + (self.staged.len() - self.cursor)
+        self.heap.peek().map_or(NO_EVENT, |e| (e.at, e.seq))
     }
 
     fn reset(&mut self) {
         self.heap.clear();
-        self.staged.clear();
-        self.cursor = 0;
         self.fired = 0;
-        self.staged_total = 0;
     }
-}
-
-/// Move every heap entry at or before `window_end` into the staged run.
-/// Pops come off the heap in `(at, seq)` order, so the run stays sorted.
-/// Runs on worker threads; touches nothing but this one shard.
-fn stage_shard(sc: &mut ShardCal, window_end: SimTime) {
-    debug_assert_eq!(sc.cursor, sc.staged.len(), "staging over an unconsumed run");
-    sc.staged.clear();
-    sc.cursor = 0;
-    while let Some(e) = sc.heap.peek() {
-        if e.at > window_end {
-            break;
-        }
-        let e = *e;
-        sc.heap.pop();
-        sc.staged.push(e);
-    }
-    sc.staged_total += sc.staged.len() as u64;
 }
 
 /// Indexed 4-ary min-heap over shard ids, keyed by each shard's head
@@ -441,7 +356,7 @@ impl ShardIndex {
 }
 
 /// Executor construction parameters. [`Sim::new`] is shorthand for the
-/// default single-shard, single-worker configuration.
+/// default single-shard configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// RNG seed; determines every [`Ctx::rng`] stream.
@@ -450,28 +365,12 @@ pub struct SimConfig {
     /// the cluster layer maps this to one shard per leaf switch plus a
     /// cross-leaf shard 0. Trajectories are identical for any value.
     pub shards: u32,
-    /// Worker threads draining conservative windows. 1 (the default)
-    /// never spawns a thread; values above 1 engage the window pool when
-    /// `shards > 1`. Reports and traces are byte-identical for any
-    /// worker count.
-    pub workers: usize,
-    /// Conservative window width: how far past the next event the
-    /// window stagers may reach. Derived from the minimum cross-shard
-    /// fabric latency by the cluster layer. Purely a batching knob —
-    /// correctness never depends on it.
-    pub lookahead: SimDuration,
 }
 
 impl SimConfig {
-    /// Single-shard, single-worker configuration (what [`Sim::new`]
-    /// uses).
+    /// Single-shard configuration (what [`Sim::new`] uses).
     pub fn new(seed: u64) -> SimConfig {
-        SimConfig {
-            seed,
-            shards: 1,
-            workers: 1,
-            lookahead: SimDuration::from_nanos(0),
-        }
+        SimConfig { seed, shards: 1 }
     }
 
     /// Set the shard count (values below 1 are clamped to 1).
@@ -480,23 +379,13 @@ impl SimConfig {
         self
     }
 
-    /// Set the worker count (values below 1 are clamped to 1).
-    pub fn with_workers(mut self, workers: usize) -> SimConfig {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Set the conservative window width.
-    pub fn with_lookahead(mut self, lookahead: SimDuration) -> SimConfig {
-        self.lookahead = lookahead;
+    /// No-op, kept only because the frozen `perf/` probe `cluster_fabric_leafspine` calls it.
+    pub fn with_lookahead(self, _lookahead: SimDuration) -> SimConfig {
         self
     }
 }
 
-/// Per-shard calendar counters. `fired` and `pending` are
-/// worker-invariant; `staged` counts window-pool extractions and is
-/// worker-*variant* (zero at `workers = 1`) — keep it out of anything
-/// that must be byte-identical across worker counts.
+/// Per-shard calendar counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
     /// Shard id (0 is the cross-domain shard).
@@ -505,130 +394,6 @@ pub struct ShardStats {
     pub fired: u64,
     /// Live + tombstoned entries currently held by this shard.
     pub pending: usize,
-    /// Entries that passed through a staged window (worker-variant).
-    pub staged: u64,
-}
-
-/// Live entries below which a new window is not worth a pool handshake.
-const WINDOW_STAGE_MIN: usize = 32;
-
-/// A `*mut [ShardCal]` that can cross the pool handshake. Workers claim
-/// disjoint shard indices through [`StagePool::next`], so no two threads
-/// ever form a `&mut` to the same shard.
-#[derive(Clone, Copy)]
-struct ShardSlice {
-    ptr: *mut ShardCal,
-    len: usize,
-}
-
-unsafe impl Send for ShardSlice {}
-
-struct StageJob {
-    epoch: u64,
-    shutdown: bool,
-    window_end: SimTime,
-    shards: ShardSlice,
-    /// Workers that have not yet finished the current epoch.
-    active: usize,
-}
-
-/// Sealed-window staging pool: persistent scoped worker threads woken
-/// once per window through an epoch handshake (no per-window spawns).
-/// The coordinator participates in the drain, then blocks until every
-/// worker reports done — the barrier that makes the raw-pointer shard
-/// claims race-free.
-struct StagePool {
-    job: Mutex<StageJob>,
-    go: Condvar,
-    done: Condvar,
-    next: std::sync::atomic::AtomicUsize,
-    /// Spawned worker threads (excluding the coordinator).
-    spawned: usize,
-}
-
-impl StagePool {
-    fn new(spawned: usize) -> StagePool {
-        StagePool {
-            job: Mutex::new(StageJob {
-                epoch: 0,
-                shutdown: false,
-                window_end: SimTime::ZERO,
-                shards: ShardSlice {
-                    ptr: std::ptr::null_mut(),
-                    len: 0,
-                },
-                active: 0,
-            }),
-            go: Condvar::new(),
-            done: Condvar::new(),
-            next: std::sync::atomic::AtomicUsize::new(0),
-            spawned,
-        }
-    }
-
-    fn worker_loop(&self) {
-        let mut seen = 0u64;
-        loop {
-            let (slice, end) = {
-                let mut j = self.job.lock();
-                while j.epoch == seen && !j.shutdown {
-                    self.go.wait(&mut j);
-                }
-                if j.shutdown {
-                    return;
-                }
-                seen = j.epoch;
-                (j.shards, j.window_end)
-            };
-            self.drain(slice, end);
-            let mut j = self.job.lock();
-            j.active -= 1;
-            if j.active == 0 {
-                drop(j);
-                self.done.notify_one();
-            }
-        }
-    }
-
-    fn drain(&self, slice: ShardSlice, end: SimTime) {
-        use std::sync::atomic::Ordering;
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= slice.len {
-                return;
-            }
-            // SAFETY: `i` was claimed exclusively through the shared
-            // atomic counter, and the coordinator blocks in
-            // `run_window` until every worker is done, so this `&mut`
-            // aliases nothing.
-            let sc = unsafe { &mut *slice.ptr.add(i) };
-            stage_shard(sc, end);
-        }
-    }
-
-    /// Publish a window, help drain it, and wait for the pool to finish.
-    fn run_window(&self, slice: ShardSlice, end: SimTime) {
-        {
-            let mut j = self.job.lock();
-            j.epoch += 1;
-            j.window_end = end;
-            j.shards = slice;
-            j.active = self.spawned;
-            self.next.store(0, std::sync::atomic::Ordering::Relaxed);
-            self.go.notify_all();
-        }
-        self.drain(slice, end);
-        let mut j = self.job.lock();
-        while j.active > 0 {
-            self.done.wait(&mut j);
-        }
-    }
-
-    fn shutdown(&self) {
-        let mut j = self.job.lock();
-        j.shutdown = true;
-        self.go.notify_all();
-    }
 }
 
 /// Queue of task ids woken since the last executor dispatch.
@@ -731,19 +496,12 @@ pub(crate) struct Core {
     seq: u64,
     shards: Vec<ShardCal>,
     index: ShardIndex,
-    /// Entries (live + tombstoned) across every shard heap and staged run.
+    /// Entries (live + tombstoned) across every shard heap.
     total_entries: usize,
     /// Shard new events land on: the shard of the task being polled, the
     /// shard the firing event was popped from, or an explicit
     /// [`Ctx::with_shard`] override. 0 outside any of those.
     current_shard: u32,
-    lookahead: SimDuration,
-    /// End of the currently sealed staging window. Lives on the core —
-    /// not the run loop — because deadline-sliced runs (`run_until` in a
-    /// loop) can pause mid-window with staged-but-unconsumed entries;
-    /// restaging that window from scratch would clobber them.
-    window_end: SimTime,
-    workers: usize,
     slots: Vec<Slot>,
     free_head: u32,
     tombstones: usize,
@@ -852,13 +610,14 @@ impl Core {
             if key == NO_EVENT {
                 return None;
             }
-            let e = self.shards[sh as usize]
-                .peek_head()
+            let e = *self.shards[sh as usize]
+                .heap
+                .peek()
                 .expect("index key without a shard head");
             if !self.is_stale(&e) {
                 return Some((sh, key.0));
             }
-            self.shards[sh as usize].pop_head();
+            self.shards[sh as usize].heap.pop();
             self.total_entries -= 1;
             self.tombstones -= 1;
             let k = self.shards[sh as usize].head_key();
@@ -870,7 +629,7 @@ impl Core {
     /// as the globally next live entry — and refresh the index.
     fn pop_live(&mut self, sh: u32) -> Event {
         let sc = &mut self.shards[sh as usize];
-        let e = sc.pop_head().expect("pop_live on a dry shard");
+        let e = sc.heap.pop().expect("pop_live on a dry shard");
         sc.fired += 1;
         let k = sc.head_key();
         self.total_entries -= 1;
@@ -878,10 +637,9 @@ impl Core {
         e
     }
 
-    /// Rebuild every shard heap (and filter its staged run) without
-    /// tombstones once they outnumber live entries (and exceed the
-    /// floor). Keeps wasted heap capacity — and pop-path skip work —
-    /// proportional to the live entry count.
+    /// Rebuild every shard heap without tombstones once they outnumber
+    /// live entries (and exceed the floor). Keeps wasted heap capacity —
+    /// and pop-path skip work — proportional to the live entry count.
     fn maybe_compact(&mut self) {
         let live = self.total_entries - self.tombstones;
         if self.tombstones >= COMPACT_FLOOR && self.tombstones > live {
@@ -891,12 +649,7 @@ impl Core {
                 let mut entries = std::mem::take(&mut sc.heap).into_vec();
                 entries.retain(|e| slots[e.slot as usize].gen == e.gen);
                 sc.heap = EventHeap::from_vec(entries);
-                if sc.cursor > 0 {
-                    sc.staged.drain(..sc.cursor);
-                    sc.cursor = 0;
-                }
-                sc.staged.retain(|e| slots[e.slot as usize].gen == e.gen);
-                total += sc.heap.len() + sc.staged.len();
+                total += sc.heap.len();
                 self.index.set_key(sh as u32, sc.head_key());
             }
             self.total_entries = total;
@@ -1025,15 +778,14 @@ impl Sim {
     /// Create a simulation with the given RNG seed. The seed determines
     /// every stream returned by [`Ctx::rng`], so identical programs with
     /// identical seeds produce identical trajectories. Shorthand for
-    /// [`Sim::with_config`] with the default single-shard,
-    /// single-worker [`SimConfig`].
+    /// [`Sim::with_config`] with the default single-shard [`SimConfig`].
     pub fn new(seed: u64) -> Self {
         Sim::with_config(SimConfig::new(seed))
     }
 
     /// Create a simulation from an explicit [`SimConfig`]. Trajectories
-    /// depend only on `seed` — shard count, worker count and lookahead
-    /// change host time, never the schedule.
+    /// depend only on `seed` — the shard count changes host time, never
+    /// the schedule.
     pub fn with_config(cfg: SimConfig) -> Self {
         Sim::with_config_arena(cfg, SimArena::new())
     }
@@ -1057,13 +809,13 @@ impl Sim {
 
     /// Run until the calendar is empty or `deadline` is reached.
     pub fn run_until(&self, deadline: SimTime) -> RunReport {
-        self.run_inner(Some(deadline))
+        self.run_loop(Some(deadline))
     }
 
     /// Run until every event has fired and every runnable process has been
     /// polled to completion.
     pub fn run(&self) -> RunReport {
-        self.run_inner(None)
+        self.run_loop(None)
     }
 
     /// Snapshot of event-calendar internals (live entries, tombstones,
@@ -1092,39 +844,7 @@ impl Sim {
         core.wake_scratch = woken;
     }
 
-    fn run_inner(&self, deadline: Option<SimTime>) -> RunReport {
-        let (workers, n_shards) = {
-            let core = self.core.borrow();
-            (core.workers, core.shards.len())
-        };
-        if workers > 1 && n_shards > 1 {
-            // Persistent scoped staging pool. The spawned threads only
-            // ever touch the `StagePool` and the raw `ShardSlice`
-            // published through it — never `self` — so the `!Send`
-            // executor core stays on this thread.
-            let pool = StagePool::new((workers.min(n_shards)) - 1);
-            std::thread::scope(|s| {
-                for _ in 0..pool.spawned {
-                    s.spawn(|| pool.worker_loop());
-                }
-                // Shut the pool down even if the run body panics —
-                // otherwise the scope join would wait forever on workers
-                // parked at the window condvar.
-                struct ShutdownGuard<'a>(&'a StagePool);
-                impl Drop for ShutdownGuard<'_> {
-                    fn drop(&mut self) {
-                        self.0.shutdown();
-                    }
-                }
-                let _guard = ShutdownGuard(&pool);
-                self.run_loop(deadline, Some(&pool))
-            })
-        } else {
-            self.run_loop(deadline, None)
-        }
-    }
-
-    fn run_loop(&self, deadline: Option<SimTime>, pool: Option<&StagePool>) -> RunReport {
+    fn run_loop(&self, deadline: Option<SimTime>) -> RunReport {
         loop {
             // Dispatch every runnable process at the current instant.
             loop {
@@ -1177,30 +897,6 @@ impl Sim {
                             core.now = deadline.unwrap();
                             None
                         } else {
-                            if let Some(pool) = pool {
-                                // `at` is the global minimum across shard
-                                // heads, so advancing past the sealed
-                                // window implies every staged run at or
-                                // before it has been fully consumed —
-                                // restaging cannot clobber live entries.
-                                if at > core.window_end {
-                                    // Seal the next window. Only engage the
-                                    // pool when there is enough live work to
-                                    // amortize the handshake; otherwise
-                                    // re-check at the next later instant.
-                                    let end = at.window_end(core.lookahead);
-                                    if core.total_entries - core.tombstones >= WINDOW_STAGE_MIN {
-                                        core.window_end = end;
-                                        let slice = ShardSlice {
-                                            ptr: core.shards.as_mut_ptr(),
-                                            len: core.shards.len(),
-                                        };
-                                        pool.run_window(slice, end);
-                                    } else {
-                                        core.window_end = at;
-                                    }
-                                }
-                            }
                             let e = core.pop_live(sh);
                             core.now = e.at;
                             // Callbacks the event runs inherit its shard.
@@ -1314,9 +1010,6 @@ impl Sim {
                 shards,
                 total_entries: 0,
                 current_shard: 0,
-                lookahead: cfg.lookahead,
-                window_end: SimTime::ZERO,
-                workers: cfg.workers.max(1),
                 slots,
                 free_head: NO_FREE,
                 tombstones: 0,
@@ -1338,8 +1031,7 @@ impl Sim {
         }
     }
 
-    /// Per-shard calendar counters. `fired` and `pending` are
-    /// worker-invariant; `staged` is not — see [`ShardStats`].
+    /// Per-shard calendar counters.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let core = self.core.borrow();
         core.shards
@@ -1348,8 +1040,7 @@ impl Sim {
             .map(|(i, sc)| ShardStats {
                 shard: i as u32,
                 fired: sc.fired,
-                pending: sc.pending_len(),
-                staged: sc.staged_total,
+                pending: sc.heap.len(),
             })
             .collect()
     }
@@ -2227,36 +1918,11 @@ mod tests {
     fn shard_count_is_trajectory_neutral() {
         let serial = cross_shard_fingerprint(SimConfig::new(42), 64);
         for shards in [2u32, 4, 7, 33] {
-            let cfg = SimConfig::new(42)
-                .with_shards(shards)
-                .with_lookahead(SimDuration::from_nanos(50));
+            let cfg = SimConfig::new(42).with_shards(shards);
             assert_eq!(
                 cross_shard_fingerprint(cfg, 64),
                 serial,
                 "shards={shards} diverged from the serial calendar"
-            );
-        }
-    }
-
-    /// The staging pool (workers > 1) must be behavior-invisible: the
-    /// full execution-order fingerprint is identical for any pool size.
-    #[test]
-    fn worker_count_is_trajectory_neutral() {
-        let base = cross_shard_fingerprint(
-            SimConfig::new(7)
-                .with_shards(8)
-                .with_lookahead(SimDuration::from_nanos(200)),
-            96,
-        );
-        for workers in [2usize, 3, 4] {
-            let cfg = SimConfig::new(7)
-                .with_shards(8)
-                .with_workers(workers)
-                .with_lookahead(SimDuration::from_nanos(200));
-            assert_eq!(
-                cross_shard_fingerprint(cfg, 96),
-                base,
-                "workers={workers} diverged from the single-worker run"
             );
         }
     }
@@ -2481,31 +2147,103 @@ mod tests {
         assert_eq!(h.try_take(), Some((3, expect, 96 + 31)));
     }
 
-    #[cfg(test)]
-    mod shard_props {
+    /// Differential oracle: random schedules, cancels, tombstone churn and
+    /// deadline slices on the sharded calendar against one `BinaryHeap` that
+    /// holds the whole contract — fire in `(at, seq)` order, skip cancelled
+    /// entries, end a slice at its deadline only if something live lies beyond.
+    mod calendar_oracle {
         use super::*;
         use proptest::prelude::*;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        #[derive(Default)]
+        struct Reference {
+            heap: BinaryHeap<Reverse<(u64, u64)>>,
+            /// By `seq`: scheduled and neither fired nor cancelled yet.
+            armed: Vec<bool>,
+            now: u64,
+            fired: Vec<u64>,
+        }
+
+        impl Reference {
+            fn run(&mut self, deadline: Option<u64>) {
+                while let Some(&Reverse((at, seq))) = self.heap.peek() {
+                    if self.armed[seq as usize] {
+                        if let Some(d) = deadline.filter(|&d| at > d) {
+                            self.now = d;
+                            return;
+                        }
+                        (self.now, self.armed[seq as usize]) = (at, false);
+                        self.fired.push(seq);
+                    }
+                    self.heap.pop();
+                }
+            }
+        }
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-            // Window-boundary merges preserve the `(time, seq)` total
-            // order under arbitrary cross-shard interleavings: any
-            // (shard count, worker count, lookahead) triple replays the
-            // serial calendar's fingerprint exactly.
+            #![proptest_config(ProptestConfig::with_cases(48))]
             #[test]
-            fn merge_preserves_total_order(
-                seed in any::<u64>(),
-                n_tasks in 1u64..48,
+            fn sharded_calendar_matches_one_binary_heap(
                 shards in 1u32..9,
-                workers in 1usize..4,
-                lookahead in 0u64..2_000,
+                ops in proptest::collection::vec((0u8..16, 0u32..9, 0u64..4_000), 40..400),
             ) {
-                let serial = cross_shard_fingerprint(SimConfig::new(seed), n_tasks);
-                let cfg = SimConfig::new(seed)
-                    .with_shards(shards)
-                    .with_workers(workers)
-                    .with_lookahead(SimDuration::from_nanos(lookahead));
-                prop_assert_eq!(cross_shard_fingerprint(cfg, n_tasks), serial);
+                let sim = Sim::with_config(SimConfig::new(0).with_shards(shards));
+                let ctx = sim.ctx();
+                let log = Rc::new(RefCell::new(Vec::new()));
+                // Nothing else schedules, so a handle's index is its
+                // entry's `seq`. Shard 8 is out of range for every count
+                // drawn here and must fall back to shard 0.
+                let handles = RefCell::new(Vec::<TimerHandle>::new());
+                let schedule = |r: &mut Reference, shard: u32, delay: u64| {
+                    let (seq, log) = (r.armed.len() as u64, log.clone());
+                    let fire = move || log.borrow_mut().push(seq);
+                    let after = SimDuration::from_nanos(delay);
+                    let h = ctx.with_shard(shard, || ctx.call_after(after, fire));
+                    handles.borrow_mut().push(h);
+                    r.heap.push(Reverse((r.now + delay, seq)));
+                    r.armed.push(true);
+                };
+                let cancel = |r: &mut Reference, seq: usize| {
+                    let armed = std::mem::take(&mut r.armed[seq]);
+                    assert_eq!(handles.borrow()[seq].cancel(), armed, "cancel of entry {seq}");
+                };
+                let check = |r: &Reference| {
+                    assert_eq!(sim.now().nanos(), r.now);
+                    let live = r.armed.iter().filter(|&&a| a).count();
+                    assert_eq!(sim.calendar_stats().pending, live);
+                    live
+                };
+                let mut r = Reference::default();
+                for (i, &(kind, shard, x)) in ops.iter().enumerate() {
+                    if i == ops.len() / 2 {
+                        // Churn: cancelled timers outnumber live entries by the floor.
+                        let (first, n) = (r.armed.len(), check(&r) + COMPACT_FLOOR);
+                        (0..n).for_each(|j| schedule(&mut r, j as u32 % shards, 1 << 20));
+                        (first..first + n).for_each(|seq| cancel(&mut r, seq));
+                        prop_assert!(sim.calendar_stats().compactions > 0);
+                    }
+                    match kind {
+                        0..=7 => schedule(&mut r, shard, x),
+                        // Any handle ever issued: live, fired or cancelled.
+                        8..=13 if !r.armed.is_empty() => {
+                            let seq = x as usize % r.armed.len();
+                            cancel(&mut r, seq);
+                        }
+                        _ => {
+                            let deadline = r.now + x / 8;
+                            sim.run_until(SimTime::from_nanos(deadline));
+                            r.run(Some(deadline));
+                        }
+                    }
+                    check(&r);
+                }
+                let report = sim.run();
+                r.run(None);
+                prop_assert_eq!(check(&r), 0);
+                prop_assert_eq!(&*log.borrow(), &r.fired);
+                prop_assert_eq!(report.events_processed, r.fired.len() as u64);
             }
         }
     }

@@ -2,10 +2,9 @@
 //!
 //! The foundation of the DYAD-vs-traditional-I/O reproduction: a
 //! deterministic discrete-event simulator whose processes are plain Rust
-//! `async` functions. The core dispatch loop is single-threaded; an
-//! opt-in staging pool ([`SimConfig::workers`]) pre-sorts sharded event
-//! calendars inside conservative time windows without ever changing the
-//! schedule.
+//! `async` functions. The executor is single-threaded; its event
+//! calendar can be sharded by topology domain ([`SimConfig::shards`])
+//! without ever changing the schedule.
 //!
 //! * [`Sim`] owns the event calendar and executor; [`Ctx`] is the handle
 //!   processes use to sleep, spawn, and draw random numbers.

@@ -47,14 +47,6 @@ impl SimTime {
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
     }
-
-    /// End instant of a conservative time window opening at `self`:
-    /// `self + lookahead`, saturating at [`SimTime::MAX`] so a window
-    /// sealed near the end of time stays well-formed. Used by the
-    /// sharded executor; lookahead only batches, it never reorders.
-    pub const fn window_end(self, lookahead: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(lookahead.0))
-    }
 }
 
 impl SimDuration {
