@@ -11,8 +11,7 @@
 //!   events;
 //! * **radius of gyration**;
 //! * **RMSD** against a reference frame (translation-removed);
-//! * a [`Pipeline`] tying these together per frame, with rayon used for
-//!   the distance kernels.
+//! * a [`Pipeline`] tying these together per frame.
 //!
 //! All kernels operate on real [`mdsim::Frame`] data.
 
@@ -23,7 +22,6 @@ mod structure;
 pub use structure::{Msd, Rdf};
 
 use mdsim::Frame;
-use rayon::prelude::*;
 
 /// A dense symmetric contact matrix over `n` selected atoms.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +43,6 @@ impl ContactMatrix {
             box_lengths[2] as f64,
         ];
         let data: Vec<f64> = (0..n * n)
-            .into_par_iter()
             .map(|idx| {
                 let (i, j) = (idx / n, idx % n);
                 if i == j {
@@ -109,7 +106,6 @@ impl ContactMatrix {
         let mut lambda = 0.0;
         for _ in 0..iterations {
             let w: Vec<f64> = (0..n)
-                .into_par_iter()
                 .map(|i| {
                     let row = &self.data[i * n..(i + 1) * n];
                     row.iter().zip(&v).map(|(a, b)| a * b).sum::<f64>()
@@ -177,8 +173,8 @@ pub fn rmsd(a: &[[f64; 3]], b: &[[f64; 3]]) -> f64 {
         cb[k] /= n;
     }
     let sum: f64 = a
-        .par_iter()
-        .zip(b.par_iter())
+        .iter()
+        .zip(b.iter())
         .map(|(pa, pb)| {
             let mut r2 = 0.0;
             for k in 0..3 {

@@ -3,8 +3,6 @@
 //! standard "is this trajectory physical?" kernels an in situ pipeline
 //! runs alongside the event detectors.
 
-use rayon::prelude::*;
-
 /// The radial distribution function g(r) of a configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rdf {
@@ -27,9 +25,8 @@ impl Rdf {
             box_lengths[1] as f64,
             box_lengths[2] as f64,
         ];
-        // Histogram pair distances (parallel over i, merge per-thread).
+        // Histogram pair distances: one partial histogram per i, merged.
         let hist: Vec<u64> = (0..n)
-            .into_par_iter()
             .map(|i| {
                 let mut h = vec![0u64; bins];
                 for j in (i + 1)..n {
@@ -48,15 +45,12 @@ impl Rdf {
                 }
                 h
             })
-            .reduce(
-                || vec![0u64; bins],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
+            .fold(vec![0u64; bins], |mut a, b| {
+                for (x, y) in a.iter_mut().zip(b) {
+                    *x += y;
+                }
+                a
+            });
         // Normalize by the ideal-gas shell count.
         let volume = bl[0] * bl[1] * bl[2];
         let density = n as f64 / volume;
@@ -139,8 +133,8 @@ impl Msd {
         self.previous = positions.to_vec();
         let msd = self
             .unwrapped
-            .par_iter()
-            .zip(self.reference.par_iter())
+            .iter()
+            .zip(self.reference.iter())
             .map(|(u, r)| {
                 let mut s = 0.0;
                 for k in 0..3 {

@@ -190,7 +190,7 @@ impl ClusterSnapshot {
             (0..wf.pairs)
                 .map(|pair| {
                     (
-                        format!("{}/frames/p{pair:04}", cal.dyad.managed_dir),
+                        format!("{}/frames/p{pair:04}", dyad::PLANE.managed_dir),
                         format!("c{pair}"),
                     )
                 })
@@ -210,13 +210,13 @@ impl ClusterSnapshot {
                         for (l, &pn) in gp.publishers.iter().enumerate() {
                             regs.push((
                                 pn,
-                                format!("{}/steps/g{g:04}/l{l:02}", streaming::DEFAULT_MANAGED_DIR),
+                                format!("{}/steps/g{g:04}/l{l:02}", streaming::PLANE.managed_dir),
                                 format!("g{g}r"),
                             ));
                         }
                     } else {
                         let pn = gp.publishers[0];
-                        let dir = format!("{}/steps/g{g:04}", streaming::DEFAULT_MANAGED_DIR);
+                        let dir = format!("{}/steps/g{g:04}", streaming::PLANE.managed_dir);
                         match s.group {
                             streaming::GroupMode::Broadcast => {
                                 for j in 0..gp.subscribers.len() {

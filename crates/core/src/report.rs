@@ -7,6 +7,7 @@
 use instrument::Profile;
 use serde::Serialize;
 use simcore::stats::OnlineStats;
+use staging::plane;
 
 use crate::config::{Solution, WorkflowConfig};
 use crate::runner::RunMetrics;
@@ -68,55 +69,37 @@ pub fn reduce_run(wf: &WorkflowConfig, run: &RunMetrics) -> RunBreakdown {
     let consumption;
     let mut group_sync_secs = 0.0;
     match wf.solution {
-        Solution::Dyad => {
-            // Staging backpressure is synchronization (the producer
-            // waits on the evictor), not data movement.
-            let backpressure = secs(&prod, &["dyad_produce", "staging_backpressure"]);
-            production = Breakdown {
-                movement: (secs(&prod, &["dyad_produce"]) - backpressure) / per_frame,
-                idle: backpressure / per_frame,
+        Solution::Dyad | Solution::DyadOnPfs | Solution::Streaming => {
+            // The staged plane's regions under the backend's names;
+            // DYAD-sync-over-PFS runs DYAD's outer ones and none of the
+            // NVMe staging inside them, which then read zero.
+            let row = match wf.solution {
+                Solution::Streaming => &streaming::PLANE,
+                _ => &dyad::PLANE,
             };
-            consumption = Breakdown {
-                movement: (secs(&cons, &["dyad_consume", "dyad_get_data"])
-                    + secs(&cons, &["dyad_consume", "dyad_cons_store"])
-                    + secs(&cons, &["dyad_consume", "dyad_pfs_fallback"])
-                    + secs(&cons, &["dyad_consume", "read_single_buf"]))
-                    / per_frame,
-                idle: (secs(&cons, &["dyad_consume", "dyad_fetch"])
-                    + secs(&cons, &["dyad_consume", "dyad_sync_flock"]))
-                    / per_frame,
-            };
-        }
-        Solution::DyadOnPfs => {
-            production = Breakdown {
-                movement: secs(&prod, &["dyad_produce"]) / per_frame,
-                idle: 0.0,
-            };
-            consumption = Breakdown {
-                movement: secs(&cons, &["dyad_consume", "read_single_buf"]) / per_frame,
-                idle: secs(&cons, &["dyad_consume", "dyad_fetch"]) / per_frame,
-            };
-        }
-        Solution::Streaming => {
-            // Window stalls and staging backpressure are synchronization
-            // (the publisher waits on subscriber acks / the evictor),
+            // Staging backpressure and window stalls are synchronization
+            // (the producer waits on the evictor / on subscriber acks),
             // not data movement.
-            let window_wait = secs(&prod, &["stream_publish", "stream_window_wait"]);
-            let backpressure = secs(&prod, &["stream_publish", "staging_backpressure"]);
+            let waits = || row.put_idle.iter().map(|w| secs(&prod, &[row.put, w]));
             production = Breakdown {
-                movement: (secs(&prod, &["stream_publish"]) - window_wait - backpressure)
-                    / per_frame,
-                idle: (window_wait + backpressure) / per_frame,
+                movement: waits().fold(secs(&prod, &[row.put]), |m, w| m - w) / per_frame,
+                idle: waits().sum::<f64>() / per_frame,
             };
-            group_sync_secs = secs(&cons, &["stream_consume", "stream_sync"]) / per_frame;
+            let mut sync = secs(&cons, &[row.get, row.get_sync]);
+            if row.get_flock != row.get_sync {
+                sync += secs(&cons, &[row.get, row.get_flock]);
+            }
             consumption = Breakdown {
-                movement: (secs(&cons, &["stream_consume", "stream_get_data"])
-                    + secs(&cons, &["stream_consume", "stream_cons_store"])
-                    + secs(&cons, &["stream_consume", "stream_pfs_fallback"])
-                    + secs(&cons, &["stream_consume", "read_single_buf"]))
+                movement: (secs(&cons, &[row.get, row.get_data])
+                    + secs(&cons, &[row.get, row.get_store])
+                    + secs(&cons, &[row.get, row.get_pfs])
+                    + secs(&cons, &[row.get, plane::READ]))
                     / per_frame,
-                idle: group_sync_secs,
+                idle: sync / per_frame,
             };
+            if wf.solution == Solution::Streaming {
+                group_sync_secs = consumption.idle;
+            }
         }
         Solution::Xfs | Solution::Lustre => {
             production = Breakdown {

@@ -5,7 +5,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use cluster::{Cluster, NodeId};
-use dyad::DyadService;
+use dyad::{DyadService, DyadSpec};
 use instrument::Profile;
 use kvs::{KvsClient, KvsHandle, KvsMesh, KvsServer};
 use localfs::LocalFs;
@@ -13,8 +13,9 @@ use mdsim::StepClock;
 use pfs::{LdlmClient, LdlmServer, LdlmSpec, ParallelFs};
 use serde::Serialize;
 use simcore::{Sim, SimDuration, SimTime};
+use staging::plane::{PlaneSpec, PlaneStats};
 use staging::{RetentionPolicy, StagingManager, StagingSpec, StagingStats};
-use streaming::{StreamAcker, StreamService, StreamSpec, StreamStats};
+use streaming::{StreamAcker, StreamService, StreamSpec, WindowStats};
 use transport::Transport;
 
 use crate::arena::{ClusterSnapshot, RunArena, RunTimings};
@@ -99,15 +100,15 @@ pub struct StreamTotals {
 }
 
 impl StreamTotals {
-    fn absorb(&mut self, s: &StreamStats) {
-        self.steps_published += s.steps_published;
-        self.steps_consumed += s.steps_consumed;
-        self.bytes_published += s.bytes_published;
-        self.bytes_consumed += s.bytes_consumed;
-        self.window_stalls += s.window_stalls;
-        self.window_stall_secs += SimDuration::from_nanos(s.window_stall_ns).as_secs_f64();
-        self.slots_reclaimed += s.slots_reclaimed;
-        self.ack_refreshes += s.ack_refreshes;
+    fn absorb(&mut self, s: &PlaneStats, w: &WindowStats) {
+        self.steps_published += s.puts;
+        self.steps_consumed += s.gets;
+        self.bytes_published += s.bytes_put;
+        self.bytes_consumed += s.bytes_got;
+        self.window_stalls += w.window_stalls;
+        self.window_stall_secs += SimDuration::from_nanos(w.window_stall_ns).as_secs_f64();
+        self.slots_reclaimed += w.slots_reclaimed;
+        self.ack_refreshes += w.ack_refreshes;
         self.fetches_served += s.fetches_served;
         self.cold_syncs += s.cold_syncs;
         self.warm_syncs += s.warm_syncs;
@@ -422,59 +423,43 @@ fn run_prepared(
     } else {
         vec![None; n_compute]
     };
-    let dyad_services: Vec<Rc<DyadService>> = if wf.solution == Solution::Dyad {
-        (0..n_compute as u32)
-            .map(|i| {
-                let mut spec = cal.dyad.clone();
-                spec.warm_sync = wf.dyad_warm_sync;
-                ctx.with_shard(node_shard(i), || {
-                    DyadService::start_staged(
-                        &ctx,
-                        &tp,
-                        NodeId(i),
-                        local_fs[i as usize].clone(),
-                        kvs_client(i),
-                        spec,
-                        staging_mgrs[i as usize].clone(),
-                    )
-                })
-            })
-            .collect()
-    } else {
-        Vec::new()
+    // Per-node services of the staged backends, both over one plane
+    // spec: streaming is the SST-style peer of DYAD on the same
+    // calibration constants, so its fanout=1 shape is a like-for-like
+    // comparison.
+    let plane = PlaneSpec {
+        warm_sync: wf.dyad_warm_sync,
+        ..cal.dyad.plane
     };
-    // Per-node stream services: the SST-style peer of the DYAD service,
-    // sharing the DYAD calibration constants so the fanout=1 shape is a
-    // like-for-like comparison.
-    let stream_services: Vec<Rc<StreamService>> = if wf.solution == Solution::Streaming {
-        (0..n_compute as u32)
-            .map(|i| {
-                let spec = StreamSpec {
-                    managed_dir: streaming::DEFAULT_MANAGED_DIR.to_string(),
-                    window: wf.streaming.window.max(1),
-                    publish_overhead: cal.dyad.produce_overhead,
-                    service_threads: cal.dyad.service_threads,
-                    service_time: cal.dyad.service_time,
-                    warm_sync: wf.dyad_warm_sync,
-                    reclaim_on_crash: wf.streaming.reclaim_on_crash,
-                    stall_poll: StreamSpec::default().stall_poll,
-                };
-                ctx.with_shard(node_shard(i), || {
-                    StreamService::start_staged(
-                        &ctx,
-                        &tp,
-                        NodeId(i),
-                        local_fs[i as usize].clone(),
-                        kvs_client(i),
-                        spec,
-                        staging_mgrs[i as usize].clone(),
-                    )
-                })
-            })
-            .collect()
-    } else {
-        Vec::new()
+    let dyad_spec = DyadSpec { plane, ..cal.dyad };
+    let stream_spec = StreamSpec {
+        plane,
+        window: wf.streaming.window.max(1),
+        reclaim_on_crash: wf.streaming.reclaim_on_crash,
+        ..StreamSpec::default()
     };
+    let nodes_running = |s: Solution| (0..n_compute as u32).filter(move |_| wf.solution == s);
+    // What node `i`'s service starts from (built on the node's shard).
+    let parts = |i: u32| {
+        let (fs, st) = (&local_fs[i as usize], &staging_mgrs[i as usize]);
+        (NodeId(i), fs.clone(), kvs_client(i), st.clone())
+    };
+    let dyad_services: Vec<Rc<DyadService>> = nodes_running(Solution::Dyad)
+        .map(|i| {
+            ctx.with_shard(node_shard(i), || {
+                let (n, fs, kvs, st) = parts(i);
+                DyadService::start_staged(&ctx, &tp, n, fs, kvs, dyad_spec, st)
+            })
+        })
+        .collect();
+    let stream_services: Vec<Rc<StreamService>> = nodes_running(Solution::Streaming)
+        .map(|i| {
+            ctx.with_shard(node_shard(i), || {
+                let (n, fs, kvs, st) = parts(i);
+                StreamService::start_staged(&ctx, &tp, n, fs, kvs, stream_spec, st)
+            })
+        })
+        .collect();
     // Crash/restart lifecycle: a node crash loses that node's staged
     // NVMe frames (spilled copies survive on the PFS); the restart hook
     // re-publishes what survived and tombstones what did not. Hooks are
@@ -523,42 +508,48 @@ fn run_prepared(
     };
     let period = SimDuration::from_secs_f64(wf.frame_period_secs());
 
+    // Low-discrepancy launch stagger across one frame period, per pair
+    // or streaming group: real ensembles never start in lockstep, and
+    // phase-locked pairs would otherwise collide on every shared
+    // resource at once.
+    let stagger_of = |i: u32| period.mul_f64((i as f64 * 0.618_033_988_75).fract());
+    // Process `idx` of its side (pair index, or publisher/subscriber
+    // index of a streaming run) on `node`.
+    let producer_args = |idx: u32, node: u32, stagger: SimDuration| ProducerArgs {
+        ctx: ctx.clone(),
+        pair: idx,
+        frames: wf.frames,
+        stride: wf.stride,
+        clock,
+        template: template.clone(),
+        serialize_cpu: cal.serialize_cpu,
+        start_offset: stagger,
+        tracer: tracer.clone(),
+        schedule: wf.schedule.clone(),
+        faults: fault_board.as_ref().map(|(b, _)| b.clone()),
+        node,
+    };
+    let consumer_args = |idx: u32, node: u32, stagger: SimDuration| ConsumerArgs {
+        ctx: ctx.clone(),
+        pair: idx,
+        frames: wf.frames,
+        analytics: period,
+        jitter: cal.md_jitter,
+        rng_stream: 0xC000 + idx as u64,
+        start_offset: stagger + period.mul_f64(cal.consumer_launch_delay),
+        tracer: tracer.clone(),
+        template: template.clone(),
+        deserialize_cpu: cal.deserialize_cpu,
+        faults: fault_board.as_ref().map(|(b, _)| b.clone()),
+        node,
+    };
+
     let mut prod_handles = Vec::with_capacity(wf.pairs as usize);
     let mut cons_handles = Vec::with_capacity(wf.pairs as usize);
     for (pair, &(pn, cn)) in plan.pair_nodes.iter().enumerate() {
         let pair = pair as u32;
-        // Low-discrepancy launch stagger across one frame period: real
-        // ensembles never start in lockstep, and phase-locked pairs
-        // would otherwise collide on every shared resource at once.
-        let stagger = period.mul_f64((pair as f64 * 0.618_033_988_75).fract());
-        let pargs = ProducerArgs {
-            ctx: ctx.clone(),
-            pair,
-            frames: wf.frames,
-            stride: wf.stride,
-            clock,
-            template: template.clone(),
-            serialize_cpu: cal.serialize_cpu,
-            start_offset: stagger,
-            tracer: tracer.clone(),
-            schedule: wf.schedule.clone(),
-            faults: fault_board.as_ref().map(|(b, _)| b.clone()),
-            node: pn,
-        };
-        let cargs = ConsumerArgs {
-            ctx: ctx.clone(),
-            pair,
-            frames: wf.frames,
-            analytics: period,
-            jitter: cal.md_jitter,
-            rng_stream: 0xC000 + pair as u64,
-            start_offset: stagger + period.mul_f64(cal.consumer_launch_delay),
-            tracer: tracer.clone(),
-            template: template.clone(),
-            deserialize_cpu: cal.deserialize_cpu,
-            faults: fault_board.as_ref().map(|(b, _)| b.clone()),
-            node: cn,
-        };
+        let pargs = producer_args(pair, pn, stagger_of(pair));
+        let cargs = consumer_args(pair, cn, stagger_of(pair));
         let rng_stream = 0x9000 + pair as u64;
         match wf.solution {
             Solution::Dyad => {
@@ -663,9 +654,7 @@ fn run_prepared(
         let mut sub_idx = 0u32;
         for (g, gp) in sp.groups.iter().enumerate() {
             let g = g as u32;
-            // Same low-discrepancy launch stagger as the pair loop,
-            // per group.
-            let stagger = period.mul_f64((g as f64 * 0.618_033_988_75).fract());
+            let stagger = stagger_of(g);
             let role = StreamRole {
                 group: g,
                 mode: s.group,
@@ -674,39 +663,14 @@ fn run_prepared(
                 leaf: 0,
                 agg_frames: s.agg_frames.max(1),
             };
-            let group_ackers: Vec<StreamAcker> = if s.fanin > 1 {
-                vec![StreamAcker {
-                    consumer: format!("g{g}r"),
-                    node: gp.subscribers[0],
-                }]
-            } else {
-                gp.subscribers
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &n)| StreamAcker {
-                        consumer: match s.group {
-                            streaming::GroupMode::Broadcast => format!("g{g}s{j}"),
-                            streaming::GroupMode::Partitioned => format!("g{g}p"),
-                        },
-                        node: n,
-                    })
-                    .collect()
-            };
+            let group_ackers: Vec<StreamAcker> = (gp.subscribers.iter().enumerate())
+                .map(|(j, &node)| StreamAcker {
+                    consumer: role.session_id(j as u32),
+                    node,
+                })
+                .collect();
             for (l, &pn) in gp.publishers.iter().enumerate() {
-                let pargs = ProducerArgs {
-                    ctx: ctx.clone(),
-                    pair: pub_idx,
-                    frames: wf.frames,
-                    stride: wf.stride,
-                    clock,
-                    template: template.clone(),
-                    serialize_cpu: cal.serialize_cpu,
-                    start_offset: stagger,
-                    tracer: tracer.clone(),
-                    schedule: wf.schedule.clone(),
-                    faults: fault_board.as_ref().map(|(b, _)| b.clone()),
-                    node: pn,
-                };
+                let pargs = producer_args(pub_idx, pn, stagger);
                 let leaf_role = StreamRole {
                     leaf: l as u32,
                     ..role
@@ -724,20 +688,7 @@ fn run_prepared(
                 pub_idx += 1;
             }
             for (j, &cn) in gp.subscribers.iter().enumerate() {
-                let cargs = ConsumerArgs {
-                    ctx: ctx.clone(),
-                    pair: sub_idx,
-                    frames: wf.frames,
-                    analytics: period,
-                    jitter: cal.md_jitter,
-                    rng_stream: 0xC000 + sub_idx as u64,
-                    start_offset: stagger + period.mul_f64(cal.consumer_launch_delay),
-                    tracer: tracer.clone(),
-                    template: template.clone(),
-                    deserialize_cpu: cal.deserialize_cpu,
-                    faults: fault_board.as_ref().map(|(b, _)| b.clone()),
-                    node: cn,
-                };
+                let cargs = consumer_args(sub_idx, cn, stagger);
                 let svc = stream_services[cn as usize].clone();
                 if s.fanin > 1 {
                     cons_handles
@@ -791,7 +742,7 @@ fn run_prepared(
     let mut staging_totals = StagingTotals::default();
     let mut stream_totals = StreamTotals::default();
     for svc in &stream_services {
-        stream_totals.absorb(&svc.stats());
+        stream_totals.absorb(&svc.stats(), &svc.window_stats());
     }
     let mut fault_totals = FaultTotals::default();
     for mgr in staging_mgrs.iter().flatten() {

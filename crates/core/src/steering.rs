@@ -125,7 +125,7 @@ pub fn run_steering(cfg: &SteeringConfig, cal: &Calibration, seed: u64) -> Vec<T
     let mk_svc = |node: u32| {
         let fs = LocalFs::new(&ctx, cluster.node(NodeId(node)).nvme.clone(), cal.localfs);
         let kc = KvsClient::new(&ctx, &tp, NodeId(node), NodeId(0), cal.kvs);
-        DyadService::start(&ctx, &tp, NodeId(node), fs, kc, cal.dyad.clone())
+        DyadService::start(&ctx, &tp, NodeId(node), fs, kc, cal.dyad)
     };
     let prod_svc = mk_svc(0);
     let cons_svc = mk_svc(1);

@@ -31,11 +31,12 @@
 //! `recovering`: with no fault board it runs the operation once, inline;
 //! with one it is the boxed freeze/retry/backoff loop (DESIGN.md §8).
 
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use dyad::{DyadConsumer, DyadError, DyadService, FrameLocation, FrameMeta};
-use faults::{FaultBoard, RetryPolicy};
+use dyad::{DyadConsumer, DyadService, FrameLocation, FrameMeta};
+use faults::FaultBoard;
 use instrument::{Profile, Recorder};
 use kvs::KvsHandle;
 use localfs::LocalFs;
@@ -45,7 +46,8 @@ use rand::rngs::StdRng;
 use simcore::sync::{channel, Receiver, Sender};
 use simcore::trace::Tracer;
 use simcore::{Ctx, SimDuration};
-use streaming::{StreamAcker, StreamError};
+use staging::plane::{retry_policy, PlaneError};
+use streaming::StreamAcker;
 use transport::Payload;
 
 use crate::config::ManualSync;
@@ -244,17 +246,17 @@ pub fn lock_path(pair: u32, frame: u64) -> String {
 /// `"produce"` or `"consume"` and names the `<side>_outer_retries` /
 /// `<side>_failures` counters of [`crate::runner::FaultTotals`]; `op`
 /// gets the backoff-jitter stream (fault runs only) and returns a typed
-/// error; `terminal` names the counter of an error no retry can cure (a
-/// tombstoned frame), which ends the operation with `None`.
+/// error; `terminal` names the counter of an error no retry can cure,
+/// which ends the operation with `None`.
 ///
 /// With no fault board the operation runs once, inline — no rng is
 /// built and nothing is boxed — and an error is a simulator bug. With
 /// one, a crashed node runs nothing (freeze until the restart) and
 /// whatever outlasts the operation's own retry budget (dead owners,
-/// broker outages) is re-run here with backoff: every fault window is
-/// finite by construction, so this terminates. The loop is boxed so the
-/// (large, rarely-live) recovery state machine does not inflate every
-/// fault-free process task.
+/// broker outages) is re-run here with [`retry_policy`]'s backoff: every
+/// fault window is finite by construction, so this terminates. The loop
+/// is boxed so the (large, rarely-live) recovery state machine does not
+/// inflate every fault-free process task.
 #[allow(clippy::too_many_arguments)]
 async fn recovering<T, E: std::fmt::Display>(
     ctx: &Ctx,
@@ -262,7 +264,6 @@ async fn recovering<T, E: std::fmt::Display>(
     node: u32,
     rec: &Recorder,
     side: &'static str,
-    policy: &RetryPolicy,
     jitter_stream: u64,
     mut op: impl AsyncFnMut(Option<&mut StdRng>) -> Result<T, E>,
     terminal: impl Fn(&E) -> Option<&'static str>,
@@ -292,34 +293,63 @@ async fn recovering<T, E: std::fmt::Display>(
                 return None;
             }
             rec.annotate(&format!("{side}_outer_retries"), 1.0);
-            let pause = policy.backoff(outer.min(9), &mut frng);
+            let pause = retry_policy().backoff(outer.min(9), &mut frng);
             ctx.sleep(pause).await;
         }
     })
     .await
 }
 
+/// The staged plane's errors no retry can cure, by the counter each is
+/// reported under: a put whose frame is unwritable (tombstoned by the
+/// plane, so consumers see a typed loss) and a get of a tombstoned frame
+/// (nothing to analyze — the role moves to the next frame).
+fn terminal(e: &PlaneError) -> Option<&'static str> {
+    match e {
+        PlaneError::Storage { .. } => Some("produce_failures"),
+        PlaneError::Lost { .. } => Some("frames_lost_observed"),
+        PlaneError::Transport(_) | PlaneError::Unresolvable { .. } => None,
+    }
+}
+
+/// One plane get under the run's fault model; `salt` keys the
+/// backoff-jitter stream (frame or step index, plus the leaf for
+/// reducers).
+fn consume_recovering<'a>(
+    args: &'a ConsumerArgs,
+    rec: &'a Recorder,
+    salt: u64,
+    get: impl AsyncFnMut(Option<&mut StdRng>) -> Result<Payload, PlaneError> + 'a,
+) -> impl Future<Output = Option<Payload>> + 'a {
+    recovering(
+        &args.ctx,
+        args.faults.as_ref(),
+        args.node,
+        rec,
+        "consume",
+        args.rng_stream ^ 0xFA17 ^ salt,
+        get,
+        terminal,
+    )
+}
+
 /// DYAD producer process. Returns its Caliper-style profile.
 pub async fn producer_dyad(args: ProducerArgs, svc: Rc<DyadService>, rng_stream: u64) -> Profile {
     let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
     args.ctx.sleep(args.start_offset).await;
-    let policy = dyad::dyad_retry_policy();
     for frame in 0..args.frames {
         let payload = simulate_frame(&args, &rec, &mut sched, &mut rng, frame).await;
         let path = frame_path(args.pair, frame);
-        // Device-error windows are absorbed inside `try_produce`; a frame
-        // that is truly unwritable is tombstoned by the service and
-        // surfaces to consumers as a typed `FrameLost`.
+        // Device-error windows are absorbed inside `try_produce`.
         recovering(
             &args.ctx,
             args.faults.as_ref(),
             args.node,
             &rec,
             "produce",
-            &policy,
             rng_stream ^ 0xFA17,
-            async |rng| svc.try_produce(&rec, &path, &payload, &policy, rng).await,
-            |e| matches!(e, DyadError::Storage { .. }).then_some("produce_failures"),
+            async |rng| svc.try_produce(&rec, &path, &payload, rng).await,
+            terminal,
         )
         .await;
     }
@@ -456,21 +486,11 @@ pub async fn consumer_dyad(args: ConsumerArgs, svc: Rc<DyadService>) -> Profile 
     let mut session: DyadConsumer = svc.consumer_with_id(&format!("c{}", args.pair));
     for frame in 0..args.frames {
         let path = frame_path(args.pair, frame);
-        // A `FrameLost` tombstone is terminal: typed, counted, and there
-        // is nothing to analyze — move to the next frame.
-        let data = recovering(
-            &args.ctx,
-            args.faults.as_ref(),
-            args.node,
-            &rec,
-            "consume",
-            &dyad::dyad_retry_policy(),
-            args.rng_stream ^ 0xFA17 ^ frame,
-            async |_| session.try_consume(&rec, &path).await,
-            |e| matches!(e, DyadError::FrameLost { .. }).then_some("frames_lost_observed"),
-        )
-        .await;
-        let Some(data) = data else { continue };
+        let get = consume_recovering(&args, &rec, frame, async |_| {
+            session.try_consume(&rec, &path).await
+        });
+        // A typed loss has nothing to analyze; move to the next frame.
+        let Some(data) = get.await else { continue };
         deserialize_and_validate(&args, &rec, &data, frame).await;
         analytics(&args, &rec, &mut rng, 1).await;
     }
@@ -581,14 +601,14 @@ pub async fn producer_dyad_on_pfs(
         let size = transport::payload_len(&payload);
         let path = frame_path(args.pair, frame);
         {
-            let g = rec.region("dyad_produce");
+            let g = rec.region(dyad::PLANE.put);
             {
-                let w = rec.region("dyad_prod_write");
+                let w = rec.region(dyad::PLANE.put_write);
                 storage.write_frame(&path, payload).await;
                 w.end();
             }
             {
-                let c = rec.region("dyad_commit");
+                let c = rec.region(dyad::PLANE.put_commit);
                 let meta = FrameMeta {
                     owner,
                     size,
@@ -602,7 +622,6 @@ pub async fn producer_dyad_on_pfs(
                     args.node,
                     &rec,
                     "produce",
-                    &dyad::dyad_retry_policy(),
                     rng_stream ^ 0xFA17,
                     async |_| kvs.try_commit(&path, meta.encode()).await,
                     |_| None,
@@ -632,9 +651,9 @@ pub async fn consumer_dyad_on_pfs(
         }
         let path = frame_path(args.pair, frame);
         let data = {
-            let g = rec.region("dyad_consume");
+            let g = rec.region(dyad::PLANE.get);
             {
-                let f = rec.region("dyad_fetch");
+                let f = rec.region(dyad::PLANE.get_sync);
                 let warm = warmed && warm_sync;
                 // Warm: one cheap lookup; cold (or not yet published): the
                 // parked watch. A frame whose metadata stays unreachable
@@ -645,7 +664,6 @@ pub async fn consumer_dyad_on_pfs(
                     args.node,
                     &rec,
                     "consume",
-                    &dyad::dyad_retry_policy(),
                     args.rng_stream ^ 0xFA17 ^ frame,
                     async |_| {
                         if warm && kvs.try_lookup(&path).await?.is_some() {
@@ -662,7 +680,7 @@ pub async fn consumer_dyad_on_pfs(
                 warmed = true;
                 f.end();
             }
-            let r = rec.region("read_single_buf");
+            let r = rec.region(staging::plane::READ);
             let data = storage.read_frame(&path).await;
             r.end();
             g.end();
@@ -712,6 +730,19 @@ impl StreamRole {
         }
     }
 
+    /// The consumption-ack id of group member `sub_idx`: what its session
+    /// acks under, the publisher's window waits on and the publisher
+    /// node's staging manager has registered. Partitioned members share
+    /// one id (each step has one assignee); a fan-in group has only its
+    /// reducer.
+    pub fn session_id(&self, sub_idx: u32) -> String {
+        match self.mode {
+            _ if self.fanin > 1 => format!("g{}r", self.group),
+            streaming::GroupMode::Broadcast => format!("g{}s{sub_idx}", self.group),
+            streaming::GroupMode::Partitioned => format!("g{}p", self.group),
+        }
+    }
+
     /// The ackers whose consumption releases `step`'s window slot:
     /// every broadcast subscriber, exactly the round-robin assignee of
     /// a partitioned group, or the fan-in group's single reducer.
@@ -737,7 +768,6 @@ pub async fn publisher_stream(
     let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
     args.ctx.sleep(args.start_offset).await;
     let mut publisher = svc.publisher();
-    let policy = streaming::stream_retry_policy();
     let agg = role.agg_frames.max(1);
     let steps = role.steps(args.frames);
     let mut frame = 0u64;
@@ -767,22 +797,20 @@ pub async fn publisher_stream(
         let ackers = role.step_ackers(step, &group_ackers);
         let name = role.step_name(role.leaf, step);
         // Window stalls and device errors are absorbed inside
-        // `try_publish`; a step that is truly unwritable is tombstoned by
-        // the service and surfaces to subscribers as a typed `StepLost`.
+        // `try_publish`.
         recovering(
             &args.ctx,
             args.faults.as_ref(),
             args.node,
             &rec,
             "produce",
-            &policy,
             rng_stream ^ 0xFA17 ^ step,
             async |rng| {
                 publisher
-                    .try_publish(&rec, &name, step, &payload, &ackers, &policy, rng)
+                    .try_publish(&rec, &name, step, &payload, &ackers, rng)
                     .await
             },
-            |e| matches!(e, StreamError::Storage { .. }).then_some("produce_failures"),
+            terminal,
         )
         .await;
     }
@@ -801,13 +829,7 @@ pub async fn subscriber_stream(
 ) -> Profile {
     let (rec, mut rng) = consumer_setup(&args);
     args.ctx.sleep(args.start_offset).await;
-    // Session id must match what the runner registered on the publisher
-    // node's staging manager (and what the publisher's window waits on).
-    let id = match role.mode {
-        streaming::GroupMode::Broadcast => format!("g{}s{}", role.group, sub_idx),
-        streaming::GroupMode::Partitioned => format!("g{}p", role.group),
-    };
-    let mut session = svc.subscriber(&id);
+    let mut session = svc.subscriber(&role.session_id(sub_idx));
     let agg = role.agg_frames.max(1);
     let steps = role.steps(args.frames);
     for step in 0..steps {
@@ -815,40 +837,17 @@ pub async fn subscriber_stream(
             continue;
         }
         let name = role.step_name(0, step);
-        let data = consume_step_recovering(&args, &mut session, &rec, &name, step).await;
+        let get = consume_recovering(&args, &rec, step, async |_| {
+            session.try_consume_step(&rec, &name).await
+        });
         // A typed loss has nothing to analyze; move to the next step.
-        let Some(data) = data else { continue };
+        let Some(data) = get.await else { continue };
         let first = step * agg;
         let in_step = agg.min(args.frames - first);
         deserialize_step(&args, &rec, &data, first, in_step).await;
         analytics(&args, &rec, &mut rng, in_step).await;
     }
     rec.finish()
-}
-
-/// One streaming consume under the run's fault model; `salt` keys the
-/// backoff-jitter stream (step index, plus the leaf for reducers). A
-/// `StepLost` tombstone is terminal and yields `None`, counted in the
-/// `frames_lost_observed` metric.
-async fn consume_step_recovering(
-    args: &ConsumerArgs,
-    session: &mut streaming::StreamSubscriber,
-    rec: &Recorder,
-    name: &str,
-    salt: u64,
-) -> Option<Payload> {
-    recovering(
-        &args.ctx,
-        args.faults.as_ref(),
-        args.node,
-        rec,
-        "consume",
-        &streaming::stream_retry_policy(),
-        args.rng_stream ^ 0xFA17 ^ salt,
-        async |_| session.try_consume_step(rec, name).await,
-        |e| matches!(e, StreamError::StepLost { .. }).then_some("frames_lost_observed"),
-    )
-    .await
 }
 
 /// Streaming fan-in reducer: consumes one step from every leaf
@@ -862,7 +861,7 @@ pub async fn reducer_stream(
 ) -> Profile {
     let (rec, mut rng) = consumer_setup(&args);
     args.ctx.sleep(args.start_offset).await;
-    let mut session = svc.subscriber(&format!("g{}r", role.group));
+    let mut session = svc.subscriber(&role.session_id(0));
     let tree = streaming::ReductionTree::new(role.fanin as usize);
     let agg = role.agg_frames.max(1);
     let steps = role.steps(args.frames);
@@ -872,8 +871,10 @@ pub async fn reducer_stream(
         for leaf in 0..role.fanin {
             let name = role.step_name(leaf, step);
             let salt = step ^ (u64::from(leaf) << 32);
-            let data = consume_step_recovering(&args, &mut session, &rec, &name, salt).await;
-            let Some(data) = data else { continue };
+            let get = consume_recovering(&args, &rec, salt, async |_| {
+                session.try_consume_step(&rec, &name).await
+            });
+            let Some(data) = get.await else { continue };
             leaf_bytes.push(transport::payload_len(&data));
             if head.is_none() {
                 head = Some(data);

@@ -4,9 +4,33 @@
 //! has four operations and the simulation only needs lengths to be
 //! realistic, but encoding/decoding real bytes keeps the substrate honest
 //! (payload sizes on the wire match what a real broker would move).
+//! Decoders read through checked helpers and return [`CodecError`] on
+//! bytes no encoder here wrote.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use simcore::intern::{intern, Symbol};
+
+/// Why wire bytes did not decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CodecError {
+    /// The message ends inside a field it announces.
+    Truncated,
+    /// The leading tag names no message of this kind.
+    UnknownOp(u8),
+    /// A key is not UTF-8.
+    KeyNotUtf8,
+}
+
+impl std::fmt::Display for CodecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CodecError::Truncated => write!(f, "message ends inside a field"),
+            CodecError::UnknownOp(op) => write!(f, "unknown message tag {op}"),
+            CodecError::KeyNotUtf8 => write!(f, "key is not UTF-8"),
+        }
+    }
+}
+impl std::error::Error for CodecError {}
 
 /// Operations understood by the broker.
 ///
@@ -103,13 +127,36 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
+/// The next big-endian integer: `get_int(raw, u64::from_be_bytes)`.
+fn get_int<const N: usize, T>(raw: &mut Bytes, from: fn([u8; N]) -> T) -> Result<T, CodecError> {
+    let bytes = raw.get(..N).ok_or(CodecError::Truncated)?;
+    let v = from(bytes.try_into().expect("sliced to N bytes"));
+    raw.advance(N);
+    Ok(v)
+}
+
+/// The next `len` bytes, sharing the wire buffer.
+fn get_blob(raw: &mut Bytes, len: usize) -> Result<Bytes, CodecError> {
+    if raw.len() < len {
+        return Err(CodecError::Truncated);
+    }
+    Ok(raw.split_to(len))
+}
+
+/// A `u32`-length-prefixed value.
+fn get_value(raw: &mut Bytes) -> Result<Bytes, CodecError> {
+    let len = get_int(raw, u32::from_be_bytes)? as usize;
+    get_blob(raw, len)
+}
+
 /// Decode a length-prefixed key without allocating: the symbol is
 /// interned straight from the wire buffer's bytes.
-fn get_sym(buf: &mut Bytes) -> Symbol {
-    let len = buf.get_u16() as usize;
-    let sym = intern(std::str::from_utf8(&buf[..len]).expect("kvs keys are UTF-8"));
-    buf.advance(len);
-    sym
+fn get_sym(raw: &mut Bytes) -> Result<Symbol, CodecError> {
+    let len = get_int(raw, u16::from_be_bytes)? as usize;
+    let text = raw.get(..len).ok_or(CodecError::Truncated)?;
+    let sym = intern(std::str::from_utf8(text).map_err(|_| CodecError::KeyNotUtf8)?);
+    raw.advance(len);
+    Ok(sym)
 }
 
 impl Request {
@@ -162,39 +209,36 @@ impl Request {
         }
     }
 
-    /// Decode from wire bytes. Panics on malformed input (the simulation
-    /// is a closed world; corruption would be a program bug).
-    pub fn decode(mut raw: Bytes) -> Request {
-        match raw.get_u8() {
-            OP_COMMIT => {
-                let key = get_sym(&mut raw);
-                let len = raw.get_u32() as usize;
-                let value = raw.split_to(len);
-                Request::Commit { key, value }
-            }
-            OP_LOOKUP => Request::Lookup {
-                key: get_sym(&mut raw),
+    /// Decode from wire bytes; values share the buffer.
+    pub fn try_decode(mut raw: Bytes) -> Result<Request, CodecError> {
+        let raw = &mut raw;
+        Ok(match get_int(raw, u8::from_be_bytes)? {
+            OP_COMMIT => Request::Commit {
+                key: get_sym(raw)?,
+                value: get_value(raw)?,
             },
-            OP_WAIT => Request::WaitKey {
-                key: get_sym(&mut raw),
-            },
-            OP_UNLINK => Request::Unlink {
-                key: get_sym(&mut raw),
-            },
+            OP_LOOKUP => Request::Lookup { key: get_sym(raw)? },
+            OP_WAIT => Request::WaitKey { key: get_sym(raw)? },
+            OP_UNLINK => Request::Unlink { key: get_sym(raw)? },
             OP_DELTA => {
-                let key = get_sym(&mut raw);
-                let origin = raw.get_u32();
-                let seq = raw.get_u64();
-                let n_deps = raw.get_u16() as usize;
-                let deps = (0..n_deps)
-                    .map(|_| (raw.get_u32(), raw.get_u64()))
-                    .collect();
-                let value = match raw.get_u8() {
+                let key = get_sym(raw)?;
+                let origin = get_int(raw, u32::from_be_bytes)?;
+                let seq = get_int(raw, u64::from_be_bytes)?;
+                let n_deps = get_int(raw, u16::from_be_bytes)? as usize;
+                // Bounded by the bytes present before allocating.
+                if raw.len() < n_deps * 12 {
+                    return Err(CodecError::Truncated);
+                }
+                let dep = |raw: &mut Bytes| {
+                    Ok((
+                        get_int(raw, u32::from_be_bytes)?,
+                        get_int(raw, u64::from_be_bytes)?,
+                    ))
+                };
+                let deps = (0..n_deps).map(|_| dep(raw)).collect::<Result<_, _>>()?;
+                let value = match get_int(raw, u8::from_be_bytes)? {
                     0 => None,
-                    _ => {
-                        let len = raw.get_u32() as usize;
-                        Some(raw.split_to(len))
-                    }
+                    _ => Some(get_value(raw)?),
                 };
                 Request::Delta {
                     key,
@@ -204,8 +248,14 @@ impl Request {
                     value,
                 }
             }
-            op => panic!("unknown kvs request op {op}"),
-        }
+            op => return Err(CodecError::UnknownOp(op)),
+        })
+    }
+
+    /// [`Request::try_decode`] for bytes an encoder here wrote (the
+    /// simulation is a closed world; corruption would be a program bug).
+    pub fn decode(raw: Bytes) -> Request {
+        Self::try_decode(raw).expect("malformed kvs request")
     }
 }
 
@@ -244,24 +294,28 @@ impl Response {
         buf.freeze()
     }
 
-    /// Decode from wire bytes.
-    pub fn decode(mut raw: Bytes) -> Response {
-        match raw.get_u8() {
+    /// Decode from wire bytes; a value shares the buffer.
+    pub fn try_decode(mut raw: Bytes) -> Result<Response, CodecError> {
+        let raw = &mut raw;
+        Ok(match get_int(raw, u8::from_be_bytes)? {
             RESP_COMMITTED => Response::Committed {
-                version: raw.get_u64(),
+                version: get_int(raw, u64::from_be_bytes)?,
             },
-            RESP_VALUE => {
-                let version = raw.get_u64();
-                let len = raw.get_u32() as usize;
-                let value = raw.split_to(len);
-                Response::Value { version, value }
-            }
+            RESP_VALUE => Response::Value {
+                version: get_int(raw, u64::from_be_bytes)?,
+                value: get_value(raw)?,
+            },
             RESP_NOT_FOUND => Response::NotFound,
             RESP_UNLINKED => Response::Unlinked,
             RESP_DELTA_ACK => Response::DeltaAck,
             RESP_SHARD_DOWN => Response::ShardDown,
-            op => panic!("unknown kvs response op {op}"),
-        }
+            op => return Err(CodecError::UnknownOp(op)),
+        })
+    }
+
+    /// [`Response::try_decode`] for bytes an encoder here wrote.
+    pub fn decode(raw: Bytes) -> Response {
+        Self::try_decode(raw).expect("malformed kvs response")
     }
 }
 
@@ -311,6 +365,32 @@ mod tests {
     }
 
     #[test]
+    fn malformed_bytes_are_typed_errors() {
+        let lookup = |key: &[u8]| {
+            let mut raw = vec![OP_LOOKUP];
+            raw.extend_from_slice(&(key.len() as u16).to_be_bytes());
+            raw.extend_from_slice(key);
+            Request::try_decode(Bytes::from(raw))
+        };
+        assert_eq!(lookup(b"k"), Ok(Request::Lookup { key: intern("k") }));
+        assert_eq!(lookup(&[0xff, 0xfe]), Err(CodecError::KeyNotUtf8));
+        let req = |raw: &'static [u8]| Request::try_decode(Bytes::from_static(raw));
+        assert_eq!(req(&[9, 0, 0]), Err(CodecError::UnknownOp(9)));
+        assert_eq!(req(&[]), Err(CodecError::Truncated));
+        // A delta announcing more dependencies than it carries.
+        let mut delta = vec![OP_DELTA, 0, 0];
+        delta.extend_from_slice(&[0; 12]);
+        delta.extend_from_slice(&[0xff, 0xff]);
+        assert_eq!(
+            Request::try_decode(Bytes::from(delta)),
+            Err(CodecError::Truncated)
+        );
+        let resp = |raw: &'static [u8]| Response::try_decode(Bytes::from_static(raw));
+        assert_eq!(resp(&[0]), Err(CodecError::UnknownOp(0)));
+        assert_eq!(resp(&[RESP_VALUE, 0, 0]), Err(CodecError::Truncated));
+    }
+
+    #[test]
     fn response_round_trips() {
         for resp in [
             Response::Committed { version: 42 },
@@ -345,6 +425,54 @@ mod tests {
                                  value in proptest::collection::vec(any::<u8>(), 0..1024)) {
                 let resp = Response::Value { version, value: Bytes::from(value) };
                 prop_assert_eq!(Response::decode(resp.encode()), resp);
+            }
+
+            // Decoders answer any bytes with a value or a typed error —
+            // never a panic or an out-of-bounds index — and every strict
+            // prefix of a valid message with `Truncated`.
+            #[test]
+            fn decoders_never_panic(
+                noise in proptest::collection::vec(any::<u8>(), 0..96),
+                key in "[a-z/._0-9]{0,24}",
+                words in (any::<u32>(), any::<u64>()),
+                deps in proptest::collection::vec((any::<u32>(), any::<u64>()), 0..6),
+                value in proptest::collection::vec(any::<u8>(), 0..48),
+            ) {
+                type Decoder = fn(Bytes) -> Result<(), CodecError>;
+                let decoders: [Decoder; 2] = [
+                    |raw| Request::try_decode(raw).map(drop),
+                    |raw| Response::try_decode(raw).map(drop),
+                ];
+                for decode in decoders {
+                    let _ = decode(Bytes::from(noise.clone()));
+                    // A plausible tag in front reaches the field readers.
+                    for tag in 0..=7u8 {
+                        let mut tagged = vec![tag];
+                        tagged.extend_from_slice(&noise);
+                        let _ = decode(Bytes::from(tagged));
+                    }
+                }
+                let [request, response] = decoders;
+                let (origin, seq) = words;
+                let (key, value) = (intern(&key), Bytes::from(value));
+                let valid = [
+                    (Request::Commit { key, value: value.clone() }.encode(), request),
+                    (Request::Lookup { key }.encode(), request),
+                    (Request::WaitKey { key }.encode(), request),
+                    (Request::Unlink { key }.encode(), request),
+                    (Request::Delta { key, origin, seq, deps: deps.clone(), value: None }.encode(), request),
+                    (Request::Delta { key, origin, seq, deps, value: Some(value.clone()) }.encode(), request),
+                    (Response::Committed { version: seq }.encode(), response),
+                    (Response::Value { version: seq, value }.encode(), response),
+                    (Response::NotFound.encode(), response),
+                    (Response::ShardDown.encode(), response),
+                ];
+                for (wire, decode) in valid {
+                    prop_assert_eq!(decode(wire.clone()), Ok(()));
+                    for cut in 0..wire.len() {
+                        prop_assert_eq!(decode(wire.slice(..cut)), Err(CodecError::Truncated));
+                    }
+                }
             }
 
             #[test]

@@ -25,7 +25,7 @@
 mod codec;
 pub mod mesh;
 
-pub use codec::{Request, Response};
+pub use codec::{CodecError, Request, Response};
 pub use mesh::{
     preference_list, shard_for, CausalBuffer, Delta, KvsHandle, KvsMesh, MeshKvsClient,
     MeshTopology,

@@ -5,12 +5,10 @@
 //! engine — a Lennard-Jones fluid in reduced units with cell-list
 //! neighbour search, velocity-Verlet integration and a Berendsen
 //! thermostat — so the examples and analytics operate on genuine
-//! trajectories. The force loop is data-parallel with rayon, following
-//! the HPC-parallel guidance for this workspace.
+//! trajectories. The force loop is one independent pass per atom.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 
 use crate::frame::Frame;
 use crate::models::Model;
@@ -172,7 +170,7 @@ impl MdEngine {
         }
     }
 
-    /// Lennard-Jones forces via the cell list, computed in parallel.
+    /// Lennard-Jones forces via the cell list, one pass per atom.
     fn compute_forces(&self) -> Vec<[f64; 3]> {
         let n = self.cells_per_side as isize;
         let rc2 = self.cfg.cutoff * self.cfg.cutoff;
@@ -181,7 +179,6 @@ impl MdEngine {
         let cells = &self.cells;
         let cell_of = &self.cell_of;
         (0..self.pos.len())
-            .into_par_iter()
             .map(|i| {
                 let pi = pos[i];
                 let ci = cell_of[i] as isize;
@@ -309,7 +306,6 @@ impl MdEngine {
         let box_len = self.box_len;
         let pos = &self.pos;
         let pe: f64 = (0..pos.len())
-            .into_par_iter()
             .map(|i| {
                 let mut e = 0.0;
                 for j in 0..pos.len() {

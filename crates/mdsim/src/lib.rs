@@ -8,7 +8,7 @@
 //! * [`Frame`] / [`FrameHeader`] — the frame wire format (48-byte header
 //!   + 28 bytes/atom, reproducing Table I's frame sizes exactly);
 //! * [`MdEngine`] + [`CaptureHook`] — a real Lennard-Jones MD engine
-//!   with rayon-parallel forces and a Plumed-like stride capture hook,
+//!   with a Plumed-like stride capture hook,
 //!   used by the examples and the analytics tests;
 //! * [`FrameTemplate`] + [`StepClock`] — the paper's emulation mode
 //!   (fixed ms/step sleeps, realistic frame payloads emitted zero-copy)

@@ -3,8 +3,6 @@
 //! `cutoff + skin` are cached and only rebuilt once any atom has moved
 //! half the skin, amortizing the neighbour search over many steps.
 
-use rayon::prelude::*;
-
 /// A cached neighbour list with a skin buffer.
 #[derive(Debug, Clone)]
 pub struct VerletList {
@@ -42,7 +40,6 @@ impl VerletList {
         let r2 = r_list * r_list;
         let box_len = self.box_len;
         self.neighbors = (0..positions.len())
-            .into_par_iter()
             .map(|i| {
                 let mut n = Vec::new();
                 for (j, pj) in positions.iter().enumerate() {
@@ -69,18 +66,15 @@ impl VerletList {
     /// Has any atom moved more than half the skin since the last build?
     pub fn needs_rebuild(&self, positions: &[[f64; 3]]) -> bool {
         let limit = (self.skin / 2.0) * (self.skin / 2.0);
-        positions
-            .par_iter()
-            .zip(self.built_at.par_iter())
-            .any(|(p, b)| {
-                let mut d2 = 0.0;
-                for k in 0..3 {
-                    let mut d = p[k] - b[k];
-                    d -= self.box_len * (d / self.box_len).round();
-                    d2 += d * d;
-                }
-                d2 > limit
-            })
+        positions.iter().zip(self.built_at.iter()).any(|(p, b)| {
+            let mut d2 = 0.0;
+            for k in 0..3 {
+                let mut d = p[k] - b[k];
+                d -= self.box_len * (d / self.box_len).round();
+                d2 += d * d;
+            }
+            d2 > limit
+        })
     }
 
     /// Ensure the list is valid for `positions`, rebuilding if needed.
@@ -104,14 +98,13 @@ impl VerletList {
         &self.neighbors[i]
     }
 
-    /// Lennard-Jones forces using the cached list (parallel over atoms).
+    /// Lennard-Jones forces using the cached list (one pass per atom).
     /// Exactly matches the engine's cell-list forces as long as the list
     /// is fresh (every true pair within the cutoff is a candidate).
     pub fn lj_forces(&self, positions: &[[f64; 3]]) -> Vec<[f64; 3]> {
         let rc2 = self.cutoff * self.cutoff;
         let box_len = self.box_len;
         (0..positions.len())
-            .into_par_iter()
             .map(|i| {
                 let pi = positions[i];
                 let mut f = [0.0f64; 3];

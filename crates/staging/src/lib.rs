@@ -34,8 +34,13 @@
 //!
 //! Frame metadata ([`FrameMeta`]) lives here rather than in `dyad`
 //! because the evictor rewrites it on spill; `dyad` re-exports it.
+//!
+//! [`plane`] is the data plane the lifecycle serves: the one put / get
+//! body `dyad` and `streaming` both run.
 
 #![warn(missing_docs)]
+
+pub mod plane;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -12,8 +12,9 @@
 //!
 //! * **Publishers** aggregate frames into steps, write them to
 //!   node-local storage, and publish `(owner, size)` step metadata to
-//!   the [`kvs`] — the same rendezvous path DYAD uses, so the two
-//!   backends differ only in protocol, not in plumbing.
+//!   the [`kvs`] — the rendezvous path DYAD uses. The two backends differ
+//!   only in protocol, not in plumbing: the plumbing is
+//!   [`staging::plane`], of which this crate holds the [`PLANE`] row.
 //! * A **bounded in-flight window** ([`StreamWindow`]) backpressures the
 //!   publisher: at most `window` unacknowledged steps may be open.
 //!   Release rides the *existing* staging consumption-ack keys
@@ -28,12 +29,11 @@
 //! * Under a fault plan, a crashed subscriber's window slots can be
 //!   **reclaimed** (`reclaim_on_crash`) instead of head-of-line
 //!   stalling the publisher until the restart.
-//! * Each operation has **one body** (`try_publish`,
-//!   `try_consume_step`) returning a typed [`StreamError`]; the fault
-//!   board's absence is the infallible case, which `publish` and
-//!   `consume_step` unwrap. Policies that differ under a board (window
-//!   wait, local-write retry, re-resolve backoff, attempt bound) select
-//!   on `Transport::faults()` and nothing else.
+//! * `try_publish` and `try_consume_step` return the plane's typed
+//!   [`PlaneError`]; the fault board's absence is the infallible case,
+//!   which `publish` and `consume_step` unwrap. How the window waits is
+//!   the one policy here that differs under a board, selected on
+//!   `Transport::faults()` like the plane's own.
 //!
 //! Every phase is wrapped in [`instrument`] regions (`stream_publish`,
 //! `stream_window_wait`, `stream_sync`, `stream_get_data`, ...) so the
@@ -44,28 +44,44 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use cluster::NodeId;
-use faults::{FaultBoard, RetryPolicy};
+use faults::FaultBoard;
 use instrument::Recorder;
 use kvs::KvsHandle;
-use localfs::{FsResult, LocalFs, LockKind};
+use localfs::LocalFs;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use simcore::resource::FifoResource;
 use simcore::{Ctx, SimDuration};
+use staging::plane::{Backend, Plane, PlaneSpec, PlaneStats, Session};
 use staging::{ack_key, StagingManager};
-use transport::{AmId, Endpoint, LocalBoxFuture, Payload, Transport, TransportError};
+use transport::{AmId, Payload, Transport, TransportError};
 
+pub use staging::plane::PlaneError;
 pub use staging::{FrameLocation, FrameMeta};
 
-/// The AM id of the per-node stream data service ("ST").
-pub const STREAM_AM: AmId = AmId(0x5354);
+/// The window stall inside `stream_publish`.
+const WINDOW_WAIT: &str = "stream_window_wait";
 
-/// Root of the stream-managed directory on every node's local fs.
-pub const DEFAULT_MANAGED_DIR: &str = "/stream";
+/// Streaming's row of the staged plane (AM id "ST").
+pub const PLANE: Backend = Backend {
+    am: AmId(0x5354),
+    managed_dir: "/stream",
+    rng_salt: 0x5354_0000,
+    ack_unstaged: true,
+    put: "stream_publish",
+    put_idle: &[WINDOW_WAIT, staging::plane::BACKPRESSURE],
+    put_write: "stream_write",
+    put_commit: "stream_commit",
+    get: "stream_consume",
+    get_flock: "stream_sync",
+    get_sync: "stream_sync",
+    get_data: "stream_get_data",
+    get_store: "stream_cons_store",
+    get_pfs: "stream_pfs_fallback",
+};
 
 // ---------------------------------------------------------------------------
 // Subscriber groups
@@ -355,92 +371,17 @@ impl ReductionTree {
 }
 
 // ---------------------------------------------------------------------------
-// Errors and policy
-// ---------------------------------------------------------------------------
-
-/// Errors of [`StreamPublisher::try_publish`] and
-/// [`StreamSubscriber::try_consume_step`], the only publish/consume
-/// bodies. Most arise only under a fault plan; a tombstoned or
-/// unresolvable step and a failed local write are typed without one too.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StreamError {
-    /// Every copy of the step is gone (publisher node crashed before
-    /// the step could be re-homed).
-    StepLost {
-        /// Managed path of the lost step.
-        path: String,
-    },
-    /// A transport-level failure survived the retry budget.
-    Transport(TransportError),
-    /// Local storage kept failing while writing the step.
-    Storage {
-        /// Managed path of the step being written.
-        path: String,
-    },
-    /// The step could not be resolved to a live copy within the
-    /// retry budget.
-    Unresolvable {
-        /// Managed path of the step.
-        path: String,
-        /// Fetch attempts made.
-        attempts: u32,
-    },
-}
-
-impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::StepLost { path } => write!(f, "step {path} lost (no surviving copy)"),
-            StreamError::Transport(e) => write!(f, "transport failure: {e}"),
-            StreamError::Storage { path } => write!(f, "local storage failure writing {path}"),
-            StreamError::Unresolvable { path, attempts } => {
-                write!(f, "step {path} unresolvable after {attempts} attempts")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StreamError {}
-
-impl From<TransportError> for StreamError {
-    fn from(e: TransportError) -> Self {
-        StreamError::Transport(e)
-    }
-}
-
-/// Retry policy shaping the streaming recovery loops; same envelope as
-/// DYAD's (outages last milliseconds-to-seconds).
-pub fn stream_retry_policy() -> RetryPolicy {
-    RetryPolicy {
-        base: SimDuration::from_millis(1),
-        cap: SimDuration::from_millis(500),
-        max_attempts: 12,
-        jitter_frac: 0.25,
-        attempt_timeout: SimDuration::from_millis(100),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Spec + stats
 // ---------------------------------------------------------------------------
 
 /// Streaming tuning parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct StreamSpec {
-    /// Root of the stream-managed directory on every node's local fs.
-    pub managed_dir: String,
+    /// What streaming shares with every staged backend (the commit
+    /// overhead is the SST marshaling cost of a step).
+    pub plane: PlaneSpec,
     /// Bounded in-flight window: max unacked steps per publisher.
     pub window: u32,
-    /// CPU overhead of step assembly + metadata publication per step
-    /// (the SST marshaling cost).
-    pub publish_overhead: SimDuration,
-    /// Service threads in the per-node step service.
-    pub service_threads: u64,
-    /// Request-processing time in the step service (excluding I/O).
-    pub service_time: SimDuration,
-    /// Enable the warm lookup fast path (disable to force KVS waits on
-    /// every access).
-    pub warm_sync: bool,
     /// Under a fault plan, reclaim window slots held by subscribers on
     /// crashed nodes instead of head-of-line stalling until restart.
     pub reclaim_on_crash: bool,
@@ -452,29 +393,20 @@ pub struct StreamSpec {
 impl Default for StreamSpec {
     fn default() -> Self {
         StreamSpec {
-            managed_dir: DEFAULT_MANAGED_DIR.to_string(),
+            plane: PlaneSpec {
+                commit_overhead: SimDuration::from_micros(40),
+                ..PlaneSpec::default()
+            },
             window: 4,
-            publish_overhead: SimDuration::from_micros(40),
-            service_threads: 4,
-            service_time: SimDuration::from_micros(10),
-            warm_sync: true,
             reclaim_on_crash: true,
             stall_poll: SimDuration::from_millis(2),
         }
     }
 }
 
-/// Operation counters for one node's stream service.
+/// Window counters of one node's publishers.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Steps published through this service.
-    pub steps_published: u64,
-    /// Steps consumed through this service.
-    pub steps_consumed: u64,
-    /// Bytes published.
-    pub bytes_published: u64,
-    /// Bytes consumed.
-    pub bytes_consumed: u64,
+pub struct WindowStats {
     /// Publishes that found the window full and had to wait.
     pub window_stalls: u64,
     /// Total nanoseconds spent stalled on a full window.
@@ -483,19 +415,6 @@ pub struct StreamStats {
     pub slots_reclaimed: u64,
     /// Window ack-refresh sweeps (KVS ack-key reads).
     pub ack_refreshes: u64,
-    /// Remote step fetches served *by* this node (owner side).
-    pub fetches_served: u64,
-    /// Consumptions that parked in a KVS watch (cold syncs).
-    pub cold_syncs: u64,
-    /// Consumptions satisfied by the warm fast path.
-    pub warm_syncs: u64,
-    /// Consumptions that found the data already node-local.
-    pub local_hits: u64,
-}
-
-struct ServiceInner {
-    stats: StreamStats,
-    dirs_made: std::collections::HashSet<String>,
 }
 
 // ---------------------------------------------------------------------------
@@ -506,14 +425,9 @@ struct ServiceInner {
 /// serves remote step-fetch requests, and opens publisher/subscriber
 /// sessions.
 pub struct StreamService {
-    ctx: Ctx,
-    node: NodeId,
-    fs: LocalFs,
-    kvs: KvsHandle,
-    ep: Endpoint,
-    spec: Rc<StreamSpec>,
-    staging: Option<Rc<StagingManager>>,
-    inner: Rc<RefCell<ServiceInner>>,
+    plane: Plane,
+    spec: StreamSpec,
+    window: RefCell<WindowStats>,
 }
 
 impl StreamService {
@@ -530,11 +444,9 @@ impl StreamService {
         Self::start_staged(ctx, tp, node, fs, kvs, spec, None)
     }
 
-    /// Start the stream service on `node` under a [`StagingManager`]:
-    /// publishes pass admission control and register in the staged-frame
-    /// lifecycle; subscribers publish consumption acks that drive both
-    /// retention *and* window release. Registers the data-service
-    /// handler answering `stream_get_data` requests from other nodes.
+    /// Start the stream service on `node` under a [`StagingManager`]
+    /// (see [`Plane::start`]): subscribers' consumption acks drive both
+    /// retention *and* window release.
     pub fn start_staged(
         ctx: &Ctx,
         tp: &Transport,
@@ -544,97 +456,22 @@ impl StreamService {
         spec: StreamSpec,
         staging: Option<Rc<StagingManager>>,
     ) -> Rc<StreamService> {
-        let spec = Rc::new(spec);
-        let inner = Rc::new(RefCell::new(ServiceInner {
-            stats: StreamStats::default(),
-            dirs_made: std::collections::HashSet::new(),
-        }));
-        let service = FifoResource::new(ctx, spec.service_threads);
-        let svc = Rc::new(StreamService {
-            ctx: ctx.clone(),
-            node,
-            fs: fs.clone(),
-            kvs: kvs.into(),
-            ep: tp.endpoint(node),
-            spec: spec.clone(),
-            staging,
-            inner: inner.clone(),
-        });
-        let hfs = fs;
-        let hspec = spec;
-        let hinner = inner;
-        tp.register_bulk(
-            node,
-            STREAM_AM,
-            Rc::new(move |hdr: Bytes, _payload: Payload| {
-                let fs = hfs.clone();
-                let spec = hspec.clone();
-                let inner = hinner.clone();
-                let service = service.clone();
-                Box::pin(async move {
-                    service.request(spec.service_time).await;
-                    let path = String::from_utf8(hdr.to_vec()).expect("utf-8 path");
-                    let data = match fs.open(&path).await {
-                        Ok(fd) => {
-                            let segs = fs.read_segments(fd).await.unwrap_or_default();
-                            let _ = fs.close(fd).await;
-                            segs
-                        }
-                        Err(_) => Vec::new(),
-                    };
-                    inner.borrow_mut().stats.fetches_served += 1;
-                    (Bytes::new(), data)
-                }) as LocalBoxFuture<(Bytes, Payload)>
-            }),
-        );
-        svc
+        Rc::new(StreamService {
+            plane: Plane::start(ctx, tp, node, fs, kvs.into(), staging, &PLANE, spec.plane),
+            spec,
+            window: RefCell::default(),
+        })
     }
 
-    /// The node this service runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
+    /// Plane counters (steps published are its puts, steps consumed its
+    /// gets).
+    pub fn stats(&self) -> PlaneStats {
+        self.plane.stats()
     }
 
-    /// Operation counters.
-    pub fn stats(&self) -> StreamStats {
-        self.inner.borrow().stats
-    }
-
-    /// The managed path for a logical step name.
-    pub fn managed_path(&self, name: &str) -> String {
-        format!("{}/{}", self.spec.managed_dir, name.trim_start_matches('/'))
-    }
-
-    async fn ensure_dirs(&self, path: &str) {
-        let Some(dir) = path.rsplit_once('/').map(|(d, _)| d.to_string()) else {
-            return;
-        };
-        let need = !self.inner.borrow().dirs_made.contains(&dir);
-        if need {
-            let _ = self.fs.mkdir_p(&dir).await;
-            self.inner.borrow_mut().dirs_made.insert(dir);
-        }
-    }
-
-    /// Write a step (or a fetched copy of one) to the managed directory
-    /// with atomic `tmp`+rename publication; on failure the tmp file is
-    /// removed so a retry starts clean.
-    async fn write_step(&self, path: &str, tmp: &str, step: &[Bytes]) -> FsResult<()> {
-        self.ensure_dirs(path).await;
-        let res: FsResult<()> = async {
-            let fd = self.fs.create(tmp).await?;
-            for seg in step {
-                self.fs.write_bytes(fd, seg.clone()).await?;
-            }
-            self.fs.close(fd).await?;
-            self.fs.rename(tmp, path).await?;
-            Ok(())
-        }
-        .await;
-        if res.is_err() {
-            let _ = self.fs.unlink(tmp).await;
-        }
-        res
+    /// Window counters.
+    pub fn window_stats(&self) -> WindowStats {
+        *self.window.borrow()
     }
 
     /// Open a publisher session (owns a bounded in-flight window).
@@ -649,23 +486,9 @@ impl StreamService {
     /// (the id the workflow registered on the publisher's staging
     /// manager — acks under this id drive retention and window release).
     pub fn subscriber(self: &Rc<Self>, id: &str) -> StreamSubscriber {
-        // FNV-1a over the id gives each session its own deterministic
-        // backoff-jitter stream (only drawn from under a fault plan).
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in id.as_bytes() {
-            h = (h ^ u64::from(*b)).wrapping_mul(0x100000001b3);
-        }
-        let rng = StdRng::seed_from_u64(
-            self.ctx
-                .rng(0x5354_0000 ^ u64::from(self.node.0))
-                .random::<u64>()
-                ^ h,
-        );
         StreamSubscriber {
             svc: self.clone(),
-            id: id.to_string(),
-            warmed: false,
-            rng,
+            session: self.plane.session(id, false),
         }
     }
 }
@@ -692,18 +515,13 @@ impl StreamPublisher {
     async fn refresh_acks(&mut self) -> Result<(), TransportError> {
         for (step, path, waiters) in self.window.entries() {
             for a in waiters {
-                if self
-                    .svc
-                    .kvs
-                    .try_lookup(&ack_key(&path, &a.consumer))
-                    .await?
-                    .is_some()
-                {
+                let key = ack_key(&path, &a.consumer);
+                if self.svc.plane.kvs().try_lookup(&key).await?.is_some() {
                     self.window.ack(step, &a.consumer);
                 }
             }
         }
-        self.svc.inner.borrow_mut().stats.ack_refreshes += 1;
+        self.svc.window.borrow_mut().ack_refreshes += 1;
         Ok(())
     }
 
@@ -717,7 +535,7 @@ impl StreamPublisher {
         }
         let reclaimed = self.window.reclaim_down(|node| !board.node_up(node));
         if reclaimed > 0 {
-            self.svc.inner.borrow_mut().stats.slots_reclaimed += reclaimed;
+            self.svc.window.borrow_mut().slots_reclaimed += reclaimed;
         }
     }
 
@@ -729,13 +547,13 @@ impl StreamPublisher {
     /// crashed subscribers' slots each sweep when `reclaim_on_crash` is
     /// set.
     async fn await_window(&mut self, rec: &Recorder) -> Result<(), TransportError> {
-        let board = self.svc.ep.faults();
+        let board = self.svc.plane.faults();
         self.reclaim_crashed(board.as_ref());
         if self.window.can_open() {
             return Ok(());
         }
-        let w = rec.region("stream_window_wait");
-        let t0 = self.svc.ctx.now();
+        let w = rec.region(WINDOW_WAIT);
+        let t0 = self.svc.plane.ctx().now();
         let mut stalled = false;
         let res: Result<(), TransportError> = async {
             loop {
@@ -746,43 +564,36 @@ impl StreamPublisher {
                 }
                 stalled = true;
                 if board.is_some() {
-                    self.svc.ctx.sleep(self.svc.spec.stall_poll).await;
+                    let ctx = self.svc.plane.ctx();
+                    ctx.sleep(self.svc.spec.stall_poll).await;
                 } else {
                     let (_, path, consumer) = self
                         .window
                         .oldest_waiter()
                         .expect("full window has a waiter");
                     let key = ack_key(&path, &consumer);
-                    self.svc.kvs.try_wait_key(&key).await?;
+                    self.svc.plane.kvs().try_wait_key(&key).await?;
                 }
             }
         }
         .await;
         if stalled {
-            let mut inner = self.svc.inner.borrow_mut();
-            inner.stats.window_stalls += 1;
-            inner.stats.window_stall_ns += (self.svc.ctx.now() - t0).nanos();
+            let mut stats = self.svc.window.borrow_mut();
+            stats.window_stalls += 1;
+            stats.window_stall_ns += (self.svc.plane.ctx().now() - t0).nanos();
         }
         w.end();
         res
     }
 
     /// Publish step `seq` under logical name `name`: wait for a window
-    /// slot, write to node-local storage, then publish step metadata to
-    /// the KVS. `ackers` are the subscribers whose acks release the
-    /// slot (per-step, so partitioned groups pass only the assignee).
+    /// slot, then [`Plane::put`] the step (`jitter` is the caller's
+    /// backoff stream under a fault board). `ackers` are the subscribers
+    /// whose acks release the slot (per-step, so partitioned groups pass
+    /// only the assignee).
     ///
     /// Call tree: `stream_publish` → { `stream_window_wait`,
     /// `staging_backpressure`, `stream_write`, `stream_commit` }.
-    ///
-    /// Under a fault board, local writes retry through NVMe device-error
-    /// windows per `policy`, backing off on `jitter` — the caller's stream,
-    /// because its outer recovery loop draws from the same one; a board
-    /// without it is a caller bug. Without a board a failed write is final
-    /// and `jitter` is never touched. The metadata commit retries through
-    /// broker outages inside the KVS client. Fails typed once the budget
-    /// is exhausted.
-    #[allow(clippy::too_many_arguments)]
     pub async fn try_publish(
         &mut self,
         rec: &Recorder,
@@ -790,86 +601,20 @@ impl StreamPublisher {
         seq: u64,
         step: &[Bytes],
         ackers: &[StreamAcker],
-        policy: &RetryPolicy,
         jitter: Option<&mut StdRng>,
-    ) -> Result<(), StreamError> {
-        let path = self.svc.managed_path(name);
-        let size = transport::payload_len(step);
-        let mut jitter = (self.svc.ep.faults())
-            .map(|_| jitter.expect("under a fault board the caller passes its jitter stream"));
-        let g = rec.region("stream_publish");
-        // On any error below, `g` drops (closing the region) and the
-        // aborted slot is recycled so the outer retry starts clean.
+    ) -> Result<(), PlaneError> {
+        let _g = rec.region(PLANE.put);
         self.await_window(rec).await?;
+        let path = self.svc.plane.managed_path(name);
         self.window.open(seq, &path, ackers);
-        if let Some(st) = &self.svc.staging {
-            if st.would_block(size) {
-                let b = rec.region("staging_backpressure");
-                st.admit(size).await;
-                b.end();
-            }
-        }
-        let tmp = format!("{path}.tmp");
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let w = rec.region("stream_write");
-            let res = self.svc.write_step(&path, &tmp, step).await;
-            w.end();
-            match (res, jitter.as_deref_mut()) {
-                (Ok(()), _) => break,
-                (Err(_), Some(rng)) if attempts < policy.max_attempts => {
-                    rec.annotate("produce_retries", 1.0);
-                    let pause = policy.backoff(attempts - 1, rng);
-                    self.svc.ctx.sleep(pause).await;
-                }
-                (Err(_), _) => {
-                    // The step can never appear: publish a Lost
-                    // tombstone (best effort) so subscribers surface a
-                    // typed StepLost instead of parking forever.
-                    let meta = FrameMeta {
-                        owner: self.svc.node,
-                        size,
-                        location: FrameLocation::Lost,
-                    };
-                    let _ = self.svc.kvs.try_commit(&path, meta.encode()).await;
-                    // Nobody will ever ack a lost step; free its slot.
-                    self.window.abort(seq);
-                    g.end();
-                    return Err(StreamError::Storage { path });
-                }
-            }
-        }
-        if let Some(st) = &self.svc.staging {
-            st.frame_written(&path, size);
-        }
-        let commit_res = {
-            let c = rec.region("stream_commit");
-            self.svc.ctx.sleep(self.svc.spec.publish_overhead).await;
-            let meta = FrameMeta {
-                owner: self.svc.node,
-                size,
-                location: FrameLocation::Nvme,
-            };
-            let r = self.svc.kvs.try_commit(&path, meta.encode()).await;
-            c.end();
-            r
-        };
-        if let Err(e) = commit_res {
-            // Uncommitted steps are invisible to subscribers: no ack
-            // will ever arrive, so recycle the slot for the retry.
+        let put = self.svc.plane.put(rec, path, step, jitter).await;
+        if put.is_err() {
+            // A step that was not written is tombstoned and one that was
+            // not committed is invisible: nobody will ever ack either, so
+            // recycle the slot for the caller's retry.
             self.window.abort(seq);
-            g.end();
-            return Err(e.into());
         }
-        if let Some(st) = &self.svc.staging {
-            st.frame_published(&path);
-        }
-        g.end();
-        let mut inner = self.svc.inner.borrow_mut();
-        inner.stats.steps_published += 1;
-        inner.stats.bytes_published += size;
-        Ok(())
+        put
     }
 
     /// [`StreamPublisher::try_publish`] for callers running without a
@@ -882,7 +627,7 @@ impl StreamPublisher {
         step: Payload,
         ackers: &[StreamAcker],
     ) {
-        self.try_publish(rec, name, seq, &step, ackers, &stream_retry_policy(), None)
+        self.try_publish(rec, name, seq, &step, ackers, None)
             .await
             .expect("publish cannot fail without a fault board (local write error?)")
     }
@@ -896,186 +641,22 @@ impl StreamPublisher {
 /// consumption-ack identity).
 pub struct StreamSubscriber {
     svc: Rc<StreamService>,
-    id: String,
-    warmed: bool,
-    rng: StdRng,
+    session: Session,
 }
 
 impl StreamSubscriber {
-    /// The consumption-ack id this session acks with.
-    pub fn id(&self) -> &str {
-        &self.id
-    }
-
-    /// Whether this session has completed its cold first sync.
-    pub fn is_warm(&self) -> bool {
-        self.warmed
-    }
-
-    /// Consume a step by logical name, returning its payload and
-    /// asynchronously publishing the consumption ack that releases both
-    /// staging retention and the publisher's window slot.
+    /// Consume a step by logical name ([`Session::get`]), returning its
+    /// payload and asynchronously publishing the consumption ack that
+    /// releases both staging retention and the publisher's window slot.
     ///
     /// Call tree: `stream_consume` → { `stream_sync`,
     /// `stream_get_data`, `stream_cons_store`, `read_single_buf` }.
-    ///
-    /// Metadata ops and the RMA fetch ride the retrying clients (single
-    /// attempts that cannot fail without a fault board); with a board the
-    /// fetch falls back to a PFS spill copy when the owner is down. As in
-    /// `dyad`, two policies are selected on the board: the re-resolve
-    /// after a miss is immediate without one and backs off with one, and
-    /// the resolve loop is bounded by a defensive 8 attempts without one
-    /// and the policy's `max_attempts` with one
-    /// ([`StreamError::Unresolvable`]). `Lost` tombstones surface as
-    /// [`StreamError::StepLost`] either way.
-    pub async fn try_consume_step(
-        &mut self,
-        rec: &Recorder,
-        name: &str,
-    ) -> Result<Payload, StreamError> {
-        let svc = self.svc.clone();
-        let path = svc.managed_path(name);
-        let policy = stream_retry_policy();
-        let faulted = svc.ep.faults().is_some();
-        let max_attempts = if faulted { policy.max_attempts } else { 8 };
-        let g = rec.region("stream_consume");
-
-        // --- Synchronization ------------------------------------------
-        // Local presence first: a flock probe suffices once the
-        // publisher shares our filesystem.
-        let mut data: Option<Payload> = None;
-        if svc.fs.exists(&path) {
-            let f = rec.region("stream_sync");
-            let locked = svc.fs.flock(&path, LockKind::Shared).await.is_ok();
-            if locked {
-                let _ = svc.fs.funlock(&path, LockKind::Shared).await;
-            }
-            f.end();
-            if locked {
-                let r = rec.region("read_single_buf");
-                data = try_read_local(&svc.fs, &path).await;
-                r.end();
-                if data.is_some() {
-                    svc.inner.borrow_mut().stats.local_hits += 1;
-                    self.warmed = true;
-                }
-            }
-        }
-
-        if data.is_none() {
-            // Remote (or evicted) step: resolve the owner through the
-            // KVS rendezvous.
-            let f = rec.region("stream_sync");
-            let warm = self.warmed && svc.spec.warm_sync;
-            let hit = if warm {
-                svc.kvs.try_lookup(&path).await?
-            } else {
-                None
-            };
-            let v = match hit {
-                Some(v) => {
-                    svc.inner.borrow_mut().stats.warm_syncs += 1;
-                    v
-                }
-                None => {
-                    if warm {
-                        rec.annotate("cold_fallbacks", 1.0);
-                    }
-                    svc.inner.borrow_mut().stats.cold_syncs += 1;
-                    svc.kvs.try_wait_key(&path).await?
-                }
-            };
-            f.end();
-            let mut meta = FrameMeta::decode(v.value);
-            self.warmed = true;
-
-            // --- Data movement with recovery --------------------------
-            let mut attempts = 0;
-            let fetched = loop {
-                attempts += 1;
-                if attempts > max_attempts {
-                    return Err(StreamError::Unresolvable {
-                        path,
-                        attempts: attempts - 1,
-                    });
-                }
-                match meta.location {
-                    FrameLocation::Lost => {
-                        return Err(StreamError::StepLost { path });
-                    }
-                    FrameLocation::Pfs => {
-                        // Spill copy gone: the owner (or its restart
-                        // hook) will tombstone or re-publish; re-resolve.
-                        if let Some(got) = fetch_spill(&svc, rec, &path).await {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme if meta.owner == svc.node => {
-                        let r = rec.region("read_single_buf");
-                        let got = try_read_local(&svc.fs, &path).await;
-                        r.end();
-                        if let Some(got) = got {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme => {
-                        // RMA fetch from the owner's node-local storage.
-                        let r = rec.region("stream_get_data");
-                        let fetch = svc
-                            .ep
-                            .bulk_rpc_retrying(
-                                meta.owner,
-                                STREAM_AM,
-                                Bytes::copy_from_slice(path.as_bytes()),
-                                Vec::new(),
-                                &policy,
-                                &mut self.rng,
-                            )
-                            .await;
-                        r.end();
-                        match fetch {
-                            Ok((_, got)) if transport::payload_len(&got) > 0 => {
-                                if let Some(got) = self.store_cache(rec, &path, got).await {
-                                    break got;
-                                }
-                            }
-                            Ok(_) => {
-                                // Owner answered but no longer holds the
-                                // step: re-resolve through the KVS.
-                            }
-                            Err(_) => {
-                                // Owner unreachable: try the PFS spill
-                                // copy before waiting out the restart.
-                                rec.annotate("dead_owner_fallbacks", 1.0);
-                                if let Some(got) = fetch_spill(&svc, rec, &path).await {
-                                    break got;
-                                }
-                            }
-                        }
-                    }
-                }
-                if faulted {
-                    let pause = policy.backoff(attempts - 1, &mut self.rng);
-                    svc.ctx.sleep(pause).await;
-                }
-                match svc.kvs.try_lookup(&path).await {
-                    Ok(Some(v)) => meta = FrameMeta::decode(v.value),
-                    Ok(None) => return Err(StreamError::StepLost { path }),
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            data = Some(fetched);
-        }
-        let data = data.expect("consume resolved a payload");
-        g.end();
-
-        self.spawn_ack(&path);
-
-        let size = transport::payload_len(&data);
-        let mut inner = svc.inner.borrow_mut();
-        inner.stats.steps_consumed += 1;
-        inner.stats.bytes_consumed += size;
-        Ok(data)
+    pub fn try_consume_step<'a>(
+        &'a mut self,
+        rec: &'a Recorder,
+        name: &'a str,
+    ) -> impl Future<Output = Result<Payload, PlaneError>> + 'a {
+        self.session.get(&self.svc.plane, rec, name)
     }
 
     /// [`StreamSubscriber::try_consume_step`] for callers running
@@ -1085,81 +666,6 @@ impl StreamSubscriber {
             .await
             .expect("consume_step cannot fail without a fault board (lost or evicted step?)")
     }
-
-    /// Publish the consumption ack asynchronously: retention and window
-    /// release care, the application does not, so the commit must not
-    /// add to the consume latency. Without a staging manager (bare
-    /// rigs) the ack key is still committed — the publisher's window
-    /// watches it. A dropped ack is counted by the staging manager.
-    fn spawn_ack(&self, path: &str) {
-        let svc = self.svc.clone();
-        let p = path.to_string();
-        let id = self.id.clone();
-        self.svc.ctx.spawn(async move {
-            let _ = match &svc.staging {
-                Some(st) => st.try_publish_ack(&p, &id).await,
-                None => svc
-                    .kvs
-                    .try_commit(&ack_key(&p, &id), Bytes::from_static(b"1"))
-                    .await
-                    .map(|_| ()),
-            };
-        });
-    }
-
-    /// Stage a fetched remote step into the local cache and read it
-    /// back (atomic rename publication). `None` when the cache write
-    /// failed (device-error window) — the caller re-resolves rather
-    /// than serving a partial step.
-    async fn store_cache(&self, rec: &Recorder, path: &str, got: Payload) -> Option<Payload> {
-        let svc = &self.svc;
-        let s = rec.region("stream_cons_store");
-        // Session-unique tmp name: same-node sessions of a broadcast
-        // group can fetch the same step concurrently, and create()
-        // truncates, so a shared tmp would interleave their writes.
-        let tmp = format!("{path}.tmp-{}-{}", svc.node.0, self.id);
-        if svc.write_step(path, &tmp, &got).await.is_err() {
-            s.end();
-            return None;
-        }
-        if let Some(st) = &svc.staging {
-            st.cache_inserted(path, transport::payload_len(&got));
-        }
-        s.end();
-        let r = rec.region("read_single_buf");
-        let got = try_read_local(&svc.fs, path).await;
-        r.end();
-        got
-    }
-}
-
-/// Read a whole local file; `None` when it vanished (staging eviction
-/// between probe and open).
-async fn try_read_local(fs: &LocalFs, path: &str) -> Option<Payload> {
-    let fd = fs.open(path).await.ok()?;
-    let data = fs.read_segments(fd).await.ok()?;
-    let _ = fs.close(fd).await;
-    Some(data)
-}
-
-/// Fetch a spilled step's PFS copy; `None` when no PFS client is
-/// configured or the copy is already retired.
-async fn fetch_spill(svc: &StreamService, rec: &Recorder, path: &str) -> Option<Payload> {
-    let st = svc.staging.as_ref()?;
-    let pfs = st.pfs_client()?;
-    let r = rec.region("stream_pfs_fallback");
-    let got: Option<Payload> = async {
-        let fd = pfs.open(&staging::spill_path(path)).await.ok()?;
-        let data = pfs.read_segments(fd).await.ok()?;
-        let _ = pfs.close(fd).await;
-        Some(data)
-    }
-    .await;
-    r.end();
-    if got.is_some() {
-        st.note_pfs_fallback();
-    }
-    got
 }
 
 #[cfg(test)]
@@ -1169,6 +675,7 @@ mod tests {
     use kvs::{KvsClient, KvsServer, KvsSpec};
     use localfs::LocalFsSpec;
     use mdsim::{FrameTemplate, Model};
+    use rand::SeedableRng;
     use simcore::{Sim, SimTime};
     use transport::TransportSpec;
 
@@ -1194,7 +701,7 @@ mod tests {
                     LocalFsSpec::default(),
                 );
                 let kc = KvsClient::new(&ctx, &tp, NodeId(i), NodeId(0), KvsSpec::default());
-                StreamService::start(&ctx, &tp, NodeId(i), fs, kc, spec.clone())
+                StreamService::start(&ctx, &tp, NodeId(i), fs, kc, spec)
             })
             .collect();
         Rig {
@@ -1245,40 +752,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_node_consume_fetches_and_stages() {
-        let sim = Sim::new(0);
-        let rig = setup(&sim, 2, StreamSpec::default());
-        let prod = rig.services[0].clone();
-        let cons = rig.services[1].clone();
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            let rec = Recorder::new(&ctx);
-            let (t, f) = step_payload(1);
-            let mut pb = prod.publisher();
-            pb.publish(&rec, "s1", 0, f, &[acker("c0", 1)]).await;
-            let mut sub = cons.subscriber("c0");
-            let got = sub.consume_step(&rec, "s1").await;
-            (t.validate(&got, 1), rec.finish())
-        });
-        sim.run();
-        let (ok, profile) = h.try_take().unwrap();
-        assert!(ok);
-        for region in [
-            "stream_sync",
-            "stream_get_data",
-            "stream_cons_store",
-            "read_single_buf",
-        ] {
-            assert!(
-                profile.node(&["stream_consume", region]).is_some(),
-                "missing {region}"
-            );
-        }
-        assert_eq!(rig.services[0].stats().fetches_served, 1);
-        assert_eq!(rig.services[1].stats().steps_consumed, 1);
-    }
-
-    #[test]
     fn window_bounds_publisher_ahead_of_subscriber() {
         // window = 1: the second publish must wait for the first step's
         // ack, which the subscriber only sends at t ≈ 300 ms.
@@ -1316,8 +789,8 @@ mod tests {
         );
         assert_eq!(peak, 1, "window bound violated");
         assert_eq!(hc.try_take().unwrap(), Model::Jac.frame_bytes());
-        assert!(rig.services[0].stats().window_stalls >= 1);
-        assert!(rig.services[0].stats().window_stall_ns > 0);
+        assert!(rig.services[0].window_stats().window_stalls >= 1);
+        assert!(rig.services[0].window_stats().window_stall_ns > 0);
     }
 
     #[test]
@@ -1387,63 +860,22 @@ mod tests {
         let h = sim.spawn(async move {
             let rec = Recorder::new(&ctx);
             let mut pb = prod.publisher();
-            let (policy, mut rng) = (stream_retry_policy(), StdRng::seed_from_u64(9));
+            let mut rng = StdRng::seed_from_u64(9);
             let (_, f0) = step_payload(0);
-            pb.try_publish(
-                &rec,
-                "r/0",
-                0,
-                &f0,
-                &[acker("c0", 1)],
-                &policy,
-                Some(&mut rng),
-            )
-            .await
-            .expect("publish 0");
+            pb.try_publish(&rec, "r/0", 0, &f0, &[acker("c0", 1)], Some(&mut rng))
+                .await
+                .expect("publish 0");
             ctx.sleep(SimDuration::from_millis(300)).await;
             let (_, f1) = step_payload(1);
-            pb.try_publish(
-                &rec,
-                "r/1",
-                1,
-                &f1,
-                &[acker("c0", 1)],
-                &policy,
-                Some(&mut rng),
-            )
-            .await
-            .expect("publish 1");
+            pb.try_publish(&rec, "r/1", 1, &f1, &[acker("c0", 1)], Some(&mut rng))
+                .await
+                .expect("publish 1");
             ctx.now().as_secs_f64()
         });
         sim.run_until(SimTime::from_nanos(10_000_000_000));
         let t = h.try_take().expect("reclaim never freed the window");
         assert!(t < 1.0, "reclaim took until {t}s");
-        assert!(rig.services[0].stats().slots_reclaimed >= 1);
-    }
-
-    #[test]
-    fn lost_tombstone_without_a_board_is_a_typed_error() {
-        // No fault board anywhere; the tombstone is committed by hand.
-        let sim = Sim::new(0);
-        let rig = setup(&sim, 2, StreamSpec::default());
-        let (prod, cons) = (rig.services[0].clone(), rig.services[1].clone());
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            let meta = FrameMeta {
-                owner: NodeId(0),
-                size: 1,
-                location: FrameLocation::Lost,
-            };
-            prod.kvs
-                .try_commit("/stream/gone", meta.encode())
-                .await
-                .unwrap();
-            let rec = Recorder::new(&ctx);
-            cons.subscriber("c0").try_consume_step(&rec, "gone").await
-        });
-        assert!(sim.run().is_clean());
-        let path = "/stream/gone".to_string();
-        assert_eq!(h.try_take().unwrap(), Err(StreamError::StepLost { path }));
+        assert!(rig.services[0].window_stats().slots_reclaimed >= 1);
     }
 
     #[test]

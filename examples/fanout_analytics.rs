@@ -116,7 +116,7 @@ fn main() {
     let st = prod_svc.stats();
     println!(
         "producer stats: {} produces, {} fetches served (expected {})",
-        st.produces,
+        st.puts,
         st.fetches_served,
         CONSUMERS as u64 * FRAMES
     );

@@ -173,7 +173,7 @@ fn slow_producer_forces_cold_fallbacks_but_no_data_loss() {
     assert!(report.is_clean());
     assert!(h.try_take().unwrap());
     let st = cons.stats();
-    assert_eq!(st.consumes, 5);
+    assert_eq!(st.gets, 5);
     // First consume is cold; subsequent ones race ahead and fall back.
     assert!(st.cold_syncs >= 4, "expected cold fallbacks, got {st:?}");
 }
