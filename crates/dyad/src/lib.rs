@@ -514,6 +514,11 @@ mod tests {
             let sim = Sim::new(0);
             let rig = plane_rig(&sim, row, 1, None, false);
             let plane = rig.planes[0].clone();
+            // The managed path, to the byte: leading slashes of the
+            // name fold into the one separator.
+            let managed = format!("{}/run0/frame0", row.managed_dir);
+            assert_eq!(plane.managed_path("run0/frame0"), managed);
+            assert_eq!(plane.managed_path("//run0/frame0"), managed);
             let ctx = sim.ctx();
             let h = sim.spawn(async move {
                 let rec = Recorder::new(&ctx);

@@ -7,7 +7,7 @@
 //! Decoders read through checked helpers and return [`CodecError`] on
 //! bytes no encoder here wrote.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use simcore::intern::{intern, Symbol};
 
 /// Why wire bytes did not decode.
@@ -122,7 +122,7 @@ const RESP_UNLINKED: u8 = 4;
 const RESP_DELTA_ACK: u8 = 5;
 const RESP_SHARD_DOWN: u8 = 6;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut &mut [u8], s: &str) {
     buf.put_u16(s.len() as u16);
     buf.put_slice(s.as_bytes());
 }
@@ -165,12 +165,12 @@ impl Request {
         match self {
             Request::Commit { key, value } => {
                 let key = key.resolve();
-                let mut buf = BytesMut::with_capacity(1 + 2 + key.len() + 4 + value.len());
-                buf.put_u8(OP_COMMIT);
-                put_str(&mut buf, &key);
-                buf.put_u32(value.len() as u32);
-                buf.put_slice(value);
-                buf.freeze()
+                Bytes::build(1 + 2 + key.len() + 4 + value.len(), |buf| {
+                    buf.put_u8(OP_COMMIT);
+                    put_str(buf, &key);
+                    buf.put_u32(value.len() as u32);
+                    buf.put_slice(value);
+                })
             }
             Request::Lookup { key } => encode_keyed(OP_LOOKUP, *key),
             Request::WaitKey { key } => encode_keyed(OP_WAIT, *key),
@@ -184,27 +184,26 @@ impl Request {
             } => {
                 let key = key.resolve();
                 let val_len = value.as_ref().map_or(0, |v| 4 + v.len());
-                let mut buf = BytesMut::with_capacity(
-                    1 + 2 + key.len() + 4 + 8 + 2 + deps.len() * 12 + 1 + val_len,
-                );
-                buf.put_u8(OP_DELTA);
-                put_str(&mut buf, &key);
-                buf.put_u32(*origin);
-                buf.put_u64(*seq);
-                buf.put_u16(deps.len() as u16);
-                for (shard, n) in deps {
-                    buf.put_u32(*shard);
-                    buf.put_u64(*n);
-                }
-                match value {
-                    Some(v) => {
-                        buf.put_u8(1);
-                        buf.put_u32(v.len() as u32);
-                        buf.put_slice(v);
+                let len = 1 + 2 + key.len() + 4 + 8 + 2 + deps.len() * 12 + 1 + val_len;
+                Bytes::build(len, |buf| {
+                    buf.put_u8(OP_DELTA);
+                    put_str(buf, &key);
+                    buf.put_u32(*origin);
+                    buf.put_u64(*seq);
+                    buf.put_u16(deps.len() as u16);
+                    for (shard, n) in deps {
+                        buf.put_u32(*shard);
+                        buf.put_u64(*n);
                     }
-                    None => buf.put_u8(0),
-                }
-                buf.freeze()
+                    match value {
+                        Some(v) => {
+                            buf.put_u8(1);
+                            buf.put_u32(v.len() as u32);
+                            buf.put_slice(v);
+                        }
+                        None => buf.put_u8(0),
+                    }
+                })
             }
         }
     }
@@ -259,39 +258,34 @@ impl Request {
     }
 }
 
-/// Encode a bare `op + key` request with one exact-capacity allocation.
+/// Encode a bare `op + key` request.
 fn encode_keyed(op: u8, key: Symbol) -> Bytes {
     let key = key.resolve();
-    let mut buf = BytesMut::with_capacity(1 + 2 + key.len());
-    buf.put_u8(op);
-    put_str(&mut buf, &key);
-    buf.freeze()
+    Bytes::build(1 + 2 + key.len(), |buf| {
+        buf.put_u8(op);
+        put_str(buf, &key);
+    })
 }
 
 impl Response {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let mut buf = match self {
-            Response::Value { value, .. } => BytesMut::with_capacity(1 + 8 + 4 + value.len()),
-            _ => BytesMut::with_capacity(1 + 8),
-        };
         match self {
-            Response::Committed { version } => {
+            Response::Committed { version } => Bytes::build(1 + 8, |buf| {
                 buf.put_u8(RESP_COMMITTED);
                 buf.put_u64(*version);
-            }
-            Response::Value { version, value } => {
+            }),
+            Response::Value { version, value } => Bytes::build(1 + 8 + 4 + value.len(), |buf| {
                 buf.put_u8(RESP_VALUE);
                 buf.put_u64(*version);
                 buf.put_u32(value.len() as u32);
                 buf.put_slice(value);
-            }
-            Response::NotFound => buf.put_u8(RESP_NOT_FOUND),
-            Response::Unlinked => buf.put_u8(RESP_UNLINKED),
-            Response::DeltaAck => buf.put_u8(RESP_DELTA_ACK),
-            Response::ShardDown => buf.put_u8(RESP_SHARD_DOWN),
+            }),
+            Response::NotFound => Bytes::from_static(&[RESP_NOT_FOUND]),
+            Response::Unlinked => Bytes::from_static(&[RESP_UNLINKED]),
+            Response::DeltaAck => Bytes::from_static(&[RESP_DELTA_ACK]),
+            Response::ShardDown => Bytes::from_static(&[RESP_SHARD_DOWN]),
         }
-        buf.freeze()
     }
 
     /// Decode from wire bytes; a value shares the buffer.

@@ -43,7 +43,7 @@ use simcore::intern::{intern, FxHashMap, Symbol};
 use simcore::resource::FifoResource;
 use simcore::sync::Notify;
 use simcore::{Ctx, SimDuration};
-use transport::{AmId, Endpoint, LocalBoxFuture, Transport, TransportError};
+use transport::{AmId, Endpoint, Transport, TransportError};
 
 /// The AM id the broker listens on.
 pub const KVS_AM: AmId = AmId(0x4B56);
@@ -200,7 +200,7 @@ impl KvsServer {
                 let tp = handler_tp.upgrade();
                 let ctx = handler_ctx.clone();
                 let topo = handler_topo.clone();
-                Box::pin(async move {
+                async move {
                     {
                         let mut st = store.borrow_mut();
                         st.in_flight += 1;
@@ -226,7 +226,7 @@ impl KvsServer {
                     };
                     store.borrow_mut().in_flight -= 1;
                     resp.encode()
-                }) as LocalBoxFuture<Bytes>
+                }
             }),
         );
         server

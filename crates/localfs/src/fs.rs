@@ -16,7 +16,7 @@ use simcore::intern::{intern, FxHashMap, FxHashSet, Symbol};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use cluster::NvmeDevice;
 use simcore::sync::Notify;
 use simcore::{Ctx, SimDuration};
@@ -729,16 +729,21 @@ impl LocalFs {
                         *size = end;
                     } else {
                         // Random-offset rewrite: flatten and splice.
-                        let mut flat = BytesMut::with_capacity((*size).max(end) as usize);
-                        for seg in segments.iter() {
-                            flat.extend_from_slice(seg);
-                        }
-                        if (flat.len() as u64) < end {
-                            flat.resize(end as usize, 0);
-                        }
-                        flat[offset as usize..end as usize].copy_from_slice(&data);
-                        *size = flat.len() as u64;
-                        *segments = vec![flat.freeze()];
+                        let new_size = (*size).max(end) as usize;
+                        let flat = Bytes::build(new_size, |out| {
+                            // Spliced, not streamed: take the whole block.
+                            // It starts zeroed, as a gap between the old
+                            // end and `offset` must be.
+                            let flat = std::mem::take(out);
+                            let mut at = 0;
+                            for seg in segments.iter() {
+                                flat[at..at + seg.len()].copy_from_slice(seg);
+                                at += seg.len();
+                            }
+                            flat[offset as usize..end as usize].copy_from_slice(&data);
+                        });
+                        *size = new_size as u64;
+                        *segments = vec![flat];
                     }
                     *cached = self.spec.page_cache;
                 }
@@ -782,11 +787,8 @@ impl LocalFs {
         if parts.len() == 1 {
             parts.pop().unwrap()
         } else {
-            let mut out = BytesMut::with_capacity(take as usize);
-            for p in parts {
-                out.extend_from_slice(&p);
-            }
-            out.freeze()
+            let total = parts.iter().map(|p| p.len()).sum();
+            Bytes::build(total, |out| parts.iter().for_each(|p| out.put_slice(p)))
         }
     }
 

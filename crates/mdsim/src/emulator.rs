@@ -13,7 +13,7 @@
 //! end-to-end, and emitting them is O(1) regardless of model size —
 //! which is what makes the 256-pair and STMV sweeps tractable.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -40,7 +40,6 @@ impl FrameTemplate {
     pub fn generate(model: Model, seed: u64) -> Self {
         let n = model.atoms();
         let box_len = (n as f64).cbrt() * 3.0;
-        let mut body = BytesMut::with_capacity((n * ATOM_BYTES) as usize);
         // Cheap deterministic position synthesis (an xorshift stream):
         // full RNG quality is unnecessary, O(n) speed matters for STMV.
         let mut state = seed | 1;
@@ -50,15 +49,17 @@ impl FrameTemplate {
             state ^= state << 17;
             (state as f64 / u64::MAX as f64) * box_len
         };
-        for i in 0..n {
-            body.put_u32_le(i as u32);
-            body.put_f64_le(next());
-            body.put_f64_le(next());
-            body.put_f64_le(next());
-        }
+        let body = Bytes::build((n * ATOM_BYTES) as usize, |body| {
+            for i in 0..n {
+                body.put_u32_le(i as u32);
+                body.put_f64_le(next());
+                body.put_f64_le(next());
+                body.put_f64_le(next());
+            }
+        });
         FrameTemplate {
             model,
-            body: body.freeze(),
+            body,
             box_lengths: [box_len as f32; 3],
         }
     }
@@ -71,17 +72,18 @@ impl FrameTemplate {
     /// Emit a frame for `step` as a `[header, body]` rope. The body is a
     /// zero-copy clone of the template; only 48 header bytes are fresh.
     pub fn frame_segments(&self, step: u64) -> Vec<Bytes> {
-        let mut hdr = BytesMut::with_capacity(HEADER_BYTES as usize);
-        hdr.put_u64_le(MAGIC);
-        hdr.put_u32_le(VERSION);
-        hdr.put_u32_le(self.model.id());
-        hdr.put_u64_le(step);
-        hdr.put_u64_le(self.model.atoms());
-        for b in self.box_lengths {
-            hdr.put_f32_le(b);
-        }
-        hdr.put_u32_le(0);
-        vec![hdr.freeze(), self.body.clone()]
+        let hdr = Bytes::build(HEADER_BYTES as usize, |hdr| {
+            hdr.put_u64_le(MAGIC);
+            hdr.put_u32_le(VERSION);
+            hdr.put_u32_le(self.model.id());
+            hdr.put_u64_le(step);
+            hdr.put_u64_le(self.model.atoms());
+            for b in self.box_lengths {
+                hdr.put_f32_le(b);
+            }
+            hdr.put_u32_le(0);
+        });
+        vec![hdr, self.body.clone()]
     }
 
     /// Validate that `segments` is a well-formed frame for this model at

@@ -16,7 +16,7 @@
 //!
 //! 48 + 28·atoms bytes total, matching Table I's frame sizes.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::models::{Model, ATOM_BYTES, HEADER_BYTES};
 
@@ -70,24 +70,24 @@ impl Frame {
     /// Serialize to wire bytes. The result is exactly
     /// [`Model::frame_bytes`] long.
     pub fn encode(&self) -> Bytes {
-        let mut buf =
-            BytesMut::with_capacity((HEADER_BYTES + ATOM_BYTES * self.ids.len() as u64) as usize);
-        buf.put_u64_le(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(self.model.id());
-        buf.put_u64_le(self.step);
-        buf.put_u64_le(self.ids.len() as u64);
-        for b in self.box_lengths {
-            buf.put_f32_le(b);
-        }
-        buf.put_u32_le(0); // reserved
-        for (id, pos) in self.ids.iter().zip(&self.positions) {
-            buf.put_u32_le(*id);
-            buf.put_f64_le(pos[0]);
-            buf.put_f64_le(pos[1]);
-            buf.put_f64_le(pos[2]);
-        }
-        buf.freeze()
+        let len = (HEADER_BYTES + ATOM_BYTES * self.ids.len() as u64) as usize;
+        Bytes::build(len, |buf| {
+            buf.put_u64_le(MAGIC);
+            buf.put_u32_le(VERSION);
+            buf.put_u32_le(self.model.id());
+            buf.put_u64_le(self.step);
+            buf.put_u64_le(self.ids.len() as u64);
+            for b in self.box_lengths {
+                buf.put_f32_le(b);
+            }
+            buf.put_u32_le(0); // reserved
+            for (id, pos) in self.ids.iter().zip(&self.positions) {
+                buf.put_u32_le(*id);
+                buf.put_f64_le(pos[0]);
+                buf.put_f64_le(pos[1]);
+                buf.put_f64_le(pos[2]);
+            }
+        })
     }
 
     /// Decode from wire bytes.
@@ -120,11 +120,9 @@ impl Frame {
             return Frame::decode(segments[0].clone());
         }
         let total: usize = segments.iter().map(|s| s.len()).sum();
-        let mut flat = BytesMut::with_capacity(total);
-        for s in segments {
-            flat.extend_from_slice(s);
-        }
-        Frame::decode(flat.freeze())
+        Frame::decode(Bytes::build(total, |flat| {
+            segments.iter().for_each(|s| flat.put_slice(s))
+        }))
     }
 }
 
@@ -172,14 +170,16 @@ impl FrameHeader {
         match segments.first() {
             Some(first) if first.len() as u64 >= HEADER_BYTES => FrameHeader::decode(first),
             Some(_) | None => {
-                let mut flat = BytesMut::new();
-                for s in segments {
-                    flat.extend_from_slice(s);
-                    if flat.len() as u64 >= HEADER_BYTES {
-                        break;
+                // The header straddles segments: gather as much of it as
+                // the rope holds.
+                let held: usize = segments.iter().map(|s| s.len()).sum();
+                let head = Bytes::build(held.min(HEADER_BYTES as usize), |flat| {
+                    for s in segments {
+                        let n = s.len().min(flat.len());
+                        flat.put_slice(&s[..n]);
                     }
-                }
-                FrameHeader::decode(&flat.freeze())
+                });
+                FrameHeader::decode(&head)
             }
         }
     }

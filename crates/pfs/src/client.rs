@@ -8,7 +8,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::Poll;
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use cluster::NodeId;
 use simcore::intern::{intern, Symbol};
 use simcore::{Ctx, JoinHandle};
@@ -327,14 +327,7 @@ impl PfsClient {
             return Ok(Bytes::new());
         }
         let parts = self.read_chunks(&layout, offset, take).await;
-        if parts.len() == 1 {
-            return Ok(parts.into_iter().next().unwrap());
-        }
-        let mut out = BytesMut::with_capacity(take as usize);
-        for part in parts {
-            out.extend_from_slice(&part);
-        }
-        Ok(out.freeze())
+        Ok(transport::flatten_payload(parts))
     }
 
     async fn read_chunks(&self, layout: &Layout, offset: u64, take: u64) -> Vec<Bytes> {

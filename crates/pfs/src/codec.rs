@@ -1,8 +1,9 @@
 //! Wire codec for MDS and OSS RPCs.
 //!
-//! One encoder and one decoder per message. An encoder sizes its buffer
-//! from the message before it writes, so a message costs that buffer and
-//! its `Arc`, and the one-byte replies are static. The MDS request and
+//! One encoder and one decoder per message. An encoder computes the
+//! message's length before it writes and fills one block of exactly that
+//! length in place ([`Bytes::build`]), so a message costs one allocator
+//! call, and the one-byte replies are static. The MDS request and
 //! the `Meta` reply encode from borrowed parts ([`MdsRequestRef`],
 //! [`encode_meta`]) and the request decodes in place — that is what the
 //! client and the servers call; the owned enums wrap the same bodies.
@@ -59,12 +60,6 @@ fn wire_u16(n: usize, what: &str) -> u16 {
     u16::try_from(n).unwrap_or_else(|_| panic!("{what} of {n} exceeds the wire limit of 65,535"))
 }
 
-/// Freeze a message built in a buffer reserved at exactly its length.
-fn sized(buf: Vec<u8>) -> Bytes {
-    debug_assert_eq!(buf.len(), buf.capacity(), "reserved length out of step");
-    Bytes::from(buf)
-}
-
 /// File layout: which objects on which OSTs hold the file's stripes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
@@ -104,7 +99,7 @@ impl Layout {
         })
     }
 
-    fn encode_into(&self, buf: &mut Vec<u8>) {
+    fn encode_into(&self, buf: &mut &mut [u8]) {
         assert_eq!(self.osts.len(), self.objects.len(), "layout columns");
         buf.put_u64(self.stripe_size);
         buf.put_u16(wire_u16(self.osts.len(), "layout column count"));
@@ -153,14 +148,15 @@ pub(crate) struct MdsRequestRef<'a> {
 impl<'a> MdsRequestRef<'a> {
     pub(crate) fn encode(&self) -> Bytes {
         let with_size = self.op == MdsOp::SetSize;
-        let mut buf = Vec::with_capacity(1 + 2 + self.path.len() + if with_size { 8 } else { 0 });
-        buf.put_u8(self.op as u8);
-        buf.put_u16(wire_u16(self.path.len(), "path length"));
-        buf.put_slice(self.path.as_bytes());
-        if with_size {
-            buf.put_u64(self.size);
-        }
-        sized(buf)
+        let len = 1 + 2 + self.path.len() + if with_size { 8 } else { 0 };
+        Bytes::build(len, |buf| {
+            buf.put_u8(self.op as u8);
+            buf.put_u16(wire_u16(self.path.len(), "path length"));
+            buf.put_slice(self.path.as_bytes());
+            if with_size {
+                buf.put_u64(self.size);
+            }
+        })
     }
 
     pub(crate) fn try_decode(raw: &'a [u8]) -> Result<Self, CodecError> {
@@ -319,11 +315,11 @@ impl MdsRequest {
 
 /// Encode a [`MdsResponse::Meta`] from a layout the caller keeps.
 pub(crate) fn encode_meta(layout: &Layout, size: u64) -> Bytes {
-    let mut buf = Vec::with_capacity(1 + 8 + 2 + 12 * layout.osts.len() + 8);
-    buf.put_u8(1);
-    layout.encode_into(&mut buf);
-    buf.put_u64(size);
-    sized(buf)
+    Bytes::build(1 + 8 + 2 + 12 * layout.osts.len() + 8, |buf| {
+        buf.put_u8(1);
+        layout.encode_into(buf);
+        buf.put_u64(size);
+    })
 }
 
 impl MdsResponse {
@@ -375,12 +371,12 @@ impl OssRequest {
             } => (2, &[*object, *offset, *len, *total]),
             OssRequest::Destroy { object } => (3, &[*object]),
         };
-        let mut buf = Vec::with_capacity(1 + 8 * words.len());
-        buf.put_u8(op);
-        for &w in words {
-            buf.put_u64(w);
-        }
-        sized(buf)
+        Bytes::build(1 + 8 * words.len(), |buf| {
+            buf.put_u8(op);
+            for &w in words {
+                buf.put_u64(w);
+            }
+        })
     }
 
     /// Decode wire bytes, or say why they are not an OSS request.
@@ -418,12 +414,10 @@ impl OssResponse {
     pub fn encode(&self) -> Bytes {
         match self {
             OssResponse::Ok => Bytes::from_static(&[1]),
-            OssResponse::Data { len } => {
-                let mut buf = Vec::with_capacity(9);
+            OssResponse::Data { len } => Bytes::build(9, |buf| {
                 buf.put_u8(2);
                 buf.put_u64(*len);
-                sized(buf)
-            }
+            }),
         }
     }
 

@@ -12,13 +12,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use cluster::NodeId;
 use simcore::intern::{intern, FxHashMap, Symbol};
 use simcore::resource::FifoResource;
 use simcore::sync::Notify;
 use simcore::{Ctx, SimDuration};
-use transport::{AmId, Endpoint, LocalBoxFuture, Transport};
+use transport::{AmId, Endpoint, Transport};
 
 /// The AM id of the lock server.
 pub const LDLM_AM: AmId = AmId(0x4C44);
@@ -87,11 +87,11 @@ const OP_UNLOCK_PR: u8 = 3;
 const OP_UNLOCK_EX: u8 = 4;
 
 fn encode_req(op: u8, path: &str) -> Bytes {
-    let mut b = BytesMut::with_capacity(3 + path.len());
-    b.put_u8(op);
-    b.put_u16(path.len() as u16);
-    b.put_slice(path.as_bytes());
-    b.freeze()
+    Bytes::build(3 + path.len(), |b| {
+        b.put_u8(op);
+        b.put_u16(path.len() as u16);
+        b.put_slice(path.as_bytes());
+    })
 }
 
 fn decode_req(mut raw: Bytes) -> (u8, String) {
@@ -116,7 +116,7 @@ impl LdlmServer {
             Rc::new(move |raw: Bytes| {
                 let state = hstate.clone();
                 let service = service.clone();
-                Box::pin(async move {
+                async move {
                     service.request(spec.service_time).await;
                     let (op, path) = decode_req(raw);
                     let lock = state
@@ -171,7 +171,7 @@ impl LdlmServer {
                         other => panic!("unknown ldlm op {other}"),
                     }
                     Bytes::new()
-                }) as LocalBoxFuture<Bytes>
+                }
             }),
         );
         Rc::new(LdlmServer { node, state })

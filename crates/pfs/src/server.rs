@@ -18,7 +18,7 @@ use rand::RngExt;
 use simcore::intern::{intern, FxHashMap, Symbol};
 use simcore::resource::{FifoResource, SharedBandwidth};
 use simcore::{Ctx, SimDuration};
-use transport::{payload_len, AmId, LocalBoxFuture, Payload, Transport};
+use transport::{payload_len, AmId, Payload, Transport};
 
 use crate::codec::{
     encode_meta, Layout, MdsOp, MdsRequestRef, MdsResponse, OssRequest, OssResponse,
@@ -156,7 +156,7 @@ impl MdsServer {
                 let service = service.clone();
                 let tp = htp.upgrade();
                 let ctx = hctx.clone();
-                Box::pin(async move {
+                async move {
                     service.request(spec.mds_service).await;
                     // Injected MDS stall: hold every request until the
                     // stall window closes. No board / no stall: free.
@@ -168,7 +168,7 @@ impl MdsServer {
                     let req = MdsRequestRef::try_decode(&raw)
                         .expect("MDS requests come from this crate's client");
                     mds_handle(&state, &spec, req)
-                }) as LocalBoxFuture<Bytes>
+                }
             }),
         );
         Rc::new(MdsServer { node, state })
@@ -291,7 +291,7 @@ fn gather_object(segments: &BTreeMap<u64, Bytes>, offset: u64, len: u64) -> Vec<
         }
         // Zero-fill any gap before this segment.
         if from > covered {
-            out.push(Bytes::from(vec![0u8; (from - covered) as usize]));
+            out.push(Bytes::zeroed((from - covered) as usize));
         }
         out.push(seg.slice((from - seg_off) as usize..(to - seg_off) as usize));
         covered = to;
@@ -346,7 +346,7 @@ impl OstServer {
                 let read_bw = read_bw.clone();
                 let tp = htp.upgrade();
                 let ctx = hctx.clone();
-                Box::pin(async move {
+                async move {
                     service.request(spec.oss_service).await;
                     // Injected OST degradation factor, sampled per
                     // request (1.0 = healthy). Disk phases below stretch
@@ -429,7 +429,7 @@ impl OstServer {
                             (OssResponse::Ok.encode(), Vec::new())
                         }
                     }
-                }) as LocalBoxFuture<(Bytes, Payload)>
+                }
             }),
         );
         server

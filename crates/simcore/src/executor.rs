@@ -28,19 +28,40 @@
 //! The executor is single-threaded: parallelism lives one level up, over
 //! independent runs (`mdflow::campaign`; DESIGN.md §12 has the measurement).
 //!
-//! # The spawn wrapper
+//! # What a spawn costs
 //!
-//! A task is one heap box: the process future, the `Rc` of its
-//! [`JoinHandle`] and a [`Ctx`] to read the completion instant —
-//! `size_of::<F>() + 16` bytes. The box is a hand-written future
-//! (`Process`) that polls the process where it lies, not
-//! `async move { let v = fut.await; .. }`: rustc lays that block out as
-//! the captured `fut` *plus* the awaited `fut`, two full copies of the
-//! process, which at 16k pairs made the two role futures of a pair 10 KB
-//! instead of 5 and the task boxes a third of peak RSS. The same holds
-//! for every detached per-frame task (ack publishers, KVS request
-//! handlers), so the wrapper also halves what a `spawn` writes. The
-//! price is one `unsafe` pin projection, argued where it is made.
+//! Two allocator calls in steady state: the join state shared with the
+//! [`JoinHandle`] and the task box.
+//!
+//! The box holds the process future, the `Rc` of its join state and a
+//! [`Ctx`] to read the completion instant — `size_of::<F>() + 16` bytes.
+//! It is a hand-written future (`Process`) that polls the process where
+//! it lies, not `async move { let v = fut.await; .. }`: rustc lays that
+//! block out as the captured `fut` *plus* the awaited `fut`, two full
+//! copies of the process, which at 16k pairs made the two role futures
+//! of a pair 10 KB instead of 5 and the task boxes a third of peak RSS.
+//! The same holds for every detached per-frame task (ack publishers, KVS
+//! request handlers), so the wrapper also halves what a `spawn` writes.
+//! The price is one `unsafe` pin projection, argued where it is made.
+//!
+//! The join state stays an allocation of its own. Sharing one block with
+//! the process was built and measured (EXPERIMENTS.md, PR 17): the block
+//! then lives until the later of completion and the handle's drop, and a
+//! runner that holds its 32,768 role handles to the end of a 16k-pair
+//! run kept 67 MB of finished role futures resident (`peak_rss_mb`
+//! +21 %; +3 % with the roles boxed by the runner, at equal live bytes).
+//!
+//! The task's waker is not a third call, because the task *slot* owns
+//! it: a slot keeps its `Arc<TaskWaker>` across tenants and re-labels it
+//! with the next tenant's packed id — but only when `Arc::get_mut`
+//! proves no clone survives. A clone that outlived its task (parked in a
+//! waiter nobody popped yet, say) keeps the old block and its stale id,
+//! which dies at the generation check like any other late wake, and the
+//! slot's next tenant gets a fresh block: a stale waker can never reach
+//! it. Vacant slots together keep no more blocks than there are live
+//! tasks, so what is kept follows live use and not the slab's high-water
+//! mark (kept by every slot the slab ever grew to, the blocks cost the
+//! 16k-pair run 8 MB of peak RSS, +2.6 %).
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -426,9 +447,8 @@ impl Wake for TaskWaker {
     }
 }
 
-/// A spawned process: its future plus the waker minted for it at spawn
-/// time. Reusing one waker per task keeps the dispatch loop free of
-/// per-poll `Arc` allocations.
+/// A spawned process: its future plus a `Waker` over the slot's waker
+/// block, so the dispatch loop polls without touching a reference count.
 struct Task {
     fut: Pin<Box<dyn Future<Output = ()>>>,
     waker: Waker,
@@ -442,6 +462,8 @@ struct TaskSlot {
     /// Calendar shard this task's events land on (set at spawn; purely
     /// a locality hint — never part of the execution order).
     shard: u32,
+    /// The waker block, kept across tenants (see "What a spawn costs").
+    waker: Option<Arc<TaskWaker>>,
     state: TaskState,
 }
 
@@ -511,6 +533,8 @@ pub(crate) struct Core {
     /// Spawned-but-not-completed processes (what `tasks.len()` was when
     /// tasks lived in a map keyed by a never-reused id).
     live_tasks: usize,
+    /// Vacant task slots holding a waker block for their next tenant.
+    parked_wakers: usize,
     ready: VecDeque<TaskId>,
     /// Task currently being polled; only meaningful during dispatch.
     current: TaskId,
@@ -661,28 +685,45 @@ impl Core {
     /// Allocate a task slot, returning the packed id. The generation is
     /// whatever the slot carries (0 for fresh slots, bumped per reuse).
     /// `shard` is where the task's future calendar entries will land.
-    fn insert_task(&mut self, task: Task, shard: u32) -> TaskId {
+    fn insert_task(&mut self, fut: Pin<Box<dyn Future<Output = ()>>>, shard: u32) -> TaskId {
         let slot = if self.task_free != NO_FREE {
             let s = self.task_free;
             let TaskState::Vacant { next_free } = self.tasks[s as usize].state else {
                 unreachable!("task free list points at an occupied slot");
             };
             self.task_free = next_free;
-            self.tasks[s as usize].state = TaskState::Parked(task);
-            self.tasks[s as usize].shard = shard;
             s
         } else {
             let s = u32::try_from(self.tasks.len()).expect("task slab overflow");
             self.tasks.push(TaskSlot {
                 gen: 0,
                 shard,
-                state: TaskState::Parked(task),
+                waker: None,
+                state: TaskState::Vacant { next_free: NO_FREE },
             });
             s
         };
+        let s = &mut self.tasks[slot as usize];
+        let id = task_id(slot, s.gen);
+        self.parked_wakers -= s.waker.is_some() as usize;
+        // Re-label the slot's waker block if nothing else holds it (the
+        // previous tenant's `Waker` went with its `Task`); a surviving
+        // clone keeps the old block and the old, dead id.
+        match s.waker.as_mut().and_then(Arc::get_mut) {
+            Some(w) => w.id = id,
+            None => {
+                s.waker = Some(Arc::new(TaskWaker {
+                    id,
+                    queue: self.wakes.clone(),
+                }))
+            }
+        }
+        let waker = Waker::from(s.waker.clone().expect("slot waker was just set"));
+        s.shard = shard;
+        s.state = TaskState::Parked(Task { fut, waker });
         self.live_tasks += 1;
         self.tasks_spawned += 1;
-        task_id(slot, self.tasks[slot as usize].gen)
+        id
     }
 
     /// Take the task out for polling. `None` for stale ids (the task
@@ -710,7 +751,10 @@ impl Core {
     }
 
     /// Retire a completed task: vacate the slot and bump its generation
-    /// so in-flight wakes for this id die at the generation check.
+    /// so in-flight wakes for this id die at the generation check. The
+    /// slot keeps its waker block for its next tenant unless vacant slots
+    /// already hold one per live task: what is kept follows live use, not
+    /// the slab's high-water mark.
     fn finish_task(&mut self, id: TaskId) {
         let slot = task_slot(id);
         let s = &mut self.tasks[slot as usize];
@@ -719,6 +763,11 @@ impl Core {
             next_free: self.task_free,
         };
         s.gen = s.gen.wrapping_add(1);
+        if self.parked_wakers < self.live_tasks {
+            self.parked_wakers += 1;
+        } else {
+            s.waker = None;
+        }
         self.task_free = slot;
         self.live_tasks -= 1;
     }
@@ -1017,6 +1066,7 @@ impl Sim {
                 tasks,
                 task_free: NO_FREE,
                 live_tasks: 0,
+                parked_wakers: 0,
                 ready,
                 current: 0,
                 wake_scratch,
@@ -1157,30 +1207,12 @@ impl Ctx {
         };
         let core = self.core();
         let mut core = core.borrow_mut();
-        // The waker needs the packed id, which needs the slot: insert
-        // with a placeholder waker, then swap in the real one. A task is
-        // only ever polled through the dispatch loop, so the placeholder
-        // is never observed.
         let shard = if (shard as usize) < core.shards.len() {
             shard
         } else {
             0
         };
-        let id = core.insert_task(
-            Task {
-                fut: Box::pin(wrapped),
-                waker: Waker::noop().clone(),
-            },
-            shard,
-        );
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            queue: core.wakes.clone(),
-        }));
-        match &mut core.tasks[task_slot(id) as usize].state {
-            TaskState::Parked(t) => t.waker = waker,
-            _ => unreachable!("freshly inserted task is parked"),
-        }
+        let id = core.insert_task(Box::pin(wrapped), shard);
         core.ready.push_back(id);
         JoinHandle { inner }
     }
@@ -2033,6 +2065,38 @@ mod tests {
         }));
         assert!(sim.run().is_clean());
         assert!(done.get());
+    }
+
+    /// What a process captured goes when it completes, handle held or
+    /// not; what it returned stays with the handle.
+    #[test]
+    fn captures_drop_at_completion_and_the_result_with_the_handle() {
+        struct Counted(Rc<Cell<u32>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        let drops = Rc::new(Cell::new(0));
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let (captured, result) = (Counted(drops.clone()), Counted(drops.clone()));
+        let h = sim.spawn(async move {
+            ctx.sleep(SimDuration::from_nanos(5)).await;
+            let _held = &captured;
+            result
+        });
+        let ctx = sim.ctx();
+        sim.spawn(async move { ctx.sleep(SimDuration::from_nanos(50)).await });
+        sim.run_until(SimTime::from_nanos(10));
+        assert!(h.is_finished());
+        assert_eq!(drops.get(), 1, "the capture outlived its process");
+        // Neither tearing the simulation down nor recycling it reaches
+        // the result: the join state is the handle's.
+        drop(sim.into_arena());
+        assert_eq!(drops.get(), 1);
+        drop(h);
+        assert_eq!(drops.get(), 2);
     }
 
     /// A task awaiting another task's handle is polled twice — parked on

@@ -17,6 +17,15 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+/// Park `cx`'s waker in `slot`. A re-poll by the task already parked
+/// there (the common case) clones and drops nothing.
+fn register(slot: &mut Option<Waker>, cx: &Context<'_>) {
+    match slot {
+        Some(parked) => parked.clone_from(cx.waker()),
+        None => *slot = Some(cx.waker().clone()),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // oneshot
 // ---------------------------------------------------------------------------
@@ -94,7 +103,7 @@ impl<T> Future for OneReceiver<T> {
         if st.closed {
             return Poll::Ready(Err(RecvError));
         }
-        st.waker = Some(cx.waker().clone());
+        register(&mut st.waker, cx);
         Poll::Pending
     }
 }
@@ -368,7 +377,7 @@ impl Future for Acquire {
                     });
                 }
                 WaitState::Queued => {
-                    w.waker = Some(cx.waker().clone());
+                    register(&mut w.waker, cx);
                     return Poll::Pending;
                 }
                 WaitState::Cancelled => unreachable!("poll after cancellation"),
@@ -404,6 +413,11 @@ impl Drop for Acquire {
                 let mut w = waiter.borrow_mut();
                 let s = w.state;
                 w.state = WaitState::Cancelled;
+                // The waiter stays queued until an `add_permits` pops it;
+                // the task's waker must not stay with it (a clone that
+                // outlives its task costs the task slot's next tenant a
+                // fresh waker block).
+                w.waker = None;
                 s
             };
             // If permits were granted but the future was dropped before
@@ -494,7 +508,7 @@ impl Future for Wait {
                 if w.notified {
                     Poll::Ready(())
                 } else {
-                    w.waker = Some(cx.waker().clone());
+                    register(&mut w.waker, cx);
                     Poll::Pending
                 }
             }
@@ -783,6 +797,42 @@ mod tests {
         });
         assert!(sim.run().is_clean());
         assert!(got.get());
+    }
+
+    /// A waker counted through its `Arc`, to see who still holds a clone.
+    struct CountedWaker;
+    impl std::task::Wake for CountedWaker {
+        fn wake(self: std::sync::Arc<Self>) {}
+    }
+
+    #[test]
+    fn dropped_queued_acquire_keeps_no_waker_and_fifo_order_holds() {
+        use std::sync::Arc;
+        let sem = Semaphore::new(0);
+        let counted = Arc::new(CountedWaker);
+        let waker = Waker::from(counted.clone());
+        let mut cx = Context::from_waker(&waker);
+        let mut queue: Vec<_> = (0..3).map(|_| Box::pin(sem.acquire(1))).collect();
+        for acq in &mut queue {
+            assert!(acq.as_mut().poll(&mut cx).is_pending());
+            // Re-polled by the same task: no second clone.
+            assert!(acq.as_mut().poll(&mut cx).is_pending());
+        }
+        assert_eq!(Arc::strong_count(&counted), 2 + 3);
+        // The middle waiter is abandoned (a timed-out RPC attempt). It
+        // stays queued as a tombstone, but lets go of the waker at once.
+        drop(queue.remove(1));
+        assert_eq!(sem.queue_len(), 3);
+        assert_eq!(Arc::strong_count(&counted), 2 + 2);
+        // Grants still go to the survivors in arrival order.
+        sem.add_permits(1);
+        assert!(queue[1].as_mut().poll(&mut cx).is_pending());
+        let first = queue[0].as_mut().poll(&mut cx);
+        assert!(first.is_ready());
+        drop(first);
+        assert!(queue[1].as_mut().poll(&mut cx).is_ready());
+        assert_eq!(sem.queue_len(), 0);
+        assert_eq!(Arc::strong_count(&counted), 2);
     }
 
     #[test]

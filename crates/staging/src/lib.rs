@@ -46,7 +46,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use cluster::NodeId;
 use kvs::KvsHandle;
 use localfs::LocalFs;
@@ -83,15 +83,15 @@ pub struct FrameMeta {
 impl FrameMeta {
     /// Encode for the KVS value.
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(13);
-        b.put_u32(self.owner.0);
-        b.put_u64(self.size);
-        b.put_u8(match self.location {
-            FrameLocation::Nvme => 0,
-            FrameLocation::Pfs => 1,
-            FrameLocation::Lost => 2,
-        });
-        b.freeze()
+        Bytes::build(13, |b| {
+            b.put_u32(self.owner.0);
+            b.put_u64(self.size);
+            b.put_u8(match self.location {
+                FrameLocation::Nvme => 0,
+                FrameLocation::Pfs => 1,
+                FrameLocation::Lost => 2,
+            });
+        })
     }
 
     /// Decode from a KVS value.
@@ -292,12 +292,13 @@ pub struct StagingManager {
 /// The KVS key consumer `consumer` commits to ack frame `path`.
 pub fn ack_key(path: &str, consumer: &str) -> String {
     // `path` starts with '/', giving "__staging/ack/<consumer>/<path>".
-    format!("__staging/ack/{consumer}{path}")
+    // `concat` sizes the string before it writes (one allocator call).
+    ["__staging/ack/", consumer, path].concat()
 }
 
 /// Where frame `path` lives on the PFS after a spill.
 pub fn spill_path(path: &str) -> String {
-    format!("/spill{path}")
+    ["/spill", path].concat()
 }
 
 impl StagingManager {

@@ -37,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use simcore::resource::FifoResource;
 use simcore::{Ctx, SimDuration};
-use transport::{AmId, Endpoint, LocalBoxFuture, Payload, Transport, TransportError};
+use transport::{AmId, Endpoint, Payload, Transport, TransportError};
 
 use crate::{ack_key, spill_path, FrameLocation, FrameMeta, StagingManager};
 
@@ -241,7 +241,7 @@ impl Plane {
             row.am,
             Rc::new(move |hdr: Bytes, _payload: Payload| {
                 let (fs, inner, service) = (hfs.clone(), hinner.clone(), service.clone());
-                Box::pin(async move {
+                async move {
                     service.request(spec.service_time).await;
                     // The header is the managed path. An empty payload
                     // tells the client this node does not hold the file,
@@ -252,7 +252,7 @@ impl Plane {
                     };
                     inner.borrow_mut().stats.fetches_served += 1;
                     (Bytes::new(), data)
-                }) as LocalBoxFuture<(Bytes, Payload)>
+                }
             }),
         );
         Plane {
@@ -295,7 +295,8 @@ impl Plane {
 
     /// The managed path for a logical frame name.
     pub fn managed_path(&self, name: &str) -> String {
-        format!("{}/{}", self.row.managed_dir, name.trim_start_matches('/'))
+        // `concat` sizes the string before it writes (one allocator call).
+        [self.row.managed_dir, "/", name.trim_start_matches('/')].concat()
     }
 
     async fn ensure_dirs(&self, path: &str) {

@@ -70,6 +70,16 @@ fn run_for(sim: &Sim, secs: u64) {
 }
 
 #[test]
+fn ack_and_spill_paths_are_golden() {
+    let path = "/dyad/frames/p0042/f00017";
+    assert_eq!(
+        ack_key(path, "c42"),
+        "__staging/ack/c42/dyad/frames/p0042/f00017"
+    );
+    assert_eq!(spill_path(path), "/spill/dyad/frames/p0042/f00017");
+}
+
+#[test]
 fn meta_round_trips_with_location() {
     for loc in [FrameLocation::Nvme, FrameLocation::Pfs] {
         let m = FrameMeta {
