@@ -1,222 +1,128 @@
-//! Run the entire experiment suite — the Figure 5-12 sweeps plus the
-//! capacity and chaos studies — in-process through the parallel
-//! campaign executor, instead of invoking each regenerator binary in
-//! sequence. Every study in the grid is collected up front and pushed
-//! through one `run_studies_jobs` call, so the whole suite shares one
-//! worker pool, one warm arena per worker, and one snapshot per sweep
-//! point.
+//! The one driver of the experiment table (`bench::experiments`): every
+//! selected entry's studies are collected up front and pushed through
+//! one `run_studies_jobs` call, so the whole suite shares one worker
+//! pool, one warm arena per worker and one snapshot per sweep point;
+//! each entry is then handed its slice of the reports to print and
+//! `target/experiments/<name>.json` is written under the entry's labels.
+//! A study's seeds are its own, so an entry's numbers do not depend on
+//! what else was selected.
 //!
-//! Flags/env:
+//! ```text
+//! all [--only a,b] [--list] [--jobs N]
+//!     [--backend NAME [--fanout K | --fanin K] [--window W] [--agg N]]
+//! ```
 //!
+//! * `--only a,b` — run these entries (table order); default all 13.
+//! * `--list` — print the entries and exit.
 //! * `--jobs N` — worker threads (default: all cores, `MDFLOW_JOBS`
-//!   overrides);
-//! * `MDFLOW_REPS` / `MDFLOW_FRAMES` — experiment scale, as for the
-//!   individual binaries;
-//! * `MDFLOW_CHAOS_SEED` / `MDFLOW_CHAOS_EVENTS` — the chaos plan.
-//!
-//! Seeding is identical to the standalone figure binaries, so the rows
-//! printed here match running each binary on its own. The deep-dive
-//! regenerators that do more than movement/idle studies (tables,
-//! Thicket call trees, ablations, bursty schedules) remain standalone:
-//! `table1`, `table2`, `fig9_10`, `ablation`, `bursty`.
+//!   overrides).
+//! * `--backend …` — rerun every scripted study on one backend
+//!   (`bench::BackendOverride`).
+//! * `MDFLOW_REPS` / `MDFLOW_FRAMES` — experiment scale (default the
+//!   paper's 10 × 128; `MDFLOW_REPS=3 all --only fig5,fig6,fig8` is the
+//!   quick calibration probe).
 
-use bench::{fmt_secs, print_bar, reports_json, save_json, study_at, Scale};
+use bench::experiments::{Experiment, EXPERIMENTS};
+use bench::{fmt_secs, reports_json, save_json, BackendOverride, Scale};
 use mdflow::prelude::*;
-use simcore::SimDuration;
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// The full suite grid: `(group, row label, workflow)` in print order.
-fn suite_grid() -> Vec<(&'static str, String, WorkflowConfig)> {
-    let split8 = Placement::Split { pairs_per_node: 8 };
-    let split16 = Placement::Split { pairs_per_node: 16 };
-    let mut grid = Vec::new();
-
-    // Figure 5: single node, JAC, DYAD vs XFS, 1/2/4 pairs.
-    for pairs in [1u32, 2, 4] {
-        for (name, solution) in [("DYAD", Solution::Dyad), ("XFS", Solution::Xfs)] {
-            grid.push((
-                "fig5 — single node, JAC, DYAD vs XFS",
-                format!("{name} ({pairs} pairs)"),
-                WorkflowConfig::new(solution, pairs, Placement::SingleNode),
-            ));
-        }
-    }
-    // Figure 6: two nodes, JAC, DYAD vs Lustre, 1/2/4/8 pairs.
-    for pairs in [1u32, 2, 4, 8] {
-        for (name, solution) in [("DYAD", Solution::Dyad), ("Lustre", Solution::Lustre)] {
-            grid.push((
-                "fig6 — two nodes, JAC, DYAD vs Lustre",
-                format!("{name} ({pairs} pairs)"),
-                WorkflowConfig::new(solution, pairs, split8),
-            ));
-        }
-    }
-    // Figure 7: multi-node scaling, 8..256 pairs at 8 per node.
-    for pairs in [8u32, 16, 32, 64, 128, 256] {
-        for (name, solution) in [("DYAD", Solution::Dyad), ("Lustre", Solution::Lustre)] {
-            grid.push((
-                "fig7 — multi-node scaling, JAC",
-                format!("{name} ({pairs} pairs)"),
-                WorkflowConfig::new(solution, pairs, split8),
-            ));
-        }
-    }
-    // Figure 8: model-size scaling, 16 pairs on two nodes. (These rows
-    // also cover the fig9/10 workload cells; the Thicket call-tree
-    // analysis itself lives in the standalone `fig9_10` binary.)
-    for model in Model::ALL {
-        for (name, solution) in [("DYAD", Solution::Dyad), ("Lustre", Solution::Lustre)] {
-            grid.push((
-                "fig8 — model-size scaling, 16 pairs",
-                format!("{name} ({model})"),
-                WorkflowConfig::new(solution, 16, split16).with_model(model),
-            ));
-        }
-    }
-    // Figures 11/12: stride scaling for JAC and STMV.
-    for (group, model) in [
-        ("fig11 — stride scaling, JAC", Model::Jac),
-        ("fig12 — stride scaling, STMV", Model::Stmv),
-    ] {
-        for stride in [1u64, 5, 10, 50] {
-            for (name, solution) in [("DYAD", Solution::Dyad), ("Lustre", Solution::Lustre)] {
-                grid.push((
-                    group,
-                    format!("{name} (stride {stride})"),
-                    WorkflowConfig::new(solution, 16, split16)
-                        .with_model(model)
-                        .with_stride(stride),
-                ));
-            }
-        }
-    }
-    // Capacity: staging-budget sweep, periodic and bursty, with the
-    // Lustre baseline rows (same grid as the `capacity` binary).
-    let budget_halves: [Option<u64>; 6] = [None, Some(128), Some(8), Some(4), Some(2), Some(1)];
-    let budget_wf = |halves: Option<u64>| {
-        let wf = WorkflowConfig::new(Solution::Dyad, 8, split8);
-        match halves {
-            None => wf,
-            Some(h) => wf
-                .with_staging_budget(h * Model::Jac.frame_bytes() * 8 / 2)
-                .with_spill(true),
-        }
-    };
-    let budget_label = |halves: Option<u64>| match halves {
-        None => "unlimited".to_string(),
-        Some(h) => format!("{} frames/pair", h as f64 / 2.0),
-    };
-    let bursty = FrameSchedule::Bursty {
-        burst_gap: SimDuration::from_millis(50),
-        quiet_gap: SimDuration::from_millis(1590),
-        burst_persistence: 0.5,
-        burst_entry: 0.5,
-    };
-    for halves in budget_halves {
-        grid.push((
-            "capacity — staging budget, periodic",
-            budget_label(halves),
-            budget_wf(halves),
-        ));
-    }
-    grid.push((
-        "capacity — staging budget, periodic",
-        "Lustre baseline".to_string(),
-        WorkflowConfig::new(Solution::Lustre, 8, split8),
-    ));
-    for halves in budget_halves {
-        grid.push((
-            "capacity — staging budget, bursty",
-            budget_label(halves),
-            budget_wf(halves).with_schedule(bursty.clone()),
-        ));
-    }
-    grid.push((
-        "capacity — staging budget, bursty",
-        "Lustre baseline".to_string(),
-        WorkflowConfig::new(Solution::Lustre, 8, split8).with_schedule(bursty),
-    ));
-    // Chaos: clean vs faulted, DYAD vs Lustre, 4 and 8 pairs.
-    let seed = env_u64("MDFLOW_CHAOS_SEED", 42);
-    let events = env_u64("MDFLOW_CHAOS_EVENTS", 2) as u32;
-    for pairs in [4u32, 8] {
-        for (name, solution) in [("dyad", Solution::Dyad), ("lustre", Solution::Lustre)] {
-            grid.push((
-                "chaos — fault injection, JAC",
-                format!("{name} {pairs}p fault-free"),
-                WorkflowConfig::new(solution, pairs, split8),
-            ));
-            grid.push((
-                "chaos — fault injection, JAC",
-                format!("{name} {pairs}p chaos"),
-                WorkflowConfig::new(solution, pairs, split8)
-                    .with_faults(FaultConfig::chaos(seed, events)),
-            ));
-        }
-    }
-    grid
+fn usage(problem: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    eprintln!("error: {problem}");
+    eprintln!(
+        "usage: all [--only a,b] [--list] [--jobs N] [--backend NAME [--fanout K | --fanin K] \
+         [--window W] [--agg N]]"
+    );
+    eprintln!("experiments: {}", names.join(", "));
+    std::process::exit(2)
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut jobs = default_jobs();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
+    let mut selected: Vec<&Experiment> = EXPERIMENTS.iter().collect();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
         match a.as_str() {
+            "--list" => {
+                for e in EXPERIMENTS {
+                    println!("{:<17} {}", e.name, e.title);
+                }
+                return;
+            }
             "--jobs" => {
-                jobs = args
+                jobs = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs needs a positive integer");
-                        std::process::exit(2);
-                    });
+                    .unwrap_or_else(|| usage("--jobs needs a positive integer"));
             }
-            other => {
-                eprintln!("unknown flag {other} (supported: --jobs N)");
-                std::process::exit(2);
+            "--only" => {
+                let names: Vec<&str> = match it.next() {
+                    Some(v) => v.split(',').collect(),
+                    None => usage("--only needs a comma-separated list of experiments"),
+                };
+                if let Some(bad) = names
+                    .iter()
+                    .find(|n| !EXPERIMENTS.iter().any(|e| e.name == **n))
+                {
+                    usage(&format!("no experiment named {bad}"));
+                }
+                selected.retain(|e| names.contains(&e.name));
             }
+            flag if BackendOverride::FLAGS.contains(&flag) => {
+                it.next();
+            }
+            other => usage(&format!("unknown flag {other}")),
         }
     }
+    let backend = BackendOverride::from_args(&args).unwrap_or_else(|e| usage(&e));
     let scale = Scale::from_env();
-    let grid = suite_grid();
+
+    let grids: Vec<Vec<(String, StudyConfig)>> =
+        selected.iter().map(|e| (e.studies)(scale)).collect();
+    let studies: Vec<StudyConfig> = grids
+        .iter()
+        .flatten()
+        .map(|(_, study)| {
+            let mut study = study.clone();
+            if let Some(o) = backend {
+                study.workflow = o.apply(study.workflow);
+            }
+            study
+        })
+        .collect();
     println!(
-        "EXPERIMENT SUITE — {} studies × {} reps at {} frames, {jobs} worker(s)",
-        grid.len(),
+        "EXPERIMENT SUITE — {} experiment(s), {} studies × {} reps at {} frames, {jobs} worker(s)",
+        selected.len(),
+        studies.len(),
         scale.reps,
         scale.frames
     );
-
-    let studies: Vec<StudyConfig> = grid
-        .iter()
-        .map(|(_, _, wf)| study_at(wf.clone(), scale))
-        .collect();
     let (reports, stats) = run_studies_jobs(&studies, jobs);
 
-    let mut current_group = "";
-    for ((group, label, _), report) in grid.iter().zip(&reports) {
-        if *group != current_group {
-            current_group = group;
-            println!("\n================================================================");
-            println!("== {group}");
-            println!("================================================================");
+    let mut reports = reports.into_iter();
+    for (e, grid) in selected.iter().zip(grids) {
+        let rows: Vec<(String, StudyReport)> = grid
+            .into_iter()
+            .map(|(label, _)| label)
+            .zip(reports.by_ref())
+            .collect();
+        println!("\n================================================================");
+        if rows.is_empty() {
+            println!("{}", e.title);
+        } else {
+            println!("{}, {} frames, {} reps", e.title, scale.frames, scale.reps);
         }
-        print_bar(label, report);
+        (e.report)(&rows);
+        if !rows.is_empty() {
+            save_json(e.name, &reports_json(&rows));
+        }
     }
 
-    let rows_ref: Vec<(String, &StudyReport)> = grid
-        .iter()
-        .zip(&reports)
-        .map(|((group, label, _), r)| (format!("{group} :: {label}"), r))
-        .collect();
-    save_json("all_suite", &reports_json(&rows_ref));
-
+    if stats.runs == 0 {
+        return;
+    }
     println!("\nexecutor accounting:");
     println!(
         "  {} runs in {} wall ({:.0} runs/minute, {} worker(s))",
@@ -230,8 +136,5 @@ fn main() {
         fmt_secs(stats.setup_secs),
         fmt_secs(stats.sim_secs),
         stats.setup_fraction() * 100.0
-    );
-    println!(
-        "\nstandalone deep dives not included here: table1, table2, fig9_10, ablation, bursty"
     );
 }

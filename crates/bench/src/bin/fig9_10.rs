@@ -11,15 +11,19 @@
 //! roughly constant — synchronization, not movement, limits Lustre.
 
 use bench::{print_ratio, save_json, BackendOverride, Scale};
-use mdflow::calibration::Calibration;
 use mdflow::prelude::*;
 use thicket::{AggProfile, Ensemble, Query};
 
-fn consumer_ensemble(solution: Solution, model: Model, scale: Scale) -> AggProfile {
+fn consumer_ensemble(
+    solution: Solution,
+    model: Model,
+    scale: Scale,
+    backend: Option<BackendOverride>,
+) -> AggProfile {
     let mut wf = WorkflowConfig::new(solution, 16, Placement::Split { pairs_per_node: 16 })
         .with_model(model)
         .with_frames(scale.frames);
-    if let Some(o) = BackendOverride::from_env() {
+    if let Some(o) = backend {
         wf = o.apply(wf);
     }
     let cal = Calibration::corona();
@@ -38,6 +42,11 @@ fn consumer_ensemble(solution: Solution, model: Model, scale: Scale) -> AggProfi
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let backend = BackendOverride::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     let scale = Scale::from_env();
     println!(
         "FIGURES 9 & 10 — Thicket call trees, 2 nodes, 16 pairs, {} frames, {} reps",
@@ -45,8 +54,8 @@ fn main() {
     );
 
     // ---- Figure 9: DYAD -------------------------------------------------
-    let dyad_jac = consumer_ensemble(Solution::Dyad, Model::Jac, scale);
-    let dyad_stmv = consumer_ensemble(Solution::Dyad, Model::Stmv, scale);
+    let dyad_jac = consumer_ensemble(Solution::Dyad, Model::Jac, scale, backend);
+    let dyad_stmv = consumer_ensemble(Solution::Dyad, Model::Stmv, scale, backend);
     println!("\n[Figure 9a] DYAD consumer call tree, JAC:");
     print!("{}", dyad_jac.render_tree());
     println!("\n[Figure 9b] DYAD consumer call tree, STMV:");
@@ -54,7 +63,7 @@ fn main() {
 
     // Under `--backend streaming` every cell runs the streaming data
     // plane, so the call-tree queries follow its region names.
-    let streaming = BackendOverride::from_env().is_some_and(|o| o.solution == Solution::Streaming);
+    let streaming = backend.is_some_and(|o| o.solution == Solution::Streaming);
     let (movement, store, read, fetch) = if streaming {
         (
             Query::parse("stream_consume/stream_get_data"),
@@ -95,8 +104,8 @@ fn main() {
     );
 
     // ---- Figure 10: Lustre ----------------------------------------------
-    let lus_jac = consumer_ensemble(Solution::Lustre, Model::Jac, scale);
-    let lus_stmv = consumer_ensemble(Solution::Lustre, Model::Stmv, scale);
+    let lus_jac = consumer_ensemble(Solution::Lustre, Model::Jac, scale, backend);
+    let lus_stmv = consumer_ensemble(Solution::Lustre, Model::Stmv, scale, backend);
     println!("\n[Figure 10a] Lustre consumer call tree, JAC:");
     print!("{}", lus_jac.render_tree());
     println!("\n[Figure 10b] Lustre consumer call tree, STMV:");

@@ -6,15 +6,20 @@
 //!            [--model jac|apoa1|f1|stmv]
 //!            [--pairs N] [--nodes single|split] [--per-node N]
 //!            [--stride N] [--frames N] [--reps N] [--seed N]
-//!            [--sync coarse|fine|polling] [--no-warm-sync]
+//!            [--sync coarse|fine|polling|lock] [--no-warm-sync]
 //!            [--fanout K] [--fanin K] [--window W] [--agg N]
 //!            [--group broadcast|partitioned] [--no-reclaim]
 //!            [--kvs-shards N] [--kvs-replication R]
 //!            [--topology flat|leaf-spine] [--radix N] [--oversubscription X]
-//!            [--quiet-testbed] [--json]
+//!            [--quiet-testbed] [--json] [--trace]
 //! ```
+//!
+//! `--trace` runs one repetition (at `--seed`) with the tracer on and
+//! writes a Chrome/Perfetto timeline — every producer and consumer a
+//! track, every Caliper region a span — to
+//! `target/experiments/trace_<solution>.json`; open it in
+//! <https://ui.perfetto.dev> to watch the pipeline breathe.
 
-use mdflow::calibration::Calibration;
 use mdflow::prelude::*;
 
 struct Args(Vec<String>);
@@ -25,11 +30,7 @@ impl Args {
     }
 
     fn value(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
+        bench::flag_value(&self.0, name)
     }
 
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
@@ -62,7 +63,7 @@ options:
   --frames   N                             frames per pair [128]
   --reps     N                             repetitions [10]
   --seed     N                             base seed [0xD1AD]
-  --sync     coarse|fine|polling           manual sync protocol [coarse]
+  --sync     coarse|fine|polling|lock      manual sync protocol [coarse]
   --no-warm-sync                           disable DYAD's warm fast path
   --fanout   K                             streaming: 1 pub -> K subs per group [1]
   --fanin    K                             streaming: K pubs -> 1 reducer per group [1]
@@ -78,6 +79,8 @@ options:
   --oversubscription X                     leaf uplink oversubscription [1.0]
   --quiet-testbed                          no PFS interference / jitter
   --json                                   print the full report as JSON
+  --trace                                  trace one repetition into
+                                           target/experiments/trace_<solution>.json
 ";
 
 fn main() {
@@ -86,14 +89,11 @@ fn main() {
         print!("{HELP}");
         return;
     }
-    let solution = match args.value("--solution").unwrap_or("dyad") {
-        "dyad" => Solution::Dyad,
-        "xfs" => Solution::Xfs,
-        "lustre" => Solution::Lustre,
-        "dyad-on-pfs" => Solution::DyadOnPfs,
-        "streaming" => Solution::Streaming,
-        other => die(&format!("unknown solution {other}")),
-    };
+    let solution: Solution = args
+        .value("--solution")
+        .unwrap_or("dyad")
+        .parse()
+        .unwrap_or_else(|e: String| die(&e));
     let model = match args.value("--model").unwrap_or("jac") {
         "jac" => Model::Jac,
         "apoa1" => Model::ApoA1,
@@ -117,12 +117,11 @@ fn main() {
         wf = wf.with_stride(stride.parse().unwrap_or_else(|_| die("bad --stride")));
     }
     wf = wf.with_frames(args.num("--frames", 128));
-    wf.manual_sync = match args.value("--sync").unwrap_or("coarse") {
-        "coarse" => ManualSync::Coarse,
-        "fine" => ManualSync::Fine,
-        "polling" => ManualSync::Polling,
-        other => die(&format!("unknown sync protocol {other}")),
-    };
+    wf.manual_sync = args
+        .value("--sync")
+        .unwrap_or("coarse")
+        .parse()
+        .unwrap_or_else(|e: String| die(&e));
     wf.dyad_warm_sync = !args.flag("--no-warm-sync");
     let fanout: u32 = args.num("--fanout", 1);
     let fanin: u32 = args.num("--fanin", 1);
@@ -182,6 +181,10 @@ fn main() {
         other => die(&format!("unknown topology {other}")),
     }
 
+    if args.flag("--trace") {
+        trace(&study);
+        return;
+    }
     eprintln!(
         "running {} × {} pairs × {} frames × {} reps ({} / stride {})...",
         study.workflow.solution,
@@ -220,6 +223,27 @@ fn main() {
             report.window_stall_secs.mean,
         );
     }
+}
+
+/// One traced repetition of `study` at its base seed.
+fn trace(study: &StudyConfig) {
+    let wf = &study.workflow;
+    eprintln!(
+        "tracing one repetition: {} × {} pairs × {} frames...",
+        wf.solution, wf.pairs, wf.frames
+    );
+    let (metrics, tracer) = run_once_traced(wf, &study.calibration, study.seed);
+    bench::save_json(
+        &format!("trace_{}", wf.solution.name()),
+        &tracer.to_chrome_json(),
+    );
+    println!(
+        "  {} trace events over {:.2} simulated s ({} discrete events)",
+        tracer.len(),
+        metrics.makespan.as_secs_f64(),
+        metrics.events
+    );
+    println!("open it at https://ui.perfetto.dev or chrome://tracing");
 }
 
 fn fmt(s: f64) -> String {

@@ -17,37 +17,21 @@
 //! the measured latency once a single broker saturates.
 //! All measured quantities are *simulated* time and deterministic
 //! counters: same binary + same scale knobs ⇒ byte-identical numbers on
-//! any host, which is what lets CI gate on ratios with a small
-//! tolerance.
+//! any host. The relations the sweep exists to show — latency monotone
+//! non-increasing across 1→2→4 shards where the single broker saturates,
+//! the 1→4 improvement, the R=2 overhead, the peak queue halving per
+//! doubling — are tier-1 tests on this binary's own cell
+//! (`crates/bench/tests/experiments.rs`, through `bench::run_cell`).
 //!
-//! Modes:
-//!
-//! * `metadata_plane` — run the sweep, print a table, write
-//!   `BENCH_PR7.json` (into `--out DIR`, default the current directory).
-//! * `metadata_plane --check BASELINE.json` — additionally fail (exit 1)
-//!   if, versus the baseline, for any pair count ≥ 1024 present in both:
-//!   the 1→4-shard sync-latency improvement fell by more than
-//!   `METADATA_TOLERANCE` (default 0.15), the improvement is not
-//!   monotone across 1→2→4 shards, or the replicated-mode latency
-//!   overhead rose above its baseline ceiling.
+//! `metadata_plane [--out DIR]` runs the sweep, prints a table and
+//! writes `BENCH_PR7.json` (default: the current directory).
 //!
 //! Scale knobs: `METADATA_PAIRS` (comma list, default `256,1024,4096`)
-//! and `METADATA_FRAMES` (default 3). The checked-in baseline is
-//! captured at the CI grid (`METADATA_PAIRS=256,1024 METADATA_FRAMES=2`).
+//! and `METADATA_FRAMES` (default 3).
 
-use mdflow::calibration::Calibration;
-use mdflow::prelude::*;
-use simcore::SimDuration;
+use bench::{env_or, num_f64, num_u64, obj, run_cell, write_record, MetadataCell};
 
 const SHARDS: [u32; 3] = [1, 2, 4];
-const SEED: u64 = 11;
-
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn pairs_list() -> Vec<u32> {
     std::env::var("METADATA_PAIRS")
@@ -61,90 +45,7 @@ fn pairs_list() -> Vec<u32> {
         .unwrap_or_else(|| vec![256, 1024, 4096])
 }
 
-/// One measured cell of the sweep.
-struct Cell {
-    pairs: u32,
-    shards: u32,
-    replication: u32,
-    /// Mean consumer sync latency per consume, milliseconds (sim time).
-    sync_ms: f64,
-    /// Worst per-shard peak of in-flight broker requests (queued,
-    /// in service, or parked server-side watches).
-    peak_queue: u64,
-    /// Server-side watches served across all shards.
-    waits: u64,
-    /// Replication deltas shipped shard→shard.
-    deltas_sent: u64,
-    makespan_secs: f64,
-}
-
-fn run_cell(pairs: u32, shards: u32, replication: u32, frames: u64) -> Cell {
-    let mut cal = Calibration::quiet();
-    // The stock flux-broker profile (20 µs/op, 4 service threads), not
-    // corona's beefier 8-thread broker: the sweep's variable is the
-    // *number* of brokers, so per-broker capacity sits where a single
-    // broker saturates inside the measured pair range.
-    cal.kvs = kvs::KvsSpec::default();
-    let mut wf = WorkflowConfig::new(
-        Solution::Dyad,
-        pairs,
-        Placement::Split { pairs_per_node: 64 },
-    )
-    .with_frames(frames)
-    // 80x the paper's JAC frame rate (the frequency-scaling ablation):
-    // at stride 880 the MD phase dominates the consumer's wait and the
-    // broker idles between frames; at stride 11 a frame arrives every
-    // ~2.5 ms, the per-pair commit + wait + ack RPC stream saturates a
-    // single broker past several hundred pairs, and the metadata plane — not MD
-    // compute — bounds the pipeline. That is the regime a shard sweep
-    // is about.
-    .with_stride(11)
-    .with_kvs_shards(shards)
-    .with_kvs_replication(replication);
-    // Re-synchronize through the KVS on every frame, not just the first.
-    wf.dyad_warm_sync = false;
-    let m = run_once(&wf, &cal, SEED);
-
-    let mut sync = SimDuration::ZERO;
-    let mut consumes = 0u64;
-    for p in &m.consumers {
-        if let Some(n) = p.node(&["dyad_consume", "dyad_fetch"]) {
-            sync += n.inclusive;
-            consumes += n.count;
-        }
-    }
-    Cell {
-        pairs,
-        shards,
-        replication,
-        sync_ms: sync.as_secs_f64() * 1e3 / consumes.max(1) as f64,
-        peak_queue: m.kvs.peak_queue,
-        waits: m.kvs.waits,
-        deltas_sent: m.kvs.deltas_sent,
-        makespan_secs: m.makespan.as_secs_f64(),
-    }
-}
-
-// The vendored serde_json stand-in has no `json!` macro, so build
-// `Value` trees by hand through these helpers.
-fn obj(fields: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
-    serde_json::Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num_u64(v: u64) -> serde_json::Value {
-    serde_json::Value::Number(serde_json::Number::U64(v))
-}
-
-fn num_f64(v: f64) -> serde_json::Value {
-    serde_json::Value::Number(serde_json::Number::F64(v))
-}
-
-fn cell_json(c: &Cell) -> serde_json::Value {
+fn cell_json(c: &MetadataCell) -> serde_json::Value {
     obj(vec![
         ("pairs", num_u64(c.pairs as u64)),
         ("shards", num_u64(c.shards as u64)),
@@ -158,20 +59,19 @@ fn cell_json(c: &Cell) -> serde_json::Value {
 }
 
 /// Latency of the `(pairs, shards, replication)` cell, if measured.
-fn sync_of(cells: &[Cell], pairs: u32, shards: u32, replication: u32) -> Option<f64> {
+fn sync_of(cells: &[MetadataCell], pairs: u32, shards: u32, replication: u32) -> Option<f64> {
     cells
         .iter()
         .find(|c| c.pairs == pairs && c.shards == shards && c.replication == replication)
         .map(|c| c.sync_ms)
 }
 
-fn to_json(cells: &[Cell], frames: u64) -> String {
-    let pairs = pairs_list();
-    // Derived ratio block: what CI gates on. `improvement_4x` is the
-    // 1-shard / 4-shard sync-latency ratio per pair count (higher is
-    // better); `replication_overhead` is R=2 / R=1 latency at 4 shards.
+fn record(cells: &[MetadataCell], pairs: &[u32], frames: u64) -> serde_json::Value {
+    // Derived ratio block: `improvement_4x` is the 1-shard / 4-shard
+    // sync-latency ratio per pair count (higher is better);
+    // `replication_overhead` is R=2 / R=1 latency at 4 shards.
     let mut ratios = Vec::new();
-    for &p in &pairs {
+    for &p in pairs {
         let (Some(s1), Some(s4)) = (sync_of(cells, p, 1, 1), sync_of(cells, p, 4, 1)) else {
             continue;
         };
@@ -184,102 +84,25 @@ fn to_json(cells: &[Cell], frames: u64) -> String {
         }
         ratios.push(obj(fields));
     }
-    serde_json::to_string_pretty(&obj(vec![
+    obj(vec![
         (
             "bench",
             serde_json::Value::String("metadata_plane".to_string()),
         ),
         ("pr", num_u64(7)),
         ("frames", num_u64(frames)),
-        ("seed", num_u64(SEED)),
+        ("seed", num_u64(11)),
         (
             "cells",
             serde_json::Value::Array(cells.iter().map(cell_json).collect()),
         ),
         ("ratios", serde_json::Value::Array(ratios)),
-    ]))
-    .expect("json")
-}
-
-fn check_baseline(cells: &[Cell], baseline_path: &str) -> bool {
-    let tolerance: f64 = std::env::var("METADATA_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.15);
-    let raw = match std::fs::read_to_string(baseline_path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("metadata_plane: cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let base: serde_json::Value = serde_json::from_str(&raw).expect("baseline json");
-    let empty = Vec::new();
-    let base_ratios = base["ratios"].as_array().unwrap_or(&empty);
-    let mut ok = true;
-    for &p in &pairs_list() {
-        let (Some(s1), Some(s2), Some(s4)) = (
-            sync_of(cells, p, 1, 1),
-            sync_of(cells, p, 2, 1),
-            sync_of(cells, p, 4, 1),
-        ) else {
-            continue;
-        };
-        // The scale-free claim: the metadata plane parallelizes. Gated
-        // only where the single broker is actually saturated (1024+
-        // pairs); small ensembles fit in one broker's service capacity
-        // and sharding them is allowed to be a wash.
-        if p < 1024 {
-            continue;
-        }
-        if !(s1 >= s2 && s2 >= s4) {
-            eprintln!(
-                "metadata_plane: REGRESSION {p} pairs: sync latency not monotone across \
-                 shards ({s1:.3} -> {s2:.3} -> {s4:.3} ms)"
-            );
-            ok = false;
-        }
-        let improvement = s1 / s4.max(1e-12);
-        let base_cell = base_ratios
-            .iter()
-            .find(|r| r["pairs"].as_u64() == Some(p as u64));
-        let Some(base_cell) = base_cell else {
-            continue; // pair count not in the baseline grid
-        };
-        let base_improvement = base_cell["improvement_4x"].as_f64().unwrap_or(0.0);
-        if base_improvement > 0.0 && improvement < base_improvement * (1.0 - tolerance) {
-            eprintln!(
-                "metadata_plane: REGRESSION {p} pairs: 1->4 shard improvement {improvement:.2}x \
-                 vs baseline {base_improvement:.2}x (> {:.0}% below)",
-                tolerance * 100.0
-            );
-            ok = false;
-        }
-        if let (Some(overhead), Some(base_overhead)) = (
-            sync_of(cells, p, 4, 2).map(|r2| r2 / s4.max(1e-12)),
-            base_cell["replication_overhead"].as_f64(),
-        ) {
-            let ceiling = base_overhead * (1.0 + tolerance);
-            if overhead > ceiling {
-                eprintln!(
-                    "metadata_plane: REGRESSION {p} pairs: replication overhead {overhead:.2}x \
-                     vs ceiling {ceiling:.2}x (baseline {base_overhead:.2}x)"
-                );
-                ok = false;
-            }
-        }
-    }
-    ok
+    ])
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag_value = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let frames = env_u64("METADATA_FRAMES", 3);
+    let frames = env_or("METADATA_FRAMES", 3);
     let pairs = pairs_list();
     println!(
         "METADATA-PLANE — KVS mesh sweep (pairs {pairs:?} x shards {SHARDS:?} at {frames} frames)"
@@ -303,16 +126,5 @@ fn main() {
             );
         }
     }
-
-    let out_dir = flag_value("--out").unwrap_or_else(|| ".".to_string());
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let out = format!("{out_dir}/BENCH_PR7.json");
-    std::fs::write(&out, to_json(&cells, frames)).expect("write BENCH_PR7.json");
-    println!("  [saved {out}]");
-    if let Some(baseline) = flag_value("--check") {
-        if !check_baseline(&cells, &baseline) {
-            std::process::exit(1);
-        }
-        println!("  perf check vs {baseline}: OK");
-    }
+    write_record(&args, "BENCH_PR7.json", &record(&cells, &pairs, frames));
 }

@@ -21,10 +21,13 @@
 //!   — the guard against the superlinear setup cliff fixed in PR 9.
 //! * `SCALE_PAIRS` — comma-separated pair counts
 //!   (default `4096,16384,65536,131072`; CI runs `4096,16384` with the
-//!   tighter `SCALE_EPS_FACTOR=2.0` and a 1e6 `SCALE_MIN_EPS` floor).
+//!   tighter `SCALE_EPS_FACTOR=2.0`).
 //! * `SCALE_FRAMES` — frames per pair (default 3).
-//! * `SCALE_MIN_EPS` — absolute sim-phase events/s floor applied to
-//!   every point (default 0 = disabled).
+//!
+//! Every gate is a ratio inside one sweep on one host. Absolute
+//! events/s is `perf`'s to check (`events_per_s` on `dyad_scale`, parent
+//! against change with the host-slowdown yardstick): a floor captured on
+//! another machine gates the host, not the code.
 //!
 //! The default `SCALE_EPS_FACTOR` of 4.0 reflects measured behavior on
 //! a 1-vCPU host: throughput holds ≥1M events/s through 16k pairs, then
@@ -45,6 +48,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+use bench::{env_or, num_f64, num_u64, obj, rss_peak_bytes, write_record};
 use mdflow::prelude::*;
 
 /// Counting wrapper over the system allocator: total allocation calls
@@ -131,28 +135,6 @@ impl Point {
     }
 }
 
-fn rss_peak_bytes() -> u64 {
-    // VmHWM is linux-only; other platforms report 0 rather than lying.
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
-                l.split_whitespace()
-                    .nth(1)
-                    .and_then(|kb| kb.parse::<u64>().ok())
-            })
-        })
-        .map(|kb| kb * 1024)
-        .unwrap_or(0)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// The sweep workload: DYAD on a quiet testbed (no PFS interference
 /// noise — this measures the simulator, not the paper's jitter), pairs
 /// packed so the node count approaches 10k at the top point, on an
@@ -190,26 +172,7 @@ fn run_point(pairs: u32, frames: u64, arena: &mut RunArena, heap_base: u64) -> P
     }
 }
 
-// The vendored serde_json stand-in has no `json!` macro, so build
-// `Value` trees by hand through these helpers.
-fn obj(fields: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
-    serde_json::Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num_u64(v: u64) -> serde_json::Value {
-    serde_json::Value::Number(serde_json::Number::U64(v))
-}
-
-fn num_f64(v: f64) -> serde_json::Value {
-    serde_json::Value::Number(serde_json::Number::F64(v))
-}
-
-fn to_json(points: &[Point], heap_base: u64) -> String {
+fn record(points: &[Point], heap_base: u64) -> serde_json::Value {
     let rows: Vec<serde_json::Value> = points
         .iter()
         .map(|p| {
@@ -231,13 +194,12 @@ fn to_json(points: &[Point], heap_base: u64) -> String {
             ])
         })
         .collect();
-    serde_json::to_string_pretty(&obj(vec![
+    obj(vec![
         ("bench", serde_json::Value::String("scale".to_string())),
         ("pr", num_u64(9)),
         ("heap_baseline_bytes", num_u64(heap_base)),
         ("points", serde_json::Value::Array(rows)),
-    ]))
-    .expect("json")
+    ])
 }
 
 /// Scale-free ratio gates, self-contained (no baseline file needed):
@@ -246,13 +208,12 @@ fn to_json(points: &[Point], heap_base: u64) -> String {
 /// superlinear step (the PR 8 fault cliff) cannot hide behind a cheap
 /// anchor.
 fn enforce(points: &[Point]) -> bool {
-    let eps_factor = env_f64("SCALE_EPS_FACTOR", 4.0);
-    let rss_factor = env_f64("SCALE_RSS_FACTOR", 1.25);
+    let eps_factor: f64 = env_or("SCALE_EPS_FACTOR", 4.0);
+    let rss_factor: f64 = env_or("SCALE_RSS_FACTOR", 1.25);
     // 1.5x headroom over linear: setup points are sub-second and noisy
     // (observed run-to-run swings of ~30%), while the superlinear cliff
     // this guards against was a 10.5x consecutive ratio in BENCH_PR8.
-    let setup_factor = env_f64("SCALE_SETUP_FACTOR", 1.5);
-    let min_eps = env_f64("SCALE_MIN_EPS", 0.0);
+    let setup_factor: f64 = env_or("SCALE_SETUP_FACTOR", 1.5);
     let first = &points[0];
     let mut ok = true;
     for (i, p) in points.iter().enumerate().skip(1) {
@@ -301,37 +262,17 @@ fn enforce(points: &[Point]) -> bool {
             ok = false;
         }
     }
-    if min_eps > 0.0 {
-        for p in points {
-            if p.eps_sim() < min_eps {
-                eprintln!(
-                    "scale: GATE FAIL {}k pairs: {:.0} events/s (sim) below floor {min_eps:.0}",
-                    p.pairs / 1000,
-                    p.eps_sim(),
-                );
-                ok = false;
-            }
-        }
-    }
     ok
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag_value = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
     let pairs_list: Vec<u32> = std::env::var("SCALE_PAIRS")
         .unwrap_or_else(|_| "4096,16384,65536,131072".to_string())
         .split(',')
         .map(|s| s.trim().parse().expect("SCALE_PAIRS entries must be u32"))
         .collect();
-    let frames: u64 = std::env::var("SCALE_FRAMES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
+    let frames: u64 = env_or("SCALE_FRAMES", 3);
     assert!(
         pairs_list.windows(2).all(|w| w[0] < w[1]),
         "SCALE_PAIRS must be ascending (the heap attribution depends on it)"
@@ -359,11 +300,7 @@ fn main() {
         points.push(p);
     }
 
-    let out_dir = flag_value("--out").unwrap_or_else(|| ".".to_string());
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let out = format!("{out_dir}/BENCH_PR9.json");
-    std::fs::write(&out, to_json(&points, heap_base)).expect("write BENCH_PR9.json");
-    println!("  [saved {out}]");
+    write_record(&args, "BENCH_PR9.json", &record(&points, heap_base));
 
     let enforce_requested = args.iter().any(|a| a == "--enforce")
         || std::env::var("SCALE_ENFORCE").is_ok_and(|v| v == "1");

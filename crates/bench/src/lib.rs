@@ -1,9 +1,14 @@
-//! Shared plumbing for the experiment regenerators: one binary per paper
-//! table/figure lives in `src/bin/`, each printing the paper's series
-//! (movement/idle per bar) plus paper-vs-measured headline ratios, and
-//! emitting machine-readable JSON for EXPERIMENTS.md.
+//! Shared plumbing for the experiment regenerators. The paper's
+//! evaluation is one table ([`experiments::EXPERIMENTS`]) behind one
+//! driver (`all`); this crate root holds what the table, the driver and
+//! the five binaries that are not "studies in, reports out" share: the
+//! experiment scale, the `--backend` override, bar/ratio/chart printing,
+//! the JSON record writers and the metadata-plane cell.
 
 use mdflow::prelude::*;
+use simcore::SimDuration;
+
+pub mod experiments;
 
 /// Environment-tunable experiment scale so the full suite can run both
 /// at paper fidelity and in quick CI mode.
@@ -19,55 +24,42 @@ impl Scale {
     /// Read `MDFLOW_REPS` / `MDFLOW_FRAMES` from the environment,
     /// defaulting to the paper's 10 × 128.
     pub fn from_env() -> Scale {
-        let reps = std::env::var("MDFLOW_REPS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(10);
-        let frames = std::env::var("MDFLOW_FRAMES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(128);
-        Scale { reps, frames }
-    }
-
-    /// Quick mode for tests.
-    pub fn quick() -> Scale {
         Scale {
-            reps: 2,
-            frames: 16,
+            reps: env_or("MDFLOW_REPS", 10),
+            frames: env_or("MDFLOW_FRAMES", 128),
         }
     }
 }
 
-/// Run one workflow configuration at the given scale, fanning
-/// repetitions across all available workers (`MDFLOW_JOBS` overrides)
-/// through the warm-started campaign executor. Seeding matches the
-/// serial `run_study` path, so results are byte-identical to it.
-pub fn run(wf: WorkflowConfig, scale: Scale) -> StudyReport {
-    let study = study_at(wf, scale);
-    run_study_jobs(&study, default_jobs())
+/// `key` from the environment, or `default` when unset or unparseable.
+pub fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
+    std::env::var(key)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
 }
 
-/// The study configuration `run` executes for `wf` at `scale` — exposed
-/// so batch drivers can collect a whole suite's studies and push them
-/// through one executor invocation. Applies the global `--backend`
-/// override, so every figure binary gains the streaming axis for free.
+/// The value following `flag` in `args`.
+pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .map(String::as_str)
+}
+
+/// The paper-calibrated study of `wf` at `scale`. Seeding is
+/// `StudyConfig::paper`'s, so a study's report does not depend on which
+/// other studies share its executor invocation.
 pub fn study_at(wf: WorkflowConfig, scale: Scale) -> StudyConfig {
-    let wf = match BackendOverride::from_env() {
-        Some(o) => o.apply(wf),
-        None => wf,
-    };
     StudyConfig::paper(wf.with_frames(scale.frames)).with_repetitions(scale.reps)
 }
 
 /// Backend override for the figure regenerators (the PR 10 streaming
-/// axis): `--backend streaming` on any figure binary's command line (or
-/// `MDFLOW_BACKEND=streaming`) reruns every scripted workload on the
-/// streaming data plane, shaped by `--fanout K` / `--fanin K` /
-/// `--window W` / `--agg N` (env `MDFLOW_FANOUT`, `MDFLOW_FANIN`,
-/// `MDFLOW_WINDOW`, `MDFLOW_AGG`). The other solution names force that
-/// backend instead; with no override each figure runs its scripted
-/// solutions untouched.
+/// axis): `--backend streaming` on `all` or `fig9_10` reruns every
+/// scripted workload on the streaming data plane, shaped by
+/// `--fanout K` / `--fanin K` / `--window W` / `--agg N`. The other
+/// solution names force that backend instead; with no override each
+/// experiment runs its scripted solutions untouched.
 #[derive(Debug, Clone, Copy)]
 pub struct BackendOverride {
     /// Forced solution.
@@ -82,51 +74,39 @@ pub struct BackendOverride {
     pub agg: Option<u64>,
 }
 
-/// `--flag value` from this process's argv, else env fallback.
-fn arg_or_env(flag: &str, env: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| std::env::var(env).ok())
-}
-
 impl BackendOverride {
-    /// Parse the override from argv/env; `None` leaves the figure's
-    /// scripted solutions in place. Announces itself once so override
+    /// The five flags a binary passes here instead of interpreting.
+    pub const FLAGS: [&'static str; 5] = ["--backend", "--fanout", "--fanin", "--window", "--agg"];
+
+    /// Parse the override from a binary's arguments; `Ok(None)` leaves
+    /// the scripted solutions in place. Announces itself so override
     /// runs are never mistaken for the scripted series.
-    pub fn from_env() -> Option<BackendOverride> {
-        let name = arg_or_env("--backend", "MDFLOW_BACKEND")?;
-        let solution = match name.as_str() {
-            "streaming" => Solution::Streaming,
-            "dyad" => Solution::Dyad,
-            "xfs" => Solution::Xfs,
-            "lustre" => Solution::Lustre,
-            "dyad-on-pfs" => Solution::DyadOnPfs,
-            other => panic!("unknown --backend {other}"),
+    pub fn from_args(args: &[String]) -> Result<Option<BackendOverride>, String> {
+        let Some(name) = flag_value(args, "--backend") else {
+            return Ok(None);
         };
-        let num = |flag: &str, env: &str| {
-            arg_or_env(flag, env).map(|v| v.parse::<u64>().expect("numeric flag"))
+        let num = |flag: &str| match flag_value(args, flag) {
+            Some(v) => v
+                .parse::<u64>()
+                .map(Some)
+                .map_err(|_| format!("bad value for {flag}: {v}")),
+            None => Ok(None),
         };
         let o = BackendOverride {
-            solution,
-            fanout: num("--fanout", "MDFLOW_FANOUT").unwrap_or(1) as u32,
-            fanin: num("--fanin", "MDFLOW_FANIN").unwrap_or(1) as u32,
-            window: num("--window", "MDFLOW_WINDOW").map(|w| w as u32),
-            agg: num("--agg", "MDFLOW_AGG"),
+            solution: name.parse()?,
+            fanout: num("--fanout")?.unwrap_or(1) as u32,
+            fanin: num("--fanin")?.unwrap_or(1) as u32,
+            window: num("--window")?.map(|w| w as u32),
+            agg: num("--agg")?,
         };
-        assert!(
-            o.fanout == 1 || o.fanin == 1,
-            "streaming groups are 1→K or K→1, not K→K"
+        if o.fanout > 1 && o.fanin > 1 {
+            return Err("streaming groups are 1→K or K→1, not K→K".to_string());
+        }
+        eprintln!(
+            "  [backend override: {name} fanout={} fanin={}]",
+            o.fanout, o.fanin
         );
-        static ANNOUNCE: std::sync::Once = std::sync::Once::new();
-        ANNOUNCE.call_once(|| {
-            eprintln!(
-                "  [backend override: {} fanout={} fanin={}]",
-                name, o.fanout, o.fanin
-            );
-        });
-        Some(o)
+        Ok(Some(o))
     }
 
     /// Rewrite `wf` onto the forced backend, keeping its model, frame
@@ -189,7 +169,7 @@ pub fn save_json(name: &str, payload: &str) {
 }
 
 /// Serialize a list of labelled reports.
-pub fn reports_json(rows: &[(String, &StudyReport)]) -> String {
+pub fn reports_json(rows: &[(String, StudyReport)]) -> String {
     let objs: Vec<serde_json::Value> = rows
         .iter()
         .map(|(label, r)| {
@@ -282,6 +262,126 @@ pub fn production_chart(title: &str, rows: &[(String, StudyReport)]) -> String {
         })
         .collect();
     render_bars(title, &bars)
+}
+
+// Hand-built `Value` trees for the harness records: the vendored
+// serde_json has no `json!`.
+
+/// A JSON object from `(key, value)` fields, in order.
+pub fn obj(fields: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
+    serde_json::Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// A JSON unsigned integer.
+pub fn num_u64(v: u64) -> serde_json::Value {
+    serde_json::Value::Number(serde_json::Number::U64(v))
+}
+
+/// A JSON float.
+pub fn num_f64(v: f64) -> serde_json::Value {
+    serde_json::Value::Number(serde_json::Number::F64(v))
+}
+
+/// Write a harness record (`BENCH_PR*.json`) into `--out DIR`, default
+/// the current directory.
+pub fn write_record(args: &[String], file: &str, record: &serde_json::Value) {
+    let dir = flag_value(args, "--out").unwrap_or(".");
+    std::fs::create_dir_all(dir).expect("create output directory");
+    let out = format!("{dir}/{file}");
+    let json = serde_json::to_string_pretty(record).expect("json");
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
+    println!("  [saved {out}]");
+}
+
+/// Process high-water RSS. `VmHWM` is linux-only; other platforms
+/// report 0 rather than lying.
+pub fn rss_peak_bytes() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
+                l.split_whitespace()
+                    .nth(1)
+                    .and_then(|kb| kb.parse::<u64>().ok())
+            })
+        })
+        .map(|kb| kb * 1024)
+        .unwrap_or(0)
+}
+
+/// One measured cell of the `metadata_plane` sweep.
+pub struct MetadataCell {
+    /// Producer-consumer pairs.
+    pub pairs: u32,
+    /// KVS shards.
+    pub shards: u32,
+    /// Replicas per key.
+    pub replication: u32,
+    /// Mean consumer sync latency per consume, milliseconds (sim time).
+    pub sync_ms: f64,
+    /// Worst per-shard peak of in-flight broker requests (queued,
+    /// in service, or parked server-side watches).
+    pub peak_queue: u64,
+    /// Server-side watches served across all shards.
+    pub waits: u64,
+    /// Replication deltas shipped shard→shard.
+    pub deltas_sent: u64,
+    /// Simulated makespan, seconds.
+    pub makespan_secs: f64,
+}
+
+/// Run one `metadata_plane` cell (seed 11): DYAD on a quiet testbed with
+/// the metadata plane, not MD compute, bounding the pipeline. Shared by
+/// the binary and the tier-1 shard-sweep test.
+pub fn run_cell(pairs: u32, shards: u32, replication: u32, frames: u64) -> MetadataCell {
+    let mut cal = Calibration::quiet();
+    // The stock flux-broker profile (20 µs/op, 4 service threads), not
+    // corona's beefier 8-thread broker: the sweep's variable is the
+    // *number* of brokers, so per-broker capacity sits where a single
+    // broker saturates inside the measured pair range.
+    cal.kvs = kvs::KvsSpec::default();
+    let mut wf = WorkflowConfig::new(
+        Solution::Dyad,
+        pairs,
+        Placement::Split { pairs_per_node: 64 },
+    )
+    .with_frames(frames)
+    // 80x the paper's JAC frame rate (the frequency-scaling ablation):
+    // at stride 880 the MD phase dominates the consumer's wait and the
+    // broker idles between frames; at stride 11 a frame arrives every
+    // ~2.5 ms, the per-pair commit + wait + ack RPC stream saturates a
+    // single broker past several hundred pairs, and the metadata plane
+    // bounds the pipeline. That is the regime a shard sweep is about.
+    .with_stride(11)
+    .with_kvs_shards(shards)
+    .with_kvs_replication(replication);
+    // Re-synchronize through the KVS on every frame, not just the first.
+    wf.dyad_warm_sync = false;
+    let m = run_once(&wf, &cal, 11);
+
+    let mut sync = SimDuration::ZERO;
+    let mut consumes = 0u64;
+    for p in &m.consumers {
+        if let Some(n) = p.node(&["dyad_consume", "dyad_fetch"]) {
+            sync += n.inclusive;
+            consumes += n.count;
+        }
+    }
+    MetadataCell {
+        pairs,
+        shards,
+        replication,
+        sync_ms: sync.as_secs_f64() * 1e3 / consumes.max(1) as f64,
+        peak_queue: m.kvs.peak_queue,
+        waits: m.kvs.waits,
+        deltas_sent: m.kvs.deltas_sent,
+        makespan_secs: m.makespan.as_secs_f64(),
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,125 @@
+//! The experiment table's shape, and the relations two deterministic
+//! sweeps exist to show. Every number below is simulated time or a
+//! counter, identical on any host, so the constants are inline: no
+//! baseline file, no tolerance knob.
+
+use std::process::Command;
+
+use bench::experiments::{per_delivered, row, EXPERIMENTS, FANOUTS};
+use bench::{run_cell, Scale};
+use mdflow::prelude::*;
+
+/// Names are what `--only` selects and labels what reports are looked up
+/// and saved under, so both are unique; the grid sizes are the 72
+/// studies of the paper suite (DESIGN.md §9) plus the three extensions.
+#[test]
+fn table_names_are_unique_and_grid_sizes_pinned() {
+    let scale = Scale { reps: 1, frames: 2 };
+    let grids: Vec<_> = EXPERIMENTS
+        .iter()
+        .map(|e| (e.name, (e.studies)(scale)))
+        .collect();
+    let sizes: Vec<(&str, usize)> = grids.iter().map(|(n, g)| (*n, g.len())).collect();
+    assert_eq!(
+        sizes,
+        [
+            ("table1", 0),
+            ("table2", 0),
+            ("fig5", 6),
+            ("fig6", 8),
+            ("fig7", 12),
+            ("fig8", 8),
+            ("fig11", 8),
+            ("fig12", 8),
+            ("capacity", 14),
+            ("chaos", 8),
+            ("bursty", 8),
+            ("ablation", 14),
+            ("streaming_fanout", 13),
+        ]
+    );
+    assert_eq!(sizes[2..10].iter().map(|(_, n)| n).sum::<usize>(), 72);
+    let unique = |mut names: Vec<&str>| {
+        names.sort_unstable();
+        names.windows(2).all(|w| w[0] != w[1])
+    };
+    assert!(unique(grids.iter().map(|(n, _)| *n).collect()));
+    for (name, grid) in &grids {
+        assert!(
+            unique(grid.iter().map(|(l, _)| l.as_str()).collect()),
+            "{name}: duplicate label"
+        );
+        for (label, study) in grid {
+            assert_eq!(
+                (study.repetitions, study.workflow.frames),
+                (1, 2),
+                "{name}/{label} ignores the scale"
+            );
+        }
+    }
+}
+
+#[test]
+fn only_rejects_an_unknown_experiment_naming_the_valid_ones() {
+    let out = Command::new(env!("CARGO_BIN_EXE_all"))
+        .args(["--only", "fig5,nosuch"])
+        .output()
+        .expect("run all");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nosuch"), "{stderr}");
+    for e in EXPERIMENTS {
+        assert!(stderr.contains(e.name), "{} missing from: {stderr}", e.name);
+    }
+}
+
+/// The four relations the fan-out crossover exists to show, on the
+/// entry's own grid at 6 frames × 1 repetition.
+#[test]
+fn streaming_fanout_crossover_relations_hold() {
+    let entry = EXPERIMENTS.iter().find(|e| e.name == "streaming_fanout");
+    let grid = (entry.expect("entry").studies)(Scale { reps: 1, frames: 6 });
+    let (labels, studies): (Vec<String>, Vec<StudyConfig>) = grid.into_iter().unzip();
+    let (reports, _) = run_studies_jobs(&studies, 1);
+    let rows: Vec<(String, StudyReport)> = labels.into_iter().zip(reports).collect();
+    let cons = |label: &str| per_delivered(row(&rows, label)).1;
+    let top = FANOUTS[FANOUTS.len() - 1];
+
+    // Fan-out 1 stays in DYAD's regime per delivered frame.
+    let (s1, d1) = (cons("streaming-1to1"), cons("dyad-8x1to1"));
+    assert!(s1 <= 2.0 * d1, "fanout=1: {s1} vs DYAD {d1}");
+    // Per-delivered-frame consumption is scale-free in K.
+    let sk = cons(&format!("streaming-1to{top}"));
+    assert!(sk <= 2.0 * s1, "fanout={top}: {sk} vs fanout=1 {s1}");
+    // The crossover: cheaper than both manual-sync baselines at every K.
+    for k in FANOUTS {
+        let streaming = cons(&format!("streaming-1to{k}"));
+        for sol in ["xfs", "lustre"] {
+            let base = cons(&format!("{sol}-{}x1to1", 8 * k));
+            assert!(streaming < base, "fanout={k}: {streaming} vs {sol} {base}");
+        }
+    }
+    // The fan-in reduction finishes in DYAD's ballpark.
+    let fanin = row(&rows, &format!("streaming-{top}to1")).makespan.mean;
+    let dyad = row(&rows, &format!("dyad-{}x1to1", 8 * top)).makespan.mean;
+    assert!(
+        fanin <= 2.0 * dyad,
+        "fan-in makespan {fanin} vs DYAD {dyad}"
+    );
+}
+
+/// What sharding the metadata plane buys where one broker saturates, on
+/// the `metadata_plane` binary's own cell at 1024 pairs × 2 frames.
+#[test]
+fn metadata_plane_shard_sweep_relations_hold() {
+    let cells = [1, 2, 4].map(|shards| run_cell(1024, shards, 1, 2));
+    let [s1, s2, s4] = cells.each_ref().map(|c| c.sync_ms);
+    assert!(s1 >= s2 && s2 >= s4, "sync latency {s1} -> {s2} -> {s4} ms");
+    // Recorded at this grid: 1→4 improvement 1.0176×, R=2 overhead 0.9995×.
+    assert!(s1 / s4 >= 0.85 * 1.0176, "1->4 improvement {}", s1 / s4);
+    let replicated = run_cell(1024, 4, 2, 2);
+    let overhead = replicated.sync_ms / s4;
+    assert!(overhead <= 1.15 * 0.9995, "R=2 overhead {overhead}");
+    assert!(replicated.deltas_sent > 0);
+    assert_eq!(cells.each_ref().map(|c| c.peak_queue), [794, 409, 213]);
+}

@@ -26,6 +26,26 @@ pub enum Solution {
 }
 
 impl Solution {
+    /// Every solution, in declaration order.
+    pub const ALL: [Solution; 5] = [
+        Solution::Dyad,
+        Solution::Xfs,
+        Solution::Lustre,
+        Solution::DyadOnPfs,
+        Solution::Streaming,
+    ];
+
+    /// Command-line and file-name spelling; `FromStr` is its inverse.
+    pub fn name(self) -> &'static str {
+        match self {
+            Solution::Dyad => "dyad",
+            Solution::Xfs => "xfs",
+            Solution::Lustre => "lustre",
+            Solution::DyadOnPfs => "dyad-on-pfs",
+            Solution::Streaming => "streaming",
+        }
+    }
+
     /// Short label for tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -54,6 +74,26 @@ impl Solution {
 impl std::fmt::Display for Solution {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// The command-line spelling of [`Solution::name`], the one place a
+/// solution name is parsed.
+impl std::str::FromStr for Solution {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Ok(match s {
+            "dyad" => Solution::Dyad,
+            "xfs" => Solution::Xfs,
+            "lustre" => Solution::Lustre,
+            "dyad-on-pfs" => Solution::DyadOnPfs,
+            "streaming" => Solution::Streaming,
+            other => {
+                let valid = Solution::ALL.map(Solution::name).join(", ");
+                return Err(format!("unknown solution {other} (valid: {valid})"));
+            }
+        })
     }
 }
 
@@ -97,6 +137,43 @@ pub enum ManualSync {
     /// write is visible. Pipelined, but every frame costs lock-service
     /// round trips.
     LockBased,
+}
+
+impl ManualSync {
+    /// Every protocol, in declaration order.
+    pub const ALL: [ManualSync; 4] = [
+        ManualSync::Coarse,
+        ManualSync::Fine,
+        ManualSync::Polling,
+        ManualSync::LockBased,
+    ];
+
+    /// Command-line spelling; `FromStr` is its inverse.
+    pub fn name(self) -> &'static str {
+        match self {
+            ManualSync::Coarse => "coarse",
+            ManualSync::Fine => "fine",
+            ManualSync::Polling => "polling",
+            ManualSync::LockBased => "lock",
+        }
+    }
+}
+
+impl std::str::FromStr for ManualSync {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Ok(match s {
+            "coarse" => ManualSync::Coarse,
+            "fine" => ManualSync::Fine,
+            "polling" => ManualSync::Polling,
+            "lock" => ManualSync::LockBased,
+            other => {
+                let valid = ManualSync::ALL.map(ManualSync::name).join(", ");
+                return Err(format!("unknown sync protocol {other} (valid: {valid})"));
+            }
+        })
+    }
 }
 
 /// Staged-data lifecycle settings for the DYAD solution: how much
@@ -631,6 +708,20 @@ mod tests {
             WorkflowConfig::new(Solution::Dyad, 1, Placement::SingleNode).with_model(Model::Stmv);
         assert_eq!(cfg.stride, 28);
         assert!((cfg.frame_period_secs() - 0.82).abs() < 0.01);
+    }
+
+    #[test]
+    fn names_round_trip_and_unknown_names_list_the_valid_ones() {
+        for s in Solution::ALL {
+            assert_eq!(s.name().parse::<Solution>(), Ok(s));
+        }
+        for m in ManualSync::ALL {
+            assert_eq!(m.name().parse::<ManualSync>(), Ok(m));
+        }
+        let err = "nfs".parse::<Solution>().unwrap_err();
+        assert!(err.contains("nfs") && err.contains("dyad-on-pfs"), "{err}");
+        let err = "barrier".parse::<ManualSync>().unwrap_err();
+        assert!(err.contains("barrier") && err.contains("lock"), "{err}");
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //!   Everything, including event counts, must match exactly; any change
 //!   here means a code change silently altered trajectories.
 //!
-//! Run `hotpath --fixtures <path>` to regenerate after an intentional
-//! trajectory change, and say so in the commit message.
+//! To re-pin after an intentional trajectory change, run
+//! `cargo test -p mdflow --test determinism_fixtures -- --ignored
+//! --nocapture print_pinned_fixtures`, replace
+//! `fixtures/determinism_pr4_pinned.json` with the JSON it prints, and
+//! say so in the commit message.
 
 use mdflow::prelude::*;
 
@@ -26,7 +29,7 @@ const PINNED: &str = include_str!("fixtures/determinism_pr4_pinned.json");
 const LUSTRE_TOL: f64 = 5e-4;
 
 struct Fixture {
-    solution: &'static str,
+    solution: Solution,
     pairs: u32,
     frames: u64,
     seed: u64,
@@ -42,12 +45,11 @@ fn parse(raw: &'static str) -> Vec<Fixture> {
         .expect("fixtures array")
         .iter()
         .map(|f| Fixture {
-            solution: match f["solution"].as_str().expect("solution") {
-                "dyad" => "dyad",
-                "xfs" => "xfs",
-                "lustre" => "lustre",
-                other => panic!("unknown solution {other}"),
-            },
+            solution: f["solution"]
+                .as_str()
+                .expect("solution")
+                .parse()
+                .expect("solution name"),
             pairs: f["pairs"].as_u64().expect("pairs") as u32,
             frames: f["frames"].as_u64().expect("frames"),
             seed: f["seed"].as_u64().expect("seed"),
@@ -62,23 +64,18 @@ fn run(f: &Fixture) -> RunMetrics {
     run_with_calibration(f, Calibration::corona())
 }
 
+/// The fig5/fig6 shape of a fixture case: XFS on one node, the others
+/// split 8 pairs per node.
+fn workflow(solution: Solution, pairs: u32, frames: u64) -> WorkflowConfig {
+    let placement = match solution {
+        Solution::Xfs => Placement::SingleNode,
+        _ => Placement::Split { pairs_per_node: 8 },
+    };
+    WorkflowConfig::new(solution, pairs, placement).with_frames(frames)
+}
+
 fn run_with_calibration(f: &Fixture, cal: Calibration) -> RunMetrics {
-    let wf = match f.solution {
-        "dyad" => WorkflowConfig::new(
-            Solution::Dyad,
-            f.pairs,
-            Placement::Split { pairs_per_node: 8 },
-        ),
-        "xfs" => WorkflowConfig::new(Solution::Xfs, f.pairs, Placement::SingleNode),
-        "lustre" => WorkflowConfig::new(
-            Solution::Lustre,
-            f.pairs,
-            Placement::Split { pairs_per_node: 8 },
-        ),
-        other => panic!("unknown solution {other}"),
-    }
-    .with_frames(f.frames);
-    run_once(&wf, &cal, f.seed)
+    run_once(&workflow(f.solution, f.pairs, f.frames), &cal, f.seed)
 }
 
 fn staging_value(m: &RunMetrics) -> serde_json::Value {
@@ -95,7 +92,7 @@ fn results_match_before_overhaul_fixtures() {
         let m = run(&f);
         let got = m.makespan.nanos();
         match f.solution {
-            "lustre" => {
+            Solution::Lustre => {
                 let rel = (got as f64 - f.makespan_ns as f64).abs() / f.makespan_ns as f64;
                 assert!(
                     rel <= LUSTRE_TOL,
@@ -151,6 +148,39 @@ fn results_match_pinned_fixtures_exactly() {
     }
 }
 
+/// Prints a fresh `determinism_pr4_pinned.json`: DYAD, XFS and Lustre at
+/// 8 and 64 pairs × 12 frames, seed 2024, in the file's own layout.
+#[test]
+#[ignore = "regenerates the pinned fixture; see the file header"]
+fn print_pinned_fixtures() {
+    use serde_json::{Number, Value};
+    let num = |v: u64| Value::Number(Number::U64(v));
+    let mut rows = Vec::new();
+    for pairs in [8u32, 64] {
+        for solution in [Solution::Dyad, Solution::Xfs, Solution::Lustre] {
+            let m = run_once(&workflow(solution, pairs, 12), &Calibration::corona(), 2024);
+            let fields = [
+                ("solution", Value::String(solution.name().to_string())),
+                ("pairs", num(pairs as u64)),
+                ("frames", num(12)),
+                ("seed", num(2024)),
+                ("makespan_ns", num(m.makespan.nanos())),
+                ("events", num(m.events)),
+                ("staging", staging_value(&m)),
+            ];
+            rows.push(Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            ));
+        }
+    }
+    let fixtures = [("fixtures".to_string(), Value::Array(rows))];
+    let json = Value::Object(fixtures.into_iter().collect());
+    println!("{}", serde_json::to_string_pretty(&json).expect("json"));
+}
+
 /// `TopologySpec::Flat` is the pinned-capture topology, and a leaf/spine
 /// fabric that degenerates to a single leaf (radix ≥ node count,
 /// oversubscription 1.0) builds no switch tiers at all — both must
@@ -166,7 +196,7 @@ fn flat_and_degenerate_leaf_spine_replay_pinned_schedules() {
         oversubscription: 1.0,
     });
     for f in parse(PINNED) {
-        if f.solution == "lustre" {
+        if f.solution == Solution::Lustre {
             continue; // fig6 is DYAD vs XFS; lustre is covered above
         }
         for cal in [Calibration::corona(), ls.clone()] {
