@@ -258,7 +258,7 @@ fn record(
         ("pr", num_u64(6)),
         ("reps", num_u64(reps)),
         ("frames", num_u64(frames)),
-        ("cores", num_u64(rayon::current_num_threads() as u64)),
+        ("cores", num_u64(host_cores() as u64)),
         (
             "campaign",
             obj(vec![
@@ -371,8 +371,8 @@ fn main() {
     let sweep = measure_jobs_sweep(&studies, c.runs);
     println!(
         "  jobs sweep ({} core(s)):{}",
-        rayon::current_num_threads(),
-        if rayon::current_num_threads() == 1 {
+        host_cores(),
+        if host_cores() == 1 {
             "  [1-vCPU host: speedups are bound to ~1x]"
         } else {
             ""

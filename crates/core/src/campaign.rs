@@ -37,6 +37,12 @@ use crate::report::StudyReport;
 use crate::runner::{run_once_warm, RunMetrics};
 use mdsim::Model;
 
+/// Hardware threads available to this process (1 when that cannot be
+/// determined).
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Worker-thread count to use when the caller does not specify one: the
 /// `MDFLOW_JOBS` environment variable if set (min 1), otherwise every
 /// available core.
@@ -45,7 +51,7 @@ pub fn default_jobs() -> usize {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(rayon::current_num_threads)
+        .unwrap_or_else(host_cores)
 }
 
 /// Aggregate wall-clock accounting for one executor invocation.
@@ -157,9 +163,10 @@ pub(crate) fn execute_points(
     if jobs == 1 {
         worker();
     } else {
-        rayon::scope(|s| {
+        // Joins every worker and re-raises a worker's panic.
+        std::thread::scope(|s| {
             for _ in 0..jobs {
-                s.spawn(|_| worker());
+                s.spawn(worker);
             }
         });
     }

@@ -293,9 +293,9 @@ impl FaultConfig {
     }
 
     /// Expand into the concrete plan for a topology and horizon.
-    /// `n_kvs_shards = 0` (any run without a KVS mesh) generates no
-    /// shard-crash events and leaves the plan byte-identical to the
-    /// pre-mesh generator.
+    /// `n_kvs_shards = 0` (any run on one unreplicated broker, or with
+    /// no KVS) generates no shard-crash events and leaves the plan
+    /// byte-identical to the pre-mesh generator.
     pub fn build_plan(
         &self,
         horizon: simcore::SimDuration,
@@ -353,7 +353,7 @@ pub struct WorkflowConfig {
     pub streaming: StreamingConfig,
     /// Deterministic fault-injection plan (disabled by default).
     pub faults: FaultConfig,
-    /// KVS metadata-plane shards (`--kvs-shards N`). 1 = the legacy
+    /// KVS metadata-plane shards (`--kvs-shards N`). 1 = the paper's
     /// single broker; >1 partitions the frame namespace across N
     /// brokers by rendezvous hash (DYAD solutions only).
     pub kvs_shards: u32,
@@ -361,11 +361,6 @@ pub struct WorkflowConfig {
     /// R>1 synchronously replicates every commit to the key's top-R
     /// shards as causally-ordered deltas, enabling shard failover.
     pub kvs_replication: u32,
-    /// Test knob: run the mesh plane even at shards=1, R=1 (used by the
-    /// determinism fixtures to prove a one-shard mesh reproduces the
-    /// legacy single-broker schedule exactly).
-    #[serde(skip)]
-    pub kvs_force_mesh: bool,
     /// Optional variable-rate frame schedule (overrides the fixed
     /// stride-based cadence; see [`crate::schedule::FrameSchedule`]).
     #[serde(skip)]
@@ -398,7 +393,6 @@ impl WorkflowConfig {
             faults: FaultConfig::default(),
             kvs_shards: 1,
             kvs_replication: 1,
-            kvs_force_mesh: false,
             schedule: None,
         }
     }
@@ -509,14 +503,6 @@ impl WorkflowConfig {
     pub fn with_window_reclaim(mut self, reclaim: bool) -> Self {
         self.streaming.reclaim_on_crash = reclaim;
         self
-    }
-
-    /// Whether this run uses the mesh metadata plane (any sharding or
-    /// replication beyond the legacy single broker, or the forced-mesh
-    /// test knob).
-    pub fn kvs_mesh_enabled(&self) -> bool {
-        self.solution.needs_kvs()
-            && (self.kvs_shards > 1 || self.kvs_replication > 1 || self.kvs_force_mesh)
     }
 
     /// Mean seconds between frames for this configuration (the

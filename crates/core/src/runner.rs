@@ -7,7 +7,7 @@ use std::time::Instant;
 use cluster::{Cluster, NodeId};
 use dyad::{DyadService, DyadSpec};
 use instrument::Profile;
-use kvs::{KvsClient, KvsHandle, KvsMesh, KvsServer};
+use kvs::KvsMesh;
 use localfs::LocalFs;
 use mdsim::StepClock;
 use pfs::{LdlmClient, LdlmServer, LdlmSpec, ParallelFs};
@@ -159,7 +159,7 @@ pub struct FaultTotals {
 /// broker shard (all zero for solutions without a KVS).
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct KvsTotals {
-    /// Broker shards the run used (1 = the legacy single broker).
+    /// Broker shards the run used (1 = a single broker).
     pub shards: u32,
     /// Replication factor (1 = unreplicated).
     pub replication: u32,
@@ -178,18 +178,6 @@ pub struct KvsTotals {
     /// Worst per-shard peak of requests queued or in service — the
     /// metadata-plane congestion signal the shard sweep gates on.
     pub peak_queue: u64,
-}
-
-impl KvsTotals {
-    fn absorb(&mut self, s: &kvs::KvsStats) {
-        self.commits += s.commits;
-        self.lookups += s.lookups;
-        self.waits += s.waits;
-        self.deltas_sent += s.deltas_sent;
-        self.deltas_applied += s.deltas_applied;
-        self.deltas_buffered += s.deltas_buffered;
-        self.peak_queue = self.peak_queue.max(s.peak_queue);
-    }
 }
 
 /// Raw result of one repetition.
@@ -353,34 +341,18 @@ fn run_prepared(
             fs
         })
         .collect();
-    // Metadata plane: the legacy single broker on node 0, or the sharded
-    // mesh when the workflow opts in. Shard s is colocated on compute
-    // node (s % n_compute), which puts shard 0 exactly where the legacy
-    // broker lives — a forced one-shard mesh replays the legacy schedule.
-    let kvs_mesh = if wf.solution.needs_kvs() && wf.kvs_mesh_enabled() {
+    // Metadata plane: a mesh of `kvs_shards` brokers, shard s colocated
+    // on compute node (s % n_compute) — the single broker of the paper's
+    // configuration is the one-shard mesh, on node 0.
+    let kvs_mesh = wf.solution.needs_kvs().then(|| {
         let shard_nodes: Vec<NodeId> = (0..wf.kvs_shards)
             .map(|s| NodeId(s % n_compute as u32))
             .collect();
-        Some(KvsMesh::start(
-            &ctx,
-            &tp,
-            &shard_nodes,
-            cal.kvs,
-            wf.kvs_replication,
-        ))
-    } else {
-        None
-    };
-    let kvs_server = if wf.solution.needs_kvs() && kvs_mesh.is_none() {
-        Some(KvsServer::start(&ctx, &tp, NodeId(0), cal.kvs))
-    } else {
-        None
-    };
-    let kvs_client = |node: u32| -> KvsHandle {
-        match &kvs_mesh {
-            Some(mesh) => mesh.client(&ctx, &tp, NodeId(node)).into(),
-            None => KvsClient::new(&ctx, &tp, NodeId(node), NodeId(0), cal.kvs).into(),
-        }
+        KvsMesh::start(&ctx, &tp, &shard_nodes, cal.kvs, wf.kvs_replication)
+    });
+    let kvs_client = |node: u32| {
+        let mesh = kvs_mesh.as_ref().expect("solution has a KVS");
+        mesh.client(&ctx, &tp, NodeId(node))
     };
     let pfs = pfs_nodes.map(|(mds, osts)| ParallelFs::start(&ctx, &tp, mds, osts, cal.pfs));
     // One staging manager per compute node for the staged backends
@@ -785,20 +757,20 @@ fn run_prepared(
         fault_totals.consume_failures = sum("consume_failures");
         fault_totals.frames_lost_observed = sum("frames_lost_observed");
     }
-    let mut kvs_totals = KvsTotals::default();
-    if let Some(mesh) = &kvs_mesh {
-        kvs_totals.shards = mesh.shards();
-        kvs_totals.replication = mesh.topology().replication();
-        for s in 0..mesh.shards() {
-            kvs_totals.absorb(&mesh.shard_stats(s));
+    let kvs_totals = kvs_mesh.map_or_else(KvsTotals::default, |mesh| {
+        let s = mesh.stats();
+        KvsTotals {
+            shards: mesh.shards(),
+            replication: mesh.topology().replication(),
+            commits: s.commits,
+            lookups: s.lookups,
+            waits: s.waits,
+            deltas_sent: s.deltas_sent,
+            deltas_applied: s.deltas_applied,
+            deltas_buffered: s.deltas_buffered,
+            peak_queue: s.peak_queue,
         }
-    } else if let Some(srv) = &kvs_server {
-        kvs_totals.shards = 1;
-        kvs_totals.replication = 1;
-        kvs_totals.absorb(&srv.stats());
-    }
-    drop(kvs_server);
-    drop(kvs_mesh);
+    });
     // Worker-invariant per-shard load summary, read out before the
     // arena teardown clears the counters.
     let shard_load = instrument::ShardLoad::from_stats(&sim.shard_stats());

@@ -38,7 +38,7 @@ use bytes::Bytes;
 use dyad::{DyadConsumer, DyadService, FrameLocation, FrameMeta};
 use faults::FaultBoard;
 use instrument::{Profile, Recorder};
-use kvs::KvsHandle;
+use kvs::KvsClient;
 use localfs::LocalFs;
 use mdsim::{FrameHeader, FrameTemplate, StepClock};
 use pfs::{LdlmClient, LockMode, PfsClient};
@@ -587,7 +587,7 @@ pub async fn consumer_manual(
 pub async fn producer_dyad_on_pfs(
     args: ProducerArgs,
     storage: Storage,
-    kvs: KvsHandle,
+    kvs: KvsClient,
     owner: cluster::NodeId,
     rng_stream: u64,
 ) -> Profile {
@@ -639,7 +639,7 @@ pub async fn producer_dyad_on_pfs(
 pub async fn consumer_dyad_on_pfs(
     args: ConsumerArgs,
     storage: Storage,
-    kvs: KvsHandle,
+    kvs: KvsClient,
     warm_sync: bool,
 ) -> Profile {
     let (rec, mut rng) = consumer_setup(&args);

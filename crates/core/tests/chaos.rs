@@ -604,10 +604,13 @@ fn armed_board_with_out_of_window_plan_preserves_makespan() {
 /// The detached ack task was the one place an ack could fail uncounted:
 /// under the chaos plan at run seed 26 DYAD consumes every frame, but
 /// one ack commit exhausts its retries inside a fault window. Every
-/// consumed frame's ack is now either published or counted as dropped.
+/// consumed frame's ack is now either published or counted as dropped —
+/// the sum equals the `analytics` regions entered at every run seed
+/// (checked over 0..48 at both sizes), and only seed 26 drops one; its
+/// neighbours pin that the count is not a constant.
 #[test]
 fn every_consumed_frame_acks_or_counts_a_dropped_ack() {
-    for pairs in [4u32, 8] {
+    for (pairs, seed) in [(4u32, 25), (4, 26), (4, 27), (8, 25), (8, 26), (8, 27)] {
         let wf = WorkflowConfig::new(
             Solution::Dyad,
             pairs,
@@ -615,25 +618,32 @@ fn every_consumed_frame_acks_or_counts_a_dropped_ack() {
         )
         .with_frames(64)
         .with_faults(FaultConfig::chaos(42, 2));
-        let m = run_once(&wf, &Calibration::corona(), 26);
+        let m = run_once(&wf, &Calibration::corona(), seed);
         let consumed: u64 = m
             .consumers
             .iter()
             .map(|p| p.node(&["analytics"]).map_or(0, |n| n.count))
             .sum();
+        let typed_lost = m.faults.frames_lost_observed + m.faults.consume_failures;
         assert_eq!(
-            consumed,
+            consumed + typed_lost,
             u64::from(pairs) * 64,
-            "{pairs} pairs: a frame went missing"
+            "{pairs} pairs, seed {seed}: a frame is neither consumed nor typed as lost"
         );
+        // The dropped ack is not a lost frame: seed 26 consumes them all.
         assert!(
-            m.faults.acks_dropped >= 1,
-            "{pairs} pairs: seed 26 no longer drops an ack"
+            seed != 26 || typed_lost == 0,
+            "{pairs} pairs, seed 26: a frame went missing"
+        );
+        assert_eq!(
+            m.faults.acks_dropped,
+            u64::from(seed == 26),
+            "{pairs} pairs, seed {seed}: dropped acks"
         );
         assert_eq!(
             m.staging.acks_published + m.faults.acks_dropped,
             consumed,
-            "{pairs} pairs: an ack is neither published nor counted"
+            "{pairs} pairs, seed {seed}: an ack is neither published nor counted"
         );
     }
 }

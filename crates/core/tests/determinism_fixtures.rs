@@ -240,43 +240,6 @@ fn back_to_back_runs_are_identical() {
     assert_eq!(staging_value(&a), staging_value(&b));
 }
 
-/// A forced one-shard unreplicated mesh replays the legacy single-broker
-/// schedule *exactly*: same makespan, same event count, same staging
-/// counters. Shard 0 sits on the legacy broker node and AM id, the mesh
-/// client wraps the identical inner client (same RNG stream), and at
-/// R=1 no replication machinery ever schedules an event — so the whole
-/// mesh plane is provably pure routing on top of the old path.
-#[test]
-fn forced_one_shard_mesh_replays_the_legacy_schedule() {
-    let cal = Calibration::corona();
-    for pairs in [4u32, 8] {
-        let legacy = WorkflowConfig::new(
-            Solution::Dyad,
-            pairs,
-            Placement::Split { pairs_per_node: 8 },
-        )
-        .with_frames(6);
-        let mut meshed = legacy.clone();
-        meshed.kvs_force_mesh = true;
-        let a = run_once(&legacy, &cal, 11);
-        let b = run_once(&meshed, &cal, 11);
-        assert_eq!(
-            a.makespan, b.makespan,
-            "{pairs}p: one-shard mesh drifted from the legacy makespan"
-        );
-        assert_eq!(
-            a.events, b.events,
-            "{pairs}p: one-shard mesh changed the event count"
-        );
-        assert_eq!(staging_value(&a), staging_value(&b));
-        assert_eq!(b.kvs.shards, 1);
-        assert_eq!(
-            b.kvs.deltas_sent, 0,
-            "{pairs}p: an unreplicated mesh shipped deltas"
-        );
-    }
-}
-
 /// Sharded and replicated schedules are byte-stable under parallel
 /// campaign execution: a serial run and a `--jobs 8` run of the same
 /// study produce byte-identical serialized reports, at 1 shard and at

@@ -34,7 +34,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use cluster::NodeId;
 use instrument::Recorder;
-use kvs::KvsHandle;
+use kvs::KvsClient;
 use localfs::LocalFs;
 use rand::rngs::StdRng;
 use simcore::Ctx;
@@ -89,7 +89,7 @@ impl DyadService {
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
-        kvs: impl Into<KvsHandle>,
+        kvs: KvsClient,
         spec: DyadSpec,
     ) -> Rc<DyadService> {
         Self::start_staged(ctx, tp, node, fs, kvs, spec, None)
@@ -102,12 +102,12 @@ impl DyadService {
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
-        kvs: impl Into<KvsHandle>,
+        kvs: KvsClient,
         spec: DyadSpec,
         staging: Option<Rc<StagingManager>>,
     ) -> Rc<DyadService> {
         Rc::new(DyadService {
-            plane: Plane::start(ctx, tp, node, fs, kvs.into(), staging, &PLANE, spec.plane),
+            plane: Plane::start(ctx, tp, node, fs, kvs, staging, &PLANE, spec.plane),
             cold_sync_poll: spec.cold_sync_poll,
         })
     }
@@ -475,16 +475,7 @@ mod tests {
                     mgr
                 });
                 let spec = PlaneSpec::default();
-                Rc::new(Plane::start(
-                    &ctx,
-                    &tp,
-                    NodeId(i),
-                    fs,
-                    kc.into(),
-                    mgr,
-                    row,
-                    spec,
-                ))
+                Rc::new(Plane::start(&ctx, &tp, NodeId(i), fs, kc, mgr, row, spec))
             })
             .collect();
         PlaneRig {

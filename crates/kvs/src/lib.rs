@@ -4,18 +4,21 @@
 //! consumers block on key availability (`flux_kvs_wait`-style). This crate
 //! reimplements the parts DYAD needs:
 //!
-//! * a **broker** ([`KvsServer`]) hosted on one cluster node, with a
-//!   versioned store (every commit bumps a global sequence number), a
-//!   bounded pool of service threads, and **server-side watches** (a
-//!   `WaitKey` RPC parks inside the broker until the key is committed);
-//! * **clients** ([`KvsClient`]) on every node, issuing RPCs over the
-//!   UCX-like [`transport`] layer, with an optional read cache; the
-//!   client-side polling wait of the synchronization ablation lives on
-//!   [`KvsHandle`], over either plane's lookup.
-//!   Each client op has one body, `try_*`, returning a typed error: under
-//!   a fault board it retries through broker outages, and without one it
-//!   is a single RPC that cannot fail — `commit`/`lookup`/`wait_key`/
-//!   `unlink` are that case unwrapped, for callers that run without one.
+//! * **brokers** ([`KvsServer`]), each one shard of a [`mesh`] of one or
+//!   more: a versioned store (every commit bumps the shard's sequence
+//!   number), a bounded pool of service threads, and **server-side
+//!   watches** (a `WaitKey` RPC parks inside the broker until the key is
+//!   committed). [`KvsServer::start`] is shard 0 of a one-shard mesh;
+//!   [`KvsMesh::start`] starts any number, sharded by rendezvous hash and
+//!   replicated by causal deltas;
+//! * **one client** ([`KvsClient`]) on every node, whatever the shard
+//!   count: it routes each operation to the first live shard of the
+//!   key's preference order over the UCX-like [`transport`] layer and
+//!   keeps a read cache. Each op has one body, `try_*`, returning a
+//!   typed error: under a fault board it retries through broker outages
+//!   and fails over to replicas, and without one it is a single RPC that
+//!   cannot fail — `commit`/`lookup`/`wait_key`/`unlink` are that case
+//!   unwrapped, for callers that run without one.
 //!
 //! All costs are explicit: each operation pays the fabric round trip plus
 //! broker service time on a FIFO server pool.
@@ -26,10 +29,7 @@ mod codec;
 pub mod mesh;
 
 pub use codec::{CodecError, Request, Response};
-pub use mesh::{
-    preference_list, shard_for, CausalBuffer, Delta, KvsHandle, KvsMesh, MeshKvsClient,
-    MeshTopology,
-};
+pub use mesh::{shard_for, CausalBuffer, Delta, KvsMesh, MeshTopology};
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -45,7 +45,7 @@ use simcore::sync::Notify;
 use simcore::{Ctx, SimDuration};
 use transport::{AmId, Endpoint, Transport, TransportError};
 
-/// The AM id the broker listens on.
+/// The AM id shard 0 listens on (shard `s` listens on `KVS_AM + s`).
 pub const KVS_AM: AmId = AmId(0x4B56);
 
 /// Broker tuning parameters.
@@ -55,7 +55,7 @@ pub struct KvsSpec {
     pub service_time: SimDuration,
     /// Parallel service threads in the broker.
     pub server_threads: u64,
-    /// Client polling interval for [`KvsHandle::try_wait_key_poll_counted`].
+    /// Client polling interval for [`KvsClient::try_wait_key_poll_counted`].
     pub poll_interval: SimDuration,
 }
 
@@ -93,12 +93,12 @@ pub struct KvsStats {
     pub waits_parked: u64,
     /// Unlink requests served.
     pub unlinks: u64,
-    /// Replication deltas shipped to peer shards (mesh mode).
+    /// Replication deltas shipped to peer shards.
     pub deltas_sent: u64,
-    /// Replication deltas applied to this shard's store (mesh mode).
+    /// Replication deltas applied to this shard's store.
     pub deltas_applied: u64,
     /// Deltas that arrived out of causal order and had to buffer until
-    /// their parents applied (mesh mode).
+    /// their parents applied.
     pub deltas_buffered: u64,
     /// Peak number of requests simultaneously queued or in service on
     /// this broker (the metadata-plane congestion signal).
@@ -118,12 +118,12 @@ pub(crate) struct Store {
     pub(crate) down: bool,
     /// Requests queued or in service right now (feeds `peak_queue`).
     in_flight: u64,
-    /// Per-key version vectors + out-of-order delta buffer (mesh mode;
-    /// idle for a legacy single broker).
+    /// Per-key version vectors + out-of-order delta buffer (untouched
+    /// at replication 1, where no delta is ever shipped or received).
     pub(crate) repl: mesh::CausalBuffer<Symbol>,
 }
 
-/// The broker: owns the store and services RPCs on its node.
+/// One broker shard: owns its store and services RPCs on its node.
 pub struct KvsServer {
     node: NodeId,
     shard: u32,
@@ -131,26 +131,24 @@ pub struct KvsServer {
 }
 
 impl KvsServer {
-    /// Start a broker on `node`, registering its AM handler.
-    ///
-    /// The standalone broker is shard 0 of a one-shard mesh: it listens
-    /// on [`KVS_AM`], never replicates, and dies to a
+    /// Start a standalone broker on `node`: shard 0 of a one-shard
+    /// mesh. It listens on [`KVS_AM`], never replicates, and dies to a
     /// `KvsShardCrash { shard: 0 }` fault.
     pub fn start(ctx: &Ctx, tp: &Transport, node: NodeId, spec: KvsSpec) -> Rc<KvsServer> {
-        KvsServer::start_shard(ctx, tp, node, spec, 0, None)
+        let topo = Rc::new(mesh::MeshTopology::new(vec![node], 1));
+        KvsServer::start_shard(ctx, tp, node, spec, 0, topo)
     }
 
-    /// Start one shard of a mesh (or, with `topo: None`, the legacy
-    /// standalone broker as shard `shard`). The shard listens on
-    /// `KVS_AM + shard` and, when a topology is given, synchronously
-    /// replicates every commit/unlink to the key's live replica set.
+    /// Start shard `shard` of the mesh `topo` describes. The shard
+    /// listens on `KVS_AM + shard` and synchronously replicates every
+    /// commit/unlink to the key's live replica set.
     pub(crate) fn start_shard(
         ctx: &Ctx,
         tp: &Transport,
         node: NodeId,
         spec: KvsSpec,
         shard: u32,
-        topo: Option<Rc<mesh::MeshTopology>>,
+        topo: Rc<mesh::MeshTopology>,
     ) -> Rc<KvsServer> {
         let store = Rc::new(RefCell::new(Store {
             map: FxHashMap::default(),
@@ -190,7 +188,6 @@ impl KvsServer {
         // leak the store (see `Transport::downgrade`).
         let handler_tp = tp.downgrade();
         let handler_ctx = ctx.clone();
-        let handler_topo = topo;
         tp.register_am(
             node,
             mesh::shard_am(shard),
@@ -199,7 +196,7 @@ impl KvsServer {
                 let service = service.clone();
                 let tp = handler_tp.upgrade();
                 let ctx = handler_ctx.clone();
-                let topo = handler_topo.clone();
+                let topo = topo.clone();
                 async move {
                     {
                         let mut st = store.borrow_mut();
@@ -219,10 +216,8 @@ impl KvsServer {
                     let req = Request::decode(raw);
                     let resp = if store.borrow().down {
                         Response::ShardDown
-                    } else if let Some(topo) = &topo {
-                        mesh::serve(&store, shard, topo, &tp, req).await
                     } else {
-                        handle(store.clone(), req).await
+                        mesh::serve(&store, shard, &topo, &tp, req).await
                     };
                     store.borrow_mut().in_flight -= 1;
                     resp.encode()
@@ -268,102 +263,52 @@ impl KvsServer {
     }
 }
 
-pub(crate) async fn handle(store: Rc<RefCell<Store>>, req: Request) -> Response {
-    match req {
-        Request::Commit { key, value } => {
-            let mut st = store.borrow_mut();
-            st.version += 1;
-            let version = st.version;
-            st.map.insert(key, VersionedValue { version, value });
-            st.stats.commits += 1;
-            if let Some(n) = st.watches.remove(&key) {
-                n.notify_all();
-            }
-            Response::Committed { version }
-        }
-        Request::Lookup { key } => {
-            let mut st = store.borrow_mut();
-            st.stats.lookups += 1;
-            let found = st.map.get(&key).cloned();
-            match found {
-                Some(v) => Response::Value {
-                    version: v.version,
-                    value: v.value,
-                },
-                None => Response::NotFound,
-            }
-        }
-        Request::WaitKey { key } => {
-            let mut first = true;
-            loop {
-                let notify = {
-                    let mut st = store.borrow_mut();
-                    // The shard died while this wait was parked; its
-                    // watch was flushed so it can answer typed instead
-                    // of parking forever.
-                    if st.down {
-                        return Response::ShardDown;
-                    }
-                    if let Some(v) = st.map.get(&key).cloned() {
-                        st.stats.waits += 1;
-                        return Response::Value {
-                            version: v.version,
-                            value: v.value,
-                        };
-                    }
-                    if first {
-                        st.stats.waits_parked += 1;
-                        first = false;
-                    }
-                    st.watches.entry(key).or_default().clone()
-                };
-                notify.wait().await;
-            }
-        }
-        Request::Unlink { key } => {
-            let mut st = store.borrow_mut();
-            st.map.remove(&key);
-            st.stats.unlinks += 1;
-            Response::Unlinked
-        }
-        Request::Delta { .. } => panic!("replication delta sent to a standalone broker"),
-    }
+/// One shard as a client sees it: where its broker lives, and the read
+/// cache and retry-jitter stream private to this connection.
+struct Conn {
+    broker: NodeId,
+    cache: RefCell<FxHashMap<Symbol, VersionedValue>>,
+    rng: RefCell<StdRng>,
 }
 
-/// A client handle bound to one node.
+/// A client handle bound to one node: routes every operation to the
+/// owning shard of the key and fails over down the preference order
+/// when shards die. A client of a standalone broker is the one-shard
+/// case of the same type.
 #[derive(Clone)]
 pub struct KvsClient {
     ctx: Ctx,
     ep: Endpoint,
-    broker: NodeId,
-    am: AmId,
     spec: KvsSpec,
-    cache: Rc<RefCell<FxHashMap<Symbol, VersionedValue>>>,
     retry: RetryPolicy,
     /// Retry policy for server-side waits: same backoff, but no
     /// per-attempt timeout (the RPC legitimately parks in the broker
     /// until the key is committed).
     wait_retry: RetryPolicy,
-    rng: Rc<RefCell<StdRng>>,
+    replication: u32,
+    /// Connection `s` talks to shard `s`. The client's one allocation:
+    /// a run creates two clients per node, so each extra block here is
+    /// tens of thousands of allocator calls at scale.
+    conns: Rc<[Conn]>,
 }
 
 impl KvsClient {
-    /// Create a client on `node` talking to the broker on `broker`.
+    /// Create a client on `node` talking to the standalone broker on
+    /// `broker`.
     pub fn new(ctx: &Ctx, tp: &Transport, node: NodeId, broker: NodeId, spec: KvsSpec) -> Self {
-        KvsClient::new_with_am(ctx, tp, node, broker, KVS_AM, spec)
+        KvsClient::routed(ctx, tp, node, &[broker], 1, spec)
     }
 
-    /// Create a client addressing a specific broker AM (a mesh shard
-    /// listens on `KVS_AM + shard`). The RNG stream is the same for
-    /// every shard client of a node: jitter draws are per-instance, and
-    /// keeping shard 0 on the legacy stream is what lets a one-shard
-    /// mesh reproduce the single-broker schedule exactly.
-    pub(crate) fn new_with_am(
+    /// Create a client on `node` for a mesh with shard `s` on
+    /// `shard_nodes[s]`. The RNG stream is the same for every
+    /// connection of a node: jitter draws are per connection, each
+    /// forked only by the calls that shard receives.
+    pub(crate) fn routed(
         ctx: &Ctx,
         tp: &Transport,
         node: NodeId,
-        broker: NodeId,
-        am: AmId,
+        shard_nodes: &[NodeId],
+        replication: u32,
         spec: KvsSpec,
     ) -> Self {
         let retry = RetryPolicy::transport_default();
@@ -371,116 +316,177 @@ impl KvsClient {
             attempt_timeout: SimDuration::from_secs(86_400),
             ..retry
         };
+        let conns = shard_nodes
+            .iter()
+            .map(|&broker| Conn {
+                broker,
+                cache: RefCell::default(),
+                rng: RefCell::new(ctx.rng(0x4B56_0000u64 | u64::from(node.0))),
+            })
+            .collect();
         KvsClient {
             ctx: ctx.clone(),
             ep: tp.endpoint(node),
-            broker,
-            am,
             spec,
-            cache: Rc::default(),
             retry,
             wait_retry,
-            rng: Rc::new(RefCell::new(ctx.rng(0x4B56_0000u64 | u64::from(node.0)))),
+            replication,
+            conns,
         }
     }
 
-    /// The broker node this client talks to.
-    pub fn broker(&self) -> NodeId {
-        self.broker
+    fn shards(&self) -> u32 {
+        self.conns.len() as u32
     }
 
-    /// Fork a per-call RNG from the client's stream so no `RefCell`
-    /// borrow is held across an await (clients are shared between tasks).
-    fn fork_rng(&self) -> StdRng {
-        StdRng::seed_from_u64(self.rng.borrow_mut().random())
+    fn conn(&self, shard: u32) -> &Conn {
+        &self.conns[shard as usize]
     }
 
-    /// One request/response exchange with the broker. With no fault
-    /// board attached this is a single board-blind RPC: no jitter stream
-    /// is forked and no timer armed. With one, the RPC retries through
-    /// broker outages per `policy` and errors only once the budget is
-    /// exhausted; a shard killed by `KvsShardCrash` answers `ShardDown`,
-    /// surfaced as `Unreachable` so mesh clients fail over.
-    async fn call(&self, req: Bytes, policy: &RetryPolicy) -> Result<Response, TransportError> {
-        let raw = if self.ep.faults().is_some() {
-            let mut rng = self.fork_rng();
-            self.ep
-                .rpc_retrying(self.broker, self.am, req, policy, &mut rng)
-                .await?
-        } else {
-            self.ep.rpc(self.broker, self.am, req).await
-        };
-        match Response::decode(raw) {
-            Response::ShardDown => Err(TransportError::Unreachable { node: self.broker }),
-            resp => Ok(resp),
+    /// Preference-order failover, the one body of every operation: one
+    /// request/response exchange with the first live shard of `key`'s
+    /// preference order that answers (the owner first), returning that
+    /// shard and its response.
+    ///
+    /// With no fault board attached every shard is live and the exchange
+    /// is a single board-blind RPC to the owner that cannot fail: no
+    /// jitter stream is forked and no timer armed. With one (read at
+    /// call time — a board may be attached after the client was built),
+    /// each live shard gets the full retry budget of `policy` through
+    /// broker outages; a shard killed by `KvsShardCrash` is skipped, or
+    /// answers `ShardDown` if it died mid-call, and the walk moves on.
+    /// Errors only when every replica is exhausted or down.
+    async fn failover(
+        &self,
+        key: &str,
+        policy: &RetryPolicy,
+        request: impl Fn() -> Request,
+    ) -> Result<(u32, Response), TransportError> {
+        let mut last = None;
+        for shard in mesh::preference(key, self.shards(), self.replication) {
+            let under_board = match self.ep.faults() {
+                Some(board) if !board.kvs_shard_up(shard) => continue,
+                board => board.is_some(),
+            };
+            let (conn, am) = (self.conn(shard), mesh::shard_am(shard));
+            let req = request().encode();
+            let answer = if under_board {
+                // Forked per call so no `RefCell` borrow is held across
+                // an await (clients are shared between tasks).
+                let mut rng = StdRng::seed_from_u64(conn.rng.borrow_mut().random());
+                self.ep
+                    .rpc_retrying(conn.broker, am, req, policy, &mut rng)
+                    .await
+            } else {
+                Ok(self.ep.rpc(conn.broker, am, req).await)
+            };
+            match answer.map(Response::decode) {
+                Ok(Response::ShardDown) => {
+                    last = Some(TransportError::Unreachable { node: conn.broker });
+                }
+                Ok(resp) => return Ok((shard, resp)),
+                Err(e) => last = Some(e),
+            }
         }
+        Err(last.unwrap_or_else(|| TransportError::Unreachable {
+            node: self.conn(shard_for(key, self.shards())).broker,
+        }))
     }
 
-    /// Cache and return a broker-supplied value.
-    fn cached(&self, key: Symbol, version: u64, value: Bytes) -> VersionedValue {
+    /// Cache and return a value `shard` supplied.
+    fn cached(&self, shard: u32, key: Symbol, version: u64, value: Bytes) -> VersionedValue {
         let v = VersionedValue { version, value };
-        self.cache.borrow_mut().insert(key, v.clone());
+        self.conn(shard).cache.borrow_mut().insert(key, v.clone());
         v
     }
 
-    /// Commit `value` under `key`; returns the new global version.
-    /// Commits are idempotent (last-writer-wins on the same key), so a
-    /// retry after a lost reply is safe.
+    /// Commit `value` under `key` on its first live replica; returns
+    /// that shard's new version. Commits are idempotent
+    /// (last-writer-wins on the same key), so a retry after a lost reply
+    /// is safe.
     pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        let key = intern(key);
-        let req = Request::Commit {
-            key,
+        let sym = intern(key);
+        let request = || Request::Commit {
+            key: sym,
             value: value.clone(),
-        }
-        .encode();
-        match self.call(req, &self.retry).await? {
-            Response::Committed { version } => {
-                self.cache
-                    .borrow_mut()
-                    .insert(key, VersionedValue { version, value });
-                Ok(version)
+        };
+        match self.failover(key, &self.retry, request).await? {
+            (shard, Response::Committed { version }) => {
+                Ok(self.cached(shard, sym, version, value).version)
             }
-            other => panic!("unexpected commit response {other:?}"),
+            (_, other) => panic!("unexpected commit response {other:?}"),
         }
     }
 
-    /// Read `key` from the broker (always a round trip; updates the
-    /// cache).
+    /// Read `key` from its first live replica (always a round trip;
+    /// updates the cache).
     pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        let key = intern(key);
-        let req = Request::Lookup { key }.encode();
-        match self.call(req, &self.retry).await? {
-            Response::Value { version, value } => Ok(Some(self.cached(key, version, value))),
-            Response::NotFound => Ok(None),
-            other => panic!("unexpected lookup response {other:?}"),
+        let sym = intern(key);
+        let request = || Request::Lookup { key: sym };
+        match self.failover(key, &self.retry, request).await? {
+            (shard, Response::Value { version, value }) => {
+                Ok(Some(self.cached(shard, sym, version, value)))
+            }
+            (_, Response::NotFound) => Ok(None),
+            (_, other) => panic!("unexpected lookup response {other:?}"),
         }
     }
 
-    /// Read `key` from the local cache only (no simulated cost). Used on
-    /// DYAD's warm synchronization path.
+    /// Read `key` from the local cache only (no simulated cost),
+    /// checking the connections in preference order (a failover may have
+    /// warmed a replica's cache instead of the owner's).
     pub fn lookup_cached(&self, key: &str) -> Option<VersionedValue> {
-        self.cache.borrow().get(&intern(key)).cloned()
+        let sym = intern(key);
+        mesh::preference(key, self.shards(), self.replication)
+            .find_map(|s| self.conn(s).cache.borrow().get(&sym).cloned())
     }
 
     /// Block until `key` exists, using a **server-side watch**: one RPC
     /// that parks in the broker. This is DYAD's cold-path synchronization.
     /// Uses the wait policy (no per-attempt timeout), so only
-    /// unreachability triggers a retry.
+    /// unreachability triggers a retry. A wait parked on a shard that
+    /// then crashes is flushed with `ShardDown` and re-parked on the
+    /// next live replica (which the synchronous replication protocol
+    /// guarantees will see the commit).
     pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
-        let key = intern(key);
-        let req = Request::WaitKey { key }.encode();
-        match self.call(req, &self.wait_retry).await? {
-            Response::Value { version, value } => Ok(self.cached(key, version, value)),
-            other => panic!("unexpected wait response {other:?}"),
+        let sym = intern(key);
+        let request = || Request::WaitKey { key: sym };
+        match self.failover(key, &self.wait_retry, request).await? {
+            (shard, Response::Value { version, value }) => {
+                Ok(self.cached(shard, sym, version, value))
+            }
+            (_, other) => panic!("unexpected wait response {other:?}"),
         }
     }
 
-    /// Remove `key` on the broker and locally.
+    /// Block until `key` exists by **client-side polling** every
+    /// [`KvsSpec::poll_interval`] (the synchronization-protocol
+    /// ablation). Each probe is a full [`KvsClient::try_lookup`], so
+    /// retries and failover happen inside it and an error means the
+    /// key's every replica failed. The poll count is reported on *both*
+    /// exits — a wait that gave up still issued its RPCs.
+    pub async fn try_wait_key_poll_counted(
+        &self,
+        key: &str,
+    ) -> (Result<VersionedValue, TransportError>, u64) {
+        let mut polls = 0;
+        loop {
+            polls += 1;
+            match self.try_lookup(key).await {
+                Ok(Some(v)) => return (Ok(v), polls),
+                Ok(None) => {}
+                Err(e) => return (Err(e), polls),
+            }
+            self.ctx.sleep(self.spec.poll_interval).await;
+        }
+    }
+
+    /// Remove `key` on its first live replica and locally.
     pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
-        let key = intern(key);
-        let req = Request::Unlink { key }.encode();
-        self.call(req, &self.retry).await?;
-        self.cache.borrow_mut().remove(&key);
+        let sym = intern(key);
+        let request = || Request::Unlink { key: sym };
+        let (shard, _) = self.failover(key, &self.retry, request).await?;
+        self.conn(shard).cache.borrow_mut().remove(&sym);
         Ok(())
     }
 
@@ -510,55 +516,6 @@ impl KvsClient {
         self.try_unlink(key)
             .await
             .expect("unlink cannot fail without a fault board")
-    }
-}
-
-/// A prefix-scoped view of the store, mirroring Flux KVS namespaces:
-/// every operation on the namespace is rewritten to `prefix/key` on the
-/// underlying client. DYAD uses one namespace per managed directory.
-#[derive(Clone)]
-pub struct Namespace {
-    client: KvsClient,
-    prefix: String,
-}
-
-impl Namespace {
-    /// Scope `client` to `prefix`.
-    pub fn new(client: KvsClient, prefix: &str) -> Self {
-        Namespace {
-            client,
-            prefix: prefix.trim_end_matches('/').to_string(),
-        }
-    }
-
-    /// The full key for a namespace-relative key.
-    pub fn full_key(&self, key: &str) -> String {
-        format!("{}/{}", self.prefix, key.trim_start_matches('/'))
-    }
-
-    /// Commit within the namespace.
-    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
-        self.client.commit(&self.full_key(key), value).await
-    }
-
-    /// Lookup within the namespace.
-    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
-        self.client.lookup(&self.full_key(key)).await
-    }
-
-    /// Blocking wait within the namespace.
-    pub async fn wait_key(&self, key: &str) -> VersionedValue {
-        self.client.wait_key(&self.full_key(key)).await
-    }
-
-    /// Unlink within the namespace.
-    pub async fn unlink(&self, key: &str) {
-        self.client.unlink(&self.full_key(key)).await
-    }
-
-    /// A nested namespace.
-    pub fn namespace(&self, prefix: &str) -> Namespace {
-        Namespace::new(self.client.clone(), &self.full_key(prefix))
     }
 }
 
@@ -671,11 +628,7 @@ mod tests {
         let sim = Sim::new(0);
         let rig = setup(&sim, 3);
         let consumer = client(&sim, &rig, 2);
-        let h = sim.spawn(async move {
-            KvsHandle::from(consumer)
-                .try_wait_key_poll_counted("x")
-                .await
-        });
+        let h = sim.spawn(async move { consumer.try_wait_key_poll_counted("x").await });
         let producer = client(&sim, &rig, 1);
         let ctx = sim.ctx();
         sim.spawn(async move {
@@ -772,29 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn namespaces_isolate_keys() {
-        let sim = Sim::new(0);
-        let rig = setup(&sim, 2);
-        let c = client(&sim, &rig, 1);
-        let a = Namespace::new(c.clone(), "jobA");
-        let b = Namespace::new(c.clone(), "jobB");
-        let h = sim.spawn(async move {
-            a.commit("frame", Bytes::from_static(b"A")).await;
-            b.commit("frame", Bytes::from_static(b"B")).await;
-            let va = a.lookup("frame").await.unwrap().value;
-            let vb = b.lookup("frame").await.unwrap().value;
-            // Raw keys are prefixed.
-            let raw = c.lookup("jobA/frame").await.unwrap().value;
-            (va, vb, raw)
-        });
-        sim.run();
-        let (va, vb, raw) = h.try_take().unwrap();
-        assert_eq!(va, Bytes::from_static(b"A"));
-        assert_eq!(vb, Bytes::from_static(b"B"));
-        assert_eq!(raw, Bytes::from_static(b"A"));
-    }
-
-    #[test]
     fn kvs_delay_window_slows_lookups() {
         use faults::{FaultBoard, FaultEvent, FaultKind, FaultPlan};
         let sim = Sim::new(0);
@@ -854,20 +784,5 @@ mod tests {
         assert_eq!(v, 1);
         assert_eq!(got.unwrap().value, Bytes::from_static(b"v"));
         assert!(rig.tp.stats().rpc_retries >= 1);
-    }
-
-    #[test]
-    fn nested_namespaces_compose() {
-        let sim = Sim::new(0);
-        let rig = setup(&sim, 2);
-        let c = client(&sim, &rig, 1);
-        let ns = Namespace::new(c, "root").namespace("inner");
-        assert_eq!(ns.full_key("k"), "root/inner/k");
-        let h = sim.spawn(async move {
-            ns.commit("k", Bytes::from_static(b"v")).await;
-            ns.wait_key("k").await.value
-        });
-        sim.run();
-        assert_eq!(h.try_take().unwrap(), Bytes::from_static(b"v"));
     }
 }

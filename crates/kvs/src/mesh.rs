@@ -1,9 +1,10 @@
 //! # kvs::mesh — a sharded, replicated metadata plane
 //!
-//! The single [`crate::KvsServer`] broker is the protocol bottleneck
-//! and single point of failure of the DYAD reproduction: every
-//! produce/consume funnels through one FIFO service pool on one node.
-//! This module scales that control plane out:
+//! One broker is the protocol bottleneck and single point of failure of
+//! the DYAD reproduction: every produce/consume funnels through one
+//! FIFO service pool on one node. This module is the metadata plane at
+//! any shard count — the standalone [`crate::KvsServer`] is the
+//! one-shard, unreplicated case of it, not a second path:
 //!
 //! * **Sharding** — N brokers partition the key namespace by
 //!   *rendezvous (highest-random-weight) hashing*: every key scores
@@ -12,9 +13,9 @@
 //!   or moves to the new shard — routing is stable except at rebalance
 //!   boundaries (no mod-N reshuffle).
 //! * **Replication** — with a replication factor R, a key's *preference
-//!   list* is its top-R shards by the same score. The owner applies a
+//!   order* is its top-R shards by the same score. The owner applies a
 //!   commit/unlink locally, then synchronously ships a [`Delta`] to
-//!   every other *live* member of the preference list and waits for the
+//!   every other *live* member of the preference order and waits for the
 //!   acks before acknowledging the client, so an acked write survives
 //!   the permanent crash of any R−1 shards.
 //! * **Causal delivery** — each delta carries `(origin, seq, deps)`
@@ -22,30 +23,29 @@
 //!   write. A replica applies a delta only once its parents have
 //!   applied; out-of-order arrivals buffer in a [`CausalBuffer`] and
 //!   drain as their dependencies land.
-//! * **Failover** — [`MeshKvsClient`] routes every operation to the
-//!   first *live* shard of the key's preference list. A shard killed by
-//!   a `KvsShardCrash` fault answers `ShardDown` (parked waits are
+//! * **Failover** — [`KvsClient`] routes every operation to the first
+//!   *live* shard of the key's preference order. A shard killed by a
+//!   `KvsShardCrash` fault answers `ShardDown` (parked waits are
 //!   flushed), the client maps that to `Unreachable`, and every op
-//!   walks down the preference list (one `failover` helper) — so a
+//!   walks down the preference order (one `failover` helper) — so a
 //!   replicated namespace heals while an unreplicated one fails typed.
 //!
-//! Shard 0 listens on the legacy [`crate::KVS_AM`] id; a mesh with one
-//! shard and R=1 is event-for-event identical to the standalone broker.
+//! The preference order is walked lazily, one shard at a time: the
+//! common case stops at the owner, and no operation allocates to route.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::hash::Hash;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use cluster::NodeId;
-use faults::FaultBoard;
 use simcore::intern::{FxHashMap, Symbol};
 use simcore::{splitmix64, Ctx};
-use transport::{AmId, Transport, TransportError};
+use transport::{AmId, Transport};
 
 use crate::{
-    handle, KvsClient, KvsServer, KvsSpec, KvsStats, Request, Response, Store, VersionedValue,
-    KVS_AM,
+    KvsClient, KvsServer, KvsSpec, KvsStats, Request, Response, Store, VersionedValue, KVS_AM,
 };
 
 /// The AM id shard `shard` listens on (`KVS_AM` for shard 0, so the
@@ -93,20 +93,28 @@ pub fn shard_for(key: &str, shards: u32) -> u32 {
     best
 }
 
-/// The preference list of `key`: its top-`r` shards by rendezvous score
-/// (ties broken toward the lower shard id). The first entry is the
-/// owner ([`shard_for`]); the rest are its replicas.
-pub fn preference_list(key: &str, shards: u32, r: u32) -> Vec<u32> {
+/// The preference order of `key`: its top-`r` shards by rendezvous score
+/// (ties broken toward the lower shard id). The first is the owner
+/// ([`shard_for`]); the rest are its replicas.
+///
+/// Every client operation routes through here and nearly all of them
+/// stop at the owner, so the order is produced one shard at a time —
+/// each step rescans the scores (a few multiplies per shard) for the
+/// best rank after the last one yielded — instead of being sorted into
+/// a list up front.
+pub(crate) fn preference(key: &str, shards: u32, r: u32) -> impl Iterator<Item = u32> {
     assert!(shards > 0, "mesh needs at least one shard");
     let h = fnv1a(key);
-    // Every mesh call routes through here, so the list is the call's one
-    // allocation: rank the shard ids themselves (a score is a few
-    // multiplies to recompute) with the unstable sort, which needs no
-    // scratch space and, the key being a total order, loses nothing.
-    let mut ranked: Vec<u32> = (0..shards).collect();
-    ranked.sort_unstable_by_key(|&s| (std::cmp::Reverse(shard_score(h, s)), s));
-    ranked.truncate(r.clamp(1, shards) as usize);
-    ranked
+    let mut last = None;
+    std::iter::from_fn(move || {
+        let next = (0..shards)
+            .map(|s| (Reverse(shard_score(h, s)), s))
+            .filter(|rank| last.is_none_or(|l| *rank > l))
+            .min()?;
+        last = Some(next);
+        Some(next.1)
+    })
+    .take(r.clamp(1, shards) as usize)
 }
 
 // ---------------------------------------------------------------------------
@@ -274,20 +282,15 @@ impl MeshTopology {
         self.shard_nodes[shard as usize]
     }
 
-    /// The owner shard of `key`.
-    pub fn owner(&self, key: &str) -> u32 {
-        shard_for(key, self.shards())
-    }
-
-    /// The preference list (owner first, then replicas) of `key`.
-    pub fn preference(&self, key: &str) -> Vec<u32> {
-        preference_list(key, self.shards(), self.replication)
+    /// The preference order (owner first, then replicas) of `key`.
+    pub fn preference(&self, key: &str) -> impl Iterator<Item = u32> {
+        preference(key, self.shards(), self.replication)
     }
 }
 
-/// Shard-side request path in mesh mode: local apply plus synchronous
-/// delta replication for writes, causal buffering for incoming deltas,
-/// and the legacy [`handle`] for reads/waits.
+/// The shard's one request path: local apply plus synchronous delta
+/// replication for writes, causal buffering for incoming deltas, reads
+/// and parked waits against the local store.
 pub(crate) async fn serve(
     store: &Rc<RefCell<Store>>,
     shard: u32,
@@ -295,9 +298,13 @@ pub(crate) async fn serve(
     tp: &Transport,
     req: Request,
 ) -> Response {
+    // At R = 1 no delta is ever shipped or received, so a write skips
+    // the causal stamp: recording it would grow a version vector per
+    // key that nothing reads.
+    let replicated = topo.replication() > 1;
     match req {
         Request::Commit { key, value } => {
-            let (version, seq, deps) = {
+            let (version, stamp) = {
                 let mut st = store.borrow_mut();
                 st.version += 1;
                 let version = st.version;
@@ -312,20 +319,62 @@ pub(crate) async fn serve(
                 if let Some(n) = st.watches.remove(&key) {
                     n.notify_all();
                 }
-                let (seq, deps) = st.repl.record_local(&key, shard);
-                (version, seq, deps)
+                let stamp = replicated.then(|| st.repl.record_local(&key, shard));
+                (version, stamp)
             };
-            replicate(store, shard, topo, tp, key, Some(value), seq, deps).await;
+            if let Some((seq, deps)) = stamp {
+                replicate(store, shard, topo, tp, key, Some(value), seq, deps).await;
+            }
             Response::Committed { version }
         }
+        Request::Lookup { key } => {
+            let mut st = store.borrow_mut();
+            st.stats.lookups += 1;
+            match st.map.get(&key).cloned() {
+                Some(v) => Response::Value {
+                    version: v.version,
+                    value: v.value,
+                },
+                None => Response::NotFound,
+            }
+        }
+        Request::WaitKey { key } => {
+            let mut first = true;
+            loop {
+                let notify = {
+                    let mut st = store.borrow_mut();
+                    // The shard died while this wait was parked; its
+                    // watch was flushed so it can answer typed instead
+                    // of parking forever.
+                    if st.down {
+                        return Response::ShardDown;
+                    }
+                    if let Some(v) = st.map.get(&key).cloned() {
+                        st.stats.waits += 1;
+                        return Response::Value {
+                            version: v.version,
+                            value: v.value,
+                        };
+                    }
+                    if first {
+                        st.stats.waits_parked += 1;
+                        first = false;
+                    }
+                    st.watches.entry(key).or_default().clone()
+                };
+                notify.wait().await;
+            }
+        }
         Request::Unlink { key } => {
-            let (seq, deps) = {
+            let stamp = {
                 let mut st = store.borrow_mut();
                 st.map.remove(&key);
                 st.stats.unlinks += 1;
-                st.repl.record_local(&key, shard)
+                replicated.then(|| st.repl.record_local(&key, shard))
             };
-            replicate(store, shard, topo, tp, key, None, seq, deps).await;
+            if let Some((seq, deps)) = stamp {
+                replicate(store, shard, topo, tp, key, None, seq, deps).await;
+            }
             Response::Unlinked
         }
         Request::Delta {
@@ -362,12 +411,11 @@ pub(crate) async fn serve(
             }
             Response::DeltaAck
         }
-        other => handle(store.clone(), other).await,
     }
 }
 
 /// Ship a write to every other live member of the key's preference
-/// list and wait for the acks. Synchronous by design: an acked write
+/// order and wait for the acks. Synchronous by design: an acked write
 /// is on every live replica, so a later permanent crash of the owner
 /// cannot lose it (no parked consumer ever waits on a key that only
 /// the dead shard knew about).
@@ -382,9 +430,6 @@ async fn replicate(
     seq: u64,
     deps: Vec<(u32, u64)>,
 ) {
-    if topo.replication() <= 1 {
-        return;
-    }
     let board = tp.faults();
     let ep = tp.endpoint(topo.node(shard));
     for peer in topo.preference(&key.resolve()) {
@@ -435,7 +480,7 @@ impl KvsMesh {
     ) -> KvsMesh {
         let topo = Rc::new(MeshTopology::new(shard_nodes.to_vec(), replication));
         let shards = (0..topo.shards())
-            .map(|s| KvsServer::start_shard(ctx, tp, topo.node(s), spec, s, Some(topo.clone())))
+            .map(|s| KvsServer::start_shard(ctx, tp, topo.node(s), spec, s, topo.clone()))
             .collect();
         KvsMesh { topo, spec, shards }
     }
@@ -453,11 +498,6 @@ impl KvsMesh {
     /// The broker serving `shard`.
     pub fn shard(&self, shard: u32) -> &Rc<KvsServer> {
         &self.shards[shard as usize]
-    }
-
-    /// Operation counters of one shard.
-    pub fn shard_stats(&self, shard: u32) -> KvsStats {
-        self.shards[shard as usize].stats()
     }
 
     /// Aggregate counters over all shards (sums; `peak_queue` is the
@@ -480,248 +520,16 @@ impl KvsMesh {
     }
 
     /// A client on `node` for this mesh.
-    pub fn client(&self, ctx: &Ctx, tp: &Transport, node: NodeId) -> MeshKvsClient {
-        MeshKvsClient::new(ctx, tp, node, self.topo.clone(), self.spec)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Client side
-// ---------------------------------------------------------------------------
-
-/// A mesh client bound to one node: routes every operation to the
-/// owning shard of the key and fails over down the preference list when
-/// shards die. Each op has one body (`try_*`, typed error); with no fault
-/// board the owner cannot fail and `commit`/`lookup` just unwrap it.
-#[derive(Clone)]
-pub struct MeshKvsClient {
-    topo: Rc<MeshTopology>,
-    inner: Rc<Vec<KvsClient>>,
-    board: Option<FaultBoard>,
-}
-
-impl MeshKvsClient {
-    /// Create a client on `node` for the mesh described by `topo`.
-    pub fn new(
-        ctx: &Ctx,
-        tp: &Transport,
-        node: NodeId,
-        topo: Rc<MeshTopology>,
-        spec: KvsSpec,
-    ) -> MeshKvsClient {
-        let inner = (0..topo.shards())
-            .map(|s| KvsClient::new_with_am(ctx, tp, node, topo.node(s), shard_am(s), spec))
-            .collect();
-        MeshKvsClient {
-            topo,
-            inner: Rc::new(inner),
-            board: tp.faults(),
-        }
-    }
-
-    /// The mesh topology this client routes over.
-    pub fn topology(&self) -> &MeshTopology {
-        &self.topo
-    }
-
-    /// The owner shard of `key` (where per-shard poll counts are
-    /// attributed).
-    pub fn shard_of(&self, key: &str) -> u32 {
-        self.topo.owner(key)
-    }
-
-    fn live(&self, shard: u32) -> bool {
-        match &self.board {
-            Some(b) => b.kvs_shard_up(shard),
-            None => true,
-        }
-    }
-
-    fn client(&self, shard: u32) -> &KvsClient {
-        &self.inner[shard as usize]
-    }
-
-    /// Preference-list failover: run `op` against each live replica of
-    /// `key` in preference order (the owner first — with no fault board
-    /// every shard is live and the owner cannot fail), each with the
-    /// inner client's full retry budget; errors only when every replica
-    /// is exhausted or down.
-    async fn failover<T>(
-        &self,
-        key: &str,
-        op: impl AsyncFn(&KvsClient) -> Result<T, TransportError>,
-    ) -> Result<T, TransportError> {
-        let pref = self.topo.preference(key);
-        let mut last = TransportError::Unreachable {
-            node: self.topo.node(pref[0]),
-        };
-        for &s in &pref {
-            if !self.live(s) {
-                continue;
-            }
-            match op(self.client(s)).await {
-                Ok(v) => return Ok(v),
-                Err(e) => last = e,
-            }
-        }
-        Err(last)
-    }
-
-    /// Commit on the first live replica of `key`.
-    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        self.failover(key, async |c| c.try_commit(key, value.clone()).await)
-            .await
-    }
-
-    /// Lookup on the first live replica of `key`.
-    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        self.failover(key, async |c| c.try_lookup(key).await).await
-    }
-
-    /// Cache-only read: checks the preference list's client caches in
-    /// order (a failover may have warmed a replica's cache instead of
-    /// the owner's).
-    pub fn lookup_cached(&self, key: &str) -> Option<VersionedValue> {
-        self.topo
-            .preference(key)
-            .into_iter()
-            .find_map(|s| self.client(s).lookup_cached(key))
-    }
-
-    /// Server-side wait: a wait parked on a shard that then crashes is
-    /// flushed with `ShardDown` and re-parked on the next live replica
-    /// (which the synchronous replication protocol guarantees will see
-    /// the commit).
-    pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
-        self.failover(key, async |c| c.try_wait_key(key).await)
-            .await
-    }
-
-    /// Unlink on the first live replica of `key`.
-    pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
-        self.failover(key, async |c| c.try_unlink(key).await).await
-    }
-
-    /// [`MeshKvsClient::try_commit`] for callers running without a fault board.
-    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
-        self.try_commit(key, value)
-            .await
-            .expect("commit cannot fail without a fault board")
-    }
-
-    /// [`MeshKvsClient::try_lookup`] for callers running without a fault board.
-    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
-        self.try_lookup(key)
-            .await
-            .expect("lookup cannot fail without a fault board")
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Unified handle
-// ---------------------------------------------------------------------------
-
-/// Either a legacy single-broker client or a mesh client, with one
-/// method surface — so `dyad`, `staging` and the workflow bodies take
-/// `impl Into<KvsHandle>` and never care which plane they run on.
-/// (The size skew between variants is fine: handles are created per
-/// process at setup, never stored in bulk.)
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-pub enum KvsHandle {
-    /// The legacy standalone-broker client.
-    Single(KvsClient),
-    /// A sharded/replicated mesh client.
-    Mesh(MeshKvsClient),
-}
-
-impl From<KvsClient> for KvsHandle {
-    fn from(c: KvsClient) -> KvsHandle {
-        KvsHandle::Single(c)
-    }
-}
-
-impl From<MeshKvsClient> for KvsHandle {
-    fn from(c: MeshKvsClient) -> KvsHandle {
-        KvsHandle::Mesh(c)
-    }
-}
-
-impl KvsHandle {
-    /// The owning shard of `key` under mesh routing; `None` on a
-    /// single broker. Used to attribute per-shard poll counts.
-    pub fn mesh_shard_of(&self, key: &str) -> Option<u32> {
-        match self {
-            KvsHandle::Single(_) => None,
-            KvsHandle::Mesh(m) => Some(m.shard_of(key)),
-        }
-    }
-
-    /// Commit `value` under `key`; returns the broker's new version
-    /// (retry + mesh failover under a fault board).
-    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_commit(key, value).await,
-            KvsHandle::Mesh(m) => m.try_commit(key, value).await,
-        }
-    }
-
-    /// Read `key` (full round trip).
-    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_lookup(key).await,
-            KvsHandle::Mesh(m) => m.try_lookup(key).await,
-        }
-    }
-
-    /// Cache-only read (no simulated cost).
-    pub fn lookup_cached(&self, key: &str) -> Option<VersionedValue> {
-        match self {
-            KvsHandle::Single(c) => c.lookup_cached(key),
-            KvsHandle::Mesh(m) => m.lookup_cached(key),
-        }
-    }
-
-    /// Server-side blocking wait.
-    pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_wait_key(key).await,
-            KvsHandle::Mesh(m) => m.try_wait_key(key).await,
-        }
-    }
-
-    /// Block until `key` exists by **client-side polling** every
-    /// [`KvsSpec::poll_interval`] (the synchronization-protocol
-    /// ablation). Each probe is a full [`KvsHandle::try_lookup`], so
-    /// retries and mesh failover happen inside it and an error means the
-    /// key's every replica failed. The poll count is reported on *both*
-    /// exits — a wait that gave up still issued its RPCs.
-    pub async fn try_wait_key_poll_counted(
-        &self,
-        key: &str,
-    ) -> (Result<VersionedValue, TransportError>, u64) {
-        let c = match self {
-            KvsHandle::Single(c) => c,
-            KvsHandle::Mesh(m) => m.client(0),
-        };
-        let mut polls = 0;
-        loop {
-            polls += 1;
-            match self.try_lookup(key).await {
-                Ok(Some(v)) => return (Ok(v), polls),
-                Ok(None) => {}
-                Err(e) => return (Err(e), polls),
-            }
-            c.ctx.sleep(c.spec.poll_interval).await;
-        }
-    }
-
-    /// Remove `key`.
-    pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
-        match self {
-            KvsHandle::Single(c) => c.try_unlink(key).await,
-            KvsHandle::Mesh(m) => m.try_unlink(key).await,
-        }
+    pub fn client(&self, ctx: &Ctx, tp: &Transport, node: NodeId) -> KvsClient {
+        let topo = &self.topo;
+        KvsClient::routed(
+            ctx,
+            tp,
+            node,
+            &topo.shard_nodes,
+            topo.replication,
+            self.spec,
+        )
     }
 }
 
@@ -731,7 +539,21 @@ mod tests {
     use cluster::{Cluster, ClusterSpec};
     use faults::{FaultBoard, FaultEvent, FaultKind, FaultPlan};
     use simcore::{Sim, SimDuration};
-    use transport::TransportSpec;
+    use transport::{TransportError, TransportSpec};
+
+    /// The sorted reference the lazy [`preference`] walk must reproduce:
+    /// rank every shard, keep the top `r`.
+    fn preference_list(key: &str, shards: u32, r: u32) -> Vec<u32> {
+        let h = fnv1a(key);
+        let mut ranked: Vec<u32> = (0..shards).collect();
+        ranked.sort_unstable_by_key(|&s| (Reverse(shard_score(h, s)), s));
+        ranked.truncate(r.clamp(1, shards) as usize);
+        ranked
+    }
+
+    fn walk(key: &str, shards: u32, r: u32) -> Vec<u32> {
+        preference(key, shards, r).collect()
+    }
 
     fn mesh_rig(sim: &Sim, nodes: usize, shards: u32, replication: u32) -> (Transport, KvsMesh) {
         let ctx = sim.ctx();
@@ -749,7 +571,7 @@ mod tests {
         for k in &keys {
             let owner = shard_for(k, 4);
             seen[owner as usize] = true;
-            assert_eq!(owner, preference_list(k, 4, 2)[0]);
+            assert_eq!(Some(owner), preference(k, 4, 2).next());
         }
         assert!(seen.iter().all(|&s| s), "owners {seen:?} miss a shard");
     }
@@ -757,7 +579,7 @@ mod tests {
     #[test]
     fn preference_list_is_distinct_and_sized() {
         for r in 1..=4u32 {
-            let pref = preference_list("a/key", 4, r);
+            let pref = walk("a/key", 4, r);
             assert_eq!(pref.len(), r as usize);
             let mut dedup = pref.clone();
             dedup.sort_unstable();
@@ -765,7 +587,7 @@ mod tests {
             assert_eq!(dedup.len(), pref.len());
         }
         // r beyond the shard count clamps.
-        assert_eq!(preference_list("k", 3, 9).len(), 3);
+        assert_eq!(walk("k", 3, 9).len(), 3);
     }
 
     #[test]
@@ -844,22 +666,16 @@ mod tests {
     fn mesh_waiter_on_replica_is_woken_by_delta() {
         let sim = Sim::new(7);
         let (tp, mesh) = mesh_rig(&sim, 4, 4, 2);
-        // Find a key and its replica (non-owner preference member).
+        // A key whose replica (non-owner preference member) is shard 0,
+        // the one shard a standalone-broker client can address.
         let key = (0..64)
             .map(|i| format!("w{i}"))
-            .find(|k| preference_list(k, 4, 2).len() == 2)
+            .find(|k| walk(k, 4, 2)[1] == 0)
             .unwrap();
-        let replica = preference_list(&key, 4, 2)[1];
         let ctx = sim.ctx();
         // Park a wait directly on the replica shard.
-        let waiter = KvsClient::new_with_am(
-            &ctx,
-            &tp,
-            NodeId(3),
-            mesh.topology().node(replica),
-            shard_am(replica),
-            KvsSpec::default(),
-        );
+        let replica = mesh.topology().node(0);
+        let waiter = KvsClient::new(&ctx, &tp, NodeId(3), replica, KvsSpec::default());
         let wkey = key.clone();
         let h = sim.spawn(async move { waiter.wait_key(&wkey).await });
         let producer = mesh.client(&ctx, &tp, NodeId(2));
@@ -1020,8 +836,8 @@ mod tests {
                 r in 1u32..4,
             ) {
                 let r = r.min(shards);
-                let before = preference_list(&key, shards, r);
-                let after = preference_list(&key, shards + 1, r);
+                let before = walk(&key, shards, r);
+                let after = walk(&key, shards + 1, r);
                 // Every member of the new list is an incumbent replica or
                 // the newly-added shard; incumbents never displace each
                 // other.
@@ -1037,6 +853,17 @@ mod tests {
                 let expect: Vec<u32> =
                     before.iter().copied().filter(|s| kept.contains(s)).collect();
                 prop_assert_eq!(kept, expect);
+            }
+
+            // The lazy walk yields exactly the sorted list, however far
+            // it is driven.
+            #[test]
+            fn lazy_walk_matches_the_sorted_reference(
+                key in "[a-z/._0-9]{1,48}",
+                shards in 1u32..12,
+                r in 1u32..4,
+            ) {
+                prop_assert_eq!(walk(&key, shards, r), preference_list(&key, shards, r));
             }
 
             // Causal delivery: any arrival permutation of a valid causal

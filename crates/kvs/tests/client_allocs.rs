@@ -1,0 +1,188 @@
+//! What the one routed client costs the allocator.
+//!
+//! The standalone-broker client is the one-shard case of the mesh
+//! client, and that fold is only free if one shard does not pay for
+//! routing it cannot use. Before the fold there were two client types,
+//! measured with this harness: the single-broker one cost 2 / 2 / 7
+//! calls per warm commit / lookup / parked wait and 2 to construct, the
+//! mesh one 9 / 3 / 12 and 10 at 4 shards and R = 2 (4 / 3 / 10 and 4
+//! at one shard). One shard may cost no more than the single-broker
+//! client did; four shards cost less than the mesh client did — no
+//! routing `Vec` per operation, one block per client whatever the
+//! shard count.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use bytes::Bytes;
+use cluster::{Cluster, ClusterSpec, NodeId};
+use kvs::{KvsClient, KvsMesh, KvsServer, KvsSpec};
+use simcore::{Sim, SimDuration};
+use transport::{Transport, TransportSpec};
+
+struct CountingAlloc;
+
+thread_local! {
+    // Per thread, so a test running beside this one cannot move it; a
+    // const-initialised `Cell` needs no lazy set-up and no destructor,
+    // which an allocator may not ask for.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the allocator is still called while a thread's locals
+    // are being torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// thread-local counter increment that touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract for `alloc` is passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const ROUNDS: usize = 100;
+const SHARDS: u32 = 4;
+
+fn transport(sim: &Sim) -> Transport {
+    let ctx = sim.ctx();
+    let cluster = Cluster::build(&ctx, &ClusterSpec::corona(SHARDS as usize + 2));
+    Transport::new(&ctx, cluster.fabric().clone(), TransportSpec::default())
+}
+
+/// Allocator calls of building one client.
+fn construction_cost(client: impl Fn(u32) -> KvsClient) -> u64 {
+    let before = calls();
+    let c = client(SHARDS);
+    let cost = calls() - before;
+    drop(c);
+    cost
+}
+
+/// Allocator calls of the last of [`ROUNDS`] warm operations: a commit
+/// and a lookup of a key both sides have seen, and a wait that parks
+/// in the broker until a second client's commit wakes it (that commit
+/// included — it runs inside the wait).
+fn warm_costs(sim: &Sim, client: impl Fn(u32) -> KvsClient) -> (u64, u64, u64) {
+    let c = client(SHARDS);
+    let h = sim.spawn(async move {
+        let (mut commit, mut lookup) = (0, 0);
+        for _ in 0..ROUNDS {
+            let before = calls();
+            c.try_commit("warm/key", Bytes::from_static(b"v"))
+                .await
+                .unwrap();
+            commit = calls() - before;
+            let before = calls();
+            c.try_lookup("warm/key").await.unwrap();
+            lookup = calls() - before;
+        }
+        (commit, lookup)
+    });
+    assert!(sim.run().is_clean());
+    let (commit, lookup) = h.try_take().expect("client finished");
+
+    let (waiter, committer) = (client(SHARDS), client(SHARDS + 1));
+    let ctx = sim.ctx();
+    sim.spawn(async move {
+        for _ in 0..ROUNDS {
+            ctx.sleep(SimDuration::from_millis(1)).await;
+            committer
+                .try_commit("parked/key", Bytes::from_static(b"v"))
+                .await
+                .unwrap();
+        }
+    });
+    let h = sim.spawn(async move {
+        let mut wait = 0;
+        for _ in 0..ROUNDS {
+            let before = calls();
+            waiter.try_wait_key("parked/key").await.unwrap();
+            wait = calls() - before;
+            waiter.try_unlink("parked/key").await.unwrap();
+        }
+        wait
+    });
+    assert!(sim.run().is_clean());
+    (commit, lookup, h.try_take().expect("waiter finished"))
+}
+
+#[test]
+fn one_shard_costs_no_more_than_the_single_broker_client_did() {
+    let sim = Sim::new(0);
+    let tp = transport(&sim);
+    let ctx = sim.ctx();
+    let spec = KvsSpec::default();
+    let server = KvsServer::start(&ctx, &tp, NodeId(0), spec);
+    let standalone = |n: u32| KvsClient::new(&ctx, &tp, NodeId(n), server.node(), spec);
+    assert!(
+        construction_cost(standalone) <= 1,
+        "a one-shard client is more than one block"
+    );
+    let (commit, lookup, parked_wait) = warm_costs(&sim, standalone);
+    assert!(
+        commit <= 2 && lookup <= 2 && parked_wait <= 7,
+        "warm commit / lookup / parked wait: {commit} / {lookup} / {parked_wait}"
+    );
+
+    // The same client by the other constructor.
+    let sim = Sim::new(0);
+    let tp = transport(&sim);
+    let ctx = sim.ctx();
+    let mesh = KvsMesh::start(&ctx, &tp, &[NodeId(0)], spec, 1);
+    let meshed = |n: u32| mesh.client(&ctx, &tp, NodeId(n));
+    assert_eq!(construction_cost(standalone), construction_cost(meshed));
+    assert_eq!(warm_costs(&sim, meshed), (commit, lookup, parked_wait));
+}
+
+#[test]
+fn four_replicated_shards_route_without_allocating() {
+    let sim = Sim::new(0);
+    let tp = transport(&sim);
+    let ctx = sim.ctx();
+    let shard_nodes: Vec<NodeId> = (0..SHARDS).map(NodeId).collect();
+    let mesh = KvsMesh::start(&ctx, &tp, &shard_nodes, KvsSpec::default(), 2);
+    let meshed = |n: u32| mesh.client(&ctx, &tp, NodeId(n));
+    assert!(
+        construction_cost(meshed) <= 1,
+        "a client's blocks grow with the shard count"
+    );
+    let (commit, lookup, parked_wait) = warm_costs(&sim, meshed);
+    // Each operation one fewer than through the mesh client: the
+    // preference `Vec`. A replicated commit saves a second shard-side,
+    // where `replicate` walks the same order, and the parked wait holds
+    // a wait and the commit that wakes it.
+    assert!(
+        commit <= 7 && lookup <= 2 && parked_wait <= 9,
+        "warm commit / lookup / parked wait: {commit} / {lookup} / {parked_wait}"
+    );
+}

@@ -68,11 +68,10 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use std::task::{Context, Poll, Wake, Waker};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -430,6 +429,14 @@ struct WakeQueue {
     nonempty: std::sync::atomic::AtomicBool,
 }
 
+impl WakeQueue {
+    /// Poisoning is ignored: every holder pushes, swaps or takes the
+    /// vector, each of which leaves it valid at every step.
+    fn lock(&self) -> MutexGuard<'_, Vec<TaskId>> {
+        self.woken.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 struct TaskWaker {
     id: TaskId,
     queue: Arc<WakeQueue>,
@@ -440,7 +447,7 @@ impl Wake for TaskWaker {
         self.wake_by_ref();
     }
     fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.woken.lock().push(self.id);
+        self.queue.lock().push(self.id);
         self.queue
             .nonempty
             .store(true, std::sync::atomic::Ordering::Release);
@@ -888,7 +895,7 @@ impl Sim {
         // hand the (drained) buffer back so both vectors keep their
         // capacity: no allocation on the steady-state wake path.
         let mut woken = std::mem::take(&mut core.wake_scratch);
-        std::mem::swap(&mut woken, &mut *core.wakes.woken.lock());
+        std::mem::swap(&mut woken, &mut *core.wakes.lock());
         core.ready.extend(woken.drain(..));
         core.wake_scratch = woken;
     }
@@ -1129,7 +1136,7 @@ impl Sim {
         }
         ready.clear();
         wake_scratch.clear();
-        let mut woken = std::mem::take(&mut *wakes.woken.lock());
+        let mut woken = std::mem::take(&mut *wakes.lock());
         woken.clear();
         SimArena {
             shards,
@@ -1296,7 +1303,7 @@ impl Ctx {
     pub(crate) fn wake_task(&self, id: TaskId) {
         let core = self.core();
         let core = core.borrow();
-        core.wakes.woken.lock().push(id);
+        core.wakes.lock().push(id);
         core.wakes
             .nonempty
             .store(true, std::sync::atomic::Ordering::Release);

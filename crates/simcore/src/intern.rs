@@ -8,7 +8,7 @@
 //! afterwards.
 //!
 //! The interner is thread-local: the simulator is single-threaded, so a
-//! run only ever sees one table, and parallel sweeps (one run per rayon
+//! run only ever sees one table, and parallel sweeps (one run per campaign
 //! worker) each reuse their worker's table across runs. Tables are
 //! append-only and bounded by the number of distinct strings a worker
 //! ever interns. Symbols are only meaningful on the thread that created

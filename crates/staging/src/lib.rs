@@ -48,7 +48,7 @@ use std::rc::Rc;
 
 use bytes::{Buf, BufMut, Bytes};
 use cluster::NodeId;
-use kvs::KvsHandle;
+use kvs::KvsClient;
 use localfs::LocalFs;
 use pfs::PfsClient;
 use simcore::intern::{intern, FxHashMap, Symbol};
@@ -279,7 +279,7 @@ pub struct StagingManager {
     ctx: Ctx,
     node: NodeId,
     fs: LocalFs,
-    kvs: KvsHandle,
+    kvs: KvsClient,
     pfs: Option<PfsClient>,
     spec: StagingSpec,
     inner: RefCell<Inner>,
@@ -308,7 +308,7 @@ impl StagingManager {
         ctx: &Ctx,
         node: NodeId,
         fs: LocalFs,
-        kvs: impl Into<KvsHandle>,
+        kvs: KvsClient,
         pfs: Option<PfsClient>,
         spec: StagingSpec,
     ) -> Rc<StagingManager> {
@@ -320,7 +320,7 @@ impl StagingManager {
             ctx: ctx.clone(),
             node,
             fs,
-            kvs: kvs.into(),
+            kvs,
             pfs,
             spec,
             inner: RefCell::default(),

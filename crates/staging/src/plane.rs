@@ -31,7 +31,7 @@ use bytes::Bytes;
 use cluster::NodeId;
 use faults::RetryPolicy;
 use instrument::Recorder;
-use kvs::KvsHandle;
+use kvs::KvsClient;
 use localfs::{FsResult, LocalFs, LockKind};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -207,7 +207,7 @@ pub struct Plane {
     ctx: Ctx,
     node: NodeId,
     fs: LocalFs,
-    kvs: KvsHandle,
+    kvs: KvsClient,
     ep: Endpoint,
     staging: Option<Rc<StagingManager>>,
     row: &'static Backend,
@@ -228,7 +228,7 @@ impl Plane {
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
-        kvs: KvsHandle,
+        kvs: KvsClient,
         staging: Option<Rc<StagingManager>>,
         row: &'static Backend,
         spec: PlaneSpec,
@@ -279,7 +279,7 @@ impl Plane {
     }
 
     /// The metadata client.
-    pub fn kvs(&self) -> &KvsHandle {
+    pub fn kvs(&self) -> &KvsClient {
         &self.kvs
     }
 
@@ -468,11 +468,6 @@ impl Plane {
         // backend 72 bytes (`footprint.rs`).
         let (res, polls) = Box::pin(self.kvs.try_wait_key_poll_counted(path)).await;
         rec.annotate("kvs_polls", polls as f64);
-        // Per-shard breakdown when the key lives on a mesh, so the
-        // metadata-plane sweep can attribute poll load to broker shards.
-        if let Some(shard) = self.kvs.mesh_shard_of(path) {
-            rec.annotate(&format!("kvs_polls_shard{shard}"), polls as f64);
-        }
         res
     }
 

@@ -51,7 +51,7 @@ use bytes::Bytes;
 use cluster::NodeId;
 use faults::FaultBoard;
 use instrument::Recorder;
-use kvs::KvsHandle;
+use kvs::KvsClient;
 use localfs::LocalFs;
 use rand::rngs::StdRng;
 use simcore::{Ctx, SimDuration};
@@ -438,7 +438,7 @@ impl StreamService {
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
-        kvs: impl Into<KvsHandle>,
+        kvs: KvsClient,
         spec: StreamSpec,
     ) -> Rc<StreamService> {
         Self::start_staged(ctx, tp, node, fs, kvs, spec, None)
@@ -452,12 +452,12 @@ impl StreamService {
         tp: &Transport,
         node: NodeId,
         fs: LocalFs,
-        kvs: impl Into<KvsHandle>,
+        kvs: KvsClient,
         spec: StreamSpec,
         staging: Option<Rc<StagingManager>>,
     ) -> Rc<StreamService> {
         Rc::new(StreamService {
-            plane: Plane::start(ctx, tp, node, fs, kvs.into(), staging, &PLANE, spec.plane),
+            plane: Plane::start(ctx, tp, node, fs, kvs, staging, &PLANE, spec.plane),
             spec,
             window: RefCell::default(),
         })
