@@ -30,7 +30,9 @@
 //! the same seed. The arena resets every executor counter; the snapshot
 //! only changes *when* setup work happens, not what the simulation
 //! observes. The one intentional difference is the frame template's
-//! payload bytes (one template per point instead of one per seed), which
+//! payload bytes (one template per point — shared by the points of a
+//! campaign with the same model and template seed — instead of one per
+//! run seed), which
 //! never influence timing: service times depend on byte *counts*, and
 //! consumers validate frames against the very template object that
 //! produced them.
@@ -134,6 +136,20 @@ impl ClusterSnapshot {
     /// behavior, for a campaign point any fixed seed works (payload
     /// bytes never affect timing).
     pub fn prepare(wf: &WorkflowConfig, cal: &Calibration, template_seed: u64) -> ClusterSnapshot {
+        let template = FrameTemplate::generate(wf.model, template_seed);
+        ClusterSnapshot::prepare_with(wf, cal, template)
+    }
+
+    /// [`ClusterSnapshot::prepare`] around a template the caller already
+    /// holds. A template is a function of `(model, seed)` and a clone
+    /// shares its bytes, so the points of a campaign that agree on both
+    /// synthesize — and keep — it once.
+    pub(crate) fn prepare_with(
+        wf: &WorkflowConfig,
+        cal: &Calibration,
+        template: FrameTemplate,
+    ) -> ClusterSnapshot {
+        assert_eq!(template.model(), wf.model, "template of another model");
         // Streaming placement is M:N per group, not pairwise; the pair
         // plan stays empty so the runner's pair loop no-ops and the
         // streaming spawn block takes over.
@@ -184,7 +200,6 @@ impl ClusterSnapshot {
         } else {
             None
         };
-        let template = FrameTemplate::generate(wf.model, template_seed);
         let registrations = if wf.solution == Solution::Dyad {
             (0..wf.pairs)
                 .map(|pair| {
@@ -248,12 +263,13 @@ impl ClusterSnapshot {
         }
     }
 
-    /// Executor configuration for one run at `seed`: calendar shards
-    /// derived from the snapshot's fabric topology (one shard per leaf
-    /// plus cross-leaf shard 0; a flat fabric degenerates to the classic
-    /// single shard).
+    /// Executor configuration for one run at `seed`: one calendar,
+    /// whatever the fabric. A shard per leaf
+    /// (`FabricSpec::shard_count`) replays the same trajectory and was
+    /// measured slower on one thread at every benchmarked size
+    /// (DESIGN.md §12), so no run asks for it.
     pub fn sim_config(&self, seed: u64) -> simcore::SimConfig {
-        simcore::SimConfig::new(seed).with_shards(self.spec.fabric.shard_count(self.n_total))
+        simcore::SimConfig::new(seed)
     }
 
     /// The workflow this snapshot was prepared for.

@@ -9,14 +9,19 @@
 //! [`run_studies_jobs`] call) goes through one parallel executor:
 //!
 //! 1. each sweep point's shareable setup is computed once into a
-//!    [`ClusterSnapshot`](crate::arena::ClusterSnapshot);
+//!    [`ClusterSnapshot`](crate::arena::ClusterSnapshot), and points
+//!    with the same model and template seed share one frame template;
 //! 2. the `(point, repetition)` units are flattened into a single work
 //!    list and claimed off an atomic cursor by `jobs` worker threads;
 //! 3. each worker owns a [`RunArena`](crate::arena::RunArena) and runs
 //!    units warm-started through
 //!    [`run_once_warm`](crate::runner::run_once_warm);
-//! 4. results land in per-unit slots, so reduction order is the sweep
-//!    order regardless of which worker finished which unit when.
+//! 4. the worker reduces each run to its
+//!    [`RunBreakdown`](crate::report::RunBreakdown) and drops the run's
+//!    profiles before claiming the next unit, so what a campaign holds
+//!    does not grow with its length; the breakdowns land in per-unit
+//!    slots, so the order a report sees is the sweep order regardless
+//!    of which worker finished which unit when.
 //!
 //! Determinism: every unit's seed is a pure function of
 //! `(base, point, rep)` (see [`derive_run_seed`]), the simulation state
@@ -33,9 +38,9 @@ use serde::Serialize;
 use crate::arena::{derive_run_seed, ClusterSnapshot, RunArena};
 use crate::calibration::Calibration;
 use crate::config::{Placement, Solution, StudyConfig, WorkflowConfig};
-use crate::report::StudyReport;
-use crate::runner::{run_once_warm, RunMetrics};
-use mdsim::Model;
+use crate::report::{reduce_run, RunBreakdown, StudyReport};
+use crate::runner::run_once_warm;
+use mdsim::{FrameTemplate, Model};
 
 /// Hardware threads available to this process (1 when that cannot be
 /// determined).
@@ -112,6 +117,35 @@ impl ExecPoint {
     }
 }
 
+/// Shareable setup, once per point. Template seed mirrors the cold
+/// path's `seed ^ 0x7E3A` for the first rep; payload bytes never
+/// influence timing, so sharing one template across reps is safe. Points
+/// that agree on model and template seed share one template: a figure
+/// grid — one seed, a handful of models — synthesizes each model once,
+/// not once per point.
+fn prepare_points(points: &[ExecPoint]) -> Vec<ClusterSnapshot> {
+    let mut templates: Vec<(u64, FrameTemplate)> = Vec::new();
+    points
+        .iter()
+        .map(|ep| {
+            let wf = &ep.study.workflow;
+            let seed = ep.seeds.first().copied().unwrap_or(ep.study.seed) ^ 0x7E3A;
+            let shared = templates
+                .iter()
+                .find(|(s, t)| *s == seed && t.model() == wf.model);
+            let template = match shared {
+                Some((_, template)) => template.clone(),
+                None => {
+                    let template = FrameTemplate::generate(wf.model, seed);
+                    templates.push((seed, template.clone()));
+                    template
+                }
+            };
+            ClusterSnapshot::prepare_with(wf, &ep.study.calibration, template)
+        })
+        .collect()
+}
+
 /// Run each point's repetitions across `jobs` workers and reduce them,
 /// in sweep order, to study reports.
 pub(crate) fn execute_points(
@@ -120,19 +154,7 @@ pub(crate) fn execute_points(
 ) -> (Vec<StudyReport>, CampaignStats) {
     let jobs = jobs.max(1);
     let wall_started = Instant::now();
-    // Shareable setup, once per point. Template seed mirrors the cold
-    // path's `seed ^ 0x7E3A` for the first rep; payload bytes never
-    // influence timing, so sharing one template across reps is safe.
-    let snaps: Vec<ClusterSnapshot> = points
-        .iter()
-        .map(|ep| {
-            ClusterSnapshot::prepare(
-                &ep.study.workflow,
-                &ep.study.calibration,
-                ep.seeds.first().copied().unwrap_or(ep.study.seed) ^ 0x7E3A,
-            )
-        })
-        .collect();
+    let snaps = prepare_points(&points);
     let prep_secs = wall_started.elapsed().as_secs_f64();
 
     // Flatten point-major so reduction can walk units in order.
@@ -141,7 +163,8 @@ pub(crate) fn execute_points(
         .enumerate()
         .flat_map(|(p, ep)| (0..ep.seeds.len()).map(move |r| (p, r)))
         .collect();
-    let results: Vec<Mutex<Option<RunMetrics>>> = units.iter().map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<RunBreakdown>>> =
+        units.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let totals = Mutex::new((0.0_f64, 0.0_f64));
 
@@ -152,7 +175,8 @@ pub(crate) fn execute_points(
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             let Some(&(p, r)) = units.get(i) else { break };
             let (metrics, timings) = run_once_warm(&snaps[p], points[p].seeds[r], &mut arena);
-            *results[i].lock().unwrap() = Some(metrics);
+            let reduced = reduce_run(&points[p].study.workflow, &metrics);
+            *results[i].lock().unwrap() = Some(reduced);
             setup += timings.setup_secs;
             sim += timings.sim_secs;
         }
@@ -171,7 +195,7 @@ pub(crate) fn execute_points(
         });
     }
 
-    let mut collected: Vec<Vec<RunMetrics>> = points
+    let mut collected: Vec<Vec<RunBreakdown>> = points
         .iter()
         .map(|ep| Vec::with_capacity(ep.seeds.len()))
         .collect();
@@ -180,8 +204,8 @@ pub(crate) fn execute_points(
     }
     let reports = points
         .iter()
-        .zip(&collected)
-        .map(|(ep, runs)| StudyReport::from_runs(&ep.study.workflow, runs))
+        .zip(collected)
+        .map(|(ep, runs)| StudyReport::from_breakdowns(&ep.study.workflow, runs))
         .collect();
     let (setup_secs, sim_secs) = *totals.lock().unwrap();
     let stats = CampaignStats {
@@ -401,6 +425,34 @@ mod tests {
             .iter()
             .any(|p| p.model == Model::Stmv && p.stride == Model::Stmv.stride()));
         assert!(pts.iter().any(|p| p.stride == 10));
+    }
+
+    #[test]
+    fn points_with_one_model_and_seed_share_one_template() {
+        let point = |model, seed| {
+            let wf = WorkflowConfig::new(Solution::Dyad, 1, Placement::SingleNode)
+                .with_model(model)
+                .with_frames(2);
+            let mut study = StudyConfig::paper(wf);
+            (study.seed, study.repetitions) = (seed, 1);
+            ExecPoint::legacy(&study)
+        };
+        let points = [
+            point(Model::Jac, 7),
+            point(Model::ApoA1, 7),
+            point(Model::Jac, 7),
+            point(Model::Jac, 8),
+        ];
+        let snaps = prepare_points(&points);
+        // A frame's body segment is a view of its template's bytes.
+        let body = |i: usize| {
+            let segments = snaps[i].template.frame_segments(0);
+            segments.last().expect("a frame has a body").as_ptr()
+        };
+        assert_eq!(body(0), body(2), "same model, same seed: one template");
+        assert_ne!(body(0), body(1), "another model");
+        assert_ne!(body(0), body(3), "another seed");
+        assert_eq!(snaps[1].template.model(), Model::ApoA1);
     }
 
     #[test]

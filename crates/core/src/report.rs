@@ -196,7 +196,13 @@ pub struct StudyReport {
 impl StudyReport {
     /// Reduce a set of repetitions.
     pub fn from_runs(wf: &WorkflowConfig, runs: &[RunMetrics]) -> StudyReport {
-        let reduced: Vec<RunBreakdown> = runs.iter().map(|r| reduce_run(wf, r)).collect();
+        StudyReport::from_breakdowns(wf, runs.iter().map(|r| reduce_run(wf, r)).collect())
+    }
+
+    /// Mean and spread over repetitions already reduced by
+    /// [`reduce_run`] — what the campaign executor's workers hand back,
+    /// so no run's profiles outlive the worker that ran it.
+    pub fn from_breakdowns(wf: &WorkflowConfig, reduced: Vec<RunBreakdown>) -> StudyReport {
         StudyReport {
             workflow: wf.clone(),
             production_movement: MeanStd::from_samples(

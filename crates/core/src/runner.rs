@@ -1,6 +1,7 @@
 //! Builds a simulated testbed per run, spawns the ensemble, and collects
 //! per-process profiles.
 
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -12,7 +13,7 @@ use localfs::LocalFs;
 use mdsim::StepClock;
 use pfs::{LdlmClient, LdlmServer, LdlmSpec, ParallelFs};
 use serde::Serialize;
-use simcore::{Sim, SimDuration, SimTime};
+use simcore::{Ctx, JoinSet, Sim, SimDuration, SimTime};
 use staging::plane::{PlaneSpec, PlaneStats};
 use staging::{RetentionPolicy, StagingManager, StagingSpec, StagingStats};
 use streaming::{StreamAcker, StreamService, StreamSpec, WindowStats};
@@ -271,6 +272,70 @@ struct RunOutput {
     arena: simcore::SimArena,
 }
 
+/// One side of the ensemble. Its roles finish into a join set — profile
+/// and completion instant by spawn index — so a finished role keeps
+/// nothing but its numbers (no task block, no handle), and "is everyone
+/// done?" is a counter compare.
+struct Roles {
+    /// "producer" or "consumer".
+    side: &'static str,
+    set: JoinSet<Profile>,
+    /// Compute node of each member, by spawn index.
+    nodes: Vec<u32>,
+}
+
+impl Roles {
+    fn with_capacity(side: &'static str, n: usize) -> Roles {
+        Roles {
+            side,
+            set: JoinSet::with_capacity(n),
+            nodes: Vec::with_capacity(n),
+        }
+    }
+
+    /// Spawn `role`, which runs on compute node `node`.
+    fn spawn(&mut self, ctx: &Ctx, node: u32, role: impl Future<Output = Profile> + 'static) {
+        self.nodes.push(node);
+        self.set.spawn(ctx, role);
+    }
+
+    /// Every member's profile in spawn order, and when the last finished.
+    fn collect(self) -> (Vec<Profile>, SimTime) {
+        let mut last = SimTime::ZERO;
+        let profiles = self.set.into_results().map(|(at, profile)| {
+            last = last.max(at);
+            profile
+        });
+        (profiles.collect(), last)
+    }
+}
+
+/// Who is still running, for the hard-stop diagnostic: how many of each
+/// side, and the first eight by side, spawn index and node.
+fn stall_summary(sides: [&Roles; 2]) -> String {
+    let mut counts = Vec::new();
+    let mut first = Vec::new();
+    for roles in sides {
+        let unfinished = roles.set.unfinished();
+        counts.push(format!(
+            "{} of {} {}s",
+            unfinished.len(),
+            roles.set.len(),
+            roles.side
+        ));
+        for i in unfinished {
+            first.push(format!("{} {i} (node {})", roles.side, roles.nodes[i]));
+        }
+    }
+    let more = if first.len() > 8 { ", …" } else { "" };
+    first.truncate(8);
+    format!(
+        "{} unfinished: {}{more}",
+        counts.join(" and "),
+        first.join(", ")
+    )
+}
+
 /// The shared run body: build the live substrates from the snapshot,
 /// spawn the ensemble, advance the simulation, collect. Both the cold
 /// path ([`run_once`], which prepares a throwaway snapshot) and the warm
@@ -300,11 +365,6 @@ fn run_prepared(
     let pfs_nodes = snap.pfs_nodes.clone();
     let cluster = Cluster::build(&ctx, &snap.spec);
     let tp = Transport::new(&ctx, cluster.fabric().clone(), cal.transport);
-    // Calendar shard for node-local activity: the node's leaf shard
-    // when the fabric topology shards the calendar, else shard 0.
-    // Placement is a locality hint; it never changes the schedule.
-    let fabric_spec = snap.spec.fabric;
-    let node_shard = move |n: u32| fabric_spec.shard_of(NodeId(n), n_total);
 
     // ---- fault board -----------------------------------------------------
     // Built only when the plan is non-empty: a disabled FaultConfig arms
@@ -334,7 +394,7 @@ fn run_prepared(
                     fs_probe = Some(Rc::new(move || b.nvme_error(i)) as Rc<dyn Fn() -> bool>);
                 }
             }
-            let mut fs = ctx.with_shard(node_shard(i), || LocalFs::new(&ctx, nvme, cal.localfs));
+            let mut fs = LocalFs::new(&ctx, nvme, cal.localfs);
             if let Some(p) = fs_probe {
                 fs.set_io_error_probe(p);
             }
@@ -374,21 +434,18 @@ fn run_prepared(
                 } else {
                     None
                 };
-                let mgr = ctx.with_shard(node_shard(i), || {
-                    let mgr = StagingManager::new(
-                        &ctx,
-                        NodeId(i),
-                        local_fs[i as usize].clone(),
-                        kvs_client(i),
-                        pfs_client,
-                        spec,
-                    );
-                    // Only burn evictor wake-ups when a pass can ever act.
-                    if mgr.is_bounded() || wf.staging.retention == RetentionPolicy::EagerRetire {
-                        mgr.spawn_evictor();
-                    }
-                    mgr
-                });
+                let mgr = StagingManager::new(
+                    &ctx,
+                    NodeId(i),
+                    local_fs[i as usize].clone(),
+                    kvs_client(i),
+                    pfs_client,
+                    spec,
+                );
+                // Only burn evictor wake-ups when a pass can ever act.
+                if mgr.is_bounded() || wf.staging.retention == RetentionPolicy::EagerRetire {
+                    mgr.spawn_evictor();
+                }
                 Some(mgr)
             })
             .collect()
@@ -411,25 +468,21 @@ fn run_prepared(
         ..StreamSpec::default()
     };
     let nodes_running = |s: Solution| (0..n_compute as u32).filter(move |_| wf.solution == s);
-    // What node `i`'s service starts from (built on the node's shard).
+    // What node `i`'s service starts from.
     let parts = |i: u32| {
         let (fs, st) = (&local_fs[i as usize], &staging_mgrs[i as usize]);
         (NodeId(i), fs.clone(), kvs_client(i), st.clone())
     };
     let dyad_services: Vec<Rc<DyadService>> = nodes_running(Solution::Dyad)
         .map(|i| {
-            ctx.with_shard(node_shard(i), || {
-                let (n, fs, kvs, st) = parts(i);
-                DyadService::start_staged(&ctx, &tp, n, fs, kvs, dyad_spec, st)
-            })
+            let (n, fs, kvs, st) = parts(i);
+            DyadService::start_staged(&ctx, &tp, n, fs, kvs, dyad_spec, st)
         })
         .collect();
     let stream_services: Vec<Rc<StreamService>> = nodes_running(Solution::Streaming)
         .map(|i| {
-            ctx.with_shard(node_shard(i), || {
-                let (n, fs, kvs, st) = parts(i);
-                StreamService::start_staged(&ctx, &tp, n, fs, kvs, stream_spec, st)
-            })
+            let (n, fs, kvs, st) = parts(i);
+            StreamService::start_staged(&ctx, &tp, n, fs, kvs, stream_spec, st)
         })
         .collect();
     // Crash/restart lifecycle: a node crash loses that node's staged
@@ -516,8 +569,8 @@ fn run_prepared(
         node,
     };
 
-    let mut prod_handles = Vec::with_capacity(wf.pairs as usize);
-    let mut cons_handles = Vec::with_capacity(wf.pairs as usize);
+    let mut producers = Roles::with_capacity("producer", wf.pairs as usize);
+    let mut consumers = Roles::with_capacity("consumer", wf.pairs as usize);
     for (pair, &(pn, cn)) in plan.pair_nodes.iter().enumerate() {
         let pair = pair as u32;
         let pargs = producer_args(pair, pn, stagger_of(pair));
@@ -534,15 +587,15 @@ fn run_prepared(
                     let (frame_dir, consumer_id) = &snap.registrations[pair as usize];
                     mgr.register_consumer(frame_dir, consumer_id);
                 }
-                prod_handles
-                    .push(ctx.spawn_on(node_shard(pn), producer_dyad(pargs, psvc, rng_stream)));
-                cons_handles.push(ctx.spawn_on(node_shard(cn), consumer_dyad(cargs, csvc)));
+                producers.spawn(&ctx, pn, producer_dyad(pargs, psvc, rng_stream));
+                consumers.spawn(&ctx, cn, consumer_dyad(cargs, csvc));
             }
             Solution::Xfs => {
                 let storage = Storage::Local(local_fs[pn as usize].clone());
                 let s = pair_sync();
-                prod_handles.push(ctx.spawn_on(
-                    node_shard(pn),
+                producers.spawn(
+                    &ctx,
+                    pn,
                     producer_manual(
                         pargs,
                         storage.clone(),
@@ -551,9 +604,10 @@ fn run_prepared(
                         ldlm_client(pn),
                         rng_stream,
                     ),
-                ));
-                cons_handles.push(ctx.spawn_on(
-                    node_shard(cn),
+                );
+                consumers.spawn(
+                    &ctx,
+                    cn,
                     consumer_manual(
                         cargs,
                         storage,
@@ -562,15 +616,16 @@ fn run_prepared(
                         ldlm_client(cn),
                         cal.manual_poll_interval,
                     ),
-                ));
+                );
             }
             Solution::Lustre => {
                 let fs = pfs.as_ref().expect("pfs built");
                 let pstore = Storage::Pfs(fs.client(&ctx, NodeId(pn)));
                 let cstore = Storage::Pfs(fs.client(&ctx, NodeId(cn)));
                 let s = pair_sync();
-                prod_handles.push(ctx.spawn_on(
-                    node_shard(pn),
+                producers.spawn(
+                    &ctx,
+                    pn,
                     producer_manual(
                         pargs,
                         pstore,
@@ -579,9 +634,10 @@ fn run_prepared(
                         ldlm_client(pn),
                         rng_stream,
                     ),
-                ));
-                cons_handles.push(ctx.spawn_on(
-                    node_shard(cn),
+                );
+                consumers.spawn(
+                    &ctx,
+                    cn,
                     consumer_manual(
                         cargs,
                         cstore,
@@ -590,20 +646,22 @@ fn run_prepared(
                         ldlm_client(cn),
                         cal.manual_poll_interval,
                     ),
-                ));
+                );
             }
             Solution::DyadOnPfs => {
                 let fs = pfs.as_ref().expect("pfs built");
                 let pstore = Storage::Pfs(fs.client(&ctx, NodeId(pn)));
                 let cstore = Storage::Pfs(fs.client(&ctx, NodeId(cn)));
-                prod_handles.push(ctx.spawn_on(
-                    node_shard(pn),
+                producers.spawn(
+                    &ctx,
+                    pn,
                     producer_dyad_on_pfs(pargs, pstore, kvs_client(pn), NodeId(pn), rng_stream),
-                ));
-                cons_handles.push(ctx.spawn_on(
-                    node_shard(cn),
+                );
+                consumers.spawn(
+                    &ctx,
+                    cn,
                     consumer_dyad_on_pfs(cargs, cstore, kvs_client(cn), wf.dyad_warm_sync),
-                ));
+                );
             }
             Solution::Streaming => {
                 unreachable!("streaming placement has no pair_nodes (see stream_plan)")
@@ -647,8 +705,9 @@ fn run_prepared(
                     leaf: l as u32,
                     ..role
                 };
-                prod_handles.push(ctx.spawn_on(
-                    node_shard(pn),
+                producers.spawn(
+                    &ctx,
+                    pn,
                     publisher_stream(
                         pargs,
                         stream_services[pn as usize].clone(),
@@ -656,20 +715,16 @@ fn run_prepared(
                         group_ackers.clone(),
                         0x9000 + pub_idx as u64,
                     ),
-                ));
+                );
                 pub_idx += 1;
             }
             for (j, &cn) in gp.subscribers.iter().enumerate() {
                 let cargs = consumer_args(sub_idx, cn, stagger);
                 let svc = stream_services[cn as usize].clone();
                 if s.fanin > 1 {
-                    cons_handles
-                        .push(ctx.spawn_on(node_shard(cn), reducer_stream(cargs, svc, role)));
+                    consumers.spawn(&ctx, cn, reducer_stream(cargs, svc, role));
                 } else {
-                    cons_handles.push(ctx.spawn_on(
-                        node_shard(cn),
-                        subscriber_stream(cargs, svc, role, j as u32),
-                    ));
+                    consumers.spawn(&ctx, cn, subscriber_stream(cargs, svc, role, j as u32));
                 }
                 sub_idx += 1;
             }
@@ -691,26 +746,21 @@ fn run_prepared(
     let mut deadline = SimTime::ZERO + slice;
     let report = loop {
         let report = sim.run_until(deadline);
-        let done = prod_handles.iter().all(|h| h.is_finished())
-            && cons_handles.iter().all(|h| h.is_finished());
-        if done {
+        if producers.set.all_finished() && consumers.set.all_finished() {
             break report;
         }
         assert!(
             deadline < hard_stop,
-            "workload failed to finish by the hard stop — deadlock?"
+            "workload failed to finish by the hard stop — deadlock? {}",
+            stall_summary([&producers, &consumers])
         );
         deadline += slice;
     };
     // Makespan = when the workload finished, not when the horizon cut
     // off the (never-terminating) background-interference processes.
-    let mut makespan = SimTime::ZERO;
-    let mut take = |h: simcore::JoinHandle<Profile>| {
-        makespan = makespan.max(h.finished_at().expect("process finished"));
-        h.try_take().expect("process finished")
-    };
-    let producers: Vec<Profile> = prod_handles.into_iter().map(&mut take).collect();
-    let consumers: Vec<Profile> = cons_handles.into_iter().map(&mut take).collect();
+    let (producers, last_producer) = producers.collect();
+    let (consumers, last_consumer) = consumers.collect();
+    let makespan = last_producer.max(last_consumer);
     let mut staging_totals = StagingTotals::default();
     let mut stream_totals = StreamTotals::default();
     for svc in &stream_services {
@@ -1047,6 +1097,39 @@ mod tests {
         assert_eq!(m.streaming.steps_published, 2);
         assert_eq!(m.streaming.steps_consumed, 2);
         assert_eq!(m.streaming.bytes_consumed, m.streaming.bytes_published);
+    }
+
+    #[test]
+    fn stall_summary_counts_each_side_and_names_the_first_eight() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let mut producers = Roles::with_capacity("producer", 3);
+        let mut consumers = Roles::with_capacity("consumer", 10);
+        // Producer 1 and consumer 0 finish; everyone else waits forever.
+        for (i, node) in [0, 0, 1].into_iter().enumerate() {
+            producers.spawn(&ctx, node, async move {
+                if i != 1 {
+                    std::future::pending::<()>().await;
+                }
+                Profile::default()
+            });
+        }
+        for i in 0..10u32 {
+            consumers.spawn(&ctx, 2 + i, async move {
+                if i != 0 {
+                    std::future::pending::<()>().await;
+                }
+                Profile::default()
+            });
+        }
+        sim.run();
+        assert_eq!(
+            stall_summary([&producers, &consumers]),
+            "2 of 3 producers and 9 of 10 consumers unfinished: producer 0 (node 0), \
+             producer 2 (node 1), consumer 1 (node 3), consumer 2 (node 4), \
+             consumer 3 (node 5), consumer 4 (node 6), consumer 5 (node 7), \
+             consumer 6 (node 8), …"
+        );
     }
 
     #[test]

@@ -201,14 +201,25 @@ fn md_phase(
     }
 }
 
+/// Process `idx` of `side`'s recorder, on its own timeline track when
+/// the run is traced. An untraced run — every run but a handful — reads
+/// no track, so none is formatted.
+fn recorder(ctx: &Ctx, tracer: &Tracer, side: &str, idx: u32) -> Recorder {
+    let track = if tracer.is_enabled() {
+        format!("{side}-{idx:03}")
+    } else {
+        String::new()
+    };
+    Recorder::traced(ctx, tracer.clone(), &track)
+}
+
 /// What every producer role starts from: its recorder, the MD-phase rng
 /// and the variable-rate schedule, if one is set.
 fn producer_setup(
     args: &ProducerArgs,
     rng_stream: u64,
 ) -> (Recorder, StdRng, Option<crate::schedule::ScheduleGen>) {
-    let name = format!("producer-{:03}", args.pair);
-    let rec = Recorder::traced(&args.ctx, args.tracer.clone(), &name);
+    let rec = recorder(&args.ctx, &args.tracer, "producer", args.pair);
     let rng = args.ctx.rng(rng_stream);
     let sched = (args.schedule.as_ref()).map(|s| s.generator(args.ctx.rng(rng_stream ^ 0x5C4E)));
     (rec, rng, sched)
@@ -242,9 +253,26 @@ pub fn lock_path(pair: u32, frame: u64) -> String {
     format!("locks/p{pair:04}/f{frame:05}")
 }
 
-/// Run one data-plane operation under the run's fault model. `side` is
-/// `"produce"` or `"consume"` and names the `<side>_outer_retries` /
-/// `<side>_failures` counters of [`crate::runner::FaultTotals`]; `op`
+/// Which half of a pair an operation under [`recovering`] belongs to:
+/// names its `<side>_outer_retries` / `<side>_failures` counters of
+/// [`crate::runner::FaultTotals`].
+#[derive(Clone, Copy)]
+enum Side {
+    Produce,
+    Consume,
+}
+
+impl Side {
+    /// `(name, outer-retries counter, failures counter)`.
+    fn keys(self) -> (&'static str, &'static str, &'static str) {
+        match self {
+            Side::Produce => ("produce", "produce_outer_retries", "produce_failures"),
+            Side::Consume => ("consume", "consume_outer_retries", "consume_failures"),
+        }
+    }
+}
+
+/// Run one data-plane operation under the run's fault model. `op`
 /// gets the backoff-jitter stream (fault runs only) and returns a typed
 /// error; `terminal` names the counter of an error no retry can cure,
 /// which ends the operation with `None`.
@@ -263,7 +291,7 @@ async fn recovering<T, E: std::fmt::Display>(
     faults: Option<&FaultBoard>,
     node: u32,
     rec: &Recorder,
-    side: &'static str,
+    side: Side,
     jitter_stream: u64,
     mut op: impl AsyncFnMut(Option<&mut StdRng>) -> Result<T, E>,
     terminal: impl Fn(&E) -> Option<&'static str>,
@@ -271,10 +299,11 @@ async fn recovering<T, E: std::fmt::Display>(
     let Some(board) = faults else {
         return match op(None).await {
             Ok(v) => Some(v),
-            Err(e) => panic!("{side} failed without a fault board: {e}"),
+            Err(e) => panic!("{} failed without a fault board: {e}", side.keys().0),
         };
     };
     Box::pin(async {
+        let (_, outer_retries, failures) = side.keys();
         let mut frng = ctx.rng(jitter_stream);
         let mut outer = 0u32;
         loop {
@@ -289,10 +318,10 @@ async fn recovering<T, E: std::fmt::Display>(
             }
             outer += 1;
             if outer >= 64 {
-                rec.annotate(&format!("{side}_failures"), 1.0);
+                rec.annotate(failures, 1.0);
                 return None;
             }
-            rec.annotate(&format!("{side}_outer_retries"), 1.0);
+            rec.annotate(outer_retries, 1.0);
             let pause = retry_policy().backoff(outer.min(9), &mut frng);
             ctx.sleep(pause).await;
         }
@@ -326,7 +355,7 @@ fn consume_recovering<'a>(
         args.faults.as_ref(),
         args.node,
         rec,
-        "consume",
+        Side::Consume,
         args.rng_stream ^ 0xFA17 ^ salt,
         get,
         terminal,
@@ -346,7 +375,7 @@ pub async fn producer_dyad(args: ProducerArgs, svc: Rc<DyadService>, rng_stream:
             args.faults.as_ref(),
             args.node,
             &rec,
-            "produce",
+            Side::Produce,
             rng_stream ^ 0xFA17,
             async |rng| svc.try_produce(&rec, &path, &payload, rng).await,
             terminal,
@@ -459,8 +488,7 @@ pub struct ConsumerArgs {
 
 /// What every consumer role starts from: its recorder and analytics rng.
 fn consumer_setup(args: &ConsumerArgs) -> (Recorder, StdRng) {
-    let name = format!("consumer-{:03}", args.pair);
-    let rec = Recorder::traced(&args.ctx, args.tracer.clone(), &name);
+    let rec = recorder(&args.ctx, &args.tracer, "consumer", args.pair);
     (rec, args.ctx.rng(args.rng_stream))
 }
 
@@ -621,7 +649,7 @@ pub async fn producer_dyad_on_pfs(
                     args.faults.as_ref(),
                     args.node,
                     &rec,
-                    "produce",
+                    Side::Produce,
                     rng_stream ^ 0xFA17,
                     async |_| kvs.try_commit(&path, meta.encode()).await,
                     |_| None,
@@ -663,7 +691,7 @@ pub async fn consumer_dyad_on_pfs(
                     args.faults.as_ref(),
                     args.node,
                     &rec,
-                    "consume",
+                    Side::Consume,
                     args.rng_stream ^ 0xFA17 ^ frame,
                     async |_| {
                         if warm && kvs.try_lookup(&path).await?.is_some() {
@@ -803,7 +831,7 @@ pub async fn publisher_stream(
             args.faults.as_ref(),
             args.node,
             &rec,
-            "produce",
+            Side::Produce,
             rng_stream ^ 0xFA17 ^ step,
             async |rng| {
                 publisher

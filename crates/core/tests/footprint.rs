@@ -1,7 +1,7 @@
 //! Per-process memory budget.
 //!
-//! A run holds one task box per role for its whole length, so the size
-//! of a role's future is paid `pairs` times over (DESIGN.md §11: at 16k
+//! A run holds one task block per role for the role's whole length, so
+//! the size of a role's future is paid `pairs` times over (DESIGN.md §11: at 16k
 //! pairs the two DYAD role futures are a quarter of peak RSS). A future
 //! is as large as its deepest await chain, and it grows silently: a new
 //! local held across an await, one more wrapper layer, a guard that
@@ -17,12 +17,18 @@
 use std::future::Future;
 use std::mem::size_of;
 
+use mdflow::prelude::*;
 use mdflow::workflow::*;
 
-/// What `Ctx::spawn_on` adds to the future it boxes: the join handle's
-/// `Rc` and a `Ctx` (pinned by `simcore`'s own
-/// `task_box_is_the_process_plus_two_words`).
-const TASK_BOX_OVERHEAD: usize = 16;
+/// What `JoinSet::spawn` puts in a role's block beside its future:
+/// the block's two reference counts, the set's `Rc` and the member's
+/// index, the borrow flag and `Option` tag of the cell the future lies
+/// in (pinned by `simcore`'s own
+/// `task_block_is_the_process_plus_four_words`). It was 16 while the
+/// join state was an allocation of its own, some 130 bytes that no
+/// budget here counted; that allocation is gone and the budgets below
+/// were not raised.
+const TASK_BOX_OVERHEAD: usize = 48;
 
 /// Size of the future a role function returns, from its signature alone
 /// (no arguments are built): one helper per arity.
@@ -42,8 +48,8 @@ role_size!(size6: A, B, C, D, E, F);
 #[test]
 fn role_task_boxes_stay_within_budget() {
     let roles = [
-        // (role, future, budget) — measured 2176, 2136, 2664, 2184, 2216,
-        // 1680, 1664, 2568, 2176. The two DYAD roles were 5112 and 5272
+        // (role, future, budget) — measured 1952, 1840, 2368, 1928, 2008,
+        // 1696, 1704, 2272, 1984. The two DYAD roles were 5112 and 5272
         // before the task box held the process once; the four roles that
         // write through `pfs` were 2072, 1936, 2952 and 2560 while an
         // owned MDS request and a cloned layout lay across their awaits.
@@ -75,4 +81,24 @@ fn role_task_boxes_stay_within_budget() {
 fn region_guard_is_three_words() {
     assert!(size_of::<instrument::RegionGuard>() <= 56);
     assert_eq!(size_of::<instrument::RegionGuard>(), 24);
+}
+
+/// A finished process keeps its profile until the run is reduced —
+/// 32,768 of them at 16k pairs — and the profile is the recorder's
+/// arena as it stood: seven 40-byte nodes in the eight a recorder
+/// starts with, no metrics. (As a tree of `String`-keyed maps it was
+/// about 2.7 KB.)
+#[test]
+fn finished_dyad_consumer_profile_stays_within_budget() {
+    let wf = WorkflowConfig::new(Solution::Dyad, 2, Placement::Split { pairs_per_node: 8 })
+        .with_frames(3);
+    let m = run_once(&wf, &Calibration::quiet(), 7);
+    for (side, profiles) in [("producer", &m.producers), ("consumer", &m.consumers)] {
+        for p in profiles {
+            let (regions, bytes) = (p.nodes().len(), p.heap_bytes());
+            println!("{side}: {regions} regions, {bytes} B");
+            assert!(bytes <= 512, "a finished {side} keeps {bytes} B of profile");
+        }
+    }
+    assert_eq!(m.consumers[0].nodes().len(), 7);
 }

@@ -2,13 +2,17 @@
 //!
 //! The sharded calendar is required to be *behavior-invisible*: shard
 //! placement is a locality hint, so for any shard count the executor
-//! must replay the exact serial schedule. These tests pin that
-//! guarantee at the workflow level:
+//! must replay the exact serial schedule. `simcore` checks that on the
+//! calendar itself (`shard_count_is_trajectory_neutral`, the
+//! `calendar_oracle` proptest); these tests pin it at the workflow
+//! level, from the other side: the `LeafSpine` schedules below were
+//! captured while a run on a multi-leaf fabric used one calendar shard
+//! per leaf plus the cross-leaf shard 0, and since PR 20 every run uses
+//! one calendar (the shards lost on one thread, DESIGN.md §12).
 //!
-//! * the sharded executor replays freshly captured pinned schedules for
-//!   both a `Flat` fabric (degenerate single shard) and a genuinely
-//!   multi-leaf `LeafSpine` fabric (one calendar shard per leaf plus the
-//!   cross-leaf/spine shard 0) — makespans and event counts exactly.
+//! * the executor replays the pinned schedules for both a `Flat` fabric
+//!   and a genuinely multi-leaf `LeafSpine` fabric — makespans and event
+//!   counts exactly.
 //! * a cold run and two runs through one recycled arena produce
 //!   byte-identical serialized reports *and* byte-identical Chrome
 //!   traces on the fig6-sized multi-leaf scenario.
@@ -23,19 +27,22 @@ use mdflow::prelude::*;
 const PAIRS: u32 = 64;
 const FRAMES: u64 = 12;
 const SEED: u64 = 2024;
+/// Compute nodes of the split placement below (storage nodes come on
+/// top): eight pairs' producers, or consumers, per node.
+const SPLIT_NODES: usize = 2 * PAIRS as usize / 8;
 
 /// Radix-4 leaf/spine at 2:1 oversubscription: small enough that the
-/// fig6 node count spans several leaves, so the calendar genuinely
-/// shards (shard 0 plus one shard per leaf).
+/// fig6 node count spans several leaves (a calendar shard each, when
+/// the `LeafSpine` pins below were captured).
 const MULTI_LEAF: TopologySpec = TopologySpec::LeafSpine {
     radix: 4,
     oversubscription: 2.0,
 };
 
 /// Pinned `(makespan_ns, events)` captures for the current model. The
-/// `Flat` rows must equal `determinism_pr4_pinned.json` (the sharded
-/// executor degenerates to the serial calendar); the `LeafSpine` rows
-/// were captured fresh on the multi-leaf fabric above.
+/// `Flat` rows must equal `determinism_pr4_pinned.json`; the `LeafSpine`
+/// rows were captured on the multi-leaf fabric above, on sharded
+/// calendars.
 const PINS: &[(Solution, Topo, u64, u64)] = &[
     (Solution::Dyad, Topo::Flat, 11_554_585_966, 41_835),
     (Solution::Xfs, Topo::Flat, 20_615_097_294, 10_159),
@@ -87,23 +94,24 @@ fn report_bytes(m: &RunMetrics) -> String {
     )
 }
 
-/// The sharded executor replays the pinned serial schedules exactly —
-/// on the degenerate single-shard `Flat` fabric and on a genuinely
-/// multi-leaf `LeafSpine` fabric alike.
+/// The executor replays the pinned schedules exactly — on the `Flat`
+/// fabric and, on one calendar, the ones a genuinely multi-leaf
+/// `LeafSpine` fabric produced on a calendar shard per leaf.
 #[test]
 fn sharded_executor_replays_pinned_schedules() {
     for &(solution, topo, makespan_ns, events) in PINS {
         let wf = workflow(solution);
         let cal = calibration(topo);
         let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
-        let shards = snap.sim_config(SEED).shards;
-        match topo {
-            Topo::Flat => assert_eq!(shards, 1, "{solution:?}: Flat must not shard"),
-            Topo::MultiLeaf => assert!(
-                shards > 2,
-                "{solution:?}: radix-4 leaf/spine should span several leaves, got {shards} shards"
-            ),
-        }
+        assert!(
+            topo == Topo::Flat || cal.fabric.shard_count(SPLIT_NODES) > 2,
+            "{solution:?}: radix-4 leaf/spine should span several leaves"
+        );
+        assert_eq!(
+            snap.sim_config(SEED).shards,
+            1,
+            "{solution:?} under {topo:?}"
+        );
         let m = run_once(&wf, &cal, SEED);
         assert_eq!(
             (m.makespan.nanos(), m.events),
@@ -128,13 +136,13 @@ fn cold_and_warm_arena_reports_and_traces_are_byte_identical() {
     let cal = calibration(Topo::MultiLeaf);
     let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
     assert!(
-        snap.sim_config(SEED).shards > 2,
-        "scenario must actually shard"
+        cal.fabric.shard_count(SPLIT_NODES) > 2,
+        "scenario must span several leaves"
     );
     let traced = || {
         let (metrics, timings, tracer) =
             run_once_traced_snap(&snap, SEED, std::time::Instant::now());
-        let load = timings.shard_load.expect("sharded run reports shard load");
+        let load = timings.shard_load.expect("a run reports its calendar load");
         assert_eq!(load.fired_total, metrics.events);
         assert!(load.fired_max >= load.fired_total / u64::from(load.shards));
         (report_bytes(&metrics), tracer.to_chrome_json())

@@ -25,6 +25,9 @@ use mdflow::prelude::*;
 const GROUPS: u32 = 16;
 const FRAMES: u64 = 12;
 const SEED: u64 = 2024;
+/// Compute nodes of the smallest shape below (fan-out 1, storage nodes
+/// come on top): four publishers, or subscribers, per node.
+const MIN_NODES: usize = 2 * GROUPS as usize / 4;
 
 /// Radix-4 leaf/spine at 2:1 oversubscription (same as the parallel-DES
 /// fixtures): the fan-out 4 node count spans several leaves.
@@ -97,14 +100,17 @@ fn streaming_replays_pinned_schedules() {
         let wf = workflow(fanout);
         let cal = calibration(topo);
         let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
-        let shards = snap.sim_config(SEED).shards;
-        match topo {
-            Topo::Flat => assert_eq!(shards, 1, "fanout {fanout}: Flat must not shard"),
-            Topo::MultiLeaf => assert!(
-                shards > 2,
-                "fanout {fanout}: leaf/spine should span several leaves, got {shards} shards"
-            ),
-        }
+        // The `MultiLeaf` pins were captured on a calendar shard per
+        // leaf; every run is one calendar now (DESIGN.md §12).
+        assert!(
+            topo == Topo::Flat || cal.fabric.shard_count(MIN_NODES) > 2,
+            "fanout {fanout}: leaf/spine should span several leaves"
+        );
+        assert_eq!(
+            snap.sim_config(SEED).shards,
+            1,
+            "fanout {fanout} under {topo:?}"
+        );
         let m = run_once(&wf, &cal, SEED);
         // Sanity: the topology actually ran M:N and every step landed.
         assert_eq!(m.producers.len(), GROUPS as usize);
@@ -135,13 +141,13 @@ fn streaming_cold_and_warm_arena_reports_and_traces_are_byte_identical() {
     let cal = calibration(Topo::MultiLeaf);
     let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
     assert!(
-        snap.sim_config(SEED).shards > 2,
-        "scenario must actually shard"
+        cal.fabric.shard_count(MIN_NODES) > 2,
+        "scenario must span several leaves"
     );
     let traced = || {
         let (metrics, timings, tracer) =
             run_once_traced_snap(&snap, SEED, std::time::Instant::now());
-        let load = timings.shard_load.expect("sharded run reports shard load");
+        let load = timings.shard_load.expect("a run reports its calendar load");
         assert_eq!(load.fired_total, metrics.events);
         assert!(load.fired_max >= load.fired_total / u64::from(load.shards));
         (report_bytes(&metrics), tracer.to_chrome_json())

@@ -14,6 +14,31 @@
 //! Metric annotations ([`Recorder::annotate`]) attach numeric values
 //! (e.g. bytes moved, KVS polls) to the current path.
 //!
+//! # Profile layout
+//!
+//! A run ends with one [`Profile`] per process — 32,768 of them at 16k
+//! pairs — so a profile is laid out for what a *finished* process costs,
+//! not for convenient traversal. It is the recorder's own arena: one
+//! `Vec` of [`ProfileNode`]s (name, parent index, count, inclusive time;
+//! 40 bytes each, a child always after its parent) and one side list of
+//! `(node, key, sum)` metrics. [`Recorder::finish`] moves the two vectors
+//! out — no allocator call, about 300 bytes for a DYAD consumer — where
+//! a tree of `BTreeMap<String, _>` children cost 44 calls and 2.7 KB per
+//! pair. Lookups, [`Profile::merge`] and `thicket`'s aggregation find a
+//! child by a linear scan for `(parent, name)`: real region trees are a
+//! dozen nodes, so the scan beats a map probe and allocates nothing.
+//!
+//! Region and metric names are `&'static str`. Every call site passes a
+//! literal or a constant of a backend's region table, so nothing is
+//! copied or hashed when a region is entered, and two names compare by
+//! address before they compare by content.
+//!
+//! **The thread rule:** a `Profile` is plain owned data plus `'static`
+//! borrows, so it is `Send` and reads the same on any thread. Campaign
+//! workers finish profiles on their own threads and hand the results to
+//! the caller; per-thread state (an interned [`simcore::intern::Symbol`],
+//! an `Rc`) must therefore never become part of one.
+//!
 //! # Guard layout
 //!
 //! A [`RegionGuard`] lives inside the future of the process that opened
@@ -31,53 +56,136 @@
 #![warn(missing_docs)]
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use simcore::intern::{intern, Symbol};
 use simcore::trace::{SpanGuard, Tracer};
 use simcore::{Ctx, SimDuration, SimTime};
 
-/// A node of the finalized call-path tree.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Parent index of a top-level region (and the node id of the synthetic
+/// root, for annotations made outside any region).
+const ROOT: u32 = u32::MAX;
+
+/// Two names are the same region if they are the same `static` (the
+/// common case: one call site, or one constant) or spell the same word.
+fn same_name(a: &str, b: &str) -> bool {
+    std::ptr::eq(a, b) || a == b
+}
+
+/// One region of a call-path profile.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileNode {
-    /// Times the region was entered.
+    /// Region name.
+    pub name: &'static str,
+    /// Index of the enclosing region in [`Profile::nodes`], or [`ROOT`].
+    parent: u32,
+    /// Times the region was entered and left.
     pub count: u64,
     /// Total simulated time spent inside the region (inclusive).
     pub inclusive: SimDuration,
-    /// Numeric annotations attached at this path (summed).
-    pub metrics: BTreeMap<String, f64>,
-    /// Child regions by name.
-    pub children: BTreeMap<String, ProfileNode>,
 }
 
 impl ProfileNode {
-    /// Inclusive time minus the inclusive time of all children.
-    pub fn exclusive(&self) -> SimDuration {
-        let child_sum: SimDuration = self
-            .children
-            .values()
-            .map(|c| c.inclusive)
-            .fold(SimDuration::ZERO, |a, b| a + b);
-        self.inclusive.saturating_sub(child_sum)
+    /// Index of the enclosing region in [`Profile::nodes`]; `None` for a
+    /// top-level region.
+    pub fn parent(&self) -> Option<usize> {
+        (self.parent != ROOT).then_some(self.parent as usize)
     }
 }
 
-/// A finalized per-process call-path profile.
+/// A numeric annotation summed at one path.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Metric {
+    /// Index in [`Profile::nodes`], or [`ROOT`].
+    node: u32,
+    key: &'static str,
+    sum: f64,
+}
+
+/// A per-process call-path profile: the flat arena its [`Recorder`]
+/// filled (see "Profile layout" in the crate docs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
-    /// Synthetic root; its children are the top-level regions.
-    pub root: ProfileNode,
+    /// Creation order: a child always follows its parent.
+    nodes: Vec<ProfileNode>,
+    /// First-use order.
+    metrics: Vec<Metric>,
 }
 
 impl Profile {
+    /// Index of region `name` under `parent`.
+    fn find(&self, parent: u32, name: &str) -> Option<u32> {
+        let found = self
+            .nodes
+            .iter()
+            .position(|n| n.parent == parent && same_name(n.name, name))?;
+        Some(found as u32)
+    }
+
+    /// Index of region `name` under `parent`, created on first entry.
+    fn child(&mut self, parent: u32, name: &'static str) -> u32 {
+        self.find(parent, name).unwrap_or_else(|| {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != ROOT)
+                .expect("region tree fits in u32");
+            self.nodes.push(ProfileNode {
+                name,
+                parent,
+                count: 0,
+                inclusive: SimDuration::ZERO,
+            });
+            idx
+        })
+    }
+
+    /// Add `value` to metric `key` at `node`.
+    fn add_metric(&mut self, node: u32, key: &'static str, value: f64) {
+        let found = self
+            .metrics
+            .iter_mut()
+            .find(|m| m.node == node && same_name(m.key, key));
+        match found {
+            Some(m) => m.sum += value,
+            None => self.metrics.push(Metric {
+                node,
+                key,
+                sum: value,
+            }),
+        }
+    }
+
+    /// Index of the node at `path` ([`ROOT`] for the empty path).
+    fn index(&self, path: &[&str]) -> Option<u32> {
+        path.iter()
+            .try_fold(ROOT, |parent, name| self.find(parent, name))
+    }
+
+    /// Every region, a child always after its parent. Indices into this
+    /// slice are what [`ProfileNode::parent`], [`Profile::exclusive_at`]
+    /// and [`Profile::metrics`] speak.
+    pub fn nodes(&self) -> &[ProfileNode] {
+        &self.nodes
+    }
+
+    /// Every annotation as `(node, key, sum)`; `node` is `None` for one
+    /// made outside any region.
+    pub fn metrics(&self) -> impl Iterator<Item = (Option<usize>, &'static str, f64)> + '_ {
+        self.metrics.iter().map(|m| {
+            let node = (m.node != ROOT).then_some(m.node as usize);
+            (node, m.key, m.sum)
+        })
+    }
+
+    /// Heap bytes this profile holds: what a finished process keeps
+    /// until its run is reduced.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<ProfileNode>()
+            + self.metrics.capacity() * std::mem::size_of::<Metric>()
+    }
+
     /// Look up a node by path, e.g. `&["dyad_consume", "dyad_fetch"]`.
     pub fn node(&self, path: &[&str]) -> Option<&ProfileNode> {
-        let mut cur = &self.root;
-        for comp in path {
-            cur = cur.children.get(*comp)?;
-        }
-        Some(cur)
+        self.nodes.get(self.index(path)? as usize)
     }
 
     /// Inclusive time at a path (zero if absent).
@@ -85,129 +193,91 @@ impl Profile {
         self.node(path).map(|n| n.inclusive).unwrap_or_default()
     }
 
-    /// Flatten to `(path, node)` pairs in depth-first order.
-    pub fn flatten(&self) -> Vec<(Vec<String>, &ProfileNode)> {
-        let mut out = Vec::new();
-        fn walk<'a>(
-            node: &'a ProfileNode,
-            path: &mut Vec<String>,
-            out: &mut Vec<(Vec<String>, &'a ProfileNode)>,
-        ) {
-            for (name, child) in &node.children {
-                path.push(name.clone());
-                out.push((path.clone(), child));
-                walk(child, path, out);
-                path.pop();
-            }
+    /// Inclusive time of node `node` minus that of its direct children.
+    pub fn exclusive_at(&self, node: usize) -> SimDuration {
+        let children = self
+            .nodes
+            .iter()
+            .filter(|n| n.parent() == Some(node))
+            .fold(SimDuration::ZERO, |sum, n| sum + n.inclusive);
+        self.nodes[node].inclusive.saturating_sub(children)
+    }
+
+    /// Exclusive time at a path (zero if absent).
+    pub fn exclusive(&self, path: &[&str]) -> SimDuration {
+        match self.index(path) {
+            Some(i) if i != ROOT => self.exclusive_at(i as usize),
+            _ => SimDuration::ZERO,
         }
-        walk(&self.root, &mut Vec::new(), &mut out);
-        out
+    }
+
+    /// Annotation `key` summed at exactly `path` (the empty path names
+    /// annotations made outside any region).
+    pub fn metric(&self, path: &[&str], key: &str) -> Option<f64> {
+        let node = self.index(path)?;
+        self.metrics
+            .iter()
+            .find(|m| m.node == node && same_name(m.key, key))
+            .map(|m| m.sum)
     }
 
     /// Sum a numeric annotation over the whole tree, wherever it was
     /// attached. Used to aggregate sparse counters (retries, fallbacks,
     /// typed failures) without knowing their region paths.
     pub fn sum_metric(&self, key: &str) -> f64 {
-        fn walk(node: &ProfileNode, key: &str) -> f64 {
-            node.metrics.get(key).copied().unwrap_or(0.0)
-                + node.children.values().map(|c| walk(c, key)).sum::<f64>()
-        }
-        walk(&self.root, key)
+        self.metrics
+            .iter()
+            .filter(|m| same_name(m.key, key))
+            .map(|m| m.sum)
+            .sum()
     }
 
-    /// Merge another profile into this one (summing counts and times).
+    /// This profile's node for `other`'s node `theirs`, created (with
+    /// its ancestors) if this profile never entered that path. Walks up
+    /// `other` instead of keeping an index map, so a merge allocates
+    /// only for a path it has not seen.
+    fn adopt(&mut self, other: &Profile, theirs: u32) -> u32 {
+        if theirs == ROOT {
+            return ROOT;
+        }
+        let node = &other.nodes[theirs as usize];
+        let parent = self.adopt(other, node.parent);
+        self.child(parent, node.name)
+    }
+
+    /// Merge another profile into this one (summing counts, times and
+    /// annotations path by path).
     pub fn merge(&mut self, other: &Profile) {
-        fn merge_node(into: &mut ProfileNode, from: &ProfileNode) {
-            into.count += from.count;
-            into.inclusive += from.inclusive;
-            for (k, v) in &from.metrics {
-                *into.metrics.entry(k.clone()).or_insert(0.0) += v;
-            }
-            for (name, child) in &from.children {
-                merge_node(into.children.entry(name.clone()).or_default(), child);
-            }
+        for (theirs, node) in (0u32..).zip(&other.nodes) {
+            let ours = self.adopt(other, theirs) as usize;
+            self.nodes[ours].count += node.count;
+            self.nodes[ours].inclusive += node.inclusive;
         }
-        merge_node(&mut self.root, &other.root);
+        for m in &other.metrics {
+            let ours = self.adopt(other, m.node);
+            self.add_metric(ours, m.key, m.sum);
+        }
     }
 }
 
-/// Parent index of a top-level region (and the node id of the synthetic
-/// root, for annotations made outside any region).
-const ROOT: u32 = u32::MAX;
+/// Nodes a fresh recorder has room for: the largest production tree (a
+/// DYAD consumer's seven regions) fits without growing.
+const FIRST_NODES: usize = 8;
+/// Open regions a fresh recorder has room for; production guards nest
+/// three deep.
+const FIRST_DEPTH: usize = 4;
 
-/// One region of the recording tree. Names stay interned while recording
-/// so the per-region hot path never allocates; [`Recorder::finish`]
-/// resolves symbols back to strings when building the public
-/// [`Profile`].
-struct RecNode {
-    name: Symbol,
-    /// Index of the enclosing region in [`RecState::nodes`], or [`ROOT`].
-    parent: u32,
-    count: u64,
-    inclusive: SimDuration,
-}
-
-/// The recording tree as one flat arena per recorder: a node names its
-/// parent by index, a region is found by a linear scan for `(parent,
-/// name)` and metrics sit in one side list. Real region trees are a
-/// dozen nodes, so the scan beats a hash probe, and one `Vec` of 24-byte
-/// nodes replaces a `Vec` of children in every interior node — at 100k+
-/// pairs the recorder trees are a measurable share of peak RSS (see
-/// DESIGN.md §11).
-#[derive(Default)]
+/// What a recorder mutates: the profile it will hand out and the
+/// indices of the currently open regions, outermost first.
 struct RecState {
-    /// Creation order: a child always follows its parent.
-    nodes: Vec<RecNode>,
-    /// `(node, key, sum)` in first-use order.
-    metrics: Vec<(u32, Symbol, f64)>,
-    /// Indices of the currently open regions, outermost first.
+    profile: Profile,
     stack: Vec<u32>,
 }
 
 impl RecState {
-    /// Node for region `name` under `parent`, created on first entry.
-    fn child(&mut self, parent: u32, name: Symbol) -> u32 {
-        let found = self
-            .nodes
-            .iter()
-            .position(|n| n.parent == parent && n.name == name);
-        let idx = found.unwrap_or_else(|| {
-            self.nodes.push(RecNode {
-                name,
-                parent,
-                count: 0,
-                inclusive: SimDuration::ZERO,
-            });
-            self.nodes.len() - 1
-        });
-        u32::try_from(idx).expect("region tree fits in u32")
-    }
-
     /// Innermost open region, or [`ROOT`].
     fn current(&self) -> u32 {
         self.stack.last().copied().unwrap_or(ROOT)
-    }
-
-    fn to_profile(&self, id: u32) -> ProfileNode {
-        let (count, inclusive) = match self.nodes.get(id as usize) {
-            Some(n) => (n.count, n.inclusive),
-            None => (0, SimDuration::ZERO),
-        };
-        ProfileNode {
-            count,
-            inclusive,
-            metrics: self
-                .metrics
-                .iter()
-                .filter(|(node, ..)| *node == id)
-                .map(|(_, k, v)| (k.resolve().to_string(), *v))
-                .collect(),
-            children: (0u32..)
-                .zip(&self.nodes)
-                .filter(|(_, n)| n.parent == id)
-                .map(|(i, n)| (n.name.resolve().to_string(), self.to_profile(i)))
-                .collect(),
-        }
     }
 }
 
@@ -215,6 +285,7 @@ impl RecState {
 struct RecShared {
     ctx: Ctx,
     tracer: Tracer,
+    /// Timeline name; empty unless the tracer is enabled.
     track: String,
     state: RefCell<RecState>,
 }
@@ -228,19 +299,31 @@ pub struct Recorder {
 impl Recorder {
     /// Create a recorder bound to the simulation clock.
     pub fn new(ctx: &Ctx) -> Self {
-        Recorder::traced(ctx, Tracer::disabled(), "process")
+        Recorder::traced(ctx, Tracer::disabled(), "")
     }
 
     /// Create a recorder that additionally mirrors every region into a
     /// [`Tracer`] as a span on timeline `track` — a Chrome/Perfetto
-    /// trace of the run falls out for free.
+    /// trace of the run falls out for free. A disabled tracer records
+    /// nothing and `track` is not kept.
     pub fn traced(ctx: &Ctx, tracer: Tracer, track: &str) -> Self {
+        let track = if tracer.is_enabled() {
+            track.to_string()
+        } else {
+            String::new()
+        };
         Recorder {
             shared: Rc::new(RecShared {
                 ctx: ctx.clone(),
                 tracer,
-                track: track.to_string(),
-                state: RefCell::default(),
+                track,
+                state: RefCell::new(RecState {
+                    profile: Profile {
+                        nodes: Vec::with_capacity(FIRST_NODES),
+                        metrics: Vec::new(),
+                    },
+                    stack: Vec::with_capacity(FIRST_DEPTH),
+                }),
             }),
         }
     }
@@ -248,12 +331,12 @@ impl Recorder {
     /// Enter a region; it closes when the returned guard drops. Regions
     /// must be closed in LIFO order (guards enforce this naturally when
     /// kept in scope).
-    pub fn region(&self, name: &str) -> RegionGuard {
+    pub fn region(&self, name: &'static str) -> RegionGuard {
         let sh = &*self.shared;
         {
             let mut st = sh.state.borrow_mut();
             let parent = st.current();
-            let node = st.child(parent, intern(name));
+            let node = st.profile.child(parent, name);
             st.stack.push(node);
         }
         let span = sh
@@ -268,56 +351,40 @@ impl Recorder {
     }
 
     /// Run `f` inside a region (synchronous convenience).
-    pub fn scope<T>(&self, name: &str, f: impl FnOnce() -> T) -> T {
+    pub fn scope<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
         let _g = self.region(name);
         f()
     }
 
     /// Attach a numeric metric to the current path (summed across calls).
-    pub fn annotate(&self, key: &str, value: f64) {
+    pub fn annotate(&self, key: &'static str, value: f64) {
         let mut st = self.shared.state.borrow_mut();
-        let (node, key) = (st.current(), intern(key));
-        match st
-            .metrics
-            .iter_mut()
-            .find(|(n, k, _)| *n == node && *k == key)
-        {
-            Some((.., sum)) => *sum += value,
-            None => st.metrics.push((node, key, value)),
-        }
+        let node = st.current();
+        st.profile.add_metric(node, key, value);
     }
 
     fn close_region(&self, start: SimTime) {
         let now = self.shared.ctx.now();
         let mut st = self.shared.state.borrow_mut();
         let node = st.stack.pop().expect("region closed with empty stack");
-        let node = &mut st.nodes[node as usize];
+        let node = &mut st.profile.nodes[node as usize];
         node.count += 1;
         node.inclusive += now - start;
     }
 
-    /// Finalize into a [`Profile`]. Panics if regions are still open.
+    /// Finalize into a [`Profile`]: the recorder's arena, moved out.
+    /// Panics if regions are still open.
     pub fn finish(self) -> Profile {
-        let st = self.shared.state.borrow();
+        let mut st = self.shared.state.borrow_mut();
         assert!(
             st.stack.is_empty(),
             "finish() with open regions: {:?}",
             st.stack
                 .iter()
-                .map(|&n| st.nodes[n as usize].name.resolve())
+                .map(|&n| st.profile.nodes[n as usize].name)
                 .collect::<Vec<_>>()
         );
-        Profile {
-            root: st.to_profile(ROOT),
-        }
-    }
-
-    /// Snapshot without consuming. A region that is still open shows the
-    /// visits completed so far (none, on its first).
-    pub fn snapshot(&self) -> Profile {
-        Profile {
-            root: self.shared.state.borrow().to_profile(ROOT),
-        }
+        std::mem::take(&mut st.profile)
     }
 }
 
@@ -418,7 +485,11 @@ mod tests {
             p.inclusive(&["consume", "store"]),
             SimDuration::from_micros(3)
         );
-        assert_eq!(consume.exclusive(), SimDuration::from_micros(10));
+        assert_eq!(p.exclusive(&["consume"]), SimDuration::from_micros(10));
+        assert_eq!(
+            p.exclusive(&["consume", "fetch"]),
+            SimDuration::from_micros(5)
+        );
     }
 
     #[test]
@@ -456,7 +527,10 @@ mod tests {
         });
         sim.run();
         let p = rec.finish();
-        assert_eq!(p.node(&["fetch"]).unwrap().metrics["polls"], 5.0);
+        assert_eq!(p.metric(&["fetch"], "polls"), Some(5.0));
+        assert_eq!(p.metric(&["fetch"], "bytes"), None);
+        assert_eq!(p.metric(&[], "polls"), None);
+        assert_eq!(p.sum_metric("polls"), 5.0);
     }
 
     #[test]
@@ -499,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn flatten_lists_all_paths() {
+    fn nodes_list_every_path_parent_first() {
         let sim = Sim::new(0);
         let ctx = sim.ctx();
         let rec = Recorder::new(&ctx);
@@ -514,8 +588,51 @@ mod tests {
         });
         sim.run();
         let p = rec.finish();
-        let paths: Vec<String> = p.flatten().iter().map(|(p, _)| p.join("/")).collect();
+        let paths: Vec<String> = (p.nodes().iter())
+            .map(|n| match n.parent() {
+                Some(parent) => format!("{}/{}", p.nodes()[parent].name, n.name),
+                None => n.name.to_string(),
+            })
+            .collect();
         assert_eq!(paths, vec!["a", "a/b", "c"]);
+    }
+
+    #[test]
+    fn merge_adopts_paths_the_target_never_entered() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let (left, right) = (Recorder::new(&ctx), Recorder::new(&ctx));
+        left.scope("a", || left.annotate("n", 1.0));
+        right.scope("b", || right.scope("a", || right.annotate("n", 2.0)));
+        right.scope("a", || right.annotate("n", 4.0));
+        right.annotate("n", 8.0);
+        let mut p = left.finish();
+        p.merge(&right.finish());
+        assert_eq!(p.node(&["a"]).unwrap().count, 2);
+        assert_eq!(p.node(&["b", "a"]).unwrap().count, 1);
+        assert_eq!(p.metric(&["a"], "n"), Some(5.0));
+        assert_eq!(p.metric(&["b", "a"], "n"), Some(2.0));
+        assert_eq!(p.metric(&[], "n"), Some(8.0));
+        assert_eq!(p.sum_metric("n"), 15.0);
+    }
+
+    /// An untraced recorder is its `Rc`, the node arena and the region
+    /// stack, and finishing it hands the arena over as it is.
+    #[test]
+    fn untraced_recorder_keeps_no_track_and_finishes_in_place() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let rec = Recorder::traced(&ctx, Tracer::disabled(), "consumer-007");
+        assert_eq!(rec.shared.track.capacity(), 0);
+        for name in ["a", "b", "c", "d", "e", "f", "g"] {
+            rec.scope(name, || ());
+        }
+        let arena = rec.shared.state.borrow().profile.nodes.as_ptr();
+        let p = rec.finish();
+        assert_eq!(p.nodes().as_ptr(), arena);
+        assert_eq!(p.nodes.capacity(), FIRST_NODES);
+        let traced = Recorder::traced(&ctx, Tracer::enabled(), "consumer-007");
+        assert_eq!(traced.shared.track, "consumer-007");
     }
 
     #[test]

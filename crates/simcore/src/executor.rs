@@ -21,37 +21,50 @@
 //! `seq` is globally unique, the cross-shard merge order
 //! `(time, shard_id, seq)` collapses to `(time, seq)` — the exact serial
 //! order — so a sharded run is bit-identical to a single-shard run for
-//! *any* shard assignment. Sharding is purely a locality optimization:
-//! hot heaps shrink from one multi-megabyte structure to cache-resident
-//! per-shard ones.
+//! *any* shard assignment. Sharding was meant as a locality
+//! optimization — per-shard heaps small enough to stay in cache — and
+//! read +24 % at 64k pairs when PR 9 built it for a worker pool. With
+//! the pool gone and the working set a third smaller, one heap was not
+//! slower on one thread in 8 of 10 interleaved pairs at 16k pairs
+//! (median +6.5 % events/s) and in 7 of 10 on the streaming fan-out
+//! (+1.7 %); `ShardIndex::set_key` alone was 7 % of samples. No run
+//! configures more than one shard any more (DESIGN.md §12); the layer
+//! stays until the frozen benchmark's leaf/spine probe stops using it.
 //!
 //! The executor is single-threaded: parallelism lives one level up, over
 //! independent runs (`mdflow::campaign`; DESIGN.md §12 has the measurement).
 //!
 //! # What a spawn costs
 //!
-//! Two allocator calls in steady state: the join state shared with the
-//! [`JoinHandle`] and the task box.
+//! One allocator call in steady state: a `TaskBlock`, an `Rc` allocation
+//! that holds where the process's output goes (the join state of its
+//! [`JoinHandle`], or its place in a [`JoinSet`]) and then the process
+//! itself. The executor and the handle share the block.
 //!
-//! The box holds the process future, the `Rc` of its join state and a
-//! [`Ctx`] to read the completion instant — `size_of::<F>() + 16` bytes.
-//! It is a hand-written future (`Process`) that polls the process where
-//! it lies, not `async move { let v = fut.await; .. }`: rustc lays that
-//! block out as the captured `fut` *plus* the awaited `fut`, two full
-//! copies of the process, which at 16k pairs made the two role futures
-//! of a pair 10 KB instead of 5 and the task boxes a third of peak RSS.
-//! The same holds for every detached per-frame task (ack publishers, KVS
-//! request handlers), so the wrapper also halves what a `spawn` writes.
-//! The price is one `unsafe` pin projection, argued where it is made.
+//! The process lies in the block once and is polled where it lies. The
+//! wrapper is hand-written, not `async move { let v = fut.await; .. }`:
+//! rustc lays that block out as the captured `fut` *plus* the awaited
+//! `fut`, two full copies of the process, which at 16k pairs made the
+//! two role futures of a pair 10 KB instead of 5 and the task boxes a
+//! third of peak RSS. The same holds for every detached per-frame task
+//! (ack publishers, KVS request handlers), so the wrapper also halves
+//! what a `spawn` writes. The price is one `unsafe` pin projection,
+//! argued where it is made.
 //!
-//! The join state stays an allocation of its own. Sharing one block with
-//! the process was built and measured (EXPERIMENTS.md, PR 17): the block
-//! then lives until the later of completion and the handle's drop, and a
-//! runner that holds its 32,768 role handles to the end of a 16k-pair
-//! run kept 67 MB of finished role futures resident (`peak_rss_mb`
-//! +21 %; +3 % with the roles boxed by the runner, at equal live bytes).
+//! What makes one block safe is that no handle outlives its process by
+//! long. The process is dropped in place the moment the executor lets go
+//! of the task, but the block's memory stays until the last reference
+//! does, so a handle held to the end of a run keeps a finished future's
+//! bytes resident (a runner that parked 32,768 role handles: 67 MB,
+//! `peak_rss_mb` +21 % at 16k pairs; EXPERIMENTS.md, PR 17). The
+//! runner's roles therefore finish into a [`JoinSet`] — nothing but the
+//! executor refers to a member's block, so it is freed at completion —
+//! and every other handle in the workspace is either dropped at spawn
+//! (detached tasks: the block goes when the task does) or awaited at
+//! once (`pfs` stripe I/O). A caller that must hold many handles for
+//! long should use a set.
 //!
-//! The task's waker is not a third call, because the task *slot* owns
+//! The task's waker is not a second call, because the task *slot* owns
 //! it: a slot keeps its `Arc<TaskWaker>` across tenants and re-labels it
 //! with the next tenant's packed id — but only when `Arc::get_mut`
 //! proves no clone survives. A clone that outlived its task (parked in a
@@ -63,7 +76,7 @@
 //! mark (kept by every slot the slab ever grew to, the blocks cost the
 //! 16k-pair run 8 MB of peak RSS, +2.6 %).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -381,9 +394,10 @@ impl ShardIndex {
 pub struct SimConfig {
     /// RNG seed; determines every [`Ctx::rng`] stream.
     pub seed: u64,
-    /// Calendar shards. 1 (the default) is the classic global calendar;
-    /// the cluster layer maps this to one shard per leaf switch plus a
-    /// cross-leaf shard 0. Trajectories are identical for any value.
+    /// Calendar shards. 1 (the default, and what every run uses) is the
+    /// classic global calendar; `FabricSpec::shard_count` maps a fabric
+    /// to one shard per leaf switch plus a cross-leaf shard 0.
+    /// Trajectories are identical for any value.
     pub shards: u32,
 }
 
@@ -454,11 +468,21 @@ impl Wake for TaskWaker {
     }
 }
 
-/// A spawned process: its future plus a `Waker` over the slot's waker
-/// block, so the dispatch loop polls without touching a reference count.
+/// A spawned process — the executor's reference to its [`TaskBlock`] —
+/// plus a `Waker` over the slot's waker block, so the dispatch loop
+/// polls without touching a reference count.
 struct Task {
-    fut: Pin<Box<dyn Future<Output = ()>>>,
+    block: Rc<dyn Runnable>,
     waker: Waker,
+}
+
+impl Drop for Task {
+    /// The executor is done with the process — it completed, or the
+    /// simulation is being torn down around it: what it captured goes
+    /// now, whoever still holds a [`JoinHandle`] to the block.
+    fn drop(&mut self) {
+        self.block.drop_process();
+    }
 }
 
 /// Slab slot holding one spawned process. Vacated (and its generation
@@ -692,7 +716,7 @@ impl Core {
     /// Allocate a task slot, returning the packed id. The generation is
     /// whatever the slot carries (0 for fresh slots, bumped per reuse).
     /// `shard` is where the task's future calendar entries will land.
-    fn insert_task(&mut self, fut: Pin<Box<dyn Future<Output = ()>>>, shard: u32) -> TaskId {
+    fn insert_task(&mut self, block: Rc<dyn Runnable>, shard: u32) -> TaskId {
         let slot = if self.task_free != NO_FREE {
             let s = self.task_free;
             let TaskState::Vacant { next_free } = self.tasks[s as usize].state else {
@@ -727,7 +751,7 @@ impl Core {
         }
         let waker = Waker::from(s.waker.clone().expect("slot waker was just set"));
         s.shard = shard;
-        s.state = TaskState::Parked(Task { fut, waker });
+        s.state = TaskState::Parked(Task { block, waker });
         self.live_tasks += 1;
         self.tasks_spawned += 1;
         id
@@ -905,7 +929,7 @@ impl Sim {
             // Dispatch every runnable process at the current instant.
             loop {
                 self.drain_wakes();
-                let (id, mut task) = {
+                let (id, task, now) = {
                     let mut core = self.core.borrow_mut();
                     let Some(id) = core.ready.pop_front() else {
                         break;
@@ -919,18 +943,19 @@ impl Sim {
                             // Events the task schedules while polled land
                             // on its home shard.
                             core.current_shard = core.tasks[task_slot(id) as usize].shard;
-                            (id, t)
+                            (id, t, core.now)
                         }
                         None => continue,
                     }
                 };
                 // The waker was built once at spawn and travels with the
-                // future; polling allocates nothing.
+                // block; polling allocates nothing. The clock cannot move
+                // during a poll, so `now` is the completion instant.
                 let mut cx = Context::from_waker(&task.waker);
-                match task.fut.as_mut().poll(&mut cx) {
+                match task.block.poll(&mut cx, now) {
                     Poll::Ready(()) => {
-                        // `task` (future + waker) drops at scope end,
-                        // outside the core borrow.
+                        // `task` drops at scope end, outside the core
+                        // borrow, and takes the finished process with it.
                         self.core.borrow_mut().finish_task(id);
                     }
                     Poll::Pending => {
@@ -1202,16 +1227,22 @@ impl Ctx {
         shard: u32,
         fut: impl Future<Output = T> + 'static,
     ) -> JoinHandle<T> {
-        let inner: Rc<RefCell<JoinInner<T>>> = Rc::new(RefCell::new(JoinInner {
-            value: None,
-            waker: None,
-            finished_at: None,
-        }));
-        let wrapped = Process {
-            fut,
-            join: inner.clone(),
-            ctx: self.clone(),
-        };
+        JoinHandle {
+            block: self.spawn_block(shard, JoinCell::default(), fut),
+        }
+    }
+
+    /// Place `fut` and the `sink` its output goes to in one block and
+    /// hand the block to the executor: the one allocator call of a spawn.
+    fn spawn_block<S, F>(&self, shard: u32, sink: S, fut: F) -> Rc<TaskBlock<S, RefCell<Option<F>>>>
+    where
+        S: Sink<F::Output> + 'static,
+        F: Future + 'static,
+    {
+        let block = Rc::new(TaskBlock {
+            sink,
+            process: RefCell::new(Some(fut)),
+        });
         let core = self.core();
         let mut core = core.borrow_mut();
         let shard = if (shard as usize) < core.shards.len() {
@@ -1219,9 +1250,9 @@ impl Ctx {
         } else {
             0
         };
-        let id = core.insert_task(Box::pin(wrapped), shard);
+        let id = core.insert_task(block.clone(), shard);
         core.ready.push_back(id);
-        JoinHandle { inner }
+        block
     }
 
     /// Sleep for `d` simulated time.
@@ -1463,51 +1494,103 @@ impl Future for YieldNow {
     }
 }
 
+/// Where a finished process leaves its output.
+trait Sink<T> {
+    /// Called once, at the completion instant `at`.
+    fn complete(&self, value: T, at: SimTime);
+}
+
+/// The one allocation of a spawned process: the sink its output goes to,
+/// then the process itself, polled where it lies (see "What a spawn
+/// costs" in the module docs). The executor holds the block as
+/// `Rc<dyn Runnable>`; a [`JoinHandle`] holds the same block with the
+/// process type erased and reads only `sink`.
+struct TaskBlock<S, P: ?Sized> {
+    sink: S,
+    /// `RefCell<Option<F>>`: `Some` from spawn until the executor lets go
+    /// of the task, then `None` for as long as a handle keeps the block.
+    process: P,
+}
+
+/// What the executor does with a block.
+trait Runnable {
+    /// Poll the process; on completion hand its output to the sink.
+    fn poll(&self, cx: &mut Context<'_>, now: SimTime) -> Poll<()>;
+    /// Drop the process (finished or not) in place.
+    fn drop_process(&self);
+}
+
+impl<S: Sink<F::Output>, F: Future> Runnable for TaskBlock<S, RefCell<Option<F>>> {
+    fn poll(&self, cx: &mut Context<'_>, now: SimTime) -> Poll<()> {
+        let mut slot = self.process.borrow_mut();
+        let fut = slot.as_mut().expect("task polled after it was dropped");
+        // SAFETY: the process is structurally pinned in its block. It was
+        // moved into the `Rc` allocation by `spawn_block` before its
+        // first poll and never moves again: the block type is private to
+        // this module, nothing here takes the value back out of the `Rc`
+        // (`try_unwrap`, `into_inner`, `get_mut`) or out of the `Option`
+        // (`take`, `replace`, `swap`), and the `RefCell` hands out `&mut
+        // F` only here, where it is re-pinned at once. It is dropped
+        // where it lies — by `drop_process` assigning `None` over it, or
+        // by the block's own drop glue — and the allocation is not freed
+        // before that, since dropping the last `Rc` runs the glue first.
+        let fut = unsafe { Pin::new_unchecked(fut) };
+        let value = match fut.poll(cx) {
+            Poll::Ready(v) => v,
+            Poll::Pending => return Poll::Pending,
+        };
+        drop(slot);
+        self.sink.complete(value, now);
+        Poll::Ready(())
+    }
+
+    fn drop_process(&self) {
+        // Assignment drops the old value in place.
+        *self.process.borrow_mut() = None;
+    }
+}
+
+/// The erased tail of a block as a [`JoinHandle`] sees it.
+trait Erased {}
+impl<P> Erased for P {}
+
 struct JoinInner<T> {
     value: Option<T>,
     waker: Option<Waker>,
     finished_at: Option<SimTime>,
 }
 
-/// What a task's box holds: the process, polled where it lies, and the
-/// two words that publish its result (see "The spawn wrapper" in the
-/// module docs for why this is not an `async` block).
-struct Process<F: Future> {
-    fut: F,
-    join: Rc<RefCell<JoinInner<F::Output>>>,
-    ctx: Ctx,
-}
+/// The sink of a process spawned for a [`JoinHandle`].
+struct JoinCell<T>(RefCell<JoinInner<T>>);
 
-impl<F: Future> Future for Process<F> {
-    type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        // SAFETY: `fut` is structurally pinned. `Process` has no `Drop`
-        // impl and is not `repr(packed)`, it is `Unpin` only if `F` is
-        // (auto trait over its fields), and the only code that touches
-        // `fut` is this function, which re-pins it before use and never
-        // moves it: the box `spawn_on` pinned it in is the only place it
-        // ever lives, and it is dropped there. `join` and `ctx` are
-        // plain handles with no pinning requirement.
-        let this = unsafe { self.get_unchecked_mut() };
-        // SAFETY: `this.fut` has not moved since `self` was pinned (above).
-        let fut = unsafe { Pin::new_unchecked(&mut this.fut) };
-        let value = match fut.poll(cx) {
-            Poll::Ready(v) => v,
-            Poll::Pending => return Poll::Pending,
-        };
-        let mut st = this.join.borrow_mut();
-        st.value = Some(value);
-        st.finished_at = Some(this.ctx.now());
-        if let Some(w) = st.waker.take() {
-            w.wake();
-        }
-        Poll::Ready(())
+impl<T> Default for JoinCell<T> {
+    fn default() -> Self {
+        JoinCell(RefCell::new(JoinInner {
+            value: None,
+            waker: None,
+            finished_at: None,
+        }))
     }
 }
 
-/// Awaitable handle to a spawned process.
+impl<T> Sink<T> for JoinCell<T> {
+    fn complete(&self, value: T, at: SimTime) {
+        let mut st = self.0.borrow_mut();
+        st.value = Some(value);
+        st.finished_at = Some(at);
+        if let Some(w) = st.waker.take() {
+            w.wake();
+        }
+    }
+}
+
+/// Awaitable handle to a spawned process. It shares the process's block:
+/// what the process captured is dropped when it completes, but the
+/// block's memory is the handle's until it drops — hold handles for as
+/// long as a result is awaited, and collect long-lived ensembles through
+/// a [`JoinSet`].
 pub struct JoinHandle<T> {
-    inner: Rc<RefCell<JoinInner<T>>>,
+    block: Rc<TaskBlock<JoinCell<T>, dyn Erased>>,
 }
 
 impl<T> JoinHandle<T> {
@@ -1518,19 +1601,19 @@ impl<T> JoinHandle<T> {
 
     /// The simulated time at which the process completed, once it has.
     pub fn finished_at(&self) -> Option<SimTime> {
-        self.inner.borrow().finished_at
+        self.block.sink.0.borrow().finished_at
     }
 
     /// Take the result if the process has completed (non-blocking).
     pub fn try_take(&self) -> Option<T> {
-        self.inner.borrow_mut().value.take()
+        self.block.sink.0.borrow_mut().value.take()
     }
 }
 
 impl<T> Future for JoinHandle<T> {
     type Output = T;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut st = self.inner.borrow_mut();
+        let mut st = self.block.sink.0.borrow_mut();
         if let Some(v) = st.value.take() {
             return Poll::Ready(v);
         }
@@ -1543,10 +1626,92 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
+/// What every member of a [`JoinSet`] shares.
+struct SetShared<T> {
+    /// By spawn index: completion instant and output, once finished.
+    results: RefCell<Vec<Option<(SimTime, T)>>>,
+    finished: Cell<usize>,
+}
+
+/// The sink of a process spawned into a [`JoinSet`].
+struct SetMember<T> {
+    set: Rc<SetShared<T>>,
+    index: usize,
+}
+
+impl<T> Sink<T> for SetMember<T> {
+    fn complete(&self, value: T, at: SimTime) {
+        self.set.results.borrow_mut()[self.index] = Some((at, value));
+        self.set.finished.set(self.set.finished.get() + 1);
+    }
+}
+
+/// A group of processes spawned for their results: each finishes into
+/// the set — output and completion instant, by spawn index — instead of
+/// into a [`JoinHandle`] of its own. Nothing but the executor refers to
+/// a member, so its block is freed the moment it completes, and "has
+/// everyone finished?" is a counter compare. This is how a runner holds
+/// an ensemble of tens of thousands of long-lived roles.
+pub struct JoinSet<T> {
+    shared: Rc<SetShared<T>>,
+}
+
+impl<T: 'static> JoinSet<T> {
+    /// An empty set with room for `n` members.
+    pub fn with_capacity(n: usize) -> Self {
+        JoinSet {
+            shared: Rc::new(SetShared {
+                results: RefCell::new(Vec::with_capacity(n)),
+                finished: Cell::new(0),
+            }),
+        }
+    }
+
+    /// [`Ctx::spawn`] into the set; the member's spawn index is the
+    /// number of members spawned before it.
+    pub fn spawn(&self, ctx: &Ctx, fut: impl Future<Output = T> + 'static) {
+        let index = {
+            let mut results = self.shared.results.borrow_mut();
+            results.push(None);
+            results.len() - 1
+        };
+        let (set, shard) = (self.shared.clone(), ctx.shard());
+        ctx.spawn_block(shard, SetMember { set, index }, fut);
+    }
+
+    /// Members spawned so far.
+    pub fn len(&self) -> usize {
+        self.shared.results.borrow().len()
+    }
+
+    /// True when nothing was spawned into the set.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// True once every member has completed.
+    pub fn all_finished(&self) -> bool {
+        self.shared.finished.get() == self.len()
+    }
+
+    /// Spawn indices of the members still running.
+    pub fn unfinished(&self) -> Vec<usize> {
+        let results = self.shared.results.borrow();
+        let running = results.iter().enumerate().filter(|(_, r)| r.is_none());
+        running.map(|(i, _)| i).collect()
+    }
+
+    /// Completion instant and output of every member, in spawn order.
+    /// Panics if a member is still running.
+    pub fn into_results(self) -> impl Iterator<Item = (SimTime, T)> {
+        let results = std::mem::take(&mut *self.shared.results.borrow_mut());
+        (results.into_iter()).map(|r| r.expect("JoinSet member still running"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     #[test]
     fn empty_sim_finishes_at_time_zero() {
@@ -2022,14 +2187,17 @@ mod tests {
         }
     }
 
-    /// The task box holds the process once: the process plus the two
-    /// handles that publish its result, nothing else. (`async move {
-    /// fut.await; .. }` laid the process out twice — as a capture and as
-    /// the awaited value.)
+    /// A block holds the process once. Beside it: the sink (for a set
+    /// member the set's `Rc` and its index), the borrow flag of the cell
+    /// the process lies in and the `Option`'s tag (a coroutine offers no
+    /// niche) — four words, plus the two reference counts every `Rc`
+    /// allocation starts with. (`async move { fut.await; .. }` laid the
+    /// process out twice — as a capture and as the awaited value.)
     #[test]
-    fn task_box_is_the_process_plus_two_words() {
+    fn task_block_is_the_process_plus_four_words() {
         fn overhead<F: Future>(_: &F) -> usize {
-            std::mem::size_of::<Process<F>>() - std::mem::size_of::<F>()
+            std::mem::size_of::<TaskBlock<SetMember<F::Output>, RefCell<Option<F>>>>()
+                - std::mem::size_of::<F>()
         }
         let sim = Sim::new(0);
         let ctx = sim.ctx();
@@ -2039,8 +2207,8 @@ mod tests {
             pad[0]
         };
         assert!(std::mem::size_of_val(&big) >= 1000);
-        assert!(overhead(&big) <= 16, "overhead {} B", overhead(&big));
-        assert!(overhead(&std::future::ready(0u64)) <= 16);
+        assert!(overhead(&big) <= 32, "overhead {} B", overhead(&big));
+        assert!(overhead(&std::future::ready(0u64)) <= 32);
     }
 
     #[test]

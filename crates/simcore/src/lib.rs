@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use combinators::{race, timeout, Either, Race, TimedOut, Timeout};
 pub use executor::{
-    splitmix64, CalendarStats, Ctx, JoinHandle, RunReport, ShardStats, Sim, SimArena, SimConfig,
-    Sleep, TimerHandle, YieldNow,
+    splitmix64, CalendarStats, Ctx, JoinHandle, JoinSet, RunReport, ShardStats, Sim, SimArena,
+    SimConfig, Sleep, TimerHandle, YieldNow,
 };
 pub use time::{SimDuration, SimTime};

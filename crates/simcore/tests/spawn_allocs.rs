@@ -3,11 +3,14 @@
 //! `Ctx::spawn` is under every per-frame task of every backend (stripe
 //! I/Os, ack publishers, evict passes), so a call it makes is paid
 //! `pairs × frames` times and shows in the benchmark's
-//! `allocs_per_event`. In steady state it makes two — the join state and
-//! the task box — because a task slot keeps its waker block across
-//! tenants. That reuse is only sound while no clone of the old tenant's
-//! waker survives; the second test holds one and checks that it can
-//! neither wake the slot's next tenant nor share a block with it.
+//! `allocs_per_event`. In steady state it makes one — the block that
+//! holds the process and the place its result goes — because a task slot
+//! keeps its waker block across tenants. That reuse is only sound while
+//! no clone of the old tenant's waker survives; the second test holds
+//! one and checks that it can neither wake the slot's next tenant nor
+//! share a block with it. One block is only cheap while no handle
+//! outlives its process by long; the third test spawns into a `JoinSet`,
+//! where nothing does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -15,7 +18,7 @@ use std::future::poll_fn;
 use std::rc::Rc;
 use std::task::{Poll, Waker};
 
-use simcore::{Sim, SimDuration};
+use simcore::{JoinSet, Sim, SimDuration, SimTime};
 
 struct CountingAlloc;
 
@@ -67,14 +70,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-const WHY_TWO: &str = "a steady-state spawn is two allocator calls — the join state \
-    and the task box; the waker block stays with the task slot. (Not one: a block \
-    shared by join state and process lives as long as its handle, and the runner's \
-    32,768 held role handles then kept 67 MB of finished futures resident at 16k \
-    pairs, peak RSS +21 %.)";
+const WHY_ONE: &str = "a steady-state spawn is one allocator call — join state and \
+    process share a block; the waker block stays with the task slot";
 
 #[test]
-fn the_10_001st_spawn_costs_two_calls_detached_or_joined() {
+fn the_10_001st_spawn_costs_one_call_detached_or_joined() {
     let sim = Sim::new(0);
     let ctx = sim.ctx();
     let cost = Rc::new(Cell::new((0, 0)));
@@ -100,7 +100,7 @@ fn the_10_001st_spawn_costs_two_calls_detached_or_joined() {
         }
     });
     assert!(sim.run().is_clean());
-    assert_eq!(cost.get(), (2, 2), "{WHY_TWO}");
+    assert_eq!(cost.get(), (1, 1), "{WHY_ONE}");
 }
 
 #[test]
@@ -126,13 +126,13 @@ fn a_waker_kept_past_its_task_cannot_reach_the_slots_next_tenant() {
     let (seen, polls, done) = (Rc::default(), Rc::default(), Rc::new(Cell::new(true)));
 
     // Warm-up tenants, each dropping the clone it took before the next is
-    // spawned: the slot's block is re-labelled, a spawn is two calls.
+    // spawned: the slot's block is re-labelled, a spawn is one call.
     for _ in 0..3 {
         tenant(&seen, &polls, &done);
         sim.run();
         seen.borrow_mut().take();
     }
-    assert_eq!(tenant(&seen, &polls, &done), 2);
+    assert_eq!(tenant(&seen, &polls, &done), 1);
     sim.run();
 
     // This tenant's clone outlives it.
@@ -140,8 +140,8 @@ fn a_waker_kept_past_its_task_cannot_reach_the_slots_next_tenant() {
     polls.set(0);
     done.set(false);
     // The next tenant takes the same slot (the only vacant one) and must
-    // get a block of its own: exactly here a spawn costs a third call.
-    assert_eq!(tenant(&seen, &polls, &done), 3, "no fresh waker block");
+    // get a block of its own: exactly here a spawn costs a second call.
+    assert_eq!(tenant(&seen, &polls, &done), 2, "no fresh waker block");
     sim.run();
     assert_eq!(polls.get(), 1);
     let current = seen.borrow_mut().take().expect("the tenant ran");
@@ -160,4 +160,52 @@ fn a_waker_kept_past_its_task_cannot_reach_the_slots_next_tenant() {
     current.wake_by_ref();
     assert!(sim.run().is_clean());
     assert_eq!(polls.get(), 2);
+}
+
+/// A role spawned into a `JoinSet` is one call like any spawn, and —
+/// what makes the shared block affordable for an ensemble that runs to
+/// the end — everything it captured is gone when it completes, not when
+/// the set is collected.
+#[test]
+fn a_join_set_member_costs_one_call_and_drops_its_captures_at_completion() {
+    struct Counted(Rc<Cell<u32>>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+    let sim = Sim::new(0);
+    let ctx = sim.ctx();
+    // Four finished tasks leave four vacant slots, each with its waker
+    // block: vacant slots keep one per live task, and eight are live.
+    for _ in 0..8 {
+        let c = ctx.clone();
+        sim.spawn(async move { c.sleep(SimDuration::from_nanos(1_000)).await });
+    }
+    for _ in 0..4 {
+        sim.spawn(async {});
+    }
+    sim.run_until(SimTime::ZERO);
+    let drops = Rc::new(Cell::new(0));
+    let set = JoinSet::with_capacity(4);
+    for i in 0..4u64 {
+        let (c, captured) = (ctx.clone(), Counted(drops.clone()));
+        let before = calls();
+        set.spawn(&ctx, async move {
+            c.sleep(SimDuration::from_nanos(10 * (i + 1))).await;
+            drop(captured);
+            i
+        });
+        assert_eq!(calls() - before, 1, "{WHY_ONE}");
+    }
+    sim.run_until(SimTime::from_nanos(25));
+    assert!(!set.all_finished());
+    assert_eq!(set.unfinished(), [2, 3]);
+    assert_eq!(drops.get(), 2, "a capture outlived its process");
+    assert!(sim.run().is_clean());
+    assert!(set.all_finished());
+    assert_eq!(drops.get(), 4);
+    let results: Vec<(SimTime, u64)> = set.into_results().collect();
+    let expect = (0..4u64).map(|i| (SimTime::from_nanos(10 * (i + 1)), i));
+    assert_eq!(results, expect.collect::<Vec<_>>());
 }

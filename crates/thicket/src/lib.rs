@@ -74,59 +74,111 @@ impl Ensemble {
     }
 
     /// Aggregate into per-path statistics.
+    ///
+    /// Profiles are flat arenas (`instrument`'s "Profile layout"), and so
+    /// is the union tree built here: each profile's nodes are matched
+    /// into it by `(parent, name)` through one index map reused across
+    /// profiles, so a profile costs no allocation and no path is cloned.
+    /// Sums accumulate in profile order; the variance is the two-pass
+    /// form, which walks the profiles a second time instead of keeping
+    /// every sample.
     pub fn aggregate(&self) -> AggProfile {
-        #[derive(Default)]
+        /// One call path of the union tree and what accumulates there.
         struct Acc {
-            counts: Vec<f64>,
-            inclusive: Vec<f64>,
-            exclusive: Vec<f64>,
-            metrics: BTreeMap<String, Vec<f64>>,
+            name: &'static str,
+            parent: Option<usize>,
+            appearances: u64,
+            count: f64,
+            inclusive: f64,
+            exclusive: f64,
+            min: f64,
+            max: f64,
+            sq_dev: f64,
+            /// `(key, sum, profiles carrying it)`.
+            metrics: Vec<(&'static str, f64, u64)>,
         }
-        let mut accs: BTreeMap<Vec<String>, Acc> = BTreeMap::new();
+        fn locate(accs: &[Acc], parent: Option<usize>, name: &str) -> Option<usize> {
+            accs.iter()
+                .position(|a| a.parent == parent && a.name == name)
+        }
+        let mut accs: Vec<Acc> = Vec::new();
+        // Profile node index → `accs` index, refilled per profile; a
+        // child follows its parent, so the parent's entry is there.
+        let mut map: Vec<usize> = Vec::new();
         for p in &self.profiles {
-            for (path, node) in p.flatten() {
-                let acc = accs.entry(path).or_default();
-                acc.counts.push(node.count as f64);
-                acc.inclusive.push(node.inclusive.as_secs_f64());
-                acc.exclusive.push(node.exclusive().as_secs_f64());
-                for (k, v) in &node.metrics {
-                    acc.metrics.entry(k.clone()).or_default().push(*v);
+            map.clear();
+            for (i, node) in p.nodes().iter().enumerate() {
+                let parent = node.parent().map(|j| map[j]);
+                let at = locate(&accs, parent, node.name).unwrap_or_else(|| {
+                    accs.push(Acc {
+                        name: node.name,
+                        parent,
+                        appearances: 0,
+                        count: 0.0,
+                        inclusive: 0.0,
+                        exclusive: 0.0,
+                        min: f64::INFINITY,
+                        max: f64::NEG_INFINITY,
+                        sq_dev: 0.0,
+                        metrics: Vec::new(),
+                    });
+                    accs.len() - 1
+                });
+                map.push(at);
+                let (acc, inclusive) = (&mut accs[at], node.inclusive.as_secs_f64());
+                acc.appearances += 1;
+                acc.count += node.count as f64;
+                acc.inclusive += inclusive;
+                acc.exclusive += p.exclusive_at(i).as_secs_f64();
+                acc.min = acc.min.min(inclusive);
+                acc.max = acc.max.max(inclusive);
+            }
+            // Annotations made outside any region have no call path.
+            for (node, key, sum) in p.metrics() {
+                let Some(node) = node else { continue };
+                let metrics = &mut accs[map[node]].metrics;
+                match metrics.iter_mut().find(|(k, ..)| *k == key) {
+                    Some((_, total, n)) => (*total, *n) = (*total + sum, *n + 1),
+                    None => metrics.push((key, sum, 1)),
                 }
             }
         }
-        let nodes = accs
-            .into_iter()
-            .map(|(path, acc)| {
-                let n = acc.inclusive.len() as f64;
-                let mean = acc.inclusive.iter().sum::<f64>() / n;
-                let var = if acc.inclusive.len() < 2 {
+        for p in &self.profiles {
+            map.clear();
+            for node in p.nodes() {
+                let parent = node.parent().map(|j| map[j]);
+                let at = locate(&accs, parent, node.name).expect("path seen in the first pass");
+                map.push(at);
+                let acc = &mut accs[at];
+                let mean = acc.inclusive / acc.appearances as f64;
+                acc.sq_dev += (node.inclusive.as_secs_f64() - mean).powi(2);
+            }
+        }
+        let nodes = (accs.iter())
+            .map(|acc| {
+                let mut path = vec![acc.name.to_string()];
+                let mut up = acc.parent;
+                while let Some(i) = up {
+                    path.push(accs[i].name.to_string());
+                    up = accs[i].parent;
+                }
+                path.reverse();
+                let n = acc.appearances as f64;
+                let var = if acc.appearances < 2 {
                     0.0
                 } else {
-                    acc.inclusive
-                        .iter()
-                        .map(|x| (x - mean).powi(2))
-                        .sum::<f64>()
-                        / (n - 1.0)
+                    acc.sq_dev / (n - 1.0)
                 };
                 let stats = PathStats {
-                    appearances: acc.inclusive.len() as u64,
-                    mean_count: acc.counts.iter().sum::<f64>() / n,
-                    mean_inclusive: mean,
+                    appearances: acc.appearances,
+                    mean_count: acc.count / n,
+                    mean_inclusive: acc.inclusive / n,
                     std_inclusive: var.sqrt(),
-                    min_inclusive: acc.inclusive.iter().copied().fold(f64::INFINITY, f64::min),
-                    max_inclusive: acc
-                        .inclusive
-                        .iter()
-                        .copied()
-                        .fold(f64::NEG_INFINITY, f64::max),
-                    mean_exclusive: acc.exclusive.iter().sum::<f64>() / n,
-                    metrics: acc
-                        .metrics
-                        .into_iter()
-                        .map(|(k, vs)| {
-                            let m = vs.iter().sum::<f64>() / vs.len() as f64;
-                            (k, m)
-                        })
+                    min_inclusive: acc.min,
+                    max_inclusive: acc.max,
+                    mean_exclusive: acc.exclusive / n,
+                    metrics: (acc.metrics.iter())
+                        .map(|&(k, sum, n)| (k.to_string(), sum / n as f64))
                         .collect(),
                 };
                 (path, stats)
@@ -337,18 +389,17 @@ mod tests {
     use instrument::Recorder;
     use simcore::{Sim, SimDuration};
 
-    fn profile_with(regions: &[(&str, u64)]) -> Profile {
+    fn profile_with(regions: &[(&'static str, u64)]) -> Profile {
         // Build a flat profile where region `name` sleeps `us` micros.
         let sim = Sim::new(0);
         let ctx = sim.ctx();
         let rec = Recorder::new(&ctx);
         let rec2 = rec.clone();
-        let regions: Vec<(String, u64)> =
-            regions.iter().map(|(n, u)| (n.to_string(), *u)).collect();
+        let regions = regions.to_vec();
         let ctx2 = ctx.clone();
         sim.spawn(async move {
             for (name, us) in regions {
-                let g = rec2.region(&name);
+                let g = rec2.region(name);
                 ctx2.sleep(SimDuration::from_micros(us)).await;
                 g.end();
             }
