@@ -105,11 +105,10 @@ fn main() {
     let per_node: u32 = args.num("--per-node", 8);
     let placement = match args.value("--nodes") {
         Some("single") => Placement::SingleNode,
-        Some("split") | None if solution != Solution::Xfs => Placement::Split {
+        None if solution.row().single_node_only => Placement::SingleNode,
+        Some("split") | None => Placement::Split {
             pairs_per_node: per_node,
         },
-        Some("split") => die("xfs cannot run split across nodes (paper §III-B)"),
-        None => Placement::SingleNode,
         Some(other) => die(&format!("unknown placement {other}")),
     };
     let mut wf = WorkflowConfig::new(solution, pairs, placement).with_model(model);
@@ -125,11 +124,8 @@ fn main() {
     wf.dyad_warm_sync = !args.flag("--no-warm-sync");
     let fanout: u32 = args.num("--fanout", 1);
     let fanin: u32 = args.num("--fanin", 1);
-    if (fanout > 1 || fanin > 1) && solution != Solution::Streaming {
+    if (fanout > 1 || fanin > 1) && !solution.row().groups {
         die("--fanout/--fanin require --solution streaming");
-    }
-    if fanout > 1 && fanin > 1 {
-        die("streaming groups are 1→K (--fanout) or K→1 (--fanin), not both");
     }
     wf = wf
         .with_fanout(fanout)
@@ -144,16 +140,21 @@ fn main() {
     wf = wf.with_window_reclaim(!args.flag("--no-reclaim"));
     let shards: u32 = args.num("--kvs-shards", 1);
     let replication: u32 = args.num("--kvs-replication", 1);
-    if shards < 1 {
-        die("--kvs-shards must be at least 1");
-    }
-    if replication < 1 || replication > shards {
-        die("--kvs-replication must be in 1..=kvs-shards");
-    }
     wf = wf.with_kvs_shards(shards).with_kvs_replication(replication);
+    // Every count of zero and every shape no run can execute, by the
+    // name of the `WorkflowConfig` field.
+    if let Err(e) = wf.validate() {
+        die(&e.to_string());
+    }
+    if replication > shards {
+        die("--kvs-replication must be at most --kvs-shards");
+    }
 
     let mut study = StudyConfig::paper(wf);
     study.repetitions = args.num("--reps", 10);
+    if study.repetitions < 1 {
+        die("--reps must be at least 1");
+    }
     study.seed = args.num("--seed", 0xD1ADu64);
     if args.flag("--quiet-testbed") {
         study.calibration = Calibration::quiet();
@@ -215,7 +216,7 @@ fn main() {
         "makespan:    {:.2} s (±{:.2})",
         report.makespan.mean, report.makespan.std
     );
-    if solution == Solution::Streaming {
+    if solution.row().groups {
         println!(
             "streaming:   group sync {:>12}/frame | {:.1} window stalls ({:.3} s stalled)",
             fmt(report.group_sync_secs.mean),

@@ -11,7 +11,8 @@ use mdflow::prelude::*;
 
 /// Names are what `--only` selects and labels what reports are looked up
 /// and saved under, so both are unique; the grid sizes are the 72
-/// studies of the paper suite (DESIGN.md §9) plus the three extensions.
+/// studies of the paper suite (DESIGN.md §9) plus the three extensions;
+/// and every configuration the table builds is one `validate` accepts.
 #[test]
 fn table_names_are_unique_and_grid_sizes_pinned() {
     let scale = Scale { reps: 1, frames: 2 };
@@ -55,6 +56,7 @@ fn table_names_are_unique_and_grid_sizes_pinned() {
                 (1, 2),
                 "{name}/{label} ignores the scale"
             );
+            assert_eq!(study.workflow.validate(), Ok(()), "{name}/{label}");
         }
     }
 }
@@ -70,6 +72,42 @@ fn only_rejects_an_unknown_experiment_naming_the_valid_ones() {
     assert!(stderr.contains("nosuch"), "{stderr}");
     for e in EXPERIMENTS {
         assert!(stderr.contains(e.name), "{} missing from: {stderr}", e.name);
+    }
+}
+
+/// A malformed `mdflow-run` configuration ends in the typed error and
+/// exit 2 — each of these was a panic, a `NaN µs` report or a report of
+/// zeros.
+#[test]
+fn mdflow_run_rejects_malformed_configurations_with_a_typed_error() {
+    let cases: [(&[&str], &str); 8] = [
+        (&["--per-node", "0"], "pairs_per_node must be at least 1"),
+        (&["--pairs", "0"], "pairs must be at least 1"),
+        (&["--frames", "0"], "frames must be at least 1"),
+        (&["--reps", "0"], "--reps must be at least 1"),
+        (
+            &["--solution", "streaming", "--window", "0"],
+            "window must be at least 1",
+        ),
+        (
+            &["--solution", "streaming", "--agg", "0"],
+            "agg_frames must be at least 1",
+        ),
+        (&["--kvs-shards", "0"], "kvs_shards must be at least 1"),
+        (
+            &["--solution", "xfs", "--nodes", "split"],
+            "XFS cannot move data between nodes",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_mdflow-run"))
+            .args(args)
+            .output()
+            .expect("run mdflow-run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
 }
 

@@ -12,10 +12,10 @@
 //! across consecutive runs on one worker* ([`RunArena`]):
 //!
 //! * [`ClusterSnapshot`] holds the simulation-independent setup: the
-//!   workflow + calibration, the resolved topology (placement plan,
+//!   workflow + calibration, the resolved topology (ensemble shape,
 //!   node count, PFS service-node layout, cluster spec), the fault-board
 //!   template (the pre-built deterministic [`FaultPlan`]), the shared
-//!   frame template, and the per-pair staging registration keys. It is
+//!   frame template, and the staging registration keys. It is
 //!   `Send + Sync` and shared by reference across workers. The live
 //!   substrates (cluster, filesystems, services) are `Rc`-wired into one
 //!   simulation and are rebuilt per run *from* the snapshot — rebuilding
@@ -40,7 +40,7 @@
 use serde::Serialize;
 
 use crate::calibration::Calibration;
-use crate::config::{PlacementPlan, Solution, StreamPlacement, WorkflowConfig};
+use crate::config::{Ensemble, WorkflowConfig};
 use cluster::{ClusterSpec, NodeId};
 use faults::FaultPlan;
 use mdsim::FrameTemplate;
@@ -103,9 +103,9 @@ pub struct ClusterSnapshot {
     pub(crate) workflow: WorkflowConfig,
     /// Testbed parameters.
     pub(crate) calibration: Calibration,
-    /// Resolved process placement.
-    pub(crate) plan: PlacementPlan,
-    /// Compute nodes (the placement plan's node count).
+    /// Shape and placement of the ensemble.
+    pub(crate) ensemble: Ensemble,
+    /// Compute nodes (the ensemble's node count).
     pub(crate) n_compute: usize,
     /// Total nodes including PFS service nodes.
     pub(crate) n_total: usize,
@@ -118,26 +118,30 @@ pub struct ClusterSnapshot {
     pub(crate) fault_plan: Option<FaultPlan>,
     /// Shared frame payload template (cheap to clone per run).
     pub(crate) template: FrameTemplate,
-    /// Per-pair staging registration keys `(frame_dir, consumer_id)`,
-    /// non-empty only for DYAD.
-    pub(crate) registrations: Vec<(String, String)>,
-    /// Resolved M:N group placement, [`Solution::Streaming`] only.
-    pub(crate) stream_plan: Option<StreamPlacement>,
-    /// Streaming staging registrations `(publisher_node, step_dir,
-    /// subscriber_id)`, one per subscriber session that must ack a
-    /// group's steps before they can retire.
-    pub(crate) stream_regs: Vec<(u32, String, String)>,
+    /// Staging registrations `(publisher node, managed directory,
+    /// consumer id)`, one per session that must ack what a publisher
+    /// stages before it can retire ([`crate::workflow::registrations`]).
+    pub(crate) registrations: Vec<(u32, String, String)>,
 }
 
 impl ClusterSnapshot {
     /// Prepare the shareable setup for `wf` under `cal`. The template is
-    /// synthesized from `template_seed`; for a cold single run pass
-    /// `seed ^ 0x7E3A` to match the historical [`crate::runner::run_once`]
-    /// behavior, for a campaign point any fixed seed works (payload
-    /// bytes never affect timing).
+    /// synthesized from `template_seed`; any fixed seed works for a
+    /// campaign point (payload bytes never affect timing).
+    ///
+    /// # Panics
+    /// With the [`crate::config::ConfigError`] as the message when
+    /// [`WorkflowConfig::validate`] rejects `wf`.
     pub fn prepare(wf: &WorkflowConfig, cal: &Calibration, template_seed: u64) -> ClusterSnapshot {
         let template = FrameTemplate::generate(wf.model, template_seed);
         ClusterSnapshot::prepare_with(wf, cal, template)
+    }
+
+    /// The throwaway snapshot of a cold single run at `seed`
+    /// ([`crate::runner::run_once`]), whose template seed has always
+    /// been `seed ^ 0x7E3A`.
+    pub(crate) fn cold(wf: &WorkflowConfig, cal: &Calibration, seed: u64) -> ClusterSnapshot {
+        ClusterSnapshot::prepare(wf, cal, seed ^ 0x7E3A)
     }
 
     /// [`ClusterSnapshot::prepare`] around a template the caller already
@@ -150,24 +154,16 @@ impl ClusterSnapshot {
         template: FrameTemplate,
     ) -> ClusterSnapshot {
         assert_eq!(template.model(), wf.model, "template of another model");
-        // Streaming placement is M:N per group, not pairwise; the pair
-        // plan stays empty so the runner's pair loop no-ops and the
-        // streaming spawn block takes over.
-        let stream_plan = (wf.solution == Solution::Streaming).then(|| wf.streaming_plan());
-        let plan = match &stream_plan {
-            Some(sp) => PlacementPlan {
-                compute_nodes: sp.compute_nodes,
-                pair_nodes: Vec::new(),
-            },
-            None => wf.placement_plan(),
-        };
-        let n_compute = plan.compute_nodes;
+        if let Err(e) = wf.validate() {
+            panic!("{e}");
+        }
+        let row = wf.solution.row();
+        let ensemble = wf.ensemble();
+        let n_compute = ensemble.compute_nodes();
         let mut n_total = n_compute;
         // The staged backends need the PFS service nodes too when
         // staging may spill.
-        let needs_pfs = wf.solution.needs_pfs()
-            || (matches!(wf.solution, Solution::Dyad | Solution::Streaming)
-                && wf.staging.spill_to_pfs);
+        let needs_pfs = row.needs_pfs || (row.stages_on_nvme && wf.staging.spill_to_pfs);
         let pfs_nodes = if needs_pfs {
             let mds = n_total as u32;
             let osts: Vec<NodeId> = (0..cal.n_osts as u32)
@@ -189,7 +185,7 @@ impl ClusterSnapshot {
             // pinned by its configuration, and a lone unreplicated broker
             // (every run before the mesh existed) never drew that class.
             let n_osts_for_plan = if needs_pfs { cal.n_osts as u32 } else { 0 };
-            let sharded = wf.solution.needs_kvs() && (wf.kvs_shards > 1 || wf.kvs_replication > 1);
+            let sharded = row.needs_kvs && (wf.kvs_shards > 1 || wf.kvs_replication > 1);
             let n_shards_for_plan = if sharded { wf.kvs_shards } else { 0 };
             Some(wf.faults.build_plan(
                 horizon,
@@ -200,57 +196,11 @@ impl ClusterSnapshot {
         } else {
             None
         };
-        let registrations = if wf.solution == Solution::Dyad {
-            (0..wf.pairs)
-                .map(|pair| {
-                    (
-                        format!("{}/frames/p{pair:04}", dyad::PLANE.managed_dir),
-                        format!("c{pair}"),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // Streaming retention contract: every subscriber id that acks a
-        // group's steps is registered on the publisher's node, so the
-        // evictor holds each step until the whole group acknowledged it.
-        let stream_regs = match &stream_plan {
-            Some(sp) => {
-                let s = &wf.streaming;
-                let mut regs: Vec<(u32, String, String)> = Vec::new();
-                for (g, gp) in sp.groups.iter().enumerate() {
-                    if s.fanin > 1 {
-                        for (l, &pn) in gp.publishers.iter().enumerate() {
-                            regs.push((
-                                pn,
-                                format!("{}/steps/g{g:04}/l{l:02}", streaming::PLANE.managed_dir),
-                                format!("g{g}r"),
-                            ));
-                        }
-                    } else {
-                        let pn = gp.publishers[0];
-                        let dir = format!("{}/steps/g{g:04}", streaming::PLANE.managed_dir);
-                        match s.group {
-                            streaming::GroupMode::Broadcast => {
-                                for j in 0..gp.subscribers.len() {
-                                    regs.push((pn, dir.clone(), format!("g{g}s{j}")));
-                                }
-                            }
-                            streaming::GroupMode::Partitioned => {
-                                regs.push((pn, dir, format!("g{g}p")));
-                            }
-                        }
-                    }
-                }
-                regs
-            }
-            None => Vec::new(),
-        };
+        let registrations = crate::workflow::registrations(wf, &ensemble);
         ClusterSnapshot {
             workflow: wf.clone(),
             calibration: cal.clone(),
-            plan,
+            ensemble,
             n_compute,
             n_total,
             pfs_nodes,
@@ -258,8 +208,6 @@ impl ClusterSnapshot {
             fault_plan,
             template,
             registrations,
-            stream_plan,
-            stream_regs,
         }
     }
 
@@ -288,7 +236,7 @@ fn _assert_snapshot_is_shareable() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Placement;
+    use crate::config::{Placement, Solution};
 
     #[test]
     fn derived_seeds_never_collide_within_a_campaign() {
@@ -336,8 +284,11 @@ mod tests {
         assert!(snap.pfs_nodes.is_none());
         assert_eq!(snap.n_total, snap.n_compute);
         assert_eq!(snap.registrations.len(), 4);
-        assert!(snap.registrations[3].0.ends_with("p0003"));
-        assert_eq!(snap.registrations[3].1, "c3");
+        let (node, dir, consumer) = &snap.registrations[3];
+        assert_eq!(
+            (*node, dir.as_str(), consumer.as_str()),
+            (0, "/dyad/frames/p0003", "c3")
+        );
     }
 
     mod props {

@@ -25,6 +25,99 @@ pub enum Solution {
     Streaming,
 }
 
+/// What is true of one backend: one row per [`Solution`], the only
+/// place a per-backend fact is written. Everything outside the spawn
+/// `match` of [`crate::runner`] that depends on the backend reads a
+/// column here.
+#[derive(Debug)]
+pub struct BackendRow {
+    /// Command-line and file-name spelling; `FromStr` is its inverse.
+    pub name: &'static str,
+    /// Short label for tables.
+    pub label: &'static str,
+    /// Needs the parallel filesystem's service nodes.
+    pub needs_pfs: bool,
+    /// Needs the KVS brokers (rendezvous metadata).
+    pub needs_kvs: bool,
+    /// Stages frames on node-local NVMe under a staging manager (and so
+    /// needs the PFS too when staging may spill).
+    pub stages_on_nvme: bool,
+    /// Takes injected NVMe device errors: its produce and consume paths
+    /// carry typed recovery. The others model faults as slowdowns and
+    /// freezes.
+    pub device_errors: bool,
+    /// Cannot move data between nodes (paper §III-B).
+    pub single_node_only: bool,
+    /// Runs the M:N groups of [`StreamingConfig`]; the others run 1→1
+    /// pairs whatever it says.
+    pub groups: bool,
+    /// The staged-plane row whose region names its report reads (and
+    /// whose managed directory its frames live in); `None` reads the
+    /// manual baselines' `produce` / `consume` regions.
+    pub plane: Option<&'static staging::plane::Backend>,
+}
+
+/// The backend table, in [`Solution`]'s declaration order.
+const BACKENDS: [BackendRow; 5] = [
+    BackendRow {
+        name: "dyad",
+        label: "DYAD",
+        needs_pfs: false,
+        needs_kvs: true,
+        stages_on_nvme: true,
+        device_errors: true,
+        single_node_only: false,
+        groups: false,
+        plane: Some(&dyad::PLANE),
+    },
+    BackendRow {
+        name: "xfs",
+        label: "XFS",
+        needs_pfs: false,
+        needs_kvs: false,
+        stages_on_nvme: false,
+        device_errors: false,
+        single_node_only: true,
+        groups: false,
+        plane: None,
+    },
+    BackendRow {
+        name: "lustre",
+        label: "Lustre",
+        needs_pfs: true,
+        needs_kvs: false,
+        stages_on_nvme: false,
+        device_errors: false,
+        single_node_only: false,
+        groups: false,
+        plane: None,
+    },
+    // DYAD's outer regions and none of the NVMe staging inside them,
+    // which then read zero.
+    BackendRow {
+        name: "dyad-on-pfs",
+        label: "DYAD/PFS",
+        needs_pfs: true,
+        needs_kvs: true,
+        stages_on_nvme: false,
+        device_errors: false,
+        single_node_only: false,
+        groups: false,
+        plane: Some(&dyad::PLANE),
+    },
+    BackendRow {
+        name: "streaming",
+        label: "SST",
+        needs_pfs: false,
+        needs_kvs: true,
+        stages_on_nvme: true,
+        device_errors: false,
+        single_node_only: false,
+        groups: true,
+        plane: Some(&streaming::PLANE),
+    },
+];
+
 impl Solution {
     /// Every solution, in declaration order.
     pub const ALL: [Solution; 5] = [
@@ -35,39 +128,19 @@ impl Solution {
         Solution::Streaming,
     ];
 
+    /// This backend's row of the table.
+    pub fn row(self) -> &'static BackendRow {
+        &BACKENDS[self as usize]
+    }
+
     /// Command-line and file-name spelling; `FromStr` is its inverse.
     pub fn name(self) -> &'static str {
-        match self {
-            Solution::Dyad => "dyad",
-            Solution::Xfs => "xfs",
-            Solution::Lustre => "lustre",
-            Solution::DyadOnPfs => "dyad-on-pfs",
-            Solution::Streaming => "streaming",
-        }
+        self.row().name
     }
 
     /// Short label for tables.
     pub fn label(self) -> &'static str {
-        match self {
-            Solution::Dyad => "DYAD",
-            Solution::Xfs => "XFS",
-            Solution::Lustre => "Lustre",
-            Solution::DyadOnPfs => "DYAD/PFS",
-            Solution::Streaming => "SST",
-        }
-    }
-
-    /// Does this solution need the parallel filesystem service nodes?
-    pub fn needs_pfs(self) -> bool {
-        matches!(self, Solution::Lustre | Solution::DyadOnPfs)
-    }
-
-    /// Does this solution need the KVS broker (rendezvous metadata)?
-    pub fn needs_kvs(self) -> bool {
-        matches!(
-            self,
-            Solution::Dyad | Solution::DyadOnPfs | Solution::Streaming
-        )
+        self.row().label
     }
 }
 
@@ -83,17 +156,13 @@ impl std::str::FromStr for Solution {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        Ok(match s {
-            "dyad" => Solution::Dyad,
-            "xfs" => Solution::Xfs,
-            "lustre" => Solution::Lustre,
-            "dyad-on-pfs" => Solution::DyadOnPfs,
-            "streaming" => Solution::Streaming,
-            other => {
+        Solution::ALL
+            .into_iter()
+            .find(|solution| solution.name() == s)
+            .ok_or_else(|| {
                 let valid = Solution::ALL.map(Solution::name).join(", ");
-                return Err(format!("unknown solution {other} (valid: {valid})"));
-            }
-        })
+                format!("unknown solution {s} (valid: {valid})")
+            })
     }
 }
 
@@ -450,7 +519,6 @@ impl WorkflowConfig {
     /// Shard the KVS metadata plane across `shards` brokers
     /// (`--kvs-shards N`; DYAD solutions only).
     pub fn with_kvs_shards(mut self, shards: u32) -> Self {
-        assert!(shards >= 1, "kvs_shards must be at least 1");
         self.kvs_shards = shards;
         self
     }
@@ -458,7 +526,6 @@ impl WorkflowConfig {
     /// Replicate every key to `r` shards with causal delta sync
     /// (`--kvs-replication R`; clamped to the shard count at run time).
     pub fn with_kvs_replication(mut self, r: u32) -> Self {
-        assert!(r >= 1, "kvs_replication must be at least 1");
         self.kvs_replication = r;
         self
     }
@@ -466,7 +533,6 @@ impl WorkflowConfig {
     /// Set the streaming fan-out: 1 publisher → `k` subscribers per
     /// group ([`Solution::Streaming`] only).
     pub fn with_fanout(mut self, k: u32) -> Self {
-        assert!(k >= 1, "fanout must be at least 1");
         self.streaming.fanout = k;
         self
     }
@@ -474,21 +540,18 @@ impl WorkflowConfig {
     /// Set the streaming fan-in: `k` publishers → 1 reducer per group
     /// with a binary reduction tree ([`Solution::Streaming`] only).
     pub fn with_fanin(mut self, k: u32) -> Self {
-        assert!(k >= 1, "fanin must be at least 1");
         self.streaming.fanin = k;
         self
     }
 
     /// Bound the publisher's in-flight window to `w` unacked steps.
     pub fn with_stream_window(mut self, w: u32) -> Self {
-        assert!(w >= 1, "window must admit at least 1 step");
         self.streaming.window = w;
         self
     }
 
     /// Aggregate `n` frames per published step.
     pub fn with_agg_frames(mut self, n: u64) -> Self {
-        assert!(n >= 1, "steps must carry at least 1 frame");
         self.streaming.agg_frames = n;
         self
     }
@@ -514,114 +577,132 @@ impl WorkflowConfig {
         }
     }
 
-    /// Number of compute nodes the placement needs, and the node indices
-    /// of each pair's producer and consumer.
-    pub fn placement_plan(&self) -> PlacementPlan {
-        match self.placement {
-            Placement::SingleNode => PlacementPlan {
-                compute_nodes: 1,
-                pair_nodes: (0..self.pairs).map(|_| (0, 0)).collect(),
-            },
-            Placement::Split { pairs_per_node } => {
-                assert!(pairs_per_node >= 1);
-                let per = pairs_per_node;
-                let n_prod_nodes = self.pairs.div_ceil(per);
-                let pair_nodes = (0..self.pairs)
-                    .map(|p| {
-                        let prod = p / per;
-                        let cons = n_prod_nodes + p / per;
-                        (prod, cons)
-                    })
-                    .collect();
-                PlacementPlan {
-                    compute_nodes: (2 * n_prod_nodes) as usize,
-                    pair_nodes,
-                }
-            }
-        }
-    }
-
-    /// Concrete M:N placement for [`Solution::Streaming`]: each of the
-    /// `pairs` groups gets its publishers and subscribers, publishers
-    /// filling the first nodes and subscribers the following ones (the
-    /// same one-process-type-per-node discipline as
-    /// [`WorkflowConfig::placement_plan`]).
-    pub fn streaming_plan(&self) -> StreamPlacement {
-        type NodeOf = Box<dyn Fn(u32) -> u32>;
+    /// Check the configuration for shapes no run can execute. Every run
+    /// starts from [`crate::arena::ClusterSnapshot::prepare`], which
+    /// refuses what this rejects, so nothing downstream clamps a count.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         let s = &self.streaming;
-        assert!(
-            s.fanout == 1 || s.fanin == 1,
-            "streaming groups are either 1→K (fanout) or K→1 (fanin), not K→K"
-        );
-        let pubs_per_group = s.fanin.max(1);
-        let subs_per_group = if s.fanin > 1 { 1 } else { s.fanout.max(1) };
-        let total_pubs = self.pairs * pubs_per_group;
-        let total_subs = self.pairs * subs_per_group;
-        let (pub_node, sub_node): (NodeOf, NodeOf) = match self.placement {
-            Placement::SingleNode => (Box::new(|_| 0), Box::new(|_| 0)),
-            Placement::Split { pairs_per_node } => {
-                assert!(pairs_per_node >= 1);
-                let per = pairs_per_node;
-                let n_pub_nodes = total_pubs.div_ceil(per);
-                (
-                    Box::new(move |p| p / per),
-                    Box::new(move |c| n_pub_nodes + c / per),
-                )
-            }
-        };
-        let mut groups = Vec::with_capacity(self.pairs as usize);
-        for g in 0..self.pairs {
-            let publishers = (0..pubs_per_group)
-                .map(|l| pub_node(g * pubs_per_group + l))
-                .collect();
-            let subscribers = (0..subs_per_group)
-                .map(|j| sub_node(g * subs_per_group + j))
-                .collect();
-            groups.push(StreamGroupPlacement {
-                publishers,
-                subscribers,
-            });
+        let per_node = self.ensemble().per_node.unwrap_or(1);
+        let counts = [
+            ("pairs", u64::from(self.pairs)),
+            ("frames", self.frames),
+            ("pairs_per_node", u64::from(per_node)),
+            ("fanout", u64::from(s.fanout)),
+            ("fanin", u64::from(s.fanin)),
+            ("window", u64::from(s.window)),
+            ("agg_frames", s.agg_frames),
+            ("kvs_shards", u64::from(self.kvs_shards)),
+            ("kvs_replication", u64::from(self.kvs_replication)),
+        ];
+        if let Some((what, _)) = counts.into_iter().find(|&(_, n)| n == 0) {
+            return Err(ConfigError::Zero(what));
         }
-        let compute_nodes = match self.placement {
-            Placement::SingleNode => 1,
-            Placement::Split { pairs_per_node } => {
-                (total_pubs.div_ceil(pairs_per_node) + total_subs.div_ceil(pairs_per_node)) as usize
-            }
+        if self.solution.row().single_node_only && self.placement != Placement::SingleNode {
+            return Err(ConfigError::SingleNodeOnly(self.solution));
+        }
+        if s.fanout > 1 && s.fanin > 1 {
+            return Err(ConfigError::FanoutAndFanin);
+        }
+        Ok(())
+    }
+
+    /// The ensemble's shape and placement: `pairs` groups, each 1 → 1 for
+    /// the pairwise backends and `fanin` → `fanout` (one of them 1) for a
+    /// backend that runs M:N groups.
+    pub fn ensemble(&self) -> Ensemble {
+        let (pubs, subs) = if self.solution.row().groups {
+            (self.streaming.fanin, self.streaming.fanout)
+        } else {
+            (1, 1)
         };
-        StreamPlacement {
-            compute_nodes,
-            groups,
+        Ensemble {
+            groups: self.pairs,
+            pubs,
+            subs,
+            per_node: match self.placement {
+                Placement::SingleNode => None,
+                Placement::Split { pairs_per_node } => Some(pairs_per_node),
+            },
         }
     }
 }
 
-/// Concrete placement: node indices are relative to the compute section
-/// of the cluster (service nodes are appended after).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlacementPlan {
-    /// Compute nodes required.
-    pub compute_nodes: usize,
-    /// `(producer_node, consumer_node)` per pair.
-    pub pair_nodes: Vec<(u32, u32)>,
+/// Why [`WorkflowConfig::validate`] refused a configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A count that must be at least 1 is 0 (named as the field is).
+    Zero(&'static str),
+    /// A single-node backend placed on more than one node.
+    SingleNodeOnly(Solution),
+    /// Both `fanout` and `fanin` above 1.
+    FanoutAndFanin,
 }
 
-/// One streaming group's node assignment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamGroupPlacement {
-    /// Node of each publisher (1 for fan-out groups, K for fan-in).
-    pub publishers: Vec<u32>,
-    /// Node of each subscriber (K for fan-out groups, 1 reducer for
-    /// fan-in).
-    pub subscribers: Vec<u32>,
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Zero(what) => write!(f, "{what} must be at least 1"),
+            ConfigError::SingleNodeOnly(solution) => write!(
+                f,
+                "{solution} cannot move data between nodes (paper §III-B)"
+            ),
+            ConfigError::FanoutAndFanin => {
+                f.write_str("streaming groups are either 1→K (fanout) or K→1 (fanin), not K→K")
+            }
+        }
+    }
 }
 
-/// Concrete M:N placement for the streaming backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamPlacement {
+impl std::error::Error for ConfigError {}
+
+/// Shape and placement of an ensemble: `groups` groups of `pubs`
+/// publishers → `subs` subscribers. A producer–consumer pair is the
+/// 1 → 1 group. Processes are numbered per side in spawn order
+/// (publisher `l` of group `g` is publisher `g * pubs + l`), and a node
+/// is a formula of that number: publishers fill the first nodes,
+/// subscribers the following ones — one process type per node, the
+/// paper's multi-node discipline. Node indices are relative to the
+/// compute section of the cluster (service nodes are appended after).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ensemble {
+    /// Groups (the `pairs` of the configuration).
+    pub groups: u32,
+    /// Publishers per group.
+    pub pubs: u32,
+    /// Subscribers per group.
+    pub subs: u32,
+    /// Processes of one type per node; `None` puts everyone on node 0.
+    per_node: Option<u32>,
+}
+
+impl Ensemble {
+    /// Publishers (producer processes) of the whole ensemble.
+    pub fn publishers(&self) -> u32 {
+        self.groups * self.pubs
+    }
+
+    /// Subscribers (consumer processes) of the whole ensemble.
+    pub fn subscribers(&self) -> u32 {
+        self.groups * self.subs
+    }
+
     /// Compute nodes required.
-    pub compute_nodes: usize,
-    /// Per-group publisher/subscriber nodes (`pairs` groups).
-    pub groups: Vec<StreamGroupPlacement>,
+    pub fn compute_nodes(&self) -> usize {
+        self.per_node.map_or(1, |per| {
+            (self.publishers().div_ceil(per) + self.subscribers().div_ceil(per)) as usize
+        })
+    }
+
+    /// Node of publisher `p`.
+    pub fn publisher_node(&self, p: u32) -> u32 {
+        self.per_node.map_or(0, |per| p / per)
+    }
+
+    /// Node of subscriber `c`.
+    pub fn subscriber_node(&self, c: u32) -> u32 {
+        self.per_node
+            .map_or(0, |per| self.publishers().div_ceil(per) + c / per)
+    }
 }
 
 /// A full study: one workflow configuration, repeated.
@@ -659,33 +740,38 @@ impl StudyConfig {
 mod tests {
     use super::*;
 
+    /// `(publisher node, subscriber node)` of 1 → 1 group `p`.
+    fn pair_nodes(e: &Ensemble, p: u32) -> (u32, u32) {
+        (e.publisher_node(p), e.subscriber_node(p))
+    }
+
     #[test]
     fn single_node_places_everyone_together() {
-        let cfg = WorkflowConfig::new(Solution::Dyad, 4, Placement::SingleNode);
-        let plan = cfg.placement_plan();
-        assert_eq!(plan.compute_nodes, 1);
-        assert!(plan.pair_nodes.iter().all(|&(p, c)| p == 0 && c == 0));
+        let e = WorkflowConfig::new(Solution::Dyad, 4, Placement::SingleNode).ensemble();
+        assert_eq!(e.compute_nodes(), 1);
+        assert!((0..4).all(|p| pair_nodes(&e, p) == (0, 0)));
     }
 
     #[test]
     fn split_places_one_type_per_node() {
         let cfg = WorkflowConfig::new(Solution::Lustre, 16, Placement::Split { pairs_per_node: 8 });
-        let plan = cfg.placement_plan();
-        assert_eq!(plan.compute_nodes, 4); // 2 producer + 2 consumer nodes
-        assert_eq!(plan.pair_nodes[0], (0, 2));
-        assert_eq!(plan.pair_nodes[7], (0, 2));
-        assert_eq!(plan.pair_nodes[8], (1, 3));
-        assert_eq!(plan.pair_nodes[15], (1, 3));
+        let e = cfg.ensemble();
+        assert_eq!(e.compute_nodes(), 4); // 2 producer + 2 consumer nodes
+        assert_eq!(pair_nodes(&e, 0), (0, 2));
+        assert_eq!(pair_nodes(&e, 7), (0, 2));
+        assert_eq!(pair_nodes(&e, 8), (1, 3));
+        assert_eq!(pair_nodes(&e, 15), (1, 3));
         // Producers never share a node with consumers.
-        for &(p, c) in &plan.pair_nodes {
-            assert_ne!(p, c);
+        for p in 0..16 {
+            let (prod, cons) = pair_nodes(&e, p);
+            assert_ne!(prod, cons);
         }
     }
 
     #[test]
     fn fig7_largest_config_uses_64_nodes() {
         let cfg = WorkflowConfig::new(Solution::Dyad, 256, Placement::Split { pairs_per_node: 8 });
-        assert_eq!(cfg.placement_plan().compute_nodes, 64);
+        assert_eq!(cfg.ensemble().compute_nodes(), 64);
     }
 
     #[test]
@@ -710,13 +796,279 @@ mod tests {
         assert!(err.contains("barrier") && err.contains("lock"), "{err}");
     }
 
+    /// Every cell of the backend table, so a flipped one fails by name.
     #[test]
     fn solution_capabilities() {
-        assert!(Solution::Lustre.needs_pfs());
-        assert!(!Solution::Lustre.needs_kvs());
-        assert!(Solution::Dyad.needs_kvs());
-        assert!(!Solution::Dyad.needs_pfs());
-        assert!(Solution::DyadOnPfs.needs_pfs());
-        assert!(Solution::DyadOnPfs.needs_kvs());
+        // (solution, name, label, needs_pfs, needs_kvs, stages_on_nvme,
+        //  device_errors, single_node_only, groups, report plane's `get`)
+        let expected = [
+            (
+                Solution::Dyad,
+                "dyad",
+                "DYAD",
+                false,
+                true,
+                true,
+                true,
+                false,
+                false,
+                Some("dyad_consume"),
+            ),
+            (
+                Solution::Xfs,
+                "xfs",
+                "XFS",
+                false,
+                false,
+                false,
+                false,
+                true,
+                false,
+                None,
+            ),
+            (
+                Solution::Lustre,
+                "lustre",
+                "Lustre",
+                true,
+                false,
+                false,
+                false,
+                false,
+                false,
+                None,
+            ),
+            (
+                Solution::DyadOnPfs,
+                "dyad-on-pfs",
+                "DYAD/PFS",
+                true,
+                true,
+                false,
+                false,
+                false,
+                false,
+                Some("dyad_consume"),
+            ),
+            (
+                Solution::Streaming,
+                "streaming",
+                "SST",
+                false,
+                true,
+                true,
+                false,
+                false,
+                true,
+                Some("stream_consume"),
+            ),
+        ];
+        assert_eq!(expected.map(|row| row.0), Solution::ALL);
+        for (i, (solution, name, label, pfs, kvs, nvme, dev, single, groups, get)) in
+            expected.into_iter().enumerate()
+        {
+            // The table is indexed by discriminant.
+            assert_eq!(solution as usize, i);
+            let row = solution.row();
+            assert_eq!(row.name, name);
+            assert_eq!(row.label, label, "{name}: label");
+            assert_eq!(row.needs_pfs, pfs, "{name}: needs_pfs");
+            assert_eq!(row.needs_kvs, kvs, "{name}: needs_kvs");
+            assert_eq!(row.stages_on_nvme, nvme, "{name}: stages_on_nvme");
+            assert_eq!(row.device_errors, dev, "{name}: device_errors");
+            assert_eq!(row.single_node_only, single, "{name}: single_node_only");
+            assert_eq!(row.groups, groups, "{name}: groups");
+            assert_eq!(row.plane.map(|p| p.get), get, "{name}: plane");
+        }
+    }
+
+    #[test]
+    fn validate_names_every_rejected_shape_and_accepts_what_the_benchmarks_build() {
+        let split = |per| Placement::Split {
+            pairs_per_node: per,
+        };
+        let dyad = |pairs, placement| WorkflowConfig::new(Solution::Dyad, pairs, placement);
+        let streaming = || WorkflowConfig::new(Solution::Streaming, 2, split(8));
+        let rejected = [
+            (dyad(0, split(8)), "pairs must be at least 1"),
+            (
+                dyad(2, split(8)).with_frames(0),
+                "frames must be at least 1",
+            ),
+            (dyad(2, split(0)), "pairs_per_node must be at least 1"),
+            (streaming().with_fanout(0), "fanout must be at least 1"),
+            (streaming().with_fanin(0), "fanin must be at least 1"),
+            (
+                streaming().with_stream_window(0),
+                "window must be at least 1",
+            ),
+            (
+                streaming().with_agg_frames(0),
+                "agg_frames must be at least 1",
+            ),
+            (
+                dyad(2, split(8)).with_kvs_shards(0),
+                "kvs_shards must be at least 1",
+            ),
+            (
+                dyad(2, split(8)).with_kvs_replication(0),
+                "kvs_replication must be at least 1",
+            ),
+            (
+                WorkflowConfig::new(Solution::Xfs, 2, split(8)),
+                "XFS cannot move data between nodes (paper §III-B)",
+            ),
+            (
+                streaming().with_fanout(2).with_fanin(2),
+                "streaming groups are either 1→K (fanout) or K→1 (fanin), not K→K",
+            ),
+        ];
+        for (wf, message) in rejected {
+            let err = wf.validate().expect_err(message);
+            assert_eq!(err.to_string(), message);
+        }
+        // The shapes of the six `perf` workloads (`perf/src/workloads.rs`)
+        // — the experiment table's are checked where the table lives,
+        // `crates/bench/tests/experiments.rs` — and the one clamp the
+        // library documents: a replication factor above the shard count.
+        let accepted = [
+            dyad(16384, split(2)).with_frames(3),
+            WorkflowConfig::new(Solution::Lustre, 512, split(8)),
+            streaming()
+                .with_fanout(4)
+                .with_stream_window(4)
+                .with_frames(24),
+            dyad(512, split(8))
+                .with_staging_budget(8 * Model::Jac.frame_bytes())
+                .with_spill(true)
+                .with_kvs_shards(4)
+                .with_kvs_replication(2),
+            WorkflowConfig::new(Solution::Xfs, 4, Placement::SingleNode),
+            dyad(8, split(8)).with_faults(FaultConfig::chaos(42, 2)),
+            dyad(2, split(8)).with_kvs_shards(2).with_kvs_replication(3),
+            streaming().with_fanin(4).with_agg_frames(3),
+        ];
+        for wf in accepted {
+            assert_eq!(wf.validate(), Ok(()), "{wf:?}");
+        }
+    }
+
+    /// One group's `(publisher nodes, subscriber nodes)`.
+    type GroupNodes = (Vec<u32>, Vec<u32>);
+
+    /// The parent's `streaming_plan()`, kept as the reference the unified
+    /// placement is checked against: per-group node vectors built through
+    /// boxed closures.
+    fn reference_streaming_plan(
+        pairs: u32,
+        placement: Placement,
+        fanout: u32,
+        fanin: u32,
+    ) -> (usize, Vec<GroupNodes>) {
+        type NodeOf = Box<dyn Fn(u32) -> u32>;
+        let pubs_per_group = fanin.max(1);
+        let subs_per_group = if fanin > 1 { 1 } else { fanout.max(1) };
+        let total_pubs = pairs * pubs_per_group;
+        let total_subs = pairs * subs_per_group;
+        let (pub_node, sub_node): (NodeOf, NodeOf) = match placement {
+            Placement::SingleNode => (Box::new(|_| 0), Box::new(|_| 0)),
+            Placement::Split { pairs_per_node } => {
+                let per = pairs_per_node;
+                let n_pub_nodes = total_pubs.div_ceil(per);
+                (
+                    Box::new(move |p| p / per),
+                    Box::new(move |c| n_pub_nodes + c / per),
+                )
+            }
+        };
+        let groups = (0..pairs)
+            .map(|g| {
+                let publishers = (0..pubs_per_group)
+                    .map(|l| pub_node(g * pubs_per_group + l))
+                    .collect();
+                let subscribers = (0..subs_per_group)
+                    .map(|j| sub_node(g * subs_per_group + j))
+                    .collect();
+                (publishers, subscribers)
+            })
+            .collect();
+        let compute_nodes = match placement {
+            Placement::SingleNode => 1,
+            Placement::Split { pairs_per_node } => {
+                (total_pubs.div_ceil(pairs_per_node) + total_subs.div_ceil(pairs_per_node)) as usize
+            }
+        };
+        (compute_nodes, groups)
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            // One placement for all five solutions: a pairwise backend
+            // (and streaming at 1 → 1) gets the parent's pair plan in
+            // closed form, a fan-out or fan-in shape the parent's
+            // `streaming_plan()`, node count included.
+            #[test]
+            fn unified_placement_equals_both_parents(
+                pairs in 1u32..40,
+                per_node in 0u32..9,
+                k in 1u32..6,
+                fan_in in any::<bool>(),
+            ) {
+                // `per_node` 0 stands for `SingleNode`.
+                let placement = match per_node {
+                    0 => Placement::SingleNode,
+                    per => Placement::Split { pairs_per_node: per },
+                };
+                let (fanout, fanin) = if fan_in { (1, k) } else { (k, 1) };
+                let stream = WorkflowConfig::new(Solution::Streaming, pairs, placement)
+                    .with_fanout(fanout)
+                    .with_fanin(fanin);
+                let pairwise = WorkflowConfig::new(Solution::Lustre, pairs, placement)
+                    .with_fanout(fanout)
+                    .with_fanin(fanin);
+                let mut one_to_one = vec![pairwise.ensemble()];
+                if k == 1 {
+                    one_to_one.push(stream.ensemble());
+                }
+                for e in one_to_one {
+                    prop_assert_eq!((e.pubs, e.subs), (1, 1));
+                    let per = per_node.max(1);
+                    let n_prod_nodes = pairs.div_ceil(per);
+                    let nodes = if per_node == 0 { 1 } else { 2 * n_prod_nodes };
+                    prop_assert_eq!(e.compute_nodes(), nodes as usize);
+                    for p in 0..pairs {
+                        let closed_form = match per_node {
+                            0 => (0, 0),
+                            per => (p / per, n_prod_nodes + p / per),
+                        };
+                        prop_assert_eq!(pair_nodes(&e, p), closed_form);
+                    }
+                }
+                let e = stream.ensemble();
+                let (compute_nodes, groups) =
+                    reference_streaming_plan(pairs, placement, fanout, fanin);
+                prop_assert_eq!(e.compute_nodes(), compute_nodes);
+                prop_assert_eq!(e.groups as usize, groups.len());
+                for (g, (publishers, subscribers)) in groups.into_iter().enumerate() {
+                    let g = g as u32;
+                    let mine = |n: u32, node: &dyn Fn(u32) -> u32| -> Vec<u32> {
+                        (0..n).map(node).collect()
+                    };
+                    prop_assert_eq!(
+                        mine(e.pubs, &|l| e.publisher_node(g * e.pubs + l)),
+                        publishers
+                    );
+                    prop_assert_eq!(
+                        mine(e.subs, &|j| e.subscriber_node(g * e.subs + j)),
+                        subscribers
+                    );
+                }
+            }
+        }
     }
 }

@@ -9,17 +9,24 @@
 //!
 //! This crate is that harness, running on simulated substrates:
 //!
-//! * [`config`] — solutions, molecular models, placements, strides;
+//! * [`config`] — solutions (one table row of facts per backend),
+//!   molecular models, placements and the ensemble shape they resolve
+//!   to, strides, and `validate` for shapes no run can execute;
 //! * [`calibration`] — every device/protocol constant of the simulated
 //!   Corona-like testbed in one place;
 //! * [`workflow`] — the producer/consumer process bodies (coarse- and
-//!   fine-grained manual sync, the DYAD pipeline, and the DYAD-over-PFS
-//!   ablation);
-//! * [`runner`] — builds the cluster + substrates per run, spawns the
-//!   ensemble, collects per-process call-path profiles;
+//!   fine-grained manual sync, the DYAD pipeline, the DYAD-over-PFS
+//!   ablation, streaming groups) and the names they write and ack under;
+//! * [`runner`] — one repetition in four phases: build the testbed from
+//!   a snapshot, spawn the ensemble, drive the simulation, reduce to
+//!   per-process call-path profiles and counters;
+//! * [`arena`], [`campaign`] — per-point snapshots, per-worker arenas
+//!   and the executor that runs studies across threads;
 //! * [`report`] — reduces profiles to the paper's movement/idle bars
 //!   with mean/std over repetitions;
-//! * [`findings`] — programmatic checks of the paper's five findings.
+//! * [`findings`] — programmatic checks of the paper's five findings;
+//! * [`schedule`], [`steering`] — variable-rate frame schedules, and
+//!   analytics that terminate trajectories, on the runner's testbed.
 //!
 //! ```no_run
 //! use mdflow::prelude::*;

@@ -9,7 +9,7 @@ use serde::Serialize;
 use simcore::stats::OnlineStats;
 use staging::plane;
 
-use crate::config::{Solution, WorkflowConfig};
+use crate::config::WorkflowConfig;
 use crate::runner::RunMetrics;
 
 /// Movement/idle split, in seconds per frame per process.
@@ -65,53 +65,49 @@ pub fn reduce_run(wf: &WorkflowConfig, run: &RunMetrics) -> RunBreakdown {
     for c in &run.consumers {
         cons.merge(c);
     }
-    let production;
-    let consumption;
-    let mut group_sync_secs = 0.0;
-    match wf.solution {
-        Solution::Dyad | Solution::DyadOnPfs | Solution::Streaming => {
-            // The staged plane's regions under the backend's names;
-            // DYAD-sync-over-PFS runs DYAD's outer ones and none of the
-            // NVMe staging inside them, which then read zero.
-            let row = match wf.solution {
-                Solution::Streaming => &streaming::PLANE,
-                _ => &dyad::PLANE,
-            };
+    let backend = wf.solution.row();
+    let (production, consumption) = match backend.plane {
+        // The staged plane's regions under the backend's names.
+        Some(row) => {
             // Staging backpressure and window stalls are synchronization
             // (the producer waits on the evictor / on subscriber acks),
             // not data movement.
             let waits = || row.put_idle.iter().map(|w| secs(&prod, &[row.put, w]));
-            production = Breakdown {
-                movement: waits().fold(secs(&prod, &[row.put]), |m, w| m - w) / per_frame,
-                idle: waits().sum::<f64>() / per_frame,
-            };
             let mut sync = secs(&cons, &[row.get, row.get_sync]);
             if row.get_flock != row.get_sync {
                 sync += secs(&cons, &[row.get, row.get_flock]);
             }
-            consumption = Breakdown {
-                movement: (secs(&cons, &[row.get, row.get_data])
-                    + secs(&cons, &[row.get, row.get_store])
-                    + secs(&cons, &[row.get, row.get_pfs])
-                    + secs(&cons, &[row.get, plane::READ]))
-                    / per_frame,
-                idle: sync / per_frame,
-            };
-            if wf.solution == Solution::Streaming {
-                group_sync_secs = consumption.idle;
-            }
+            (
+                Breakdown {
+                    movement: waits().fold(secs(&prod, &[row.put]), |m, w| m - w) / per_frame,
+                    idle: waits().sum::<f64>() / per_frame,
+                },
+                Breakdown {
+                    movement: (secs(&cons, &[row.get, row.get_data])
+                        + secs(&cons, &[row.get, row.get_store])
+                        + secs(&cons, &[row.get, row.get_pfs])
+                        + secs(&cons, &[row.get, plane::READ]))
+                        / per_frame,
+                    idle: sync / per_frame,
+                },
+            )
         }
-        Solution::Xfs | Solution::Lustre => {
-            production = Breakdown {
+        None => (
+            Breakdown {
                 movement: secs(&prod, &["produce", "write_single_buf"]) / per_frame,
                 idle: secs(&prod, &["produce", "explicit_sync"]) / per_frame,
-            };
-            consumption = Breakdown {
+            },
+            Breakdown {
                 movement: secs(&cons, &["consume", "read_single_buf"]) / per_frame,
                 idle: secs(&cons, &["consume", "explicit_sync"]) / per_frame,
-            };
-        }
-    }
+            },
+        ),
+    };
+    let group_sync_secs = if backend.groups {
+        consumption.idle
+    } else {
+        0.0
+    };
     RunBreakdown {
         production,
         consumption,

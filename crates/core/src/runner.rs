@@ -1,5 +1,12 @@
-//! Builds a simulated testbed per run, spawns the ensemble, and collects
-//! per-process profiles.
+//! Runs one repetition in four phases: [`Testbed::build`] wires the live
+//! substrates from a snapshot, [`spawn_ensemble`] starts the roles on
+//! them, [`drive`] advances the simulation until the workload finished,
+//! [`reduce`] turns the substrates' counters and the roles' profiles
+//! into [`RunMetrics`] (DESIGN.md "Runner").
+
+// Each phase stays readable on its own: `clippy.toml` sets the
+// threshold to 120 code lines.
+#![warn(clippy::too_many_lines)]
 
 use std::future::Future;
 use std::rc::Rc;
@@ -7,13 +14,15 @@ use std::time::Instant;
 
 use cluster::{Cluster, NodeId};
 use dyad::{DyadService, DyadSpec};
+use faults::FaultBoard;
 use instrument::Profile;
-use kvs::KvsMesh;
+use kvs::{KvsClient, KvsMesh};
 use localfs::LocalFs;
-use mdsim::StepClock;
+use mdsim::{FrameTemplate, StepClock};
 use pfs::{LdlmClient, LdlmServer, LdlmSpec, ParallelFs};
 use serde::Serialize;
-use simcore::{Ctx, JoinSet, Sim, SimDuration, SimTime};
+use simcore::trace::Tracer;
+use simcore::{Ctx, JoinSet, RunReport, Sim, SimDuration, SimTime};
 use staging::plane::{PlaneSpec, PlaneStats};
 use staging::{RetentionPolicy, StagingManager, StagingSpec, StagingStats};
 use streaming::{StreamAcker, StreamService, StreamSpec, WindowStats};
@@ -21,7 +30,7 @@ use transport::Transport;
 
 use crate::arena::{ClusterSnapshot, RunArena, RunTimings};
 use crate::calibration::Calibration;
-use crate::config::{Solution, StudyConfig, WorkflowConfig};
+use crate::config::{ManualSync, Solution, StudyConfig, WorkflowConfig};
 use crate::workflow::{
     consumer_dyad, consumer_dyad_on_pfs, consumer_manual, pair_sync, producer_dyad,
     producer_dyad_on_pfs, producer_manual, publisher_stream, reducer_stream, subscriber_stream,
@@ -204,27 +213,17 @@ pub struct RunMetrics {
 /// Execute one repetition of `wf` with `seed`.
 pub fn run_once(wf: &WorkflowConfig, cal: &Calibration, seed: u64) -> RunMetrics {
     let setup_started = Instant::now();
-    let snap = ClusterSnapshot::prepare(wf, cal, seed ^ 0x7E3A);
+    let snap = ClusterSnapshot::cold(wf, cal, seed);
     let sim = Sim::with_config(snap.sim_config(seed));
-    run_prepared(
-        &snap,
-        simcore::trace::Tracer::disabled(),
-        sim,
-        setup_started,
-    )
-    .metrics
+    run_prepared(&snap, Tracer::disabled(), sim, setup_started).metrics
 }
 
 /// [`run_once`] with Chrome-trace capture: every producer/consumer
 /// region lands on its own timeline track. Export the returned tracer
 /// with [`simcore::trace::Tracer::to_chrome_json`].
-pub fn run_once_traced(
-    wf: &WorkflowConfig,
-    cal: &Calibration,
-    seed: u64,
-) -> (RunMetrics, simcore::trace::Tracer) {
+pub fn run_once_traced(wf: &WorkflowConfig, cal: &Calibration, seed: u64) -> (RunMetrics, Tracer) {
     let setup_started = Instant::now();
-    let snap = ClusterSnapshot::prepare(wf, cal, seed ^ 0x7E3A);
+    let snap = ClusterSnapshot::cold(wf, cal, seed);
     let (metrics, _, tracer) = run_once_traced_snap(&snap, seed, setup_started);
     (metrics, tracer)
 }
@@ -236,8 +235,8 @@ pub fn run_once_traced_snap(
     snap: &ClusterSnapshot,
     seed: u64,
     setup_started: Instant,
-) -> (RunMetrics, RunTimings, simcore::trace::Tracer) {
-    let tracer = simcore::trace::Tracer::enabled();
+) -> (RunMetrics, RunTimings, Tracer) {
+    let tracer = Tracer::enabled();
     let sim = Sim::with_config(snap.sim_config(seed));
     let out = run_prepared(snap, tracer.clone(), sim, setup_started);
     (out.metrics, out.timings, tracer)
@@ -259,7 +258,7 @@ pub fn run_once_warm(
         Some(recycled) => Sim::with_config_arena(cfg, recycled),
         None => Sim::with_config(cfg),
     };
-    let out = run_prepared(snap, simcore::trace::Tracer::disabled(), sim, setup_started);
+    let out = run_prepared(snap, Tracer::disabled(), sim, setup_started);
     arena.sim = Some(out.arena);
     (out.metrics, out.timings)
 }
@@ -270,6 +269,287 @@ struct RunOutput {
     metrics: RunMetrics,
     timings: RunTimings,
     arena: simcore::SimArena,
+}
+
+/// The shared run body. Both the cold path ([`run_once`], which prepares
+/// a throwaway snapshot) and the warm path ([`run_once_warm`]) execute
+/// exactly this code, which is what keeps their trajectories identical.
+fn run_prepared(
+    snap: &ClusterSnapshot,
+    tracer: Tracer,
+    sim: Sim,
+    setup_started: Instant,
+) -> RunOutput {
+    let testbed = Testbed::build(&sim.ctx(), snap);
+    let [producers, consumers] = spawn_ensemble(&testbed, snap, &tracer);
+    // Everything up to here is setup; everything after is simulation.
+    let setup_secs = setup_started.elapsed().as_secs_f64();
+    let sim_started = Instant::now();
+    let wf = &snap.workflow;
+    let period = wf.frame_period_secs();
+    let slice = SimDuration::from_secs_f64((wf.frames as f64 * period).max(1.0) / 4.0);
+    let hard_stop =
+        SimTime::from_nanos(((wf.frames + 16) as f64 * period.max(0.001) * 400.0 * 1e9) as u64);
+    let report = drive(&sim, [&producers, &consumers], slice, hard_stop);
+    let metrics = reduce(&testbed, [producers, consumers], report.events_processed);
+    // Worker-invariant per-shard load summary, read out before the
+    // arena teardown clears the counters.
+    let shard_load = instrument::ShardLoad::from_stats(&sim.shard_stats());
+    // Recover the executor allocations for the next warm run. Pending
+    // background tasks and their timers drop here exactly as dropping
+    // the Sim would drop them (the substrates hold weak Ctx handles, so
+    // the core's strong count is already down to this one Sim).
+    let arena = sim.into_arena();
+    RunOutput {
+        metrics,
+        timings: RunTimings {
+            setup_secs,
+            sim_secs: sim_started.elapsed().as_secs_f64(),
+            shard_load: Some(shard_load),
+        },
+        arena,
+    }
+}
+
+/// The live substrates of one run, `Rc`-wired into one simulation: what
+/// the roles are handed and what [`reduce`] reads the counters of.
+/// [`Testbed::build`] is the one place the stack is wired — the runner
+/// and [`crate::steering`] both start here — so every user sees the
+/// fault board, the topology, the mesh and staging alike.
+pub(crate) struct Testbed {
+    ctx: Ctx,
+    tp: Transport,
+    /// Present when the snapshot carries a fault plan.
+    board: Option<FaultBoard>,
+    /// One per compute node.
+    local_fs: Vec<LocalFs>,
+    kvs_mesh: Option<KvsMesh>,
+    pfs: Option<ParallelFs>,
+    /// One per compute node of a backend that stages on NVMe.
+    staging: Vec<Rc<StagingManager>>,
+    /// The staged backends' per-node services: streaming's where groups
+    /// are M:N, DYAD's otherwise, so at most one of the two is filled.
+    dyad: Vec<Rc<DyadService>>,
+    stream: Vec<Rc<StreamService>>,
+    /// Lock service, for lock-based manual sync only.
+    ldlm: Option<Rc<LdlmServer>>,
+}
+
+impl Testbed {
+    /// Wire the stack `snap` describes into the simulation behind `ctx`.
+    /// The order below is the order events are numbered in; every pinned
+    /// schedule depends on it.
+    pub(crate) fn build(ctx: &Ctx, snap: &ClusterSnapshot) -> Testbed {
+        let (wf, cal) = (&snap.workflow, &snap.calibration);
+        let row = wf.solution.row();
+        let n_compute = snap.n_compute as u32;
+        // Only this function needs the node table: the transport keeps
+        // the fabric and each filesystem its node's NVMe device.
+        let cluster = Cluster::build(ctx, &snap.spec);
+        let tp = Transport::new(ctx, cluster.fabric().clone(), cal.transport);
+        // Built only when the plan is non-empty: a disabled FaultConfig
+        // arms zero timers and leaves every substrate byte-identical to
+        // a build without the fault layer (the determinism fixtures pin
+        // this). The plan itself is part of the snapshot (pure data,
+        // seeded by the FaultConfig, shared by every repetition of the
+        // point).
+        let board = snap.fault_plan.as_ref().map(|_| {
+            let board = FaultBoard::new(ctx, snap.n_total, cal.n_osts);
+            tp.set_faults(board.clone());
+            board
+        });
+        let local_fs = (0..n_compute)
+            .map(|i| {
+                let mut nvme = cluster.node(NodeId(i)).nvme.clone();
+                let mut fs_probe = None;
+                if let Some(board) = &board {
+                    let b = board.clone();
+                    nvme.set_slow_probe(Rc::new(move || b.nvme_factor(i)));
+                    if row.device_errors {
+                        let b = board.clone();
+                        fs_probe = Some(Rc::new(move || b.nvme_error(i)) as Rc<dyn Fn() -> bool>);
+                    }
+                }
+                let mut fs = LocalFs::new(ctx, nvme, cal.localfs);
+                if let Some(p) = fs_probe {
+                    fs.set_io_error_probe(p);
+                }
+                fs
+            })
+            .collect();
+        // Metadata plane: a mesh of `kvs_shards` brokers, shard s
+        // colocated on compute node (s % n_compute) — the single broker
+        // of the paper's configuration is the one-shard mesh, on node 0.
+        let kvs_mesh = row.needs_kvs.then(|| {
+            let shard_nodes: Vec<NodeId> =
+                (0..wf.kvs_shards).map(|s| NodeId(s % n_compute)).collect();
+            KvsMesh::start(ctx, &tp, &shard_nodes, cal.kvs, wf.kvs_replication)
+        });
+        let pfs_nodes = snap.pfs_nodes.clone();
+        let pfs = pfs_nodes.map(|(mds, osts)| ParallelFs::start(ctx, &tp, mds, osts, cal.pfs));
+        let mut testbed = Testbed {
+            ctx: ctx.clone(),
+            tp,
+            board,
+            local_fs,
+            kvs_mesh,
+            pfs,
+            staging: Vec::new(),
+            dyad: Vec::new(),
+            stream: Vec::new(),
+            ldlm: None,
+        };
+        if row.stages_on_nvme {
+            testbed.staging = (0..n_compute)
+                .map(|i| testbed.staging_manager(snap, i))
+                .collect();
+        }
+        (testbed.dyad, testbed.stream) = testbed.staged_services(snap);
+        testbed.arm_faults(snap);
+        // Colocated with the MDS for Lustre, with the KVS broker node
+        // otherwise.
+        if wf.manual_sync == ManualSync::LockBased {
+            let node = match &testbed.pfs {
+                Some(pfs) => pfs.mds().node(),
+                None => NodeId(0),
+            };
+            let server = LdlmServer::start(ctx, &testbed.tp, node, LdlmSpec::default());
+            testbed.ldlm = Some(server);
+        }
+        testbed
+    }
+
+    /// Compute node `i`'s staging manager: tracks the staged-frame
+    /// lifecycle and (when the budget is finite) runs the evictor.
+    fn staging_manager(&self, snap: &ClusterSnapshot, i: u32) -> Rc<StagingManager> {
+        let (wf, cal) = (&snap.workflow, &snap.calibration);
+        let spec = StagingSpec {
+            budget_bytes: wf.staging.budget_bytes.unwrap_or(u64::MAX),
+            low_watermark: cal.staging_low_watermark,
+            high_watermark: cal.staging_high_watermark,
+            evict_interval: cal.staging_evict_interval,
+            retention: wf.staging.retention,
+        };
+        let pfs_client = if wf.staging.spill_to_pfs {
+            self.pfs.as_ref().map(|p| p.client(&self.ctx, NodeId(i)))
+        } else {
+            None
+        };
+        let mgr = StagingManager::new(
+            &self.ctx,
+            NodeId(i),
+            self.local_fs[i as usize].clone(),
+            self.kvs_client(i),
+            pfs_client,
+            spec,
+        );
+        // Only burn evictor wake-ups when a pass can ever act.
+        if mgr.is_bounded() || wf.staging.retention == RetentionPolicy::EagerRetire {
+            mgr.spawn_evictor();
+        }
+        mgr
+    }
+
+    /// Per-node services of the staged backends, both over one plane
+    /// spec: streaming is the SST-style peer of DYAD on the same
+    /// calibration constants, so its fanout=1 shape is a like-for-like
+    /// comparison.
+    fn staged_services(
+        &self,
+        snap: &ClusterSnapshot,
+    ) -> (Vec<Rc<DyadService>>, Vec<Rc<StreamService>>) {
+        let (wf, cal) = (&snap.workflow, &snap.calibration);
+        let plane = PlaneSpec {
+            warm_sync: wf.dyad_warm_sync,
+            ..cal.dyad.plane
+        };
+        let dyad_spec = DyadSpec { plane, ..cal.dyad };
+        let stream_spec = StreamSpec {
+            plane,
+            window: wf.streaming.window,
+            reclaim_on_crash: wf.streaming.reclaim_on_crash,
+            ..StreamSpec::default()
+        };
+        // What node `i`'s service starts from.
+        let parts = |i: usize| {
+            let (fs, kvs) = (self.local_fs[i].clone(), self.kvs_client(i as u32));
+            (NodeId(i as u32), fs, kvs, Some(self.staging[i].clone()))
+        };
+        let (ctx, tp) = (&self.ctx, &self.tp);
+        let nodes = 0..self.staging.len();
+        if wf.solution.row().groups {
+            let start = |i| {
+                let (n, fs, kvs, st) = parts(i);
+                StreamService::start_staged(ctx, tp, n, fs, kvs, stream_spec, st)
+            };
+            (Vec::new(), nodes.map(start).collect())
+        } else {
+            let start = |i| {
+                let (n, fs, kvs, st) = parts(i);
+                DyadService::start_staged(ctx, tp, n, fs, kvs, dyad_spec, st)
+            };
+            (nodes.map(start).collect(), Vec::new())
+        }
+    }
+
+    /// Crash/restart lifecycle: a node crash loses that node's staged
+    /// NVMe frames (spilled copies survive on the PFS); the restart hook
+    /// re-publishes what survived and tombstones what did not. Hooks are
+    /// registered before the plan is armed so the first event sees them.
+    fn arm_faults(&self, snap: &ClusterSnapshot) {
+        let (Some(board), Some(plan)) = (&self.board, &snap.fault_plan) else {
+            return;
+        };
+        for (i, mgr) in self.staging.iter().enumerate() {
+            let m = mgr.clone();
+            board.on_crash(move |n| {
+                if n == i as u32 {
+                    m.on_node_crash();
+                }
+            });
+            let m = mgr.clone();
+            let hctx = self.ctx.clone();
+            board.on_restart(move |n| {
+                if n == i as u32 {
+                    let m = m.clone();
+                    hctx.spawn(async move { m.on_node_restart().await });
+                }
+            });
+        }
+        board.arm(plan);
+    }
+
+    /// A KVS client on compute node `node`.
+    pub(crate) fn kvs_client(&self, node: u32) -> KvsClient {
+        let mesh = self.kvs_mesh.as_ref().expect("solution has a KVS");
+        mesh.client(&self.ctx, &self.tp, NodeId(node))
+    }
+
+    /// The DYAD service of compute node `node`.
+    pub(crate) fn dyad_service(&self, node: u32) -> Rc<DyadService> {
+        self.dyad[node as usize].clone()
+    }
+
+    /// What a role on `node` writes frames through when its backend has
+    /// no staged plane: the PFS where the run has one, the node's local
+    /// filesystem otherwise.
+    fn storage(&self, node: u32) -> Storage {
+        match &self.pfs {
+            Some(fs) => Storage::Pfs(fs.client(&self.ctx, NodeId(node))),
+            None => Storage::Local(self.local_fs[node as usize].clone()),
+        }
+    }
+
+    /// A lock-service client on `node`, when the run has a lock service.
+    fn ldlm_client(&self, node: u32) -> Option<LdlmClient> {
+        let server = self.ldlm.as_ref()?;
+        Some(LdlmClient::new(
+            &self.ctx,
+            &self.tp,
+            NodeId(node),
+            server.node(),
+        ))
+    }
 }
 
 /// One side of the ensemble. Its roles finish into a join set — profile
@@ -310,7 +590,174 @@ impl Roles {
     }
 }
 
-/// Who is still running, for the hard-stop diagnostic: how many of each
+/// What the roles of one run are started from: everything in
+/// [`ProducerArgs`] and [`ConsumerArgs`] but the process's index, node
+/// and launch stagger.
+struct RoleArgs<'a> {
+    testbed: &'a Testbed,
+    snap: &'a ClusterSnapshot,
+    tracer: &'a Tracer,
+    template: Rc<FrameTemplate>,
+    /// The frame period: the analytics duration, and what staggers are
+    /// fractions of.
+    period: SimDuration,
+}
+
+impl RoleArgs<'_> {
+    /// Producer `idx` of the ensemble, on `node`.
+    fn producer(&self, idx: u32, node: u32, stagger: SimDuration) -> ProducerArgs {
+        let (wf, cal) = (&self.snap.workflow, &self.snap.calibration);
+        ProducerArgs {
+            ctx: self.testbed.ctx.clone(),
+            pair: idx,
+            frames: wf.frames,
+            stride: wf.stride,
+            clock: StepClock {
+                ms_per_step: wf.model.ms_per_step(),
+                jitter: cal.md_jitter,
+            },
+            template: self.template.clone(),
+            serialize_cpu: cal.serialize_cpu,
+            start_offset: stagger,
+            tracer: self.tracer.clone(),
+            schedule: wf.schedule.clone(),
+            faults: self.testbed.board.clone(),
+            node,
+        }
+    }
+
+    /// Consumer `idx` of the ensemble, on `node`.
+    fn consumer(&self, idx: u32, node: u32, stagger: SimDuration) -> ConsumerArgs {
+        let cal = &self.snap.calibration;
+        ConsumerArgs {
+            ctx: self.testbed.ctx.clone(),
+            pair: idx,
+            frames: self.snap.workflow.frames,
+            analytics: self.period,
+            jitter: cal.md_jitter,
+            rng_stream: 0xC000 + idx as u64,
+            start_offset: stagger + self.period.mul_f64(cal.consumer_launch_delay),
+            tracer: self.tracer.clone(),
+            template: self.template.clone(),
+            deserialize_cpu: cal.deserialize_cpu,
+            faults: self.testbed.board.clone(),
+            node,
+        }
+    }
+}
+
+/// Start every role of the snapshot's ensemble on `testbed`: group by
+/// group, publishers before subscribers (a pair is the 1 → 1 group), so
+/// process `i` of a side is the `i`-th spawned. Returns the producer and
+/// the consumer side.
+fn spawn_ensemble(testbed: &Testbed, snap: &ClusterSnapshot, tracer: &Tracer) -> [Roles; 2] {
+    let (wf, cal, ctx) = (&snap.workflow, &snap.calibration, &testbed.ctx);
+    let period = SimDuration::from_secs_f64(wf.frame_period_secs());
+    let args = RoleArgs {
+        testbed,
+        snap,
+        tracer,
+        template: Rc::new(snap.template.clone()),
+        period,
+    };
+    // The MD-phase rng stream of producer `idx`.
+    let md_stream = |idx: u32| 0x9000 + idx as u64;
+    // The retention contract must be in place before the first frame
+    // lands: each publisher node's evictor holds what its publishers
+    // stage until every registered consumer acknowledged it.
+    for (node, dir, consumer) in &snap.registrations {
+        testbed.staging[*node as usize].register_consumer(dir, consumer);
+    }
+    let ens = snap.ensemble;
+    let mut producers = Roles::with_capacity("producer", ens.publishers() as usize);
+    let mut consumers = Roles::with_capacity("consumer", ens.subscribers() as usize);
+    for g in 0..ens.groups {
+        // Low-discrepancy launch stagger across one frame period, per
+        // group: real ensembles never start in lockstep, and
+        // phase-locked groups would otherwise collide on every shared
+        // resource at once.
+        let stagger = period.mul_f64((g as f64 * 0.618_033_988_75).fract());
+        // The group's members, by their side's spawn index.
+        let pubs = g * ens.pubs..(g + 1) * ens.pubs;
+        let subs = g * ens.subs..(g + 1) * ens.subs;
+        // A pair is its group's one publisher and one subscriber.
+        let pn = ens.publisher_node(pubs.start);
+        let cn = ens.subscriber_node(subs.start);
+        let pair_args = || (args.producer(g, pn, stagger), args.consumer(g, cn, stagger));
+        match wf.solution {
+            Solution::Dyad => {
+                let (pargs, cargs) = pair_args();
+                let psvc = testbed.dyad_service(pn);
+                producers.spawn(ctx, pn, producer_dyad(pargs, psvc, md_stream(g)));
+                consumers.spawn(ctx, cn, consumer_dyad(cargs, testbed.dyad_service(cn)));
+            }
+            // The manual baselines differ only in the storage they are
+            // handed.
+            Solution::Xfs | Solution::Lustre => {
+                let (pargs, cargs) = pair_args();
+                let (pstore, cstore) = (testbed.storage(pn), testbed.storage(cn));
+                let mode = wf.manual_sync;
+                let s = pair_sync();
+                let ldlm = testbed.ldlm_client(pn);
+                let sync = (s.ready_tx, s.done_rx);
+                let role = producer_manual(pargs, pstore, sync, mode, ldlm, md_stream(g));
+                producers.spawn(ctx, pn, role);
+                let ldlm = testbed.ldlm_client(cn);
+                let sync = (s.ready_rx, s.done_tx);
+                let poll = cal.manual_poll_interval;
+                consumers.spawn(
+                    ctx,
+                    cn,
+                    consumer_manual(cargs, cstore, sync, mode, ldlm, poll),
+                );
+            }
+            Solution::DyadOnPfs => {
+                let (pargs, cargs) = pair_args();
+                let (pstore, cstore) = (testbed.storage(pn), testbed.storage(cn));
+                let kvs = testbed.kvs_client(pn);
+                let role = producer_dyad_on_pfs(pargs, pstore, kvs, NodeId(pn), md_stream(g));
+                producers.spawn(ctx, pn, role);
+                let kvs = testbed.kvs_client(cn);
+                let role = consumer_dyad_on_pfs(cargs, cstore, kvs, wf.dyad_warm_sync);
+                consumers.spawn(ctx, cn, role);
+            }
+            // One publisher per group leaf and one subscriber per group
+            // member (or the single fan-in reducer).
+            Solution::Streaming => {
+                let role = StreamRole::new(&wf.streaming, g);
+                let session = |(j, c)| StreamAcker {
+                    consumer: role.session_id(j as u32),
+                    node: ens.subscriber_node(c),
+                };
+                let ackers: Vec<StreamAcker> = subs.clone().enumerate().map(session).collect();
+                for (leaf, p) in pubs.enumerate() {
+                    let pn = ens.publisher_node(p);
+                    let svc = testbed.stream[pn as usize].clone();
+                    let role = StreamRole {
+                        leaf: leaf as u32,
+                        ..role
+                    };
+                    let pargs = args.producer(p, pn, stagger);
+                    let role = publisher_stream(pargs, svc, role, ackers.clone(), md_stream(p));
+                    producers.spawn(ctx, pn, role);
+                }
+                for (j, c) in subs.enumerate() {
+                    let cn = ens.subscriber_node(c);
+                    let svc = testbed.stream[cn as usize].clone();
+                    let cargs = args.consumer(c, cn, stagger);
+                    if ens.pubs > 1 {
+                        consumers.spawn(ctx, cn, reducer_stream(cargs, svc, role));
+                    } else {
+                        consumers.spawn(ctx, cn, subscriber_stream(cargs, svc, role, j as u32));
+                    }
+                }
+            }
+        }
+    }
+    [producers, consumers]
+}
+
+/// Who is still running, for the stall diagnostics: how many of each
 /// side, and the first eight by side, spawn index and node.
 fn stall_summary(sides: [&Roles; 2]) -> String {
     let mut counts = Vec::new();
@@ -336,443 +783,55 @@ fn stall_summary(sides: [&Roles; 2]) -> String {
     )
 }
 
-/// The shared run body: build the live substrates from the snapshot,
-/// spawn the ensemble, advance the simulation, collect. Both the cold
-/// path ([`run_once`], which prepares a throwaway snapshot) and the warm
-/// path ([`run_once_warm`]) execute exactly this code, which is what
-/// keeps their trajectories identical.
-fn run_prepared(
-    snap: &ClusterSnapshot,
-    tracer: simcore::trace::Tracer,
-    sim: Sim,
-    setup_started: Instant,
-) -> RunOutput {
-    let wf = &snap.workflow;
-    let cal = &snap.calibration;
-    if wf.solution == Solution::Xfs {
-        assert_eq!(
-            wf.placement,
-            crate::config::Placement::SingleNode,
-            "XFS cannot move data between nodes (paper §III-B)"
-        );
-    }
-    let ctx = sim.ctx();
-
-    // ---- topology ------------------------------------------------------
-    let plan = &snap.plan;
-    let n_compute = snap.n_compute;
-    let n_total = snap.n_total;
-    let pfs_nodes = snap.pfs_nodes.clone();
-    let cluster = Cluster::build(&ctx, &snap.spec);
-    let tp = Transport::new(&ctx, cluster.fabric().clone(), cal.transport);
-
-    // ---- fault board -----------------------------------------------------
-    // Built only when the plan is non-empty: a disabled FaultConfig arms
-    // zero timers and leaves every substrate byte-identical to a build
-    // without the fault layer (the determinism fixtures pin this). The
-    // plan itself is part of the snapshot (pure data, seeded by the
-    // FaultConfig, shared by every repetition of the point).
-    let fault_board = snap.fault_plan.as_ref().map(|plan| {
-        let board = faults::FaultBoard::new(&ctx, n_total, cal.n_osts);
-        tp.set_faults(board.clone());
-        (board, plan)
-    });
-
-    // ---- substrates ------------------------------------------------------
-    let local_fs: Vec<LocalFs> = (0..n_compute as u32)
-        .map(|i| {
-            let mut nvme = cluster.node(NodeId(i)).nvme.clone();
-            let mut fs_probe = None;
-            if let Some((board, _)) = &fault_board {
-                let b = board.clone();
-                nvme.set_slow_probe(Rc::new(move || b.nvme_factor(i)));
-                // Device-error injection only for DYAD, whose produce
-                // and consume paths carry typed recovery; the manual
-                // baselines model faults as slowdowns and freezes.
-                if wf.solution == Solution::Dyad {
-                    let b = board.clone();
-                    fs_probe = Some(Rc::new(move || b.nvme_error(i)) as Rc<dyn Fn() -> bool>);
-                }
-            }
-            let mut fs = LocalFs::new(&ctx, nvme, cal.localfs);
-            if let Some(p) = fs_probe {
-                fs.set_io_error_probe(p);
-            }
-            fs
-        })
-        .collect();
-    // Metadata plane: a mesh of `kvs_shards` brokers, shard s colocated
-    // on compute node (s % n_compute) — the single broker of the paper's
-    // configuration is the one-shard mesh, on node 0.
-    let kvs_mesh = wf.solution.needs_kvs().then(|| {
-        let shard_nodes: Vec<NodeId> = (0..wf.kvs_shards)
-            .map(|s| NodeId(s % n_compute as u32))
-            .collect();
-        KvsMesh::start(&ctx, &tp, &shard_nodes, cal.kvs, wf.kvs_replication)
-    });
-    let kvs_client = |node: u32| {
-        let mesh = kvs_mesh.as_ref().expect("solution has a KVS");
-        mesh.client(&ctx, &tp, NodeId(node))
-    };
-    let pfs = pfs_nodes.map(|(mds, osts)| ParallelFs::start(&ctx, &tp, mds, osts, cal.pfs));
-    // One staging manager per compute node for the staged backends
-    // (DYAD and streaming): tracks the staged-frame lifecycle and (when
-    // the budget is finite) runs the evictor.
-    let uses_staging = matches!(wf.solution, Solution::Dyad | Solution::Streaming);
-    let staging_mgrs: Vec<Option<Rc<StagingManager>>> = if uses_staging {
-        let spec = StagingSpec {
-            budget_bytes: wf.staging.budget_bytes.unwrap_or(u64::MAX),
-            low_watermark: cal.staging_low_watermark,
-            high_watermark: cal.staging_high_watermark,
-            evict_interval: cal.staging_evict_interval,
-            retention: wf.staging.retention,
-        };
-        (0..n_compute as u32)
-            .map(|i| {
-                let pfs_client = if wf.staging.spill_to_pfs {
-                    pfs.as_ref().map(|p| p.client(&ctx, NodeId(i)))
-                } else {
-                    None
-                };
-                let mgr = StagingManager::new(
-                    &ctx,
-                    NodeId(i),
-                    local_fs[i as usize].clone(),
-                    kvs_client(i),
-                    pfs_client,
-                    spec,
-                );
-                // Only burn evictor wake-ups when a pass can ever act.
-                if mgr.is_bounded() || wf.staging.retention == RetentionPolicy::EagerRetire {
-                    mgr.spawn_evictor();
-                }
-                Some(mgr)
-            })
-            .collect()
-    } else {
-        vec![None; n_compute]
-    };
-    // Per-node services of the staged backends, both over one plane
-    // spec: streaming is the SST-style peer of DYAD on the same
-    // calibration constants, so its fanout=1 shape is a like-for-like
-    // comparison.
-    let plane = PlaneSpec {
-        warm_sync: wf.dyad_warm_sync,
-        ..cal.dyad.plane
-    };
-    let dyad_spec = DyadSpec { plane, ..cal.dyad };
-    let stream_spec = StreamSpec {
-        plane,
-        window: wf.streaming.window.max(1),
-        reclaim_on_crash: wf.streaming.reclaim_on_crash,
-        ..StreamSpec::default()
-    };
-    let nodes_running = |s: Solution| (0..n_compute as u32).filter(move |_| wf.solution == s);
-    // What node `i`'s service starts from.
-    let parts = |i: u32| {
-        let (fs, st) = (&local_fs[i as usize], &staging_mgrs[i as usize]);
-        (NodeId(i), fs.clone(), kvs_client(i), st.clone())
-    };
-    let dyad_services: Vec<Rc<DyadService>> = nodes_running(Solution::Dyad)
-        .map(|i| {
-            let (n, fs, kvs, st) = parts(i);
-            DyadService::start_staged(&ctx, &tp, n, fs, kvs, dyad_spec, st)
-        })
-        .collect();
-    let stream_services: Vec<Rc<StreamService>> = nodes_running(Solution::Streaming)
-        .map(|i| {
-            let (n, fs, kvs, st) = parts(i);
-            StreamService::start_staged(&ctx, &tp, n, fs, kvs, stream_spec, st)
-        })
-        .collect();
-    // Crash/restart lifecycle: a node crash loses that node's staged
-    // NVMe frames (spilled copies survive on the PFS); the restart hook
-    // re-publishes what survived and tombstones what did not. Hooks are
-    // registered before the plan is armed so the first event sees them.
-    if let Some((board, plan)) = &fault_board {
-        for (i, mgr) in staging_mgrs.iter().enumerate() {
-            if let Some(mgr) = mgr {
-                let m = mgr.clone();
-                board.on_crash(move |n| {
-                    if n == i as u32 {
-                        m.on_node_crash();
-                    }
-                });
-                let m = mgr.clone();
-                let hctx = ctx.clone();
-                board.on_restart(move |n| {
-                    if n == i as u32 {
-                        let m = m.clone();
-                        hctx.spawn(async move { m.on_node_restart().await });
-                    }
-                });
-            }
-        }
-        board.arm(plan);
-    }
-    // Lock service (lock-based manual sync only), colocated with the MDS
-    // for Lustre or the KVS broker node otherwise.
-    let ldlm_server: Option<std::rc::Rc<LdlmServer>> =
-        if wf.manual_sync == crate::config::ManualSync::LockBased {
-            let node = pfs.as_ref().map(|p| p.mds().node()).unwrap_or(NodeId(0));
-            Some(LdlmServer::start(&ctx, &tp, node, LdlmSpec::default()))
-        } else {
-            None
-        };
-    let ldlm_client = |node: u32| {
-        ldlm_server
-            .as_ref()
-            .map(|srv| LdlmClient::new(&ctx, &tp, NodeId(node), srv.node()))
-    };
-
-    // ---- workload --------------------------------------------------------
-    let template = Rc::new(snap.template.clone());
-    let clock = StepClock {
-        ms_per_step: wf.model.ms_per_step(),
-        jitter: cal.md_jitter,
-    };
-    let period = SimDuration::from_secs_f64(wf.frame_period_secs());
-
-    // Low-discrepancy launch stagger across one frame period, per pair
-    // or streaming group: real ensembles never start in lockstep, and
-    // phase-locked pairs would otherwise collide on every shared
-    // resource at once.
-    let stagger_of = |i: u32| period.mul_f64((i as f64 * 0.618_033_988_75).fract());
-    // Process `idx` of its side (pair index, or publisher/subscriber
-    // index of a streaming run) on `node`.
-    let producer_args = |idx: u32, node: u32, stagger: SimDuration| ProducerArgs {
-        ctx: ctx.clone(),
-        pair: idx,
-        frames: wf.frames,
-        stride: wf.stride,
-        clock,
-        template: template.clone(),
-        serialize_cpu: cal.serialize_cpu,
-        start_offset: stagger,
-        tracer: tracer.clone(),
-        schedule: wf.schedule.clone(),
-        faults: fault_board.as_ref().map(|(b, _)| b.clone()),
-        node,
-    };
-    let consumer_args = |idx: u32, node: u32, stagger: SimDuration| ConsumerArgs {
-        ctx: ctx.clone(),
-        pair: idx,
-        frames: wf.frames,
-        analytics: period,
-        jitter: cal.md_jitter,
-        rng_stream: 0xC000 + idx as u64,
-        start_offset: stagger + period.mul_f64(cal.consumer_launch_delay),
-        tracer: tracer.clone(),
-        template: template.clone(),
-        deserialize_cpu: cal.deserialize_cpu,
-        faults: fault_board.as_ref().map(|(b, _)| b.clone()),
-        node,
-    };
-
-    let mut producers = Roles::with_capacity("producer", wf.pairs as usize);
-    let mut consumers = Roles::with_capacity("consumer", wf.pairs as usize);
-    for (pair, &(pn, cn)) in plan.pair_nodes.iter().enumerate() {
-        let pair = pair as u32;
-        let pargs = producer_args(pair, pn, stagger_of(pair));
-        let cargs = consumer_args(pair, cn, stagger_of(pair));
-        let rng_stream = 0x9000 + pair as u64;
-        match wf.solution {
-            Solution::Dyad => {
-                let psvc = dyad_services[pn as usize].clone();
-                let csvc = dyad_services[cn as usize].clone();
-                // Retention contract: the producer node's evictor must
-                // hold each of this pair's frames until consumer
-                // `c{pair}` acknowledges it.
-                if let Some(mgr) = &staging_mgrs[pn as usize] {
-                    let (frame_dir, consumer_id) = &snap.registrations[pair as usize];
-                    mgr.register_consumer(frame_dir, consumer_id);
-                }
-                producers.spawn(&ctx, pn, producer_dyad(pargs, psvc, rng_stream));
-                consumers.spawn(&ctx, cn, consumer_dyad(cargs, csvc));
-            }
-            Solution::Xfs => {
-                let storage = Storage::Local(local_fs[pn as usize].clone());
-                let s = pair_sync();
-                producers.spawn(
-                    &ctx,
-                    pn,
-                    producer_manual(
-                        pargs,
-                        storage.clone(),
-                        (s.ready_tx, s.done_rx),
-                        wf.manual_sync,
-                        ldlm_client(pn),
-                        rng_stream,
-                    ),
-                );
-                consumers.spawn(
-                    &ctx,
-                    cn,
-                    consumer_manual(
-                        cargs,
-                        storage,
-                        (s.ready_rx, s.done_tx),
-                        wf.manual_sync,
-                        ldlm_client(cn),
-                        cal.manual_poll_interval,
-                    ),
-                );
-            }
-            Solution::Lustre => {
-                let fs = pfs.as_ref().expect("pfs built");
-                let pstore = Storage::Pfs(fs.client(&ctx, NodeId(pn)));
-                let cstore = Storage::Pfs(fs.client(&ctx, NodeId(cn)));
-                let s = pair_sync();
-                producers.spawn(
-                    &ctx,
-                    pn,
-                    producer_manual(
-                        pargs,
-                        pstore,
-                        (s.ready_tx, s.done_rx),
-                        wf.manual_sync,
-                        ldlm_client(pn),
-                        rng_stream,
-                    ),
-                );
-                consumers.spawn(
-                    &ctx,
-                    cn,
-                    consumer_manual(
-                        cargs,
-                        cstore,
-                        (s.ready_rx, s.done_tx),
-                        wf.manual_sync,
-                        ldlm_client(cn),
-                        cal.manual_poll_interval,
-                    ),
-                );
-            }
-            Solution::DyadOnPfs => {
-                let fs = pfs.as_ref().expect("pfs built");
-                let pstore = Storage::Pfs(fs.client(&ctx, NodeId(pn)));
-                let cstore = Storage::Pfs(fs.client(&ctx, NodeId(cn)));
-                producers.spawn(
-                    &ctx,
-                    pn,
-                    producer_dyad_on_pfs(pargs, pstore, kvs_client(pn), NodeId(pn), rng_stream),
-                );
-                consumers.spawn(
-                    &ctx,
-                    cn,
-                    consumer_dyad_on_pfs(cargs, cstore, kvs_client(cn), wf.dyad_warm_sync),
-                );
-            }
-            Solution::Streaming => {
-                unreachable!("streaming placement has no pair_nodes (see stream_plan)")
-            }
-        }
-    }
-
-    // Streaming workload: M:N groups instead of pairs. Registrations
-    // first (the retention contract must be in place before the first
-    // step lands), then one publisher per group leaf and one subscriber
-    // per group member (or the single fan-in reducer).
-    if let Some(sp) = &snap.stream_plan {
-        for (node, dir, consumer) in &snap.stream_regs {
-            if let Some(mgr) = &staging_mgrs[*node as usize] {
-                mgr.register_consumer(dir, consumer);
-            }
-        }
-        let s = &wf.streaming;
-        let mut pub_idx = 0u32;
-        let mut sub_idx = 0u32;
-        for (g, gp) in sp.groups.iter().enumerate() {
-            let g = g as u32;
-            let stagger = stagger_of(g);
-            let role = StreamRole {
-                group: g,
-                mode: s.group,
-                fanout: s.fanout.max(1),
-                fanin: s.fanin.max(1),
-                leaf: 0,
-                agg_frames: s.agg_frames.max(1),
-            };
-            let group_ackers: Vec<StreamAcker> = (gp.subscribers.iter().enumerate())
-                .map(|(j, &node)| StreamAcker {
-                    consumer: role.session_id(j as u32),
-                    node,
-                })
-                .collect();
-            for (l, &pn) in gp.publishers.iter().enumerate() {
-                let pargs = producer_args(pub_idx, pn, stagger);
-                let leaf_role = StreamRole {
-                    leaf: l as u32,
-                    ..role
-                };
-                producers.spawn(
-                    &ctx,
-                    pn,
-                    publisher_stream(
-                        pargs,
-                        stream_services[pn as usize].clone(),
-                        leaf_role,
-                        group_ackers.clone(),
-                        0x9000 + pub_idx as u64,
-                    ),
-                );
-                pub_idx += 1;
-            }
-            for (j, &cn) in gp.subscribers.iter().enumerate() {
-                let cargs = consumer_args(sub_idx, cn, stagger);
-                let svc = stream_services[cn as usize].clone();
-                if s.fanin > 1 {
-                    consumers.spawn(&ctx, cn, reducer_stream(cargs, svc, role));
-                } else {
-                    consumers.spawn(&ctx, cn, subscriber_stream(cargs, svc, role, j as u32));
-                }
-                sub_idx += 1;
-            }
-        }
-    }
-
-    // Everything up to here is setup; everything after is simulation.
-    let setup_secs = setup_started.elapsed().as_secs_f64();
-    let sim_started = Instant::now();
-
-    // The PFS interference processes never terminate, so advance the
-    // clock in slices and stop as soon as every workload process has
-    // finished (the workload, not the background noise, defines the run).
-    let slice =
-        SimDuration::from_secs_f64((wf.frames as f64 * period.as_secs_f64()).max(1.0) / 4.0);
-    let hard_stop = SimTime::from_nanos(
-        ((wf.frames + 16) as f64 * period.as_secs_f64().max(0.001) * 400.0 * 1e9) as u64,
-    );
+/// Advance `sim` until every role of both `sides` finished. The PFS
+/// interference processes never terminate, so the clock advances a
+/// `slice` at a time and stops as soon as the workload is done (the
+/// workload, not the background noise, defines the run).
+///
+/// # Panics
+/// Naming who is unfinished ([`stall_summary`]): when the calendar
+/// drains under parked roles — nothing is left that could wake them —
+/// and when the workload is still running at `hard_stop`.
+fn drive(sim: &Sim, sides: [&Roles; 2], slice: SimDuration, hard_stop: SimTime) -> RunReport {
     let mut deadline = SimTime::ZERO + slice;
-    let report = loop {
+    loop {
         let report = sim.run_until(deadline);
-        if producers.set.all_finished() && consumers.set.all_finished() {
-            break report;
+        if sides.iter().all(|roles| roles.set.all_finished()) {
+            return report;
         }
+        assert!(
+            sim.calendar_stats().pending > 0,
+            "calendar drained with {}",
+            stall_summary(sides)
+        );
         assert!(
             deadline < hard_stop,
             "workload failed to finish by the hard stop — deadlock? {}",
-            stall_summary([&producers, &consumers])
+            stall_summary(sides)
         );
         deadline += slice;
-    };
+    }
+}
+
+/// Collect a finished run: the roles' profiles, and the substrates'
+/// counters summed over nodes.
+fn reduce(testbed: &Testbed, [producers, consumers]: [Roles; 2], events: u64) -> RunMetrics {
     // Makespan = when the workload finished, not when the horizon cut
     // off the (never-terminating) background-interference processes.
     let (producers, last_producer) = producers.collect();
     let (consumers, last_consumer) = consumers.collect();
-    let makespan = last_producer.max(last_consumer);
-    let mut staging_totals = StagingTotals::default();
-    let mut stream_totals = StreamTotals::default();
-    for svc in &stream_services {
-        stream_totals.absorb(&svc.stats(), &svc.window_stats());
+    let mut streaming = StreamTotals::default();
+    for svc in &testbed.stream {
+        streaming.absorb(&svc.stats(), &svc.window_stats());
     }
-    let mut fault_totals = FaultTotals::default();
-    for mgr in staging_mgrs.iter().flatten() {
+    let mut staging = StagingTotals::default();
+    let mut faults = FaultTotals::default();
+    for mgr in &testbed.staging {
         let s = mgr.stats();
-        staging_totals.absorb(&s);
-        fault_totals.frames_lost += s.frames_lost;
-        fault_totals.republished_frames += s.republished_frames;
-        fault_totals.acks_dropped += s.acks_dropped;
+        staging.absorb(&s);
+        faults.frames_lost += s.frames_lost;
+        faults.republished_frames += s.republished_frames;
+        faults.acks_dropped += s.acks_dropped;
         // Retention invariant: nothing retires before every registered
         // consumer acknowledged it (cheap; guards every study we run).
         for r in mgr.retire_log() {
@@ -783,69 +842,52 @@ fn run_prepared(
             );
         }
     }
-    if let Some((board, _)) = &fault_board {
+    if let Some(board) = &testbed.board {
         let s = board.stats();
-        fault_totals.injected = s.injected;
-        fault_totals.crashes = s.crashes;
-        fault_totals.restarts = s.restarts;
-        fault_totals.kvs_shard_crashes = s.kvs_shard_crashes;
-        let t = tp.stats();
-        fault_totals.rpc_retries = t.rpc_retries;
-        fault_totals.rpc_giveups = t.rpc_giveups;
-        fault_totals.retry_backoff_secs = SimDuration::from_nanos(t.retry_backoff_ns).as_secs_f64();
+        faults.injected = s.injected;
+        faults.crashes = s.crashes;
+        faults.restarts = s.restarts;
+        faults.kvs_shard_crashes = s.kvs_shard_crashes;
+        let t = testbed.tp.stats();
+        faults.rpc_retries = t.rpc_retries;
+        faults.rpc_giveups = t.rpc_giveups;
+        faults.retry_backoff_secs = SimDuration::from_nanos(t.retry_backoff_ns).as_secs_f64();
         let sum = |key: &str| -> u64 {
-            producers
-                .iter()
-                .chain(consumers.iter())
-                .map(|p| p.sum_metric(key))
-                .sum::<f64>()
-                .round() as u64
+            let profiles = producers.iter().chain(consumers.iter());
+            profiles.map(|p| p.sum_metric(key)).sum::<f64>().round() as u64
         };
-        fault_totals.produce_outer_retries = sum("produce_outer_retries");
-        fault_totals.consume_outer_retries = sum("consume_outer_retries");
-        fault_totals.produce_failures = sum("produce_failures");
-        fault_totals.consume_failures = sum("consume_failures");
-        fault_totals.frames_lost_observed = sum("frames_lost_observed");
+        faults.produce_outer_retries = sum("produce_outer_retries");
+        faults.consume_outer_retries = sum("consume_outer_retries");
+        faults.produce_failures = sum("produce_failures");
+        faults.consume_failures = sum("consume_failures");
+        faults.frames_lost_observed = sum("frames_lost_observed");
     }
-    let kvs_totals = kvs_mesh.map_or_else(KvsTotals::default, |mesh| {
-        let s = mesh.stats();
-        KvsTotals {
-            shards: mesh.shards(),
-            replication: mesh.topology().replication(),
-            commits: s.commits,
-            lookups: s.lookups,
-            waits: s.waits,
-            deltas_sent: s.deltas_sent,
-            deltas_applied: s.deltas_applied,
-            deltas_buffered: s.deltas_buffered,
-            peak_queue: s.peak_queue,
-        }
-    });
-    // Worker-invariant per-shard load summary, read out before the
-    // arena teardown clears the counters.
-    let shard_load = instrument::ShardLoad::from_stats(&sim.shard_stats());
-    // Recover the executor allocations for the next warm run. Pending
-    // background tasks and their timers drop here exactly as dropping
-    // the Sim would drop them (the substrates hold weak Ctx handles, so
-    // the core's strong count is already down to this one Sim).
-    let arena = sim.into_arena();
-    RunOutput {
-        metrics: RunMetrics {
-            producers,
-            consumers,
-            makespan,
-            events: report.events_processed,
-            staging: staging_totals,
-            streaming: stream_totals,
-            faults: fault_totals,
-            kvs: kvs_totals,
-        },
-        timings: RunTimings {
-            setup_secs,
-            sim_secs: sim_started.elapsed().as_secs_f64(),
-            shard_load: Some(shard_load),
-        },
-        arena,
+    let kvs = testbed
+        .kvs_mesh
+        .as_ref()
+        .map_or_else(KvsTotals::default, |mesh| {
+            let s = mesh.stats();
+            KvsTotals {
+                shards: mesh.shards(),
+                replication: mesh.topology().replication(),
+                commits: s.commits,
+                lookups: s.lookups,
+                waits: s.waits,
+                deltas_sent: s.deltas_sent,
+                deltas_applied: s.deltas_applied,
+                deltas_buffered: s.deltas_buffered,
+                peak_queue: s.peak_queue,
+            }
+        });
+    RunMetrics {
+        producers,
+        consumers,
+        makespan: last_producer.max(last_consumer),
+        events,
+        staging,
+        streaming,
+        faults,
+        kvs,
     }
 }
 
@@ -1130,6 +1172,99 @@ mod tests {
              consumer 3 (node 5), consumer 4 (node 6), consumer 5 (node 7), \
              consumer 6 (node 8), …"
         );
+    }
+
+    /// One side whose members run `role(i)` on node `i`, and an empty
+    /// other side.
+    fn sides<F: Future<Output = ()> + 'static>(
+        ctx: &Ctx,
+        n: u32,
+        role: impl Fn(u32) -> F,
+    ) -> [Roles; 2] {
+        let mut producers = Roles::with_capacity("producer", n as usize);
+        for i in 0..n {
+            let body = role(i);
+            producers.spawn(ctx, i, async move {
+                body.await;
+                Profile::default()
+            });
+        }
+        [producers, Roles::with_capacity("consumer", 0)]
+    }
+
+    const SLICE: SimDuration = SimDuration::from_millis(100);
+
+    #[test]
+    #[should_panic(
+        expected = "calendar drained with 1 of 2 producers and 0 of 0 consumers unfinished: \
+                    producer 1 (node 1)"
+    )]
+    fn drive_fails_at_once_when_the_calendar_drains_under_a_parked_role() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        // Producer 0 sleeps and finishes; producer 1 waits on nothing
+        // that will ever happen. The hard stop is an hour away: the
+        // drained calendar, not the clock, ends the run.
+        let [p, c] = sides(&ctx, 2, |i| {
+            let ctx = ctx.clone();
+            async move {
+                ctx.sleep(SimDuration::from_millis(250)).await;
+                if i == 1 {
+                    std::future::pending::<()>().await;
+                }
+            }
+        });
+        drive(
+            &sim,
+            [&p, &c],
+            SLICE,
+            SimTime::from_nanos(3_600_000_000_000),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "workload failed to finish by the hard stop — deadlock? \
+                    1 of 1 producers and 0 of 0 consumers unfinished: producer 0 (node 0)")]
+    fn drive_stops_a_role_that_sleeps_forever_at_the_hard_stop() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let [p, c] = sides(&ctx, 1, |_| {
+            let ctx = ctx.clone();
+            async move {
+                loop {
+                    ctx.sleep(SimDuration::from_millis(30)).await;
+                }
+            }
+        });
+        drive(&sim, [&p, &c], SLICE, SimTime::from_nanos(1_000_000_000));
+    }
+
+    #[test]
+    fn drive_returns_when_the_roles_finish_and_leaves_background_tasks_pending() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        // Background noise that never terminates, as PFS interference.
+        let noise = ctx.clone();
+        ctx.spawn(async move {
+            loop {
+                noise.sleep(SimDuration::from_millis(7)).await;
+            }
+        });
+        let [p, c] = sides(&ctx, 3, |i| {
+            let ctx = ctx.clone();
+            async move {
+                ctx.sleep(SimDuration::from_millis(100 * u64::from(i + 1)))
+                    .await
+            }
+        });
+        let report = drive(&sim, [&p, &c], SLICE, SimTime::from_nanos(1_000_000_000));
+        // The slice the last role finished in, not the hard stop.
+        assert_eq!(report.end_time, SimTime::ZERO + SLICE * 3);
+        assert_eq!(report.deadlocked_tasks, 1);
+        assert!(sim.calendar_stats().pending > 0);
+        let (profiles, last) = p.collect();
+        assert_eq!(profiles.len(), 3);
+        assert_eq!(last, SimTime::from_nanos(300_000_000));
     }
 
     #[test]

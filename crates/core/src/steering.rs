@@ -21,16 +21,14 @@
 
 use analytics::{FrameAnalysis, Pipeline};
 use bytes::Bytes;
-use cluster::{Cluster, ClusterSpec, NodeId};
-use dyad::DyadService;
 use instrument::Recorder;
-use kvs::{KvsClient, KvsServer};
-use localfs::LocalFs;
 use mdsim::{EngineConfig, Frame, MdEngine, Model};
 use simcore::{Sim, SimDuration};
-use transport::Transport;
 
+use crate::arena::ClusterSnapshot;
 use crate::calibration::Calibration;
+use crate::config::{Placement, Solution, WorkflowConfig};
+use crate::runner::Testbed;
 
 /// When should a trajectory be terminated?
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,23 +112,22 @@ impl TrajectoryOutcome {
     }
 }
 
-/// Run a steered ensemble on a fresh two-node simulated testbed
-/// (producers on node 0, consumers on node 1, KVS broker on node 0).
+/// Run a steered ensemble on the two-node DYAD testbed of a `pairs`-pair
+/// split run (producers on node 0, consumers on node 1, KVS broker on
+/// node 0). The roles are this module's own; the substrates under them
+/// are the runner's.
 pub fn run_steering(cfg: &SteeringConfig, cal: &Calibration, seed: u64) -> Vec<TrajectoryOutcome> {
-    let sim = Sim::new(seed);
-    let ctx = sim.ctx();
-    let cluster = Cluster::build(&ctx, &ClusterSpec::homogeneous(2, cal.node, cal.fabric));
-    let tp = Transport::new(&ctx, cluster.fabric().clone(), cal.transport);
-    let _kvs_srv = KvsServer::start(&ctx, &tp, NodeId(0), cal.kvs);
-    let mk_svc = |node: u32| {
-        let fs = LocalFs::new(&ctx, cluster.node(NodeId(node)).nvme.clone(), cal.localfs);
-        let kc = KvsClient::new(&ctx, &tp, NodeId(node), NodeId(0), cal.kvs);
-        DyadService::start(&ctx, &tp, NodeId(node), fs, kc, cal.dyad)
+    let placement = Placement::Split {
+        pairs_per_node: cfg.pairs,
     };
-    let prod_svc = mk_svc(0);
-    let cons_svc = mk_svc(1);
-    let control_tx = KvsClient::new(&ctx, &tp, NodeId(1), NodeId(0), cal.kvs);
-    let control_rx = KvsClient::new(&ctx, &tp, NodeId(0), NodeId(0), cal.kvs);
+    let wf = WorkflowConfig::new(Solution::Dyad, cfg.pairs, placement);
+    let snap = ClusterSnapshot::cold(&wf, cal, seed);
+    let sim = Sim::with_config(snap.sim_config(seed));
+    let ctx = sim.ctx();
+    let testbed = Testbed::build(&ctx, &snap);
+    let (prod_svc, cons_svc) = (testbed.dyad_service(0), testbed.dyad_service(1));
+    let control_tx = testbed.kvs_client(1);
+    let control_rx = testbed.kvs_client(0);
 
     let mut handles = Vec::new();
     for pair in 0..cfg.pairs {
@@ -333,6 +330,37 @@ mod tests {
             steered[0].frames_produced,
             unsteered[0].frames_produced
         );
+    }
+
+    /// Outcomes recorded on the hand-wired testbed this module had
+    /// before it took its substrates from [`Testbed::build`]; the move
+    /// changed none, and a seed replays.
+    #[test]
+    fn outcomes_at_five_seeds_are_the_recorded_ones_and_replay() {
+        let cfg = SteeringConfig {
+            pairs: 3,
+            max_frames: 12,
+            rule: SteeringRule::RadiusAbove(2.15),
+            ..SteeringConfig::default()
+        };
+        // Per pair: (frames_produced, frames_analyzed, triggered_at).
+        let recorded = [
+            [(6, 6, Some(4)), (12, 12, Some(11)), (2, 2, Some(0))],
+            [(10, 10, Some(8)), (12, 12, None), (3, 3, Some(1))],
+            [(5, 5, Some(3)), (3, 3, Some(1)), (12, 12, Some(10))],
+            [(2, 2, Some(0)), (12, 12, None), (7, 7, Some(5))],
+            [(7, 7, Some(5)), (3, 3, Some(1)), (12, 12, None)],
+        ];
+        for (seed, expected) in (1..).zip(recorded) {
+            // `run_steering` asserts the run ended clean.
+            let outcomes = run_steering(&cfg, &cal(), seed);
+            let got: Vec<_> = outcomes
+                .iter()
+                .map(|o| (o.frames_produced, o.frames_analyzed, o.triggered_at))
+                .collect();
+            assert_eq!(got, expected, "seed {seed}");
+            assert_eq!(run_steering(&cfg, &cal(), seed), outcomes, "seed {seed}");
+        }
     }
 
     #[test]

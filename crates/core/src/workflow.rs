@@ -50,7 +50,7 @@ use staging::plane::{retry_policy, PlaneError};
 use streaming::StreamAcker;
 use transport::Payload;
 
-use crate::config::ManualSync;
+use crate::config::{Ensemble, ManualSync, StreamingConfig, WorkflowConfig};
 use crate::schedule::FrameSchedule;
 
 /// Storage backend for the manual (XFS/Lustre) baselines.
@@ -225,20 +225,28 @@ fn producer_setup(
     (rec, rng, sched)
 }
 
-/// One frame's `md_sim` and `serialize` phases; returns the frame rope.
-async fn simulate_frame(
+/// The `md_sim` and `serialize` phases of `n` frames from `first` on;
+/// returns their ropes end to end (a streaming step aggregates several
+/// frames, everyone else passes 1).
+async fn simulate_frames(
     args: &ProducerArgs,
     rec: &Recorder,
     sched: &mut Option<crate::schedule::ScheduleGen>,
     rng: &mut StdRng,
-    frame: u64,
+    first: u64,
+    n: u64,
 ) -> Payload {
     let g = rec.region("md_sim");
-    args.ctx.sleep(md_phase(args, sched, rng)).await;
+    for _ in 0..n {
+        args.ctx.sleep(md_phase(args, sched, rng)).await;
+    }
     g.end();
     let g = rec.region("serialize");
-    args.ctx.sleep(args.serialize_cpu).await;
-    let payload = args.template.frame_segments(frame);
+    args.ctx.sleep(args.serialize_cpu.mul_f64(n as f64)).await;
+    let mut payload = args.template.frame_segments(first);
+    for frame in first + 1..first + n {
+        payload.extend(args.template.frame_segments(frame));
+    }
     g.end();
     payload
 }
@@ -246,6 +254,59 @@ async fn simulate_frame(
 /// Frame path for `(pair, frame)` in a run's namespace.
 pub fn frame_path(pair: u32, frame: u64) -> String {
     format!("frames/p{pair:04}/f{frame:05}")
+}
+
+/// The directory a frame or step name lies in. Directories are cut from
+/// the names the roles write, never spelled a second time.
+fn parent_dir(mut name: String) -> String {
+    name.truncate(
+        name.rfind('/')
+            .expect("frame and step names have a directory"),
+    );
+    name
+}
+
+/// The directory of `pair`'s frames.
+pub fn frame_dir(pair: u32) -> String {
+    parent_dir(frame_path(pair, 0))
+}
+
+/// The consumption-ack id of `pair`'s consumer: what its DYAD session
+/// acks under and the producer node's staging manager has registered.
+pub fn pair_session_id(pair: u32) -> String {
+    format!("c{pair}")
+}
+
+/// The staging retention contract of an ensemble, as `(publisher node,
+/// managed directory, consumer id)`: the node's evictor holds whatever
+/// lands under the directory until that consumer acknowledged it. One
+/// entry per publisher and session that acks it — a pair's consumer, a
+/// broadcast group's every subscriber, a partitioned group's shared
+/// session, a fan-in group's reducer once per leaf. Empty for a backend
+/// that does not stage.
+pub(crate) fn registrations(wf: &WorkflowConfig, ens: &Ensemble) -> Vec<(u32, String, String)> {
+    let row = wf.solution.row();
+    let Some(plane) = row.plane.filter(|_| row.stages_on_nvme) else {
+        return Vec::new();
+    };
+    let mut regs = Vec::with_capacity(ens.publishers() as usize);
+    for g in 0..ens.groups {
+        let role = StreamRole::new(&wf.streaming, g);
+        for l in 0..ens.pubs {
+            let node = ens.publisher_node(g * ens.pubs + l);
+            let mut register = |dir: String, consumer: String| {
+                regs.push((node, plane.managed_path(&dir), consumer));
+            };
+            if row.groups {
+                for j in 0..role.sessions() {
+                    register(role.step_dir(l), role.session_id(j));
+                }
+            } else {
+                register(frame_dir(g), pair_session_id(g));
+            }
+        }
+    }
+    regs
 }
 
 /// DLM lock resource name for `(pair, frame)`.
@@ -367,7 +428,7 @@ pub async fn producer_dyad(args: ProducerArgs, svc: Rc<DyadService>, rng_stream:
     let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
     args.ctx.sleep(args.start_offset).await;
     for frame in 0..args.frames {
-        let payload = simulate_frame(&args, &rec, &mut sched, &mut rng, frame).await;
+        let payload = simulate_frames(&args, &rec, &mut sched, &mut rng, frame, 1).await;
         let path = frame_path(args.pair, frame);
         // Device-error windows are absorbed inside `try_produce`.
         recovering(
@@ -399,15 +460,13 @@ pub async fn producer_manual(
     let (ready_tx, mut done_rx) = sync;
     let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
     args.ctx.sleep(args.start_offset).await;
-    storage
-        .ensure_dir(&format!("frames/p{:04}", args.pair))
-        .await;
+    storage.ensure_dir(&frame_dir(args.pair)).await;
     for frame in 0..args.frames {
         if let Some(board) = &args.faults {
             // A crashed node runs nothing: freeze until the restart.
             board.hold_until_up(args.node).await;
         }
-        let payload = simulate_frame(&args, &rec, &mut sched, &mut rng, frame).await;
+        let payload = simulate_frames(&args, &rec, &mut sched, &mut rng, frame, 1).await;
         let path = frame_path(args.pair, frame);
         {
             let g = rec.region("produce");
@@ -511,7 +570,7 @@ pub async fn consumer_dyad(args: ConsumerArgs, svc: Rc<DyadService>) -> Profile 
     args.ctx.sleep(args.start_offset).await;
     // Ack id must match what the runner registered on the producer
     // node's staging manager, or frames would never become retireable.
-    let mut session: DyadConsumer = svc.consumer_with_id(&format!("c{}", args.pair));
+    let mut session: DyadConsumer = svc.consumer_with_id(&pair_session_id(args.pair));
     for frame in 0..args.frames {
         let path = frame_path(args.pair, frame);
         let get = consume_recovering(&args, &rec, frame, async |_| {
@@ -519,7 +578,7 @@ pub async fn consumer_dyad(args: ConsumerArgs, svc: Rc<DyadService>) -> Profile 
         });
         // A typed loss has nothing to analyze; move to the next frame.
         let Some(data) = get.await else { continue };
-        deserialize_and_validate(&args, &rec, &data, frame).await;
+        deserialize_step(&args, &rec, &data, frame, 1).await;
         analytics(&args, &rec, &mut rng, 1).await;
     }
     rec.finish()
@@ -592,7 +651,7 @@ pub async fn consumer_manual(
             g.end();
             data
         };
-        deserialize_and_validate(&args, &rec, &data, frame).await;
+        deserialize_step(&args, &rec, &data, frame, 1).await;
         if mode == ManualSync::Fine {
             // Fine-grained ablation: release the producer before the
             // analytics so the next stride overlaps with it.
@@ -625,7 +684,7 @@ pub async fn producer_dyad_on_pfs(
         if let Some(board) = &args.faults {
             board.hold_until_up(args.node).await;
         }
-        let payload = simulate_frame(&args, &rec, &mut sched, &mut rng, frame).await;
+        let payload = simulate_frames(&args, &rec, &mut sched, &mut rng, frame, 1).await;
         let size = transport::payload_len(&payload);
         let path = frame_path(args.pair, frame);
         {
@@ -714,7 +773,7 @@ pub async fn consumer_dyad_on_pfs(
             g.end();
             data
         };
-        deserialize_and_validate(&args, &rec, &data, frame).await;
+        deserialize_step(&args, &rec, &data, frame, 1).await;
         analytics(&args, &rec, &mut rng, 1).await;
     }
     rec.finish()
@@ -743,9 +802,21 @@ pub struct StreamRole {
 }
 
 impl StreamRole {
+    /// Member 0 of `group` under `s` (publishers set their own `leaf`).
+    pub fn new(s: &StreamingConfig, group: u32) -> StreamRole {
+        StreamRole {
+            group,
+            mode: s.group,
+            fanout: s.fanout,
+            fanin: s.fanin,
+            leaf: 0,
+            agg_frames: s.agg_frames,
+        }
+    }
+
     /// Steps each publisher of this group emits for `frames` MD frames.
     pub fn steps(&self, frames: u64) -> u64 {
-        frames.div_ceil(self.agg_frames.max(1))
+        frames.div_ceil(self.agg_frames)
     }
 
     /// Logical step name for `(leaf, step)`; fan-in groups get a
@@ -755,6 +826,20 @@ impl StreamRole {
             format!("steps/g{:04}/l{leaf:02}/s{step:05}", self.group)
         } else {
             format!("steps/g{:04}/s{step:05}", self.group)
+        }
+    }
+
+    /// The directory of `leaf`'s steps.
+    pub fn step_dir(&self, leaf: u32) -> String {
+        parent_dir(self.step_name(leaf, 0))
+    }
+
+    /// Distinct consumption-ack ids in the group ([`Self::session_id`]
+    /// of members `0..sessions()`).
+    pub fn sessions(&self) -> u32 {
+        match self.mode {
+            streaming::GroupMode::Broadcast if self.fanin == 1 => self.fanout,
+            _ => 1,
         }
     }
 
@@ -796,31 +881,10 @@ pub async fn publisher_stream(
     let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
     args.ctx.sleep(args.start_offset).await;
     let mut publisher = svc.publisher();
-    let agg = role.agg_frames.max(1);
-    let steps = role.steps(args.frames);
     let mut frame = 0u64;
-    for step in 0..steps {
-        let in_step = agg.min(args.frames - frame);
-        {
-            let g = rec.region("md_sim");
-            for _ in 0..in_step {
-                let d = md_phase(&args, &mut sched, &mut rng);
-                args.ctx.sleep(d).await;
-            }
-            g.end();
-        }
-        let payload = {
-            let g = rec.region("serialize");
-            args.ctx
-                .sleep(args.serialize_cpu.mul_f64(in_step as f64))
-                .await;
-            let mut p = Payload::new();
-            for k in 0..in_step {
-                p.extend(args.template.frame_segments(frame + k));
-            }
-            g.end();
-            p
-        };
+    for step in 0..role.steps(args.frames) {
+        let in_step = role.agg_frames.min(args.frames - frame);
+        let payload = simulate_frames(&args, &rec, &mut sched, &mut rng, frame, in_step).await;
         frame += in_step;
         let ackers = role.step_ackers(step, &group_ackers);
         let name = role.step_name(role.leaf, step);
@@ -858,7 +922,7 @@ pub async fn subscriber_stream(
     let (rec, mut rng) = consumer_setup(&args);
     args.ctx.sleep(args.start_offset).await;
     let mut session = svc.subscriber(&role.session_id(sub_idx));
-    let agg = role.agg_frames.max(1);
+    let agg = role.agg_frames;
     let steps = role.steps(args.frames);
     for step in 0..steps {
         if !streaming::delivers_to(role.mode, step, sub_idx, role.fanout) {
@@ -891,7 +955,7 @@ pub async fn reducer_stream(
     args.ctx.sleep(args.start_offset).await;
     let mut session = svc.subscriber(&role.session_id(0));
     let tree = streaming::ReductionTree::new(role.fanin as usize);
-    let agg = role.agg_frames.max(1);
+    let agg = role.agg_frames;
     let steps = role.steps(args.frames);
     for step in 0..steps {
         let mut leaf_bytes: Vec<u64> = Vec::with_capacity(role.fanin as usize);
@@ -938,7 +1002,8 @@ pub async fn reducer_stream(
 
 /// Deserialize a step's leading frame header, charge the CPU cost, and
 /// validate as strictly as the step shape allows: full payload equality
-/// for single-frame steps, header identity for aggregated ones.
+/// for single-frame steps (a pair's frame is one), header identity for
+/// aggregated ones.
 async fn deserialize_step(
     args: &ConsumerArgs,
     rec: &Recorder,
@@ -953,29 +1018,94 @@ async fn deserialize_step(
     let header = FrameHeader::decode_segments(data).expect("valid step");
     assert_eq!(
         header.step, first_frame,
-        "step head mismatch for group {}",
+        "frame mismatch at the head of a step of consumer {}",
         args.pair
     );
     if in_step == 1 {
         assert!(
             args.template.validate(data, first_frame),
-            "step payload corrupted in transit (frame {first_frame})"
+            "payload corrupted in transit (consumer {}, frame {first_frame})",
+            args.pair
         );
     }
     g.end();
 }
 
-/// Deserialize the header, charge the CPU cost, and assert the frame is
-/// exactly what the producer serialized.
-async fn deserialize_and_validate(args: &ConsumerArgs, rec: &Recorder, data: &[Bytes], frame: u64) {
-    let g = rec.region("deserialize");
-    args.ctx.sleep(args.deserialize_cpu).await;
-    let header = FrameHeader::decode_segments(data).expect("valid frame");
-    assert_eq!(header.step, frame, "frame mismatch for pair {}", args.pair);
-    assert!(
-        args.template.validate(data, frame),
-        "frame payload corrupted in transit (pair {}, frame {frame})",
-        args.pair
-    );
-    g.end();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Placement, Solution};
+
+    /// What the roles of `wf`'s ensemble do with names, from the
+    /// functions their bodies call: `(node, managed path)` of a frame or
+    /// step every publisher writes, and every session id a consumer role
+    /// opens.
+    fn names_in_use(wf: &WorkflowConfig, ens: &Ensemble) -> (Vec<(u32, String)>, Vec<String>) {
+        let plane = wf.solution.row().plane.expect("a staged backend");
+        let (mut written, mut opened) = (Vec::new(), Vec::new());
+        for g in 0..ens.groups {
+            let role = StreamRole::new(&wf.streaming, g);
+            for l in 0..ens.pubs {
+                let name = match wf.solution {
+                    // `publisher_stream`, step 0 of leaf `l`.
+                    Solution::Streaming => role.step_name(l, 0),
+                    // `producer_dyad`, frame 0.
+                    _ => frame_path(g, 0),
+                };
+                let node = ens.publisher_node(g * ens.pubs + l);
+                written.push((node, plane.managed_path(&name)));
+            }
+            for j in 0..ens.subs {
+                opened.push(match wf.solution {
+                    // `subscriber_stream(.., j)`; `reducer_stream` opens
+                    // member 0's.
+                    Solution::Streaming => role.session_id(j),
+                    // `consumer_dyad`.
+                    _ => pair_session_id(g),
+                });
+            }
+        }
+        (written, opened)
+    }
+
+    #[test]
+    fn every_registration_names_a_directory_written_to_and_a_session_opened() {
+        let split = Placement::Split { pairs_per_node: 2 };
+        let streaming = || WorkflowConfig::new(Solution::Streaming, 3, split);
+        let partitioned = streaming()
+            .with_fanout(3)
+            .with_group_mode(streaming::GroupMode::Partitioned);
+        // (shape, registrations per group)
+        let shapes = [
+            (WorkflowConfig::new(Solution::Dyad, 5, split), 1),
+            (streaming().with_fanout(3), 3),
+            (partitioned, 1),
+            (streaming().with_fanin(4), 4),
+        ];
+        for (wf, per_group) in shapes {
+            let ens = wf.ensemble();
+            let regs = registrations(&wf, &ens);
+            assert_eq!(regs.len(), (wf.pairs * per_group) as usize, "{wf:?}");
+            let (written, opened) = names_in_use(&wf, &ens);
+            for (node, dir, consumer) in &regs {
+                assert!(
+                    written
+                        .iter()
+                        .any(|(n, path)| n == node && path.starts_with(&format!("{dir}/"))),
+                    "nothing is written under {dir} on node {node}: {written:?}"
+                );
+                assert!(
+                    opened.contains(consumer),
+                    "nobody opens {consumer}: {opened:?}"
+                );
+            }
+            // And nobody acks under an id no manager waits for.
+            for id in &opened {
+                assert!(regs.iter().any(|(_, _, c)| c == id), "{id} is unregistered");
+            }
+        }
+        // A backend that does not stage registers nothing.
+        let lustre = WorkflowConfig::new(Solution::Lustre, 4, split);
+        assert!(registrations(&lustre, &lustre.ensemble()).is_empty());
+    }
 }

@@ -78,6 +78,14 @@ pub struct Backend {
     pub get_pfs: &'static str,
 }
 
+impl Backend {
+    /// The managed path for a logical frame name.
+    pub fn managed_path(&self, name: &str) -> String {
+        // `concat` sizes the string before it writes (one allocator call).
+        [self.managed_dir, "/", name.trim_start_matches('/')].concat()
+    }
+}
+
 /// The staging admission stall inside [`Backend::put`].
 pub const BACKPRESSURE: &str = "staging_backpressure";
 /// The final local read inside [`Backend::get`].
@@ -295,8 +303,7 @@ impl Plane {
 
     /// The managed path for a logical frame name.
     pub fn managed_path(&self, name: &str) -> String {
-        // `concat` sizes the string before it writes (one allocator call).
-        [self.row.managed_dir, "/", name.trim_start_matches('/')].concat()
+        self.row.managed_path(name)
     }
 
     async fn ensure_dirs(&self, path: &str) {

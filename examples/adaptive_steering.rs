@@ -69,6 +69,7 @@ fn main() {
         saved += f.frames_produced - s.frames_produced;
     }
     let total: u64 = free.iter().map(|o| o.frames_produced).sum();
+    assert!(saved > 0, "a mid-distribution threshold terminated nothing");
     println!(
         "\nsteering saved {saved} of {total} frame computations ({:.0}%) across the ensemble —",
         100.0 * saved as f64 / total as f64
