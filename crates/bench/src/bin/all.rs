@@ -20,7 +20,8 @@
 //!   (`bench::BackendOverride`).
 //! * `MDFLOW_REPS` / `MDFLOW_FRAMES` — experiment scale (default the
 //!   paper's 10 × 128; `MDFLOW_REPS=3 all --only fig5,fig6,fig8` is the
-//!   quick calibration probe).
+//!   quick calibration probe). Like `MDFLOW_JOBS`, a value that is no
+//!   positive integer is an error (exit 2), not the default.
 
 use bench::experiments::{Experiment, EXPERIMENTS};
 use bench::{fmt_secs, reports_json, save_json, BackendOverride, Scale};

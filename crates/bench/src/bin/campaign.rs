@@ -30,6 +30,7 @@
 //! the warm-start ratios are meaningful, which is why the CI gates are
 //! ratio-based rather than parallel-speedup-based.
 
+use std::num::{NonZeroU32, NonZeroU64};
 use std::time::Instant;
 
 use bench::{env_or, flag_value, num_f64, num_u64, obj, rss_peak_bytes, write_record};
@@ -75,7 +76,7 @@ struct CampaignNumbers {
 /// scheduler interference on a shared host inflates a round, not the
 /// recorded number. `CAMPAIGN_ROUNDS` overrides (default 3).
 fn rounds() -> u64 {
-    env_or("CAMPAIGN_ROUNDS", 3u64).max(1)
+    env_or("CAMPAIGN_ROUNDS", NonZeroU64::new(3).expect("positive")).get()
 }
 
 fn measure_campaign(studies: &[StudyConfig]) -> CampaignNumbers {
@@ -344,8 +345,8 @@ fn check_baseline(c: &CampaignNumbers, s: &SingleRun, baseline_path: &str) -> bo
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let reps: u32 = env_or("CAMPAIGN_REPS", 4);
-    let frames: u64 = env_or("CAMPAIGN_FRAMES", 16);
+    let reps = env_or("CAMPAIGN_REPS", NonZeroU32::new(4).expect("positive")).get();
+    let frames = env_or("CAMPAIGN_FRAMES", NonZeroU64::new(16).expect("positive")).get();
     let studies = grid(reps, frames);
     println!(
         "CAMPAIGN — executor wall-clock benchmark ({} studies × {reps} reps at {frames} frames)",

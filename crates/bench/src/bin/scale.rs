@@ -46,6 +46,7 @@
 //! so the gate is unaffected by allocator-level overcommit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use bench::{env_or, num_f64, num_u64, obj, rss_peak_bytes, write_record};
@@ -272,7 +273,7 @@ fn main() {
         .split(',')
         .map(|s| s.trim().parse().expect("SCALE_PAIRS entries must be u32"))
         .collect();
-    let frames: u64 = env_or("SCALE_FRAMES", 3);
+    let frames = env_or("SCALE_FRAMES", NonZeroU64::new(3).expect("positive")).get();
     assert!(
         pairs_list.windows(2).all(|w| w[0] < w[1]),
         "SCALE_PAIRS must be ascending (the heap attribution depends on it)"

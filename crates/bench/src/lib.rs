@@ -1,10 +1,13 @@
 //! Shared plumbing for the experiment regenerators. The paper's
 //! evaluation is one table ([`experiments::EXPERIMENTS`]) behind one
 //! driver (`all`); this crate root holds what the table, the driver and
-//! the five binaries that are not "studies in, reports out" share: the
+//! the four binaries that are not "studies in, reports out" share: the
 //! experiment scale, the `--backend` override, bar/ratio/chart printing,
 //! the JSON record writers and the metadata-plane cell.
 
+use std::num::{NonZeroU32, NonZeroU64};
+
+pub use mdflow::campaign::env_or;
 use mdflow::prelude::*;
 use simcore::SimDuration;
 
@@ -22,21 +25,16 @@ pub struct Scale {
 
 impl Scale {
     /// Read `MDFLOW_REPS` / `MDFLOW_FRAMES` from the environment,
-    /// defaulting to the paper's 10 × 128.
+    /// defaulting to the paper's 10 × 128. Both are counts: a value that
+    /// is no positive integer ends the process ([`env_or`]).
     pub fn from_env() -> Scale {
+        const REPS: NonZeroU32 = NonZeroU32::new(10).expect("positive");
+        const FRAMES: NonZeroU64 = NonZeroU64::new(128).expect("positive");
         Scale {
-            reps: env_or("MDFLOW_REPS", 10),
-            frames: env_or("MDFLOW_FRAMES", 128),
+            reps: env_or("MDFLOW_REPS", REPS).get(),
+            frames: env_or("MDFLOW_FRAMES", FRAMES).get(),
         }
     }
-}
-
-/// `key` from the environment, or `default` when unset or unparseable.
-pub fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// The value following `flag` in `args`.
@@ -314,7 +312,7 @@ pub fn rss_peak_bytes() -> u64 {
         .unwrap_or(0)
 }
 
-/// One measured cell of the `metadata_plane` sweep.
+/// One measured cell of the metadata-plane shard sweep.
 pub struct MetadataCell {
     /// Producer-consumer pairs.
     pub pairs: u32,
@@ -335,9 +333,10 @@ pub struct MetadataCell {
     pub makespan_secs: f64,
 }
 
-/// Run one `metadata_plane` cell (seed 11): DYAD on a quiet testbed with
-/// the metadata plane, not MD compute, bounding the pipeline. Shared by
-/// the binary and the tier-1 shard-sweep test.
+/// Run one metadata-plane cell (seed 11): DYAD on a quiet testbed with
+/// the metadata plane, not MD compute, bounding the pipeline. The
+/// tier-1 shard-sweep test (`tests/experiments.rs`) reads it;
+/// EXPERIMENTS.md has the recorded sweep.
 pub fn run_cell(pairs: u32, shards: u32, replication: u32, frames: u64) -> MetadataCell {
     let mut cal = Calibration::quiet();
     // The stock flux-broker profile (20 µs/op, 4 service threads), not

@@ -75,6 +75,32 @@ fn only_rejects_an_unknown_experiment_naming_the_valid_ones() {
     }
 }
 
+/// A scale variable that is set to something other than a positive
+/// integer ends in exit 2 naming the variable and the value. Each of
+/// these ran: the paper-size suite, a saved report of zeros, a panic
+/// with a backtrace, every core.
+#[test]
+fn all_rejects_malformed_scale_variables() {
+    let cases = [
+        ("MDFLOW_REPS", "1x"),
+        ("MDFLOW_REPS", "0"),
+        ("MDFLOW_FRAMES", "0"),
+        ("MDFLOW_JOBS", "abc"),
+    ];
+    for (key, value) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_all"))
+            .args(["--only", "table1"])
+            .env(key, value)
+            .output()
+            .expect("run all");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{key}={value}: {stderr}");
+        let named = format!("error: {key}={value:?}");
+        assert!(stderr.contains(&named), "{key}={value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{key}={value} printed a report");
+    }
+}
+
 /// A malformed `mdflow-run` configuration ends in the typed error and
 /// exit 2 — each of these was a panic, a `NaN µs` report or a report of
 /// zeros.
@@ -147,7 +173,8 @@ fn streaming_fanout_crossover_relations_hold() {
 }
 
 /// What sharding the metadata plane buys where one broker saturates, on
-/// the `metadata_plane` binary's own cell at 1024 pairs × 2 frames.
+/// the recorded sweep's cell (EXPERIMENTS.md "Metadata plane") at 1024
+/// pairs × 2 frames.
 #[test]
 fn metadata_plane_shard_sweep_relations_hold() {
     let cells = [1, 2, 4].map(|shards| run_cell(1024, shards, 1, 2));

@@ -69,13 +69,7 @@ impl FabricSpec {
         }
     }
 
-    /// Number of event-calendar shards a simulation of `n_nodes` should
-    /// use under this topology: shard 0 for cross-leaf activity (spine
-    /// transfers, metadata RPCs, campaign timers) plus one shard per
-    /// leaf switch. Flat fabrics — and leaf/spines that degenerate to a
-    /// single leaf — need exactly one shard (the classic global
-    /// calendar). Shard placement is a locality hint only; see
-    /// [`simcore::SimConfig`].
+    /// Frozen for `perf/` (DESIGN.md §12): the leaf count plus one when `n_nodes` span several leaves, else 1.
     pub fn shard_count(&self, n_nodes: usize) -> u32 {
         match self.topology {
             TopologySpec::Flat => 1,
@@ -90,8 +84,7 @@ impl FabricSpec {
         }
     }
 
-    /// Calendar shard for `node`-local activity: `1 + leaf(node)` when
-    /// [`FabricSpec::shard_count`] actually shards, else shard 0.
+    /// Frozen for `perf/` (DESIGN.md §12): `1 + leaf(node)` when `n_nodes` span several leaves, else 0.
     pub fn shard_of(&self, node: NodeId, n_nodes: usize) -> u32 {
         match self.topology {
             TopologySpec::LeafSpine { radix, .. } if n_nodes.div_ceil(radix as usize) > 1 => {
@@ -101,12 +94,7 @@ impl FabricSpec {
         }
     }
 
-    /// Minimum simulated time for an event on one leaf to influence
-    /// another leaf: a cross-leaf message pays the per-message overhead
-    /// plus four wire hops (node→leaf→spine→leaf→node) before anything
-    /// remote can observe it; a flat fabric pays overhead plus two hops.
-    /// No caller in this workspace; kept only because the frozen `perf/`
-    /// probe `cluster_fabric_leafspine` calls it.
+    /// Frozen for `perf/` (DESIGN.md §12): message overhead plus the wire hops of a cross-leaf (flat: any) send.
     pub fn shard_lookahead(&self) -> SimDuration {
         match self.topology {
             TopologySpec::Flat => self.msg_overhead + self.hop_latency * 2,
@@ -181,25 +169,10 @@ impl Fabric {
     /// topology. `mem_bw` is the intra-node copy bandwidth used when
     /// source and destination are the same node.
     pub fn new(ctx: &Ctx, n_nodes: usize, spec: FabricSpec, mem_bw: f64) -> Self {
-        // Pin each resource's completion timer to its topology domain
-        // when the simulation actually shards its calendar: NICs to
-        // their node's leaf shard, leaf up/downlinks to that leaf's
-        // shard, the spine to cross-leaf shard 0. Placement never
-        // changes the schedule, so the unsharded path skips the wrap.
-        let sharded = ctx.num_shards() > 1;
         let nics = (0..n_nodes)
-            .map(|i| {
-                let tx = SharedBandwidth::new(ctx, spec.link_bw);
-                let rx = SharedBandwidth::new(ctx, spec.link_bw);
-                if sharded {
-                    let sh = spec.shard_of(NodeId(i as u32), n_nodes);
-                    Nic {
-                        tx: tx.pin_to_shard(sh),
-                        rx: rx.pin_to_shard(sh),
-                    }
-                } else {
-                    Nic { tx, rx }
-                }
+            .map(|_| Nic {
+                tx: SharedBandwidth::new(ctx, spec.link_bw),
+                rx: SharedBandwidth::new(ctx, spec.link_bw),
             })
             .collect();
         let tiers = match spec.topology {
@@ -226,29 +199,15 @@ impl Fabric {
                     let up_rate = radix as f64 * spec.link_bw / oversubscription;
                     let spine_rate = n_leaves as f64 * up_rate / 2.0;
                     let leaves = (0..n_leaves)
-                        .map(|leaf| {
-                            let up = SharedBandwidth::new(ctx, up_rate);
-                            let down = SharedBandwidth::new(ctx, up_rate);
-                            if sharded {
-                                let sh = 1 + leaf as u32;
-                                LeafSwitch {
-                                    up: up.pin_to_shard(sh),
-                                    down: down.pin_to_shard(sh),
-                                }
-                            } else {
-                                LeafSwitch { up, down }
-                            }
+                        .map(|_| LeafSwitch {
+                            up: SharedBandwidth::new(ctx, up_rate),
+                            down: SharedBandwidth::new(ctx, up_rate),
                         })
                         .collect();
-                    let spine = SharedBandwidth::new(ctx, spine_rate);
                     Some(Rc::new(LeafSpine {
                         radix,
                         leaves,
-                        spine: if sharded {
-                            spine.pin_to_shard(0)
-                        } else {
-                            spine
-                        },
+                        spine: SharedBandwidth::new(ctx, spine_rate),
                     }))
                 }
             }

@@ -5,7 +5,7 @@
 //! A cold [`crate::runner::run_once`] rebuilds everything from scratch:
 //! the placement plan, the cluster spec, the fault plan, the frame
 //! template (O(atoms) — ~30 MB of synthesis for STMV), and a fresh
-//! executor with empty calendars. For a single run that is fine; for a
+//! executor with an empty calendar. For a single run that is fine; for a
 //! campaign of thousands of runs the setup tax dominates. This module
 //! splits the per-run state into what is *shareable across runs of the
 //! same sweep point* ([`ClusterSnapshot`]) and what is *recyclable
@@ -72,9 +72,7 @@ pub struct RunTimings {
     pub setup_secs: f64,
     /// Seconds spent advancing the simulation and collecting results.
     pub sim_secs: f64,
-    /// Calendar-shard load summary. Not serialized: host-facing
-    /// diagnostics, kept out of anything that is byte-compared across
-    /// runs.
+    /// Frozen for `perf/` (DESIGN.md §12): `Some(ShardLoad { shards: 1, imbalance: 1.0 })` after every run; not serialized.
     #[serde(skip)]
     pub shard_load: Option<instrument::ShardLoad>,
 }
@@ -85,7 +83,7 @@ pub struct RunTimings {
 /// later run reuses the previous run's allocations.
 #[derive(Default)]
 pub struct RunArena {
-    pub(crate) sim: Option<simcore::SimArena>,
+    pub(crate) sim: simcore::SimArena,
 }
 
 impl RunArena {
@@ -209,15 +207,6 @@ impl ClusterSnapshot {
             template,
             registrations,
         }
-    }
-
-    /// Executor configuration for one run at `seed`: one calendar,
-    /// whatever the fabric. A shard per leaf
-    /// (`FabricSpec::shard_count`) replays the same trajectory and was
-    /// measured slower on one thread at every benchmarked size
-    /// (DESIGN.md §12), so no run asks for it.
-    pub fn sim_config(&self, seed: u64) -> simcore::SimConfig {
-        simcore::SimConfig::new(seed)
     }
 
     /// The workflow this snapshot was prepared for.

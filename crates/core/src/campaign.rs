@@ -9,19 +9,17 @@
 //! [`run_studies_jobs`] call) goes through one parallel executor:
 //!
 //! 1. each sweep point's shareable setup is computed once into a
-//!    [`ClusterSnapshot`](crate::arena::ClusterSnapshot), and points
-//!    with the same model and template seed share one frame template;
+//!    [`ClusterSnapshot`], and points with the same model and template
+//!    seed share one frame template;
 //! 2. the `(point, repetition)` units are flattened into a single work
 //!    list and claimed off an atomic cursor by `jobs` worker threads;
-//! 3. each worker owns a [`RunArena`](crate::arena::RunArena) and runs
-//!    units warm-started through
-//!    [`run_once_warm`](crate::runner::run_once_warm);
-//! 4. the worker reduces each run to its
-//!    [`RunBreakdown`](crate::report::RunBreakdown) and drops the run's
-//!    profiles before claiming the next unit, so what a campaign holds
-//!    does not grow with its length; the breakdowns land in per-unit
-//!    slots, so the order a report sees is the sweep order regardless
-//!    of which worker finished which unit when.
+//! 3. each worker owns a [`RunArena`] and runs units warm-started
+//!    through [`run_once_warm`];
+//! 4. the worker reduces each run to its [`RunBreakdown`] and drops the
+//!    run's profiles before claiming the next unit, so what a campaign
+//!    holds does not grow with its length; the breakdowns land in
+//!    per-unit slots, so the order a report sees is the sweep order
+//!    regardless of which worker finished which unit when.
 //!
 //! Determinism: every unit's seed is a pure function of
 //! `(base, point, rep)` (see [`derive_run_seed`]), the simulation state
@@ -29,6 +27,7 @@
 //! executor counters — so `jobs = 1` and `jobs = N` produce
 //! byte-identical reports.
 
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -42,21 +41,52 @@ use crate::report::{reduce_run, RunBreakdown, StudyReport};
 use crate::runner::run_once_warm;
 use mdsim::{FrameTemplate, Model};
 
+fn cores() -> NonZeroUsize {
+    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
+}
+
 /// Hardware threads available to this process (1 when that cannot be
 /// determined).
 pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    cores().get()
+}
+
+/// What the environment variable `key` holding `raw` means: `default`
+/// when unset, else the text (surrounding whitespace aside) as a `T`.
+/// Text that is no `T` is an error naming the variable and the value;
+/// read a count as a `NonZero*`, for which `0` is no value either.
+pub fn parse_env<T>(key: &str, raw: Option<&str>, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let Some(text) = raw else {
+        return Ok(default);
+    };
+    let value = text.trim().parse();
+    value.map_err(|e| format!("{key}={text:?}: {e}"))
+}
+
+/// [`parse_env`] on the process environment. A value that does not
+/// parse is a usage error like a malformed flag: the message on stderr
+/// and exit 2, not a silent fall back to `default`.
+pub fn env_or<T>(key: &str, default: T) -> T
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    let raw = std::env::var_os(key).map(|v| v.to_string_lossy().into_owned());
+    parse_env(key, raw.as_deref(), default).unwrap_or_else(|problem| {
+        eprintln!("error: {problem}");
+        std::process::exit(2)
+    })
 }
 
 /// Worker-thread count to use when the caller does not specify one: the
-/// `MDFLOW_JOBS` environment variable if set (min 1), otherwise every
-/// available core.
+/// `MDFLOW_JOBS` environment variable if set, otherwise every available
+/// core.
 pub fn default_jobs() -> usize {
-    std::env::var("MDFLOW_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(host_cores)
+    env_or("MDFLOW_JOBS", cores()).get()
 }
 
 /// Aggregate wall-clock accounting for one executor invocation.
@@ -407,6 +437,36 @@ impl CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Unset is the default; set is the value or an error that names
+    /// the variable and the text, never the default.
+    #[test]
+    fn parse_env_defaults_only_when_unset() {
+        use std::num::NonZeroU32;
+        let ten = NonZeroU32::new(10).unwrap();
+        let count = |raw| parse_env("MDFLOW_REPS", raw, ten).map(NonZeroU32::get);
+        let cases = [
+            (None, Ok(10)),
+            (Some("3"), Ok(3)),
+            (Some(" 3\n"), Ok(3)),
+            (Some("1x"), Err("MDFLOW_REPS=\"1x\": ")),
+            (Some("0"), Err("MDFLOW_REPS=\"0\": ")),
+            (Some("-2"), Err("MDFLOW_REPS=\"-2\": ")),
+            (Some(""), Err("MDFLOW_REPS=\"\": ")),
+            (Some("  "), Err("MDFLOW_REPS=\"  \": ")),
+        ];
+        for (raw, want) in cases {
+            match (count(raw), want) {
+                (Ok(got), Ok(want)) => assert_eq!(got, want, "{raw:?}"),
+                (Err(got), Err(prefix)) => assert!(got.starts_with(prefix), "{raw:?}: {got}"),
+                (got, want) => panic!("{raw:?}: got {got:?}, want {want:?}"),
+            }
+        }
+        // A plain number type takes 0: a seed or a tolerance is no count.
+        assert_eq!(parse_env("MDFLOW_CHAOS_SEED", Some("0"), 42u64), Ok(0));
+        assert_eq!(parse_env("CAMPAIGN_TOLERANCE", Some("0.5"), 0.25), Ok(0.5));
+        assert!(parse_env("CAMPAIGN_TOLERANCE", Some("half"), 0.25).is_err());
+    }
 
     #[test]
     fn points_cross_all_axes() {

@@ -1,7 +1,7 @@
-//! Runs one repetition in four phases: [`Testbed::build`] wires the live
-//! substrates from a snapshot, [`spawn_ensemble`] starts the roles on
-//! them, [`drive`] advances the simulation until the workload finished,
-//! [`reduce`] turns the substrates' counters and the roles' profiles
+//! Runs one repetition in four phases: `Testbed::build` wires the live
+//! substrates from a snapshot, `spawn_ensemble` starts the roles on
+//! them, `drive` advances the simulation until the workload finished,
+//! `reduce` turns the substrates' counters and the roles' profiles
 //! into [`RunMetrics`] (DESIGN.md "Runner").
 
 // Each phase stays readable on its own: `clippy.toml` sets the
@@ -214,8 +214,7 @@ pub struct RunMetrics {
 pub fn run_once(wf: &WorkflowConfig, cal: &Calibration, seed: u64) -> RunMetrics {
     let setup_started = Instant::now();
     let snap = ClusterSnapshot::cold(wf, cal, seed);
-    let sim = Sim::with_config(snap.sim_config(seed));
-    run_prepared(&snap, Tracer::disabled(), sim, setup_started).metrics
+    run_prepared(&snap, Tracer::disabled(), Sim::new(seed), setup_started).metrics
 }
 
 /// [`run_once`] with Chrome-trace capture: every producer/consumer
@@ -229,7 +228,7 @@ pub fn run_once_traced(wf: &WorkflowConfig, cal: &Calibration, seed: u64) -> (Ru
 }
 
 /// Traced run against a prepared snapshot, also returning the
-/// wall-clock split and shard load. The cold-vs-warm identity fixtures
+/// wall-clock split. The cold-vs-warm identity fixtures
 /// compare the returned tracer's Chrome JSON byte for byte.
 pub fn run_once_traced_snap(
     snap: &ClusterSnapshot,
@@ -237,8 +236,7 @@ pub fn run_once_traced_snap(
     setup_started: Instant,
 ) -> (RunMetrics, RunTimings, Tracer) {
     let tracer = Tracer::enabled();
-    let sim = Sim::with_config(snap.sim_config(seed));
-    let out = run_prepared(snap, tracer.clone(), sim, setup_started);
+    let out = run_prepared(snap, tracer.clone(), Sim::new(seed), setup_started);
     (out.metrics, out.timings, tracer)
 }
 
@@ -253,13 +251,9 @@ pub fn run_once_warm(
     arena: &mut RunArena,
 ) -> (RunMetrics, RunTimings) {
     let setup_started = Instant::now();
-    let cfg = snap.sim_config(seed);
-    let sim = match arena.sim.take() {
-        Some(recycled) => Sim::with_config_arena(cfg, recycled),
-        None => Sim::with_config(cfg),
-    };
+    let sim = Sim::with_arena(seed, std::mem::take(&mut arena.sim));
     let out = run_prepared(snap, Tracer::disabled(), sim, setup_started);
-    arena.sim = Some(out.arena);
+    arena.sim = out.arena;
     (out.metrics, out.timings)
 }
 
@@ -292,9 +286,6 @@ fn run_prepared(
         SimTime::from_nanos(((wf.frames + 16) as f64 * period.max(0.001) * 400.0 * 1e9) as u64);
     let report = drive(&sim, [&producers, &consumers], slice, hard_stop);
     let metrics = reduce(&testbed, [producers, consumers], report.events_processed);
-    // Worker-invariant per-shard load summary, read out before the
-    // arena teardown clears the counters.
-    let shard_load = instrument::ShardLoad::from_stats(&sim.shard_stats());
     // Recover the executor allocations for the next warm run. Pending
     // background tasks and their timers drop here exactly as dropping
     // the Sim would drop them (the substrates hold weak Ctx handles, so
@@ -305,7 +296,10 @@ fn run_prepared(
         timings: RunTimings {
             setup_secs,
             sim_secs: sim_started.elapsed().as_secs_f64(),
-            shard_load: Some(shard_load),
+            shard_load: Some(instrument::ShardLoad {
+                shards: 1,
+                imbalance: 1.0,
+            }),
         },
         arena,
     }

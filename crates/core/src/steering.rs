@@ -122,7 +122,7 @@ pub fn run_steering(cfg: &SteeringConfig, cal: &Calibration, seed: u64) -> Vec<T
     };
     let wf = WorkflowConfig::new(Solution::Dyad, cfg.pairs, placement);
     let snap = ClusterSnapshot::cold(&wf, cal, seed);
-    let sim = Sim::with_config(snap.sim_config(seed));
+    let sim = Sim::new(seed);
     let ctx = sim.ctx();
     let testbed = Testbed::build(&ctx, &snap);
     let (prod_svc, cons_svc) = (testbed.dyad_service(0), testbed.dyad_service(1));

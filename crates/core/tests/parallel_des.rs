@@ -1,14 +1,8 @@
-//! Parallel-DES determinism fixtures (PR 9).
+//! Pinned flat and multi-leaf schedules (PR 9).
 //!
-//! The sharded calendar is required to be *behavior-invisible*: shard
-//! placement is a locality hint, so for any shard count the executor
-//! must replay the exact serial schedule. `simcore` checks that on the
-//! calendar itself (`shard_count_is_trajectory_neutral`, the
-//! `calendar_oracle` proptest); these tests pin it at the workflow
-//! level, from the other side: the `LeafSpine` schedules below were
-//! captured while a run on a multi-leaf fabric used one calendar shard
-//! per leaf plus the cross-leaf shard 0, and since PR 20 every run uses
-//! one calendar (the shards lost on one thread, DESIGN.md §12).
+//! `simcore` checks the calendar's `(time, seq)` order on the calendar
+//! itself (the `calendar_oracle` proptest); these tests pin it at the
+//! workflow level, where a reordering anywhere in the stack shows:
 //!
 //! * the executor replays the pinned schedules for both a `Flat` fabric
 //!   and a genuinely multi-leaf `LeafSpine` fabric — makespans and event
@@ -32,17 +26,17 @@ const SEED: u64 = 2024;
 const SPLIT_NODES: usize = 2 * PAIRS as usize / 8;
 
 /// Radix-4 leaf/spine at 2:1 oversubscription: small enough that the
-/// fig6 node count spans several leaves (a calendar shard each, when
-/// the `LeafSpine` pins below were captured).
+/// fig6 node count spans several leaves.
+const RADIX: u32 = 4;
 const MULTI_LEAF: TopologySpec = TopologySpec::LeafSpine {
-    radix: 4,
+    radix: RADIX,
     oversubscription: 2.0,
 };
+const _: () = assert!(SPLIT_NODES.div_ceil(RADIX as usize) > 1);
 
 /// Pinned `(makespan_ns, events)` captures for the current model. The
 /// `Flat` rows must equal `determinism_pr4_pinned.json`; the `LeafSpine`
-/// rows were captured on the multi-leaf fabric above, on sharded
-/// calendars.
+/// rows were captured on the multi-leaf fabric above.
 const PINS: &[(Solution, Topo, u64, u64)] = &[
     (Solution::Dyad, Topo::Flat, 11_554_585_966, 41_835),
     (Solution::Xfs, Topo::Flat, 20_615_097_294, 10_159),
@@ -94,24 +88,13 @@ fn report_bytes(m: &RunMetrics) -> String {
     )
 }
 
-/// The executor replays the pinned schedules exactly — on the `Flat`
-/// fabric and, on one calendar, the ones a genuinely multi-leaf
-/// `LeafSpine` fabric produced on a calendar shard per leaf.
+/// The executor replays the pinned schedules exactly, on the `Flat`
+/// fabric and on a genuinely multi-leaf `LeafSpine` fabric.
 #[test]
 fn sharded_executor_replays_pinned_schedules() {
     for &(solution, topo, makespan_ns, events) in PINS {
         let wf = workflow(solution);
         let cal = calibration(topo);
-        let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
-        assert!(
-            topo == Topo::Flat || cal.fabric.shard_count(SPLIT_NODES) > 2,
-            "{solution:?}: radix-4 leaf/spine should span several leaves"
-        );
-        assert_eq!(
-            snap.sim_config(SEED).shards,
-            1,
-            "{solution:?} under {topo:?}"
-        );
         let m = run_once(&wf, &cal, SEED);
         assert_eq!(
             (m.makespan.nanos(), m.events),
@@ -135,16 +118,8 @@ fn cold_and_warm_arena_reports_and_traces_are_byte_identical() {
     let wf = workflow(Solution::Dyad);
     let cal = calibration(Topo::MultiLeaf);
     let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
-    assert!(
-        cal.fabric.shard_count(SPLIT_NODES) > 2,
-        "scenario must span several leaves"
-    );
     let traced = || {
-        let (metrics, timings, tracer) =
-            run_once_traced_snap(&snap, SEED, std::time::Instant::now());
-        let load = timings.shard_load.expect("a run reports its calendar load");
-        assert_eq!(load.fired_total, metrics.events);
-        assert!(load.fired_max >= load.fired_total / u64::from(load.shards));
+        let (metrics, _, tracer) = run_once_traced_snap(&snap, SEED, std::time::Instant::now());
         (report_bytes(&metrics), tracer.to_chrome_json())
     };
     let (report, trace) = traced();

@@ -30,11 +30,13 @@ const SEED: u64 = 2024;
 const MIN_NODES: usize = 2 * GROUPS as usize / 4;
 
 /// Radix-4 leaf/spine at 2:1 oversubscription (same as the parallel-DES
-/// fixtures): the fan-out 4 node count spans several leaves.
+/// fixtures): even the smallest node count spans several leaves.
+const RADIX: u32 = 4;
 const MULTI_LEAF: TopologySpec = TopologySpec::LeafSpine {
-    radix: 4,
+    radix: RADIX,
     oversubscription: 2.0,
 };
+const _: () = assert!(MIN_NODES.div_ceil(RADIX as usize) > 1);
 
 /// Pinned `(fanout, topo, makespan_ns, events)` captures for the
 /// current model.
@@ -92,25 +94,13 @@ fn report_bytes(m: &RunMetrics) -> String {
 }
 
 /// The executor replays the pinned streaming schedules exactly, on the
-/// degenerate single-shard `Flat` fabric and on a multi-leaf
-/// `LeafSpine` fabric alike, at fan-out 1 and 4.
+/// `Flat` fabric and on a multi-leaf `LeafSpine` fabric alike, at
+/// fan-out 1 and 4.
 #[test]
 fn streaming_replays_pinned_schedules() {
     for &(fanout, topo, makespan_ns, events) in PINS {
         let wf = workflow(fanout);
         let cal = calibration(topo);
-        let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
-        // The `MultiLeaf` pins were captured on a calendar shard per
-        // leaf; every run is one calendar now (DESIGN.md §12).
-        assert!(
-            topo == Topo::Flat || cal.fabric.shard_count(MIN_NODES) > 2,
-            "fanout {fanout}: leaf/spine should span several leaves"
-        );
-        assert_eq!(
-            snap.sim_config(SEED).shards,
-            1,
-            "fanout {fanout} under {topo:?}"
-        );
         let m = run_once(&wf, &cal, SEED);
         // Sanity: the topology actually ran M:N and every step landed.
         assert_eq!(m.producers.len(), GROUPS as usize);
@@ -140,16 +130,8 @@ fn streaming_cold_and_warm_arena_reports_and_traces_are_byte_identical() {
     let wf = workflow(4);
     let cal = calibration(Topo::MultiLeaf);
     let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
-    assert!(
-        cal.fabric.shard_count(MIN_NODES) > 2,
-        "scenario must span several leaves"
-    );
     let traced = || {
-        let (metrics, timings, tracer) =
-            run_once_traced_snap(&snap, SEED, std::time::Instant::now());
-        let load = timings.shard_load.expect("a run reports its calendar load");
-        assert_eq!(load.fired_total, metrics.events);
-        assert!(load.fired_max >= load.fired_total / u64::from(load.shards));
+        let (metrics, _, tracer) = run_once_traced_snap(&snap, SEED, std::time::Instant::now());
         (report_bytes(&metrics), tracer.to_chrome_json())
     };
     let (report, trace) = traced();

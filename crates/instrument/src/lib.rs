@@ -1,6 +1,6 @@
 //! # instrument — Caliper-like performance annotation
 //!
-//! The paper instruments its workflow with Caliper [21]: nested annotated
+//! The paper instruments its workflow with Caliper \[21\]: nested annotated
 //! regions whose inclusive times are collected per call path. This crate
 //! provides the same model for simulated processes:
 //!
@@ -410,39 +410,13 @@ impl Drop for RegionGuard {
     }
 }
 
-/// Calendar-shard load summary distilled from [`simcore::ShardStats`]
-/// (events fired per shard).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Frozen for `perf/` (DESIGN.md §12): the load of a run's one calendar, which is these two values by definition.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShardLoad {
-    /// Number of calendar shards the run was configured with.
+    /// Calendars the run used: 1.
     pub shards: u32,
-    /// Events fired across all shards.
-    pub fired_total: u64,
-    /// Events fired by the busiest shard.
-    pub fired_max: u64,
-    /// `fired_max / (fired_total / shards)`: 1.0 is perfectly balanced,
-    /// `shards` means one shard did everything. 0.0 when nothing fired.
+    /// Busiest calendar's events over the mean per calendar: 1.0.
     pub imbalance: f64,
-}
-
-impl ShardLoad {
-    /// Summarize a run's per-shard counters.
-    pub fn from_stats(stats: &[simcore::ShardStats]) -> ShardLoad {
-        let shards = stats.len() as u32;
-        let fired_total: u64 = stats.iter().map(|s| s.fired).sum();
-        let fired_max = stats.iter().map(|s| s.fired).max().unwrap_or(0);
-        let imbalance = if fired_total == 0 || shards == 0 {
-            0.0
-        } else {
-            fired_max as f64 / (fired_total as f64 / shards as f64)
-        };
-        ShardLoad {
-            shards,
-            fired_total,
-            fired_max,
-            imbalance,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -11,28 +11,9 @@
 //! increasing sequence number breaks ties), which makes runs fully
 //! deterministic for a fixed seed and spawn order.
 //!
-//! # Sharded calendars
-//!
-//! The calendar can be split into *shards* ([`SimConfig::shards`]) —
-//! one per topology domain (leaf switch) plus a cross-domain shard 0 —
-//! each holding its own small heap. Execution order never changes: the
-//! executor always fires the globally smallest `(time, seq)` entry,
-//! found through an indexed min-heap over the per-shard heads. Because
-//! `seq` is globally unique, the cross-shard merge order
-//! `(time, shard_id, seq)` collapses to `(time, seq)` — the exact serial
-//! order — so a sharded run is bit-identical to a single-shard run for
-//! *any* shard assignment. Sharding was meant as a locality
-//! optimization — per-shard heaps small enough to stay in cache — and
-//! read +24 % at 64k pairs when PR 9 built it for a worker pool. With
-//! the pool gone and the working set a third smaller, one heap was not
-//! slower on one thread in 8 of 10 interleaved pairs at 16k pairs
-//! (median +6.5 % events/s) and in 7 of 10 on the streaming fan-out
-//! (+1.7 %); `ShardIndex::set_key` alone was 7 % of samples. No run
-//! configures more than one shard any more (DESIGN.md §12); the layer
-//! stays until the frozen benchmark's leaf/spine probe stops using it.
-//!
-//! The executor is single-threaded: parallelism lives one level up, over
-//! independent runs (`mdflow::campaign`; DESIGN.md §12 has the measurement).
+//! The calendar is one heap and the executor one thread: parallelism
+//! lives one level up, over independent runs (`mdflow::campaign`).
+//! DESIGN.md §12 has what was measured against both and rejected.
 //!
 //! # What a spawn costs
 //!
@@ -268,166 +249,32 @@ impl EventHeap {
     }
 }
 
-/// Head key of an empty shard: sorts after every real `(at, seq)` key
-/// (no real entry carries `seq == u64::MAX`).
-const NO_EVENT: (SimTime, u64) = (SimTime::MAX, u64::MAX);
-
-/// One calendar shard: a heap of future entries and the count of
-/// events fired from it.
-#[derive(Default)]
-struct ShardCal {
-    heap: EventHeap,
-    fired: u64,
-}
-
-impl ShardCal {
-    fn head_key(&self) -> (SimTime, u64) {
-        self.heap.peek().map_or(NO_EVENT, |e| (e.at, e.seq))
-    }
-
-    fn reset(&mut self) {
-        self.heap.clear();
-        self.fired = 0;
-    }
-}
-
-/// Indexed 4-ary min-heap over shard ids, keyed by each shard's head
-/// `(at, seq)`. A position map makes the per-event key update (the shard
-/// we just popped from got a new head) an O(log₄ shards) sift instead of
-/// a lazy push/pop pair.
-struct ShardIndex {
-    /// Heap of shard ids, min `keys[heap[0]]` at the root.
-    heap: Vec<u32>,
-    /// shard id → position in `heap`.
-    pos: Vec<u32>,
-    /// shard id → current head key.
-    keys: Vec<(SimTime, u64)>,
-}
-
-impl ShardIndex {
-    const D: usize = 4;
-
-    fn new(n: usize) -> ShardIndex {
-        ShardIndex {
-            heap: (0..n as u32).collect(),
-            pos: (0..n as u32).collect(),
-            keys: vec![NO_EVENT; n],
-        }
-    }
-
-    /// Shard with the globally smallest head key, and that key.
-    fn min(&self) -> (u32, (SimTime, u64)) {
-        let s = self.heap[0];
-        (s, self.keys[s as usize])
-    }
-
-    fn key(&self, shard: u32) -> (SimTime, u64) {
-        self.keys[shard as usize]
-    }
-
-    fn set_key(&mut self, shard: u32, key: (SimTime, u64)) {
-        let old = self.keys[shard as usize];
-        if old == key {
-            return;
-        }
-        self.keys[shard as usize] = key;
-        let i = self.pos[shard as usize] as usize;
-        if key < old {
-            self.sift_up(i);
-        } else {
-            self.sift_down(i);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let s = self.heap[i];
-        let key = self.keys[s as usize];
-        while i > 0 {
-            let parent = (i - 1) / Self::D;
-            let p = self.heap[parent];
-            if self.keys[p as usize] <= key {
-                break;
-            }
-            self.heap[i] = p;
-            self.pos[p as usize] = i as u32;
-            i = parent;
-        }
-        self.heap[i] = s;
-        self.pos[s as usize] = i as u32;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let s = self.heap[i];
-        let key = self.keys[s as usize];
-        let n = self.heap.len();
-        loop {
-            let first = i * Self::D + 1;
-            if first >= n {
-                break;
-            }
-            let last = (first + Self::D).min(n);
-            let mut min_j = first;
-            let mut min_key = self.keys[self.heap[first] as usize];
-            for j in first + 1..last {
-                let k = self.keys[self.heap[j] as usize];
-                if k < min_key {
-                    min_j = j;
-                    min_key = k;
-                }
-            }
-            if key <= min_key {
-                break;
-            }
-            let c = self.heap[min_j];
-            self.heap[i] = c;
-            self.pos[c as usize] = i as u32;
-            i = min_j;
-        }
-        self.heap[i] = s;
-        self.pos[s as usize] = i as u32;
-    }
-}
-
-/// Executor construction parameters. [`Sim::new`] is shorthand for the
-/// default single-shard configuration.
+/// Carries the seed to [`Sim::with_config`]. Kept, with its two inert
+/// setters, only because the frozen `perf/` probe
+/// `cluster_fabric_leafspine` builds its simulation through it
+/// (DESIGN.md §12 lists the frozen names); everything else calls
+/// [`Sim::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// RNG seed; determines every [`Ctx::rng`] stream.
     pub seed: u64,
-    /// Calendar shards. 1 (the default, and what every run uses) is the
-    /// classic global calendar; `FabricSpec::shard_count` maps a fabric
-    /// to one shard per leaf switch plus a cross-leaf shard 0.
-    /// Trajectories are identical for any value.
-    pub shards: u32,
 }
 
 impl SimConfig {
-    /// Single-shard configuration (what [`Sim::new`] uses).
+    /// The configuration [`Sim::new`] uses: `seed` and nothing else.
     pub fn new(seed: u64) -> SimConfig {
-        SimConfig { seed, shards: 1 }
+        SimConfig { seed }
     }
 
-    /// Set the shard count (values below 1 are clamped to 1).
-    pub fn with_shards(mut self, shards: u32) -> SimConfig {
-        self.shards = shards.max(1);
+    /// Frozen for `perf/`: takes the argument and ignores it — there is one calendar.
+    pub fn with_shards(self, _shards: u32) -> SimConfig {
         self
     }
 
-    /// No-op, kept only because the frozen `perf/` probe `cluster_fabric_leafspine` calls it.
+    /// Frozen for `perf/`: takes the argument and ignores it (a no-op since PR 15).
     pub fn with_lookahead(self, _lookahead: SimDuration) -> SimConfig {
         self
     }
-}
-
-/// Per-shard calendar counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard id (0 is the cross-domain shard).
-    pub shard: u32,
-    /// Events fired from this shard so far.
-    pub fired: u64,
-    /// Live + tombstoned entries currently held by this shard.
-    pub pending: usize,
 }
 
 /// Queue of task ids woken since the last executor dispatch.
@@ -490,9 +337,6 @@ impl Drop for Task {
 /// skipped instead of hitting the slot's next tenant.
 struct TaskSlot {
     gen: u32,
-    /// Calendar shard this task's events land on (set at spawn; purely
-    /// a locality hint — never part of the execution order).
-    shard: u32,
     /// The waker block, kept across tenants (see "What a spawn costs").
     waker: Option<Arc<TaskWaker>>,
     state: TaskState,
@@ -547,14 +391,8 @@ pub struct CalendarStats {
 pub(crate) struct Core {
     now: SimTime,
     seq: u64,
-    shards: Vec<ShardCal>,
-    index: ShardIndex,
-    /// Entries (live + tombstoned) across every shard heap.
-    total_entries: usize,
-    /// Shard new events land on: the shard of the task being polled, the
-    /// shard the firing event was popped from, or an explicit
-    /// [`Ctx::with_shard`] override. 0 outside any of those.
-    current_shard: u32,
+    /// The calendar: live entries and tombstones, keyed `(at, seq)`.
+    heap: EventHeap,
     slots: Vec<Slot>,
     free_head: u32,
     tombstones: usize,
@@ -597,16 +435,7 @@ impl Core {
         let gen = self.slots[slot as usize].gen;
         let seq = self.seq;
         self.seq += 1;
-        let sh = self.current_shard;
-        self.shards[sh as usize]
-            .heap
-            .push(Event { at, seq, slot, gen });
-        self.total_entries += 1;
-        // The index key mirrors the shard head; a push only moves it when
-        // the new entry becomes that head.
-        if (at, seq) < self.index.key(sh) {
-            self.index.set_key(sh, (at, seq));
-        }
+        self.heap.push(Event { at, seq, slot, gen });
         (slot, gen)
     }
 
@@ -655,59 +484,35 @@ impl Core {
         self.slots[e.slot as usize].gen != e.gen
     }
 
-    /// Advance past tombstoned shard heads and return the shard and key
-    /// of the globally next *live* entry, or `None` when every shard is
-    /// dry. Discarded tombstones neither advance the clock nor count as
-    /// processed events.
-    fn next_live(&mut self) -> Option<(u32, SimTime)> {
+    /// Discard tombstones at the head of the calendar and return the
+    /// timestamp of the next *live* entry, or `None` when the calendar
+    /// is dry. Discarded tombstones neither advance the clock nor count
+    /// as processed events.
+    fn next_live(&mut self) -> Option<SimTime> {
         loop {
-            let (sh, key) = self.index.min();
-            if key == NO_EVENT {
-                return None;
-            }
-            let e = *self.shards[sh as usize]
-                .heap
-                .peek()
-                .expect("index key without a shard head");
+            let e = *self.heap.peek()?;
             if !self.is_stale(&e) {
-                return Some((sh, key.0));
+                return Some(e.at);
             }
-            self.shards[sh as usize].heap.pop();
-            self.total_entries -= 1;
+            self.heap.pop();
             self.tombstones -= 1;
-            let k = self.shards[sh as usize].head_key();
-            self.index.set_key(sh, k);
         }
     }
 
-    /// Pop the head of `sh` — which [`Core::next_live`] just certified
-    /// as the globally next live entry — and refresh the index.
-    fn pop_live(&mut self, sh: u32) -> Event {
-        let sc = &mut self.shards[sh as usize];
-        let e = sc.heap.pop().expect("pop_live on a dry shard");
-        sc.fired += 1;
-        let k = sc.head_key();
-        self.total_entries -= 1;
-        self.index.set_key(sh, k);
-        e
+    /// Pop the head, which [`Core::next_live`] just certified live.
+    fn pop_live(&mut self) -> Event {
+        self.heap.pop().expect("pop_live on a dry calendar")
     }
 
-    /// Rebuild every shard heap without tombstones once they outnumber
-    /// live entries (and exceed the floor). Keeps wasted heap capacity —
-    /// and pop-path skip work — proportional to the live entry count.
+    /// Rebuild the heap without tombstones once they outnumber live
+    /// entries (and exceed the floor). Keeps wasted heap capacity — and
+    /// pop-path skip work — proportional to the live entry count.
     fn maybe_compact(&mut self) {
-        let live = self.total_entries - self.tombstones;
+        let live = self.heap.len() - self.tombstones;
         if self.tombstones >= COMPACT_FLOOR && self.tombstones > live {
-            let slots = &self.slots;
-            let mut total = 0;
-            for (sh, sc) in self.shards.iter_mut().enumerate() {
-                let mut entries = std::mem::take(&mut sc.heap).into_vec();
-                entries.retain(|e| slots[e.slot as usize].gen == e.gen);
-                sc.heap = EventHeap::from_vec(entries);
-                total += sc.heap.len();
-                self.index.set_key(sh as u32, sc.head_key());
-            }
-            self.total_entries = total;
+            let mut entries = std::mem::take(&mut self.heap).into_vec();
+            entries.retain(|e| !self.is_stale(e));
+            self.heap = EventHeap::from_vec(entries);
             self.tombstones = 0;
             self.compactions += 1;
         }
@@ -715,8 +520,7 @@ impl Core {
 
     /// Allocate a task slot, returning the packed id. The generation is
     /// whatever the slot carries (0 for fresh slots, bumped per reuse).
-    /// `shard` is where the task's future calendar entries will land.
-    fn insert_task(&mut self, block: Rc<dyn Runnable>, shard: u32) -> TaskId {
+    fn insert_task(&mut self, block: Rc<dyn Runnable>) -> TaskId {
         let slot = if self.task_free != NO_FREE {
             let s = self.task_free;
             let TaskState::Vacant { next_free } = self.tasks[s as usize].state else {
@@ -728,7 +532,6 @@ impl Core {
             let s = u32::try_from(self.tasks.len()).expect("task slab overflow");
             self.tasks.push(TaskSlot {
                 gen: 0,
-                shard,
                 waker: None,
                 state: TaskState::Vacant { next_free: NO_FREE },
             });
@@ -750,7 +553,6 @@ impl Core {
             }
         }
         let waker = Waker::from(s.waker.clone().expect("slot waker was just set"));
-        s.shard = shard;
         s.state = TaskState::Parked(Task { block, waker });
         self.live_tasks += 1;
         self.tasks_spawned += 1;
@@ -805,7 +607,7 @@ impl Core {
 
     fn calendar_stats(&self) -> CalendarStats {
         CalendarStats {
-            pending: self.total_entries - self.tombstones,
+            pending: self.heap.len() - self.tombstones,
             tombstones: self.tombstones,
             compactions: self.compactions,
             slab_slots: self.slots.len(),
@@ -857,17 +659,14 @@ pub struct Sim {
 impl Sim {
     /// Create a simulation with the given RNG seed. The seed determines
     /// every stream returned by [`Ctx::rng`], so identical programs with
-    /// identical seeds produce identical trajectories. Shorthand for
-    /// [`Sim::with_config`] with the default single-shard [`SimConfig`].
+    /// identical seeds produce identical trajectories.
     pub fn new(seed: u64) -> Self {
-        Sim::with_config(SimConfig::new(seed))
+        Sim::with_arena(seed, SimArena::new())
     }
 
-    /// Create a simulation from an explicit [`SimConfig`]. Trajectories
-    /// depend only on `seed` — the shard count changes host time, never
-    /// the schedule.
+    /// Frozen for `perf/`: [`Sim::new`] with the seed `cfg` carries.
     pub fn with_config(cfg: SimConfig) -> Self {
-        Sim::with_config_arena(cfg, SimArena::new())
+        Sim::new(cfg.seed)
     }
 
     /// A cheap, clonable handle for use inside processes.
@@ -940,9 +739,6 @@ impl Sim {
                     match core.take_task(id) {
                         Some(t) => {
                             core.current = id;
-                            // Events the task schedules while polled land
-                            // on its home shard.
-                            core.current_shard = core.tasks[task_slot(id) as usize].shard;
                             (id, t, core.now)
                         }
                         None => continue,
@@ -965,23 +761,20 @@ impl Sim {
             }
 
             // All processes blocked: advance the clock to the next live
-            // event across all shard heads. Cancelled entries are skimmed
-            // by `next_live` — they neither advance the clock nor count
-            // as processed events.
+            // event. Cancelled entries are skimmed by `next_live` — they
+            // neither advance the clock nor count as processed events.
             let ev = {
                 let mut core = self.core.borrow_mut();
                 let core = &mut *core;
                 match core.next_live() {
                     None => None,
-                    Some((sh, at)) => {
+                    Some(at) => {
                         if deadline.is_some_and(|d| at > d) {
                             core.now = deadline.unwrap();
                             None
                         } else {
-                            let e = core.pop_live(sh);
+                            let e = core.pop_live();
                             core.now = e.at;
-                            // Callbacks the event runs inherit its shard.
-                            core.current_shard = sh;
                             core.events_processed += 1;
                             Some(core.take_fired(e.slot))
                         }
@@ -1041,7 +834,7 @@ impl Default for Sim {
 /// `Send`: keep each arena on the worker thread that uses it.
 #[derive(Default)]
 pub struct SimArena {
-    shards: Vec<ShardCal>,
+    heap: EventHeap,
     slots: Vec<Slot>,
     tasks: Vec<TaskSlot>,
     ready: VecDeque<TaskId>,
@@ -1063,34 +856,19 @@ impl Sim {
     /// every counter restarts from zero, so trajectories do not depend
     /// on which (if any) arena a run recycled.
     pub fn with_arena(seed: u64, arena: SimArena) -> Sim {
-        Sim::with_config_arena(SimConfig::new(seed), arena)
-    }
-
-    /// [`Sim::with_config`] reusing the container capacities of `arena`.
-    /// The arena's shard vector is resized to `cfg.shards` (extra shards
-    /// are dropped, missing ones start cold), so an arena recycled from
-    /// a differently-sharded run is still valid — and still behaviorally
-    /// invisible.
-    pub fn with_config_arena(cfg: SimConfig, arena: SimArena) -> Sim {
         let SimArena {
-            mut shards,
+            heap,
             slots,
             tasks,
             ready,
             wake_scratch,
             woken,
         } = arena;
-        let n = cfg.shards.max(1) as usize;
-        shards.truncate(n);
-        shards.resize_with(n, ShardCal::default);
         Sim {
             core: Rc::new(RefCell::new(Core {
                 now: SimTime::ZERO,
                 seq: 0,
-                index: ShardIndex::new(n),
-                shards,
-                total_entries: 0,
-                current_shard: 0,
+                heap,
                 slots,
                 free_head: NO_FREE,
                 tombstones: 0,
@@ -1106,25 +884,11 @@ impl Sim {
                     woken: Mutex::new(woken),
                     nonempty: std::sync::atomic::AtomicBool::new(false),
                 }),
-                seed: cfg.seed,
+                seed,
                 events_processed: 0,
                 tasks_spawned: 0,
             })),
         }
-    }
-
-    /// Per-shard calendar counters.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let core = self.core.borrow();
-        core.shards
-            .iter()
-            .enumerate()
-            .map(|(i, sc)| ShardStats {
-                shard: i as u32,
-                fired: sc.fired,
-                pending: sc.heap.len(),
-            })
-            .collect()
     }
 
     /// Tear the simulation down and recover its allocations for reuse
@@ -1143,7 +907,7 @@ impl Sim {
             .unwrap_or_else(|_| panic!("Sim::into_arena: outstanding strong core references"))
             .into_inner();
         let Core {
-            mut shards,
+            mut heap,
             mut slots,
             mut tasks,
             mut ready,
@@ -1156,15 +920,13 @@ impl Sim {
         // also capture resources. Both drop with the core already dead.
         tasks.clear();
         slots.clear();
-        for sc in &mut shards {
-            sc.reset();
-        }
+        heap.clear();
         ready.clear();
         wake_scratch.clear();
         let mut woken = std::mem::take(&mut *wakes.lock());
         woken.clear();
         SimArena {
-            shards,
+            heap,
             slots,
             tasks,
             ready,
@@ -1209,32 +971,25 @@ impl Ctx {
     }
 
     /// Spawn a process. The returned [`JoinHandle`] can be awaited for the
-    /// process's output; dropping it detaches the process. The process
-    /// inherits the ambient calendar shard (the shard of the spawning
-    /// task or firing event, or shard 0 at the root).
+    /// process's output; dropping it detaches the process.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
-        let shard = self.core().borrow().current_shard;
-        self.spawn_on(shard, fut)
+        JoinHandle {
+            block: self.spawn_block(JoinCell::default(), fut),
+        }
     }
 
-    /// [`Ctx::spawn`] pinned to calendar shard `shard`: every event the
-    /// process schedules while polled lands on that shard's calendar.
-    /// Placement is a locality hint only — it never changes the
-    /// schedule. Out-of-range shards fall back to shard 0 (so callers
-    /// may pass topology-derived ids unconditionally).
+    /// Frozen for `perf/`: [`Ctx::spawn`]; the first argument is ignored — there is one calendar.
     pub fn spawn_on<T: 'static>(
         &self,
-        shard: u32,
+        _shard: u32,
         fut: impl Future<Output = T> + 'static,
     ) -> JoinHandle<T> {
-        JoinHandle {
-            block: self.spawn_block(shard, JoinCell::default(), fut),
-        }
+        self.spawn(fut)
     }
 
     /// Place `fut` and the `sink` its output goes to in one block and
     /// hand the block to the executor: the one allocator call of a spawn.
-    fn spawn_block<S, F>(&self, shard: u32, sink: S, fut: F) -> Rc<TaskBlock<S, RefCell<Option<F>>>>
+    fn spawn_block<S, F>(&self, sink: S, fut: F) -> Rc<TaskBlock<S, RefCell<Option<F>>>>
     where
         S: Sink<F::Output> + 'static,
         F: Future + 'static,
@@ -1245,12 +1000,7 @@ impl Ctx {
         });
         let core = self.core();
         let mut core = core.borrow_mut();
-        let shard = if (shard as usize) < core.shards.len() {
-            shard
-        } else {
-            0
-        };
-        let id = core.insert_task(block.clone(), shard);
+        let id = core.insert_task(block.clone());
         core.ready.push_back(id);
         block
     }
@@ -1262,23 +1012,6 @@ impl Ctx {
             core: self.core.clone(),
             deadline,
             entry: None,
-        }
-    }
-
-    /// Sleep until the given instant (no-op if already past).
-    pub fn sleep_until(&self, deadline: SimTime) -> Sleep {
-        Sleep {
-            core: self.core.clone(),
-            deadline,
-            entry: None,
-        }
-    }
-
-    /// Yield to other runnable processes at the current instant.
-    pub fn yield_now(&self) -> YieldNow {
-        YieldNow {
-            core: self.core.clone(),
-            polled: false,
         }
     }
 
@@ -1314,14 +1047,6 @@ impl Ctx {
         }
     }
 
-    /// Schedule `f` to run at an absolute instant (clamped to now if it
-    /// is already past), outside any process. The fault-injection layer
-    /// arms its windows with this; see [`Ctx::call_after`] for the
-    /// relative-time form and cancellation semantics.
-    pub fn call_at(&self, at: SimTime, f: impl FnOnce() + 'static) -> TimerHandle {
-        self.call_after(at.since(self.now()), f)
-    }
-
     /// Id of the task currently being polled. Only meaningful from
     /// inside a `Future::poll` running on this executor.
     pub(crate) fn current_task(&self) -> TaskId {
@@ -1343,39 +1068,6 @@ impl Ctx {
     /// Snapshot of event-calendar internals. See [`Sim::calendar_stats`].
     pub fn calendar_stats(&self) -> CalendarStats {
         self.core().borrow().calendar_stats()
-    }
-
-    /// Run `f` with the ambient calendar shard set to `shard`, restoring
-    /// the previous ambient shard afterwards. Events scheduled and tasks
-    /// spawned inside `f` land on `shard`. Like [`Ctx::spawn_on`], this
-    /// is a locality hint only: it never changes the schedule, and
-    /// out-of-range shards fall back to shard 0.
-    pub fn with_shard<R>(&self, shard: u32, f: impl FnOnce() -> R) -> R {
-        let core = self.core();
-        let prev = {
-            let mut c = core.borrow_mut();
-            let prev = c.current_shard;
-            c.current_shard = if (shard as usize) < c.shards.len() {
-                shard
-            } else {
-                0
-            };
-            prev
-        };
-        // `f` runs with the core unborrowed so it may schedule freely.
-        let out = f();
-        core.borrow_mut().current_shard = prev;
-        out
-    }
-
-    /// The ambient calendar shard new events and processes inherit.
-    pub fn shard(&self) -> u32 {
-        self.core().borrow().current_shard
-    }
-
-    /// Number of calendar shards this simulation was configured with.
-    pub fn num_shards(&self) -> u32 {
-        self.core().borrow().shards.len() as u32
     }
 }
 
@@ -1465,32 +1157,6 @@ impl Drop for Sleep {
         let cancelled = core.borrow_mut().cancel_entry(slot, gen);
         // Waker drops outside the core borrow.
         drop(cancelled);
-    }
-}
-
-/// Future returned by [`Ctx::yield_now`].
-pub struct YieldNow {
-    core: Weak<RefCell<Core>>,
-    polled: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.polled {
-            return Poll::Ready(());
-        }
-        self.polled = true;
-        let core = self
-            .core
-            .upgrade()
-            .expect("YieldNow polled after Sim was dropped");
-        let mut core = core.borrow_mut();
-        let now = core.now;
-        let task = core.current;
-        core.push_event(now, EventKind::WakeTask(task));
-        let _ = cx;
-        Poll::Pending
     }
 }
 
@@ -1675,8 +1341,8 @@ impl<T: 'static> JoinSet<T> {
             results.push(None);
             results.len() - 1
         };
-        let (set, shard) = (self.shared.clone(), ctx.shard());
-        ctx.spawn_block(shard, SetMember { set, index }, fut);
+        let set = self.shared.clone();
+        ctx.spawn_block(SetMember { set, index }, fut);
     }
 
     /// Members spawned so far.
@@ -1806,29 +1472,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take().unwrap().nanos(), 3_000_000);
-    }
-
-    #[test]
-    fn yield_now_lets_peers_run() {
-        let sim = Sim::new(0);
-        let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
-        {
-            let ctx = sim.ctx();
-            let log = log.clone();
-            sim.spawn(async move {
-                log.borrow_mut().push("a1");
-                ctx.yield_now().await;
-                log.borrow_mut().push("a2");
-            });
-        }
-        {
-            let log = log.clone();
-            sim.spawn(async move {
-                log.borrow_mut().push("b1");
-            });
-        }
-        sim.run();
-        assert_eq!(*log.borrow(), vec!["a1", "b1", "a2"]);
     }
 
     #[test]
@@ -2090,18 +1733,16 @@ mod tests {
         assert!(worst.get().0 > 0, "monitor never saw churn");
     }
 
-    /// Order-sensitive fingerprint of a cross-shard workload: every wake
+    /// Order-sensitive fingerprint of a 64-task workload: every wake
     /// folds `(now, task, step)` into a running hash in execution order,
     /// so any reordering — not just a timing change — alters the result.
-    fn cross_shard_fingerprint(cfg: SimConfig, n_tasks: u64) -> (u64, u64, u64) {
-        let sim = Sim::with_config(cfg);
+    /// `shards` spawns task `i` through the frozen `spawn_on(i % shards, ..)`.
+    fn wake_order_fingerprint(sim: &Sim, shards: Option<u32>) -> (u64, u64, u64) {
         let hash = Rc::new(Cell::new(0xfeed_beefu64));
-        let shards = sim.ctx().num_shards().max(1) as u64;
-        for i in 0..n_tasks {
+        for i in 0..64u64 {
             let ctx = sim.ctx();
             let hash = hash.clone();
-            let shard = (i % shards) as u32;
-            ctx.clone().spawn_on(shard, async move {
+            let process = async move {
                 use rand::RngExt;
                 let mut rng = ctx.rng(i);
                 for step in 0..6u64 {
@@ -2110,80 +1751,31 @@ mod tests {
                     let mixed = splitmix64(ctx.now().nanos() ^ (i << 24) ^ step);
                     hash.set(hash.get().rotate_left(7) ^ mixed);
                 }
-            });
+            };
+            match shards {
+                Some(n) => drop(sim.ctx().spawn_on(i as u32 % n, process)),
+                None => drop(sim.spawn(process)),
+            }
         }
         let report = sim.run();
         (report.end_time.nanos(), report.events_processed, hash.get())
     }
 
-    /// Shard placement is a locality hint, never an ordering input: the
-    /// same workload must replay bit-identically for any shard count.
+    /// The frozen setters and `spawn_on` are inert: whatever shard
+    /// count, lookahead and placement `perf/` asks for, the workload
+    /// replays the plain `Sim::new` / `spawn` trajectory bit for bit.
     #[test]
     fn shard_count_is_trajectory_neutral() {
-        let serial = cross_shard_fingerprint(SimConfig::new(42), 64);
+        let serial = wake_order_fingerprint(&Sim::new(42), None);
         for shards in [2u32, 4, 7, 33] {
-            let cfg = SimConfig::new(42).with_shards(shards);
+            let cfg = SimConfig::new(42)
+                .with_shards(shards)
+                .with_lookahead(SimDuration::from_micros(7));
             assert_eq!(
-                cross_shard_fingerprint(cfg, 64),
+                wake_order_fingerprint(&Sim::with_config(cfg), Some(shards)),
                 serial,
-                "shards={shards} diverged from the serial calendar"
+                "shards={shards} diverged from the plain calendar"
             );
-        }
-    }
-
-    /// Ambient-shard bookkeeping: tasks observe the shard they were
-    /// spawned on, `with_shard` overrides it lexically, and out-of-range
-    /// requests clamp to shard 0 instead of corrupting the calendar.
-    #[test]
-    fn ambient_shard_follows_spawn_and_with_shard() {
-        let sim = Sim::with_config(SimConfig::new(1).with_shards(3));
-        let seen = Rc::new(Cell::new((u32::MAX, u32::MAX, u32::MAX)));
-        {
-            let ctx = sim.ctx();
-            let seen = seen.clone();
-            ctx.clone().spawn_on(2, async move {
-                let at_spawn = ctx.shard();
-                ctx.sleep(SimDuration::from_nanos(5)).await;
-                let after_sleep = ctx.shard();
-                let inside = ctx.with_shard(1, || ctx.shard());
-                seen.set((at_spawn, after_sleep, inside));
-            });
-        }
-        // Out-of-range spawn shard clamps to 0.
-        let clamped = Rc::new(Cell::new(u32::MAX));
-        {
-            let ctx = sim.ctx();
-            let clamped = clamped.clone();
-            ctx.clone().spawn_on(99, async move {
-                clamped.set(ctx.shard());
-            });
-        }
-        let report = sim.run();
-        assert!(report.is_clean());
-        assert_eq!(seen.get(), (2, 2, 1));
-        assert_eq!(clamped.get(), 0);
-    }
-
-    /// Per-shard accounting: fired counts must sum to the report total
-    /// and land on the shards the events were routed to.
-    #[test]
-    fn shard_stats_account_for_all_events() {
-        let cfg = SimConfig::new(3).with_shards(4);
-        let sim = Sim::with_config(cfg);
-        for i in 0..40u64 {
-            let ctx = sim.ctx();
-            ctx.clone().spawn_on((i % 4) as u32, async move {
-                ctx.sleep(SimDuration::from_nanos(1 + i)).await;
-            });
-        }
-        let report = sim.run();
-        let stats = sim.shard_stats();
-        assert_eq!(stats.len(), 4);
-        let fired: u64 = stats.iter().map(|s| s.fired).sum();
-        assert_eq!(fired, report.events_processed);
-        for s in &stats {
-            assert!(s.fired > 0, "shard {} never fired", s.shard);
-            assert_eq!(s.pending, 0);
         }
     }
 
@@ -2378,7 +1970,7 @@ mod tests {
                 sum += *cell;
             }
             let first: &u64 = &cells[0];
-            ctx.yield_now().await;
+            ctx.sleep(SimDuration::from_nanos(1)).await;
             (*first, sum, cells[31])
         });
         assert!(sim.run().is_clean());
@@ -2387,20 +1979,29 @@ mod tests {
     }
 
     /// Differential oracle: random schedules, cancels, tombstone churn and
-    /// deadline slices on the sharded calendar against one `BinaryHeap` that
-    /// holds the whole contract — fire in `(at, seq)` order, skip cancelled
-    /// entries, end a slice at its deadline only if something live lies beyond.
+    /// deadline slices on the calendar against one `BinaryHeap` that holds
+    /// the whole contract — fire in `(at, seq)` order, skip cancelled
+    /// entries, end a slice at its deadline only if something live lies
+    /// beyond. A case is two schedules: the second runs on the arena
+    /// recycled from the first, which is abandoned mid-flight.
     mod calendar_oracle {
         use super::*;
         use proptest::prelude::*;
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
+        /// What firing an entry cancels: every entry whose `seq` is in
+        /// `(start..end).step_by(step)`, whatever state it is in.
+        type Reap = (usize, usize, usize);
+        const NOTHING: Reap = (0, 0, 1);
+
         #[derive(Default)]
         struct Reference {
             heap: BinaryHeap<Reverse<(u64, u64)>>,
             /// By `seq`: scheduled and neither fired nor cancelled yet.
             armed: Vec<bool>,
+            /// By `seq`.
+            reaps: Vec<Reap>,
             now: u64,
             fired: Vec<u64>,
         }
@@ -2415,74 +2016,122 @@ mod tests {
                         }
                         (self.now, self.armed[seq as usize]) = (at, false);
                         self.fired.push(seq);
+                        let (start, end, step) = self.reaps[seq as usize];
+                        (start..end)
+                            .step_by(step)
+                            .for_each(|s| self.armed[s] = false);
                     }
                     self.heap.pop();
                 }
             }
         }
 
+        /// Replay `ops` on `sim` against a fresh reference, comparing
+        /// clock and live count after every step and the firing order at
+        /// the end. `drain` runs the calendar dry first; without it the
+        /// simulation is left with whatever is still scheduled.
+        fn replay(sim: &Sim, ops: &[(u8, u64)], drain: bool) {
+            let ctx = sim.ctx();
+            let log = Rc::new(RefCell::new(Vec::new()));
+            // Nothing else schedules, so a handle's index is its
+            // entry's `seq`.
+            let handles = Rc::new(RefCell::new(Vec::<TimerHandle>::new()));
+            let schedule = |r: &mut Reference, delay: u64, reap: Reap| {
+                let (seq, log, victims) = (r.armed.len() as u64, log.clone(), handles.clone());
+                let fire = move || {
+                    log.borrow_mut().push(seq);
+                    let (start, end, step) = reap;
+                    for s in (start..end).step_by(step) {
+                        victims.borrow()[s].cancel();
+                    }
+                };
+                let h = ctx.call_after(SimDuration::from_nanos(delay), fire);
+                handles.borrow_mut().push(h);
+                r.heap.push(Reverse((r.now + delay, seq)));
+                r.armed.push(true);
+                r.reaps.push(reap);
+            };
+            let cancel = |r: &mut Reference, seq: usize| {
+                let armed = std::mem::take(&mut r.armed[seq]);
+                let cancelled = handles.borrow()[seq].cancel();
+                assert_eq!(cancelled, armed, "cancel of entry {seq}");
+            };
+            let slice = |r: &mut Reference, len: u64| {
+                let deadline = r.now + len;
+                sim.run_until(SimTime::from_nanos(deadline));
+                r.run(Some(deadline));
+            };
+            let check = |r: &Reference| {
+                assert_eq!(sim.now().nanos(), r.now);
+                let live = r.armed.iter().filter(|&&a| a).count();
+                assert_eq!(sim.calendar_stats().pending, live);
+                live
+            };
+            // Far-future timers that outnumber the live entries by the
+            // floor: cancelling them all must rebuild the heap.
+            let victims = |r: &mut Reference| {
+                let (first, n) = (r.armed.len(), check(r) + COMPACT_FLOOR);
+                (0..n).for_each(|_| schedule(r, 1 << 20, NOTHING));
+                first..first + n
+            };
+            let mut r = Reference::default();
+            for (i, &(kind, x)) in ops.iter().enumerate() {
+                let compactions = sim.calendar_stats().compactions;
+                if i == ops.len() / 3 {
+                    // Churn between slices.
+                    victims(&mut r).for_each(|seq| cancel(&mut r, seq));
+                    assert!(sim.calendar_stats().compactions > compactions);
+                } else if i == 2 * ops.len() / 3 {
+                    // The same churn mid-slice: one callback cancels them
+                    // all, so the heap is rebuilt between two pops of one
+                    // `run_until`. Nothing drawn earlier can cancel the
+                    // callback, and no callback schedules.
+                    let doomed = victims(&mut r);
+                    schedule(&mut r, x % 64, (doomed.start, doomed.end, 1));
+                    slice(&mut r, 64);
+                    assert!(sim.calendar_stats().compactions > compactions);
+                }
+                match kind {
+                    0..=6 => schedule(&mut r, x, NOTHING),
+                    // A third of every handle issued so far — live, fired
+                    // or cancelled — goes when this one fires.
+                    7 => {
+                        let issued = r.armed.len();
+                        schedule(&mut r, x, (x as usize % 3, issued, 3));
+                    }
+                    // Any handle ever issued.
+                    8..=13 if !r.armed.is_empty() => {
+                        let seq = x as usize % r.armed.len();
+                        cancel(&mut r, seq);
+                    }
+                    _ => slice(&mut r, x / 8),
+                }
+                check(&r);
+            }
+            if drain {
+                let report = sim.run();
+                r.run(None);
+                assert_eq!(check(&r), 0);
+                assert_eq!(report.events_processed, r.fired.len() as u64);
+            }
+            assert_eq!(&*log.borrow(), &r.fired);
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
             #[test]
-            fn sharded_calendar_matches_one_binary_heap(
-                shards in 1u32..9,
-                ops in proptest::collection::vec((0u8..16, 0u32..9, 0u64..4_000), 40..400),
+            fn calendar_matches_one_binary_heap(
+                first in proptest::collection::vec((0u8..16, 0u64..4_000), 20..200),
+                second in proptest::collection::vec((0u8..16, 0u64..4_000), 40..400),
             ) {
-                let sim = Sim::with_config(SimConfig::new(0).with_shards(shards));
-                let ctx = sim.ctx();
-                let log = Rc::new(RefCell::new(Vec::new()));
-                // Nothing else schedules, so a handle's index is its
-                // entry's `seq`. Shard 8 is out of range for every count
-                // drawn here and must fall back to shard 0.
-                let handles = RefCell::new(Vec::<TimerHandle>::new());
-                let schedule = |r: &mut Reference, shard: u32, delay: u64| {
-                    let (seq, log) = (r.armed.len() as u64, log.clone());
-                    let fire = move || log.borrow_mut().push(seq);
-                    let after = SimDuration::from_nanos(delay);
-                    let h = ctx.with_shard(shard, || ctx.call_after(after, fire));
-                    handles.borrow_mut().push(h);
-                    r.heap.push(Reverse((r.now + delay, seq)));
-                    r.armed.push(true);
-                };
-                let cancel = |r: &mut Reference, seq: usize| {
-                    let armed = std::mem::take(&mut r.armed[seq]);
-                    assert_eq!(handles.borrow()[seq].cancel(), armed, "cancel of entry {seq}");
-                };
-                let check = |r: &Reference| {
-                    assert_eq!(sim.now().nanos(), r.now);
-                    let live = r.armed.iter().filter(|&&a| a).count();
-                    assert_eq!(sim.calendar_stats().pending, live);
-                    live
-                };
-                let mut r = Reference::default();
-                for (i, &(kind, shard, x)) in ops.iter().enumerate() {
-                    if i == ops.len() / 2 {
-                        // Churn: cancelled timers outnumber live entries by the floor.
-                        let (first, n) = (r.armed.len(), check(&r) + COMPACT_FLOOR);
-                        (0..n).for_each(|j| schedule(&mut r, j as u32 % shards, 1 << 20));
-                        (first..first + n).for_each(|seq| cancel(&mut r, seq));
-                        prop_assert!(sim.calendar_stats().compactions > 0);
-                    }
-                    match kind {
-                        0..=7 => schedule(&mut r, shard, x),
-                        // Any handle ever issued: live, fired or cancelled.
-                        8..=13 if !r.armed.is_empty() => {
-                            let seq = x as usize % r.armed.len();
-                            cancel(&mut r, seq);
-                        }
-                        _ => {
-                            let deadline = r.now + x / 8;
-                            sim.run_until(SimTime::from_nanos(deadline));
-                            r.run(Some(deadline));
-                        }
-                    }
-                    check(&r);
-                }
-                let report = sim.run();
-                r.run(None);
-                prop_assert_eq!(check(&r), 0);
-                prop_assert_eq!(&*log.borrow(), &r.fired);
-                prop_assert_eq!(report.events_processed, r.fired.len() as u64);
+                let sim = Sim::new(0);
+                replay(&sim, &first, false);
+                // Live entries, tombstones and armed callbacks are still in
+                // the heap; the recycled calendar must show none of them.
+                let sim = Sim::with_arena(0, sim.into_arena());
+                let fresh = Sim::new(0).calendar_stats();
+                prop_assert_eq!(sim.calendar_stats(), fresh);
+                replay(&sim, &second, true);
             }
         }
     }

@@ -70,11 +70,6 @@ pub fn intern(s: &str) -> Symbol {
     })
 }
 
-/// Number of distinct strings interned on this thread (tests/diagnostics).
-pub fn interned_count() -> usize {
-    INTERNER.with(|i| i.borrow().strings.len())
-}
-
 // ---------------------------------------------------------------------------
 // FxHash-style hasher
 // ---------------------------------------------------------------------------

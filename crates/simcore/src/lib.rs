@@ -2,14 +2,13 @@
 //!
 //! The foundation of the DYAD-vs-traditional-I/O reproduction: a
 //! deterministic discrete-event simulator whose processes are plain Rust
-//! `async` functions. The executor is single-threaded; its event
-//! calendar can be sharded by topology domain ([`SimConfig::shards`])
-//! without ever changing the schedule.
+//! `async` functions. The executor is single-threaded and its event
+//! calendar is one heap keyed `(time, seq)`.
 //!
 //! * [`Sim`] owns the event calendar and executor; [`Ctx`] is the handle
 //!   processes use to sleep, spawn, and draw random numbers.
-//! * [`sync`] provides simulation-aware channels, semaphores, notifies and
-//!   barriers (zero simulated cost; model real costs explicitly).
+//! * [`sync`] provides simulation-aware channels, semaphores and
+//!   notifies (zero simulated cost; model real costs explicitly).
 //! * [`resource`] provides contended resources: FIFO server pools and
 //!   processor-sharing bandwidth links — the building blocks for NVMe
 //!   devices, NICs, and file-system servers.
@@ -46,7 +45,7 @@ pub mod trace;
 
 pub use combinators::{race, timeout, Either, Race, TimedOut, Timeout};
 pub use executor::{
-    splitmix64, CalendarStats, Ctx, JoinHandle, JoinSet, RunReport, ShardStats, Sim, SimArena,
-    SimConfig, Sleep, TimerHandle, YieldNow,
+    splitmix64, CalendarStats, Ctx, JoinHandle, JoinSet, RunReport, Sim, SimArena, SimConfig,
+    Sleep, TimerHandle,
 };
 pub use time::{SimDuration, SimTime};

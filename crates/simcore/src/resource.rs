@@ -301,11 +301,6 @@ struct BwInner {
     /// Dense per-flow waiter slab; see [`FlowSlot`].
     flows: Vec<FlowSlot>,
     flow_free: u32,
-    /// Calendar shard the completion timer is pinned to. Unpinned links
-    /// arm on the ambient shard of whoever changed the flow set, which
-    /// scatters a shared link's timer churn across shards; pinning keeps
-    /// it on the link's home domain. Locality only — never ordering.
-    pin_shard: Option<u32>,
     stats: BwStats,
 }
 
@@ -428,7 +423,6 @@ impl SharedBandwidth {
                 timer_cb: None,
                 flows: Vec::new(),
                 flow_free: NO_FREE,
-                pin_shard: None,
                 stats: BwStats::default(),
             })),
         }
@@ -441,24 +435,9 @@ impl SharedBandwidth {
         self
     }
 
-    /// Pin this link's completion timer to calendar shard `shard`.
-    /// Unpinned links arm on the ambient shard of whoever changed the
-    /// flow set, scattering a shared link's timer churn across shards;
-    /// pinning keeps it on the link's home domain. A pure placement
-    /// hint: trajectories are identical pinned or not.
-    pub fn pin_to_shard(self, shard: u32) -> Self {
-        self.inner.borrow_mut().pin_shard = Some(shard);
-        self
-    }
-
     /// Aggregate rate in bytes/second.
     pub fn rate(&self) -> f64 {
         self.inner.borrow().rate
-    }
-
-    /// Number of in-flight transfers.
-    pub fn active_flows(&self) -> usize {
-        self.inner.borrow().n_total
     }
 
     /// Snapshot of accumulated statistics.
@@ -628,13 +607,7 @@ impl SharedBandwidth {
                     }
                 }
             };
-            let pin = self.inner.borrow().pin_shard;
-            let handle = match pin {
-                Some(sh) => self
-                    .ctx
-                    .with_shard(sh, || self.ctx.call_after_rc(delay, cb)),
-                None => self.ctx.call_after_rc(delay, cb),
-            };
+            let handle = self.ctx.call_after_rc(delay, cb);
             self.inner.borrow_mut().timer = Some(handle);
         }
     }

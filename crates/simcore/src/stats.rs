@@ -1,7 +1,5 @@
 //! Lightweight statistics used throughout the experiment harness.
 
-use crate::time::SimDuration;
-
 /// Streaming mean/variance/extrema via Welford's algorithm.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
@@ -32,11 +30,6 @@ impl OnlineStats {
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Add a duration observation, in seconds.
-    pub fn push_duration(&mut self, d: SimDuration) {
-        self.push(d.as_secs_f64());
     }
 
     /// Number of observations.

@@ -177,11 +177,6 @@ impl<T> Receiver<T> {
         Recv { rx: self }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&mut self) -> Option<T> {
-        self.st.borrow_mut().queue.pop_front()
-    }
-
     /// Number of queued messages.
     pub fn len(&self) -> usize {
         self.st.borrow().queue.len()
@@ -535,70 +530,6 @@ impl Drop for Wait {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-struct BarrierState {
-    parties: usize,
-    arrived: usize,
-    generation: u64,
-    notify: Notify,
-}
-
-/// A cyclic barrier for `parties` processes, reusable across generations.
-#[derive(Clone)]
-pub struct Barrier {
-    st: Rc<RefCell<BarrierState>>,
-}
-
-/// Result of [`Barrier::wait`]: exactly one arriving process per generation
-/// is the leader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BarrierWaitResult {
-    /// True for the process whose arrival released the barrier.
-    pub is_leader: bool,
-}
-
-impl Barrier {
-    /// Create a barrier for `parties` processes (must be ≥ 1).
-    pub fn new(parties: usize) -> Self {
-        assert!(parties >= 1, "barrier needs at least one party");
-        Barrier {
-            st: Rc::new(RefCell::new(BarrierState {
-                parties,
-                arrived: 0,
-                generation: 0,
-                notify: Notify::new(),
-            })),
-        }
-    }
-
-    /// Arrive and wait for all parties.
-    pub async fn wait(&self) -> BarrierWaitResult {
-        let (generation, leader, notify) = {
-            let mut st = self.st.borrow_mut();
-            st.arrived += 1;
-            if st.arrived == st.parties {
-                st.arrived = 0;
-                st.generation += 1;
-                st.notify.notify_all();
-                return BarrierWaitResult { is_leader: true };
-            }
-            (st.generation, false, st.notify.clone())
-        };
-        let _ = leader;
-        // Wait until the generation advances; a single notify_all releases
-        // everyone from this generation.
-        loop {
-            notify.wait().await;
-            if self.st.borrow().generation > generation {
-                return BarrierWaitResult { is_leader: false };
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -900,51 +831,5 @@ mod tests {
         });
         assert!(sim.run().is_clean());
         assert_eq!(*order.borrow(), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn barrier_releases_all_parties_with_one_leader() {
-        let sim = Sim::new(0);
-        let b = Barrier::new(4);
-        let leaders = Rc::new(Cell::new(0));
-        let released = Rc::new(Cell::new(0));
-        for i in 0..4u64 {
-            let b = b.clone();
-            let ctx = sim.ctx();
-            let leaders = leaders.clone();
-            let released = released.clone();
-            sim.spawn(async move {
-                ctx.sleep(SimDuration::from_nanos(i * 7)).await;
-                let r = b.wait().await;
-                if r.is_leader {
-                    leaders.set(leaders.get() + 1);
-                }
-                released.set(released.get() + 1);
-            });
-        }
-        assert!(sim.run().is_clean());
-        assert_eq!(leaders.get(), 1);
-        assert_eq!(released.get(), 4);
-    }
-
-    #[test]
-    fn barrier_is_reusable_across_generations() {
-        let sim = Sim::new(0);
-        let b = Barrier::new(2);
-        let laps = Rc::new(Cell::new(0));
-        for i in 0..2u64 {
-            let b = b.clone();
-            let ctx = sim.ctx();
-            let laps = laps.clone();
-            sim.spawn(async move {
-                for _ in 0..5 {
-                    ctx.sleep(SimDuration::from_nanos(1 + i)).await;
-                    b.wait().await;
-                    laps.set(laps.get() + 1);
-                }
-            });
-        }
-        assert!(sim.run().is_clean());
-        assert_eq!(laps.get(), 10);
     }
 }

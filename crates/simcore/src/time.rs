@@ -19,8 +19,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanoseconds since simulation start.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -135,11 +133,6 @@ impl SimDuration {
     /// Fractional milliseconds (reporting only).
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// True if this duration is exactly zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Saturating subtraction.

@@ -7,7 +7,7 @@
 //! backend where producers publish **steps** and subscriber groups pull
 //! them over the fabric, with flow control instead of unbounded staging.
 //!
-//! This crate is that backend, built as a peer of [`dyad`] on the same
+//! This crate is that backend, built as a peer of `dyad` on the same
 //! substrates:
 //!
 //! * **Publishers** aggregate frames into steps, write them to

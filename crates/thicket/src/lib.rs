@@ -1,7 +1,7 @@
 //! # thicket — ensemble aggregation and call-path querying
 //!
-//! The paper analyzes its Caliper data with Thicket [22] and the Hatchet
-//! call-path query language [23]: profiles from 10 repetitions are
+//! The paper analyzes its Caliper data with Thicket \[22\] and the Hatchet
+//! call-path query language \[23\]: profiles from 10 repetitions are
 //! aggregated per call-tree node, and queries isolate regions such as
 //! `dyad_fetch` to attribute time to data movement vs synchronization.
 //! This crate reimplements that layer over [`instrument::Profile`]s:
