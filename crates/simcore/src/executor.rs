@@ -103,14 +103,23 @@ enum EventKind {
     /// skips the `Waker`/queue indirection (no `Arc` traffic, no
     /// mutex) for the most common calendar entry by far.
     WakeTask(TaskId),
-    /// Run an arbitrary callback (used by event-driven resources such as
-    /// [`crate::resource::SharedBandwidth`]).
+    /// Run an arbitrary callback, boxed per arm ([`Ctx::call_after`]).
     Call(Box<dyn FnOnce()>),
-    /// Run a reusable callback. Arming clones an `Rc` instead of boxing a
-    /// fresh closure, so a resource that re-arms its provisional "next
-    /// completion" timer on every flow-set change (the hottest timer
-    /// pattern in the workspace) allocates nothing after the first arm.
-    CallRc(Rc<dyn Fn()>),
+    /// Fire a resource's own block ([`Ctx::fire_after`]). A resource that
+    /// retires and re-arms its provisional "next completion" timer on
+    /// every change of its flow set — [`crate::resource::SharedBandwidth`],
+    /// the hottest timer pattern in the workspace — arms with a weak
+    /// pointer to the allocation that already holds its state: no box per
+    /// arm, no closure block beside the resource, and an entry that
+    /// outlives the resource fires into nothing.
+    Fire(Weak<dyn TimerTarget>),
+}
+
+/// A resource block the calendar can fire ([`EventKind::Fire`]). What
+/// the timer is for is read out of the block's own state.
+pub(crate) trait TimerTarget {
+    /// The armed instant was reached.
+    fn fire(self: Rc<Self>);
 }
 
 /// A calendar entry. The payload lives in the slot slab so that heap
@@ -707,13 +716,18 @@ impl Sim {
     fn drain_wakes(&self) {
         let mut core = self.core.borrow_mut();
         let core = &mut *core;
-        if !core
-            .wakes
-            .nonempty
-            .swap(false, std::sync::atomic::Ordering::Acquire)
-        {
+        // A load, and a store only when there is something to drain: the
+        // dispatch loop asks on every turn and nearly always hears "no",
+        // which a read-modify-write would pay a locked instruction for.
+        // The flag only says "look": the queue is synchronised by its own
+        // mutex, and a waker pushes *before* it stores `true`, so a push
+        // that races this store is either taken below or leaves the flag
+        // `true` — one empty drain later, never a lost wake.
+        use std::sync::atomic::Ordering::{Acquire, Relaxed};
+        if !core.wakes.nonempty.load(Acquire) {
             return;
         }
+        core.wakes.nonempty.store(false, Relaxed);
         // Swap the queue out under the lock, refill `ready` outside it, and
         // hand the (drained) buffer back so both vectors keep their
         // capacity: no allocation on the steady-state wake path.
@@ -787,7 +801,11 @@ impl Sim {
                     // Callbacks run with the core unborrowed so they may
                     // schedule further events or wake tasks.
                     EventKind::Call(f) => f(),
-                    EventKind::CallRc(f) => f(),
+                    EventKind::Fire(target) => {
+                        if let Some(target) = target.upgrade() {
+                            target.fire();
+                        }
+                    }
                 },
                 None => {
                     // Calendar dry (or deadline passed); if a straggler wake
@@ -1020,26 +1038,21 @@ impl Ctx {
     /// the callback in O(1); it may be dropped freely if cancellation is
     /// never needed.
     pub fn call_after(&self, d: SimDuration, f: impl FnOnce() + 'static) -> TimerHandle {
-        let core = self.core();
-        let mut core = core.borrow_mut();
-        let at = core.now + d;
-        let (slot, gen) = core.push_event(at, EventKind::Call(Box::new(f)));
-        TimerHandle {
-            core: self.core.clone(),
-            slot,
-            gen,
-        }
+        self.schedule(d, EventKind::Call(Box::new(f)))
     }
 
-    /// [`Ctx::call_after`] taking a shared, reusable callback: arming
-    /// costs one `Rc` clone rather than a fresh closure box. Meant for
-    /// resources that re-arm the same logical timer over and over; the
-    /// callback reads its parameters out of the resource's own state.
-    pub fn call_after_rc(&self, d: SimDuration, f: Rc<dyn Fn()>) -> TimerHandle {
+    /// Fire `target` after `d` simulated time: [`Ctx::call_after`] for a
+    /// resource that re-arms one logical timer over and over and keeps
+    /// what the timer means in its own block.
+    pub(crate) fn fire_after(&self, d: SimDuration, target: Weak<dyn TimerTarget>) -> TimerHandle {
+        self.schedule(d, EventKind::Fire(target))
+    }
+
+    fn schedule(&self, d: SimDuration, kind: EventKind) -> TimerHandle {
         let core = self.core();
         let mut core = core.borrow_mut();
         let at = core.now + d;
-        let (slot, gen) = core.push_event(at, EventKind::CallRc(f));
+        let (slot, gen) = core.push_event(at, kind);
         TimerHandle {
             core: self.core.clone(),
             slot,

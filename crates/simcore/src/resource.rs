@@ -13,15 +13,57 @@
 //! Internally it tracks per-cap-class virtual service clocks with
 //! precomputed finish tags (O(log n) per join/completion) rather than
 //! crediting every in-flight flow on every event; see DESIGN.md.
+//!
+//! # What a link costs
+//!
+//! One allocator call, for good: a [`SharedBandwidth`] is an `Rc` to one
+//! block of 312 bytes — the `Ctx`, then the state — and a link that
+//! carries one flow at a time on one cap class never asks for more. A
+//! 16k-pair leaf/spine run builds 66,561 links and every modelled byte
+//! crosses three to five of them, so the block is laid out for the two
+//! things that run costs: resident bytes, and the first touch of a link
+//! the cache has not seen since its last transfer.
+//!
+//! *What is inline.* The state holds its first cap class, that class's
+//! first pending entry and its first flow slot in place, through one
+//! container, `Inline`: element 0 in the block, the rest in a `Vec` that
+//! is empty until a second element exists. The pending heap, the flow
+//! slab's free list and the class lookup index it exactly as they would
+//! index a `Vec`, so there is one algorithm and no lone-flow path. One
+//! element and not two, because that is what the links are: NVMe
+//! channels, NIC ports and leaf up/down links serve one cap class and,
+//! outside a broadcast, one flow at a time (at 16k pairs, 50,177 links
+//! are used and a few hundred ever hold two flows at once); a second
+//! inline element would add 24–88 bytes to every block to spare those
+//! few hundred a `Vec`.
+//!
+//! *When it spills.* A second concurrent flow spills the flow slab and —
+//! if it is in the same class — that class's heap; a second cap class
+//! spills the class list. Each spill is one amortised `Vec`, kept for the
+//! life of the link, so a warm link allocates nothing however many
+//! flows it holds (`tests/link_allocs.rs` pins all of this).
+//!
+//! *Why the timer targets the block.* The provisional "next completion"
+//! event is retired and re-armed on every join and completion. The
+//! calendar entry is a weak pointer to the link's own allocation
+//! (`TimerTarget`); which class and tag it completes is read back from
+//! the block when it fires. There is no closure beside the link to
+//! allocate, to keep a reference count on, or to miss the cache on.
+//!
+//! *Order.* The state is `repr(C)`: scalars a join and a completion
+//! read, the statistics they write, the first flow slot (all a poll
+//! needs, with the cell's flag and the `Ctx`, inside the first three
+//! cache lines), then the first class with its first pending entry. Two
+//! of the three spill vectors come last.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
-use crate::executor::{Ctx, TaskId, TimerHandle};
+use crate::executor::{Ctx, TaskId, TimerHandle, TimerTarget};
 use crate::sync::Semaphore;
 use crate::time::{SimDuration, SimTime};
 
@@ -108,14 +150,80 @@ pub struct BwStats {
     pub busy: SimDuration,
 }
 
+/// First element in place, the rest in a `Vec` that stays empty until a
+/// second element exists: the storage behind a link's cap classes, each
+/// class's pending heap and the flow slab (see "What a link costs").
+/// Elements keep the indices a `Vec` would give them — `0` is `first`,
+/// `i` is `rest[i - 1]` — and only the tail is ever removed, so `first`
+/// is vacant only when the container is empty.
+#[repr(C)]
+struct Inline<T> {
+    first: Option<T>,
+    rest: Vec<T>,
+}
+
+impl<T> Inline<T> {
+    const fn new() -> Self {
+        Inline {
+            first: None,
+            rest: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.first.is_some() as usize + self.rest.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    fn first(&self) -> Option<&T> {
+        self.first.as_ref()
+    }
+
+    fn push(&mut self, value: T) {
+        match self.first {
+            None => self.first = Some(value),
+            Some(_) => self.rest.push(value),
+        }
+    }
+
+    fn pop(&mut self) -> Option<T> {
+        self.rest.pop().or_else(|| self.first.take())
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.first.iter().chain(&self.rest)
+    }
+}
+
+impl<T> std::ops::Index<usize> for Inline<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
+        match i.checked_sub(1) {
+            None => self.first.as_ref().expect("index into an empty container"),
+            Some(r) => &self.rest[r],
+        }
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Inline<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        match i.checked_sub(1) {
+            None => self.first.as_mut().expect("index into an empty container"),
+            Some(r) => &mut self.rest[r],
+        }
+    }
+}
+
 /// A transfer waiting for its virtual finish tag to be reached.
 ///
 /// Min-ordered by `(fin, seq)`; the monotonically assigned sequence
-/// number both breaks ties deterministically (arrival order, exactly as
-/// the old per-flow id did) and makes the ordering total despite the
-/// float tag. `slot` indexes the flow slab, which holds the waiter
-/// state; slots are reused, which is why they cannot double as the
-/// heap tie-break.
+/// number both breaks ties deterministically (arrival order) and makes
+/// the ordering total despite the float tag. `slot` indexes the flow
+/// slab, which holds the waiter state; slots are reused, which is why
+/// they cannot double as the heap tie-break.
 #[derive(Clone, Copy)]
 struct Pending {
     /// Virtual finish tag: the class service level `s` at which every
@@ -155,16 +263,15 @@ impl Ord for Pending {
 /// cache lines — touched per join and completion. Pop order is the total
 /// `(fin, seq)` order (`seq` is unique), identical to any correct
 /// priority queue, so heap arity cannot perturb completion order.
-#[derive(Default)]
 struct PendingHeap {
-    v: Vec<Pending>,
+    v: Inline<Pending>,
 }
 
 impl PendingHeap {
     const D: usize = 4;
 
-    fn new() -> Self {
-        PendingHeap::default()
+    const fn new() -> Self {
+        PendingHeap { v: Inline::new() }
     }
 
     fn is_empty(&self) -> bool {
@@ -175,10 +282,9 @@ impl PendingHeap {
         self.v.first()
     }
 
-    fn push(&mut self, p: Pending) {
-        self.v.push(p);
+    fn push(&mut self, e: Pending) {
+        self.v.push(e);
         let mut i = self.v.len() - 1;
-        let e = self.v[i];
         while i > 0 {
             let parent = (i - 1) / Self::D;
             let pa = self.v[parent];
@@ -192,37 +298,34 @@ impl PendingHeap {
     }
 
     fn pop(&mut self) -> Option<Pending> {
+        // The tail takes the root's place and sinks.
+        let e = self.v.pop()?;
         let n = self.v.len();
         if n == 0 {
-            return None;
+            return Some(e);
         }
-        self.v.swap(0, n - 1);
-        let top = self.v.pop();
-        let n = self.v.len();
-        if n > 0 {
-            let mut i = 0;
-            let e = self.v[0];
-            loop {
-                let first = i * Self::D + 1;
-                if first >= n {
-                    break;
-                }
-                let last = (first + Self::D).min(n);
-                let mut min_j = first;
-                for j in first + 1..last {
-                    if self.v[j].cmp(&self.v[min_j]).is_lt() {
-                        min_j = j;
-                    }
-                }
-                if e.cmp(&self.v[min_j]).is_le() {
-                    break;
-                }
-                self.v[i] = self.v[min_j];
-                i = min_j;
+        let top = self.v[0];
+        let mut i = 0;
+        loop {
+            let first = i * Self::D + 1;
+            if first >= n {
+                break;
             }
-            self.v[i] = e;
+            let last = (first + Self::D).min(n);
+            let mut min_j = first;
+            for j in first + 1..last {
+                if self.v[j].cmp(&self.v[min_j]).is_lt() {
+                    min_j = j;
+                }
+            }
+            if e.cmp(&self.v[min_j]).is_le() {
+                break;
+            }
+            self.v[i] = self.v[min_j];
+            i = min_j;
         }
-        top
+        self.v[i] = e;
+        Some(top)
     }
 }
 
@@ -230,11 +333,8 @@ impl PendingHeap {
 const NO_FREE: u32 = u32::MAX;
 
 /// Waiter bookkeeping for one in-flight transfer, held in a dense slab
-/// indexed by the `u32` slot in [`Pending`] and [`TfState::Waiting`].
-/// Replaces the old `parked: FxHashMap<u64, TaskId>` +
-/// `finished: FxHashSet<u64>` pair: one direct index instead of two hash
-/// probes on every poll/complete, and fixed 16-byte slots instead of map
-/// buckets on the hottest allocation path in the simulator.
+/// indexed by the `u32` slot in [`Pending`] and [`TfState::Waiting`]: one
+/// direct index on every poll and completion.
 struct FlowSlot {
     /// Bumped when the slot is vacated; [`TfState::Waiting`] carries the
     /// generation it was issued so protocol bugs surface as panics
@@ -270,6 +370,7 @@ enum FlowState {
 /// distinct caps (uncapped, burst, sustained), so the per-event work is
 /// O(#classes) + O(log n) heap maintenance instead of an O(n) credit
 /// sweep over every in-flight flow.
+#[repr(C)]
 struct Class {
     /// Resolved per-flow ceiling (explicit cap or the link default).
     cap: Option<f64>,
@@ -278,30 +379,29 @@ struct Class {
     queue: PendingHeap,
 }
 
+/// A link's state. `repr(C)`: the order below is the order in memory
+/// (see "What a link costs"; `hot_state_leads_the_block` pins it).
+#[repr(C)]
 struct BwInner {
     rate: f64, // bytes/sec aggregate
-    flow_cap: Option<f64>,
-    /// Cap classes in creation order (deterministic iteration).
-    classes: Vec<Class>,
+    last_update: SimTime,
     n_total: usize,
     /// Monotonic arrival counter, used only for the heap tie-break.
     next_seq: u64,
-    last_update: SimTime,
+    flow_cap: Option<f64>,
     /// Provisional next-completion event; retired (cancelled) whenever
     /// the flow set changes instead of firing as a stale no-op.
     timer: Option<TimerHandle>,
-    /// `(class index, finish tag)` the armed timer will complete. Stored
-    /// here so the (single, reusable) timer callback can read them back
-    /// instead of capturing them in a fresh closure per arm.
+    /// `(class index, finish tag)` the armed timer will complete: the
+    /// calendar entry carries only a pointer to the block, and
+    /// [`TimerTarget::fire`] reads its parameters back from here.
     armed: (usize, f64),
-    /// The reusable timer callback, built on first arm. Re-arming clones
-    /// this `Rc` — no allocation — which matters because the timer is
-    /// retired and re-armed on *every* flow join and completion.
-    timer_cb: Option<Rc<dyn Fn()>>,
-    /// Dense per-flow waiter slab; see [`FlowSlot`].
-    flows: Vec<FlowSlot>,
-    flow_free: u32,
     stats: BwStats,
+    flow_free: u32,
+    /// Dense per-flow waiter slab; see [`FlowSlot`].
+    flows: Inline<FlowSlot>,
+    /// Cap classes in creation order (deterministic iteration).
+    classes: Inline<Class>,
 }
 
 impl BwInner {
@@ -366,17 +466,10 @@ impl BwInner {
     /// Index of the class for `cap`, creating it on first use.
     fn class_index(&mut self, cap: Option<f64>) -> usize {
         let key = cap.map(f64::to_bits);
-        if let Some(i) = self
-            .classes
-            .iter()
-            .position(|c| c.cap.map(f64::to_bits) == key)
-        {
+        let found = |c: &Class| c.cap.map(f64::to_bits) == key;
+        if let Some(i) = self.classes.iter().position(found) {
             return i;
         }
-        // Exactly one more: nearly every link only ever sees one cap, and
-        // amortized growth would reserve four classes (192 B) on each of
-        // the ~150k links of a 16k-pair run at its first transfer.
-        self.classes.reserve_exact(1);
         self.classes.push(Class {
             cap,
             s: 0.0,
@@ -384,6 +477,14 @@ impl BwInner {
         });
         self.classes.len() - 1
     }
+}
+
+/// The one allocation of a link: the handle to the simulation, then the
+/// state. The calendar fires this block ([`TimerTarget`]).
+#[repr(C)]
+struct Link {
+    ctx: Ctx,
+    inner: RefCell<BwInner>,
 }
 
 /// A processor-sharing bandwidth resource.
@@ -398,8 +499,7 @@ impl BwInner {
 /// fires — with no residual-byte epsilon.
 #[derive(Clone)]
 pub struct SharedBandwidth {
-    ctx: Ctx,
-    inner: Rc<RefCell<BwInner>>,
+    link: Rc<Link>,
 }
 
 impl SharedBandwidth {
@@ -409,40 +509,42 @@ impl SharedBandwidth {
             rate_bytes_per_sec > 0.0 && rate_bytes_per_sec.is_finite(),
             "bandwidth must be positive and finite"
         );
+        let inner = BwInner {
+            rate: rate_bytes_per_sec,
+            last_update: SimTime::ZERO,
+            n_total: 0,
+            next_seq: 0,
+            flow_cap: None,
+            timer: None,
+            armed: (0, 0.0),
+            stats: BwStats::default(),
+            flow_free: NO_FREE,
+            flows: Inline::new(),
+            classes: Inline::new(),
+        };
         SharedBandwidth {
-            ctx: ctx.clone(),
-            inner: Rc::new(RefCell::new(BwInner {
-                rate: rate_bytes_per_sec,
-                flow_cap: None,
-                classes: Vec::new(),
-                n_total: 0,
-                next_seq: 0,
-                last_update: SimTime::ZERO,
-                timer: None,
-                armed: (0, 0.0),
-                timer_cb: None,
-                flows: Vec::new(),
-                flow_free: NO_FREE,
-                stats: BwStats::default(),
-            })),
+            link: Rc::new(Link {
+                ctx: ctx.clone(),
+                inner: RefCell::new(inner),
+            }),
         }
     }
 
     /// Additionally cap each individual flow at `cap` bytes/second.
     pub fn with_flow_cap(self, cap: f64) -> Self {
         assert!(cap > 0.0 && cap.is_finite());
-        self.inner.borrow_mut().flow_cap = Some(cap);
+        self.link.inner.borrow_mut().flow_cap = Some(cap);
         self
     }
 
     /// Aggregate rate in bytes/second.
     pub fn rate(&self) -> f64 {
-        self.inner.borrow().rate
+        self.link.inner.borrow().rate
     }
 
     /// Snapshot of accumulated statistics.
     pub fn stats(&self) -> BwStats {
-        self.inner.borrow().stats
+        self.link.inner.borrow().stats
     }
 
     /// Transfer `bytes` through the link, completing when the fair-share
@@ -472,168 +574,6 @@ impl SharedBandwidth {
         self.start(bytes, None, bytes)
     }
 
-    fn start(&self, bytes: u64, cap: Option<f64>, counted_bytes: u64) -> TransferFut {
-        if bytes == 0 {
-            self.inner.borrow_mut().stats.bytes_moved += counted_bytes;
-            return TransferFut {
-                state: TfState::Done,
-            };
-        }
-        let (slot, gen);
-        {
-            let mut inner = self.inner.borrow_mut();
-            let now = self.ctx.now();
-            inner.advance(now);
-            (slot, gen) = inner.alloc_flow();
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            let resolved = cap.or(inner.flow_cap);
-            let ci = inner.class_index(resolved);
-            let fin = inner.classes[ci].s + bytes as f64;
-            inner.classes[ci].queue.push(Pending {
-                fin,
-                seq,
-                slot,
-                counted_bytes,
-            });
-            inner.n_total += 1;
-            inner.stats.peak_concurrency = inner.stats.peak_concurrency.max(inner.n_total);
-        }
-        self.reschedule();
-        TransferFut {
-            state: TfState::Waiting {
-                bw: self.clone(),
-                slot,
-                gen,
-            },
-        }
-    }
-
-    /// Complete every flow whose finish tag has been reached and arm a
-    /// timer for the next completion. Called after any flow-set change;
-    /// the previously armed timer (if any) is retired first, so exactly
-    /// one provisional completion event exists per link.
-    fn reschedule(&self) {
-        let old_timer = self.inner.borrow_mut().timer.take();
-        if let Some(t) = old_timer {
-            t.cancel();
-        }
-        let next: Option<(SimDuration, usize, f64)>;
-        {
-            let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
-            let mut served = 0u64;
-            let mut bytes_moved = 0u64;
-            for ci in 0..inner.classes.len() {
-                loop {
-                    let class = &mut inner.classes[ci];
-                    let Some(p) = class.queue.peek() else {
-                        break;
-                    };
-                    if p.fin > class.s {
-                        break;
-                    }
-                    let p = class.queue.pop().unwrap();
-                    bytes_moved += p.counted_bytes;
-                    // Mark done first — the woken future's re-poll looks
-                    // at the slot state. Waking goes through the
-                    // executor's ordinary wake queue (same ordering as a
-                    // waker would produce) and touches neither `inner`
-                    // nor any allocation.
-                    let prev = std::mem::replace(
-                        &mut inner.flows[p.slot as usize].state,
-                        FlowState::Finished,
-                    );
-                    match prev {
-                        FlowState::InFlight => {}
-                        FlowState::Parked(task) => self.ctx.wake_task(task),
-                        // Future already dropped: nobody will poll again,
-                        // vacate the slot here.
-                        FlowState::Abandoned => inner.free_flow(p.slot),
-                        FlowState::Vacant { .. } | FlowState::Finished => {
-                            unreachable!("completed flow in impossible state")
-                        }
-                    }
-                    served += 1;
-                }
-            }
-            inner.n_total -= served as usize;
-            inner.stats.flows_served += served;
-            inner.stats.bytes_moved += bytes_moved;
-            next = if inner.n_total == 0 {
-                None
-            } else {
-                // Earliest completion across classes: each class clock
-                // runs at its own constant rate until the next flow-set
-                // change, so the head tag's arrival time is exact.
-                let mut best: Option<(f64, usize, f64)> = None;
-                for (ci, class) in inner.classes.iter().enumerate() {
-                    let Some(p) = class.queue.peek() else {
-                        continue;
-                    };
-                    let secs = (p.fin - class.s) / inner.class_rate(class.cap);
-                    if best.is_none_or(|(b, _, _)| secs < b) {
-                        best = Some((secs, ci, p.fin));
-                    }
-                }
-                best.map(|(secs, ci, fin)| (SimDuration::from_secs_f64_ceil(secs), ci, fin))
-            };
-        }
-        if let Some((delay, ci, fin)) = next {
-            let cb = {
-                let mut inner = self.inner.borrow_mut();
-                inner.armed = (ci, fin);
-                match &inner.timer_cb {
-                    Some(cb) => cb.clone(),
-                    None => {
-                        // Built once per link. Captures a `Weak` so the
-                        // callback does not keep the link alive through
-                        // the calendar (mirroring how the boxed-closure
-                        // path dropped its captures on cancellation).
-                        let ctx = self.ctx.clone();
-                        let weak = Rc::downgrade(&self.inner);
-                        let cb: Rc<dyn Fn()> = Rc::new(move || {
-                            if let Some(inner) = weak.upgrade() {
-                                let (ci, fin) = inner.borrow().armed;
-                                let bw = SharedBandwidth {
-                                    ctx: ctx.clone(),
-                                    inner,
-                                };
-                                bw.on_completion(ci, fin);
-                            }
-                        });
-                        inner.timer_cb = Some(cb.clone());
-                        cb
-                    }
-                }
-            };
-            let handle = self.ctx.call_after_rc(delay, cb);
-            self.inner.borrow_mut().timer = Some(handle);
-        }
-    }
-
-    /// Timer body: the head flow of class `ci` has reached tag `fin`.
-    fn on_completion(&self, ci: usize, fin: f64) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.timer = None;
-            let now = self.ctx.now();
-            inner.advance(now);
-            // The timer fired, so the flow set is unchanged since it was
-            // armed and every class rate held constant: in exact
-            // arithmetic the target clock has reached `fin` (the delay
-            // was ceiling-rounded). Nudge past any float-ulp shortfall so
-            // the completion pops on an exact tag comparison.
-            let class = &mut inner.classes[ci];
-            if class.s < fin {
-                class.s = fin;
-            }
-        }
-        self.reschedule();
-    }
-}
-
-impl SharedBandwidth {
     /// Transfer and account the byte count in [`BwStats::bytes_moved`].
     pub async fn transfer_counted(&self, bytes: u64) {
         self.start(bytes, None, bytes).await
@@ -642,6 +582,130 @@ impl SharedBandwidth {
     /// [`SharedBandwidth::transfer_capped`] with byte accounting.
     pub async fn transfer_capped_counted(&self, bytes: u64, cap: Option<f64>) {
         self.start(bytes, cap, bytes).await
+    }
+
+    fn start(&self, bytes: u64, cap: Option<f64>, counted_bytes: u64) -> TransferFut {
+        let mut inner = self.link.inner.borrow_mut();
+        let inner = &mut *inner;
+        if bytes == 0 {
+            inner.stats.bytes_moved += counted_bytes;
+            return TransferFut {
+                state: TfState::Done,
+            };
+        }
+        inner.advance(self.link.ctx.now());
+        let (slot, gen) = inner.alloc_flow();
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        let ci = inner.class_index(cap.or(inner.flow_cap));
+        let class = &mut inner.classes[ci];
+        class.queue.push(Pending {
+            fin: class.s + bytes as f64,
+            seq,
+            slot,
+            counted_bytes,
+        });
+        inner.n_total += 1;
+        inner.stats.peak_concurrency = inner.stats.peak_concurrency.max(inner.n_total);
+        self.link.reschedule(inner);
+        TransferFut {
+            state: TfState::Waiting {
+                bw: self.clone(),
+                slot,
+                gen,
+            },
+        }
+    }
+}
+
+impl Link {
+    /// Complete every flow whose finish tag has been reached and arm a
+    /// timer for the next completion. Called after any flow-set change;
+    /// the previously armed timer (if any) is retired first, so exactly
+    /// one provisional completion event exists per link.
+    fn reschedule(self: &Rc<Self>, inner: &mut BwInner) {
+        if let Some(t) = inner.timer.take() {
+            t.cancel();
+        }
+        let mut served = 0u64;
+        let mut bytes_moved = 0u64;
+        for ci in 0..inner.classes.len() {
+            loop {
+                let class = &mut inner.classes[ci];
+                let Some(p) = class.queue.peek() else {
+                    break;
+                };
+                if p.fin > class.s {
+                    break;
+                }
+                let p = class.queue.pop().expect("peeked a pending flow");
+                bytes_moved += p.counted_bytes;
+                // Mark done first — the woken future's re-poll looks at
+                // the slot state. Waking goes through the executor's
+                // ordinary wake queue (same ordering as a waker would
+                // produce) and touches neither the link nor any
+                // allocation.
+                let prev =
+                    std::mem::replace(&mut inner.flows[p.slot as usize].state, FlowState::Finished);
+                match prev {
+                    FlowState::InFlight => {}
+                    FlowState::Parked(task) => self.ctx.wake_task(task),
+                    // Future already dropped: nobody will poll again,
+                    // vacate the slot here.
+                    FlowState::Abandoned => inner.free_flow(p.slot),
+                    FlowState::Vacant { .. } | FlowState::Finished => {
+                        unreachable!("completed flow in impossible state")
+                    }
+                }
+                served += 1;
+            }
+        }
+        inner.n_total -= served as usize;
+        inner.stats.flows_served += served;
+        inner.stats.bytes_moved += bytes_moved;
+        if inner.n_total == 0 {
+            return;
+        }
+        // Earliest completion across classes: each class clock runs at
+        // its own constant rate until the next flow-set change, so the
+        // head tag's arrival time is exact.
+        let mut best: Option<(f64, usize, f64)> = None;
+        for (ci, class) in inner.classes.iter().enumerate() {
+            let Some(p) = class.queue.peek() else {
+                continue;
+            };
+            let secs = (p.fin - class.s) / inner.class_rate(class.cap);
+            if best.is_none_or(|(b, _, _)| secs < b) {
+                best = Some((secs, ci, p.fin));
+            }
+        }
+        let (secs, ci, fin) = best.expect("flows in flight but no class has one");
+        inner.armed = (ci, fin);
+        // Weak: the calendar does not keep the link alive.
+        let target: Weak<Link> = Rc::downgrade(self);
+        let delay = SimDuration::from_secs_f64_ceil(secs);
+        inner.timer = Some(self.ctx.fire_after(delay, target));
+    }
+}
+
+impl TimerTarget for Link {
+    /// The head flow of the armed class has reached the armed tag.
+    fn fire(self: Rc<Self>) {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        inner.timer = None;
+        inner.advance(self.ctx.now());
+        // The timer fired, so the flow set is unchanged since it was
+        // armed and every class rate held constant: in exact arithmetic
+        // the target clock has reached `fin` (the delay was
+        // ceiling-rounded). Nudge past any float-ulp shortfall so the
+        // completion pops on an exact tag comparison.
+        let (ci, fin) = inner.armed;
+        let class = &mut inner.classes[ci];
+        if class.s < fin {
+            class.s = fin;
+        }
+        self.reschedule(inner);
     }
 }
 
@@ -673,8 +737,8 @@ impl Future for TransferFut {
             return Poll::Ready(());
         };
         let (slot, gen) = (*slot, *gen);
-        let task = bw.ctx.current_task();
-        let mut inner = bw.inner.borrow_mut();
+        let task = bw.link.ctx.current_task();
+        let mut inner = bw.link.inner.borrow_mut();
         let fs = &mut inner.flows[slot as usize];
         // The slot is vacated only by this future's own poll/drop, so a
         // generation mismatch is a protocol bug, not a race.
@@ -698,7 +762,7 @@ impl Future for TransferFut {
 impl Drop for TransferFut {
     fn drop(&mut self) {
         if let TfState::Waiting { bw, slot, gen } = &self.state {
-            let mut inner = bw.inner.borrow_mut();
+            let mut inner = bw.link.inner.borrow_mut();
             let fs = &mut inner.flows[*slot as usize];
             assert_eq!(fs.gen, *gen, "transfer future dropped a reused flow slot");
             match fs.state {
@@ -911,6 +975,34 @@ mod tests {
         }
         sim.run();
         assert_eq!(res.stats().peak_queue, 4);
+    }
+
+    /// The order "What a link costs" describes, in bytes from the start
+    /// of the allocation: `Rc`'s two counts, the `Ctx`, the cell's flag,
+    /// then the state in declaration order.
+    #[test]
+    fn hot_state_leads_the_block() {
+        use std::mem::{offset_of, size_of};
+        const RC_COUNTS: usize = 16;
+        assert_eq!(offset_of!(Link, ctx), 0);
+        let flag = size_of::<RefCell<BwInner>>() - size_of::<BwInner>();
+        let state = RC_COUNTS + offset_of!(Link, inner) + flag;
+        assert_eq!(state, 32);
+        // A poll reads the flag, the `Ctx` and the first flow slot.
+        let first_flow = state + offset_of!(BwInner, flows) + offset_of!(Inline<FlowSlot>, first);
+        assert!(first_flow + size_of::<Option<FlowSlot>>() <= 3 * 64);
+        // A join, a completion and the timer read on to the first class
+        // and its first pending entry, and no further ...
+        let first_pending = first_flow
+            + (offset_of!(BwInner, classes) - offset_of!(BwInner, flows))
+            + offset_of!(Class, queue)
+            + offset_of!(Inline<Pending>, first);
+        let hot_end = first_pending + size_of::<Option<Pending>>();
+        assert!(hot_end <= 264, "hot state ends at byte {hot_end}");
+        // ... because behind it lie only two of the three spill vectors.
+        let block = RC_COUNTS + size_of::<Link>();
+        assert_eq!(block - hot_end, 2 * size_of::<Vec<Pending>>());
+        assert_eq!(block, 312);
     }
 
     #[test]
