@@ -43,7 +43,9 @@ fn consumer_ensemble(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let backend = BackendOverride::from_args(&args).unwrap_or_else(|e| {
+    let checked = bench::check_flags(&args, &BackendOverride::FLAGS, &[]);
+    let backend = checked.and_then(|()| BackendOverride::from_args(&args));
+    let backend = backend.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2)
     });

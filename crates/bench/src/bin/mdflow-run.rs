@@ -22,14 +22,51 @@
 
 use mdflow::prelude::*;
 
+/// The flags that take a value, and the ones that stand alone: what
+/// [`Args::value`] and [`Args::flag`] may be asked for, and all a
+/// command line may hold.
+const VALUED: [&str; 20] = [
+    "--solution",
+    "--model",
+    "--pairs",
+    "--nodes",
+    "--per-node",
+    "--stride",
+    "--frames",
+    "--reps",
+    "--seed",
+    "--sync",
+    "--fanout",
+    "--fanin",
+    "--window",
+    "--agg",
+    "--group",
+    "--kvs-shards",
+    "--kvs-replication",
+    "--topology",
+    "--radix",
+    "--oversubscription",
+];
+const BARE: [&str; 7] = [
+    "--help",
+    "-h",
+    "--no-warm-sync",
+    "--no-reclaim",
+    "--quiet-testbed",
+    "--json",
+    "--trace",
+];
+
 struct Args(Vec<String>);
 
 impl Args {
     fn flag(&self, name: &str) -> bool {
+        debug_assert!(BARE.contains(&name), "{name} is not in the flag table");
         self.0.iter().any(|a| a == name)
     }
 
     fn value(&self, name: &str) -> Option<&str> {
+        debug_assert!(VALUED.contains(&name), "{name} is not in the flag table");
         bench::flag_value(&self.0, name)
     }
 
@@ -88,6 +125,9 @@ fn main() {
     if args.flag("--help") || args.flag("-h") {
         print!("{HELP}");
         return;
+    }
+    if let Err(e) = bench::check_flags(&args.0, &VALUED, &BARE) {
+        die(&e);
     }
     let solution: Solution = args
         .value("--solution")

@@ -45,6 +45,22 @@ pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// Walk `args` once against the flags a binary reads — `valued` flags
+/// take the argument after them, `bare` ones stand alone — so that a
+/// misspelt flag, or a valued one that ends the line, is an error naming
+/// it instead of a run of the defaults.
+pub fn check_flags(args: &[String], valued: &[&str], bare: &[&str]) -> Result<(), String> {
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if valued.contains(&a) {
+            it.next().ok_or_else(|| format!("{a} needs a value"))?;
+        } else if !bare.contains(&a) {
+            return Err(format!("unknown flag {a}"));
+        }
+    }
+    Ok(())
+}
+
 /// The paper-calibrated study of `wf` at `scale`. Seeding is
 /// `StudyConfig::paper`'s, so a study's report does not depend on which
 /// other studies share its executor invocation.

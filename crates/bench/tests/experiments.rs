@@ -137,6 +137,46 @@ fn mdflow_run_rejects_malformed_configurations_with_a_typed_error() {
     }
 }
 
+/// A flag `mdflow-run` does not read, or one that lost its value, ends
+/// in exit 2 naming it. `--pair 2` ran the default four pairs.
+#[test]
+fn mdflow_run_rejects_a_misspelt_flag_and_a_missing_value() {
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["--pair", "2", "--frames", "4", "--reps", "1"],
+            "unknown flag --pair",
+        ),
+        (
+            &["--frames", "4", "--reps", "1", "--pairs"],
+            "--pairs needs a value",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_mdflow-run"))
+            .args(args)
+            .output()
+            .expect("run mdflow-run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+}
+
+/// `fig9_10 --backned streaming` printed the scripted figures.
+#[test]
+fn fig9_10_rejects_a_misspelt_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig9_10"))
+        .args(["--backned", "streaming"])
+        .envs([("MDFLOW_REPS", "1"), ("MDFLOW_FRAMES", "4")])
+        .output()
+        .expect("run fig9_10");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --backned"), "{stderr}");
+    assert!(out.stdout.is_empty(), "printed the figures");
+}
+
 /// The four relations the fan-out crossover exists to show, on the
 /// entry's own grid at 6 frames × 1 repetition.
 #[test]

@@ -105,18 +105,16 @@ enum EventKind {
     WakeTask(TaskId),
     /// Run an arbitrary callback, boxed per arm ([`Ctx::call_after`]).
     Call(Box<dyn FnOnce()>),
-    /// Fire a resource's own block ([`Ctx::fire_after`]). A resource that
-    /// retires and re-arms its provisional "next completion" timer on
-    /// every change of its flow set — [`crate::resource::SharedBandwidth`],
-    /// the hottest timer pattern in the workspace — arms with a weak
-    /// pointer to the allocation that already holds its state: no box per
-    /// arm, no closure block beside the resource, and an entry that
-    /// outlives the resource fires into nothing.
+    /// Fire a resource's own block ([`Ctx::fire_after`]): a weak pointer
+    /// to the allocation that already holds the resource's state, so the
+    /// provisional "next completion" timer a link retires and re-arms on
+    /// every flow-set change costs no box per arm and no closure beside
+    /// the link. An entry that outlives its resource fires into nothing.
     Fire(Weak<dyn TimerTarget>),
 }
 
-/// A resource block the calendar can fire ([`EventKind::Fire`]). What
-/// the timer is for is read out of the block's own state.
+/// A resource block the calendar can fire; what the timer is for is
+/// read out of the block's own state.
 pub(crate) trait TimerTarget {
     /// The armed instant was reached.
     fn fire(self: Rc<Self>);
@@ -716,13 +714,12 @@ impl Sim {
     fn drain_wakes(&self) {
         let mut core = self.core.borrow_mut();
         let core = &mut *core;
-        // A load, and a store only when there is something to drain: the
-        // dispatch loop asks on every turn and nearly always hears "no",
-        // which a read-modify-write would pay a locked instruction for.
-        // The flag only says "look": the queue is synchronised by its own
-        // mutex, and a waker pushes *before* it stores `true`, so a push
-        // that races this store is either taken below or leaves the flag
-        // `true` — one empty drain later, never a lost wake.
+        // A load, and a store only when it read `true`: the dispatch loop
+        // asks on every turn, and a swap would pay a locked instruction
+        // to hear "no". The queue is synchronised by its own mutex and a
+        // waker pushes *before* it stores `true`, so a push racing this
+        // store is taken below or leaves a spurious `true` — one empty
+        // drain, never a lost wake.
         use std::sync::atomic::Ordering::{Acquire, Relaxed};
         if !core.wakes.nonempty.load(Acquire) {
             return;
@@ -1041,9 +1038,8 @@ impl Ctx {
         self.schedule(d, EventKind::Call(Box::new(f)))
     }
 
-    /// Fire `target` after `d` simulated time: [`Ctx::call_after`] for a
-    /// resource that re-arms one logical timer over and over and keeps
-    /// what the timer means in its own block.
+    /// [`Ctx::call_after`] for a resource that re-arms one logical timer
+    /// over and over: `target` is fired, and reads what for from itself.
     pub(crate) fn fire_after(&self, d: SimDuration, target: Weak<dyn TimerTarget>) -> TimerHandle {
         self.schedule(d, EventKind::Fire(target))
     }

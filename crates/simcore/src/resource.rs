@@ -20,9 +20,10 @@
 //! block of 312 bytes — the `Ctx`, then the state — and a link that
 //! carries one flow at a time on one cap class never asks for more. A
 //! 16k-pair leaf/spine run builds 66,561 links and every modelled byte
-//! crosses three to five of them, so the block is laid out for the two
-//! things that run costs: resident bytes, and the first touch of a link
-//! the cache has not seen since its last transfer.
+//! crosses one (an NVMe channel) to five (a cross-leaf message) of
+//! them, so the block is laid out for the two things that run pays:
+//! resident bytes, and the first touch of a link the cache has not seen
+//! since its last transfer.
 //!
 //! *What is inline.* The state holds its first cap class, that class's
 //! first pending entry and its first flow slot in place, through one
@@ -31,11 +32,10 @@
 //! slab's free list and the class lookup index it exactly as they would
 //! index a `Vec`, so there is one algorithm and no lone-flow path. One
 //! element and not two, because that is what the links are: NVMe
-//! channels, NIC ports and leaf up/down links serve one cap class and,
-//! outside a broadcast, one flow at a time (at 16k pairs, 50,177 links
-//! are used and a few hundred ever hold two flows at once); a second
-//! inline element would add 24–88 bytes to every block to spare those
-//! few hundred a `Vec`.
+//! channels, NIC ports and leaf up/down links serve one cap class and
+//! one flow at a time (at 16k pairs 50,177 links are used and three of
+//! them ever hold two flows at once); a second inline element would add
+//! 24–88 bytes to every block to spare those three a `Vec`.
 //!
 //! *When it spills.* A second concurrent flow spills the flow slab and —
 //! if it is in the same class — that class's heap; a second cap class
