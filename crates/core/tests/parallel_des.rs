@@ -1,6 +1,6 @@
 //! Pinned flat and multi-leaf schedules (PR 9).
 //!
-//! `simcore` checks the calendar's `(time, seq)` order on the calendar
+//! `simcore` checks the calendar's `(time, insertion)` order on the calendar
 //! itself (the `calendar_oracle` proptest); these tests pin it at the
 //! workflow level, where a reordering anywhere in the stack shows:
 //!

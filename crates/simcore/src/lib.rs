@@ -3,7 +3,7 @@
 //! The foundation of the DYAD-vs-traditional-I/O reproduction: a
 //! deterministic discrete-event simulator whose processes are plain Rust
 //! `async` functions. The executor is single-threaded and its event
-//! calendar is one heap keyed `(time, seq)`.
+//! calendar is one radix heap over the clock, ties in insertion order.
 //!
 //! * [`Sim`] owns the event calendar and executor; [`Ctx`] is the handle
 //!   processes use to sleep, spawn, and draw random numbers.
