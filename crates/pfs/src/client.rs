@@ -242,13 +242,6 @@ impl PfsClient {
         self.open_as(MdsOp::Open, path, Mode::Read).await
     }
 
-    /// Write at the descriptor's offset: stripes go to their OSTs in
-    /// parallel.
-    pub async fn write(&self, fd: PfsFd, data: &[u8]) -> Result<usize, PfsError> {
-        self.write_bytes(fd, Bytes::copy_from_slice(data)).await?;
-        Ok(data.len())
-    }
-
     /// Zero-copy write: stripe chunks are `Bytes` slices of `data` and
     /// travel to their OSTs in parallel without copying.
     pub async fn write_bytes(&self, fd: PfsFd, data: Bytes) -> Result<(), PfsError> {
@@ -313,23 +306,6 @@ impl PfsClient {
         Ok(())
     }
 
-    /// Read up to `len` bytes from the descriptor's offset.
-    pub async fn read(&self, fd: PfsFd, len: u64) -> Result<Bytes, PfsError> {
-        let (layout, offset, take) = {
-            let mut st = self.state.borrow_mut();
-            let of = st.fds.get_mut(&fd).ok_or(PfsError::BadDescriptor)?;
-            let take = len.min(of.size.saturating_sub(of.offset));
-            let offset = of.offset;
-            of.offset += take;
-            (Rc::clone(&of.layout), offset, take)
-        };
-        if take == 0 {
-            return Ok(Bytes::new());
-        }
-        let parts = self.read_chunks(&layout, offset, take).await;
-        Ok(transport::flatten_payload(parts))
-    }
-
     async fn read_chunks(&self, layout: &Layout, offset: u64, take: u64) -> Vec<Bytes> {
         // Drain the logical read through the client stream throttle in
         // parallel with the chunk RPCs.
@@ -368,11 +344,6 @@ impl PfsClient {
             out.extend(rope);
         }
         out
-    }
-
-    /// Read the remainder of the file.
-    pub async fn read_to_end(&self, fd: PfsFd) -> Result<Bytes, PfsError> {
-        self.read(fd, u64::MAX).await
     }
 
     /// Zero-copy read of the remainder of the file: one `Bytes` per

@@ -132,7 +132,7 @@ mod tests {
             let done = done.clone();
             sim.spawn(async move {
                 let fd = w.create("/runs/frame0").await.unwrap();
-                w.write(fd, &payload).await.unwrap();
+                w.write_bytes(fd, Bytes::from(payload)).await.unwrap();
                 w.close(fd).await.unwrap();
                 done.notify_all();
             });
@@ -140,9 +140,9 @@ mod tests {
         let h = sim.spawn(async move {
             done.wait().await;
             let fd = r.open("/runs/frame0").await.unwrap();
-            let data = r.read_to_end(fd).await.unwrap();
+            let rope = r.read_segments(fd).await.unwrap();
             r.close(fd).await.unwrap();
-            data
+            transport::flatten_payload(rope)
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), expect);
@@ -156,7 +156,10 @@ mod tests {
         let c = fs.client(&ctx, NodeId(5));
         sim.spawn(async move {
             let fd = c.create("/big").await.unwrap();
-            c.write(fd, &vec![1u8; 8 << 20]).await.unwrap(); // 8 MiB over 1 MiB stripes
+            // 8 MiB over 1 MiB stripes.
+            c.write_bytes(fd, Bytes::from(vec![1u8; 8 << 20]))
+                .await
+                .unwrap();
             c.close(fd).await.unwrap();
         });
         sim.run();
@@ -183,7 +186,9 @@ mod tests {
         let c = fs.client(&sim.ctx(), NodeId(3));
         let h = sim.spawn(async move {
             let fd = c.create("/f").await.unwrap();
-            c.write(fd, &[9u8; 1234]).await.unwrap();
+            c.write_bytes(fd, Bytes::from(vec![9u8; 1234]))
+                .await
+                .unwrap();
             c.close(fd).await.unwrap();
             c.stat("/f").await.unwrap().1
         });
@@ -198,7 +203,9 @@ mod tests {
         let c = fs.client(&sim.ctx(), NodeId(3));
         let h = sim.spawn(async move {
             let fd = c.create("/f").await.unwrap();
-            c.write(fd, &[0u8; 4 << 20]).await.unwrap();
+            c.write_bytes(fd, Bytes::from(vec![0u8; 4 << 20]))
+                .await
+                .unwrap();
             c.close(fd).await.unwrap();
             c.unlink("/f").await.unwrap();
             c.open("/f").await.err()
@@ -224,7 +231,9 @@ mod tests {
         };
         sim.spawn(async move {
             let fd = c.create("/n").await.unwrap();
-            c.write(fd, &vec![0u8; 4_000_000]).await.unwrap();
+            c.write_bytes(fd, Bytes::from(vec![0u8; 4_000_000]))
+                .await
+                .unwrap();
             c.close(fd).await.unwrap();
         });
         sim.run();
@@ -246,7 +255,9 @@ mod tests {
             hs.push(sim.spawn(async move {
                 let fd = c.create(&format!("/c{i}")).await.unwrap();
                 let t0 = ctx2.now();
-                c.write(fd, &vec![0u8; 4_000_000]).await.unwrap();
+                c.write_bytes(fd, Bytes::from(vec![0u8; 4_000_000]))
+                    .await
+                    .unwrap();
                 c.close(fd).await.unwrap();
                 (ctx2.now() - t0).as_secs_f64()
             }));
@@ -266,7 +277,7 @@ mod tests {
         sim.spawn(async move {
             for i in 0..5 {
                 let fd = c.create(&format!("/f{i}")).await.unwrap();
-                c.write(fd, b"x").await.unwrap();
+                c.write_bytes(fd, Bytes::from_static(b"x")).await.unwrap();
                 c.close(fd).await.unwrap();
             }
         });
@@ -390,9 +401,9 @@ mod tests {
                     c.write_segments(fd, rope).await.unwrap();
                     c.close(fd).await.unwrap();
                     let fd = c.open("/p").await.unwrap();
-                    let back = c.read_to_end(fd).await.unwrap();
+                    let back = c.read_segments(fd).await.unwrap();
                     c.close(fd).await.unwrap();
-                    back
+                    transport::flatten_payload(back)
                 });
                 prop_assert!(sim.run().is_clean());
                 prop_assert_eq!(h.try_take().unwrap(), Bytes::from(expect));
@@ -426,7 +437,9 @@ mod tests {
                 let t0 = ctx2.now();
                 for i in 0..20 {
                     let fd = c.create(&format!("/x{i}")).await.unwrap();
-                    c.write(fd, &vec![0u8; 16_000_000]).await.unwrap();
+                    c.write_bytes(fd, Bytes::from(vec![0u8; 16_000_000]))
+                        .await
+                        .unwrap();
                     c.close(fd).await.unwrap();
                 }
                 (ctx2.now() - t0).as_secs_f64()

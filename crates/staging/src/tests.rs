@@ -236,7 +236,7 @@ fn evictor_spills_unacked_frames_to_pfs_and_republishes() {
             .open(&spill_path("/dyad/frames/f0"))
             .await
             .unwrap();
-        let data = pfs_reader.read_to_end(fd).await.unwrap();
+        let data = transport::flatten_payload(pfs_reader.read_segments(fd).await.unwrap());
         pfs_reader.close(fd).await.unwrap();
         (meta, data)
     });

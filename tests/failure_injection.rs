@@ -24,23 +24,30 @@ fn localfs_enospc_mid_workflow_is_clean() {
     let fs = LocalFs::new(&ctx, dev, spec);
     let h = sim.spawn(async move {
         let fd = fs.create("/a").await.unwrap();
-        fs.write(fd, &vec![1u8; 600_000]).await.unwrap();
+        fs.write_bytes(fd, Bytes::from(vec![1u8; 600_000]))
+            .await
+            .unwrap();
         fs.close(fd).await.unwrap();
         // Second file exceeds the remaining space.
         let fd = fs.create("/b").await.unwrap();
-        let err = fs.write(fd, &vec![2u8; 600_000]).await.unwrap_err();
+        let err = fs
+            .write_bytes(fd, Bytes::from(vec![2u8; 600_000]))
+            .await
+            .unwrap_err();
         assert_eq!(err, FsError::NoSpace);
         fs.close(fd).await.unwrap();
         // First file unharmed.
         let fd = fs.open("/a").await.unwrap();
-        let data = fs.read_to_end(fd).await.unwrap();
+        let data = transport::flatten_payload(fs.read_segments(fd).await.unwrap());
         fs.close(fd).await.unwrap();
         assert_eq!(data.len(), 600_000);
         assert!(data.iter().all(|&b| b == 1));
         // Reclaim and retry.
         fs.unlink("/a").await.unwrap();
         let fd = fs.create("/c").await.unwrap();
-        fs.write(fd, &vec![3u8; 600_000]).await.unwrap();
+        fs.write_bytes(fd, Bytes::from(vec![3u8; 600_000]))
+            .await
+            .unwrap();
         fs.close(fd).await.unwrap();
         true
     });
@@ -90,7 +97,9 @@ fn pfs_client_errors_on_unknown_paths_and_bad_fds() {
         // Writing through a read-only descriptor.
         let fd = c.open("/f").await.unwrap();
         assert_eq!(
-            c.write(fd, b"x").await.unwrap_err(),
+            c.write_bytes(fd, Bytes::from_static(b"x"))
+                .await
+                .unwrap_err(),
             PfsError::BadDescriptor
         );
         true

@@ -109,7 +109,7 @@ fn pfs_and_localfs_agree_on_content() {
         let l = transport::flatten_payload(local.read_segments(fd).await.unwrap());
         local.close(fd).await.unwrap();
         let fd = client.open("/a").await.unwrap();
-        let p = client.read_to_end(fd).await.unwrap();
+        let p = transport::flatten_payload(client.read_segments(fd).await.unwrap());
         client.close(fd).await.unwrap();
         (l, p)
     });
