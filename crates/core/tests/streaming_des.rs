@@ -44,7 +44,7 @@ const PINS: &[(u32, Topo, u64, u64)] = &[
     (1, Topo::Flat, 11_471_638_645, 11_193),
     (4, Topo::Flat, 11_505_111_950, 23_581),
     (1, Topo::MultiLeaf, 11_471_647_501, 14_973),
-    (4, Topo::MultiLeaf, 11_505_120_768, 31_637),
+    (4, Topo::MultiLeaf, 11_505_120_768, 31_620),
 ];
 
 #[derive(Clone, Copy, PartialEq, Debug)]
