@@ -22,57 +22,12 @@
 //! a budget of its own: the difference between two ensemble sizes on the
 //! same nodes, with the frames' share taken out.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use mdflow::prelude::*;
 use mdflow::report::reduce_run;
 
-struct CountingAlloc;
-
-thread_local! {
-    // Per thread, so a test running beside this one cannot move it; a
-    // const-initialised `Cell` needs no lazy set-up and no destructor,
-    // which an allocator may not ask for.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator is still called while a thread's locals
-    // are being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter increment that touches no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::calls;
 
 const PAIRS: u32 = 2;
 const SEED: u64 = 2024;
@@ -86,13 +41,13 @@ fn run_allocs(solution: Solution, pairs: u32, frames: u64) -> u64 {
         _ => Placement::Split { pairs_per_node: 8 },
     };
     let wf = WorkflowConfig::new(solution, pairs, placement).with_frames(frames);
-    let before = CALLS.with(Cell::get);
+    let before = calls();
     let m = run_once(&wf, &Calibration::quiet(), SEED);
     assert_eq!(m.consumers.len(), pairs as usize);
     let reduced = reduce_run(&wf, &m);
     assert!(reduced.makespan > 0.0);
     drop(m);
-    CALLS.with(Cell::get) - before
+    calls() - before
 }
 
 /// Steady-state allocator calls per frame pair: the 32 extra frames of

@@ -10,64 +10,15 @@
 //! points back at the block. Only a second concurrent flow or a second
 //! cap class spills, once, into a `Vec` the link keeps.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
 use simcore::resource::{SharedBandwidth, TransferFut};
 use simcore::{Sim, SimDuration};
 
-struct CountingAlloc;
-
-thread_local! {
-    // Per thread, so a test running beside this one cannot move them;
-    // const-initialised `Cell`s need no lazy set-up and no destructor,
-    // which an allocator may not ask for.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-    static LAST_SIZE: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count(size: usize) {
-    // `try_with`: the allocator is still called while a thread's locals
-    // are being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-    let _ = LAST_SIZE.try_with(|c| c.set(size));
-}
-
-fn calls() -> u64 {
-    CALLS.with(Cell::get)
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is two
-// thread-local stores that touch no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{calls, last_size};
 
 /// Bytes of the one block behind a link, reference counts included.
 /// Measured: 312 (the five blocks it replaces held 232 unused, about 600
@@ -123,7 +74,7 @@ fn a_link_is_one_block_and_a_transfer_future_two_words() {
     let before = calls();
     let bw = SharedBandwidth::new(&ctx, 1e9);
     assert_eq!(calls() - before, 1, "a link is one allocator call");
-    let block = LAST_SIZE.with(Cell::get);
+    let block = last_size();
     assert!(block <= LINK_BLOCK_MAX, "link block is {block} B");
     assert_eq!(std::mem::size_of::<SharedBandwidth>(), 8);
     assert!(std::mem::size_of::<TransferFut>() <= TRANSFER_FUT_MAX);

@@ -12,7 +12,6 @@
 //! outlives its process by long; the third test spawns into a `JoinSet`,
 //! where nothing does.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::future::poll_fn;
 use std::rc::Rc;
@@ -20,55 +19,9 @@ use std::task::{Poll, Waker};
 
 use simcore::{JoinSet, Sim, SimDuration, SimTime};
 
-struct CountingAlloc;
-
-thread_local! {
-    // Per thread, so a test running beside this one cannot move it; a
-    // const-initialised `Cell` needs no lazy set-up and no destructor,
-    // which an allocator may not ask for.
-    static CALLS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator is still called while a thread's locals
-    // are being torn down.
-    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
-}
-
-fn calls() -> u64 {
-    CALLS.with(Cell::get)
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only addition is a
-// thread-local counter increment that touches no allocator state.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's contract for `alloc` is passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's contract for `alloc_zeroed` is passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::calls;
 
 const WHY_ONE: &str = "a steady-state spawn is one allocator call — join state and \
     process share a block; the waker block stays with the task slot";
