@@ -311,11 +311,6 @@ impl Fabric {
         self.send(target, initiator, bytes).await;
     }
 
-    /// RDMA write: push `bytes` from `initiator` into memory on `target`.
-    pub async fn rdma_write(&self, initiator: NodeId, target: NodeId, bytes: u64) {
-        self.send(initiator, target, bytes).await;
-    }
-
     /// Egress statistics for a node's NIC.
     pub fn tx_stats(&self, node: NodeId) -> BwStats {
         self.nic(node).tx.stats()

@@ -121,19 +121,9 @@ impl NvmeDevice {
         self.stretch(t0, factor).await;
     }
 
-    /// A small metadata-sized write (journal record, inode update).
-    pub async fn write_small(&self, bytes: u64) {
-        self.write(bytes).await;
-    }
-
     /// Per-operation latency.
     pub fn op_latency(&self) -> SimDuration {
         self.op_latency
-    }
-
-    /// Read-channel statistics.
-    pub fn read_stats(&self) -> BwStats {
-        self.read_bw.stats()
     }
 
     /// Write-channel statistics.

@@ -105,11 +105,6 @@ impl Calibration {
         c.md_jitter = 0.0;
         c
     }
-
-    /// Sustained-vs-burst PFS figures for Lustre-specific tests.
-    pub fn pfs_sustained_cap(&self) -> f64 {
-        self.pfs.sustained_cap
-    }
 }
 
 impl Default for Calibration {

@@ -497,12 +497,6 @@ impl WorkflowConfig {
         self
     }
 
-    /// Choose the staging evictor's retention policy (DYAD only).
-    pub fn with_retention(mut self, retention: staging::RetentionPolicy) -> Self {
-        self.staging.retention = retention;
-        self
-    }
-
     /// Enable/disable spilling still-needed frames to the PFS under
     /// staging pressure (DYAD only).
     pub fn with_spill(mut self, spill_to_pfs: bool) -> Self {
