@@ -551,20 +551,25 @@ impl LocalFs {
         self.ctx.sleep(self.spec.meta_cpu).await;
         let mut inner = self.inner.borrow_mut();
         let p = path.trim_matches('/');
+        if p.is_empty() {
+            return Ok(());
+        }
         // Fast path: the whole chain was seen before, so every directory
         // already exists and no journal records would be appended.
-        if !p.is_empty() && inner.dcache.borrow().contains_key(&intern(p)) {
+        let whole = intern(p);
+        if inner.dcache.borrow().contains_key(&whole) {
             return Ok(());
         }
         let mut cur = inner.root;
         for comp in p.split('/').filter(|c| !c.is_empty()) {
-            cur = match Self::child(&inner, cur, intern(comp))? {
+            let name = intern(comp);
+            cur = match Self::child(&inner, cur, name)? {
                 Some(ino) => ino,
                 None => {
                     let ino = inner.inodes.insert(Inode::new_dir());
                     match &mut inner.inodes[cur].kind {
                         InodeKind::Dir { children } => {
-                            children.insert(intern(comp), ino);
+                            children.insert(name, ino);
                         }
                         InodeKind::File { .. } => unreachable!(),
                     }
@@ -574,9 +579,7 @@ impl LocalFs {
                 }
             };
         }
-        if !p.is_empty() {
-            inner.dcache.borrow_mut().insert(intern(p), cur);
-        }
+        inner.dcache.borrow_mut().insert(whole, cur);
         Ok(())
     }
 
@@ -586,7 +589,8 @@ impl LocalFs {
         self.ctx.sleep(self.spec.meta_cpu).await;
         let mut inner = self.inner.borrow_mut();
         let (parent, name) = Self::lookup_parent(&inner, path)?;
-        let ino = match Self::child(&inner, parent, intern(name))? {
+        let name = intern(name);
+        let ino = match Self::child(&inner, parent, name)? {
             Some(ino) => {
                 // Truncate.
                 let freed = {
@@ -613,7 +617,7 @@ impl LocalFs {
                 let ino = inner.inodes.insert(Inode::new_file());
                 match &mut inner.inodes[parent].kind {
                     InodeKind::Dir { children } => {
-                        children.insert(intern(name), ino);
+                        children.insert(name, ino);
                     }
                     InodeKind::File { .. } => unreachable!(),
                 }
@@ -791,7 +795,11 @@ impl LocalFs {
         if matches!(inner.inodes[ino].kind, InodeKind::Dir { .. }) {
             return Err(FsError::IsDirectory);
         }
-        let (dst_parent, dst_name) = Self::lookup_parent(&inner, to)?;
+        // A publish (`x.tmp` → `x`) stays in one directory: resolve it once.
+        let (dst_parent, dst_name) = match dir_and_name(to) {
+            (dir, name) if !name.is_empty() && dir == dir_and_name(from).0 => (src_parent, name),
+            _ => Self::lookup_parent(&inner, to)?,
+        };
         let dst_name = intern(dst_name);
         // Replace any existing destination, freeing its extents.
         if let Some(old) = Self::child(&inner, dst_parent, dst_name)? {
