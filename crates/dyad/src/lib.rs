@@ -649,6 +649,44 @@ mod tests {
     }
 
     #[test]
+    fn put_remakes_a_directory_whose_mkdir_failed() {
+        // The device fails exactly its first call, which is the `mkdir_p`
+        // of the first put into a new directory. The retry must make the
+        // directory again, not trust the attempt that failed.
+        for_each_row(|row| {
+            let sim = Sim::new(0);
+            let ctx = sim.ctx();
+            let cl = Cluster::build(&ctx, &ClusterSpec::corona(2));
+            let tp = Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default());
+            tp.set_faults(faults::FaultBoard::new(&ctx, 2, 1));
+            let _kvs_server = KvsServer::start(&ctx, &tp, NodeId(1), KvsSpec::default());
+            let mut fs = LocalFs::new(
+                &ctx,
+                cl.node(NodeId(0)).nvme.clone(),
+                LocalFsSpec::default(),
+            );
+            let calls = std::cell::Cell::new(0u32);
+            fs.set_io_error_probe(Rc::new(move || {
+                calls.set(calls.get() + 1);
+                calls.get() == 1
+            }));
+            let kc = KvsClient::new(&ctx, &tp, NodeId(0), NodeId(1), KvsSpec::default());
+            let spec = PlaneSpec::default();
+            let plane = Plane::start(&ctx, &tp, NodeId(0), fs, kc, None, row, spec);
+            let h = sim.spawn(async move {
+                let rec = Recorder::new(&ctx);
+                let (_, f) = frame(0);
+                put(&plane, row, &rec, "new/dir/f0", f).await;
+                rec.finish()
+            });
+            assert!(sim.run().is_clean());
+            let p = h.try_take().expect("put finished");
+            assert_eq!(p.node(&[row.put, row.put_write]).unwrap().count, 2);
+            assert_eq!(p.sum_metric("produce_retries"), 1.0);
+        });
+    }
+
+    #[test]
     fn lost_tombstone_without_a_board_is_a_typed_error() {
         // No fault board anywhere; the tombstone is committed by hand.
         for_each_row(|row| {
