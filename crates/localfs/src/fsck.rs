@@ -249,9 +249,12 @@ mod tests {
         enum Op {
             /// create, one `write_bytes` per segment length, close.
             Write(u8, Vec<u16>),
-            /// The staged plane's publish: write the writer's tmp file,
+            /// Publish across directories: write the writer's tmp file,
             /// then rename it onto a shared name.
             Publish(u8, Vec<u16>),
+            /// The staged plane's publish, within one directory: write
+            /// `/pub/f{k}.tmp-{id}`, then rename it onto `/pub/f{k}`.
+            PublishInPlace(u8, Vec<u16>),
             Unlink(Name),
             /// open, unlink, then read across the unlink.
             ReadAcrossUnlink(Name),
@@ -269,6 +272,7 @@ mod tests {
             prop_oneof![
                 (0u8..3, segments()).prop_map(|(k, s)| Op::Write(k, s)),
                 (0u8..3, segments()).prop_map(|(k, s)| Op::Publish(k, s)),
+                (0u8..3, segments()).prop_map(|(k, s)| Op::PublishInPlace(k, s)),
                 arb_name().prop_map(Op::Unlink),
                 arb_name().prop_map(Op::ReadAcrossUnlink),
             ]
@@ -317,10 +321,13 @@ mod tests {
                     }
                     Op::Publish(k, lens) => {
                         let tmp = format!("/w{}/tmp", self.id);
-                        let data = self.write(&tmp, lens, tag).await;
+                        self.publish(&tmp, self.path(Name::Shared(*k)), lens, tag)
+                            .await;
+                    }
+                    Op::PublishInPlace(k, lens) => {
                         let path = self.path(Name::Shared(*k));
-                        self.f.rename(&tmp, &path).await.unwrap();
-                        self.model.borrow_mut().insert(path, data);
+                        let tmp = format!("{path}.tmp-{}", self.id);
+                        self.publish(&tmp, path, lens, tag).await;
                     }
                     Op::Unlink(name) => self.unlink(&self.path(*name)).await?,
                     Op::ReadAcrossUnlink(name) => {
@@ -344,6 +351,13 @@ mod tests {
                     }
                 }
                 Ok(())
+            }
+
+            /// Write `tmp`, then rename it onto `path`.
+            async fn publish(&self, tmp: &str, path: String, lens: &[u16], tag: u8) {
+                let data = self.write(tmp, lens, tag).await;
+                self.f.rename(tmp, &path).await.unwrap();
+                self.model.borrow_mut().insert(path, data);
             }
 
             async fn unlink(&self, path: &str) -> Result<(), String> {
