@@ -432,7 +432,7 @@ async fn replicate(
 ) {
     let board = tp.faults();
     let ep = tp.endpoint(topo.node(shard));
-    for peer in topo.preference(&key.resolve()) {
+    for peer in topo.preference(key.resolve()) {
         if peer == shard {
             continue;
         }

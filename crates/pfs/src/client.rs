@@ -371,7 +371,7 @@ impl PfsClient {
             (of.path, of.size, of.dirty)
         };
         if dirty {
-            self.mds_rpc(MdsOp::SetSize, &path.resolve(), size).await;
+            self.mds_rpc(MdsOp::SetSize, path.resolve(), size).await;
         }
         Ok(())
     }

@@ -572,7 +572,7 @@ impl StagingManager {
             let mgr = self.clone();
             self.ctx.spawn(async move {
                 for p in doomed {
-                    let _ = mgr.fs.unlink(&p.resolve()).await;
+                    let _ = mgr.fs.unlink(p.resolve()).await;
                 }
             });
         }
@@ -600,7 +600,7 @@ impl StagingManager {
                 FrameState::Spilled => FrameLocation::Pfs,
                 _ => FrameLocation::Lost,
             };
-            if self.republish(&path.resolve(), size, location).await {
+            if self.republish(path.resolve(), size, location).await {
                 self.inner.borrow_mut().stats.republished_frames += 1;
             }
         }
@@ -690,15 +690,15 @@ impl StagingManager {
         match frame.state {
             FrameState::Spilled => {
                 if let Some(pfs) = &self.pfs {
-                    let _ = pfs.unlink(&spill_path(&path)).await;
+                    let _ = pfs.unlink(&spill_path(path)).await;
                 }
             }
             FrameState::Lost => {} // no copy anywhere
             _ => {
-                let _ = self.fs.unlink(&path).await;
+                let _ = self.fs.unlink(path).await;
             }
         }
-        let keys_left = frame.kind == FrameKind::Produced && !self.unlink_keys(&path).await;
+        let keys_left = frame.kind == FrameKind::Produced && !self.unlink_keys(path).await;
         let mut inner = self.inner.borrow_mut();
         let was_spilled = frame.state == FrameState::Spilled;
         if matches!(frame.state, FrameState::Written | FrameState::Published) {
@@ -724,12 +724,12 @@ impl StagingManager {
     async fn spill(&self, frame: &Staged) -> bool {
         let Some(pfs) = &self.pfs else { return false };
         let path = frame.path.resolve();
-        let Ok(fd) = self.fs.open(&path).await else {
+        let Ok(fd) = self.fs.open(path).await else {
             return false;
         };
         let segs = self.fs.read_segments(fd).await.unwrap_or_default();
         let _ = self.fs.close(fd).await;
-        let spath = spill_path(&path);
+        let spath = spill_path(path);
         let Ok(sfd) = pfs.create(&spath).await else {
             return false;
         };
@@ -743,10 +743,10 @@ impl StagingManager {
         // raced ahead with the old metadata gets a not-found from the
         // owner's data service and retries through the KVS.
         // Not republished: the NVMe copy stays for a later pass.
-        if !self.republish(&path, frame.size, FrameLocation::Pfs).await {
+        if !self.republish(path, frame.size, FrameLocation::Pfs).await {
             return false;
         }
-        let _ = self.fs.unlink(&path).await;
+        let _ = self.fs.unlink(path).await;
         let mut inner = self.inner.borrow_mut();
         inner.stats.staged_bytes -= frame.size;
         inner.stats.spilled_frames += 1;
@@ -759,7 +759,7 @@ impl StagingManager {
 
     /// Drop a consumer-side cache copy (rebuildable via refetch).
     async fn evict_cache(&self, frame: &Staged) {
-        let _ = self.fs.unlink(&frame.path.resolve()).await;
+        let _ = self.fs.unlink(frame.path.resolve()).await;
         let mut inner = self.inner.borrow_mut();
         inner.stats.staged_bytes -= frame.size;
         inner.stats.cache_evictions += 1;
@@ -788,7 +788,7 @@ impl StagingManager {
     pub async fn evict_pass(&self) {
         let backlog = std::mem::take(&mut self.inner.borrow_mut().unlink_backlog);
         for p in backlog {
-            if !self.unlink_keys(&p.resolve()).await {
+            if !self.unlink_keys(p.resolve()).await {
                 self.inner.borrow_mut().unlink_backlog.push(p);
             }
         }
@@ -819,7 +819,7 @@ impl StagingManager {
             }
             match frame.kind {
                 FrameKind::Produced => {
-                    let (seen, required) = self.count_acks(&frame.path.resolve()).await;
+                    let (seen, required) = self.count_acks(frame.path.resolve()).await;
                     if required > 0 && seen == required {
                         self.retire(&frame, seen, required).await;
                     }
