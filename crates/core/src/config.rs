@@ -246,28 +246,18 @@ impl std::str::FromStr for ManualSync {
 }
 
 /// Staged-data lifecycle settings for the DYAD solution: how much
-/// node-local NVMe the workflow may hold and what the evictor may do
-/// when it fills (see the `staging` crate).
+/// node-local NVMe the workflow may hold and whether the evictor may
+/// spill when it fills (see the `staging` crate).
 #[derive(Debug, Clone, Copy, Serialize, Default)]
 pub struct StagingConfig {
     /// Per-node NVMe staging budget in bytes. `None` reproduces the
     /// paper's configuration: frames stay on NVMe for the whole run.
+    /// A budget runs the watermark evictor.
     pub budget_bytes: Option<u64>,
-    /// What the background evictor may do with staged frames.
-    #[serde(serialize_with = "retention_serde::serialize")]
-    pub retention: staging::RetentionPolicy,
     /// Spill still-needed frames to the parallel filesystem under
     /// pressure instead of stalling the producer indefinitely. Adds the
     /// PFS service nodes to DYAD runs.
     pub spill_to_pfs: bool,
-}
-
-// RetentionPolicy is foreign; serialize via its stable name.
-mod retention_serde {
-    use serde::Serializer;
-    pub fn serialize<S: Serializer>(r: &staging::RetentionPolicy, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(r.name())
-    }
 }
 
 /// Topology axis of the streaming backend ([`Solution::Streaming`]):
@@ -326,9 +316,6 @@ pub struct FaultConfig {
     /// Seed for the generated plan. Deliberately independent of the run
     /// seed so one fault schedule can be replayed across repetitions.
     pub seed: u64,
-    /// Mean fault-window length as a fraction of the expected workload
-    /// duration (see [`faults::ChaosSpec::mean_window_frac`]).
-    pub mean_window_frac: f64,
     /// Explicit events appended to the generated plan (exact-schedule
     /// experiments and tests). Not serialized: reports describe the plan
     /// through its seed/class knobs.
@@ -343,7 +330,6 @@ impl FaultConfig {
         FaultConfig {
             events_per_class,
             seed,
-            mean_window_frac: 0.1,
             scheduled: Vec::new(),
         }
     }
@@ -361,8 +347,8 @@ impl FaultConfig {
         self.events_per_class > 0 || !self.scheduled.is_empty()
     }
 
-    /// Expand into the concrete plan for a topology and horizon.
-    /// `n_kvs_shards = 0` (any run on one unreplicated broker, or with
+    /// Expand into the concrete plan for a topology and horizon;
+    /// generated windows average 10% of `horizon`. `n_kvs_shards = 0` (any run on one unreplicated broker, or with
     /// no KVS) generates no shard-crash events and leaves the plan
     /// byte-identical to the pre-mesh generator.
     pub fn build_plan(
@@ -380,7 +366,7 @@ impl FaultConfig {
                     n_osts,
                     n_kvs_shards,
                     events_per_class: self.events_per_class as f64,
-                    mean_window_frac: self.mean_window_frac,
+                    mean_window_frac: 0.1,
                 },
                 self.seed,
             )

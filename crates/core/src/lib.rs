@@ -73,7 +73,6 @@ pub mod prelude {
     pub use cluster::{FabricSpec, TopologySpec};
     pub use faults::{ChaosSpec, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
     pub use mdsim::Model;
-    pub use staging::RetentionPolicy;
     pub use streaming::GroupMode;
 }
 

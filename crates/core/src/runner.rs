@@ -24,7 +24,7 @@ use serde::Serialize;
 use simcore::trace::Tracer;
 use simcore::{Ctx, JoinSet, RunReport, Sim, SimDuration, SimTime};
 use staging::plane::{PlaneSpec, PlaneStats};
-use staging::{RetentionPolicy, StagingManager, StagingSpec, StagingStats};
+use staging::{StagingManager, StagingSpec, StagingStats};
 use streaming::{StreamAcker, StreamService, StreamSpec, WindowStats};
 use transport::Transport;
 
@@ -422,7 +422,6 @@ impl Testbed {
             low_watermark: cal.staging_low_watermark,
             high_watermark: cal.staging_high_watermark,
             evict_interval: cal.staging_evict_interval,
-            retention: wf.staging.retention,
         };
         let pfs_client = if wf.staging.spill_to_pfs {
             self.pfs.as_ref().map(|p| p.client(&self.ctx, NodeId(i)))
@@ -438,7 +437,7 @@ impl Testbed {
             spec,
         );
         // Only burn evictor wake-ups when a pass can ever act.
-        if mgr.is_bounded() || wf.staging.retention == RetentionPolicy::EagerRetire {
+        if mgr.is_bounded() {
             mgr.spawn_evictor();
         }
         mgr

@@ -91,18 +91,6 @@ fn fault_classes(solution: Solution) -> Vec<(&'static str, FaultKind)> {
             FaultKind::KvsDelay {
                 delay: ms(150),
                 duration: ms(400),
-                broker: None,
-            },
-        ),
-        // Scoped variant: addressed to broker 0 explicitly. Under the
-        // legacy single broker (shard 0) this must behave like a global
-        // delay; under a mesh it would slow only that shard.
-        (
-            "kvs_delay_scoped",
-            FaultKind::KvsDelay {
-                delay: ms(150),
-                duration: ms(400),
-                broker: Some(0),
             },
         ),
     ]
@@ -531,7 +519,7 @@ fn chaos_generator_with_shard_class_terminates_on_mesh() {
     check_dyad_accounting("mesh_chaos", &m);
 }
 
-/// A disabled `FaultConfig` — whatever its seed/window knobs say — must
+/// A disabled `FaultConfig` — whatever its seed says — must
 /// leave the run bit-identical to one that never mentioned faults: same
 /// makespan, same event count, same counters.
 #[test]
@@ -547,7 +535,6 @@ fn disabled_fault_config_leaves_runs_bit_identical() {
         let disabled = base(solution).with_faults(FaultConfig {
             events_per_class: 0,
             seed: 0xDEAD_BEEF,
-            mean_window_frac: 0.5,
             scheduled: Vec::new(),
         });
         let a = run_once(&plain, &cal, 3);

@@ -86,17 +86,13 @@ pub enum FaultKind {
         /// Window length.
         duration: SimDuration,
     },
-    /// The KVS namespace broker answers slowly — each request is held an
-    /// extra `delay`, long enough to trip client per-attempt timeouts.
+    /// Every KVS broker answers slowly — each request is held an extra
+    /// `delay`, long enough to trip client per-attempt timeouts.
     KvsDelay {
         /// Extra per-request service delay while the window is open.
         delay: SimDuration,
         /// Window length.
         duration: SimDuration,
-        /// Target broker shard, or `None` to degrade every broker (the
-        /// pre-mesh global semantics). Chaos plans can thus slow one
-        /// shard of a mesh without touching the rest.
-        broker: Option<u32>,
     },
     /// A KVS broker shard dies permanently: it answers every request
     /// with a shard-down error (including flushing parked waits) for the
@@ -157,25 +153,9 @@ impl fmt::Display for FaultKind {
             FaultKind::MdsStall { duration } => {
                 write!(f, "mds_stall for={}ns", duration.nanos())
             }
-            // The global form keeps the pre-mesh byte format: schedules
-            // that never address a broker describe identically to PR 5.
-            FaultKind::KvsDelay {
-                delay,
-                duration,
-                broker: None,
-            } => write!(
+            FaultKind::KvsDelay { delay, duration } => write!(
                 f,
                 "kvs_delay delay={}ns for={}ns",
-                delay.nanos(),
-                duration.nanos()
-            ),
-            FaultKind::KvsDelay {
-                delay,
-                duration,
-                broker: Some(b),
-            } => write!(
-                f,
-                "kvs_delay delay={}ns for={}ns broker={b}",
                 delay.nanos(),
                 duration.nanos()
             ),
@@ -298,13 +278,9 @@ impl FaultPlan {
                     5 if spec.n_osts > 0 => FaultKind::MdsStall {
                         duration: window(&mut rng),
                     },
-                    // Generated delay windows stay global (`broker: None`)
-                    // so pre-mesh chaos schedules are bit-identical; only
-                    // scheduled plans address individual brokers.
                     6 => FaultKind::KvsDelay {
                         delay: SimDuration::from_millis(rng.random_range(5..50)),
                         duration: window(&mut rng),
-                        broker: None,
                     },
                     // Appended after every pre-existing class: the draw
                     // order is sequential, so plans generated without
@@ -386,9 +362,6 @@ struct BoardInner {
     mds_stall_until: Option<SimTime>,
     kvs_delay: Option<SimDuration>,
     kvs_delay_depth: u32,
-    // Per-broker delay windows, keyed by shard id (BTreeMap: iteration
-    // order is deterministic). Each entry is (delay, nesting depth).
-    kvs_broker_delay: std::collections::BTreeMap<u32, (SimDuration, u32)>,
     // Permanently-dead broker shards, grown on demand (true = dead).
     kvs_shard_down: Vec<bool>,
     stats: FaultStats,
@@ -553,11 +526,7 @@ impl FaultBoard {
                     }
                 });
             }
-            FaultKind::KvsDelay {
-                delay,
-                duration,
-                broker: None,
-            } => {
+            FaultKind::KvsDelay { delay, duration } => {
                 {
                     let mut b = self.inner.borrow_mut();
                     b.stats.kvs_delays += 1;
@@ -573,32 +542,6 @@ impl FaultBoard {
                     b.kvs_delay_depth -= 1;
                     if b.kvs_delay_depth == 0 {
                         b.kvs_delay = None;
-                    }
-                });
-            }
-            FaultKind::KvsDelay {
-                delay,
-                duration,
-                broker: Some(broker),
-            } => {
-                {
-                    let mut b = self.inner.borrow_mut();
-                    b.stats.kvs_delays += 1;
-                    let e = b
-                        .kvs_broker_delay
-                        .entry(broker)
-                        .or_insert((SimDuration::ZERO, 0));
-                    e.0 = e.0.max(delay);
-                    e.1 += 1;
-                }
-                let board = self.clone();
-                self.ctx.call_after(duration, move || {
-                    let mut b = board.inner.borrow_mut();
-                    if let Some(e) = b.kvs_broker_delay.get_mut(&broker) {
-                        e.1 -= 1;
-                        if e.1 == 0 {
-                            b.kvs_broker_delay.remove(&broker);
-                        }
                     }
                 });
             }
@@ -707,22 +650,10 @@ impl FaultBoard {
         }
     }
 
-    /// Extra per-request KVS service delay, if a delay window is open.
-    /// This is the *global* window only; brokers consult
-    /// [`FaultBoard::kvs_delay_for`], which folds in per-broker windows.
+    /// Extra per-request service delay every KVS broker pays, if a delay
+    /// window is open.
     pub fn kvs_delay(&self) -> Option<SimDuration> {
         self.inner.borrow().kvs_delay
-    }
-
-    /// Extra per-request service delay for one broker shard: the larger
-    /// of the global window and any window addressed to `broker`.
-    pub fn kvs_delay_for(&self, broker: u32) -> Option<SimDuration> {
-        let b = self.inner.borrow();
-        let scoped = b.kvs_broker_delay.get(&broker).map(|(d, _)| *d);
-        match (b.kvs_delay, scoped) {
-            (Some(g), Some(s)) => Some(g.max(s)),
-            (g, s) => g.or(s),
-        }
     }
 
     /// Is the KVS broker shard still alive? (Shards die permanently;
@@ -957,7 +888,6 @@ mod tests {
             FaultKind::KvsDelay {
                 delay: SimDuration::from_millis(7),
                 duration: SimDuration::from_millis(3),
-                broker: None,
             },
         );
         plan.push(
@@ -978,68 +908,6 @@ mod tests {
         assert_eq!(stall, Some(SimTime::from_nanos(5_000_000)));
         assert_eq!(board.kvs_delay(), None);
         assert_eq!(board.mds_stall_until(), None);
-    }
-
-    #[test]
-    fn broker_scoped_kvs_delay_leaves_other_brokers_alone() {
-        let sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let board = FaultBoard::new(&ctx, 2, 0);
-        let mut plan = FaultPlan::empty();
-        plan.push(
-            SimDuration::from_millis(1),
-            FaultKind::KvsDelay {
-                delay: SimDuration::from_millis(9),
-                duration: SimDuration::from_millis(3),
-                broker: Some(1),
-            },
-        );
-        board.arm(&plan);
-        let b2 = board.clone();
-        let h = sim.spawn(async move {
-            ctx.sleep(SimDuration::from_millis(2)).await;
-            (b2.kvs_delay_for(0), b2.kvs_delay_for(1), b2.kvs_delay())
-        });
-        sim.run();
-        let (b0, b1, global) = h.try_take().unwrap();
-        assert_eq!(b0, None, "broker 0 must be unaffected");
-        assert_eq!(b1, Some(SimDuration::from_millis(9)));
-        assert_eq!(global, None, "a scoped window never leaks globally");
-        assert_eq!(board.kvs_delay_for(1), None, "window closed");
-        assert_eq!(board.stats().kvs_delays, 1);
-    }
-
-    #[test]
-    fn broker_delay_folds_global_and_scoped_windows_as_max() {
-        let sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let board = FaultBoard::new(&ctx, 1, 0);
-        let mut plan = FaultPlan::empty();
-        plan.push(
-            SimDuration::from_millis(1),
-            FaultKind::KvsDelay {
-                delay: SimDuration::from_millis(4),
-                duration: SimDuration::from_millis(5),
-                broker: None,
-            },
-        );
-        plan.push(
-            SimDuration::from_millis(1),
-            FaultKind::KvsDelay {
-                delay: SimDuration::from_millis(2),
-                duration: SimDuration::from_millis(5),
-                broker: Some(0),
-            },
-        );
-        board.arm(&plan);
-        let b2 = board.clone();
-        let h = sim.spawn(async move {
-            ctx.sleep(SimDuration::from_millis(2)).await;
-            b2.kvs_delay_for(0)
-        });
-        sim.run();
-        // The scoped 2 ms window is shadowed by the 4 ms global one.
-        assert_eq!(h.try_take().unwrap(), Some(SimDuration::from_millis(4)));
     }
 
     #[test]

@@ -210,7 +210,7 @@ impl KvsServer {
                     // pays the extra delay while the window is open. With
                     // no board or no window this adds nothing.
                     if let Some(board) = tp.faults() {
-                        if let Some(d) = board.kvs_delay_for(shard) {
+                        if let Some(d) = board.kvs_delay() {
                             ctx.sleep(d).await;
                         }
                     }
@@ -685,7 +685,6 @@ mod tests {
             kind: FaultKind::KvsDelay {
                 delay: SimDuration::from_millis(5),
                 duration: SimDuration::from_millis(50),
-                broker: None,
             },
         }]));
         let c = client(&sim, &rig, 1);

@@ -43,10 +43,9 @@ pub struct LocalFsSpec {
     pub meta_cpu: SimDuration,
     /// Cost of one flock/funlock call.
     pub lock_op_cost: SimDuration,
-    /// Memory bandwidth used for page-cache hits, bytes/second.
+    /// Memory bandwidth a read costs, bytes/second: nothing evicts, so
+    /// every written byte stays in the page cache.
     pub mem_bw: f64,
-    /// Whether the page cache is enabled.
-    pub page_cache: bool,
 }
 
 impl Default for LocalFsSpec {
@@ -60,7 +59,6 @@ impl Default for LocalFsSpec {
             meta_cpu: SimDuration::from_micros(2),
             lock_op_cost: SimDuration::from_micros(5),
             mem_bw: 20.0e9,
-            page_cache: true,
         }
     }
 }
@@ -130,10 +128,6 @@ pub struct FsStats {
     pub bytes_written: u64,
     /// Bytes read.
     pub bytes_read: u64,
-    /// Page-cache hits.
-    pub cache_hits: u64,
-    /// Page-cache misses (device reads).
-    pub cache_misses: u64,
     /// Files unlinked.
     pub unlinks: u64,
 }
@@ -698,11 +692,10 @@ impl LocalFs {
 
     /// Zero-copy read of the remainder of the file: returns the segment
     /// rope (clones of the stored `Bytes`), advancing the offset to EOF.
-    /// Costs memory bandwidth when the spec enables the page cache,
-    /// otherwise a device read; an empty read costs nothing.
+    /// Costs memory bandwidth (every byte is in the page cache); an empty
+    /// read costs nothing.
     pub async fn read_segments(&self, fd: Fd) -> FsResult<Vec<Bytes>> {
         self.device_check()?;
-        let from_cache = self.spec.page_cache;
         let (parts, n) = {
             let mut inner = self.inner.borrow_mut();
             let of = inner.fds.get(&fd).ok_or(FsError::BadDescriptor)?;
@@ -727,21 +720,12 @@ impl LocalFs {
             inner.fds.get_mut(&fd).unwrap().offset = offset + n;
             inner.stats.reads += 1;
             inner.stats.bytes_read += n;
-            if from_cache {
-                inner.stats.cache_hits += 1;
-            } else {
-                inner.stats.cache_misses += 1;
-            }
             (parts, n)
         };
         if n > 0 {
-            if from_cache {
-                self.ctx
-                    .sleep(SimDuration::from_secs_f64(n as f64 / self.spec.mem_bw))
-                    .await;
-            } else {
-                self.dev.read(n).await;
-            }
+            self.ctx
+                .sleep(SimDuration::from_secs_f64(n as f64 / self.spec.mem_bw))
+                .await;
         }
         Ok(parts)
     }

@@ -111,35 +111,11 @@ impl FrameMeta {
     }
 }
 
-/// What the evictor may do with staged frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetentionPolicy {
-    /// Never retire or spill — the unbounded baseline the paper ran.
-    KeepAll,
-    /// Retire/spill only under watermark pressure (default).
-    #[default]
-    WatermarkOnly,
-    /// Retire fully-acked frames on every evictor pass even without
-    /// pressure (minimises NVMe footprint; more KVS traffic).
-    EagerRetire,
-}
-
-impl RetentionPolicy {
-    /// Stable lowercase name (used in reports and CLI output).
-    pub fn name(&self) -> &'static str {
-        match self {
-            RetentionPolicy::KeepAll => "keep_all",
-            RetentionPolicy::WatermarkOnly => "watermark_only",
-            RetentionPolicy::EagerRetire => "eager_retire",
-        }
-    }
-}
-
 /// Staging-manager tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct StagingSpec {
     /// NVMe bytes the workflow may stage on this node. `u64::MAX`
-    /// means unbounded (watermarks never trigger).
+    /// means unbounded (the paper's setup): the evictor never acts.
     pub budget_bytes: u64,
     /// Fraction of the budget the evictor frees down to.
     pub low_watermark: f64,
@@ -147,8 +123,6 @@ pub struct StagingSpec {
     pub high_watermark: f64,
     /// Period of the background evictor pass.
     pub evict_interval: SimDuration,
-    /// What the evictor may do.
-    pub retention: RetentionPolicy,
 }
 
 impl Default for StagingSpec {
@@ -158,7 +132,6 @@ impl Default for StagingSpec {
             low_watermark: 0.7,
             high_watermark: 0.9,
             evict_interval: SimDuration::from_millis(200),
-            retention: RetentionPolicy::WatermarkOnly,
         }
     }
 }
@@ -356,7 +329,7 @@ impl StagingManager {
 
     /// Whether a finite budget is being enforced.
     pub fn is_bounded(&self) -> bool {
-        self.spec.budget_bytes != u64::MAX && self.spec.retention != RetentionPolicy::KeepAll
+        self.spec.budget_bytes != u64::MAX
     }
 
     fn high_bytes(&self) -> u64 {
@@ -643,9 +616,6 @@ impl StagingManager {
     /// producer signals watermark pressure. Runs for the lifetime of
     /// the simulation (drive it with `run_until`, as the runner does).
     pub fn spawn_evictor(self: &Rc<Self>) {
-        if self.spec.retention == RetentionPolicy::KeepAll {
-            return;
-        }
         let mgr = self.clone();
         let ctx = self.ctx.clone();
         self.ctx.spawn(async move {
@@ -792,7 +762,6 @@ impl StagingManager {
                 self.inner.borrow_mut().unlink_backlog.push(p);
             }
         }
-        let eager = self.spec.retention == RetentionPolicy::EagerRetire;
         let bounded = self.is_bounded();
         // Pressure = usage above the low watermark, or blocked
         // producers whose pending writes would cross the high one (a
@@ -804,14 +773,14 @@ impl StagingManager {
         };
 
         let used0 = self.fs.statvfs().used_bytes;
-        if !eager && !under_pressure(used0) {
+        if !under_pressure(used0) {
             return;
         }
 
         // Phase 1 — retirement: published, fully-acked frames go first.
         for frame in self.local_frames_oldest_first() {
             let used = self.fs.statvfs().used_bytes;
-            if !eager && !under_pressure(used) {
+            if !under_pressure(used) {
                 break;
             }
             if frame.state != FrameState::Published {
@@ -835,17 +804,15 @@ impl StagingManager {
 
         // Phase 2 — pressure relief: drop cache copies, then spill
         // still-needed produced frames to the PFS.
-        if bounded {
-            for frame in self.local_frames_oldest_first() {
-                if !under_pressure(self.fs.statvfs().used_bytes) {
-                    break;
-                }
-                match frame.kind {
-                    FrameKind::Cache => self.evict_cache(&frame).await,
-                    FrameKind::Produced => {
-                        if frame.state == FrameState::Published {
-                            self.spill(&frame).await;
-                        }
+        for frame in self.local_frames_oldest_first() {
+            if !under_pressure(self.fs.statvfs().used_bytes) {
+                break;
+            }
+            match frame.kind {
+                FrameKind::Cache => self.evict_cache(&frame).await,
+                FrameKind::Produced => {
+                    if frame.state == FrameState::Published {
+                        self.spill(&frame).await;
                     }
                 }
             }
@@ -853,7 +820,7 @@ impl StagingManager {
 
         // Unblock producers once below the high watermark (hysteresis:
         // the pass above aims for low, producers re-check against high).
-        if !bounded || self.fs.statvfs().used_bytes <= self.high_bytes() {
+        if self.fs.statvfs().used_bytes <= self.high_bytes() {
             self.release.notify_all();
         }
     }

@@ -93,21 +93,24 @@ fn meta_round_trips_with_location() {
 
 #[test]
 fn unbounded_keepall_never_touches_frames() {
+    // No budget: the evictor runs but never acts, not even on frames
+    // every consumer acked.
     let sim = Sim::new(0);
-    let spec = StagingSpec {
-        budget_bytes: 64 * KIB,
-        retention: RetentionPolicy::KeepAll,
-        ..StagingSpec::default()
-    };
-    let rig = setup(&sim, spec, false);
+    let rig = setup(&sim, StagingSpec::default(), false);
     let mgr = rig.mgr.clone();
     let fs = rig.fs.clone();
-    mgr.spawn_evictor(); // no-op under KeepAll
-    sim.spawn(async move {
-        for i in 0..8 {
-            produce(&rig, &format!("/dyad/f{i}"), 32 * KIB).await;
-        }
-    });
+    mgr.register_consumer("/dyad", "c0");
+    mgr.spawn_evictor();
+    {
+        let mgr = mgr.clone();
+        sim.spawn(async move {
+            for i in 0..8 {
+                let path = format!("/dyad/f{i}");
+                produce(&rig, &path, 32 * KIB).await;
+                mgr.publish_ack(&path, "c0").await;
+            }
+        });
+    }
     run_for(&sim, 5);
     assert_eq!(mgr.stats().retired_frames, 0);
     assert_eq!(mgr.stats().spilled_frames, 0);
@@ -360,36 +363,11 @@ fn cache_copies_evict_before_produced_frames_spill() {
 }
 
 #[test]
-fn eager_retire_frees_acked_frames_without_pressure() {
-    let sim = Sim::new(0);
-    let spec = StagingSpec {
-        budget_bytes: u64::MAX,
-        retention: RetentionPolicy::EagerRetire,
-        ..StagingSpec::default()
-    };
-    let rig = setup(&sim, spec, false);
-    let mgr = rig.mgr.clone();
-    let fs = rig.fs.clone();
-    mgr.register_consumer("/dyad/frames", "c0");
-    mgr.spawn_evictor();
-    {
-        let mgr = mgr.clone();
-        sim.spawn(async move {
-            produce(&rig, "/dyad/frames/f0", 32 * KIB).await;
-            mgr.publish_ack("/dyad/frames/f0", "c0").await;
-        });
-    }
-    run_for(&sim, 3);
-    assert_eq!(mgr.stats().retired_frames, 1);
-    assert!(!fs.exists("/dyad/frames/f0"));
-}
-
-#[test]
 fn retire_removes_kvs_metadata_and_acks() {
     let sim = Sim::new(0);
     let spec = StagingSpec {
-        budget_bytes: u64::MAX,
-        retention: RetentionPolicy::EagerRetire,
+        // The one 16 KiB frame sits above the low watermark (14 KiB).
+        budget_bytes: 20 * KIB,
         ..StagingSpec::default()
     };
     let rig = setup(&sim, spec, false);
@@ -414,13 +392,14 @@ fn retire_removes_kvs_metadata_and_acks() {
     assert_eq!(h.try_take().unwrap(), (true, true));
 }
 
-/// `EagerRetire` rig with a fault board attached; `crash_broker` takes
+/// A rig whose one 32 KiB frame sits above the low watermark (28 KiB of
+/// a 40 KiB budget), with a fault board attached; `crash_broker` takes
 /// node 0 (manager and broker) off the fabric for 200 ms, `after` from
 /// the call — far longer than the evictor's metadata RPCs retry.
 fn outage_rig(sim: &Sim) -> (Rig, impl Fn(SimDuration)) {
     use faults::{FaultBoard, FaultEvent, FaultKind, FaultPlan};
     let spec = StagingSpec {
-        retention: RetentionPolicy::EagerRetire,
+        budget_bytes: 40 * KIB,
         ..StagingSpec::default()
     };
     let rig = setup(sim, spec, false);
