@@ -186,9 +186,6 @@ fn main() {
     if let Err(e) = wf.validate() {
         die(&e.to_string());
     }
-    if replication > shards {
-        die("--kvs-replication must be at most --kvs-shards");
-    }
 
     let mut study = StudyConfig::paper(wf);
     study.repetitions = args.num("--reps", 10);

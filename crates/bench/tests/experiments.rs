@@ -106,7 +106,7 @@ fn all_rejects_malformed_scale_variables() {
 /// zeros.
 #[test]
 fn mdflow_run_rejects_malformed_configurations_with_a_typed_error() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["--per-node", "0"], "pairs_per_node must be at least 1"),
         (&["--pairs", "0"], "pairs must be at least 1"),
         (&["--frames", "0"], "frames must be at least 1"),
@@ -120,6 +120,10 @@ fn mdflow_run_rejects_malformed_configurations_with_a_typed_error() {
             "agg_frames must be at least 1",
         ),
         (&["--kvs-shards", "0"], "kvs_shards must be at least 1"),
+        (
+            &["--kvs-shards", "2", "--kvs-replication", "3"],
+            "kvs_replication must be at most kvs_shards",
+        ),
         (
             &["--solution", "xfs", "--nodes", "split"],
             "XFS cannot move data between nodes",

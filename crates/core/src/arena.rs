@@ -179,11 +179,14 @@ impl ClusterSnapshot {
             // Generated faults target compute nodes only; service nodes
             // (MDS/OSTs) have their own fault classes. Scheduled events
             // may still name any node. Shard-crash events are generated
-            // only for a sharded or replicated metadata plane: a plan is
-            // pinned by its configuration, and a lone unreplicated broker
-            // (every run before the mesh existed) never drew that class.
+            // only for a sharded metadata plane: a plan is pinned by its
+            // configuration, and a lone broker (every run before the mesh
+            // existed) never drew that class. `validate` keeps the
+            // replication factor at or below the shard count, so a lone
+            // broker is never replicated and a drawn crash would kill the
+            // whole plane.
             let n_osts_for_plan = if needs_pfs { cal.n_osts as u32 } else { 0 };
-            let sharded = row.needs_kvs && (wf.kvs_shards > 1 || wf.kvs_replication > 1);
+            let sharded = row.needs_kvs && wf.kvs_shards > 1;
             let n_shards_for_plan = if sharded { wf.kvs_shards } else { 0 };
             Some(wf.faults.build_plan(
                 horizon,

@@ -504,7 +504,8 @@ impl WorkflowConfig {
     }
 
     /// Replicate every key to `r` shards with causal delta sync
-    /// (`--kvs-replication R`; clamped to the shard count at run time).
+    /// (`--kvs-replication R`; at most the shard count, see
+    /// [`WorkflowConfig::validate`]).
     pub fn with_kvs_replication(mut self, r: u32) -> Self {
         self.kvs_replication = r;
         self
@@ -577,6 +578,9 @@ impl WorkflowConfig {
         if let Some((what, _)) = counts.into_iter().find(|&(_, n)| n == 0) {
             return Err(ConfigError::Zero(what));
         }
+        if self.kvs_replication > self.kvs_shards {
+            return Err(ConfigError::ReplicationAboveShards);
+        }
         if self.solution.row().single_node_only && self.placement != Placement::SingleNode {
             return Err(ConfigError::SingleNodeOnly(self.solution));
         }
@@ -616,6 +620,8 @@ pub enum ConfigError {
     SingleNodeOnly(Solution),
     /// Both `fanout` and `fanin` above 1.
     FanoutAndFanin,
+    /// More KVS replicas per key than there are shards to hold them.
+    ReplicationAboveShards,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -628,6 +634,9 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::FanoutAndFanin => {
                 f.write_str("streaming groups are either 1→K (fanout) or K→1 (fanin), not K→K")
+            }
+            ConfigError::ReplicationAboveShards => {
+                f.write_str("kvs_replication must be at most kvs_shards")
             }
         }
     }
@@ -902,6 +911,10 @@ mod tests {
                 streaming().with_fanout(2).with_fanin(2),
                 "streaming groups are either 1→K (fanout) or K→1 (fanin), not K→K",
             ),
+            (
+                dyad(2, split(8)).with_kvs_shards(2).with_kvs_replication(3),
+                "kvs_replication must be at most kvs_shards",
+            ),
         ];
         for (wf, message) in rejected {
             let err = wf.validate().expect_err(message);
@@ -909,8 +922,8 @@ mod tests {
         }
         // The shapes of the six `perf` workloads (`perf/src/workloads.rs`)
         // — the experiment table's are checked where the table lives,
-        // `crates/bench/tests/experiments.rs` — and the one clamp the
-        // library documents: a replication factor above the shard count.
+        // `crates/bench/tests/experiments.rs` — and the shapes around
+        // them.
         let accepted = [
             dyad(16384, split(2)).with_frames(3),
             WorkflowConfig::new(Solution::Lustre, 512, split(8)),
@@ -925,7 +938,7 @@ mod tests {
                 .with_kvs_replication(2),
             WorkflowConfig::new(Solution::Xfs, 4, Placement::SingleNode),
             dyad(8, split(8)).with_faults(FaultConfig::chaos(42, 2)),
-            dyad(2, split(8)).with_kvs_shards(2).with_kvs_replication(3),
+            dyad(2, split(8)).with_kvs_shards(2).with_kvs_replication(2),
             streaming().with_fanin(4).with_agg_frames(3),
         ];
         for wf in accepted {
