@@ -946,6 +946,53 @@ mod tests {
         }
     }
 
+    /// The settable surface every report echoes under `workflow` (and
+    /// `perf` reads `workflow.pairs` / `workflow.frames` from): adding or
+    /// removing a setting is a one-line diff here.
+    #[test]
+    fn serialized_workflow_key_paths_are_pinned() {
+        fn leaves(prefix: &str, v: &serde_json::Value, out: &mut Vec<String>) {
+            let serde_json::Value::Object(entries) = v else {
+                return out.push(prefix.to_string());
+            };
+            for (key, v) in entries {
+                match prefix {
+                    "" => leaves(key, v, out),
+                    _ => leaves(&format!("{prefix}.{key}"), v, out),
+                }
+            }
+        }
+        let wf = WorkflowConfig::new(Solution::Dyad, 4, Placement::Split { pairs_per_node: 8 });
+        let json = serde_json::to_string(&wf).unwrap();
+        let mut paths = Vec::new();
+        leaves("", &serde_json::from_str(&json).unwrap(), &mut paths);
+        assert_eq!(
+            paths,
+            [
+                "solution",
+                "model",
+                "pairs",
+                "placement.Split.pairs_per_node",
+                "stride",
+                "frames",
+                "manual_sync",
+                "dyad_warm_sync",
+                "staging.budget_bytes",
+                "staging.spill_to_pfs",
+                "streaming.fanout",
+                "streaming.fanin",
+                "streaming.window",
+                "streaming.agg_frames",
+                "streaming.group",
+                "streaming.reclaim_on_crash",
+                "faults.events_per_class",
+                "faults.seed",
+                "kvs_shards",
+                "kvs_replication",
+            ]
+        );
+    }
+
     /// One group's `(publisher nodes, subscriber nodes)`.
     type GroupNodes = (Vec<u32>, Vec<u32>);
 
