@@ -4,7 +4,7 @@
 //! rate varies significantly" as DYAD's sweet spot — but its evaluation
 //! only runs fixed strides. This module adds the missing axis: a
 //! [`FrameSchedule`] produces the inter-frame gap for every frame, and
-//! the bursty-production experiment (`bench/src/bin/bursty.rs`) runs the
+//! the bursty-production experiment (the `bursty` entry of `all`) runs the
 //! paper's comparison under realistic non-uniform output rates
 //! (adaptive timesteps, event-triggered dumps, replayed traces).
 

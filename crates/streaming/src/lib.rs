@@ -377,8 +377,11 @@ impl ReductionTree {
 /// Streaming tuning parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamSpec {
-    /// What streaming shares with every staged backend (the commit
-    /// overhead is the SST marshaling cost of a step).
+    /// What streaming shares with every staged backend. The runner
+    /// hands streaming the DYAD plane of the calibration (60 µs commit
+    /// overhead), so the default's 40 µs is read only by callers that
+    /// build a `StreamSpec` themselves: unit tests and `perf`'s
+    /// streaming probe.
     pub plane: PlaneSpec,
     /// Bounded in-flight window: max unacked steps per publisher.
     pub window: u32,
