@@ -348,9 +348,10 @@ impl FaultConfig {
     }
 
     /// Expand into the concrete plan for a topology and horizon;
-    /// generated windows average 10% of `horizon`. `n_kvs_shards = 0` (any run on one unreplicated broker, or with
-    /// no KVS) generates no shard-crash events and leaves the plan
-    /// byte-identical to the pre-mesh generator.
+    /// generated windows average 10% of `horizon`. `n_kvs_shards = 0`
+    /// (any run on one broker, or with no KVS) generates no shard-crash
+    /// events and leaves the plan byte-identical to the pre-mesh
+    /// generator.
     pub fn build_plan(
         &self,
         horizon: simcore::SimDuration,
