@@ -178,9 +178,9 @@ fn main() {
         other => die(&format!("unknown group mode {other}")),
     };
     wf = wf.with_window_reclaim(!args.flag("--no-reclaim"));
-    let shards: u32 = args.num("--kvs-shards", 1);
-    let replication: u32 = args.num("--kvs-replication", 1);
-    wf = wf.with_kvs_shards(shards).with_kvs_replication(replication);
+    wf = wf
+        .with_kvs_shards(args.num("--kvs-shards", 1))
+        .with_kvs_replication(args.num("--kvs-replication", 1));
     // Every count of zero and every shape no run can execute, by the
     // name of the `WorkflowConfig` field.
     if let Err(e) = wf.validate() {
