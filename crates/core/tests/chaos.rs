@@ -634,3 +634,31 @@ fn every_consumed_frame_acks_or_counts_a_dropped_ack() {
         );
     }
 }
+
+/// A run that stalls ends as a panic its caller can catch, naming the
+/// hard stop and the unfinished roles — never a process abort. These
+/// two chaos shapes used to reach the hard stop and then abort: tearing
+/// down the dead simulation dropped parked consumers' region guards,
+/// whose clock read panicked inside a destructor.
+#[test]
+fn a_stalled_run_is_a_catchable_panic() {
+    for (pairs, plan_seed) in [(4u32, 11), (8, 20240807)] {
+        let wf = WorkflowConfig::new(
+            Solution::Dyad,
+            pairs,
+            Placement::Split { pairs_per_node: 8 },
+        )
+        .with_frames(64)
+        .with_faults(FaultConfig::chaos(plan_seed, 2));
+        let run = std::panic::catch_unwind(|| run_once(&wf, &Calibration::corona(), 7));
+        if let Err(panic) = run {
+            let msg = panic
+                .downcast_ref::<String>()
+                .map_or("<not a String>", String::as_str);
+            assert!(
+                msg.contains("hard stop") && msg.contains("unfinished"),
+                "{pairs} pairs, plan seed {plan_seed}: {msg}"
+            );
+        }
+    }
+}

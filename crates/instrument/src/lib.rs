@@ -363,8 +363,13 @@ impl Recorder {
         st.profile.add_metric(node, key, value);
     }
 
+    /// Close the innermost region. A region of a dead simulation — a
+    /// parked task's guard dropped while a stalled run unwinds — closes
+    /// as a no-op: that profile is never read.
     fn close_region(&self, start: SimTime) {
-        let now = self.shared.ctx.now();
+        let Some(now) = self.shared.ctx.try_now() else {
+            return;
+        };
         let mut st = self.shared.state.borrow_mut();
         let node = st.stack.pop().expect("region closed with empty stack");
         let node = &mut st.profile.nodes[node as usize];

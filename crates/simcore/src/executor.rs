@@ -982,8 +982,9 @@ impl Sim {
 /// Handle to the simulation, usable from inside processes.
 ///
 /// Holds a weak reference so that processes (which capture `Ctx`) do not
-/// keep the executor core alive in a reference cycle. Every method panics
-/// if used after the owning [`Sim`] has been dropped.
+/// keep the executor core alive in a reference cycle. Every method but
+/// [`Ctx::try_now`] panics if used after the owning [`Sim`] has been
+/// dropped.
 #[derive(Clone)]
 pub struct Ctx {
     core: Weak<RefCell<Core>>,
@@ -999,6 +1000,13 @@ impl Ctx {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.core().borrow().now
+    }
+
+    /// Current simulated time, or `None` once the owning [`Sim`] is
+    /// dropped: the clock read for destructors, which may run while a
+    /// dead simulation's tasks are torn down.
+    pub fn try_now(&self) -> Option<SimTime> {
+        Some(self.core.upgrade()?.borrow().now)
     }
 
     /// Seed this simulation was created with.

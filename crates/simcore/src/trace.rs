@@ -236,13 +236,18 @@ impl Drop for SpanGuard {
         if self.closed {
             return;
         }
+        // A span of a dead simulation (its task torn down unfinished)
+        // records nothing.
+        let Some(end) = self.ctx.try_now() else {
+            return;
+        };
         self.tracer
             .state
             .borrow_mut()
             .events
             .push(TraceEvent::Span {
                 start: self.start,
-                end: self.ctx.now(),
+                end,
                 track: std::mem::take(&mut self.track),
                 category: self.category,
                 name: std::mem::take(&mut self.name),
