@@ -3,10 +3,11 @@
 //! One encoder and one decoder per message. An encoder computes the
 //! message's length before it writes and fills one block of exactly that
 //! length in place ([`Bytes::build`]), so a message costs one allocator
-//! call, and the one-byte replies are static. The MDS request and
-//! the `Meta` reply encode from borrowed parts ([`MdsRequestRef`],
-//! [`encode_meta`]) and the request decodes in place — that is what the
-//! client and the servers call; the owned enums wrap the same bodies.
+//! call, and the one-byte replies are static. The MDS request encodes
+//! from borrowed parts ([`MdsRequestRef`]) and decodes in place, and the
+//! `Meta` reply encodes from a column iterator ([`encode_meta`]) — that
+//! is what the client and the servers call; the owned enums wrap the
+//! same bodies.
 //! Decoders read through a checked cursor and return [`CodecError`] on
 //! bytes no encoder here wrote.
 
@@ -97,16 +98,6 @@ impl Layout {
             pos += take;
             Some((column, row * stripe_size + within, take))
         })
-    }
-
-    fn encode_into(&self, buf: &mut &mut [u8]) {
-        assert_eq!(self.osts.len(), self.objects.len(), "layout columns");
-        buf.put_u64(self.stripe_size);
-        buf.put_u16(wire_u16(self.osts.len(), "layout column count"));
-        for (&o, &obj) in self.osts.iter().zip(&self.objects) {
-            buf.put_u32(o);
-            buf.put_u64(obj);
-        }
     }
 
     fn decode_from(raw: &mut Reader<'_>) -> Result<Layout, CodecError> {
@@ -313,11 +304,23 @@ impl MdsRequest {
     }
 }
 
-/// Encode a [`MdsResponse::Meta`] from a layout the caller keeps.
-pub(crate) fn encode_meta(layout: &Layout, size: u64) -> Bytes {
-    Bytes::build(1 + 8 + 2 + 12 * layout.osts.len() + 8, |buf| {
+/// Encode a [`MdsResponse::Meta`] from a layout's parts: its stripe
+/// size and its `(ost, object)` columns in order. The MDS computes the
+/// columns from what it keeps per file, so no [`Layout`] is built.
+pub(crate) fn encode_meta(
+    stripe_size: u64,
+    columns: impl ExactSizeIterator<Item = (u32, u64)>,
+    size: u64,
+) -> Bytes {
+    let n = columns.len();
+    Bytes::build(1 + 8 + 2 + 12 * n + 8, |buf| {
         buf.put_u8(1);
-        layout.encode_into(buf);
+        buf.put_u64(stripe_size);
+        buf.put_u16(wire_u16(n, "layout column count"));
+        for (ost, object) in columns {
+            buf.put_u32(ost);
+            buf.put_u64(object);
+        }
         buf.put_u64(size);
     })
 }
@@ -326,7 +329,15 @@ impl MdsResponse {
     /// Encode to wire bytes.
     pub fn encode(&self) -> Bytes {
         match self {
-            MdsResponse::Meta { layout, size } => encode_meta(layout, *size),
+            MdsResponse::Meta { layout, size } => {
+                assert_eq!(layout.osts.len(), layout.objects.len(), "layout columns");
+                let columns = layout
+                    .osts
+                    .iter()
+                    .copied()
+                    .zip(layout.objects.iter().copied());
+                encode_meta(layout.stripe_size, columns, *size)
+            }
             MdsResponse::Ok => Bytes::from_static(&[2]),
             MdsResponse::NotFound => Bytes::from_static(&[3]),
         }
@@ -658,7 +669,7 @@ mod tests {
                 .encode(),
             )
         });
-        over(&|| drop(encode_meta(&wide(65_536), 1)));
+        over(&|| drop(encode_meta(1, std::iter::repeat_n((7, 9), 65_536), 1)));
     }
 
     #[cfg(test)]
@@ -718,7 +729,7 @@ mod tests {
                     osts: columns.iter().map(|c| c.0).collect(),
                     objects: columns.iter().map(|c| c.1).collect(),
                 };
-                let wire = encode_meta(&layout, size);
+                let wire = encode_meta(stripe_size, columns.iter().copied(), size);
                 let meta = MdsResponse::Meta { layout, size };
                 prop_assert_eq!(&wire, &meta.encode());
                 prop_assert_eq!(MdsResponse::try_decode(&wire), Ok(meta));

@@ -9,7 +9,6 @@
 //! resource in the experiments).
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -20,9 +19,7 @@ use simcore::resource::{FifoResource, SharedBandwidth};
 use simcore::{Ctx, SimDuration};
 use transport::{payload_len, AmId, Payload, Transport};
 
-use crate::codec::{
-    encode_meta, Layout, MdsOp, MdsRequestRef, MdsResponse, OssRequest, OssResponse,
-};
+use crate::codec::{encode_meta, MdsOp, MdsRequestRef, MdsResponse, OssRequest, OssResponse};
 
 /// AM id of the MDS.
 pub const MDS_AM: AmId = AmId(0x4D44);
@@ -104,9 +101,15 @@ pub struct MdsStats {
     pub stats: u64,
 }
 
+/// What the MDS keeps per file, 24 B. `Create` lays a file out on
+/// consecutive objects on consecutive OSTs (mod `n_osts`) at the spec's
+/// stripe size, so column `i` is `(first_ost + i) % n_osts` holding
+/// object `first_object + i`.
 struct FileMeta {
-    layout: Layout,
     size: u64,
+    first_object: u64,
+    first_ost: u32,
+    stripes: u32,
 }
 
 struct MdsState {
@@ -190,31 +193,38 @@ impl MdsServer {
     }
 }
 
+/// Encode a `Meta` reply for `file` straight from its layout arithmetic.
+fn file_meta(file: &FileMeta, n_osts: u32, spec: &PfsSpec) -> Bytes {
+    let columns = (0..file.stripes).map(|i| {
+        (
+            (file.first_ost + i) % n_osts,
+            file.first_object + u64::from(i),
+        )
+    });
+    encode_meta(spec.stripe_size, columns, file.size)
+}
+
 /// Serve one request, decoded in place: the path is interned straight
 /// from the request bytes and a `Meta` reply is encoded from the stored
-/// layout, so neither is copied on the way.
+/// file's layout arithmetic, so nothing is copied or built on the way.
 fn mds_handle(state: &RefCell<MdsState>, spec: &PfsSpec, req: MdsRequestRef<'_>) -> Bytes {
     let mut st = state.borrow_mut();
     let path = intern(req.path);
+    let n_osts = st.n_osts;
     match req.op {
         MdsOp::Create => {
             st.stats.creates += 1;
-            let count = spec.default_stripe_count.min(st.n_osts as usize).max(1);
-            let mut osts = Vec::with_capacity(count);
-            let mut objects = Vec::with_capacity(count);
-            for _ in 0..count {
-                osts.push(st.next_ost % st.n_osts);
-                st.next_ost = (st.next_ost + 1) % st.n_osts;
-                objects.push(st.next_object);
-                st.next_object += 1;
-            }
-            let layout = Layout {
-                stripe_size: spec.stripe_size,
-                osts,
-                objects,
+            let stripes = spec.default_stripe_count.min(n_osts as usize).max(1) as u32;
+            let file = FileMeta {
+                size: 0,
+                first_object: st.next_object,
+                first_ost: st.next_ost,
+                stripes,
             };
-            let meta = encode_meta(&layout, 0);
-            st.files.insert(path, FileMeta { layout, size: 0 });
+            st.next_object += u64::from(stripes);
+            st.next_ost = (st.next_ost + stripes) % n_osts;
+            let meta = file_meta(&file, n_osts, spec);
+            st.files.insert(path, file);
             meta
         }
         MdsOp::Open | MdsOp::Stat => {
@@ -224,7 +234,7 @@ fn mds_handle(state: &RefCell<MdsState>, spec: &PfsSpec, req: MdsRequestRef<'_>)
                 st.stats.stats += 1;
             }
             match st.files.get(&path) {
-                Some(m) => encode_meta(&m.layout, m.size),
+                Some(file) => file_meta(file, n_osts, spec),
                 None => MdsResponse::NotFound.encode(),
             }
         }
@@ -262,38 +272,67 @@ pub struct OstStats {
 }
 
 struct OstState {
-    /// Object id → segment map (offset → bytes), zero-copy storage.
-    objects: FxHashMap<u64, BTreeMap<u64, Bytes>>,
+    /// Object id → its segments `(offset, bytes)`, sorted by offset,
+    /// zero-copy storage.
+    objects: FxHashMap<u64, Vec<(u64, Bytes)>>,
     stats: OstStats,
 }
 
-/// Gather `offset..offset+len` from a segment map as a zero-copy rope
-/// (slices of the stored segments, gaps zero-filled).
-fn gather_object(segments: &BTreeMap<u64, Bytes>, offset: u64, len: u64) -> Vec<Bytes> {
+/// Store a write's rope at `offset`, segment after segment. A segment at
+/// an offset already held replaces the one there; any other is inserted
+/// in offset order (overlaps stay, see [`gather_object`]).
+fn write_object(segments: &mut Vec<(u64, Bytes)>, offset: u64, payload: Payload) {
+    let mut at = offset;
+    for seg in payload {
+        let seg_len = seg.len() as u64;
+        match segments.binary_search_by_key(&at, |&(off, _)| off) {
+            Ok(i) => segments[i].1 = seg,
+            Err(i) => segments.insert(i, (at, seg)),
+        }
+        at += seg_len;
+    }
+}
+
+/// Read `offset..offset+len`, clamped to the object's end (where its
+/// last segment ends).
+fn read_object(segments: &[(u64, Bytes)], offset: u64, len: u64) -> Payload {
+    let obj_end = segments.last().map_or(0, |(at, seg)| at + seg.len() as u64);
+    let end = (offset + len).min(obj_end);
+    if end <= offset {
+        Vec::new()
+    } else {
+        gather_object(segments, offset, end - offset)
+    }
+}
+
+/// Gather `offset..offset+len` from an object's sorted segments as a
+/// zero-copy rope (slices of the stored segments, gaps between them
+/// zero-filled). Where segments overlap, the one at the lower offset
+/// wins.
+fn gather_object(segments: &[(u64, Bytes)], offset: u64, len: u64) -> Vec<Bytes> {
     let mut out: Vec<Bytes> = Vec::new();
     let end = offset + len;
     let mut covered = offset;
-    // Include a possible segment starting before `offset`.
-    let start_key = segments
-        .range(..=offset)
-        .next_back()
-        .map(|(k, _)| *k)
-        .unwrap_or(offset);
-    for (&seg_off, seg) in segments.range(start_key..end) {
-        let seg_end = seg_off + seg.len() as u64;
-        if seg_end <= offset {
+    // Start at the last segment at or before `offset`: it may reach in.
+    let first = segments
+        .partition_point(|&(at, _)| at <= offset)
+        .saturating_sub(1);
+    for (at, seg) in &segments[first..] {
+        // The range is full, or this segment and all after it lie past it.
+        if covered == end || *at >= end {
+            break;
+        }
+        let seg_end = at + seg.len() as u64;
+        let from = covered.max(*at);
+        if seg_end <= from {
+            // Empty, or wholly behind what is gathered.
             continue;
         }
-        let from = covered.max(seg_off);
-        let to = end.min(seg_end);
-        if from >= to {
-            continue;
-        }
-        // Zero-fill any gap before this segment.
         if from > covered {
             out.push(Bytes::zeroed((from - covered) as usize));
         }
-        out.push(seg.slice((from - seg_off) as usize..(to - seg_off) as usize));
+        let to = end.min(seg_end);
+        out.push(seg.slice((from - at) as usize..(to - at) as usize));
         covered = to;
     }
     out
@@ -371,13 +410,11 @@ impl OstServer {
                                 ctx.sleep(ctx.now().since(t0).mul_f64(factor - 1.0)).await;
                             }
                             let mut st = state.borrow_mut();
-                            let obj = st.objects.entry(object).or_default();
-                            let mut at = offset;
-                            for seg in payload {
-                                let seg_len = seg.len() as u64;
-                                obj.insert(at, seg);
-                                at += seg_len;
-                            }
+                            let segments = st
+                                .objects
+                                .entry(object)
+                                .or_insert_with(|| Vec::with_capacity(payload.len()));
+                            write_object(segments, offset, payload);
                             st.stats.writes += 1;
                             st.stats.bytes_written += len;
                             (OssResponse::Ok.encode(), Vec::new())
@@ -388,26 +425,11 @@ impl OstServer {
                             len,
                             total,
                         } => {
-                            let data: Payload = {
-                                let st = state.borrow();
-                                match st.objects.get(&object) {
-                                    Some(segments) => {
-                                        // Clamp to the object's extent.
-                                        let obj_end = segments
-                                            .iter()
-                                            .next_back()
-                                            .map(|(o, s)| o + s.len() as u64)
-                                            .unwrap_or(0);
-                                        let end = (offset + len).min(obj_end);
-                                        if end <= offset {
-                                            Vec::new()
-                                        } else {
-                                            gather_object(segments, offset, end - offset)
-                                        }
-                                    }
-                                    None => Vec::new(),
-                                }
-                            };
+                            let data = state
+                                .borrow()
+                                .objects
+                                .get(&object)
+                                .map_or_else(Vec::new, |segs| read_object(segs, offset, len));
                             let dlen = payload_len(&data);
                             let cap = if total <= spec.cache_threshold {
                                 spec.burst_cap
@@ -499,7 +521,7 @@ impl OstServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::MdsRequest;
+    use crate::codec::{Layout, MdsRequest};
     use cluster::{Cluster, ClusterSpec};
     use simcore::Sim;
     use transport::TransportSpec;
@@ -546,6 +568,60 @@ mod tests {
         assert_eq!(mds.file_count(), 2);
     }
 
+    /// Layouts wrap round the OSTs mod their count, object ids run on,
+    /// and `Open` and `Stat` answer with the layout `Create` gave.
+    #[test]
+    fn mds_layouts_wrap_and_reopen_unchanged() {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let cl = Cluster::build(&ctx, &ClusterSpec::corona(2));
+        let tp = Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default());
+        let spec = PfsSpec {
+            default_stripe_count: 2,
+            ..PfsSpec::default()
+        };
+        let _mds = MdsServer::start(&ctx, &tp, NodeId(0), 3, spec);
+        let ep = tp.endpoint(NodeId(1));
+        let h = sim.spawn(async move {
+            let call = |req: MdsRequest| {
+                let ep = ep.clone();
+                async move { MdsResponse::decode(ep.rpc(NodeId(0), MDS_AM, req.encode()).await) }
+            };
+            let mut replies = Vec::new();
+            for path in ["/a", "/b", "/c"] {
+                replies.push(call(MdsRequest::Create { path: path.into() }).await);
+            }
+            let size = 5;
+            call(MdsRequest::SetSize {
+                path: "/b".into(),
+                size,
+            })
+            .await;
+            replies.push(call(MdsRequest::Open { path: "/b".into() }).await);
+            replies.push(call(MdsRequest::Stat { path: "/c".into() }).await);
+            replies
+        });
+        sim.run();
+        let meta = |osts: Vec<u32>, objects: Vec<u64>, size| MdsResponse::Meta {
+            layout: Layout {
+                stripe_size: spec.stripe_size,
+                osts,
+                objects,
+            },
+            size,
+        };
+        assert_eq!(
+            h.try_take().unwrap(),
+            vec![
+                meta(vec![0, 1], vec![1, 2], 0),
+                meta(vec![2, 0], vec![3, 4], 0),
+                meta(vec![1, 2], vec![5, 6], 0),
+                meta(vec![2, 0], vec![3, 4], 5),
+                meta(vec![1, 2], vec![5, 6], 0),
+            ]
+        );
+    }
+
     #[test]
     fn ost_write_read_round_trip() {
         let sim = Sim::new(0);
@@ -583,6 +659,37 @@ mod tests {
         assert_eq!(&transport::flatten_payload(data)[..], b"hello");
         assert_eq!(ost.stats().writes, 1);
         assert_eq!(ost.stats().reads, 1);
+    }
+
+    /// What the servers keep: 24 B per file at the MDS, and at an OST a
+    /// segment vector sized by the object's first write (a JAC frame's
+    /// two-segment rope: 80 B).
+    #[test]
+    fn pfs_servers_keep_only_what_a_file_holds() {
+        assert_eq!(std::mem::size_of::<FileMeta>(), 24);
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let cl = Cluster::build(&ctx, &ClusterSpec::corona(2));
+        let tp = Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default());
+        let ost = OstServer::start(&ctx, &tp, NodeId(0), 0, PfsSpec::default());
+        let ep = tp.endpoint(NodeId(1));
+        sim.spawn(async move {
+            let w = OssRequest::Write {
+                object: 3,
+                offset: 0,
+                len: 11,
+                total: 11,
+            };
+            let rope = vec![Bytes::from_static(b"head"), Bytes::from_static(b"payload")];
+            ep.bulk_rpc(NodeId(0), AmId(OSS_AM_BASE), w.encode(), rope)
+                .await;
+        });
+        assert!(sim.run().is_clean());
+        let st = ost.state.borrow();
+        let segments = &st.objects[&3];
+        assert_eq!(segments.len(), 2);
+        assert_eq!(segments.capacity(), 2);
+        assert_eq!(std::mem::size_of_val(&segments[..]), 80);
     }
 
     #[test]
@@ -690,5 +797,132 @@ mod tests {
             moved > 500_000_000,
             "only {moved} bytes of interference traffic"
         );
+    }
+
+    /// A differential oracle for the OST segment store: random writes
+    /// and reads against the `BTreeMap<u64, Bytes>` store the segment
+    /// vector replaced, read back the way that store was read.
+    mod ost_segment_oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// The reference store's write: a segment at an offset already
+        /// held replaces the one there.
+        fn write_ref(segments: &mut BTreeMap<u64, Bytes>, offset: u64, rope: &[Bytes]) {
+            let mut at = offset;
+            for seg in rope {
+                segments.insert(at, seg.clone());
+                at += seg.len() as u64;
+            }
+        }
+
+        /// The reference store's read: clamped to where the last segment
+        /// ends, then gathered from the last segment at or before
+        /// `offset` on.
+        fn read_ref(segments: &BTreeMap<u64, Bytes>, offset: u64, len: u64) -> Vec<Bytes> {
+            let obj_end = segments
+                .iter()
+                .next_back()
+                .map_or(0, |(o, s)| o + s.len() as u64);
+            let end = (offset + len).min(obj_end);
+            if end <= offset {
+                return Vec::new();
+            }
+            let mut out = Vec::new();
+            let mut covered = offset;
+            let start_key = segments
+                .range(..=offset)
+                .next_back()
+                .map_or(offset, |(k, _)| *k);
+            for (&seg_off, seg) in segments.range(start_key..end) {
+                let from = covered.max(seg_off);
+                let to = end.min(seg_off + seg.len() as u64);
+                if from >= to {
+                    continue;
+                }
+                if from > covered {
+                    out.push(Bytes::zeroed((from - covered) as usize));
+                }
+                out.push(seg.slice((from - seg_off) as usize..(to - seg_off) as usize));
+                covered = to;
+            }
+            out
+        }
+
+        /// A write (a rope of 1–3 segments, an empty one included) or a
+        /// read, at offsets on a 64-byte span so writes land on each
+        /// other's offsets, overlap and leave gaps.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Write {
+                offset: u64,
+                lens: Vec<usize>,
+                fill: u8,
+            },
+            Read {
+                offset: u64,
+                len: u64,
+            },
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (
+                    0u64..64,
+                    proptest::collection::vec(0usize..24, 1..=3),
+                    any::<u8>()
+                )
+                    .prop_map(|(offset, lens, fill)| Op::Write {
+                        offset,
+                        lens,
+                        fill
+                    }),
+                (0u64..96, 0u64..96).prop_map(|(offset, len)| Op::Read { offset, len }),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            #[test]
+            fn segment_vector_matches_a_btreemap(ops in proptest::collection::vec(op(), 1..64)) {
+                let mut reference = BTreeMap::new();
+                let mut segments: Vec<(u64, Bytes)> = Vec::new();
+                for (i, op) in ops.into_iter().enumerate() {
+                    match op {
+                        Op::Write { offset, lens, fill } => {
+                            // Each segment's bytes name its write and place.
+                            let rope: Vec<Bytes> = lens
+                                .iter()
+                                .enumerate()
+                                .map(|(k, &n)| {
+                                    Bytes::from(vec![fill ^ (i as u8) ^ ((k as u8) << 6); n])
+                                })
+                                .collect();
+                            write_ref(&mut reference, offset, &rope);
+                            write_object(&mut segments, offset, rope);
+                        }
+                        Op::Read { offset, len } => {
+                            prop_assert_eq!(
+                                read_object(&segments, offset, len),
+                                read_ref(&reference, offset, len)
+                            );
+                        }
+                    }
+                    let held: Vec<(u64, Bytes)> =
+                        reference.iter().map(|(k, v)| (*k, v.clone())).collect();
+                    prop_assert_eq!(&segments, &held);
+                }
+                // Every window of the final object, clamp included.
+                for offset in 0..96 {
+                    for len in [0, 1, 7, 24, 96] {
+                        prop_assert_eq!(
+                            read_object(&segments, offset, len),
+                            read_ref(&reference, offset, len)
+                        );
+                    }
+                }
+            }
+        }
     }
 }
