@@ -132,7 +132,8 @@ pub enum PlaneError {
     /// A transport-level failure survived the retry budget.
     Transport(TransportError),
     /// Local storage kept failing (NVMe device-error window outlasted
-    /// the retry budget).
+    /// the retry budget); the frame's `Lost` tombstone is committed, so
+    /// its consumers see [`PlaneError::Lost`].
     Storage {
         /// Managed path of the frame being written.
         path: String,
@@ -368,7 +369,9 @@ impl Plane {
     /// same one; a board without it is a caller bug. Without a board a
     /// failed write is final and `jitter` is never touched. The metadata
     /// commit retries through broker outages inside the KVS client. Fails
-    /// typed once the budget is exhausted.
+    /// typed once the budget is exhausted: `Storage` once the frame's
+    /// `Lost` tombstone is committed, `Transport` when the tombstone (or
+    /// the metadata) could not be.
     pub async fn put(
         &self,
         rec: &Recorder,
@@ -406,10 +409,12 @@ impl Plane {
                 }
                 (Err(_), _) => {
                     // The frame can never appear: publish a Lost
-                    // tombstone (best effort) so consumers surface a
-                    // typed `Lost` instead of parking forever on a key
-                    // that will never be committed.
-                    let _ = self.commit_meta(&path, size, FrameLocation::Lost).await;
+                    // tombstone so consumers surface a typed `Lost`
+                    // instead of parking forever on a key that will
+                    // never be committed. A tombstone that cannot be
+                    // committed either fails the put as `Transport`,
+                    // which the caller retries whole.
+                    self.commit_meta(&path, size, FrameLocation::Lost).await?;
                     return Err(PlaneError::Storage { path });
                 }
             }
