@@ -25,8 +25,7 @@
 //! * [`report`] — reduces profiles to the paper's movement/idle bars
 //!   with mean/std over repetitions;
 //! * [`findings`] — programmatic checks of the paper's five findings;
-//! * [`schedule`], [`steering`] — variable-rate frame schedules, and
-//!   analytics that terminate trajectories, on the runner's testbed.
+//! * [`schedule`] — variable-rate frame schedules.
 //!
 //! ```no_run
 //! use mdflow::prelude::*;
@@ -49,7 +48,6 @@ pub mod findings;
 pub mod report;
 pub mod runner;
 pub mod schedule;
-pub mod steering;
 pub mod workflow;
 
 /// One-stop imports for examples and benches.

@@ -307,9 +307,8 @@ fn run_prepared(
 
 /// The live substrates of one run, `Rc`-wired into one simulation: what
 /// the roles are handed and what [`reduce`] reads the counters of.
-/// [`Testbed::build`] is the one place the stack is wired — the runner
-/// and [`crate::steering`] both start here — so every user sees the
-/// fault board, the topology, the mesh and staging alike.
+/// [`Testbed::build`] is the one place the stack is wired, so every run
+/// sees the fault board, the topology, the mesh and staging alike.
 pub(crate) struct Testbed {
     ctx: Ctx,
     tp: Transport,
@@ -513,13 +512,13 @@ impl Testbed {
     }
 
     /// A KVS client on compute node `node`.
-    pub(crate) fn kvs_client(&self, node: u32) -> KvsClient {
+    fn kvs_client(&self, node: u32) -> KvsClient {
         let mesh = self.kvs_mesh.as_ref().expect("solution has a KVS");
         mesh.client(&self.ctx, &self.tp, NodeId(node))
     }
 
     /// The DYAD service of compute node `node`.
-    pub(crate) fn dyad_service(&self, node: u32) -> Rc<DyadService> {
+    fn dyad_service(&self, node: u32) -> Rc<DyadService> {
         self.dyad[node as usize].clone()
     }
 
