@@ -348,6 +348,7 @@ impl Wake for TaskWaker {
         self.wake_by_ref();
     }
     fn wake_by_ref(self: &Arc<Self>) {
+        crate::work::count_wake();
         self.queue.lock().push(self.id);
         self.queue
             .nonempty
@@ -787,6 +788,7 @@ impl Sim {
                 // block; polling allocates nothing. The clock cannot move
                 // during a poll, so `now` is the completion instant.
                 let mut cx = Context::from_waker(&task.waker);
+                crate::work::count_poll();
                 match task.block.poll(&mut cx, now) {
                     Poll::Ready(()) => {
                         // `task` drops at scope end, outside the core
@@ -1102,6 +1104,7 @@ impl Ctx {
     /// would use, preserving wake ordering while skipping the `Waker`
     /// clone/wake/drop round trip.
     pub(crate) fn wake_task(&self, id: TaskId) {
+        crate::work::count_wake();
         let core = self.core();
         let core = core.borrow();
         core.wakes.lock().push(id);

@@ -42,6 +42,7 @@ pub mod stats;
 pub mod sync;
 mod time;
 pub mod trace;
+pub mod work;
 
 pub use combinators::{race, timeout, Either, Race, TimedOut, Timeout};
 pub use executor::{
