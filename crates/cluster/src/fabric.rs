@@ -14,6 +14,11 @@
 //! [`SharedBandwidth`] — so rack-level oversubscription produces tiered
 //! contention that one flat switch cannot express.
 
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
+
+use std::future::Future;
 use std::rc::Rc;
 
 use simcore::resource::{BwStats, SharedBandwidth};
@@ -253,62 +258,71 @@ impl Fabric {
     /// and payload streaming through both NICs (bottleneck of the two);
     /// a cross-leaf transfer additionally pays two switch→switch hops
     /// and streams through the uplink, spine and downlink tiers.
-    pub async fn send(&self, src: NodeId, dst: NodeId, bytes: u64) {
-        if src == dst {
-            // Intra-node: a memory copy.
-            self.ctx
-                .sleep(SimDuration::from_secs_f64(bytes as f64 / self.mem_bw))
-                .await;
-            return;
+    pub fn send(&self, src: NodeId, dst: NodeId, bytes: u64) -> impl Future<Output = ()> + '_ {
+        async move {
+            if src == dst {
+                // Intra-node: a memory copy.
+                self.ctx
+                    .sleep(SimDuration::from_secs_f64(bytes as f64 / self.mem_bw))
+                    .await;
+                return;
+            }
+            let cross = self.crossing(src, dst).is_some();
+            let latency = if cross {
+                // node→leaf→spine→leaf→node.
+                self.spec.msg_overhead + self.spec.hop_latency * 4
+            } else {
+                self.base_latency()
+            };
+            self.ctx.sleep(latency).await;
+            if bytes == 0 {
+                return;
+            }
+            // Stream through every tier concurrently; completion is gated by
+            // the slowest (most contended) stage. All flows join the
+            // contention model at this same instant, so awaiting them in
+            // sequence is equivalent to a concurrent join — a later await
+            // returns immediately if its flow already finished. Only the
+            // endpoint NICs count toward `bytes_moved`, so delivered-byte
+            // accounting is topology-invariant.
+            let tx_done = self.nic(src).tx.transfer_counted_start(bytes);
+            let rx_done = self.nic(dst).rx.transfer_counted_start(bytes);
+            if let Some((t, ls, ld)) = self.crossing(src, dst) {
+                let up = t.leaves[ls].up.transfer_capped_start(bytes, None);
+                let spine = t.spine.transfer_capped_start(bytes, None);
+                let down = t.leaves[ld].down.transfer_capped_start(bytes, None);
+                tx_done.await;
+                up.await;
+                spine.await;
+                down.await;
+            } else {
+                tx_done.await;
+            }
+            rx_done.await;
         }
-        let cross = self.crossing(src, dst).is_some();
-        let latency = if cross {
-            // node→leaf→spine→leaf→node.
-            self.spec.msg_overhead + self.spec.hop_latency * 4
-        } else {
-            self.base_latency()
-        };
-        self.ctx.sleep(latency).await;
-        if bytes == 0 {
-            return;
-        }
-        // Stream through every tier concurrently; completion is gated by
-        // the slowest (most contended) stage. All flows join the
-        // contention model at this same instant, so awaiting them in
-        // sequence is equivalent to a concurrent join — a later await
-        // returns immediately if its flow already finished. Only the
-        // endpoint NICs count toward `bytes_moved`, so delivered-byte
-        // accounting is topology-invariant.
-        let tx_done = self.nic(src).tx.transfer_counted_start(bytes);
-        let rx_done = self.nic(dst).rx.transfer_counted_start(bytes);
-        if let Some((t, ls, ld)) = self.crossing(src, dst) {
-            let up = t.leaves[ls].up.transfer_capped_start(bytes, None);
-            let spine = t.spine.transfer_capped_start(bytes, None);
-            let down = t.leaves[ld].down.transfer_capped_start(bytes, None);
-            tx_done.await;
-            up.await;
-            spine.await;
-            down.await;
-        } else {
-            tx_done.await;
-        }
-        rx_done.await;
     }
 
     /// RDMA read: the initiator on `initiator` pulls `bytes` from memory
     /// on `target`. Pays a request one-way latency, then the payload
     /// streams target→initiator.
-    pub async fn rdma_read(&self, initiator: NodeId, target: NodeId, bytes: u64) {
-        if initiator == target {
-            self.ctx
-                .sleep(SimDuration::from_secs_f64(bytes as f64 / self.mem_bw))
-                .await;
-            return;
+    pub fn rdma_read(
+        &self,
+        initiator: NodeId,
+        target: NodeId,
+        bytes: u64,
+    ) -> impl Future<Output = ()> + '_ {
+        async move {
+            if initiator == target {
+                self.ctx
+                    .sleep(SimDuration::from_secs_f64(bytes as f64 / self.mem_bw))
+                    .await;
+                return;
+            }
+            // Request message (header only).
+            self.ctx.sleep(self.base_latency()).await;
+            // Data path back.
+            self.send(target, initiator, bytes).await;
         }
-        // Request message (header only).
-        self.ctx.sleep(self.base_latency()).await;
-        // Data path back.
-        self.send(target, initiator, bytes).await;
     }
 
     /// Egress statistics for a node's NIC.

@@ -1,5 +1,10 @@
 //! Compute nodes and their node-local NVMe storage.
 
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
+
+use std::future::Future;
 use std::rc::Rc;
 
 use simcore::resource::{BwStats, SharedBandwidth};
@@ -98,27 +103,33 @@ impl NvmeDevice {
     /// Stretch a finished operation by `factor − 1` of its duration, so a
     /// degraded device serves everything proportionally slower. No-op at
     /// factor 1.0 (adds no events on healthy paths).
-    async fn stretch(&self, started: simcore::SimTime, factor: f64) {
-        if factor > 1.0 {
-            let elapsed = self.ctx.now().since(started);
-            self.ctx.sleep(elapsed.mul_f64(factor - 1.0)).await;
+    fn stretch(&self, started: simcore::SimTime, factor: f64) -> impl Future<Output = ()> + '_ {
+        async move {
+            if factor > 1.0 {
+                let elapsed = self.ctx.now().since(started);
+                self.ctx.sleep(elapsed.mul_f64(factor - 1.0)).await;
+            }
         }
     }
 
     /// Read `bytes` from the device.
-    pub async fn read(&self, bytes: u64) {
-        let (t0, factor) = (self.ctx.now(), self.slow_factor());
-        self.ctx.sleep(self.op_latency).await;
-        self.read_bw.transfer_counted(bytes).await;
-        self.stretch(t0, factor).await;
+    pub fn read(&self, bytes: u64) -> impl Future<Output = ()> + '_ {
+        async move {
+            let (t0, factor) = (self.ctx.now(), self.slow_factor());
+            self.ctx.sleep(self.op_latency).await;
+            self.read_bw.transfer_counted(bytes).await;
+            self.stretch(t0, factor).await;
+        }
     }
 
     /// Write `bytes` to the device.
-    pub async fn write(&self, bytes: u64) {
-        let (t0, factor) = (self.ctx.now(), self.slow_factor());
-        self.ctx.sleep(self.op_latency).await;
-        self.write_bw.transfer_counted(bytes).await;
-        self.stretch(t0, factor).await;
+    pub fn write(&self, bytes: u64) -> impl Future<Output = ()> + '_ {
+        async move {
+            let (t0, factor) = (self.ctx.now(), self.slow_factor());
+            self.ctx.sleep(self.op_latency).await;
+            self.write_bw.transfer_counted(bytes).await;
+            self.stretch(t0, factor).await;
+        }
     }
 
     /// Per-operation latency.

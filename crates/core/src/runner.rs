@@ -18,7 +18,7 @@ use faults::FaultBoard;
 use instrument::Profile;
 use kvs::{KvsClient, KvsMesh};
 use localfs::LocalFs;
-use mdsim::{FrameTemplate, StepClock};
+use mdsim::StepClock;
 use pfs::{LdlmClient, LdlmServer, LdlmSpec, ParallelFs};
 use serde::Serialize;
 use simcore::trace::Tracer;
@@ -34,7 +34,7 @@ use crate::config::{ManualSync, Solution, StudyConfig, WorkflowConfig};
 use crate::workflow::{
     consumer_dyad, consumer_dyad_on_pfs, consumer_manual, pair_sync, producer_dyad,
     producer_dyad_on_pfs, producer_manual, publisher_stream, reducer_stream, subscriber_stream,
-    ConsumerArgs, ProducerArgs, Storage, StreamRole,
+    ConsumerArgs, ProducerArgs, RunShared, Storage, StreamRole,
 };
 
 /// Staging-lifecycle counters summed over every node's
@@ -582,58 +582,62 @@ impl Roles {
     }
 }
 
-/// What the roles of one run are started from: everything in
-/// [`ProducerArgs`] and [`ConsumerArgs`] but the process's index, node
-/// and launch stagger.
-struct RoleArgs<'a> {
-    testbed: &'a Testbed,
-    snap: &'a ClusterSnapshot,
-    tracer: &'a Tracer,
-    template: Rc<FrameTemplate>,
-    /// The frame period: the analytics duration, and what staggers are
-    /// fractions of.
+/// What the roles of one run are started from: the run-constant half of
+/// [`ProducerArgs`] and [`ConsumerArgs`], shared by every role.
+struct RoleArgs {
+    run: Rc<RunShared>,
+    /// The frame period: what staggers are fractions of.
     period: SimDuration,
+    /// Consumers launch this long after their producer.
+    consumer_delay: SimDuration,
 }
 
-impl RoleArgs<'_> {
-    /// Producer `idx` of the ensemble, on `node`.
-    fn producer(&self, idx: u32, node: u32, stagger: SimDuration) -> ProducerArgs {
-        let (wf, cal) = (&self.snap.workflow, &self.snap.calibration);
-        ProducerArgs {
-            ctx: self.testbed.ctx.clone(),
-            pair: idx,
+impl RoleArgs {
+    fn new(testbed: &Testbed, snap: &ClusterSnapshot, tracer: &Tracer) -> RoleArgs {
+        let (wf, cal) = (&snap.workflow, &snap.calibration);
+        let period = SimDuration::from_secs_f64(wf.frame_period_secs());
+        let run = RunShared {
+            ctx: testbed.ctx.clone(),
             frames: wf.frames,
+            template: snap.template.clone(),
+            tracer: tracer.clone(),
+            faults: testbed.board.clone(),
             stride: wf.stride,
             clock: StepClock {
                 ms_per_step: wf.model.ms_per_step(),
                 jitter: cal.md_jitter,
             },
-            template: self.template.clone(),
-            serialize_cpu: cal.serialize_cpu,
-            start_offset: stagger,
-            tracer: self.tracer.clone(),
             schedule: wf.schedule.clone(),
-            faults: self.testbed.board.clone(),
+            serialize_cpu: cal.serialize_cpu,
+            analytics: period,
+            jitter: cal.md_jitter,
+            deserialize_cpu: cal.deserialize_cpu,
+        };
+        RoleArgs {
+            run: Rc::new(run),
+            period,
+            consumer_delay: period.mul_f64(cal.consumer_launch_delay),
+        }
+    }
+
+    /// Producer `idx` of the ensemble, on `node`.
+    fn producer(&self, idx: u32, node: u32, stagger: SimDuration) -> ProducerArgs {
+        ProducerArgs {
+            run: self.run.clone(),
+            pair: idx,
             node,
+            start_offset: stagger,
         }
     }
 
     /// Consumer `idx` of the ensemble, on `node`.
     fn consumer(&self, idx: u32, node: u32, stagger: SimDuration) -> ConsumerArgs {
-        let cal = &self.snap.calibration;
         ConsumerArgs {
-            ctx: self.testbed.ctx.clone(),
+            run: self.run.clone(),
             pair: idx,
-            frames: self.snap.workflow.frames,
-            analytics: self.period,
-            jitter: cal.md_jitter,
-            rng_stream: 0xC000 + idx as u64,
-            start_offset: stagger + self.period.mul_f64(cal.consumer_launch_delay),
-            tracer: self.tracer.clone(),
-            template: self.template.clone(),
-            deserialize_cpu: cal.deserialize_cpu,
-            faults: self.testbed.board.clone(),
             node,
+            start_offset: stagger + self.consumer_delay,
+            rng_stream: 0xC000 + idx as u64,
         }
     }
 }
@@ -644,14 +648,8 @@ impl RoleArgs<'_> {
 /// the consumer side.
 fn spawn_ensemble(testbed: &Testbed, snap: &ClusterSnapshot, tracer: &Tracer) -> [Roles; 2] {
     let (wf, cal, ctx) = (&snap.workflow, &snap.calibration, &testbed.ctx);
-    let period = SimDuration::from_secs_f64(wf.frame_period_secs());
-    let args = RoleArgs {
-        testbed,
-        snap,
-        tracer,
-        template: Rc::new(snap.template.clone()),
-        period,
-    };
+    let args = RoleArgs::new(testbed, snap, tracer);
+    let period = args.period;
     // The MD-phase rng stream of producer `idx`.
     let md_stream = |idx: u32| 0x9000 + idx as u64;
     // The retention contract must be in place before the first frame

@@ -51,9 +51,9 @@ impl FrameSchedule {
     }
 
     /// Instantiate a stateful generator for one producer.
-    pub fn generator(&self, rng: StdRng) -> ScheduleGen {
+    pub fn generator(&self, rng: StdRng) -> ScheduleGen<'_> {
         ScheduleGen {
-            schedule: self.clone(),
+            schedule: self,
             rng,
             in_burst: false,
             idx: 0,
@@ -93,18 +93,18 @@ impl FrameSchedule {
     }
 }
 
-/// Stateful per-producer gap generator.
-pub struct ScheduleGen {
-    schedule: FrameSchedule,
+/// Stateful per-producer gap generator over a borrowed schedule.
+pub struct ScheduleGen<'a> {
+    schedule: &'a FrameSchedule,
     rng: StdRng,
     in_burst: bool,
     idx: usize,
 }
 
-impl ScheduleGen {
+impl ScheduleGen<'_> {
     /// The gap to sleep before producing the next frame.
     pub fn next_gap(&mut self) -> SimDuration {
-        match &self.schedule {
+        match self.schedule {
             FrameSchedule::Periodic { period } => *period,
             FrameSchedule::Bursty {
                 burst_gap,

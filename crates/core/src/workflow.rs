@@ -31,6 +31,10 @@
 //! `recovering`: with no fault board it runs the operation once, inline;
 //! with one it is the boxed freeze/retry/backoff loop (DESIGN.md §8).
 
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
+
 use std::future::Future;
 use std::rc::Rc;
 
@@ -51,7 +55,7 @@ use streaming::StreamAcker;
 use transport::Payload;
 
 use crate::config::{Ensemble, ManualSync, StreamingConfig, WorkflowConfig};
-use crate::schedule::FrameSchedule;
+use crate::schedule::{FrameSchedule, ScheduleGen};
 
 /// Storage backend for the manual (XFS/Lustre) baselines.
 #[derive(Clone)]
@@ -64,70 +68,84 @@ pub enum Storage {
 
 impl Storage {
     /// Write a frame rope to `path` (create, write segments, close).
-    pub async fn write_frame(&self, path: &str, frame: Payload) {
-        match self {
-            Storage::Local(fs) => {
-                let fd = fs.create(path).await.expect("create");
-                for seg in frame {
-                    fs.write_bytes(fd, seg).await.expect("write");
+    pub fn write_frame<'a>(
+        &'a self,
+        path: &'a str,
+        frame: Payload,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            match self {
+                Storage::Local(fs) => {
+                    let fd = fs.create(path).await.expect("create");
+                    for seg in frame {
+                        fs.write_bytes(fd, seg).await.expect("write");
+                    }
+                    fs.close(fd).await.expect("close");
                 }
-                fs.close(fd).await.expect("close");
-            }
-            Storage::Pfs(c) => {
-                let fd = c.create(path).await.expect("create");
-                c.write_segments(fd, frame).await.expect("write");
-                c.close(fd).await.expect("close");
+                Storage::Pfs(c) => {
+                    let fd = c.create(path).await.expect("create");
+                    c.write_segments(fd, frame).await.expect("write");
+                    c.close(fd).await.expect("close");
+                }
             }
         }
     }
 
     /// Read the whole frame at `path` as a rope.
-    pub async fn read_frame(&self, path: &str) -> Payload {
-        match self {
-            Storage::Local(fs) => {
-                let fd = fs.open(path).await.expect("open");
-                let data = fs.read_segments(fd).await.expect("read");
-                let _ = fs.close(fd).await;
-                data
-            }
-            Storage::Pfs(c) => {
-                let fd = c.open(path).await.expect("open");
-                let data = c.read_segments(fd).await.expect("read");
-                let _ = c.close(fd).await;
-                data
+    pub fn read_frame<'a>(&'a self, path: &'a str) -> impl Future<Output = Payload> + 'a {
+        async move {
+            match self {
+                Storage::Local(fs) => {
+                    let fd = fs.open(path).await.expect("open");
+                    let data = fs.read_segments(fd).await.expect("read");
+                    let _ = fs.close(fd).await;
+                    data
+                }
+                Storage::Pfs(c) => {
+                    let fd = c.open(path).await.expect("open");
+                    let data = c.read_segments(fd).await.expect("read");
+                    let _ = c.close(fd).await;
+                    data
+                }
             }
         }
     }
 
     /// Make sure the parent directory exists (local fs only; the PFS
     /// namespace is flat).
-    pub async fn ensure_dir(&self, dir: &str) {
-        if let Storage::Local(fs) = self {
-            let _ = fs.mkdir_p(dir).await;
+    pub fn ensure_dir<'a>(&'a self, dir: &'a str) -> impl Future<Output = ()> + 'a {
+        async move {
+            if let Storage::Local(fs) = self {
+                let _ = fs.mkdir_p(dir).await;
+            }
         }
     }
 
     /// Probe whether `path` exists, charging one metadata operation (a
     /// `stat`, as a polling workflow manager would issue).
-    pub async fn probe(&self, path: &str) -> bool {
-        match self {
-            Storage::Local(fs) => fs.stat(path).await.is_ok(),
-            Storage::Pfs(c) => c.stat(path).await.is_ok(),
+    pub fn probe<'a>(&'a self, path: &'a str) -> impl Future<Output = bool> + 'a {
+        async move {
+            match self {
+                Storage::Local(fs) => fs.stat(path).await.is_ok(),
+                Storage::Pfs(c) => c.stat(path).await.is_ok(),
+            }
         }
     }
 
     /// Write an empty `.done` marker next to a frame (the Pegasus-style
     /// completion convention for polling synchronization).
-    pub async fn write_marker(&self, path: &str) {
-        let marker = format!("{path}.done");
-        match self {
-            Storage::Local(fs) => {
-                let fd = fs.create(&marker).await.expect("marker create");
-                fs.close(fd).await.expect("marker close");
-            }
-            Storage::Pfs(c) => {
-                let fd = c.create(&marker).await.expect("marker create");
-                c.close(fd).await.expect("marker close");
+    pub fn write_marker<'a>(&'a self, path: &'a str) -> impl Future<Output = ()> + 'a {
+        async move {
+            let marker = format!("{path}.done");
+            match self {
+                Storage::Local(fs) => {
+                    let fd = fs.create(&marker).await.expect("marker create");
+                    fs.close(fd).await.expect("marker close");
+                }
+                Storage::Pfs(c) => {
+                    let fd = c.create(&marker).await.expect("marker create");
+                    c.close(fd).await.expect("marker close");
+                }
             }
         }
     }
@@ -158,97 +176,119 @@ pub fn pair_sync() -> PairSync {
     }
 }
 
-/// Everything a producer process needs.
-pub struct ProducerArgs {
+/// What every role of one run reads and none changes, built once per run
+/// and shared: a role's task block holds one pointer to it, not a copy of
+/// each field per pair.
+pub struct RunShared {
     /// Simulation handle.
     pub ctx: Ctx,
-    /// Pair index (path namespace).
-    pub pair: u32,
-    /// Frames to produce.
+    /// Frames each pair moves.
     pub frames: u64,
+    /// The run's frame template (producers serialize it, consumers
+    /// validate against it).
+    pub template: FrameTemplate,
+    /// Optional Chrome-trace sink (disabled by default).
+    pub tracer: Tracer,
+    /// Fault board when injection is armed for this run. `None` keeps
+    /// the process bodies byte-identical to the fault-free build.
+    pub faults: Option<FaultBoard>,
     /// MD stride (steps per frame).
     pub stride: u64,
     /// Per-step timing.
     pub clock: StepClock,
-    /// Shared frame template for this run.
-    pub template: Rc<FrameTemplate>,
+    /// Optional variable-rate schedule (overrides `stride` × `clock`).
+    pub schedule: Option<FrameSchedule>,
     /// CPU cost of serializing a frame.
     pub serialize_cpu: SimDuration,
+    /// Analytics duration per frame (the frame period).
+    pub analytics: SimDuration,
+    /// Relative jitter on the analytics duration.
+    pub jitter: f64,
+    /// CPU cost of deserializing a frame header.
+    pub deserialize_cpu: SimDuration,
+}
+
+/// Everything a producer process needs.
+pub struct ProducerArgs {
+    /// What the run's roles share.
+    pub run: Rc<RunShared>,
+    /// Pair index (path namespace).
+    pub pair: u32,
+    /// The compute-node index this process runs on (fault freezes).
+    pub node: u32,
     /// Launch offset (ensembles never start in lockstep; staggering
     /// reproduces the phase spread a real job launcher produces).
     pub start_offset: SimDuration,
-    /// Optional Chrome-trace sink (disabled by default).
-    pub tracer: Tracer,
-    /// Optional variable-rate schedule (overrides `stride` × `clock`).
-    pub schedule: Option<FrameSchedule>,
-    /// Fault board when injection is armed for this run. `None` keeps
-    /// the process body byte-identical to the fault-free build.
-    pub faults: Option<FaultBoard>,
-    /// The compute-node index this process runs on (fault freezes).
-    pub node: u32,
 }
 
-/// The per-frame MD-phase duration: the variable-rate schedule when one
-/// is set, otherwise one jittered stride of Table II steps.
-fn md_phase(
-    args: &ProducerArgs,
-    gen: &mut Option<crate::schedule::ScheduleGen>,
-    rng: &mut rand::rngs::StdRng,
-) -> SimDuration {
-    match gen {
-        Some(g) => g.next_gap(),
-        None => SimDuration::from_secs_f64(args.clock.stride_secs(args.stride, rng)),
+/// Where a producer's MD-phase durations come from: one jittered stride
+/// of Table II steps per frame, or the run's variable-rate schedule.
+enum MdPhase<'a> {
+    Stride(StdRng),
+    Schedule(ScheduleGen<'a>),
+}
+
+impl MdPhase<'_> {
+    /// The next frame's MD-phase duration.
+    fn next(&mut self, run: &RunShared) -> SimDuration {
+        match self {
+            MdPhase::Stride(rng) => {
+                SimDuration::from_secs_f64(run.clock.stride_secs(run.stride, rng))
+            }
+            MdPhase::Schedule(g) => g.next_gap(),
+        }
     }
 }
 
 /// Process `idx` of `side`'s recorder, on its own timeline track when
 /// the run is traced. An untraced run — every run but a handful — reads
 /// no track, so none is formatted.
-fn recorder(ctx: &Ctx, tracer: &Tracer, side: &str, idx: u32) -> Recorder {
-    let track = if tracer.is_enabled() {
+fn recorder(run: &RunShared, side: &str, idx: u32) -> Recorder {
+    let track = if run.tracer.is_enabled() {
         format!("{side}-{idx:03}")
     } else {
         String::new()
     };
-    Recorder::traced(ctx, tracer.clone(), &track)
+    Recorder::traced(&run.ctx, run.tracer.clone(), &track)
 }
 
-/// What every producer role starts from: its recorder, the MD-phase rng
-/// and the variable-rate schedule, if one is set.
-fn producer_setup(
-    args: &ProducerArgs,
-    rng_stream: u64,
-) -> (Recorder, StdRng, Option<crate::schedule::ScheduleGen>) {
-    let rec = recorder(&args.ctx, &args.tracer, "producer", args.pair);
-    let rng = args.ctx.rng(rng_stream);
-    let sched = (args.schedule.as_ref()).map(|s| s.generator(args.ctx.rng(rng_stream ^ 0x5C4E)));
-    (rec, rng, sched)
+/// What every producer role starts from: its recorder and its MD-phase
+/// source.
+fn producer_setup(args: &ProducerArgs, rng_stream: u64) -> (Recorder, MdPhase<'_>) {
+    let run = &*args.run;
+    let rec = recorder(run, "producer", args.pair);
+    let md = match &run.schedule {
+        Some(s) => MdPhase::Schedule(s.generator(run.ctx.rng(rng_stream ^ 0x5C4E))),
+        None => MdPhase::Stride(run.ctx.rng(rng_stream)),
+    };
+    (rec, md)
 }
 
 /// The `md_sim` and `serialize` phases of `n` frames from `first` on;
 /// returns their ropes end to end (a streaming step aggregates several
 /// frames, everyone else passes 1).
-async fn simulate_frames(
-    args: &ProducerArgs,
-    rec: &Recorder,
-    sched: &mut Option<crate::schedule::ScheduleGen>,
-    rng: &mut StdRng,
+fn simulate_frames<'a, 'r>(
+    run: &'a RunShared,
+    rec: &'a Recorder,
+    md: &'a mut MdPhase<'r>,
     first: u64,
     n: u64,
-) -> Payload {
-    let g = rec.region("md_sim");
-    for _ in 0..n {
-        args.ctx.sleep(md_phase(args, sched, rng)).await;
+) -> impl Future<Output = Payload> + use<'a, 'r> {
+    async move {
+        let g = rec.region("md_sim");
+        for _ in 0..n {
+            run.ctx.sleep(md.next(run)).await;
+        }
+        g.end();
+        let g = rec.region("serialize");
+        run.ctx.sleep(run.serialize_cpu.mul_f64(n as f64)).await;
+        let mut payload = run.template.frame_segments(first);
+        for frame in first + 1..first + n {
+            payload.extend(run.template.frame_segments(frame));
+        }
+        g.end();
+        payload
     }
-    g.end();
-    let g = rec.region("serialize");
-    args.ctx.sleep(args.serialize_cpu.mul_f64(n as f64)).await;
-    let mut payload = args.template.frame_segments(first);
-    for frame in first + 1..first + n {
-        payload.extend(args.template.frame_segments(frame));
-    }
-    g.end();
-    payload
 }
 
 /// Frame path for `(pair, frame)` in a run's namespace.
@@ -346,48 +386,48 @@ impl Side {
 /// fault window is finite by construction, so this terminates. The loop
 /// is boxed so the (large, rarely-live) recovery state machine does not
 /// inflate every fault-free process task.
-#[allow(clippy::too_many_arguments)]
-async fn recovering<T, E: std::fmt::Display>(
-    ctx: &Ctx,
-    faults: Option<&FaultBoard>,
+fn recovering<'a, T, E: std::fmt::Display>(
+    run: &'a RunShared,
     node: u32,
-    rec: &Recorder,
+    rec: &'a Recorder,
     side: Side,
     jitter_stream: u64,
-    mut op: impl AsyncFnMut(Option<&mut StdRng>) -> Result<T, E>,
-    terminal: impl Fn(&E) -> Option<&'static str>,
-) -> Option<T> {
-    let Some(board) = faults else {
-        return match op(None).await {
-            Ok(v) => Some(v),
-            Err(e) => panic!("{} failed without a fault board: {e}", side.keys().0),
-        };
-    };
-    Box::pin(async {
-        let (_, outer_retries, failures) = side.keys();
-        let mut frng = ctx.rng(jitter_stream);
-        let mut outer = 0u32;
-        loop {
-            board.hold_until_up(node).await;
-            let e = match op(Some(&mut frng)).await {
-                Ok(v) => return Some(v),
-                Err(e) => e,
+    mut op: impl AsyncFnMut(Option<&mut StdRng>) -> Result<T, E> + 'a,
+    terminal: impl Fn(&E) -> Option<&'static str> + 'a,
+) -> impl Future<Output = Option<T>> + 'a {
+    async move {
+        let Some(board) = &run.faults else {
+            return match op(None).await {
+                Ok(v) => Some(v),
+                Err(e) => panic!("{} failed without a fault board: {e}", side.keys().0),
             };
-            if let Some(counter) = terminal(&e) {
-                rec.annotate(counter, 1.0);
-                return None;
+        };
+        Box::pin(async {
+            let (_, outer_retries, failures) = side.keys();
+            let mut frng = run.ctx.rng(jitter_stream);
+            let mut outer = 0u32;
+            loop {
+                board.hold_until_up(node).await;
+                let e = match op(Some(&mut frng)).await {
+                    Ok(v) => return Some(v),
+                    Err(e) => e,
+                };
+                if let Some(counter) = terminal(&e) {
+                    rec.annotate(counter, 1.0);
+                    return None;
+                }
+                outer += 1;
+                if outer >= 64 {
+                    rec.annotate(failures, 1.0);
+                    return None;
+                }
+                rec.annotate(outer_retries, 1.0);
+                let pause = retry_policy().backoff(outer.min(9), &mut frng);
+                run.ctx.sleep(pause).await;
             }
-            outer += 1;
-            if outer >= 64 {
-                rec.annotate(failures, 1.0);
-                return None;
-            }
-            rec.annotate(outer_retries, 1.0);
-            let pause = retry_policy().backoff(outer.min(9), &mut frng);
-            ctx.sleep(pause).await;
-        }
-    })
-    .await
+        })
+        .await
+    }
 }
 
 /// The staged plane's errors no retry can cure, by the counter each is
@@ -412,8 +452,7 @@ fn consume_recovering<'a>(
     get: impl AsyncFnMut(Option<&mut StdRng>) -> Result<Payload, PlaneError> + 'a,
 ) -> impl Future<Output = Option<Payload>> + 'a {
     recovering(
-        &args.ctx,
-        args.faults.as_ref(),
+        &args.run,
         args.node,
         rec,
         Side::Consume,
@@ -424,359 +463,365 @@ fn consume_recovering<'a>(
 }
 
 /// DYAD producer process. Returns its Caliper-style profile.
-pub async fn producer_dyad(args: ProducerArgs, svc: Rc<DyadService>, rng_stream: u64) -> Profile {
-    let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
-    args.ctx.sleep(args.start_offset).await;
-    for frame in 0..args.frames {
-        let payload = simulate_frames(&args, &rec, &mut sched, &mut rng, frame, 1).await;
-        let path = frame_path(args.pair, frame);
-        // Device-error windows are absorbed inside `try_produce`.
-        recovering(
-            &args.ctx,
-            args.faults.as_ref(),
-            args.node,
-            &rec,
-            Side::Produce,
-            rng_stream ^ 0xFA17,
-            async |rng| svc.try_produce(&rec, &path, &payload, rng).await,
-            terminal,
-        )
-        .await;
+pub fn producer_dyad(
+    args: ProducerArgs,
+    svc: Rc<DyadService>,
+    rng_stream: u64,
+) -> impl Future<Output = Profile> {
+    async move {
+        let (rec, mut md) = producer_setup(&args, rng_stream);
+        args.run.ctx.sleep(args.start_offset).await;
+        for frame in 0..args.run.frames {
+            let payload = simulate_frames(&args.run, &rec, &mut md, frame, 1).await;
+            let path = frame_path(args.pair, frame);
+            // Device-error windows are absorbed inside `try_produce`.
+            recovering(
+                &args.run,
+                args.node,
+                &rec,
+                Side::Produce,
+                rng_stream ^ 0xFA17,
+                async |rng| svc.try_produce(&rec, &path, &payload, rng).await,
+                terminal,
+            )
+            .await;
+        }
+        rec.finish()
     }
-    rec.finish()
 }
 
 /// Manual-baseline producer process (XFS or Lustre).
 ///
 /// `ldlm` must be provided when `mode` is [`ManualSync::LockBased`].
-pub async fn producer_manual(
+pub fn producer_manual(
     args: ProducerArgs,
     storage: Storage,
     sync: (Sender<u64>, Receiver<u64>),
     mode: ManualSync,
     ldlm: Option<LdlmClient>,
     rng_stream: u64,
-) -> Profile {
-    let (ready_tx, mut done_rx) = sync;
-    let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
-    args.ctx.sleep(args.start_offset).await;
-    storage.ensure_dir(&frame_dir(args.pair)).await;
-    for frame in 0..args.frames {
-        if let Some(board) = &args.faults {
-            // A crashed node runs nothing: freeze until the restart.
-            board.hold_until_up(args.node).await;
-        }
-        let payload = simulate_frames(&args, &rec, &mut sched, &mut rng, frame, 1).await;
-        let path = frame_path(args.pair, frame);
-        {
-            let g = rec.region("produce");
-            if mode == ManualSync::LockBased {
-                let s = rec.region("explicit_sync");
-                ldlm.as_ref()
-                    .expect("LockBased needs an LDLM client")
-                    .lock(&lock_path(args.pair, frame), LockMode::Exclusive)
-                    .await;
-                s.end();
+) -> impl Future<Output = Profile> {
+    async move {
+        let (ready_tx, mut done_rx) = sync;
+        let (rec, mut md) = producer_setup(&args, rng_stream);
+        args.run.ctx.sleep(args.start_offset).await;
+        storage.ensure_dir(&frame_dir(args.pair)).await;
+        for frame in 0..args.run.frames {
+            if let Some(board) = &args.run.faults {
+                // A crashed node runs nothing: freeze until the restart.
+                board.hold_until_up(args.node).await;
             }
+            let payload = simulate_frames(&args.run, &rec, &mut md, frame, 1).await;
+            let path = frame_path(args.pair, frame);
             {
-                let w = rec.region("write_single_buf");
-                storage.write_frame(&path, payload).await;
-                w.end();
-            }
-            {
-                // Announce availability. For the channel-based barrier
-                // this is a cheap send; for polling it is the `.done`
-                // marker write. The *wait* half (if any) is below.
-                let s = rec.region("explicit_sync");
-                match mode {
-                    ManualSync::Polling => {
-                        storage.write_marker(&path).await;
-                    }
-                    ManualSync::LockBased => {
-                        ldlm.as_ref()
-                            .expect("LockBased needs an LDLM client")
-                            .unlock(&lock_path(args.pair, frame), LockMode::Exclusive)
-                            .await;
-                    }
-                    ManualSync::Coarse | ManualSync::Fine => ready_tx.send(frame),
+                let g = rec.region("produce");
+                if mode == ManualSync::LockBased {
+                    let s = rec.region("explicit_sync");
+                    ldlm.as_ref()
+                        .expect("LockBased needs an LDLM client")
+                        .lock(&lock_path(args.pair, frame), LockMode::Exclusive)
+                        .await;
+                    s.end();
                 }
-                s.end();
+                {
+                    let w = rec.region("write_single_buf");
+                    storage.write_frame(&path, payload).await;
+                    w.end();
+                }
+                {
+                    // Announce availability. For the channel-based barrier
+                    // this is a cheap send; for polling it is the `.done`
+                    // marker write. The *wait* half (if any) is below.
+                    let s = rec.region("explicit_sync");
+                    match mode {
+                        ManualSync::Polling => {
+                            storage.write_marker(&path).await;
+                        }
+                        ManualSync::LockBased => {
+                            ldlm.as_ref()
+                                .expect("LockBased needs an LDLM client")
+                                .unlock(&lock_path(args.pair, frame), LockMode::Exclusive)
+                                .await;
+                        }
+                        ManualSync::Coarse | ManualSync::Fine => ready_tx.send(frame),
+                    }
+                    s.end();
+                }
+                g.end();
             }
-            g.end();
+            if matches!(mode, ManualSync::Coarse | ManualSync::Fine) {
+                // Coarse/fine serialization: hold the next stride until the
+                // consumer releases us. Deliberately not part of `produce`
+                // (see module docs). Polling producers never block.
+                let g = rec.region("serialized_wait");
+                let released = done_rx.recv().await;
+                assert_eq!(released, Some(frame), "pair sync out of step");
+                g.end();
+            }
         }
-        if matches!(mode, ManualSync::Coarse | ManualSync::Fine) {
-            // Coarse/fine serialization: hold the next stride until the
-            // consumer releases us. Deliberately not part of `produce`
-            // (see module docs). Polling producers never block.
-            let g = rec.region("serialized_wait");
-            let released = done_rx.recv().await;
-            assert_eq!(released, Some(frame), "pair sync out of step");
-            g.end();
-        }
+        rec.finish()
     }
-    rec.finish()
 }
 
 /// Everything a consumer process needs.
 pub struct ConsumerArgs {
-    /// Simulation handle.
-    pub ctx: Ctx,
+    /// What the run's roles share.
+    pub run: Rc<RunShared>,
     /// Pair index.
     pub pair: u32,
-    /// Frames to consume.
-    pub frames: u64,
-    /// Analytics duration per frame (the frame period).
-    pub analytics: SimDuration,
-    /// Relative jitter on the analytics duration.
-    pub jitter: f64,
-    /// RNG stream for the analytics jitter.
-    pub rng_stream: u64,
-    /// Launch offset (paired with the producer's).
-    pub start_offset: SimDuration,
-    /// Optional Chrome-trace sink (disabled by default).
-    pub tracer: Tracer,
-    /// Shared frame template (for validation).
-    pub template: Rc<FrameTemplate>,
-    /// CPU cost of deserializing a frame header.
-    pub deserialize_cpu: SimDuration,
-    /// Fault board when injection is armed for this run.
-    pub faults: Option<FaultBoard>,
     /// The compute-node index this process runs on (fault freezes).
     pub node: u32,
+    /// Launch offset (paired with the producer's).
+    pub start_offset: SimDuration,
+    /// RNG stream for the analytics jitter.
+    pub rng_stream: u64,
 }
 
 /// What every consumer role starts from: its recorder and analytics rng.
 fn consumer_setup(args: &ConsumerArgs) -> (Recorder, StdRng) {
-    let rec = recorder(&args.ctx, &args.tracer, "consumer", args.pair);
-    (rec, args.ctx.rng(args.rng_stream))
+    let rec = recorder(&args.run, "consumer", args.pair);
+    (rec, args.run.ctx.rng(args.rng_stream))
 }
 
 /// The `analytics` phase over `frames` frames' worth of data: one
 /// jittered analytics duration per delivery, scaled by its frame count.
-async fn analytics(args: &ConsumerArgs, rec: &Recorder, rng: &mut StdRng, frames: u64) {
-    use rand::RngExt;
-    let g = rec.region("analytics");
-    let mut d = args.analytics;
-    if args.jitter > 0.0 {
-        d = d.mul_f64(rng.random_range(1.0 - args.jitter..1.0 + args.jitter));
+fn analytics<'a>(
+    run: &'a RunShared,
+    rec: &'a Recorder,
+    rng: &'a mut StdRng,
+    frames: u64,
+) -> impl Future<Output = ()> + 'a {
+    async move {
+        use rand::RngExt;
+        let g = rec.region("analytics");
+        let mut d = run.analytics;
+        if run.jitter > 0.0 {
+            d = d.mul_f64(rng.random_range(1.0 - run.jitter..1.0 + run.jitter));
+        }
+        run.ctx.sleep(d.mul_f64(frames as f64)).await;
+        g.end();
     }
-    args.ctx.sleep(d.mul_f64(frames as f64)).await;
-    g.end();
 }
 
 /// DYAD consumer process.
-pub async fn consumer_dyad(args: ConsumerArgs, svc: Rc<DyadService>) -> Profile {
-    let (rec, mut rng) = consumer_setup(&args);
-    args.ctx.sleep(args.start_offset).await;
-    // Ack id must match what the runner registered on the producer
-    // node's staging manager, or frames would never become retireable.
-    let mut session: DyadConsumer = svc.consumer_with_id(&pair_session_id(args.pair));
-    for frame in 0..args.frames {
-        let path = frame_path(args.pair, frame);
-        let get = consume_recovering(&args, &rec, frame, async |_| {
-            session.try_consume(&rec, &path).await
-        });
-        // A typed loss has nothing to analyze; move to the next frame.
-        let Some(data) = get.await else { continue };
-        deserialize_step(&args, &rec, &data, frame, 1).await;
-        analytics(&args, &rec, &mut rng, 1).await;
+pub fn consumer_dyad(args: ConsumerArgs, svc: Rc<DyadService>) -> impl Future<Output = Profile> {
+    async move {
+        let (rec, mut rng) = consumer_setup(&args);
+        args.run.ctx.sleep(args.start_offset).await;
+        // Ack id must match what the runner registered on the producer
+        // node's staging manager, or frames would never become retireable.
+        let mut session: DyadConsumer = svc.consumer_with_id(&pair_session_id(args.pair));
+        for frame in 0..args.run.frames {
+            let path = frame_path(args.pair, frame);
+            let get = consume_recovering(&args, &rec, frame, async |_| {
+                session.try_consume(&rec, &path).await
+            });
+            // A typed loss has nothing to analyze; move to the next frame.
+            let Some(data) = get.await else { continue };
+            deserialize_step(&args, &rec, &data, frame, 1).await;
+            analytics(&args.run, &rec, &mut rng, 1).await;
+        }
+        rec.finish()
     }
-    rec.finish()
 }
 
 /// Manual-baseline consumer process (XFS or Lustre).
-pub async fn consumer_manual(
+pub fn consumer_manual(
     args: ConsumerArgs,
     storage: Storage,
     sync: (Receiver<u64>, Sender<u64>),
     mode: ManualSync,
     ldlm: Option<LdlmClient>,
     poll_interval: SimDuration,
-) -> Profile {
-    let (mut ready_rx, done_tx) = sync;
-    let (rec, mut rng) = consumer_setup(&args);
-    args.ctx.sleep(args.start_offset).await;
-    for frame in 0..args.frames {
-        if let Some(board) = &args.faults {
-            board.hold_until_up(args.node).await;
-        }
-        let path = frame_path(args.pair, frame);
-        let data = {
-            let g = rec.region("consume");
-            {
-                // The manual barrier: wait until the producer has
-                // written this frame. This is the idle time the paper
-                // measures for XFS/Lustre consumption.
-                let s = rec.region("explicit_sync");
-                match mode {
-                    ManualSync::Polling => {
-                        let marker = format!("{path}.done");
-                        let mut polls = 0f64;
-                        while !storage.probe(&marker).await {
-                            polls += 1.0;
-                            args.ctx.sleep(poll_interval).await;
-                        }
-                        rec.annotate("sync_polls", polls);
-                    }
-                    ManualSync::LockBased => {
-                        // Take the read lock, check the frame landed; if
-                        // the producer has not even locked yet, back off
-                        // and retry (the startup race every lock-based
-                        // protocol has to handle).
-                        let ldlm = ldlm.as_ref().expect("LockBased needs an LDLM client");
-                        let lock = lock_path(args.pair, frame);
-                        let mut retries = 0f64;
-                        loop {
-                            ldlm.lock(&lock, LockMode::ProtectedRead).await;
-                            let present = storage.probe(&path).await;
-                            ldlm.unlock(&lock, LockMode::ProtectedRead).await;
-                            if present {
-                                break;
-                            }
-                            retries += 1.0;
-                            args.ctx.sleep(poll_interval).await;
-                        }
-                        rec.annotate("lock_retries", retries);
-                    }
-                    ManualSync::Coarse | ManualSync::Fine => {
-                        let ready = ready_rx.recv().await;
-                        assert_eq!(ready, Some(frame), "pair sync out of step");
-                    }
-                }
-                s.end();
+) -> impl Future<Output = Profile> {
+    async move {
+        let (mut ready_rx, done_tx) = sync;
+        let (rec, mut rng) = consumer_setup(&args);
+        args.run.ctx.sleep(args.start_offset).await;
+        for frame in 0..args.run.frames {
+            if let Some(board) = &args.run.faults {
+                board.hold_until_up(args.node).await;
             }
-            let r = rec.region("read_single_buf");
-            let data = storage.read_frame(&path).await;
-            r.end();
-            g.end();
-            data
-        };
-        deserialize_step(&args, &rec, &data, frame, 1).await;
-        if mode == ManualSync::Fine {
-            // Fine-grained ablation: release the producer before the
-            // analytics so the next stride overlaps with it.
-            done_tx.send(frame);
+            let path = frame_path(args.pair, frame);
+            let data = {
+                let g = rec.region("consume");
+                {
+                    // The manual barrier: wait until the producer has
+                    // written this frame. This is the idle time the paper
+                    // measures for XFS/Lustre consumption.
+                    let s = rec.region("explicit_sync");
+                    match mode {
+                        ManualSync::Polling => {
+                            let marker = format!("{path}.done");
+                            let mut polls = 0f64;
+                            while !storage.probe(&marker).await {
+                                polls += 1.0;
+                                args.run.ctx.sleep(poll_interval).await;
+                            }
+                            rec.annotate("sync_polls", polls);
+                        }
+                        ManualSync::LockBased => {
+                            // Take the read lock, check the frame landed; if
+                            // the producer has not even locked yet, back off
+                            // and retry (the startup race every lock-based
+                            // protocol has to handle).
+                            let ldlm = ldlm.as_ref().expect("LockBased needs an LDLM client");
+                            let lock = lock_path(args.pair, frame);
+                            let mut retries = 0f64;
+                            loop {
+                                ldlm.lock(&lock, LockMode::ProtectedRead).await;
+                                let present = storage.probe(&path).await;
+                                ldlm.unlock(&lock, LockMode::ProtectedRead).await;
+                                if present {
+                                    break;
+                                }
+                                retries += 1.0;
+                                args.run.ctx.sleep(poll_interval).await;
+                            }
+                            rec.annotate("lock_retries", retries);
+                        }
+                        ManualSync::Coarse | ManualSync::Fine => {
+                            let ready = ready_rx.recv().await;
+                            assert_eq!(ready, Some(frame), "pair sync out of step");
+                        }
+                    }
+                    s.end();
+                }
+                let r = rec.region("read_single_buf");
+                let data = storage.read_frame(&path).await;
+                r.end();
+                g.end();
+                data
+            };
+            deserialize_step(&args, &rec, &data, frame, 1).await;
+            if mode == ManualSync::Fine {
+                // Fine-grained ablation: release the producer before the
+                // analytics so the next stride overlaps with it.
+                done_tx.send(frame);
+            }
+            analytics(&args.run, &rec, &mut rng, 1).await;
+            if mode == ManualSync::Coarse {
+                // The paper's coarse-grained barrier: the producer stays
+                // blocked until the consumer has completely finished.
+                done_tx.send(frame);
+            }
         }
-        analytics(&args, &rec, &mut rng, 1).await;
-        if mode == ManualSync::Coarse {
-            // The paper's coarse-grained barrier: the producer stays
-            // blocked until the consumer has completely finished.
-            done_tx.send(frame);
-        }
+        // Polling mode never uses the channel; drop it silently.
+        drop(done_tx);
+        rec.finish()
     }
-    // Polling mode never uses the channel; drop it silently.
-    drop(done_tx);
-    rec.finish()
 }
 
 /// DYAD-sync-over-PFS ablation: producer writes through Lustre but
 /// publishes availability through the KVS (no manual barrier).
-pub async fn producer_dyad_on_pfs(
+pub fn producer_dyad_on_pfs(
     args: ProducerArgs,
     storage: Storage,
     kvs: KvsClient,
     owner: cluster::NodeId,
     rng_stream: u64,
-) -> Profile {
-    let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
-    args.ctx.sleep(args.start_offset).await;
-    for frame in 0..args.frames {
-        if let Some(board) = &args.faults {
-            board.hold_until_up(args.node).await;
-        }
-        let payload = simulate_frames(&args, &rec, &mut sched, &mut rng, frame, 1).await;
-        let size = transport::payload_len(&payload);
-        let path = frame_path(args.pair, frame);
-        {
-            let g = rec.region(dyad::PLANE.put);
-            {
-                let w = rec.region(dyad::PLANE.put_write);
-                storage.write_frame(&path, payload).await;
-                w.end();
+) -> impl Future<Output = Profile> {
+    async move {
+        let (rec, mut md) = producer_setup(&args, rng_stream);
+        args.run.ctx.sleep(args.start_offset).await;
+        for frame in 0..args.run.frames {
+            if let Some(board) = &args.run.faults {
+                board.hold_until_up(args.node).await;
             }
+            let payload = simulate_frames(&args.run, &rec, &mut md, frame, 1).await;
+            let size = transport::payload_len(&payload);
+            let path = frame_path(args.pair, frame);
             {
-                let c = rec.region(dyad::PLANE.put_commit);
-                let meta = FrameMeta {
-                    owner,
-                    size,
-                    location: FrameLocation::Pfs,
-                };
-                // A broker outage that outlasts the client's own retry
-                // budget is waited out here, like DYAD's commit.
-                recovering(
-                    &args.ctx,
-                    args.faults.as_ref(),
-                    args.node,
-                    &rec,
-                    Side::Produce,
-                    rng_stream ^ 0xFA17,
-                    async |_| kvs.try_commit(&path, meta.encode()).await,
-                    |_| None,
-                )
-                .await;
-                c.end();
+                let g = rec.region(dyad::PLANE.put);
+                {
+                    let w = rec.region(dyad::PLANE.put_write);
+                    storage.write_frame(&path, payload).await;
+                    w.end();
+                }
+                {
+                    let c = rec.region(dyad::PLANE.put_commit);
+                    let meta = FrameMeta {
+                        owner,
+                        size,
+                        location: FrameLocation::Pfs,
+                    };
+                    // A broker outage that outlasts the client's own retry
+                    // budget is waited out here, like DYAD's commit.
+                    recovering(
+                        &args.run,
+                        args.node,
+                        &rec,
+                        Side::Produce,
+                        rng_stream ^ 0xFA17,
+                        async |_| kvs.try_commit(&path, meta.encode()).await,
+                        |_| None,
+                    )
+                    .await;
+                    c.end();
+                }
+                g.end();
             }
-            g.end();
         }
+        rec.finish()
     }
-    rec.finish()
 }
 
 /// DYAD-sync-over-PFS ablation consumer.
-pub async fn consumer_dyad_on_pfs(
+pub fn consumer_dyad_on_pfs(
     args: ConsumerArgs,
     storage: Storage,
     kvs: KvsClient,
     warm_sync: bool,
-) -> Profile {
-    let (rec, mut rng) = consumer_setup(&args);
-    args.ctx.sleep(args.start_offset).await;
-    let mut warmed = false;
-    for frame in 0..args.frames {
-        if let Some(board) = &args.faults {
-            board.hold_until_up(args.node).await;
-        }
-        let path = frame_path(args.pair, frame);
-        let data = {
-            let g = rec.region(dyad::PLANE.get);
-            {
-                let f = rec.region(dyad::PLANE.get_sync);
-                let warm = warmed && warm_sync;
-                // Warm: one cheap lookup; cold (or not yet published): the
-                // parked watch. A frame whose metadata stays unreachable
-                // past the outer budget is a counted failure — skip it.
-                let synced = recovering(
-                    &args.ctx,
-                    args.faults.as_ref(),
-                    args.node,
-                    &rec,
-                    Side::Consume,
-                    args.rng_stream ^ 0xFA17 ^ frame,
-                    async |_| {
-                        if warm && kvs.try_lookup(&path).await?.is_some() {
-                            return Ok(());
-                        }
-                        kvs.try_wait_key(&path).await.map(drop)
-                    },
-                    |_: &transport::TransportError| None,
-                )
-                .await;
-                if synced.is_none() {
-                    continue;
-                }
-                warmed = true;
-                f.end();
+) -> impl Future<Output = Profile> {
+    async move {
+        let (rec, mut rng) = consumer_setup(&args);
+        args.run.ctx.sleep(args.start_offset).await;
+        let mut warmed = false;
+        for frame in 0..args.run.frames {
+            if let Some(board) = &args.run.faults {
+                board.hold_until_up(args.node).await;
             }
-            let r = rec.region(staging::plane::READ);
-            let data = storage.read_frame(&path).await;
-            r.end();
-            g.end();
-            data
-        };
-        deserialize_step(&args, &rec, &data, frame, 1).await;
-        analytics(&args, &rec, &mut rng, 1).await;
+            let path = frame_path(args.pair, frame);
+            let data = {
+                let g = rec.region(dyad::PLANE.get);
+                {
+                    let f = rec.region(dyad::PLANE.get_sync);
+                    let warm = warmed && warm_sync;
+                    // Warm: one cheap lookup; cold (or not yet published): the
+                    // parked watch. A frame whose metadata stays unreachable
+                    // past the outer budget is a counted failure — skip it.
+                    let synced = recovering(
+                        &args.run,
+                        args.node,
+                        &rec,
+                        Side::Consume,
+                        args.rng_stream ^ 0xFA17 ^ frame,
+                        async |_| {
+                            if warm && kvs.try_lookup(&path).await?.is_some() {
+                                return Ok(());
+                            }
+                            kvs.try_wait_key(&path).await.map(drop)
+                        },
+                        |_: &transport::TransportError| None,
+                    )
+                    .await;
+                    if synced.is_none() {
+                        continue;
+                    }
+                    warmed = true;
+                    f.end();
+                }
+                let r = rec.region(staging::plane::READ);
+                let data = storage.read_frame(&path).await;
+                r.end();
+                g.end();
+                data
+            };
+            deserialize_step(&args, &rec, &data, frame, 1).await;
+            analytics(&args.run, &rec, &mut rng, 1).await;
+        }
+        rec.finish()
     }
-    rec.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -871,164 +916,173 @@ impl StreamRole {
 /// Streaming publisher process: the SST-style writer side of one group.
 /// Each published step aggregates [`StreamRole::agg_frames`] MD frames;
 /// the bounded in-flight window gates publication on subscriber acks.
-pub async fn publisher_stream(
+pub fn publisher_stream(
     args: ProducerArgs,
     svc: Rc<streaming::StreamService>,
     role: StreamRole,
     group_ackers: Vec<StreamAcker>,
     rng_stream: u64,
-) -> Profile {
-    let (rec, mut rng, mut sched) = producer_setup(&args, rng_stream);
-    args.ctx.sleep(args.start_offset).await;
-    let mut publisher = svc.publisher();
-    let mut frame = 0u64;
-    for step in 0..role.steps(args.frames) {
-        let in_step = role.agg_frames.min(args.frames - frame);
-        let payload = simulate_frames(&args, &rec, &mut sched, &mut rng, frame, in_step).await;
-        frame += in_step;
-        let ackers = role.step_ackers(step, &group_ackers);
-        let name = role.step_name(role.leaf, step);
-        // Window stalls and device errors are absorbed inside
-        // `try_publish`.
-        recovering(
-            &args.ctx,
-            args.faults.as_ref(),
-            args.node,
-            &rec,
-            Side::Produce,
-            rng_stream ^ 0xFA17 ^ step,
-            async |rng| {
-                publisher
-                    .try_publish(&rec, &name, step, &payload, &ackers, rng)
-                    .await
-            },
-            terminal,
-        )
-        .await;
+) -> impl Future<Output = Profile> {
+    async move {
+        let (rec, mut md) = producer_setup(&args, rng_stream);
+        args.run.ctx.sleep(args.start_offset).await;
+        let mut publisher = svc.publisher();
+        let mut frame = 0u64;
+        for step in 0..role.steps(args.run.frames) {
+            let in_step = role.agg_frames.min(args.run.frames - frame);
+            let payload = simulate_frames(&args.run, &rec, &mut md, frame, in_step).await;
+            frame += in_step;
+            let ackers = role.step_ackers(step, &group_ackers);
+            let name = role.step_name(role.leaf, step);
+            // Window stalls and device errors are absorbed inside
+            // `try_publish`.
+            recovering(
+                &args.run,
+                args.node,
+                &rec,
+                Side::Produce,
+                rng_stream ^ 0xFA17 ^ step,
+                async |rng| {
+                    publisher
+                        .try_publish(&rec, &name, step, &payload, &ackers, rng)
+                        .await
+                },
+                terminal,
+            )
+            .await;
+        }
+        rec.finish()
     }
-    rec.finish()
 }
 
 /// Streaming fan-out subscriber process: member `sub_idx` of a group of
 /// [`StreamRole::fanout`]. Broadcast members consume every step;
 /// partitioned members consume their round-robin share, acking under
 /// the group's shared session id.
-pub async fn subscriber_stream(
+pub fn subscriber_stream(
     args: ConsumerArgs,
     svc: Rc<streaming::StreamService>,
     role: StreamRole,
     sub_idx: u32,
-) -> Profile {
-    let (rec, mut rng) = consumer_setup(&args);
-    args.ctx.sleep(args.start_offset).await;
-    let mut session = svc.subscriber(&role.session_id(sub_idx));
-    let agg = role.agg_frames;
-    let steps = role.steps(args.frames);
-    for step in 0..steps {
-        if !streaming::delivers_to(role.mode, step, sub_idx, role.fanout) {
-            continue;
+) -> impl Future<Output = Profile> {
+    async move {
+        let (rec, mut rng) = consumer_setup(&args);
+        args.run.ctx.sleep(args.start_offset).await;
+        let mut session = svc.subscriber(&role.session_id(sub_idx));
+        let agg = role.agg_frames;
+        let steps = role.steps(args.run.frames);
+        for step in 0..steps {
+            if !streaming::delivers_to(role.mode, step, sub_idx, role.fanout) {
+                continue;
+            }
+            let name = role.step_name(0, step);
+            let get = consume_recovering(&args, &rec, step, async |_| {
+                session.try_consume_step(&rec, &name).await
+            });
+            // A typed loss has nothing to analyze; move to the next step.
+            let Some(data) = get.await else { continue };
+            let first = step * agg;
+            let in_step = agg.min(args.run.frames - first);
+            deserialize_step(&args, &rec, &data, first, in_step).await;
+            analytics(&args.run, &rec, &mut rng, in_step).await;
         }
-        let name = role.step_name(0, step);
-        let get = consume_recovering(&args, &rec, step, async |_| {
-            session.try_consume_step(&rec, &name).await
-        });
-        // A typed loss has nothing to analyze; move to the next step.
-        let Some(data) = get.await else { continue };
-        let first = step * agg;
-        let in_step = agg.min(args.frames - first);
-        deserialize_step(&args, &rec, &data, first, in_step).await;
-        analytics(&args, &rec, &mut rng, in_step).await;
+        rec.finish()
     }
-    rec.finish()
 }
 
 /// Streaming fan-in reducer: consumes one step from every leaf
 /// publisher, folds the leaf payloads through the group's binary
 /// reduction tree (one deserialize charge per pairwise merge, byte
 /// conservation asserted at the root), then runs the analytics phase.
-pub async fn reducer_stream(
+pub fn reducer_stream(
     args: ConsumerArgs,
     svc: Rc<streaming::StreamService>,
     role: StreamRole,
-) -> Profile {
-    let (rec, mut rng) = consumer_setup(&args);
-    args.ctx.sleep(args.start_offset).await;
-    let mut session = svc.subscriber(&role.session_id(0));
-    let tree = streaming::ReductionTree::new(role.fanin as usize);
-    let agg = role.agg_frames;
-    let steps = role.steps(args.frames);
-    for step in 0..steps {
-        let mut leaf_bytes: Vec<u64> = Vec::with_capacity(role.fanin as usize);
-        let mut head: Option<Payload> = None;
-        for leaf in 0..role.fanin {
-            let name = role.step_name(leaf, step);
-            let salt = step ^ (u64::from(leaf) << 32);
-            let get = consume_recovering(&args, &rec, salt, async |_| {
-                session.try_consume_step(&rec, &name).await
-            });
-            let Some(data) = get.await else { continue };
-            leaf_bytes.push(transport::payload_len(&data));
-            if head.is_none() {
-                head = Some(data);
+) -> impl Future<Output = Profile> {
+    async move {
+        let (rec, mut rng) = consumer_setup(&args);
+        args.run.ctx.sleep(args.start_offset).await;
+        let mut session = svc.subscriber(&role.session_id(0));
+        let tree = streaming::ReductionTree::new(role.fanin as usize);
+        let agg = role.agg_frames;
+        let steps = role.steps(args.run.frames);
+        for step in 0..steps {
+            let mut leaf_bytes: Vec<u64> = Vec::with_capacity(role.fanin as usize);
+            let mut head: Option<Payload> = None;
+            for leaf in 0..role.fanin {
+                let name = role.step_name(leaf, step);
+                let salt = step ^ (u64::from(leaf) << 32);
+                let get = consume_recovering(&args, &rec, salt, async |_| {
+                    session.try_consume_step(&rec, &name).await
+                });
+                let Some(data) = get.await else { continue };
+                leaf_bytes.push(transport::payload_len(&data));
+                if head.is_none() {
+                    head = Some(data);
+                }
             }
+            // Every leaf lost: nothing to reduce for this step index.
+            let Some(head) = head else { continue };
+            let first = step * agg;
+            let in_step = agg.min(args.run.frames - first);
+            deserialize_step(&args, &rec, &head, first, in_step).await;
+            if leaf_bytes.len() == role.fanin as usize {
+                let g = rec.region("stream_reduce");
+                let total: u64 = leaf_bytes.iter().sum();
+                assert_eq!(
+                    tree.combined_bytes(&leaf_bytes),
+                    total,
+                    "reduction dropped bytes (group {}, step {step})",
+                    role.group
+                );
+                args.run
+                    .ctx
+                    .sleep(args.run.deserialize_cpu.mul_f64(tree.merges() as f64))
+                    .await;
+                rec.annotate("reduced_steps", 1.0);
+                g.end();
+            } else {
+                // A lost leaf leaves a partial reduction — typed, visible.
+                rec.annotate("partial_reductions", 1.0);
+            }
+            analytics(&args.run, &rec, &mut rng, in_step).await;
         }
-        // Every leaf lost: nothing to reduce for this step index.
-        let Some(head) = head else { continue };
-        let first = step * agg;
-        let in_step = agg.min(args.frames - first);
-        deserialize_step(&args, &rec, &head, first, in_step).await;
-        if leaf_bytes.len() == role.fanin as usize {
-            let g = rec.region("stream_reduce");
-            let total: u64 = leaf_bytes.iter().sum();
-            assert_eq!(
-                tree.combined_bytes(&leaf_bytes),
-                total,
-                "reduction dropped bytes (group {}, step {step})",
-                role.group
-            );
-            args.ctx
-                .sleep(args.deserialize_cpu.mul_f64(tree.merges() as f64))
-                .await;
-            rec.annotate("reduced_steps", 1.0);
-            g.end();
-        } else {
-            // A lost leaf leaves a partial reduction — typed, visible.
-            rec.annotate("partial_reductions", 1.0);
-        }
-        analytics(&args, &rec, &mut rng, in_step).await;
+        rec.finish()
     }
-    rec.finish()
 }
 
 /// Deserialize a step's leading frame header, charge the CPU cost, and
 /// validate as strictly as the step shape allows: full payload equality
 /// for single-frame steps (a pair's frame is one), header identity for
 /// aggregated ones.
-async fn deserialize_step(
-    args: &ConsumerArgs,
-    rec: &Recorder,
-    data: &[Bytes],
+fn deserialize_step<'a>(
+    args: &'a ConsumerArgs,
+    rec: &'a Recorder,
+    data: &'a [Bytes],
     first_frame: u64,
     in_step: u64,
-) {
-    let g = rec.region("deserialize");
-    args.ctx
-        .sleep(args.deserialize_cpu.mul_f64(in_step as f64))
-        .await;
-    let header = FrameHeader::decode_segments(data).expect("valid step");
-    assert_eq!(
-        header.step, first_frame,
-        "frame mismatch at the head of a step of consumer {}",
-        args.pair
-    );
-    if in_step == 1 {
-        assert!(
-            args.template.validate(data, first_frame),
-            "payload corrupted in transit (consumer {}, frame {first_frame})",
+) -> impl Future<Output = ()> + 'a {
+    async move {
+        let g = rec.region("deserialize");
+        args.run
+            .ctx
+            .sleep(args.run.deserialize_cpu.mul_f64(in_step as f64))
+            .await;
+        let header = FrameHeader::decode_segments(data).expect("valid step");
+        assert_eq!(
+            header.step, first_frame,
+            "frame mismatch at the head of a step of consumer {}",
             args.pair
         );
+        if in_step == 1 {
+            assert!(
+                args.run.template.validate(data, first_frame),
+                "payload corrupted in transit (consumer {}, frame {first_frame})",
+                args.pair
+            );
+        }
+        g.end();
     }
-    g.end();
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
 //! Per-process memory budget.
 //!
 //! A run holds one task block per role for the role's whole length, so
-//! the size of a role's future is paid `pairs` times over (DESIGN.md §11: at 16k
-//! pairs the two DYAD role futures are a quarter of peak RSS). A future
+//! the size of a role's future is paid `pairs` times over (DESIGN.md §11:
+//! at 16k pairs the two DYAD role blocks are 2,408 B a pair, 39 MB of
+//! `dyad_scale`'s peak, down from 61 MB). A future
 //! is as large as its deepest await chain, and it grows silently: a new
 //! local held across an await, one more wrapper layer, a guard that
 //! gained a field. PR 12 met that as a +19 % RSS regression at benchmark
-//! time; here it is a failing test that names the role.
+//! time; here it is a failing test that names the role, and the
+//! `future_sizes.rs` tests of `dyad`, `staging`, `kvs`, `transport` and
+//! `pfs` name the layer under it.
 //!
 //! The budgets are ceilings a little above the sizes measured when they
 //! were set (rustc 1.95, x86-64), not exact pins, so a compiler that
@@ -48,20 +51,22 @@ role_size!(size6: A, B, C, D, E, F);
 #[test]
 fn role_task_boxes_stay_within_budget() {
     let roles = [
-        // (role, future, budget) — measured 1952, 1840, 2368, 1928, 2008,
-        // 1696, 1704, 2272, 1984. The two DYAD roles were 5112 and 5272
-        // before the task box held the process once; the four roles that
-        // write through `pfs` were 2072, 1936, 2952 and 2560 while an
-        // owned MDS request and a cloned layout lay across their awaits.
-        ("producer_dyad", size3(producer_dyad), 2240),
-        ("consumer_dyad", size2(consumer_dyad), 2240),
-        ("publisher_stream", size5(publisher_stream), 2688),
-        ("subscriber_stream", size4(subscriber_stream), 2240),
-        ("reducer_stream", size3(reducer_stream), 2240),
-        ("producer_manual", size6(producer_manual), 1728),
-        ("consumer_manual", size6(consumer_manual), 1712),
-        ("producer_dyad_on_pfs", size5(producer_dyad_on_pfs), 2624),
-        ("consumer_dyad_on_pfs", size4(consumer_dyad_on_pfs), 2240),
+        // (role, future, budget) — measured 1152, 1256, 1528, 1304, 1392,
+        // 984, 1184, 1280, 1192. Before every async body on the role
+        // chains kept each argument once (as a captured upvar, not also as
+        // a local) and the run-constant role arguments moved behind one
+        // shared `RunShared`, they were 1920, 1816, 2328, 1904, 1984, 1640,
+        // 1688, 2224, 1936. The two DYAD roles were 5112 and 5272 before
+        // the task box held the process once.
+        ("producer_dyad", size3(producer_dyad), 1200),
+        ("consumer_dyad", size2(consumer_dyad), 1304),
+        ("publisher_stream", size5(publisher_stream), 1576),
+        ("subscriber_stream", size4(subscriber_stream), 1352),
+        ("reducer_stream", size3(reducer_stream), 1440),
+        ("producer_manual", size6(producer_manual), 1032),
+        ("consumer_manual", size6(consumer_manual), 1232),
+        ("producer_dyad_on_pfs", size5(producer_dyad_on_pfs), 1328),
+        ("consumer_dyad_on_pfs", size4(consumer_dyad_on_pfs), 1240),
     ];
     let mut over = Vec::new();
     for (role, fut, budget) in roles {

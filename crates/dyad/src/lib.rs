@@ -27,6 +27,9 @@
 //! `try_consume` for callers running without a fault board.
 
 #![warn(missing_docs)]
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
 
 use std::future::Future;
 use std::rc::Rc;
@@ -127,24 +130,33 @@ impl DyadService {
     /// backoff stream under a fault board).
     ///
     /// Call tree: `dyad_produce` → { `dyad_prod_write`, `dyad_commit` }.
-    pub async fn try_produce(
-        &self,
-        rec: &Recorder,
-        name: &str,
-        frame: &[Bytes],
-        jitter: Option<&mut StdRng>,
-    ) -> Result<(), PlaneError> {
-        let _g = rec.region(PLANE.put);
-        let path = self.plane.managed_path(name);
-        self.plane.put(rec, path, frame, jitter).await
+    pub fn try_produce<'a>(
+        &'a self,
+        rec: &'a Recorder,
+        name: &'a str,
+        frame: &'a [Bytes],
+        jitter: Option<&'a mut StdRng>,
+    ) -> impl Future<Output = Result<(), PlaneError>> + 'a {
+        async move {
+            let _g = rec.region(PLANE.put);
+            let path = self.plane.managed_path(name);
+            self.plane.put(rec, path, frame, jitter).await
+        }
     }
 
     /// [`DyadService::try_produce`] for callers running without a fault
     /// board.
-    pub async fn produce(&self, rec: &Recorder, name: &str, frame: Payload) {
-        self.try_produce(rec, name, &frame, None)
-            .await
-            .expect("produce cannot fail without a fault board (local write error?)")
+    pub fn produce<'a>(
+        &'a self,
+        rec: &'a Recorder,
+        name: &'a str,
+        frame: Payload,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.try_produce(rec, name, &frame, None)
+                .await
+                .expect("produce cannot fail without a fault board (local write error?)")
+        }
     }
 
     /// Open a consumer session (tracks warm/cold synchronization state,
@@ -188,10 +200,16 @@ impl DyadConsumer {
 
     /// [`DyadConsumer::try_consume`] for callers running without a fault
     /// board.
-    pub async fn consume(&mut self, rec: &Recorder, name: &str) -> Payload {
-        self.try_consume(rec, name)
-            .await
-            .expect("consume cannot fail without a fault board (lost or evicted frame?)")
+    pub fn consume<'a>(
+        &'a mut self,
+        rec: &'a Recorder,
+        name: &'a str,
+    ) -> impl Future<Output = Payload> + 'a {
+        async move {
+            self.try_consume(rec, name)
+                .await
+                .expect("consume cannot fail without a fault board (lost or evicted frame?)")
+        }
     }
 }
 

@@ -23,9 +23,13 @@
 //! is event-for-event identical to a run without the fault layer at all.
 
 #![warn(missing_docs)]
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
 
 use std::cell::RefCell;
 use std::fmt;
+use std::future::Future;
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -606,9 +610,11 @@ impl FaultBoard {
 
     /// Park until the node's stack is running again; returns immediately
     /// if it already is. Models a paused job step during an outage.
-    pub async fn hold_until_up(&self, node: u32) {
-        while !self.node_up(node) {
-            self.up[node as usize].wait().await;
+    pub fn hold_until_up(&self, node: u32) -> impl Future<Output = ()> + '_ {
+        async move {
+            while !self.node_up(node) {
+                self.up[node as usize].wait().await;
+            }
         }
     }
 

@@ -25,6 +25,9 @@
 //! broker service time on a FIFO server pool.
 
 #![warn(missing_docs)]
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
 
 mod codec;
 pub mod mesh;
@@ -33,6 +36,7 @@ pub use codec::{CodecError, Request, Response};
 pub use mesh::{shard_for, CausalBuffer, Delta, KvsMesh, MeshTopology};
 
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -355,62 +359,75 @@ impl KvsClient {
     /// broker outages; a shard killed by `KvsShardCrash` is skipped, or
     /// answers `ShardDown` if it died mid-call, and the walk moves on.
     /// Errors only when every replica is exhausted or down.
-    async fn failover(
-        &self,
-        key: &str,
-        policy: &RetryPolicy,
-        encode: impl Fn() -> Bytes,
-    ) -> Result<Response, TransportError> {
-        let mut last = None;
-        for shard in mesh::preference(key, self.shards(), self.replication) {
-            let under_board = match self.ep.faults() {
-                Some(board) if !board.kvs_shard_up(shard) => continue,
-                board => board.is_some(),
-            };
-            let (conn, am) = (self.conn(shard), mesh::shard_am(shard));
-            let req = encode();
-            let answer = if under_board {
-                // Forked per call so no `RefCell` borrow is held across
-                // an await (clients are shared between tasks).
-                let mut rng = StdRng::seed_from_u64(conn.rng.borrow_mut().random());
-                self.ep
-                    .rpc_retrying(conn.broker, am, req, policy, &mut rng)
-                    .await
-            } else {
-                Ok(self.ep.rpc(conn.broker, am, req).await)
-            };
-            match answer.map(Response::decode) {
-                Ok(Response::ShardDown) => {
-                    last = Some(TransportError::Unreachable { node: conn.broker });
+    fn failover<'a>(
+        &'a self,
+        key: &'a str,
+        policy: &'a RetryPolicy,
+        encode: impl Fn() -> Bytes + 'a,
+    ) -> impl Future<Output = Result<Response, TransportError>> + 'a {
+        async move {
+            let mut last = None;
+            for shard in mesh::preference(key, self.shards(), self.replication) {
+                let under_board = match self.ep.faults() {
+                    Some(board) if !board.kvs_shard_up(shard) => continue,
+                    board => board.is_some(),
+                };
+                let (conn, am) = (self.conn(shard), mesh::shard_am(shard));
+                let req = encode();
+                let answer = if under_board {
+                    // Forked per call so no `RefCell` borrow is held across
+                    // an await (clients are shared between tasks).
+                    let mut rng = StdRng::seed_from_u64(conn.rng.borrow_mut().random());
+                    self.ep
+                        .rpc_retrying(conn.broker, am, req, policy, &mut rng)
+                        .await
+                } else {
+                    Ok(self.ep.rpc(conn.broker, am, req).await)
+                };
+                match answer.map(Response::decode) {
+                    Ok(Response::ShardDown) => {
+                        last = Some(TransportError::Unreachable { node: conn.broker });
+                    }
+                    Ok(resp) => return Ok(resp),
+                    Err(e) => last = Some(e),
                 }
-                Ok(resp) => return Ok(resp),
-                Err(e) => last = Some(e),
             }
+            Err(last.unwrap_or_else(|| TransportError::Unreachable {
+                node: self.conn(shard_for(key, self.shards())).broker,
+            }))
         }
-        Err(last.unwrap_or_else(|| TransportError::Unreachable {
-            node: self.conn(shard_for(key, self.shards())).broker,
-        }))
     }
 
     /// Commit `value` under `key` on its first live replica; returns
     /// that shard's new version. Commits are idempotent
     /// (last-writer-wins on the same key), so a retry after a lost reply
     /// is safe.
-    pub async fn try_commit(&self, key: &str, value: Bytes) -> Result<u64, TransportError> {
-        let encode = || codec::encode_commit(key, &value);
-        match self.failover(key, &self.retry, encode).await? {
-            Response::Committed { version } => Ok(version),
-            other => panic!("unexpected commit response {other:?}"),
+    pub fn try_commit<'a>(
+        &'a self,
+        key: &'a str,
+        value: Bytes,
+    ) -> impl Future<Output = Result<u64, TransportError>> + 'a {
+        async move {
+            let encode = || codec::encode_commit(key, &value);
+            match self.failover(key, &self.retry, encode).await? {
+                Response::Committed { version } => Ok(version),
+                other => panic!("unexpected commit response {other:?}"),
+            }
         }
     }
 
     /// Read `key` from its first live replica (always a round trip).
-    pub async fn try_lookup(&self, key: &str) -> Result<Option<VersionedValue>, TransportError> {
-        let encode = || codec::encode_keyed(codec::OP_LOOKUP, key);
-        match self.failover(key, &self.retry, encode).await? {
-            Response::Value { version, value } => Ok(Some(VersionedValue { version, value })),
-            Response::NotFound => Ok(None),
-            other => panic!("unexpected lookup response {other:?}"),
+    pub fn try_lookup<'a>(
+        &'a self,
+        key: &'a str,
+    ) -> impl Future<Output = Result<Option<VersionedValue>, TransportError>> + 'a {
+        async move {
+            let encode = || codec::encode_keyed(codec::OP_LOOKUP, key);
+            match self.failover(key, &self.retry, encode).await? {
+                Response::Value { version, value } => Ok(Some(VersionedValue { version, value })),
+                Response::NotFound => Ok(None),
+                other => panic!("unexpected lookup response {other:?}"),
+            }
         }
     }
 
@@ -421,11 +438,16 @@ impl KvsClient {
     /// then crashes is flushed with `ShardDown` and re-parked on the
     /// next live replica (which the synchronous replication protocol
     /// guarantees will see the commit).
-    pub async fn try_wait_key(&self, key: &str) -> Result<VersionedValue, TransportError> {
-        let encode = || codec::encode_keyed(codec::OP_WAIT, key);
-        match self.failover(key, &self.wait_retry, encode).await? {
-            Response::Value { version, value } => Ok(VersionedValue { version, value }),
-            other => panic!("unexpected wait response {other:?}"),
+    pub fn try_wait_key<'a>(
+        &'a self,
+        key: &'a str,
+    ) -> impl Future<Output = Result<VersionedValue, TransportError>> + 'a {
+        async move {
+            let encode = || codec::encode_keyed(codec::OP_WAIT, key);
+            match self.failover(key, &self.wait_retry, encode).await? {
+                Response::Value { version, value } => Ok(VersionedValue { version, value }),
+                other => panic!("unexpected wait response {other:?}"),
+            }
         }
     }
 
@@ -435,55 +457,70 @@ impl KvsClient {
     /// retries and failover happen inside it and an error means the
     /// key's every replica failed. The poll count is reported on *both*
     /// exits — a wait that gave up still issued its RPCs.
-    pub async fn try_wait_key_poll_counted(
-        &self,
-        key: &str,
-    ) -> (Result<VersionedValue, TransportError>, u64) {
-        let mut polls = 0;
-        loop {
-            polls += 1;
-            match self.try_lookup(key).await {
-                Ok(Some(v)) => return (Ok(v), polls),
-                Ok(None) => {}
-                Err(e) => return (Err(e), polls),
+    pub fn try_wait_key_poll_counted<'a>(
+        &'a self,
+        key: &'a str,
+    ) -> impl Future<Output = (Result<VersionedValue, TransportError>, u64)> + 'a {
+        async move {
+            let mut polls = 0;
+            loop {
+                polls += 1;
+                match self.try_lookup(key).await {
+                    Ok(Some(v)) => return (Ok(v), polls),
+                    Ok(None) => {}
+                    Err(e) => return (Err(e), polls),
+                }
+                self.ctx.sleep(self.spec.poll_interval).await;
             }
-            self.ctx.sleep(self.spec.poll_interval).await;
         }
     }
 
     /// Remove `key` on its first live replica.
-    pub async fn try_unlink(&self, key: &str) -> Result<(), TransportError> {
-        let encode = || codec::encode_keyed(codec::OP_UNLINK, key);
-        self.failover(key, &self.retry, encode).await?;
-        Ok(())
+    pub fn try_unlink<'a>(
+        &'a self,
+        key: &'a str,
+    ) -> impl Future<Output = Result<(), TransportError>> + 'a {
+        async move {
+            let encode = || codec::encode_keyed(codec::OP_UNLINK, key);
+            self.failover(key, &self.retry, encode).await?;
+            Ok(())
+        }
     }
 
     /// [`KvsClient::try_commit`] for callers running without a fault board.
-    pub async fn commit(&self, key: &str, value: Bytes) -> u64 {
-        self.try_commit(key, value)
-            .await
-            .expect("commit cannot fail without a fault board")
+    pub fn commit<'a>(&'a self, key: &'a str, value: Bytes) -> impl Future<Output = u64> + 'a {
+        async move {
+            self.try_commit(key, value)
+                .await
+                .expect("commit cannot fail without a fault board")
+        }
     }
 
     /// [`KvsClient::try_lookup`] for callers running without a fault board.
-    pub async fn lookup(&self, key: &str) -> Option<VersionedValue> {
-        self.try_lookup(key)
-            .await
-            .expect("lookup cannot fail without a fault board")
+    pub fn lookup<'a>(&'a self, key: &'a str) -> impl Future<Output = Option<VersionedValue>> + 'a {
+        async move {
+            self.try_lookup(key)
+                .await
+                .expect("lookup cannot fail without a fault board")
+        }
     }
 
     /// [`KvsClient::try_wait_key`] for callers running without a fault board.
-    pub async fn wait_key(&self, key: &str) -> VersionedValue {
-        self.try_wait_key(key)
-            .await
-            .expect("wait_key cannot fail without a fault board")
+    pub fn wait_key<'a>(&'a self, key: &'a str) -> impl Future<Output = VersionedValue> + 'a {
+        async move {
+            self.try_wait_key(key)
+                .await
+                .expect("wait_key cannot fail without a fault board")
+        }
     }
 
     /// [`KvsClient::try_unlink`] for callers running without a fault board.
-    pub async fn unlink(&self, key: &str) {
-        self.try_unlink(key)
-            .await
-            .expect("unlink cannot fail without a fault board")
+    pub fn unlink<'a>(&'a self, key: &'a str) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.try_unlink(key)
+                .await
+                .expect("unlink cannot fail without a fault board")
+        }
     }
 }
 

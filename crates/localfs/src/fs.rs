@@ -15,8 +15,13 @@
 //! page cache (nothing evicts, so every written byte is resident),
 //! otherwise the device.
 
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
+
 use simcore::intern::{intern, FxHashMap, FxHashSet, Symbol};
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -540,28 +545,79 @@ impl LocalFs {
     }
 
     /// Create every missing directory along `path`.
-    pub async fn mkdir_p(&self, path: &str) -> FsResult<()> {
-        self.device_check()?;
-        self.ctx.sleep(self.spec.meta_cpu).await;
-        let mut inner = self.inner.borrow_mut();
-        let p = path.trim_matches('/');
-        if p.is_empty() {
-            return Ok(());
+    pub fn mkdir_p<'a>(&'a self, path: &'a str) -> impl Future<Output = FsResult<()>> + 'a {
+        async move {
+            self.device_check()?;
+            self.ctx.sleep(self.spec.meta_cpu).await;
+            let mut inner = self.inner.borrow_mut();
+            let p = path.trim_matches('/');
+            if p.is_empty() {
+                return Ok(());
+            }
+            // Fast path: the whole chain was seen before, so every directory
+            // already exists and no journal records would be appended.
+            let whole = intern(p);
+            if inner.dcache.borrow().contains_key(&whole) {
+                return Ok(());
+            }
+            let mut cur = inner.root;
+            for comp in p.split('/').filter(|c| !c.is_empty()) {
+                let name = intern(comp);
+                cur = match Self::child(&inner, cur, name)? {
+                    Some(ino) => ino,
+                    None => {
+                        let ino = inner.inodes.insert(Inode::new_dir());
+                        match &mut inner.inodes[cur].kind {
+                            InodeKind::Dir { children } => {
+                                children.insert(name, ino);
+                            }
+                            InodeKind::File { .. } => unreachable!(),
+                        }
+                        inner.journal.append(RecordKind::DirEntry);
+                        inner.journal.append(RecordKind::InodeUpdate);
+                        ino
+                    }
+                };
+            }
+            inner.dcache.borrow_mut().insert(whole, cur);
+            Ok(())
         }
-        // Fast path: the whole chain was seen before, so every directory
-        // already exists and no journal records would be appended.
-        let whole = intern(p);
-        if inner.dcache.borrow().contains_key(&whole) {
-            return Ok(());
-        }
-        let mut cur = inner.root;
-        for comp in p.split('/').filter(|c| !c.is_empty()) {
-            let name = intern(comp);
-            cur = match Self::child(&inner, cur, name)? {
-                Some(ino) => ino,
+    }
+
+    /// Create (or truncate) a file for writing.
+    pub fn create<'a>(&'a self, path: &'a str) -> impl Future<Output = FsResult<Fd>> + 'a {
+        async move {
+            self.device_check()?;
+            self.ctx.sleep(self.spec.meta_cpu).await;
+            let mut inner = self.inner.borrow_mut();
+            let (parent, name) = Self::lookup_parent(&inner, path)?;
+            let name = intern(name);
+            let ino = match Self::child(&inner, parent, name)? {
+                Some(ino) => {
+                    // Truncate.
+                    let freed = {
+                        let node = &mut inner.inodes[ino];
+                        match &mut node.kind {
+                            InodeKind::File {
+                                segments,
+                                size,
+                                extents,
+                                ..
+                            } => {
+                                segments.clear();
+                                *size = 0;
+                                std::mem::take(extents)
+                            }
+                            InodeKind::Dir { .. } => return Err(FsError::IsDirectory),
+                        }
+                    };
+                    inner.free_extents(&freed);
+                    inner.journal.append(RecordKind::InodeUpdate);
+                    ino
+                }
                 None => {
-                    let ino = inner.inodes.insert(Inode::new_dir());
-                    match &mut inner.inodes[cur].kind {
+                    let ino = inner.inodes.insert(Inode::new_file());
+                    match &mut inner.inodes[parent].kind {
                         InodeKind::Dir { children } => {
                             children.insert(name, ino);
                         }
@@ -569,291 +625,266 @@ impl LocalFs {
                     }
                     inner.journal.append(RecordKind::DirEntry);
                     inner.journal.append(RecordKind::InodeUpdate);
+                    inner.stats.creates += 1;
                     ino
                 }
             };
+            Ok(inner.open_fd(ino, OpenMode::Write))
         }
-        inner.dcache.borrow_mut().insert(whole, cur);
-        Ok(())
-    }
-
-    /// Create (or truncate) a file for writing.
-    pub async fn create(&self, path: &str) -> FsResult<Fd> {
-        self.device_check()?;
-        self.ctx.sleep(self.spec.meta_cpu).await;
-        let mut inner = self.inner.borrow_mut();
-        let (parent, name) = Self::lookup_parent(&inner, path)?;
-        let name = intern(name);
-        let ino = match Self::child(&inner, parent, name)? {
-            Some(ino) => {
-                // Truncate.
-                let freed = {
-                    let node = &mut inner.inodes[ino];
-                    match &mut node.kind {
-                        InodeKind::File {
-                            segments,
-                            size,
-                            extents,
-                            ..
-                        } => {
-                            segments.clear();
-                            *size = 0;
-                            std::mem::take(extents)
-                        }
-                        InodeKind::Dir { .. } => return Err(FsError::IsDirectory),
-                    }
-                };
-                inner.free_extents(&freed);
-                inner.journal.append(RecordKind::InodeUpdate);
-                ino
-            }
-            None => {
-                let ino = inner.inodes.insert(Inode::new_file());
-                match &mut inner.inodes[parent].kind {
-                    InodeKind::Dir { children } => {
-                        children.insert(name, ino);
-                    }
-                    InodeKind::File { .. } => unreachable!(),
-                }
-                inner.journal.append(RecordKind::DirEntry);
-                inner.journal.append(RecordKind::InodeUpdate);
-                inner.stats.creates += 1;
-                ino
-            }
-        };
-        Ok(inner.open_fd(ino, OpenMode::Write))
     }
 
     /// Open an existing file read-only.
-    pub async fn open(&self, path: &str) -> FsResult<Fd> {
-        self.device_check()?;
-        self.ctx.sleep(self.spec.meta_cpu).await;
-        let mut inner = self.inner.borrow_mut();
-        let ino = Self::lookup(&inner, path)?;
-        if matches!(inner.inodes[ino].kind, InodeKind::Dir { .. }) {
-            return Err(FsError::IsDirectory);
+    pub fn open<'a>(&'a self, path: &'a str) -> impl Future<Output = FsResult<Fd>> + 'a {
+        async move {
+            self.device_check()?;
+            self.ctx.sleep(self.spec.meta_cpu).await;
+            let mut inner = self.inner.borrow_mut();
+            let ino = Self::lookup(&inner, path)?;
+            if matches!(inner.inodes[ino].kind, InodeKind::Dir { .. }) {
+                return Err(FsError::IsDirectory);
+            }
+            Ok(inner.open_fd(ino, OpenMode::Read))
         }
-        Ok(inner.open_fd(ino, OpenMode::Read))
     }
 
     /// Append `data` to the file as one more rope segment, without
     /// copying it, and charge the device write-through.
-    pub async fn write_bytes(&self, fd: Fd, data: Bytes) -> FsResult<()> {
-        self.device_check()?;
-        let bytes = data.len() as u64;
-        {
-            let mut inner = self.inner.borrow_mut();
-            let of = inner.fds.get(&fd).ok_or(FsError::BadDescriptor)?;
-            if of.mode == OpenMode::Read {
-                return Err(FsError::BadDescriptor);
-            }
-            let ino = of.ino;
-            let offset = of.offset;
-            let end = offset + bytes;
-            // Grow the extent map to cover `end`.
-            let cur_blocks = match &inner.inodes[ino].kind {
-                InodeKind::File { extents, size, .. } => {
-                    // `create` truncated the file, so a descriptor only
-                    // ever appends.
-                    debug_assert_eq!(offset, *size, "a write descriptor appends");
-                    extents.iter().map(|e| e.len).sum::<u64>()
+    pub fn write_bytes(&self, fd: Fd, data: Bytes) -> impl Future<Output = FsResult<()>> + '_ {
+        async move {
+            self.device_check()?;
+            let bytes = data.len() as u64;
+            {
+                let mut inner = self.inner.borrow_mut();
+                let of = inner.fds.get(&fd).ok_or(FsError::BadDescriptor)?;
+                if of.mode == OpenMode::Read {
+                    return Err(FsError::BadDescriptor);
                 }
-                InodeKind::Dir { .. } => return Err(FsError::IsDirectory),
-            };
-            let need_blocks = end.div_ceil(self.spec.block_size);
-            if need_blocks > cur_blocks {
-                let new = inner.alloc.alloc(need_blocks - cur_blocks)?;
-                inner.used_blocks += need_blocks - cur_blocks;
-                let n_new = new.len();
+                let ino = of.ino;
+                let offset = of.offset;
+                let end = offset + bytes;
+                // Grow the extent map to cover `end`.
+                let cur_blocks = match &inner.inodes[ino].kind {
+                    InodeKind::File { extents, size, .. } => {
+                        // `create` truncated the file, so a descriptor only
+                        // ever appends.
+                        debug_assert_eq!(offset, *size, "a write descriptor appends");
+                        extents.iter().map(|e| e.len).sum::<u64>()
+                    }
+                    InodeKind::Dir { .. } => return Err(FsError::IsDirectory),
+                };
+                let need_blocks = end.div_ceil(self.spec.block_size);
+                if need_blocks > cur_blocks {
+                    let new = inner.alloc.alloc(need_blocks - cur_blocks)?;
+                    inner.used_blocks += need_blocks - cur_blocks;
+                    let n_new = new.len();
+                    match &mut inner.inodes[ino].kind {
+                        InodeKind::File { extents, .. } => extents.extend(new),
+                        InodeKind::Dir { .. } => unreachable!(),
+                    }
+                    for _ in 0..n_new {
+                        inner.journal.append(RecordKind::ExtentMap);
+                    }
+                }
                 match &mut inner.inodes[ino].kind {
-                    InodeKind::File { extents, .. } => extents.extend(new),
+                    InodeKind::File { segments, size, .. } => {
+                        segments.push(data);
+                        *size = end;
+                    }
                     InodeKind::Dir { .. } => unreachable!(),
                 }
-                for _ in 0..n_new {
-                    inner.journal.append(RecordKind::ExtentMap);
-                }
+                inner.fds.get_mut(&fd).unwrap().offset = end;
+                inner.journal.append(RecordKind::InodeUpdate);
+                inner.stats.writes += 1;
+                inner.stats.bytes_written += bytes;
             }
-            match &mut inner.inodes[ino].kind {
-                InodeKind::File { segments, size, .. } => {
-                    segments.push(data);
-                    *size = end;
-                }
-                InodeKind::Dir { .. } => unreachable!(),
-            }
-            inner.fds.get_mut(&fd).unwrap().offset = end;
-            inner.journal.append(RecordKind::InodeUpdate);
-            inner.stats.writes += 1;
-            inner.stats.bytes_written += bytes;
+            // Charge the device outside the borrow.
+            self.dev.write(bytes).await;
+            Ok(())
         }
-        // Charge the device outside the borrow.
-        self.dev.write(bytes).await;
-        Ok(())
     }
 
     /// Zero-copy read of the remainder of the file: returns the segment
     /// rope (clones of the stored `Bytes`), advancing the offset to EOF.
     /// Costs memory bandwidth (every byte is in the page cache); an empty
     /// read costs nothing.
-    pub async fn read_segments(&self, fd: Fd) -> FsResult<Vec<Bytes>> {
-        self.device_check()?;
-        let (parts, n) = {
-            let mut inner = self.inner.borrow_mut();
-            let of = inner.fds.get(&fd).ok_or(FsError::BadDescriptor)?;
-            let offset = of.offset;
-            let parts = match &inner.inodes[of.ino].kind {
-                InodeKind::File { segments, .. } => {
-                    let mut parts = Vec::new();
-                    let mut base = 0u64;
-                    for seg in segments {
-                        let seg_end = base + seg.len() as u64;
-                        if seg_end > offset {
-                            let start_in = offset.saturating_sub(base) as usize;
-                            parts.push(seg.slice(start_in..));
+    pub fn read_segments(&self, fd: Fd) -> impl Future<Output = FsResult<Vec<Bytes>>> + '_ {
+        async move {
+            self.device_check()?;
+            let (parts, n) = {
+                let mut inner = self.inner.borrow_mut();
+                let of = inner.fds.get(&fd).ok_or(FsError::BadDescriptor)?;
+                let offset = of.offset;
+                let parts = match &inner.inodes[of.ino].kind {
+                    InodeKind::File { segments, .. } => {
+                        let mut parts = Vec::new();
+                        let mut base = 0u64;
+                        for seg in segments {
+                            let seg_end = base + seg.len() as u64;
+                            if seg_end > offset {
+                                let start_in = offset.saturating_sub(base) as usize;
+                                parts.push(seg.slice(start_in..));
+                            }
+                            base = seg_end;
                         }
-                        base = seg_end;
+                        parts
                     }
-                    parts
-                }
-                InodeKind::Dir { .. } => return Err(FsError::IsDirectory),
+                    InodeKind::Dir { .. } => return Err(FsError::IsDirectory),
+                };
+                let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
+                inner.fds.get_mut(&fd).unwrap().offset = offset + n;
+                inner.stats.reads += 1;
+                inner.stats.bytes_read += n;
+                (parts, n)
             };
-            let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
-            inner.fds.get_mut(&fd).unwrap().offset = offset + n;
-            inner.stats.reads += 1;
-            inner.stats.bytes_read += n;
-            (parts, n)
-        };
-        if n > 0 {
-            self.ctx
-                .sleep(SimDuration::from_secs_f64(n as f64 / self.spec.mem_bw))
-                .await;
+            if n > 0 {
+                self.ctx
+                    .sleep(SimDuration::from_secs_f64(n as f64 / self.spec.mem_bw))
+                    .await;
+            }
+            Ok(parts)
         }
-        Ok(parts)
     }
 
     /// Write what the journal holds now to the device. The take is
     /// synchronous, so no borrow spans the device await and a flush that
     /// overlaps another only writes what arrived after that one's take.
-    async fn flush_journal(&self) {
-        let bytes = self.inner.borrow_mut().journal.take_flush();
-        if let Some(bytes) = bytes {
-            self.dev.write(bytes).await;
+    fn flush_journal(&self) -> impl Future<Output = ()> + '_ {
+        async move {
+            let bytes = self.inner.borrow_mut().journal.take_flush();
+            if let Some(bytes) = bytes {
+                self.dev.write(bytes).await;
+            }
         }
     }
 
     /// Close a descriptor, flushing journaled metadata (matching the
     /// workflow's write-then-close pattern).
-    pub async fn close(&self, fd: Fd) -> FsResult<()> {
-        let was_write = {
-            let mut inner = self.inner.borrow_mut();
-            let of = inner.fds.remove(&fd).ok_or(FsError::BadDescriptor)?;
-            let still_open = match &mut inner.inodes[of.ino].kind {
-                InodeKind::File { open, .. } => {
-                    *open -= 1;
-                    *open > 0
+    pub fn close(&self, fd: Fd) -> impl Future<Output = FsResult<()>> + '_ {
+        async move {
+            let was_write = {
+                let mut inner = self.inner.borrow_mut();
+                let of = inner.fds.remove(&fd).ok_or(FsError::BadDescriptor)?;
+                let still_open = match &mut inner.inodes[of.ino].kind {
+                    InodeKind::File { open, .. } => {
+                        *open -= 1;
+                        *open > 0
+                    }
+                    InodeKind::Dir { .. } => unreachable!("directories are never opened"),
+                };
+                // Reap an orphaned inode once its last descriptor closes.
+                if !still_open && inner.orphans.remove(&of.ino) {
+                    inner.reap(of.ino);
+                    inner.journal.append(RecordKind::ExtentMap);
                 }
-                InodeKind::Dir { .. } => unreachable!("directories are never opened"),
+                of.mode != OpenMode::Read
             };
-            // Reap an orphaned inode once its last descriptor closes.
-            if !still_open && inner.orphans.remove(&of.ino) {
-                inner.reap(of.ino);
-                inner.journal.append(RecordKind::ExtentMap);
+            if was_write {
+                self.flush_journal().await;
             }
-            of.mode != OpenMode::Read
-        };
-        if was_write {
-            self.flush_journal().await;
+            Ok(())
         }
-        Ok(())
     }
 
     /// Atomically rename a file (the classic write-to-temp-then-rename
     /// publication pattern). The destination is replaced if it exists.
-    pub async fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        self.device_check()?;
-        self.ctx.sleep(self.spec.meta_cpu).await;
-        let mut inner = self.inner.borrow_mut();
-        // Detach the source dirent.
-        let (src_parent, src_name) = Self::lookup_parent(&inner, from)?;
-        let src_name = intern(src_name);
-        let ino = Self::child(&inner, src_parent, src_name)?.ok_or(FsError::NotFound)?;
-        if matches!(inner.inodes[ino].kind, InodeKind::Dir { .. }) {
-            return Err(FsError::IsDirectory);
-        }
-        // A publish (`x.tmp` → `x`) stays in one directory: resolve it once.
-        let (dst_parent, dst_name) = match dir_and_name(to) {
-            (dir, name) if !name.is_empty() && dir == dir_and_name(from).0 => (src_parent, name),
-            _ => Self::lookup_parent(&inner, to)?,
-        };
-        let dst_name = intern(dst_name);
-        // Replace any existing destination, freeing its extents.
-        if let Some(old) = Self::child(&inner, dst_parent, dst_name)? {
-            if matches!(inner.inodes[old].kind, InodeKind::Dir { .. }) {
+    pub fn rename<'a>(
+        &'a self,
+        from: &'a str,
+        to: &'a str,
+    ) -> impl Future<Output = FsResult<()>> + 'a {
+        async move {
+            self.device_check()?;
+            self.ctx.sleep(self.spec.meta_cpu).await;
+            let mut inner = self.inner.borrow_mut();
+            // Detach the source dirent.
+            let (src_parent, src_name) = Self::lookup_parent(&inner, from)?;
+            let src_name = intern(src_name);
+            let ino = Self::child(&inner, src_parent, src_name)?.ok_or(FsError::NotFound)?;
+            if matches!(inner.inodes[ino].kind, InodeKind::Dir { .. }) {
                 return Err(FsError::IsDirectory);
             }
-            inner.remove_or_orphan(old);
-        }
-        match &mut inner.inodes[src_parent].kind {
-            InodeKind::Dir { children } => {
-                children.remove(&src_name);
+            // A publish (`x.tmp` → `x`) stays in one directory: resolve it once.
+            let (dst_parent, dst_name) = match dir_and_name(to) {
+                (dir, name) if !name.is_empty() && dir == dir_and_name(from).0 => {
+                    (src_parent, name)
+                }
+                _ => Self::lookup_parent(&inner, to)?,
+            };
+            let dst_name = intern(dst_name);
+            // Replace any existing destination, freeing its extents.
+            if let Some(old) = Self::child(&inner, dst_parent, dst_name)? {
+                if matches!(inner.inodes[old].kind, InodeKind::Dir { .. }) {
+                    return Err(FsError::IsDirectory);
+                }
+                inner.remove_or_orphan(old);
             }
-            InodeKind::File { .. } => unreachable!(),
-        }
-        match &mut inner.inodes[dst_parent].kind {
-            InodeKind::Dir { children } => {
-                children.insert(dst_name, ino);
+            match &mut inner.inodes[src_parent].kind {
+                InodeKind::Dir { children } => {
+                    children.remove(&src_name);
+                }
+                InodeKind::File { .. } => unreachable!(),
             }
-            InodeKind::File { .. } => unreachable!(),
+            match &mut inner.inodes[dst_parent].kind {
+                InodeKind::Dir { children } => {
+                    children.insert(dst_name, ino);
+                }
+                InodeKind::File { .. } => unreachable!(),
+            }
+            inner.journal.append(RecordKind::DirEntry);
+            inner.journal.append(RecordKind::DirEntry);
+            Ok(())
         }
-        inner.journal.append(RecordKind::DirEntry);
-        inner.journal.append(RecordKind::DirEntry);
-        Ok(())
     }
 
     /// Remove a file, freeing its extents.
-    pub async fn unlink(&self, path: &str) -> FsResult<()> {
-        self.device_check()?;
-        self.ctx.sleep(self.spec.meta_cpu).await;
-        let mut inner = self.inner.borrow_mut();
-        let (parent, name) = Self::lookup_parent(&inner, path)?;
-        let name = intern(name);
-        let ino = Self::child(&inner, parent, name)?.ok_or(FsError::NotFound)?;
-        if matches!(inner.inodes[ino].kind, InodeKind::Dir { .. }) {
-            return Err(FsError::IsDirectory);
-        }
-        match &mut inner.inodes[parent].kind {
-            InodeKind::Dir { children } => {
-                children.remove(&name);
+    pub fn unlink<'a>(&'a self, path: &'a str) -> impl Future<Output = FsResult<()>> + 'a {
+        async move {
+            self.device_check()?;
+            self.ctx.sleep(self.spec.meta_cpu).await;
+            let mut inner = self.inner.borrow_mut();
+            let (parent, name) = Self::lookup_parent(&inner, path)?;
+            let name = intern(name);
+            let ino = Self::child(&inner, parent, name)?.ok_or(FsError::NotFound)?;
+            if matches!(inner.inodes[ino].kind, InodeKind::Dir { .. }) {
+                return Err(FsError::IsDirectory);
             }
-            InodeKind::File { .. } => unreachable!(),
+            match &mut inner.inodes[parent].kind {
+                InodeKind::Dir { children } => {
+                    children.remove(&name);
+                }
+                InodeKind::File { .. } => unreachable!(),
+            }
+            inner.remove_or_orphan(ino);
+            inner.journal.append(RecordKind::DirEntry);
+            inner.journal.append(RecordKind::ExtentMap);
+            inner.stats.unlinks += 1;
+            Ok(())
         }
-        inner.remove_or_orphan(ino);
-        inner.journal.append(RecordKind::DirEntry);
-        inner.journal.append(RecordKind::ExtentMap);
-        inner.stats.unlinks += 1;
-        Ok(())
     }
 
     /// Stat a path.
-    pub async fn stat(&self, path: &str) -> FsResult<Stat> {
-        self.device_check()?;
-        self.ctx.sleep(self.spec.meta_cpu).await;
-        let inner = self.inner.borrow();
-        let ino = Self::lookup(&inner, path)?;
-        let st = match &inner.inodes[ino].kind {
-            InodeKind::File { size, extents, .. } => Stat {
-                ino: ino.0,
-                size: *size,
-                is_dir: false,
-                extents: extents.len(),
-            },
-            InodeKind::Dir { .. } => Stat {
-                ino: ino.0,
-                size: 0,
-                is_dir: true,
-                extents: 0,
-            },
-        };
-        Ok(st)
+    pub fn stat<'a>(&'a self, path: &'a str) -> impl Future<Output = FsResult<Stat>> + 'a {
+        async move {
+            self.device_check()?;
+            self.ctx.sleep(self.spec.meta_cpu).await;
+            let inner = self.inner.borrow();
+            let ino = Self::lookup(&inner, path)?;
+            let st = match &inner.inodes[ino].kind {
+                InodeKind::File { size, extents, .. } => Stat {
+                    ino: ino.0,
+                    size: *size,
+                    is_dir: false,
+                    extents: extents.len(),
+                },
+                InodeKind::Dir { .. } => Stat {
+                    ino: ino.0,
+                    size: 0,
+                    is_dir: true,
+                    extents: 0,
+                },
+            };
+            Ok(st)
+        }
     }
 
     /// Zero-cost existence probe: the staged plane's check for a frame
@@ -864,30 +895,36 @@ impl LocalFs {
 
     /// Acquire an advisory lock on `path`, blocking while incompatible
     /// locks are held. The file must exist.
-    pub async fn flock(&self, path: &str, kind: LockKind) -> FsResult<()> {
-        self.ctx.sleep(self.spec.lock_op_cost).await;
-        let lock = {
-            let mut inner = self.inner.borrow_mut();
-            let ino = Self::lookup(&inner, path)?;
-            inner.inodes[ino].lock.get_or_insert_default().clone()
-        };
-        loop {
-            let wait = {
-                let mut st = lock.borrow_mut();
-                let compatible = match kind {
-                    LockKind::Shared => !st.writer,
-                    LockKind::Exclusive => !st.writer && st.readers == 0,
-                };
-                if compatible {
-                    match kind {
-                        LockKind::Shared => st.readers += 1,
-                        LockKind::Exclusive => st.writer = true,
-                    }
-                    return Ok(());
-                }
-                st.queue.clone()
+    pub fn flock<'a>(
+        &'a self,
+        path: &'a str,
+        kind: LockKind,
+    ) -> impl Future<Output = FsResult<()>> + 'a {
+        async move {
+            self.ctx.sleep(self.spec.lock_op_cost).await;
+            let lock = {
+                let mut inner = self.inner.borrow_mut();
+                let ino = Self::lookup(&inner, path)?;
+                inner.inodes[ino].lock.get_or_insert_default().clone()
             };
-            wait.wait().await;
+            loop {
+                let wait = {
+                    let mut st = lock.borrow_mut();
+                    let compatible = match kind {
+                        LockKind::Shared => !st.writer,
+                        LockKind::Exclusive => !st.writer && st.readers == 0,
+                    };
+                    if compatible {
+                        match kind {
+                            LockKind::Shared => st.readers += 1,
+                            LockKind::Exclusive => st.writer = true,
+                        }
+                        return Ok(());
+                    }
+                    st.queue.clone()
+                };
+                wait.wait().await;
+            }
         }
     }
 
@@ -895,25 +932,31 @@ impl LocalFs {
     /// the one on the file `path` names when the call is made: a rename
     /// that replaces the file while the call is in flight does not move
     /// it to the new file (POSIX unlocks the open file, not the name).
-    pub async fn funlock(&self, path: &str, kind: LockKind) -> FsResult<()> {
-        let lock = {
-            let inner = self.inner.borrow();
-            Self::lookup(&inner, path).map(|ino| inner.inodes[ino].lock.clone())
-        };
-        self.ctx.sleep(self.spec.lock_op_cost).await;
-        let lock = lock?.expect("funlock without flock");
-        let mut st = lock.borrow_mut();
-        match kind {
-            LockKind::Shared => {
-                assert!(st.readers > 0, "funlock without flock");
-                st.readers -= 1;
+    pub fn funlock<'a>(
+        &'a self,
+        path: &'a str,
+        kind: LockKind,
+    ) -> impl Future<Output = FsResult<()>> + 'a {
+        async move {
+            let lock = {
+                let inner = self.inner.borrow();
+                Self::lookup(&inner, path).map(|ino| inner.inodes[ino].lock.clone())
+            };
+            self.ctx.sleep(self.spec.lock_op_cost).await;
+            let lock = lock?.expect("funlock without flock");
+            let mut st = lock.borrow_mut();
+            match kind {
+                LockKind::Shared => {
+                    assert!(st.readers > 0, "funlock without flock");
+                    st.readers -= 1;
+                }
+                LockKind::Exclusive => {
+                    assert!(st.writer, "funlock without flock");
+                    st.writer = false;
+                }
             }
-            LockKind::Exclusive => {
-                assert!(st.writer, "funlock without flock");
-                st.writer = false;
-            }
+            st.queue.notify_all();
+            Ok(())
         }
-        st.queue.notify_all();
-        Ok(())
     }
 }

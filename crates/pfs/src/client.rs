@@ -1,6 +1,10 @@
 //! The Lustre client: POSIX-ish file operations that translate into MDS
 //! and OSS RPCs with parallel per-stripe bulk I/O.
 
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
+
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::future::{poll_fn, Future};
@@ -93,25 +97,27 @@ impl<T> Stripes<T> {
     /// Await every task; results in spawn order. Each wake polls all
     /// unfinished tasks in spawn order, so the caller is woken and the
     /// tasks are polled exactly as a `Vec`-based join-all would do it.
-    async fn join(mut self) -> impl Iterator<Item = T> {
-        poll_fn(|cx| {
-            let mut all = Poll::Ready(());
-            for stripe in self.head.iter_mut().flatten().chain(&mut self.tail) {
-                if let Stripe::Running(task) = stripe {
-                    match Pin::new(task).poll(cx) {
-                        Poll::Ready(v) => *stripe = Stripe::Done(v),
-                        Poll::Pending => all = Poll::Pending,
+    fn join(mut self) -> impl Future<Output = impl Iterator<Item = T>> {
+        async move {
+            poll_fn(|cx| {
+                let mut all = Poll::Ready(());
+                for stripe in self.head.iter_mut().flatten().chain(&mut self.tail) {
+                    if let Stripe::Running(task) = stripe {
+                        match Pin::new(task).poll(cx) {
+                            Poll::Ready(v) => *stripe = Stripe::Done(v),
+                            Poll::Pending => all = Poll::Pending,
+                        }
                     }
                 }
-            }
-            all
-        })
-        .await;
-        let stripes = self.head.into_iter().flatten().chain(self.tail);
-        stripes.map(|stripe| match stripe {
-            Stripe::Done(v) => v,
-            Stripe::Running(_) => unreachable!("join returned with a task running"),
-        })
+                all
+            })
+            .await;
+            let stripes = self.head.into_iter().flatten().chain(self.tail);
+            stripes.map(|stripe| match stripe {
+                Stripe::Done(v) => v,
+                Stripe::Running(_) => unreachable!("join returned with a task running"),
+            })
+        }
     }
 }
 
@@ -196,18 +202,32 @@ impl PfsClient {
         }
     }
 
-    async fn mds_rpc(&self, op: MdsOp, path: &str, size: u64) -> MdsResponse {
-        let req = MdsRequestRef { op, path, size }.encode();
-        MdsResponse::decode(self.ep.rpc(self.mds, MDS_AM, req).await)
+    fn mds_rpc<'a>(
+        &'a self,
+        op: MdsOp,
+        path: &'a str,
+        size: u64,
+    ) -> impl Future<Output = MdsResponse> + 'a {
+        async move {
+            let req = MdsRequestRef { op, path, size }.encode();
+            MdsResponse::decode(self.ep.rpc(self.mds, MDS_AM, req).await)
+        }
     }
 
-    async fn oss_rpc(&self, ost: u32, req: OssRequest, payload: Payload) -> (OssResponse, Payload) {
-        let node = self.ost_nodes[ost as usize];
-        let (hdr, data) = self
-            .ep
-            .bulk_rpc(node, AmId(OSS_AM_BASE + ost), req.encode(), payload)
-            .await;
-        (OssResponse::decode(hdr), data)
+    fn oss_rpc(
+        &self,
+        ost: u32,
+        req: OssRequest,
+        payload: Payload,
+    ) -> impl Future<Output = (OssResponse, Payload)> + '_ {
+        async move {
+            let node = self.ost_nodes[ost as usize];
+            let (hdr, data) = self
+                .ep
+                .bulk_rpc(node, AmId(OSS_AM_BASE + ost), req.encode(), payload)
+                .await;
+            (OssResponse::decode(hdr), data)
+        }
     }
 
     fn new_fd(&self, of: OpenFile) -> PfsFd {
@@ -218,185 +238,226 @@ impl PfsClient {
         fd
     }
 
-    async fn open_as(&self, op: MdsOp, path: &str, mode: Mode) -> Result<PfsFd, PfsError> {
-        match self.mds_rpc(op, path, 0).await {
-            MdsResponse::Meta { layout, size } => Ok(self.new_fd(OpenFile {
-                path: intern(path),
-                layout: Rc::new(layout),
-                size,
-                offset: 0,
-                mode,
-                dirty: false,
-            })),
-            _ => Err(PfsError::NotFound),
+    fn open_as<'a>(
+        &'a self,
+        op: MdsOp,
+        path: &'a str,
+        mode: Mode,
+    ) -> impl Future<Output = Result<PfsFd, PfsError>> + 'a {
+        async move {
+            match self.mds_rpc(op, path, 0).await {
+                MdsResponse::Meta { layout, size } => Ok(self.new_fd(OpenFile {
+                    path: intern(path),
+                    layout: Rc::new(layout),
+                    size,
+                    offset: 0,
+                    mode,
+                    dirty: false,
+                })),
+                _ => Err(PfsError::NotFound),
+            }
         }
     }
 
     /// Create (or truncate) a file for writing.
-    pub async fn create(&self, path: &str) -> Result<PfsFd, PfsError> {
-        self.open_as(MdsOp::Create, path, Mode::Write).await
+    pub fn create<'a>(
+        &'a self,
+        path: &'a str,
+    ) -> impl Future<Output = Result<PfsFd, PfsError>> + 'a {
+        async move { self.open_as(MdsOp::Create, path, Mode::Write).await }
     }
 
     /// Open an existing file read-only.
-    pub async fn open(&self, path: &str) -> Result<PfsFd, PfsError> {
-        self.open_as(MdsOp::Open, path, Mode::Read).await
+    pub fn open<'a>(&'a self, path: &'a str) -> impl Future<Output = Result<PfsFd, PfsError>> + 'a {
+        async move { self.open_as(MdsOp::Open, path, Mode::Read).await }
     }
 
     /// Zero-copy write: stripe chunks are `Bytes` slices of `data` and
     /// travel to their OSTs in parallel without copying.
-    pub async fn write_bytes(&self, fd: PfsFd, data: Bytes) -> Result<(), PfsError> {
-        self.write_segments(fd, vec![data]).await
+    pub fn write_bytes(
+        &self,
+        fd: PfsFd,
+        data: Bytes,
+    ) -> impl Future<Output = Result<(), PfsError>> + '_ {
+        async move { self.write_segments(fd, vec![data]).await }
     }
 
     /// Zero-copy write of a segment rope (e.g. a frame's
     /// `[header, body]` pair) as one logical write.
-    pub async fn write_segments(&self, fd: PfsFd, mut data: Payload) -> Result<(), PfsError> {
-        let total = transport::payload_len(&data);
-        let (layout, offset) = {
-            let mut st = self.state.borrow_mut();
-            let of = st.fds.get_mut(&fd).ok_or(PfsError::BadDescriptor)?;
-            if of.mode != Mode::Write {
-                return Err(PfsError::BadDescriptor);
-            }
-            let offset = of.offset;
-            of.offset += total;
-            of.size = of.size.max(of.offset);
-            of.dirty = true;
-            (Rc::clone(&of.layout), offset)
-        };
-        // Fire all stripe writes concurrently, as the Lustre client
-        // does, while the logical I/O drains through the client stream
-        // throttle.
-        let mut pos = 0u64;
-        let mut stripes = Stripes::new();
-        {
-            let throttle = self.throttle.clone();
-            let cap = self.stream_cap(total, layout.stripe_count());
-            stripes.push(self.ctx.spawn(async move {
-                throttle.transfer_capped(total, Some(cap)).await;
-            }));
-        }
-        for (column, obj_off, len) in layout.chunks(offset, total) {
-            // A chunk that is the whole rope (every one-stripe frame)
-            // travels as the rope it came in.
-            let chunk = if len == total {
-                std::mem::take(&mut data)
-            } else {
-                rope_slice(&data, pos, len)
+    pub fn write_segments(
+        &self,
+        fd: PfsFd,
+        mut data: Payload,
+    ) -> impl Future<Output = Result<(), PfsError>> + '_ {
+        async move {
+            let total = transport::payload_len(&data);
+            let (layout, offset) = {
+                let mut st = self.state.borrow_mut();
+                let of = st.fds.get_mut(&fd).ok_or(PfsError::BadDescriptor)?;
+                if of.mode != Mode::Write {
+                    return Err(PfsError::BadDescriptor);
+                }
+                let offset = of.offset;
+                of.offset += total;
+                of.size = of.size.max(of.offset);
+                of.dirty = true;
+                (Rc::clone(&of.layout), offset)
             };
-            pos += len;
-            let ost = layout.osts[column];
-            let object = layout.objects[column];
-            let this = self.clone();
-            stripes.push(self.ctx.spawn(async move {
-                this.oss_rpc(
-                    ost,
-                    OssRequest::Write {
-                        object,
-                        offset: obj_off,
-                        len,
-                        total,
-                    },
-                    chunk,
-                )
-                .await;
-            }));
-        }
-        stripes.join().await.for_each(drop);
-        Ok(())
-    }
-
-    async fn read_chunks(&self, layout: &Layout, offset: u64, take: u64) -> Vec<Bytes> {
-        // Drain the logical read through the client stream throttle in
-        // parallel with the chunk RPCs.
-        let throttle = self.throttle.clone();
-        let cap = self.stream_cap(take, layout.stripe_count());
-        let drained = self.ctx.spawn(async move {
-            throttle.transfer_capped(take, Some(cap)).await;
-        });
-        let mut stripes = Stripes::new();
-        for (column, obj_off, clen) in layout.chunks(offset, take) {
-            let ost = layout.osts[column];
-            let object = layout.objects[column];
-            let this = self.clone();
-            stripes.push(self.ctx.spawn(async move {
-                let (_, data) = this
-                    .oss_rpc(
+            // Fire all stripe writes concurrently, as the Lustre client
+            // does, while the logical I/O drains through the client stream
+            // throttle.
+            let mut pos = 0u64;
+            let mut stripes = Stripes::new();
+            {
+                let throttle = self.throttle.clone();
+                let cap = self.stream_cap(total, layout.stripe_count());
+                stripes.push(self.ctx.spawn(async move {
+                    throttle.transfer_capped(total, Some(cap)).await;
+                }));
+            }
+            for (column, obj_off, len) in layout.chunks(offset, total) {
+                // A chunk that is the whole rope (every one-stripe frame)
+                // travels as the rope it came in.
+                let chunk = if len == total {
+                    std::mem::take(&mut data)
+                } else {
+                    rope_slice(&data, pos, len)
+                };
+                pos += len;
+                let ost = layout.osts[column];
+                let object = layout.objects[column];
+                let this = self.clone();
+                stripes.push(self.ctx.spawn(async move {
+                    this.oss_rpc(
                         ost,
-                        OssRequest::Read {
+                        OssRequest::Write {
                             object,
                             offset: obj_off,
-                            len: clen,
-                            total: take,
+                            len,
+                            total,
                         },
-                        Vec::new(),
+                        chunk,
                     )
                     .await;
-                data
-            }));
+                }));
+            }
+            stripes.join().await.for_each(drop);
+            Ok(())
         }
-        let mut ropes = stripes.join().await;
-        drained.await;
-        // The first chunk's rope, as it arrived, takes the others on: a
-        // one-stripe read hands back the server's own vector.
-        let mut out = ropes.next().unwrap_or_default();
-        for rope in ropes {
-            out.extend(rope);
+    }
+
+    fn read_chunks<'a>(
+        &'a self,
+        layout: &'a Layout,
+        offset: u64,
+        take: u64,
+    ) -> impl Future<Output = Vec<Bytes>> + 'a {
+        async move {
+            // Drain the logical read through the client stream throttle in
+            // parallel with the chunk RPCs.
+            let throttle = self.throttle.clone();
+            let cap = self.stream_cap(take, layout.stripe_count());
+            let drained = self.ctx.spawn(async move {
+                throttle.transfer_capped(take, Some(cap)).await;
+            });
+            let mut stripes = Stripes::new();
+            for (column, obj_off, clen) in layout.chunks(offset, take) {
+                let ost = layout.osts[column];
+                let object = layout.objects[column];
+                let this = self.clone();
+                stripes.push(self.ctx.spawn(async move {
+                    let (_, data) = this
+                        .oss_rpc(
+                            ost,
+                            OssRequest::Read {
+                                object,
+                                offset: obj_off,
+                                len: clen,
+                                total: take,
+                            },
+                            Vec::new(),
+                        )
+                        .await;
+                    data
+                }));
+            }
+            let mut ropes = stripes.join().await;
+            drained.await;
+            // The first chunk's rope, as it arrived, takes the others on: a
+            // one-stripe read hands back the server's own vector.
+            let mut out = ropes.next().unwrap_or_default();
+            for rope in ropes {
+                out.extend(rope);
+            }
+            out
         }
-        out
     }
 
     /// Zero-copy read of the remainder of the file: one `Bytes` per
     /// stripe chunk, in file order.
-    pub async fn read_segments(&self, fd: PfsFd) -> Result<Vec<Bytes>, PfsError> {
-        let (layout, offset, take) = {
-            let mut st = self.state.borrow_mut();
-            let of = st.fds.get_mut(&fd).ok_or(PfsError::BadDescriptor)?;
-            let take = of.size.saturating_sub(of.offset);
-            let offset = of.offset;
-            of.offset += take;
-            (Rc::clone(&of.layout), offset, take)
-        };
-        if take == 0 {
-            return Ok(Vec::new());
+    pub fn read_segments(
+        &self,
+        fd: PfsFd,
+    ) -> impl Future<Output = Result<Vec<Bytes>, PfsError>> + '_ {
+        async move {
+            let (layout, offset, take) = {
+                let mut st = self.state.borrow_mut();
+                let of = st.fds.get_mut(&fd).ok_or(PfsError::BadDescriptor)?;
+                let take = of.size.saturating_sub(of.offset);
+                let offset = of.offset;
+                of.offset += take;
+                (Rc::clone(&of.layout), offset, take)
+            };
+            if take == 0 {
+                return Ok(Vec::new());
+            }
+            Ok(self.read_chunks(&layout, offset, take).await)
         }
-        Ok(self.read_chunks(&layout, offset, take).await)
     }
 
     /// Close, publishing the size to the MDS if the file was written.
-    pub async fn close(&self, fd: PfsFd) -> Result<(), PfsError> {
-        let (path, size, dirty) = {
-            let mut st = self.state.borrow_mut();
-            let of = st.fds.remove(&fd).ok_or(PfsError::BadDescriptor)?;
-            (of.path, of.size, of.dirty)
-        };
-        if dirty {
-            self.mds_rpc(MdsOp::SetSize, path.resolve(), size).await;
+    pub fn close(&self, fd: PfsFd) -> impl Future<Output = Result<(), PfsError>> + '_ {
+        async move {
+            let (path, size, dirty) = {
+                let mut st = self.state.borrow_mut();
+                let of = st.fds.remove(&fd).ok_or(PfsError::BadDescriptor)?;
+                (of.path, of.size, of.dirty)
+            };
+            if dirty {
+                self.mds_rpc(MdsOp::SetSize, path.resolve(), size).await;
+            }
+            Ok(())
         }
-        Ok(())
     }
 
     /// Unlink: MDS removal plus object destruction on every OST column.
-    pub async fn unlink(&self, path: &str) -> Result<(), PfsError> {
-        let (layout, _) = self.stat(path).await?;
-        self.mds_rpc(MdsOp::Unlink, path, 0).await;
-        let mut stripes = Stripes::new();
-        for (&ost, &object) in layout.osts.iter().zip(&layout.objects) {
-            let this = self.clone();
-            stripes.push(self.ctx.spawn(async move {
-                this.oss_rpc(ost, OssRequest::Destroy { object }, Vec::new())
-                    .await;
-            }));
+    pub fn unlink<'a>(&'a self, path: &'a str) -> impl Future<Output = Result<(), PfsError>> + 'a {
+        async move {
+            let (layout, _) = self.stat(path).await?;
+            self.mds_rpc(MdsOp::Unlink, path, 0).await;
+            let mut stripes = Stripes::new();
+            for (&ost, &object) in layout.osts.iter().zip(&layout.objects) {
+                let this = self.clone();
+                stripes.push(self.ctx.spawn(async move {
+                    this.oss_rpc(ost, OssRequest::Destroy { object }, Vec::new())
+                        .await;
+                }));
+            }
+            stripes.join().await.for_each(drop);
+            Ok(())
         }
-        stripes.join().await.for_each(drop);
-        Ok(())
     }
 
     /// Stat via the MDS.
-    pub async fn stat(&self, path: &str) -> Result<(Layout, u64), PfsError> {
-        match self.mds_rpc(MdsOp::Stat, path, 0).await {
-            MdsResponse::Meta { layout, size } => Ok((layout, size)),
-            _ => Err(PfsError::NotFound),
+    pub fn stat<'a>(
+        &'a self,
+        path: &'a str,
+    ) -> impl Future<Output = Result<(Layout, u64), PfsError>> + 'a {
+        async move {
+            match self.mds_rpc(MdsOp::Stat, path, 0).await {
+                MdsResponse::Meta { layout, size } => Ok((layout, size)),
+                _ => Err(PfsError::NotFound),
+            }
         }
     }
 }

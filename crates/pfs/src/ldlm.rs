@@ -9,7 +9,12 @@
 //! server service time, so lock-based synchronization carries realistic
 //! latency in the experiments.
 
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
+
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::{Buf, BufMut, Bytes};
@@ -205,25 +210,29 @@ impl LdlmClient {
     }
 
     /// Acquire a lock, blocking (inside the server) until compatible.
-    pub async fn lock(&self, path: &str, mode: LockMode) {
-        let op = match mode {
-            LockMode::ProtectedRead => OP_LOCK_PR,
-            LockMode::Exclusive => OP_LOCK_EX,
-        };
-        self.ep
-            .rpc(self.server, LDLM_AM, encode_req(op, path))
-            .await;
+    pub fn lock<'a>(&'a self, path: &'a str, mode: LockMode) -> impl Future<Output = ()> + 'a {
+        async move {
+            let op = match mode {
+                LockMode::ProtectedRead => OP_LOCK_PR,
+                LockMode::Exclusive => OP_LOCK_EX,
+            };
+            self.ep
+                .rpc(self.server, LDLM_AM, encode_req(op, path))
+                .await;
+        }
     }
 
     /// Release a previously granted lock.
-    pub async fn unlock(&self, path: &str, mode: LockMode) {
-        let op = match mode {
-            LockMode::ProtectedRead => OP_UNLOCK_PR,
-            LockMode::Exclusive => OP_UNLOCK_EX,
-        };
-        self.ep
-            .rpc(self.server, LDLM_AM, encode_req(op, path))
-            .await;
+    pub fn unlock<'a>(&'a self, path: &'a str, mode: LockMode) -> impl Future<Output = ()> + 'a {
+        async move {
+            let op = match mode {
+                LockMode::ProtectedRead => OP_UNLOCK_PR,
+                LockMode::Exclusive => OP_UNLOCK_EX,
+            };
+            self.ep
+                .rpc(self.server, LDLM_AM, encode_req(op, path))
+                .await;
+        }
     }
 }
 

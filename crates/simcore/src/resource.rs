@@ -56,6 +56,10 @@
 //! cache lines), then the first class with its first pending entry. Two
 //! of the three spill vectors come last.
 
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
+
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
 
@@ -104,16 +108,18 @@ impl FifoResource {
     }
 
     /// Queue for a slot, hold it for `service`, then release it.
-    pub async fn request(&self, service: SimDuration) {
-        let queued_at = self.ctx.now();
-        let permit = self.sem.acquire(1).await;
-        let start = self.ctx.now();
-        self.ctx.sleep(service).await;
-        drop(permit);
-        let mut st = self.stats.borrow_mut();
-        st.served += 1;
-        st.busy += service;
-        st.waited += start - queued_at;
+    pub fn request(&self, service: SimDuration) -> impl Future<Output = ()> + '_ {
+        async move {
+            let queued_at = self.ctx.now();
+            let permit = self.sem.acquire(1).await;
+            let start = self.ctx.now();
+            self.ctx.sleep(service).await;
+            drop(permit);
+            let mut st = self.stats.borrow_mut();
+            st.served += 1;
+            st.busy += service;
+            st.waited += start - queued_at;
+        }
     }
 
     /// Snapshot of accumulated statistics.
@@ -549,14 +555,14 @@ impl SharedBandwidth {
 
     /// Transfer `bytes` through the link, completing when the fair-share
     /// fluid model has delivered every byte.
-    pub async fn transfer(&self, bytes: u64) {
-        self.transfer_capped(bytes, None).await
+    pub fn transfer(&self, bytes: u64) -> impl Future<Output = ()> + '_ {
+        async move { self.transfer_capped(bytes, None).await }
     }
 
     /// Transfer with an explicit per-flow rate ceiling (e.g. a sustained
     /// client stream rate that is lower than the device's burst rate).
-    pub async fn transfer_capped(&self, bytes: u64, cap: Option<f64>) {
-        self.start(bytes, cap, 0).await
+    pub fn transfer_capped(&self, bytes: u64, cap: Option<f64>) -> impl Future<Output = ()> + '_ {
+        async move { self.start(bytes, cap, 0).await }
     }
 
     /// Join the flow set *now* and return a future resolving when the
@@ -575,13 +581,17 @@ impl SharedBandwidth {
     }
 
     /// Transfer and account the byte count in [`BwStats::bytes_moved`].
-    pub async fn transfer_counted(&self, bytes: u64) {
-        self.start(bytes, None, bytes).await
+    pub fn transfer_counted(&self, bytes: u64) -> impl Future<Output = ()> + '_ {
+        async move { self.start(bytes, None, bytes).await }
     }
 
     /// [`SharedBandwidth::transfer_capped`] with byte accounting.
-    pub async fn transfer_capped_counted(&self, bytes: u64, cap: Option<f64>) {
-        self.start(bytes, cap, bytes).await
+    pub fn transfer_capped_counted(
+        &self,
+        bytes: u64,
+        cap: Option<f64>,
+    ) -> impl Future<Output = ()> + '_ {
+        async move { self.start(bytes, cap, bytes).await }
     }
 
     fn start(&self, bytes: u64, cap: Option<f64>, counted_bytes: u64) -> TransferFut {

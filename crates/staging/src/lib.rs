@@ -39,11 +39,15 @@
 //! body `dyad` and `streaming` both run.
 
 #![warn(missing_docs)]
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
 
 pub mod plane;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::{Buf, BufMut, Bytes};
@@ -385,41 +389,43 @@ impl StagingManager {
     /// tracked frame remains on NVMe there is nothing the evictor could
     /// free, so the write is admitted (it may still hit `NoSpace` at
     /// the filesystem, exactly as a real over-committed node would).
-    pub async fn admit(&self, incoming: u64) {
-        if !self.is_bounded() {
-            return;
-        }
-        let mut stalled = false;
-        let start = self.ctx.now();
-        loop {
-            let used = self.fs.statvfs().used_bytes;
-            if used + incoming <= self.high_bytes() || !self.has_local_frames() {
-                break;
+    pub fn admit(&self, incoming: u64) -> impl Future<Output = ()> + '_ {
+        async move {
+            if !self.is_bounded() {
+                return;
             }
-            if !stalled {
-                stalled = true;
+            let mut stalled = false;
+            let start = self.ctx.now();
+            loop {
+                let used = self.fs.statvfs().used_bytes;
+                if used + incoming <= self.high_bytes() || !self.has_local_frames() {
+                    break;
+                }
+                if !stalled {
+                    stalled = true;
+                    let mut inner = self.inner.borrow_mut();
+                    inner.stats.backpressure_stalls += 1;
+                    // Publish the demand so the evictor can see pressure
+                    // even when current usage sits below the low watermark
+                    // (small budgets: one frame can span the whole
+                    // low..high hysteresis band).
+                    inner.pending_demand += incoming;
+                }
+                self.pressure.notify_all();
+                // Wake on release, or re-check after one evictor period in
+                // case the pass could not reach the watermark.
+                race(
+                    self.release.wait(),
+                    self.ctx.sleep(self.spec.evict_interval),
+                )
+                .await;
+            }
+            if stalled {
+                let waited = self.ctx.now() - start;
                 let mut inner = self.inner.borrow_mut();
-                inner.stats.backpressure_stalls += 1;
-                // Publish the demand so the evictor can see pressure
-                // even when current usage sits below the low watermark
-                // (small budgets: one frame can span the whole
-                // low..high hysteresis band).
-                inner.pending_demand += incoming;
+                inner.stats.backpressure_wait += waited;
+                inner.pending_demand -= incoming;
             }
-            self.pressure.notify_all();
-            // Wake on release, or re-check after one evictor period in
-            // case the pass could not reach the watermark.
-            race(
-                self.release.wait(),
-                self.ctx.sleep(self.spec.evict_interval),
-            )
-            .await;
-        }
-        if stalled {
-            let waited = self.ctx.now() - start;
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.backpressure_wait += waited;
-            inner.pending_demand -= incoming;
         }
     }
 
@@ -473,24 +479,36 @@ impl StagingManager {
     /// Commit the consumption acknowledgement for (`path`, `consumer`).
     /// A commit that fails inside a fault window is counted
     /// (`acks_dropped`), not fatal: the frame is merely retained longer.
-    pub async fn try_publish_ack(&self, path: &str, consumer: &str) -> Result<(), TransportError> {
-        let res = self
-            .kvs
-            .try_commit(&ack_key(path, consumer), Bytes::from_static(b"1"))
-            .await;
-        let mut inner = self.inner.borrow_mut();
-        match res {
-            Ok(_) => inner.stats.acks_published += 1,
-            Err(_) => inner.stats.acks_dropped += 1,
+    pub fn try_publish_ack<'a>(
+        &'a self,
+        path: &'a str,
+        consumer: &'a str,
+    ) -> impl Future<Output = Result<(), TransportError>> + 'a {
+        async move {
+            let res = self
+                .kvs
+                .try_commit(&ack_key(path, consumer), Bytes::from_static(b"1"))
+                .await;
+            let mut inner = self.inner.borrow_mut();
+            match res {
+                Ok(_) => inner.stats.acks_published += 1,
+                Err(_) => inner.stats.acks_dropped += 1,
+            }
+            res.map(|_| ())
         }
-        res.map(|_| ())
     }
 
     /// [`StagingManager::try_publish_ack`] without a fault board.
-    pub async fn publish_ack(&self, path: &str, consumer: &str) {
-        self.try_publish_ack(path, consumer)
-            .await
-            .expect("publish_ack cannot fail without a fault board")
+    pub fn publish_ack<'a>(
+        &'a self,
+        path: &'a str,
+        consumer: &'a str,
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.try_publish_ack(path, consumer)
+                .await
+                .expect("publish_ack cannot fail without a fault board")
+        }
     }
 
     /// Note a consumer fetch that fell back to the PFS copy.

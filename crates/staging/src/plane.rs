@@ -23,7 +23,12 @@
 //! (put: local-write retry; get: re-resolve backoff, attempt bound)
 //! select on `Endpoint::faults()` and nothing else.
 
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
+
 use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -173,7 +178,7 @@ impl From<TransportError> for PlaneError {
 /// put write retry) and the roles' outer ones. Wider than the transport
 /// policy: node outages last milliseconds-to-seconds, so the cap and
 /// budget stretch further.
-pub fn retry_policy() -> RetryPolicy {
+pub const fn retry_policy() -> RetryPolicy {
     RetryPolicy {
         base: SimDuration::from_millis(1),
         cap: SimDuration::from_millis(500),
@@ -307,17 +312,19 @@ impl Plane {
         self.row.managed_path(name)
     }
 
-    async fn ensure_dirs(&self, path: &str) {
-        let Some((dir, _)) = path.rsplit_once('/') else {
-            return;
-        };
-        if self.inner.borrow().dirs_made.contains(dir) {
-            return;
-        }
-        // Remembered only once made: a device-error window can fail the
-        // first `mkdir_p`, and the write's retry must then make it again.
-        if self.fs.mkdir_p(dir).await.is_ok() {
-            self.inner.borrow_mut().dirs_made.insert(dir.to_string());
+    fn ensure_dirs<'a>(&'a self, path: &'a str) -> impl Future<Output = ()> + 'a {
+        async move {
+            let Some((dir, _)) = path.rsplit_once('/') else {
+                return;
+            };
+            if self.inner.borrow().dirs_made.contains(dir) {
+                return;
+            }
+            // Remembered only once made: a device-error window can fail the
+            // first `mkdir_p`, and the write's retry must then make it again.
+            if self.fs.mkdir_p(dir).await.is_ok() {
+                self.inner.borrow_mut().dirs_made.insert(dir.to_string());
+            }
         }
     }
 
@@ -325,36 +332,45 @@ impl Plane {
     /// with atomic `tmp`+rename publication, so a same-node reader can
     /// never observe a partially written file. On failure (device-error
     /// window) the tmp file is removed so a retry starts clean.
-    async fn write_atomic(&self, path: &str, tmp: &str, frame: &[Bytes]) -> FsResult<()> {
-        self.ensure_dirs(path).await;
-        let res: FsResult<()> = async {
-            let fd = self.fs.create(tmp).await?;
-            for seg in frame {
-                self.fs.write_bytes(fd, seg.clone()).await?;
+    fn write_atomic<'a>(
+        &'a self,
+        path: &'a str,
+        tmp: &'a str,
+        frame: &'a [Bytes],
+    ) -> impl Future<Output = FsResult<()>> + 'a {
+        async move {
+            self.ensure_dirs(path).await;
+            let res: FsResult<()> = async {
+                let fd = self.fs.create(tmp).await?;
+                for seg in frame {
+                    self.fs.write_bytes(fd, seg.clone()).await?;
+                }
+                self.fs.close(fd).await?;
+                self.fs.rename(tmp, path).await?;
+                Ok(())
             }
-            self.fs.close(fd).await?;
-            self.fs.rename(tmp, path).await?;
-            Ok(())
+            .await;
+            if res.is_err() {
+                let _ = self.fs.unlink(tmp).await;
+            }
+            res
         }
-        .await;
-        if res.is_err() {
-            let _ = self.fs.unlink(tmp).await;
-        }
-        res
     }
 
-    async fn commit_meta(
-        &self,
-        path: &str,
+    /// Publish `path` as `size` bytes at `location` on this node: the
+    /// KVS commit's own future, with no state of this layer around it.
+    fn commit_meta<'a>(
+        &'a self,
+        path: &'a str,
         size: u64,
         location: FrameLocation,
-    ) -> Result<u64, TransportError> {
+    ) -> impl Future<Output = Result<u64, TransportError>> + 'a {
         let meta = FrameMeta {
             owner: self.node,
             size,
             location,
         };
-        self.kvs.try_commit(path, meta.encode()).await
+        self.kvs.try_commit(path, meta.encode())
     }
 
     /// Put a frame at managed `path`: write to node-local storage, then
@@ -372,69 +388,71 @@ impl Plane {
     /// typed once the budget is exhausted: `Storage` once the frame's
     /// `Lost` tombstone is committed, `Transport` when the tombstone (or
     /// the metadata) could not be.
-    pub async fn put(
-        &self,
-        rec: &Recorder,
+    pub fn put<'a>(
+        &'a self,
+        rec: &'a Recorder,
         path: String,
-        frame: &[Bytes],
-        jitter: Option<&mut StdRng>,
-    ) -> Result<(), PlaneError> {
-        let size = transport::payload_len(frame);
-        let mut jitter = (self.ep.faults())
-            .map(|_| jitter.expect("under a fault board the caller passes its jitter stream"));
-        // Admission control: above the staging high watermark the
-        // producer blocks here until the evictor frees space. The stall
-        // is its own region so `report` can split it out of production
-        // time as idle rather than movement.
-        if let Some(st) = &self.staging {
-            if st.would_block(size) {
-                let b = rec.region(BACKPRESSURE);
-                st.admit(size).await;
-                b.end();
-            }
-        }
-        let tmp = format!("{path}.tmp");
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let w = rec.region(self.row.put_write);
-            let res = self.write_atomic(&path, &tmp, frame).await;
-            w.end();
-            match (res, jitter.as_deref_mut()) {
-                (Ok(()), _) => break,
-                (Err(_), Some(rng)) if attempts < retry_policy().max_attempts => {
-                    rec.annotate("produce_retries", 1.0);
-                    let pause = retry_policy().backoff(attempts - 1, rng);
-                    self.ctx.sleep(pause).await;
-                }
-                (Err(_), _) => {
-                    // The frame can never appear: publish a Lost
-                    // tombstone so consumers surface a typed `Lost`
-                    // instead of parking forever on a key that will
-                    // never be committed. A tombstone that cannot be
-                    // committed either fails the put as `Transport`,
-                    // which the caller retries whole.
-                    self.commit_meta(&path, size, FrameLocation::Lost).await?;
-                    return Err(PlaneError::Storage { path });
+        frame: &'a [Bytes],
+        mut jitter: Option<&'a mut StdRng>,
+    ) -> impl Future<Output = Result<(), PlaneError>> + 'a {
+        async move {
+            let size = transport::payload_len(frame);
+            jitter = (self.ep.faults())
+                .map(|_| jitter.expect("under a fault board the caller passes its jitter stream"));
+            // Admission control: above the staging high watermark the
+            // producer blocks here until the evictor frees space. The stall
+            // is its own region so `report` can split it out of production
+            // time as idle rather than movement.
+            if let Some(st) = &self.staging {
+                if st.would_block(size) {
+                    let b = rec.region(BACKPRESSURE);
+                    st.admit(size).await;
+                    b.end();
                 }
             }
+            let tmp = format!("{path}.tmp");
+            let mut attempts = 0;
+            loop {
+                attempts += 1;
+                let w = rec.region(self.row.put_write);
+                let res = self.write_atomic(&path, &tmp, frame).await;
+                w.end();
+                match (res, jitter.as_deref_mut()) {
+                    (Ok(()), _) => break,
+                    (Err(_), Some(rng)) if attempts < retry_policy().max_attempts => {
+                        rec.annotate("produce_retries", 1.0);
+                        let pause = retry_policy().backoff(attempts - 1, rng);
+                        self.ctx.sleep(pause).await;
+                    }
+                    (Err(_), _) => {
+                        // The frame can never appear: publish a Lost
+                        // tombstone so consumers surface a typed `Lost`
+                        // instead of parking forever on a key that will
+                        // never be committed. A tombstone that cannot be
+                        // committed either fails the put as `Transport`,
+                        // which the caller retries whole.
+                        self.commit_meta(&path, size, FrameLocation::Lost).await?;
+                        return Err(PlaneError::Storage { path });
+                    }
+                }
+            }
+            if let Some(st) = &self.staging {
+                st.frame_written(&path, size);
+            }
+            let c = rec.region(self.row.put_commit);
+            // Global-namespace bookkeeping (hashing, path registration).
+            self.ctx.sleep(self.spec.commit_overhead).await;
+            let committed = self.commit_meta(&path, size, FrameLocation::Nvme).await;
+            c.end();
+            committed?;
+            if let Some(st) = &self.staging {
+                st.frame_published(&path);
+            }
+            let mut inner = self.inner.borrow_mut();
+            inner.stats.puts += 1;
+            inner.stats.bytes_put += size;
+            Ok(())
         }
-        if let Some(st) = &self.staging {
-            st.frame_written(&path, size);
-        }
-        let c = rec.region(self.row.put_commit);
-        // Global-namespace bookkeeping (hashing, path registration).
-        self.ctx.sleep(self.spec.commit_overhead).await;
-        let committed = self.commit_meta(&path, size, FrameLocation::Nvme).await;
-        c.end();
-        committed?;
-        if let Some(st) = &self.staging {
-            st.frame_published(&path);
-        }
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.puts += 1;
-        inner.stats.bytes_put += size;
-        Ok(())
     }
 
     /// Open a get session (tracks warm/cold synchronization state, one
@@ -465,45 +483,53 @@ impl Plane {
 
     /// The cold synchronization: a parked server-side watch by default,
     /// or client-side polling under the `cold_sync_poll` ablation.
-    async fn cold_wait(
-        &self,
-        rec: &Recorder,
-        path: &str,
+    fn cold_wait<'a>(
+        &'a self,
+        rec: &'a Recorder,
+        path: &'a str,
         poll: bool,
-    ) -> Result<kvs::VersionedValue, TransportError> {
-        if !poll {
-            return self.kvs.try_wait_key(path).await;
+    ) -> impl Future<Output = Result<kvs::VersionedValue, TransportError>> + 'a {
+        async move {
+            if !poll {
+                return self.kvs.try_wait_key(path).await;
+            }
+            // The counted variant reports polls on *both* exits: a consumer
+            // that gave up after 40 polls still sent 40 RPCs, and dropping
+            // them undercounted metadata load exactly on the runs (faulty
+            // ones) where the poll pressure is most interesting. Boxed: the
+            // poll loop is the largest future under `get` and only the
+            // ablation runs it; inline it costs every consumer role of every
+            // backend 72 bytes (`footprint.rs`).
+            let (res, polls) = Box::pin(self.kvs.try_wait_key_poll_counted(path)).await;
+            rec.annotate("kvs_polls", polls as f64);
+            res
         }
-        // The counted variant reports polls on *both* exits: a consumer
-        // that gave up after 40 polls still sent 40 RPCs, and dropping
-        // them undercounted metadata load exactly on the runs (faulty
-        // ones) where the poll pressure is most interesting. Boxed: the
-        // poll loop is the largest future under `get` and only the
-        // ablation runs it; inline it costs every consumer role of every
-        // backend 72 bytes (`footprint.rs`).
-        let (res, polls) = Box::pin(self.kvs.try_wait_key_poll_counted(path)).await;
-        rec.annotate("kvs_polls", polls as f64);
-        res
     }
 
     /// Fetch a spilled frame's PFS copy; `None` when no PFS client is
     /// configured or the copy is already retired.
-    async fn fetch_spill(&self, rec: &Recorder, path: &str) -> Option<Payload> {
-        let st = self.staging.as_ref()?;
-        let pfs = st.pfs_client()?;
-        let r = rec.region(self.row.get_pfs);
-        let got: Option<Payload> = async {
-            let fd = pfs.open(&spill_path(path)).await.ok()?;
-            let data = pfs.read_segments(fd).await.ok()?;
-            let _ = pfs.close(fd).await;
-            Some(data)
+    fn fetch_spill<'a>(
+        &'a self,
+        rec: &'a Recorder,
+        path: &'a str,
+    ) -> impl Future<Output = Option<Payload>> + 'a {
+        async move {
+            let st = self.staging.as_ref()?;
+            let pfs = st.pfs_client()?;
+            let r = rec.region(self.row.get_pfs);
+            let got: Option<Payload> = async {
+                let fd = pfs.open(&spill_path(path)).await.ok()?;
+                let data = pfs.read_segments(fd).await.ok()?;
+                let _ = pfs.close(fd).await;
+                Some(data)
+            }
+            .await;
+            r.end();
+            if got.is_some() {
+                st.note_pfs_fallback();
+            }
+            got
         }
-        .await;
-        r.end();
-        if got.is_some() {
-            st.note_pfs_fallback();
-        }
-        got
     }
 
     /// Publish the consumption ack asynchronously: retention (and a
@@ -561,210 +587,226 @@ impl Session {
     ///
     /// A [`FrameLocation::Lost`] tombstone (owner crashed before the
     /// frame could spill) surfaces as [`PlaneError::Lost`] either way.
-    pub async fn get(
-        &mut self,
-        plane: &Plane,
-        rec: &Recorder,
+    pub fn get<'a>(
+        &'a mut self,
+        plane: &'a Plane,
+        rec: &'a Recorder,
         name: &str,
-    ) -> Result<Payload, PlaneError> {
-        let row = plane.row;
+    ) -> impl Future<Output = Result<Payload, PlaneError>> + 'a {
+        // Made before the body starts: the body keeps the path, not the
+        // name beside it.
         let path = plane.managed_path(name);
-        let policy = retry_policy();
-        // The board's absence is the infallible case; the two policy
-        // differences below are selected on it and nothing else.
-        let faulted = plane.ep.faults().is_some();
-        let max_attempts = if faulted { policy.max_attempts } else { 8 };
-        let g = rec.region(row.get);
-
-        // --- Synchronization ------------------------------------------
-        // Local presence first (single-node deployments): a flock probe
-        // suffices once the producer shares our filesystem.
-        let mut data: Option<Payload> = None;
-        if plane.fs.exists(&path) {
-            let f = rec.region(row.get_flock);
-            let locked = plane.fs.flock(&path, LockKind::Shared).await.is_ok();
-            if locked {
-                let _ = plane.fs.funlock(&path, LockKind::Shared).await;
-            }
-            f.end();
-            if locked {
-                // Node-local: direct read. Under staging, the evictor may
-                // retire or spill the frame between the probe and the
-                // read; a miss falls through to metadata resolution.
-                let r = rec.region(READ);
-                data = try_read_local(&plane.fs, &path).await;
-                r.end();
-                if data.is_some() {
-                    plane.inner.borrow_mut().stats.local_hits += 1;
-                    self.warmed = true;
-                }
-            }
-        }
-
-        if data.is_none() {
-            // Remote (or evicted) data: resolve the owner through the
-            // KVS.
-            let f = rec.region(row.get_sync);
-            // Warm path: data is normally already published — one cheap,
-            // non-blocking lookup. Cold path (first access, or the
-            // producer fell behind): the loosely coupled blocking watch.
-            let warm = self.warmed && plane.spec.warm_sync;
-            let hit = if warm {
-                plane.kvs.try_lookup(&path).await?
-            } else {
-                None
-            };
-            let v = match hit {
-                Some(v) => {
-                    plane.inner.borrow_mut().stats.warm_syncs += 1;
-                    v
-                }
-                None => {
-                    if warm {
-                        rec.annotate("cold_fallbacks", 1.0);
+        async move {
+            const POLICY: RetryPolicy = retry_policy();
+            // The board's absence is the infallible case; the two policy
+            // differences below are selected on it and nothing else.
+            let faulted = plane.ep.faults().is_some();
+            let g = rec.region(plane.row.get);
+            let data = 'resolved: {
+                // --- Synchronization --------------------------------------
+                // Local presence first (single-node deployments): a flock
+                // probe suffices once the producer shares our filesystem.
+                if plane.fs.exists(&path) {
+                    let f = rec.region(plane.row.get_flock);
+                    let locked = plane.fs.flock(&path, LockKind::Shared).await.is_ok();
+                    if locked {
+                        let _ = plane.fs.funlock(&path, LockKind::Shared).await;
                     }
-                    plane.inner.borrow_mut().stats.cold_syncs += 1;
-                    plane.cold_wait(rec, &path, self.cold_sync_poll).await?
-                }
-            };
-            f.end();
-            let mut meta = FrameMeta::decode(v.value);
-            self.warmed = true;
-
-            // --- Data movement with recovery --------------------------
-            let mut attempts = 0;
-            let fetched = loop {
-                attempts += 1;
-                if attempts > max_attempts {
-                    return Err(PlaneError::Unresolvable {
-                        path,
-                        attempts: attempts - 1,
-                    });
-                }
-                match meta.location {
-                    FrameLocation::Lost => {
-                        return Err(PlaneError::Lost { path });
-                    }
-                    FrameLocation::Pfs => {
-                        // Spill copy gone: the owner (or its restart
-                        // hook) will tombstone or re-publish; re-resolve.
-                        if let Some(got) = plane.fetch_spill(rec, &path).await {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme if meta.owner == plane.node => {
+                    f.end();
+                    if locked {
+                        // Node-local: direct read. Under staging, the
+                        // evictor may retire or spill the frame between the
+                        // probe and the read; a miss falls through to
+                        // metadata resolution.
                         let r = rec.region(READ);
-                        let got = try_read_local(&plane.fs, &path).await;
+                        let local = try_read_local(&plane.fs, &path).await;
                         r.end();
-                        if let Some(got) = got {
-                            break got;
-                        }
-                    }
-                    FrameLocation::Nvme => {
-                        // RDMA fetch from the owner's node-local
-                        // storage. An empty payload means the owner no
-                        // longer holds the file (spilled underneath us).
-                        let r = rec.region(row.get_data);
-                        let fetch = plane
-                            .ep
-                            .bulk_rpc_retrying(
-                                meta.owner,
-                                row.am,
-                                Bytes::copy_from_slice(path.as_bytes()),
-                                Vec::new(),
-                                &policy,
-                                &mut self.rng,
-                            )
-                            .await;
-                        r.end();
-                        match fetch {
-                            Ok((_, got)) if transport::payload_len(&got) > 0 => {
-                                let stored = self.store_cache(plane, rec, &path, got).await;
-                                if let Some(got) = stored {
-                                    break got;
-                                }
-                            }
-                            Ok(_) => {
-                                // Owner answered but no longer holds the
-                                // file (spilled or lost underneath us):
-                                // re-resolve through the KVS.
-                            }
-                            Err(_) => {
-                                // Owner unreachable (crashed mid-window):
-                                // try the PFS spill copy before waiting
-                                // out the restart.
-                                rec.annotate("dead_owner_fallbacks", 1.0);
-                                if let Some(got) = plane.fetch_spill(rec, &path).await {
-                                    break got;
-                                }
-                            }
+                        if let Some(local) = local {
+                            plane.inner.borrow_mut().stats.local_hits += 1;
+                            self.warmed = true;
+                            break 'resolved local;
                         }
                     }
                 }
-                // Re-read the metadata and retry at the frame's (possibly
-                // new) home — after a backoff when an outage may be why.
-                if faulted {
-                    let pause = policy.backoff(attempts - 1, &mut self.rng);
-                    plane.ctx.sleep(pause).await;
-                }
-                match plane.kvs.try_lookup(&path).await {
-                    Ok(Some(v)) => meta = FrameMeta::decode(v.value),
-                    // Metadata gone while we hold an unconsumed
-                    // reference: the frame is unrecoverable.
-                    Ok(None) => return Err(PlaneError::Lost { path }),
-                    Err(e) => return Err(e.into()),
+
+                // Remote (or evicted) data: resolve the owner through the
+                // KVS. Each answer is decoded as it arrives, so only the
+                // 16-byte `FrameMeta` is kept across the awaits after it.
+                let f = rec.region(plane.row.get_sync);
+                // Warm path: data is normally already published — one
+                // cheap, non-blocking lookup. Cold path (first access, or
+                // the producer fell behind): the loosely coupled blocking
+                // watch.
+                let warm = self.warmed && plane.spec.warm_sync;
+                let hit = if warm {
+                    plane
+                        .kvs
+                        .try_lookup(&path)
+                        .await?
+                        .map(|v| FrameMeta::decode(v.value))
+                } else {
+                    None
+                };
+                let mut meta = match hit {
+                    Some(meta) => {
+                        plane.inner.borrow_mut().stats.warm_syncs += 1;
+                        meta
+                    }
+                    None => {
+                        if warm {
+                            rec.annotate("cold_fallbacks", 1.0);
+                        }
+                        plane.inner.borrow_mut().stats.cold_syncs += 1;
+                        let v = plane.cold_wait(rec, &path, self.cold_sync_poll).await?;
+                        FrameMeta::decode(v.value)
+                    }
+                };
+                f.end();
+                self.warmed = true;
+
+                // --- Data movement with recovery --------------------------
+                let max_attempts = if faulted { POLICY.max_attempts } else { 8 };
+                let mut attempts = 0;
+                loop {
+                    attempts += 1;
+                    if attempts > max_attempts {
+                        return Err(PlaneError::Unresolvable {
+                            path,
+                            attempts: attempts - 1,
+                        });
+                    }
+                    match meta.location {
+                        FrameLocation::Lost => {
+                            return Err(PlaneError::Lost { path });
+                        }
+                        FrameLocation::Pfs => {
+                            // Spill copy gone: the owner (or its restart
+                            // hook) will tombstone or re-publish;
+                            // re-resolve.
+                            if let Some(got) = plane.fetch_spill(rec, &path).await {
+                                break 'resolved got;
+                            }
+                        }
+                        FrameLocation::Nvme if meta.owner == plane.node => {
+                            let r = rec.region(READ);
+                            let got = try_read_local(&plane.fs, &path).await;
+                            r.end();
+                            if let Some(got) = got {
+                                break 'resolved got;
+                            }
+                        }
+                        FrameLocation::Nvme => {
+                            // RDMA fetch from the owner's node-local
+                            // storage. An empty payload means the owner no
+                            // longer holds the file (spilled underneath us).
+                            let r = rec.region(plane.row.get_data);
+                            let fetch = plane
+                                .ep
+                                .bulk_rpc_retrying(
+                                    meta.owner,
+                                    plane.row.am,
+                                    Bytes::copy_from_slice(path.as_bytes()),
+                                    Vec::new(),
+                                    &POLICY,
+                                    &mut self.rng,
+                                )
+                                .await;
+                            r.end();
+                            match fetch {
+                                Ok((_, got)) if transport::payload_len(&got) > 0 => {
+                                    let stored = self.store_cache(plane, rec, &path, got).await;
+                                    if let Some(got) = stored {
+                                        break 'resolved got;
+                                    }
+                                }
+                                Ok(_) => {
+                                    // Owner answered but no longer holds
+                                    // the file (spilled or lost underneath
+                                    // us): re-resolve through the KVS.
+                                }
+                                Err(_) => {
+                                    // Owner unreachable (crashed
+                                    // mid-window): try the PFS spill copy
+                                    // before waiting out the restart.
+                                    rec.annotate("dead_owner_fallbacks", 1.0);
+                                    if let Some(got) = plane.fetch_spill(rec, &path).await {
+                                        break 'resolved got;
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    // Re-read the metadata and retry at the frame's
+                    // (possibly new) home — after a backoff when an outage
+                    // may be why.
+                    if faulted {
+                        let pause = POLICY.backoff(attempts - 1, &mut self.rng);
+                        plane.ctx.sleep(pause).await;
+                    }
+                    match plane.kvs.try_lookup(&path).await {
+                        Ok(Some(v)) => meta = FrameMeta::decode(v.value),
+                        // Metadata gone while we hold an unconsumed
+                        // reference: the frame is unrecoverable.
+                        Ok(None) => return Err(PlaneError::Lost { path }),
+                        Err(e) => return Err(e.into()),
+                    }
                 }
             };
-            data = Some(fetched);
-        }
-        let data = data.expect("get resolved a payload");
-        g.end();
-        plane.spawn_ack(path, &self.id);
+            g.end();
+            plane.spawn_ack(path, &self.id);
 
-        let size = transport::payload_len(&data);
-        let mut inner = plane.inner.borrow_mut();
-        inner.stats.gets += 1;
-        inner.stats.bytes_got += size;
-        Ok(data)
+            let size = transport::payload_len(&data);
+            let mut inner = plane.inner.borrow_mut();
+            inner.stats.gets += 1;
+            inner.stats.bytes_got += size;
+            Ok(data)
+        }
     }
 
     /// Stage a fetched remote frame into the local cache and read it
     /// back. `None` when the cache write failed (device-error window) —
     /// the caller re-resolves; meanwhile serve nothing rather than a
     /// partial frame.
-    async fn store_cache(
-        &self,
-        plane: &Plane,
-        rec: &Recorder,
-        path: &str,
+    fn store_cache<'a>(
+        &'a self,
+        plane: &'a Plane,
+        rec: &'a Recorder,
+        path: &'a str,
         got: Payload,
-    ) -> Option<Payload> {
-        let s = rec.region(plane.row.get_store);
-        // Session-unique tmp name: same-node sessions can fetch the same
-        // frame concurrently, and create() truncates, so a shared tmp
-        // would interleave their writes.
-        let tmp = format!("{path}.tmp-{}-{}", plane.node.0, self.id);
-        if plane.write_atomic(path, &tmp, &got).await.is_err() {
+    ) -> impl Future<Output = Option<Payload>> + 'a {
+        async move {
+            let s = rec.region(plane.row.get_store);
+            // Session-unique tmp name: same-node sessions can fetch the same
+            // frame concurrently, and create() truncates, so a shared tmp
+            // would interleave their writes.
+            let tmp = format!("{path}.tmp-{}-{}", plane.node.0, self.id);
+            if plane.write_atomic(path, &tmp, &got).await.is_err() {
+                s.end();
+                return None;
+            }
+            if let Some(st) = &plane.staging {
+                st.cache_inserted(path, transport::payload_len(&got));
+            }
             s.end();
-            return None;
+            let r = rec.region(READ);
+            let got = try_read_local(&plane.fs, path).await;
+            r.end();
+            got
         }
-        if let Some(st) = &plane.staging {
-            st.cache_inserted(path, transport::payload_len(&got));
-        }
-        s.end();
-        let r = rec.region(READ);
-        let got = try_read_local(&plane.fs, path).await;
-        r.end();
-        got
     }
 }
 
 /// Read a whole local file; `None` when it vanished (staging eviction
 /// between probe and open — the orphaned-inode semantics in `localfs`
 /// cover an unlink *after* the open) or the device failed the read.
-async fn try_read_local(fs: &LocalFs, path: &str) -> Option<Payload> {
-    let fd = fs.open(path).await.ok()?;
-    let data = fs.read_segments(fd).await;
-    let _ = fs.close(fd).await;
-    data.ok()
+fn try_read_local<'a>(
+    fs: &'a LocalFs,
+    path: &'a str,
+) -> impl Future<Output = Option<Payload>> + 'a {
+    async move {
+        let fd = fs.open(path).await.ok()?;
+        let data = fs.read_segments(fd).await;
+        let _ = fs.close(fd).await;
+        data.ok()
+    }
 }

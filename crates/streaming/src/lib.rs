@@ -41,6 +41,9 @@
 //! for the other three backends.
 
 #![warn(missing_docs)]
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -515,17 +518,19 @@ impl StreamPublisher {
     /// Sweep the KVS ack keys of every pending step and release the
     /// fully-acked ones. Lazy: only called when the window looks full,
     /// so steady-state publishes cost no extra metadata traffic.
-    async fn refresh_acks(&mut self) -> Result<(), TransportError> {
-        for (step, path, waiters) in self.window.entries() {
-            for a in waiters {
-                let key = ack_key(&path, &a.consumer);
-                if self.svc.plane.kvs().try_lookup(&key).await?.is_some() {
-                    self.window.ack(step, &a.consumer);
+    fn refresh_acks(&mut self) -> impl Future<Output = Result<(), TransportError>> + '_ {
+        async move {
+            for (step, path, waiters) in self.window.entries() {
+                for a in waiters {
+                    let key = ack_key(&path, &a.consumer);
+                    if self.svc.plane.kvs().try_lookup(&key).await?.is_some() {
+                        self.window.ack(step, &a.consumer);
+                    }
                 }
             }
+            self.svc.window.borrow_mut().ack_refreshes += 1;
+            Ok(())
         }
-        self.svc.window.borrow_mut().ack_refreshes += 1;
-        Ok(())
     }
 
     /// Drop outstanding acks owed by subscribers on crashed nodes.
@@ -549,44 +554,49 @@ impl StreamPublisher {
     /// watch could park on a key whose committer crashed), reclaiming
     /// crashed subscribers' slots each sweep when `reclaim_on_crash` is
     /// set.
-    async fn await_window(&mut self, rec: &Recorder) -> Result<(), TransportError> {
-        let board = self.svc.plane.faults();
-        self.reclaim_crashed(board.as_ref());
-        if self.window.can_open() {
-            return Ok(());
-        }
-        let w = rec.region(WINDOW_WAIT);
-        let t0 = self.svc.plane.ctx().now();
-        let mut stalled = false;
-        let res: Result<(), TransportError> = async {
-            loop {
-                self.refresh_acks().await?;
-                self.reclaim_crashed(board.as_ref());
-                if self.window.can_open() {
-                    return Ok(());
-                }
-                stalled = true;
-                if board.is_some() {
-                    let ctx = self.svc.plane.ctx();
-                    ctx.sleep(self.svc.spec.stall_poll).await;
-                } else {
-                    let (_, path, consumer) = self
-                        .window
-                        .oldest_waiter()
-                        .expect("full window has a waiter");
-                    let key = ack_key(&path, &consumer);
-                    self.svc.plane.kvs().try_wait_key(&key).await?;
+    fn await_window<'a>(
+        &'a mut self,
+        rec: &'a Recorder,
+    ) -> impl Future<Output = Result<(), TransportError>> + 'a {
+        async move {
+            let board = self.svc.plane.faults();
+            self.reclaim_crashed(board.as_ref());
+            if self.window.can_open() {
+                return Ok(());
+            }
+            let w = rec.region(WINDOW_WAIT);
+            let t0 = self.svc.plane.ctx().now();
+            let mut stalled = false;
+            let res: Result<(), TransportError> = async {
+                loop {
+                    self.refresh_acks().await?;
+                    self.reclaim_crashed(board.as_ref());
+                    if self.window.can_open() {
+                        return Ok(());
+                    }
+                    stalled = true;
+                    if board.is_some() {
+                        let ctx = self.svc.plane.ctx();
+                        ctx.sleep(self.svc.spec.stall_poll).await;
+                    } else {
+                        let (_, path, consumer) = self
+                            .window
+                            .oldest_waiter()
+                            .expect("full window has a waiter");
+                        let key = ack_key(&path, &consumer);
+                        self.svc.plane.kvs().try_wait_key(&key).await?;
+                    }
                 }
             }
+            .await;
+            if stalled {
+                let mut stats = self.svc.window.borrow_mut();
+                stats.window_stalls += 1;
+                stats.window_stall_ns += (self.svc.plane.ctx().now() - t0).nanos();
+            }
+            w.end();
+            res
         }
-        .await;
-        if stalled {
-            let mut stats = self.svc.window.borrow_mut();
-            stats.window_stalls += 1;
-            stats.window_stall_ns += (self.svc.plane.ctx().now() - t0).nanos();
-        }
-        w.end();
-        res
     }
 
     /// Publish step `seq` under logical name `name`: wait for a window
@@ -597,42 +607,46 @@ impl StreamPublisher {
     ///
     /// Call tree: `stream_publish` → { `stream_window_wait`,
     /// `staging_backpressure`, `stream_write`, `stream_commit` }.
-    pub async fn try_publish(
-        &mut self,
-        rec: &Recorder,
-        name: &str,
+    pub fn try_publish<'a>(
+        &'a mut self,
+        rec: &'a Recorder,
+        name: &'a str,
         seq: u64,
-        step: &[Bytes],
-        ackers: &[StreamAcker],
-        jitter: Option<&mut StdRng>,
-    ) -> Result<(), PlaneError> {
-        let _g = rec.region(PLANE.put);
-        self.await_window(rec).await?;
-        let path = self.svc.plane.managed_path(name);
-        self.window.open(seq, &path, ackers);
-        let put = self.svc.plane.put(rec, path, step, jitter).await;
-        if put.is_err() {
-            // A step that was not written is tombstoned and one that was
-            // not committed is invisible: nobody will ever ack either, so
-            // recycle the slot for the caller's retry.
-            self.window.abort(seq);
+        step: &'a [Bytes],
+        ackers: &'a [StreamAcker],
+        jitter: Option<&'a mut StdRng>,
+    ) -> impl Future<Output = Result<(), PlaneError>> + 'a {
+        async move {
+            let _g = rec.region(PLANE.put);
+            self.await_window(rec).await?;
+            let path = self.svc.plane.managed_path(name);
+            self.window.open(seq, &path, ackers);
+            let put = self.svc.plane.put(rec, path, step, jitter).await;
+            if put.is_err() {
+                // A step that was not written is tombstoned and one that was
+                // not committed is invisible: nobody will ever ack either, so
+                // recycle the slot for the caller's retry.
+                self.window.abort(seq);
+            }
+            put
         }
-        put
     }
 
     /// [`StreamPublisher::try_publish`] for callers running without a
     /// fault board.
-    pub async fn publish(
-        &mut self,
-        rec: &Recorder,
-        name: &str,
+    pub fn publish<'a>(
+        &'a mut self,
+        rec: &'a Recorder,
+        name: &'a str,
         seq: u64,
         step: Payload,
-        ackers: &[StreamAcker],
-    ) {
-        self.try_publish(rec, name, seq, &step, ackers, None)
-            .await
-            .expect("publish cannot fail without a fault board (local write error?)")
+        ackers: &'a [StreamAcker],
+    ) -> impl Future<Output = ()> + 'a {
+        async move {
+            self.try_publish(rec, name, seq, &step, ackers, None)
+                .await
+                .expect("publish cannot fail without a fault board (local write error?)")
+        }
     }
 }
 
@@ -664,10 +678,16 @@ impl StreamSubscriber {
 
     /// [`StreamSubscriber::try_consume_step`] for callers running
     /// without a fault board.
-    pub async fn consume_step(&mut self, rec: &Recorder, name: &str) -> Payload {
-        self.try_consume_step(rec, name)
-            .await
-            .expect("consume_step cannot fail without a fault board (lost or evicted step?)")
+    pub fn consume_step<'a>(
+        &'a mut self,
+        rec: &'a Recorder,
+        name: &'a str,
+    ) -> impl Future<Output = Payload> + 'a {
+        async move {
+            self.try_consume_step(rec, name)
+                .await
+                .expect("consume_step cannot fail without a fault board (lost or evicted step?)")
+        }
     }
 }
 

@@ -32,6 +32,9 @@
 //! end-to-end in tests and analytics runs on the actual frame contents.
 
 #![warn(missing_docs)]
+// Bodies a process awaits are not `async fn`, which would store each argument
+// twice in the state machine (DESIGN.md §11, "Each value once").
+#![allow(clippy::manual_async_fn)]
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -635,50 +638,51 @@ impl Endpoint {
     /// The wire charges descriptor + payload length in each direction
     /// (RPC descriptor followed by bulk RDMA, as in Lustre `brw` and UCX
     /// rendezvous). Reachability is probed as in [`Endpoint::rpc_attempt`].
-    async fn bulk_attempt(
-        &self,
-        board: Option<&FaultBoard>,
+    fn bulk_attempt<'a>(
+        &'a self,
+        board: Option<&'a FaultBoard>,
         dst: NodeId,
         id: AmId,
         header: Bytes,
         payload: Payload,
-    ) -> Result<Bulk, TransportError> {
-        let spec = self.tp.spec();
-        let down = || Err(TransportError::Unreachable { node: dst });
-        {
-            let mut st = self.tp.inner.stats.borrow_mut();
-            st.bulk_rpcs += 1;
-            st.bulk_bytes += payload_len(&payload);
+    ) -> impl Future<Output = Result<Bulk, TransportError>> + 'a {
+        async move {
+            let header_bytes = self.tp.spec().header_bytes;
+            {
+                let mut st = self.tp.inner.stats.borrow_mut();
+                st.bulk_rpcs += 1;
+                st.bulk_bytes += payload_len(&payload);
+            }
+            if board.is_some_and(|b| !b.reachable(self.node.0, dst.0)) {
+                return Err(TransportError::Unreachable { node: dst });
+            }
+            self.tp
+                .fabric()
+                .send(
+                    self.node,
+                    dst,
+                    header_bytes + header.len() as u64 + payload_len(&payload),
+                )
+                .await;
+            if board.is_some_and(|b| !b.node_up(dst.0)) {
+                return Err(TransportError::Unreachable { node: dst });
+            }
+            let service = self.tp.bulk_service(dst, id);
+            let (resp_header, resp_payload) = HandlerCall::start(service, (header, payload)).await;
+            self.tp.inner.stats.borrow_mut().bulk_bytes += payload_len(&resp_payload);
+            if board.is_some_and(|b| !b.reachable(dst.0, self.node.0)) {
+                return Err(TransportError::Unreachable { node: dst });
+            }
+            self.tp
+                .fabric()
+                .send(
+                    dst,
+                    self.node,
+                    header_bytes + resp_header.len() as u64 + payload_len(&resp_payload),
+                )
+                .await;
+            Ok((resp_header, resp_payload))
         }
-        if board.is_some_and(|b| !b.reachable(self.node.0, dst.0)) {
-            return down();
-        }
-        self.tp
-            .fabric()
-            .send(
-                self.node,
-                dst,
-                spec.header_bytes + header.len() as u64 + payload_len(&payload),
-            )
-            .await;
-        if board.is_some_and(|b| !b.node_up(dst.0)) {
-            return down();
-        }
-        let service = self.tp.bulk_service(dst, id);
-        let (resp_header, resp_payload) = HandlerCall::start(service, (header, payload)).await;
-        self.tp.inner.stats.borrow_mut().bulk_bytes += payload_len(&resp_payload);
-        if board.is_some_and(|b| !b.reachable(dst.0, self.node.0)) {
-            return down();
-        }
-        self.tp
-            .fabric()
-            .send(
-                dst,
-                self.node,
-                spec.header_bytes + resp_header.len() as u64 + payload_len(&resp_payload),
-            )
-            .await;
-        Ok((resp_header, resp_payload))
     }
 
     /// One RPC attempt against the handler registered as `(dst, id)`; the
@@ -688,58 +692,63 @@ impl Endpoint {
     /// it lands (the node may crash mid-flight), and before the response
     /// is sent back (a reply lost to a crash still leaves the handler's
     /// side effects applied, as on real systems).
-    async fn rpc_attempt(
-        &self,
-        board: Option<&FaultBoard>,
+    fn rpc_attempt<'a>(
+        &'a self,
+        board: Option<&'a FaultBoard>,
         dst: NodeId,
         id: AmId,
         request: Bytes,
-    ) -> Result<Bytes, TransportError> {
-        let spec = self.tp.spec();
-        let down = || Err(TransportError::Unreachable { node: dst });
-        self.tp.inner.stats.borrow_mut().rpcs += 1;
-        if board.is_some_and(|b| !b.reachable(self.node.0, dst.0)) {
-            return down();
+    ) -> impl Future<Output = Result<Bytes, TransportError>> + 'a {
+        async move {
+            let header_bytes = self.tp.spec().header_bytes;
+            self.tp.inner.stats.borrow_mut().rpcs += 1;
+            if board.is_some_and(|b| !b.reachable(self.node.0, dst.0)) {
+                return Err(TransportError::Unreachable { node: dst });
+            }
+            // Control-plane requests are small; model as header + payload.
+            self.tp
+                .fabric()
+                .send(self.node, dst, header_bytes + request.len() as u64)
+                .await;
+            if board.is_some_and(|b| !b.node_up(dst.0)) {
+                return Err(TransportError::Unreachable { node: dst });
+            }
+            let response = HandlerCall::start(self.tp.am_service(dst, id), request).await;
+            if board.is_some_and(|b| !b.reachable(dst.0, self.node.0)) {
+                return Err(TransportError::Unreachable { node: dst });
+            }
+            self.tp
+                .fabric()
+                .send(dst, self.node, header_bytes + response.len() as u64)
+                .await;
+            Ok(response)
         }
-        // Control-plane requests are small; model as header + payload.
-        self.tp
-            .fabric()
-            .send(self.node, dst, spec.header_bytes + request.len() as u64)
-            .await;
-        if board.is_some_and(|b| !b.node_up(dst.0)) {
-            return down();
-        }
-        let response = HandlerCall::start(self.tp.am_service(dst, id), request).await;
-        if board.is_some_and(|b| !b.reachable(dst.0, self.node.0)) {
-            return down();
-        }
-        self.tp
-            .fabric()
-            .send(dst, self.node, spec.header_bytes + response.len() as u64)
-            .await;
-        Ok(response)
     }
 
     /// Board-blind bulk RPC (`pfs` data path): never consults the fault
     /// board, so it cannot fail.
-    pub async fn bulk_rpc(
+    pub fn bulk_rpc(
         &self,
         dst: NodeId,
         id: AmId,
         header: Bytes,
         payload: Payload,
-    ) -> (Bytes, Payload) {
-        self.bulk_attempt(None, dst, id, header, payload)
-            .await
-            .expect("bulk_rpc cannot fail without a fault board")
+    ) -> impl Future<Output = (Bytes, Payload)> + '_ {
+        async move {
+            self.bulk_attempt(None, dst, id, header, payload)
+                .await
+                .expect("bulk_rpc cannot fail without a fault board")
+        }
     }
 
     /// Board-blind RPC (`pfs` control path, mesh replication): never
     /// consults the fault board, so it cannot fail.
-    pub async fn rpc(&self, dst: NodeId, id: AmId, request: Bytes) -> Bytes {
-        self.rpc_attempt(None, dst, id, request)
-            .await
-            .expect("rpc cannot fail without a fault board")
+    pub fn rpc(&self, dst: NodeId, id: AmId, request: Bytes) -> impl Future<Output = Bytes> + '_ {
+        async move {
+            self.rpc_attempt(None, dst, id, request)
+                .await
+                .expect("rpc cannot fail without a fault board")
+        }
     }
 
     /// Book a failed attempt of the `*_retrying` forms: the pause before
@@ -771,52 +780,57 @@ impl Endpoint {
     /// backoff between them, per `policy`. With no fault board attached
     /// this is a single attempt that cannot fail — no timer is armed and
     /// `rng` is not drawn, so healthy-path trajectories are unchanged.
-    pub async fn rpc_retrying(
-        &self,
+    pub fn rpc_retrying<'a>(
+        &'a self,
         dst: NodeId,
         id: AmId,
         request: Bytes,
-        policy: &RetryPolicy,
-        rng: &mut StdRng,
-    ) -> Result<Bytes, TransportError> {
-        let Some(board) = self.tp.faults() else {
-            return self.rpc_attempt(None, dst, id, request).await;
-        };
-        let ctx = &self.tp.inner.ctx;
-        let mut attempts = 0;
-        loop {
-            let attempt = self.rpc_attempt(Some(&board), dst, id, request.clone());
-            if let Ok(Ok(resp)) = timeout(ctx, policy.attempt_timeout, attempt).await {
-                return Ok(resp);
+        policy: &'a RetryPolicy,
+        rng: &'a mut StdRng,
+    ) -> impl Future<Output = Result<Bytes, TransportError>> + 'a {
+        async move {
+            let Some(board) = self.tp.faults() else {
+                return self.rpc_attempt(None, dst, id, request).await;
+            };
+            let ctx = &self.tp.inner.ctx;
+            let mut attempts = 0;
+            loop {
+                let attempt = self.rpc_attempt(Some(&board), dst, id, request.clone());
+                if let Ok(Ok(resp)) = timeout(ctx, policy.attempt_timeout, attempt).await {
+                    return Ok(resp);
+                }
+                let pause = self.retry_pause(dst, policy, rng, &mut attempts)?;
+                ctx.sleep(pause).await;
             }
-            let pause = self.retry_pause(dst, policy, rng, &mut attempts)?;
-            ctx.sleep(pause).await;
         }
     }
 
     /// Bulk RPC with retry; see [`Endpoint::rpc_retrying`]. Payload
     /// segments are zero-copy `Bytes` clones, so re-sending is cheap.
-    pub async fn bulk_rpc_retrying(
-        &self,
+    pub fn bulk_rpc_retrying<'a>(
+        &'a self,
         dst: NodeId,
         id: AmId,
         header: Bytes,
         payload: Payload,
-        policy: &RetryPolicy,
-        rng: &mut StdRng,
-    ) -> Result<(Bytes, Payload), TransportError> {
-        let Some(board) = self.tp.faults() else {
-            return self.bulk_attempt(None, dst, id, header, payload).await;
-        };
-        let ctx = &self.tp.inner.ctx;
-        let mut attempts = 0;
-        loop {
-            let attempt = self.bulk_attempt(Some(&board), dst, id, header.clone(), payload.clone());
-            if let Ok(Ok(resp)) = timeout(ctx, policy.attempt_timeout, attempt).await {
-                return Ok(resp);
+        policy: &'a RetryPolicy,
+        rng: &'a mut StdRng,
+    ) -> impl Future<Output = Result<(Bytes, Payload), TransportError>> + 'a {
+        async move {
+            let Some(board) = self.tp.faults() else {
+                return self.bulk_attempt(None, dst, id, header, payload).await;
+            };
+            let ctx = &self.tp.inner.ctx;
+            let mut attempts = 0;
+            loop {
+                let attempt =
+                    self.bulk_attempt(Some(&board), dst, id, header.clone(), payload.clone());
+                if let Ok(Ok(resp)) = timeout(ctx, policy.attempt_timeout, attempt).await {
+                    return Ok(resp);
+                }
+                let pause = self.retry_pause(dst, policy, rng, &mut attempts)?;
+                ctx.sleep(pause).await;
             }
-            let pause = self.retry_pause(dst, policy, rng, &mut attempts)?;
-            ctx.sleep(pause).await;
         }
     }
 }
