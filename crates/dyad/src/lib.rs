@@ -657,7 +657,7 @@ mod tests {
             let ep = rig.tp.endpoint(NodeId(1));
             let h = sim.spawn(async move {
                 let hdr = Bytes::from_static(&[b'/', 0xff, 0xfe]);
-                ep.bulk_rpc(NodeId(0), row.am, hdr, Vec::new()).await
+                ep.rpc(NodeId(0), row.am, (hdr, Vec::new())).await
             });
             assert!(sim.run().is_clean());
             let (reply, payload) = h.try_take().unwrap();

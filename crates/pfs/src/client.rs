@@ -224,7 +224,7 @@ impl PfsClient {
             let node = self.ost_nodes[ost as usize];
             let (hdr, data) = self
                 .ep
-                .bulk_rpc(node, AmId(OSS_AM_BASE + ost), req.encode(), payload)
+                .rpc(node, AmId(OSS_AM_BASE + ost), (req.encode(), payload))
                 .await;
             (OssResponse::decode(hdr), data)
         }

@@ -221,7 +221,7 @@ pub enum MdsResponse {
 
 /// OSS (object server) operations. Bulk data never travels inside the
 /// header — it rides the RPC's zero-copy payload (see
-/// [`transport::Endpoint::bulk_rpc`]).
+/// [`transport::Bulk`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OssRequest {
     /// Write the RPC payload into `object` at `offset`.

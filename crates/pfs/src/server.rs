@@ -17,7 +17,7 @@ use rand::RngExt;
 use simcore::intern::{intern, FxHashMap, Symbol};
 use simcore::resource::{FifoResource, SharedBandwidth};
 use simcore::{Ctx, SimDuration};
-use transport::{payload_len, AmId, Payload, Transport};
+use transport::{payload_len, AmId, Bulk, Payload, Transport};
 
 use crate::codec::{encode_meta, MdsOp, MdsRequestRef, MdsResponse, OssRequest, OssResponse};
 
@@ -375,10 +375,10 @@ impl OstServer {
         // leak every stored object segment (see `Transport::downgrade`).
         let htp = tp.downgrade();
         let hctx = ctx.clone();
-        tp.register_bulk(
+        tp.register_am(
             node,
             AmId(OSS_AM_BASE + index),
-            Rc::new(move |hdr: Bytes, payload: Payload| {
+            Rc::new(move |(hdr, payload): Bulk| {
                 let state = hstate.clone();
                 let service = service.clone();
                 let write_bw = write_bw.clone();
@@ -637,20 +637,16 @@ mod tests {
                 len: 5,
                 total: 5,
             };
-            ep.bulk_rpc(
-                NodeId(0),
-                AmId(OSS_AM_BASE),
-                w.encode(),
-                vec![Bytes::from_static(b"hello")],
-            )
-            .await;
+            let data = vec![Bytes::from_static(b"hello")];
+            ep.rpc(NodeId(0), AmId(OSS_AM_BASE), (w.encode(), data))
+                .await;
             let r = OssRequest::Read {
                 object: 9,
                 offset: 4,
                 len: 5,
                 total: 5,
             };
-            ep.bulk_rpc(NodeId(0), AmId(OSS_AM_BASE), r.encode(), Vec::new())
+            ep.rpc(NodeId(0), AmId(OSS_AM_BASE), (r.encode(), Vec::new()))
                 .await
         });
         sim.run();
@@ -681,7 +677,7 @@ mod tests {
                 total: 11,
             };
             let rope = vec![Bytes::from_static(b"head"), Bytes::from_static(b"payload")];
-            ep.bulk_rpc(NodeId(0), AmId(OSS_AM_BASE), w.encode(), rope)
+            ep.rpc(NodeId(0), AmId(OSS_AM_BASE), (w.encode(), rope))
                 .await;
         });
         assert!(sim.run().is_clean());
@@ -722,13 +718,9 @@ mod tests {
                     len: 64 << 20,
                     total: 64 << 20,
                 };
-                ep.bulk_rpc(
-                    NodeId(0),
-                    AmId(OSS_AM_BASE),
-                    w.encode(),
-                    vec![Bytes::from(vec![0u8; 64 << 20])],
-                )
-                .await;
+                let data = vec![Bytes::from(vec![0u8; 64 << 20])];
+                ep.rpc(NodeId(0), AmId(OSS_AM_BASE), (w.encode(), data))
+                    .await;
                 ctx2.now().as_secs_f64()
             });
             sim.run();

@@ -42,7 +42,7 @@ use rand::{RngExt, SeedableRng};
 use simcore::intern::FxHashSet;
 use simcore::resource::FifoResource;
 use simcore::{Ctx, SimDuration};
-use transport::{AmId, Endpoint, Payload, Transport, TransportError};
+use transport::{AmId, Bulk, Endpoint, Payload, Transport, TransportError};
 
 use crate::{ack_key, spill_path, FrameLocation, FrameMeta, StagingManager};
 
@@ -250,10 +250,10 @@ impl Plane {
         let inner = Rc::new(RefCell::new(Inner::default()));
         let service = FifoResource::new(ctx, spec.service_threads);
         let (hfs, hinner) = (fs.clone(), inner.clone());
-        tp.register_bulk(
+        tp.register_am(
             node,
             row.am,
-            Rc::new(move |hdr: Bytes, _payload: Payload| {
+            Rc::new(move |(hdr, _payload): Bulk| {
                 let (fs, inner, service) = (hfs.clone(), hinner.clone(), service.clone());
                 async move {
                     service.request(spec.service_time).await;
@@ -702,11 +702,10 @@ impl Session {
                             let r = rec.region(plane.row.get_data);
                             let fetch = plane
                                 .ep
-                                .bulk_rpc_retrying(
+                                .rpc_retrying(
                                     meta.owner,
                                     plane.row.am,
-                                    Bytes::copy_from_slice(path.as_bytes()),
-                                    Vec::new(),
+                                    (Bytes::copy_from_slice(path.as_bytes()), Vec::new()),
                                     &POLICY,
                                     &mut self.rng,
                                 )

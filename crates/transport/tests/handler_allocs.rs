@@ -1,10 +1,10 @@
 //! What an RPC's handler costs the allocator, and what an abandoned one
 //! leaves behind.
 //!
-//! Every control message of every backend — a KVS commit or lookup, an
-//! MDS open, an OSS descriptor, a lock — runs a registered handler, so a
-//! boxed handler future was one allocator call per RPC on every
-//! workload. A registration now parks the future in a reusable slot:
+//! Every RPC of every backend — a KVS commit or lookup, an MDS open, an
+//! OSS read or write, a staged-frame fetch, a lock — runs a registered
+//! handler, so a boxed handler future was one allocator call per RPC on
+//! every workload. A registration now parks the future in a reusable slot:
 //! after the first call through it an RPC allocates nothing for its
 //! handler. The slot belongs to the attempt: an attempt abandoned by a
 //! timeout must empty it on the spot, so the handler's service permit
@@ -19,7 +19,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simcore::sync::Semaphore;
 use simcore::{Sim, SimDuration};
-use transport::{AmId, HandlerSlots, LocalBoxFuture, Transport, TransportError, TransportSpec};
+use transport::{
+    AmId, Bulk, HandlerSlots, LocalBoxFuture, Message, Transport, TransportError, TransportSpec,
+};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -34,14 +36,16 @@ fn transport(sim: &Sim) -> Transport {
     Transport::new(&ctx, cluster.fabric().clone(), TransportSpec::default())
 }
 
-/// Allocator calls of the 100th of 100 sequential RPCs to `(SERVER, id)`.
-fn steady_rpc_cost(sim: &Sim, tp: &Transport, id: AmId) -> u64 {
+/// Allocator calls of the 100th of 100 sequential RPCs of `req` to
+/// `(SERVER, id)`.
+fn steady_rpc_cost<M: Message>(sim: &Sim, tp: &Transport, id: AmId, req: M) -> u64 {
     let ep = tp.endpoint(CLIENT);
     let h = sim.spawn(async move {
         let mut last = 0;
         for _ in 0..100 {
+            let req = req.clone();
             let before = calls();
-            ep.rpc(SERVER, id, Bytes::from_static(b"ping")).await;
+            ep.rpc(SERVER, id, req).await;
             last = calls() - before;
         }
         last
@@ -54,7 +58,7 @@ fn steady_rpc_cost(sim: &Sim, tp: &Transport, id: AmId) -> u64 {
 fn a_handler_costs_no_allocation_after_its_first_call() {
     let sim = Sim::new(0);
     let tp = transport(&sim);
-    let ctx = sim.ctx();
+    let (ctx, bulk_ctx) = (sim.ctx(), sim.ctx());
     // Two echo handlers that differ in one thing: the second boxes its
     // future, as every handler once had to.
     let serve = move |req: Bytes| {
@@ -64,21 +68,36 @@ fn a_handler_costs_no_allocation_after_its_first_call() {
             req
         }
     };
-    let (inline, boxed) = (AmId(1), AmId(2));
+    let (inline, boxed, bulk) = (AmId(1), AmId(2), AmId(3));
     tp.register_am(SERVER, inline, Rc::new(serve.clone()));
     tp.register_am(
         SERVER,
         boxed,
         Rc::new(move |req| Box::pin(serve(req)) as LocalBoxFuture<Bytes>),
     );
-    let inline_cost = steady_rpc_cost(&sim, &tp, inline);
-    let boxed_cost = steady_rpc_cost(&sim, &tp, boxed);
+    // The same echo on the same registration for bulk messages, as the
+    // staged-frame fetch and the OSS servers are.
+    tp.register_am(
+        SERVER,
+        bulk,
+        Rc::new(move |req: Bulk| {
+            let ctx = bulk_ctx.clone();
+            async move {
+                ctx.sleep(SimDuration::from_nanos(300)).await;
+                req
+            }
+        }),
+    );
+    let ping = Bytes::from_static(b"ping");
+    let inline_cost = steady_rpc_cost(&sim, &tp, inline, ping.clone());
+    let boxed_cost = steady_rpc_cost(&sim, &tp, boxed, ping.clone());
+    let bulk_cost = steady_rpc_cost(&sim, &tp, bulk, (ping, Vec::new()));
     // The box is the boxing handler's one call; everything else an RPC
-    // does is the same on both, so the inline handler's share is zero.
+    // does is the same on all three, so an inline handler's share is zero.
     assert_eq!(
-        (inline_cost, boxed_cost),
-        (0, 1),
-        "allocator calls of a warm RPC: inline handler, boxing handler"
+        (inline_cost, boxed_cost, bulk_cost),
+        (0, 1, 0),
+        "allocator calls of a warm RPC: inline handler, boxing handler, bulk handler"
     );
     let one_idle = HandlerSlots {
         in_flight: 0,
@@ -86,6 +105,7 @@ fn a_handler_costs_no_allocation_after_its_first_call() {
     };
     assert_eq!(tp.am_slots(SERVER, inline), one_idle);
     assert_eq!(tp.am_slots(SERVER, boxed), one_idle);
+    assert_eq!(tp.am_slots(SERVER, bulk), one_idle);
 }
 
 #[test]
