@@ -535,12 +535,7 @@ impl Testbed {
     /// A lock-service client on `node`, when the run has a lock service.
     fn ldlm_client(&self, node: u32) -> Option<LdlmClient> {
         let server = self.ldlm.as_ref()?;
-        Some(LdlmClient::new(
-            &self.ctx,
-            &self.tp,
-            NodeId(node),
-            server.node(),
-        ))
+        Some(LdlmClient::new(&self.tp, NodeId(node), server.node()))
     }
 }
 

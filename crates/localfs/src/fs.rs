@@ -26,7 +26,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use cluster::NvmeDevice;
-use simcore::sync::Notify;
+use simcore::sync::SharedLock;
 use simcore::{Ctx, SimDuration};
 
 use crate::alloc::{Extent, ExtentAllocator};
@@ -84,14 +84,8 @@ enum OpenMode {
     Write,
 }
 
-/// flock kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    /// Shared (read) lock.
-    Shared,
-    /// Exclusive (write) lock.
-    Exclusive,
-}
+/// flock kinds: a shared (read) or exclusive (write) lock.
+pub use simcore::sync::LockKind;
 
 /// Metadata returned by [`LocalFs::stat`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,13 +131,6 @@ pub struct FsStats {
     pub unlinks: u64,
 }
 
-#[derive(Default)]
-struct FlockState {
-    readers: u32,
-    writer: bool,
-    queue: Notify,
-}
-
 enum InodeKind {
     File {
         /// File content as an ordered rope of segments, each write's
@@ -167,7 +154,7 @@ struct Inode {
     /// Advisory-lock state, created by the first `flock` on the inode:
     /// most inodes (every directory, every file of a cold-sync run) are
     /// never locked.
-    lock: Option<Rc<RefCell<FlockState>>>,
+    lock: Option<SharedLock>,
 }
 
 impl Inode {
@@ -907,24 +894,8 @@ impl LocalFs {
                 let ino = Self::lookup(&inner, path)?;
                 inner.inodes[ino].lock.get_or_insert_default().clone()
             };
-            loop {
-                let wait = {
-                    let mut st = lock.borrow_mut();
-                    let compatible = match kind {
-                        LockKind::Shared => !st.writer,
-                        LockKind::Exclusive => !st.writer && st.readers == 0,
-                    };
-                    if compatible {
-                        match kind {
-                            LockKind::Shared => st.readers += 1,
-                            LockKind::Exclusive => st.writer = true,
-                        }
-                        return Ok(());
-                    }
-                    st.queue.clone()
-                };
-                wait.wait().await;
-            }
+            lock.acquire(kind).await;
+            Ok(())
         }
     }
 
@@ -943,19 +914,7 @@ impl LocalFs {
                 Self::lookup(&inner, path).map(|ino| inner.inodes[ino].lock.clone())
             };
             self.ctx.sleep(self.spec.lock_op_cost).await;
-            let lock = lock?.expect("funlock without flock");
-            let mut st = lock.borrow_mut();
-            match kind {
-                LockKind::Shared => {
-                    assert!(st.readers > 0, "funlock without flock");
-                    st.readers -= 1;
-                }
-                LockKind::Exclusive => {
-                    assert!(st.writer, "funlock without flock");
-                    st.writer = false;
-                }
-            }
-            st.queue.notify_all();
+            lock?.expect("funlock without flock").release(kind);
             Ok(())
         }
     }

@@ -21,7 +21,7 @@ use bytes::{Buf, BufMut, Bytes};
 use cluster::NodeId;
 use simcore::intern::{intern, FxHashMap, Symbol};
 use simcore::resource::FifoResource;
-use simcore::sync::Notify;
+use simcore::sync::{LockKind, SharedLock};
 use simcore::{Ctx, SimDuration};
 use transport::{AmId, Endpoint, Transport};
 
@@ -48,17 +48,10 @@ pub struct LdlmStats {
     pub releases: u64,
 }
 
-#[derive(Default)]
-struct LockState {
-    readers: u32,
-    writer: bool,
-    queue: Notify,
-}
-
 struct ServerState {
     // Lock names intern once per RPC; repeated lock/unlock cycles on the
     // same resource hash a 4-byte symbol.
-    locks: FxHashMap<Symbol, Rc<RefCell<LockState>>>,
+    locks: FxHashMap<Symbol, SharedLock>,
     stats: LdlmStats,
 }
 
@@ -130,50 +123,19 @@ impl LdlmServer {
                         .entry(intern(&path))
                         .or_default()
                         .clone();
-                    match op {
-                        OP_LOCK_PR | OP_LOCK_EX => {
-                            let exclusive = op == OP_LOCK_EX;
-                            let mut waited = false;
-                            loop {
-                                let wait = {
-                                    let mut st = lock.borrow_mut();
-                                    let ok = if exclusive {
-                                        !st.writer && st.readers == 0
-                                    } else {
-                                        !st.writer
-                                    };
-                                    if ok {
-                                        if exclusive {
-                                            st.writer = true;
-                                        } else {
-                                            st.readers += 1;
-                                        }
-                                        let mut sv = state.borrow_mut();
-                                        sv.stats.grants += 1;
-                                        if waited {
-                                            sv.stats.waits += 1;
-                                        }
-                                        break;
-                                    }
-                                    waited = true;
-                                    st.queue.clone()
-                                };
-                                wait.wait().await;
-                            }
-                        }
-                        OP_UNLOCK_PR | OP_UNLOCK_EX => {
-                            let mut st = lock.borrow_mut();
-                            if op == OP_UNLOCK_EX {
-                                assert!(st.writer, "unlock without EX lock");
-                                st.writer = false;
-                            } else {
-                                assert!(st.readers > 0, "unlock without PR lock");
-                                st.readers -= 1;
-                            }
-                            st.queue.notify_all();
-                            state.borrow_mut().stats.releases += 1;
-                        }
+                    let kind = match op {
+                        OP_LOCK_PR | OP_UNLOCK_PR => LockKind::Shared,
+                        OP_LOCK_EX | OP_UNLOCK_EX => LockKind::Exclusive,
                         other => panic!("unknown ldlm op {other}"),
+                    };
+                    if matches!(op, OP_LOCK_PR | OP_LOCK_EX) {
+                        let parked = lock.acquire(kind).await;
+                        let mut sv = state.borrow_mut();
+                        sv.stats.grants += 1;
+                        sv.stats.waits += u64::from(parked);
+                    } else {
+                        lock.release(kind);
+                        state.borrow_mut().stats.releases += 1;
                     }
                     Bytes::new()
                 }
@@ -202,7 +164,7 @@ pub struct LdlmClient {
 
 impl LdlmClient {
     /// Create a client on `node` against the server on `server`.
-    pub fn new(_ctx: &Ctx, tp: &Transport, node: NodeId, server: NodeId) -> Self {
+    pub fn new(tp: &Transport, node: NodeId, server: NodeId) -> Self {
         LdlmClient {
             ep: tp.endpoint(node),
             server,
@@ -264,7 +226,7 @@ mod tests {
         let ctx = r.sim.ctx();
         let order: Rc<RefCell<Vec<u32>>> = Rc::default();
         for node in [1u32, 2u32] {
-            let c = LdlmClient::new(&ctx, &r.tp, NodeId(node), NodeId(0));
+            let c = LdlmClient::new(&r.tp, NodeId(node), NodeId(0));
             let ctx2 = ctx.clone();
             let order = order.clone();
             r.sim.spawn(async move {
@@ -289,7 +251,7 @@ mod tests {
         let peak_readers = Rc::new(std::cell::Cell::new(0u32));
         let active = Rc::new(std::cell::Cell::new(0u32));
         for node in [1u32, 2u32] {
-            let c = LdlmClient::new(&ctx, &r.tp, NodeId(node), NodeId(0));
+            let c = LdlmClient::new(&r.tp, NodeId(node), NodeId(0));
             let ctx2 = ctx.clone();
             let (peak, act) = (peak_readers.clone(), active.clone());
             r.sim.spawn(async move {
@@ -302,7 +264,7 @@ mod tests {
             });
         }
         let writer_done = {
-            let c = LdlmClient::new(&ctx, &r.tp, NodeId(3), NodeId(0));
+            let c = LdlmClient::new(&r.tp, NodeId(3), NodeId(0));
             let ctx2 = ctx.clone();
             r.sim.spawn(async move {
                 ctx2.sleep(SimDuration::from_micros(500)).await;
@@ -321,8 +283,7 @@ mod tests {
     #[test]
     fn locks_on_different_paths_are_independent() {
         let r = rig(2);
-        let ctx = r.sim.ctx();
-        let c = LdlmClient::new(&ctx, &r.tp, NodeId(1), NodeId(0));
+        let c = LdlmClient::new(&r.tp, NodeId(1), NodeId(0));
         let h = r.sim.spawn(async move {
             c.lock("/a", LockMode::Exclusive).await;
             // No deadlock: /b is a different resource.
@@ -339,7 +300,7 @@ mod tests {
     fn lock_rpc_costs_a_round_trip() {
         let r = rig(2);
         let ctx = r.sim.ctx();
-        let c = LdlmClient::new(&ctx, &r.tp, NodeId(1), NodeId(0));
+        let c = LdlmClient::new(&r.tp, NodeId(1), NodeId(0));
         let ctx2 = ctx.clone();
         let h = r.sim.spawn(async move {
             let t0 = ctx2.now();
