@@ -2,7 +2,7 @@
 //!
 //! Substrate for the DYAD reproduction: a deterministic model of the
 //! paper's testbed (LLNL Corona). A [`Cluster`] is a set of [`Node`]s —
-//! each with cores, GPUs and a node-local [`NvmeDevice`] — joined by a
+//! each with a node-local [`NvmeDevice`] — joined by a
 //! [`Fabric`] modelling per-NIC bandwidth contention and wire latency,
 //! with RDMA read/write primitives.
 //!

@@ -99,7 +99,6 @@ mod tests {
     fn corona_preset_shapes() {
         let spec = ClusterSpec::corona(4);
         assert_eq!(spec.len(), 4);
-        assert_eq!(spec.nodes[0].gpus, 8);
         assert!((spec.fabric.link_bw - 4.0e9).abs() < 1.0);
     }
 
