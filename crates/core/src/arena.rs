@@ -1,6 +1,5 @@
-//! Warm-start machinery for campaign execution: per-point cluster
-//! snapshots, per-worker run arenas, and collision-free run-seed
-//! derivation.
+//! Warm-start machinery for campaign execution: per-study cluster
+//! snapshots and per-worker run arenas.
 //!
 //! A cold [`crate::runner::run_once`] rebuilds everything from scratch:
 //! the placement plan, the cluster spec, the fault plan, the frame
@@ -44,24 +43,7 @@ use crate::config::{Ensemble, WorkflowConfig};
 use cluster::{ClusterSpec, NodeId};
 use faults::FaultPlan;
 use mdsim::FrameTemplate;
-use simcore::{splitmix64, SimDuration};
-
-/// Derive the seed for one run of a campaign.
-///
-/// The derivation is a pure function of `(base, point, rep)` — never of
-/// thread identity or execution order — so parallel and serial campaign
-/// execution hand every run the identical seed. It is also injective
-/// for a fixed base (and `point`, `rep` below 2³²): `point` and `rep`
-/// are packed into disjoint halves of a word and pushed through
-/// [`splitmix64`], a bijection on `u64`, so no two runs of a campaign
-/// can collide. Mixing the base through `splitmix64` first keeps
-/// related bases (e.g. `seed` and `seed + 1`) from yielding related
-/// grids.
-pub fn derive_run_seed(base: u64, point: u64, rep: u64) -> u64 {
-    debug_assert!(point < (1 << 32), "campaign point index exceeds 2^32");
-    debug_assert!(rep < (1 << 32), "repetition index exceeds 2^32");
-    splitmix64(splitmix64(base) ^ ((point << 32) | (rep & 0xFFFF_FFFF)))
-}
+use simcore::SimDuration;
 
 /// Wall-clock split of one run: how long setup (building substrates
 /// from the snapshot) took versus executing the simulation itself.
@@ -231,34 +213,6 @@ mod tests {
     use crate::config::{Placement, Solution};
 
     #[test]
-    fn derived_seeds_never_collide_within_a_campaign() {
-        // Exhaustive over a larger grid than any real campaign's
-        // (points × reps) product.
-        let mut seen = std::collections::HashSet::new();
-        for point in 0..256u64 {
-            for rep in 0..32u64 {
-                assert!(
-                    seen.insert(derive_run_seed(0xCA3B, point, rep)),
-                    "collision at point {point} rep {rep}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn derived_seeds_are_order_independent() {
-        let forward: Vec<u64> = (0..64)
-            .flat_map(|p| (0..8).map(move |r| derive_run_seed(7, p, r)))
-            .collect();
-        let mut reversed: Vec<u64> = (0..64)
-            .rev()
-            .flat_map(|p| (0..8).rev().map(move |r| derive_run_seed(7, p, r)))
-            .collect();
-        reversed.reverse();
-        assert_eq!(forward, reversed);
-    }
-
-    #[test]
     fn snapshot_matches_runner_topology() {
         let cal = Calibration::corona();
         // Lustre: PFS nodes appended after the compute nodes.
@@ -281,53 +235,5 @@ mod tests {
             (*node, dir.as_str(), consumer.as_str()),
             (0, "/dyad/frames/p0003", "c3")
         );
-    }
-
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            // Seed isolation: for any base seed, no two (point, rep)
-            // pairs of a campaign-sized grid share a run seed, and the
-            // derivation is a pure function (independent of the order
-            // the executor claims units in).
-            #[test]
-            fn seed_isolation_holds_for_any_base(
-                base in any::<u64>(),
-                points in 1u64..64,
-                reps in 1u64..16,
-                shuffle_seed in any::<u64>(),
-            ) {
-                let mut units: Vec<(u64, u64)> = (0..points)
-                    .flat_map(|p| (0..reps).map(move |r| (p, r)))
-                    .collect();
-                let in_order: Vec<u64> = units
-                    .iter()
-                    .map(|&(p, r)| derive_run_seed(base, p, r))
-                    .collect();
-                // No collisions across the whole campaign.
-                let distinct: std::collections::HashSet<u64> =
-                    in_order.iter().copied().collect();
-                prop_assert_eq!(distinct.len(), in_order.len());
-                // Re-deriving under a shuffled execution order yields the
-                // same seed for every unit.
-                let mut s = shuffle_seed | 1;
-                for i in (1..units.len()).rev() {
-                    s ^= s << 13;
-                    s ^= s >> 7;
-                    s ^= s << 17;
-                    units.swap(i, (s as usize) % (i + 1));
-                }
-                for &(p, r) in &units {
-                    prop_assert_eq!(
-                        derive_run_seed(base, p, r),
-                        in_order[(p * reps + r) as usize]
-                    );
-                }
-            }
-        }
     }
 }

@@ -52,11 +52,10 @@ pub mod workflow;
 
 /// One-stop imports for examples and benches.
 pub mod prelude {
-    pub use crate::arena::{derive_run_seed, ClusterSnapshot, RunArena, RunTimings};
+    pub use crate::arena::{ClusterSnapshot, RunArena, RunTimings};
     pub use crate::calibration::Calibration;
     pub use crate::campaign::{
-        default_jobs, host_cores, run_studies_jobs, run_study_jobs, Campaign, CampaignResult,
-        CampaignStats,
+        default_jobs, host_cores, run_studies_jobs, run_study_jobs, CampaignStats,
     };
     pub use crate::config::{
         FaultConfig, ManualSync, Placement, Solution, StagingConfig, StreamingConfig, StudyConfig,

@@ -1,6 +1,6 @@
 //! Campaign determinism regression: the parallel executor must be
 //! invisible in the results. Serial (`jobs = 1`) and parallel
-//! (`jobs ∈ {2, 8}`) execution of the same campaign must produce
+//! (`jobs ∈ {2, 8}`) execution of the same studies must produce
 //! byte-identical JSON reports — which, since a `StudyReport` embeds
 //! every repetition's raw run breakdown, also pins the per-seed
 //! schedules bit-for-bit. Likewise a warm-started run (snapshot +
@@ -8,37 +8,43 @@
 
 use mdflow::prelude::*;
 
-/// A 3-solution × 2-model campaign, small enough to run three times in
-/// a test but crossing every executor-relevant axis: KVS-backed DYAD,
+/// A 3-solution × 2-model grid, small enough to run three times in a
+/// test but crossing every executor-relevant axis: KVS-backed DYAD,
 /// PFS-backed Lustre, and the DYAD-over-PFS ablation (which needs both
-/// service layers), on two frame sizes.
-fn campaign() -> Campaign {
-    let mut c = Campaign::new(
-        vec![Solution::Dyad, Solution::Lustre, Solution::DyadOnPfs],
-        2,
-        Placement::Split { pairs_per_node: 8 },
-    );
-    c.models = vec![Model::Jac, Model::ApoA1];
-    c.frames = 6;
-    c.repetitions = 2;
-    c.calibration = Calibration::quiet();
-    c
+/// service layers), on two frame sizes. Every study has the same seed,
+/// so studies of one model share a frame template.
+fn grid() -> Vec<StudyConfig> {
+    let mut studies = Vec::new();
+    for solution in [Solution::Dyad, Solution::Lustre, Solution::DyadOnPfs] {
+        for model in [Model::Jac, Model::ApoA1] {
+            let wf = WorkflowConfig::new(solution, 2, Placement::Split { pairs_per_node: 8 })
+                .with_model(model)
+                .with_frames(6);
+            let mut study = StudyConfig::paper(wf);
+            study.repetitions = 2;
+            study.seed = 0xCA3B;
+            study.calibration = Calibration::quiet();
+            studies.push(study);
+        }
+    }
+    studies
+}
+
+fn run_grid(studies: &[StudyConfig], jobs: usize) -> (String, CampaignStats) {
+    let (reports, stats) = run_studies_jobs(studies, jobs);
+    (reports.iter().map(StudyReport::to_json).collect(), stats)
 }
 
 #[test]
 fn parallel_campaign_is_byte_identical_to_serial() {
-    let c = campaign();
-    let (serial, serial_stats) = c.run_with_stats(1);
+    let studies = grid();
+    let (serial, serial_stats) = run_grid(&studies, 1);
     assert_eq!(serial_stats.runs, 3 * 2 * 2);
     for jobs in [2, 8] {
-        let (parallel, stats) = c.run_with_stats(jobs);
+        let (parallel, stats) = run_grid(&studies, jobs);
         assert_eq!(stats.jobs, jobs);
         assert_eq!(stats.runs, serial_stats.runs);
-        assert_eq!(
-            serial.to_json(),
-            parallel.to_json(),
-            "campaign diverged at jobs={jobs}"
-        );
+        assert_eq!(serial, parallel, "campaign diverged at jobs={jobs}");
     }
 }
 

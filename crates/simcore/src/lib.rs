@@ -12,8 +12,6 @@
 //! * [`resource`] provides contended resources: FIFO server pools and
 //!   processor-sharing bandwidth links — the building blocks for NVMe
 //!   devices, NICs, and file-system servers.
-//! * [`stats`] provides Welford accumulators, percentile summaries and
-//!   histograms for the experiment harness.
 //!
 //! Determinism: given the same seed and the same program, every run
 //! produces the identical event trajectory. All randomness flows through
@@ -38,7 +36,6 @@ mod combinators;
 mod executor;
 pub mod intern;
 pub mod resource;
-pub mod stats;
 pub mod sync;
 mod time;
 pub mod trace;
