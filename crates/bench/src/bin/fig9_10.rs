@@ -94,9 +94,8 @@ fn main() {
         "33.6x",
         move_stmv / move_jac,
     );
-    // Per-call KVS sync cost, excluding the one cold wait (compare the
-    // warm per-call cost via total/The count includes the cold sync, so
-    // compare totals: the paper reports 2.1x cheaper for STMV).
+    // Total KVS sync time under `dyad_fetch`, the one cold wait included:
+    // the paper reports 2.1x cheaper for STMV.
     let fetch_jac = dyad_jac.query_time(&fetch);
     let fetch_stmv = dyad_stmv.query_time(&fetch);
     print_ratio(
