@@ -9,31 +9,25 @@
 //!
 //! ```text
 //! all [--only a,b] [--list] [--jobs N]
-//!     [--backend NAME [--fanout K | --fanin K] [--window W] [--agg N]]
 //! ```
 //!
 //! * `--only a,b` — run these entries (table order); default all 13.
 //! * `--list` — print the entries and exit.
 //! * `--jobs N` — worker threads (default: all cores, `MDFLOW_JOBS`
 //!   overrides).
-//! * `--backend …` — rerun every scripted study on one backend
-//!   (`bench::BackendOverride`).
 //! * `MDFLOW_REPS` / `MDFLOW_FRAMES` — experiment scale (default the
 //!   paper's 10 × 128; `MDFLOW_REPS=3 all --only fig5,fig6,fig8` is the
 //!   quick calibration probe). Like `MDFLOW_JOBS`, a value that is no
 //!   positive integer is an error (exit 2), not the default.
 
 use bench::experiments::{Experiment, EXPERIMENTS};
-use bench::{fmt_secs, reports_json, save_json, BackendOverride, Scale};
+use bench::{fmt_secs, reports_json, save_json, Scale};
 use mdflow::prelude::*;
 
 fn usage(problem: &str) -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     eprintln!("error: {problem}");
-    eprintln!(
-        "usage: all [--only a,b] [--list] [--jobs N] [--backend NAME [--fanout K | --fanin K] \
-         [--window W] [--agg N]]"
-    );
+    eprintln!("usage: all [--only a,b] [--list] [--jobs N]");
     eprintln!("experiments: {}", names.join(", "));
     std::process::exit(2)
 }
@@ -71,13 +65,9 @@ fn main() {
                 }
                 selected.retain(|e| names.contains(&e.name));
             }
-            flag if BackendOverride::FLAGS.contains(&flag) => {
-                it.next();
-            }
             other => usage(&format!("unknown flag {other}")),
         }
     }
-    let backend = BackendOverride::from_args(&args).unwrap_or_else(|e| usage(&e));
     let scale = Scale::from_env();
 
     let grids: Vec<Vec<(String, StudyConfig)>> =
@@ -85,13 +75,7 @@ fn main() {
     let studies: Vec<StudyConfig> = grids
         .iter()
         .flatten()
-        .map(|(_, study)| {
-            let mut study = study.clone();
-            if let Some(o) = backend {
-                study.workflow = o.apply(study.workflow);
-            }
-            study
-        })
+        .map(|(_, study)| study.clone())
         .collect();
     println!(
         "EXPERIMENT SUITE — {} experiment(s), {} studies × {} reps at {} frames, {jobs} worker(s)",

@@ -9,23 +9,18 @@
 //! Figure 10 (Lustre): data movement (`consume/read_single_buf`)
 //! grows ~12.3× for the 45.3× larger model, while `explicit_sync` stays
 //! roughly constant — synchronization, not movement, limits Lustre.
+//!
+//! The binary takes no flags; `MDFLOW_REPS` / `MDFLOW_FRAMES` set the
+//! scale.
 
-use bench::{print_ratio, save_json, BackendOverride, Scale};
+use bench::{print_ratio, save_json, Scale};
 use mdflow::prelude::*;
 use thicket::{AggProfile, Ensemble, Query};
 
-fn consumer_ensemble(
-    solution: Solution,
-    model: Model,
-    scale: Scale,
-    backend: Option<BackendOverride>,
-) -> AggProfile {
-    let mut wf = WorkflowConfig::new(solution, 16, Placement::Split { pairs_per_node: 16 })
+fn consumer_ensemble(solution: Solution, model: Model, scale: Scale) -> AggProfile {
+    let wf = WorkflowConfig::new(solution, 16, Placement::Split { pairs_per_node: 16 })
         .with_model(model)
         .with_frames(scale.frames);
-    if let Some(o) = backend {
-        wf = o.apply(wf);
-    }
     let cal = Calibration::corona();
     // Repetitions share one snapshot and recycle one arena: the STMV
     // template (~30 MB) is synthesized once per figure cell, not per rep.
@@ -43,12 +38,10 @@ fn consumer_ensemble(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let checked = bench::check_flags(&args, &BackendOverride::FLAGS, &[]);
-    let backend = checked.and_then(|()| BackendOverride::from_args(&args));
-    let backend = backend.unwrap_or_else(|e| {
+    if let Err(e) = bench::check_flags(&args, &[], &[]) {
         eprintln!("error: {e}");
         std::process::exit(2)
-    });
+    }
     let scale = Scale::from_env();
     println!(
         "FIGURES 9 & 10 — Thicket call trees, 2 nodes, 16 pairs, {} frames, {} reps",
@@ -56,31 +49,17 @@ fn main() {
     );
 
     // ---- Figure 9: DYAD -------------------------------------------------
-    let dyad_jac = consumer_ensemble(Solution::Dyad, Model::Jac, scale, backend);
-    let dyad_stmv = consumer_ensemble(Solution::Dyad, Model::Stmv, scale, backend);
+    let dyad_jac = consumer_ensemble(Solution::Dyad, Model::Jac, scale);
+    let dyad_stmv = consumer_ensemble(Solution::Dyad, Model::Stmv, scale);
     println!("\n[Figure 9a] DYAD consumer call tree, JAC:");
     print!("{}", dyad_jac.render_tree());
     println!("\n[Figure 9b] DYAD consumer call tree, STMV:");
     print!("{}", dyad_stmv.render_tree());
 
-    // Under `--backend streaming` every cell runs the streaming data
-    // plane, so the call-tree queries follow its region names.
-    let streaming = backend.is_some_and(|o| o.solution == Solution::Streaming);
-    let (movement, store, read, fetch) = if streaming {
-        (
-            Query::parse("stream_consume/stream_get_data"),
-            Query::parse("stream_consume/stream_cons_store"),
-            Query::parse("stream_consume/read_single_buf"),
-            Query::parse("stream_consume/stream_sync"),
-        )
-    } else {
-        (
-            Query::parse("dyad_consume/dyad_get_data"),
-            Query::parse("dyad_consume/dyad_cons_store"),
-            Query::parse("dyad_consume/read_single_buf"),
-            Query::parse("dyad_consume/dyad_fetch"),
-        )
-    };
+    let movement = Query::parse("dyad_consume/dyad_get_data");
+    let store = Query::parse("dyad_consume/dyad_cons_store");
+    let read = Query::parse("dyad_consume/read_single_buf");
+    let fetch = Query::parse("dyad_consume/dyad_fetch");
     let move_jac =
         dyad_jac.query_time(&movement) + dyad_jac.query_time(&store) + dyad_jac.query_time(&read);
     let move_stmv = dyad_stmv.query_time(&movement)
@@ -105,24 +84,15 @@ fn main() {
     );
 
     // ---- Figure 10: Lustre ----------------------------------------------
-    let lus_jac = consumer_ensemble(Solution::Lustre, Model::Jac, scale, backend);
-    let lus_stmv = consumer_ensemble(Solution::Lustre, Model::Stmv, scale, backend);
+    let lus_jac = consumer_ensemble(Solution::Lustre, Model::Jac, scale);
+    let lus_stmv = consumer_ensemble(Solution::Lustre, Model::Stmv, scale);
     println!("\n[Figure 10a] Lustre consumer call tree, JAC:");
     print!("{}", lus_jac.render_tree());
     println!("\n[Figure 10b] Lustre consumer call tree, STMV:");
     print!("{}", lus_stmv.render_tree());
 
-    let (lread, lsync) = if streaming {
-        (
-            Query::parse("stream_consume/stream_get_data"),
-            Query::parse("stream_consume/stream_sync"),
-        )
-    } else {
-        (
-            Query::parse("consume/read_single_buf"),
-            Query::parse("consume/explicit_sync"),
-        )
-    };
+    let lread = Query::parse("consume/read_single_buf");
+    let lsync = Query::parse("consume/explicit_sync");
     println!("\nFigure 10 analysis:");
     print_ratio(
         "Lustre data-movement time, STMV vs JAC",

@@ -7,8 +7,7 @@
 //!            [--pairs N] [--nodes single|split] [--per-node N]
 //!            [--stride N] [--frames N] [--reps N] [--seed N]
 //!            [--sync coarse|fine|polling|lock] [--no-warm-sync]
-//!            [--fanout K] [--fanin K] [--window W] [--agg N]
-//!            [--group broadcast|partitioned] [--no-reclaim]
+//!            [--fanout K] [--fanin K] [--window W] [--no-reclaim]
 //!            [--kvs-shards N] [--kvs-replication R]
 //!            [--topology flat|leaf-spine] [--radix N] [--oversubscription X]
 //!            [--quiet-testbed] [--json] [--trace]
@@ -20,12 +19,13 @@
 //! `target/experiments/trace_<solution>.json`; open it in
 //! <https://ui.perfetto.dev> to watch the pipeline breathe.
 
+use bench::fmt_secs;
 use mdflow::prelude::*;
 
 /// The flags that take a value, and the ones that stand alone: what
 /// [`Args::value`] and [`Args::flag`] may be asked for, and all a
 /// command line may hold.
-const VALUED: [&str; 20] = [
+const VALUED: [&str; 18] = [
     "--solution",
     "--model",
     "--pairs",
@@ -39,8 +39,6 @@ const VALUED: [&str; 20] = [
     "--fanout",
     "--fanin",
     "--window",
-    "--agg",
-    "--group",
     "--kvs-shards",
     "--kvs-replication",
     "--topology",
@@ -105,8 +103,6 @@ options:
   --fanout   K                             streaming: 1 pub -> K subs per group [1]
   --fanin    K                             streaming: K pubs -> 1 reducer per group [1]
   --window   W                             streaming: max unacked in-flight steps [4]
-  --agg      N                             streaming: frames aggregated per step [1]
-  --group    broadcast|partitioned         streaming fan-out group mode [broadcast]
   --no-reclaim                             streaming: head-of-line stall on subscriber
                                            crash instead of reclaiming window slots
   --kvs-shards N                           KVS metadata-plane shards [1]
@@ -164,19 +160,14 @@ fn main() {
     wf.dyad_warm_sync = !args.flag("--no-warm-sync");
     let fanout: u32 = args.num("--fanout", 1);
     let fanin: u32 = args.num("--fanin", 1);
-    if (fanout > 1 || fanin > 1) && !solution.row().groups {
-        die("--fanout/--fanin require --solution streaming");
+    let window = args.value("--window").is_some();
+    if (fanout > 1 || fanin > 1 || window) && !solution.row().groups {
+        die("--fanout/--fanin/--window require --solution streaming");
     }
     wf = wf
         .with_fanout(fanout)
         .with_fanin(fanin)
-        .with_stream_window(args.num("--window", 4))
-        .with_agg_frames(args.num("--agg", 1));
-    wf = match args.value("--group").unwrap_or("broadcast") {
-        "broadcast" => wf.with_group_mode(GroupMode::Broadcast),
-        "partitioned" => wf.with_group_mode(GroupMode::Partitioned),
-        other => die(&format!("unknown group mode {other}")),
-    };
+        .with_stream_window(args.num("--window", 4));
     wf = wf.with_window_reclaim(!args.flag("--no-reclaim"));
     wf = wf
         .with_kvs_shards(args.num("--kvs-shards", 1))
@@ -239,15 +230,15 @@ fn main() {
     }
     println!(
         "production:  {:>12} movement + {:>12} idle = {:>12} per frame",
-        fmt(report.production_movement.mean),
-        fmt(report.production_idle.mean),
-        fmt(report.production_total()),
+        fmt_secs(report.production_movement.mean),
+        fmt_secs(report.production_idle.mean),
+        fmt_secs(report.production_total()),
     );
     println!(
         "consumption: {:>12} movement + {:>12} idle = {:>12} per frame",
-        fmt(report.consumption_movement.mean),
-        fmt(report.consumption_idle.mean),
-        fmt(report.consumption_total()),
+        fmt_secs(report.consumption_movement.mean),
+        fmt_secs(report.consumption_idle.mean),
+        fmt_secs(report.consumption_total()),
     );
     println!(
         "makespan:    {:.2} s (±{:.2})",
@@ -256,7 +247,7 @@ fn main() {
     if solution.row().groups {
         println!(
             "streaming:   group sync {:>12}/frame | {:.1} window stalls ({:.3} s stalled)",
-            fmt(report.group_sync_secs.mean),
+            fmt_secs(report.group_sync_secs.mean),
             report.window_stalls.mean,
             report.window_stall_secs.mean,
         );
@@ -282,12 +273,4 @@ fn trace(study: &StudyConfig) {
         metrics.events
     );
     println!("open it at https://ui.perfetto.dev or chrome://tracing");
-}
-
-fn fmt(s: f64) -> String {
-    if s >= 1e-3 {
-        format!("{:.3} ms", s * 1e3)
-    } else {
-        format!("{:.1} µs", s * 1e6)
-    }
 }

@@ -2,8 +2,10 @@
 //! evaluation is one table ([`experiments::EXPERIMENTS`]) behind one
 //! driver (`all`); this crate root holds what the table, the driver and
 //! the four binaries that are not "studies in, reports out" share: the
-//! experiment scale, the `--backend` override, bar/ratio/chart printing,
-//! the JSON record writers and the metadata-plane cell.
+//! experiment scale, flag checking, bar/ratio/chart printing, the JSON
+//! record writers and the metadata-plane cell. A study runs the
+//! `solution` its experiment row scripts; `mdflow-run --solution` is the
+//! one ad-hoc way to pick another.
 
 use std::num::{NonZeroU32, NonZeroU64};
 
@@ -66,80 +68,6 @@ pub fn check_flags(args: &[String], valued: &[&str], bare: &[&str]) -> Result<()
 /// other studies share its executor invocation.
 pub fn study_at(wf: WorkflowConfig, scale: Scale) -> StudyConfig {
     StudyConfig::paper(wf.with_frames(scale.frames)).with_repetitions(scale.reps)
-}
-
-/// Backend override for the figure regenerators (the PR 10 streaming
-/// axis): `--backend streaming` on `all` or `fig9_10` reruns every
-/// scripted workload on the streaming data plane, shaped by
-/// `--fanout K` / `--fanin K` / `--window W` / `--agg N`. The other
-/// solution names force that backend instead; with no override each
-/// experiment runs its scripted solutions untouched.
-#[derive(Debug, Clone, Copy)]
-pub struct BackendOverride {
-    /// Forced solution.
-    pub solution: Solution,
-    /// Streaming fan-out (1 → K groups).
-    pub fanout: u32,
-    /// Streaming fan-in (K → 1 reduction groups).
-    pub fanin: u32,
-    /// Streaming bounded in-flight window.
-    pub window: Option<u32>,
-    /// Streaming frames aggregated per step.
-    pub agg: Option<u64>,
-}
-
-impl BackendOverride {
-    /// The five flags a binary passes here instead of interpreting.
-    pub const FLAGS: [&'static str; 5] = ["--backend", "--fanout", "--fanin", "--window", "--agg"];
-
-    /// Parse the override from a binary's arguments; `Ok(None)` leaves
-    /// the scripted solutions in place. Announces itself so override
-    /// runs are never mistaken for the scripted series.
-    pub fn from_args(args: &[String]) -> Result<Option<BackendOverride>, String> {
-        let Some(name) = flag_value(args, "--backend") else {
-            return Ok(None);
-        };
-        let num = |flag: &str| match flag_value(args, flag) {
-            Some(v) => v
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| format!("bad value for {flag}: {v}")),
-            None => Ok(None),
-        };
-        let o = BackendOverride {
-            solution: name.parse()?,
-            fanout: num("--fanout")?.unwrap_or(1) as u32,
-            fanin: num("--fanin")?.unwrap_or(1) as u32,
-            window: num("--window")?.map(|w| w as u32),
-            agg: num("--agg")?,
-        };
-        if o.fanout > 1 && o.fanin > 1 {
-            return Err("streaming groups are 1→K or K→1, not K→K".to_string());
-        }
-        eprintln!(
-            "  [backend override: {name} fanout={} fanin={}]",
-            o.fanout, o.fanin
-        );
-        Ok(Some(o))
-    }
-
-    /// Rewrite `wf` onto the forced backend, keeping its model, frame
-    /// count, schedule and placement (XFS's single-node shapes stay
-    /// single-node under streaming — every group collapses onto one
-    /// node, the streaming analogue of the figure).
-    pub fn apply(self, mut wf: WorkflowConfig) -> WorkflowConfig {
-        wf.solution = self.solution;
-        if self.solution == Solution::Streaming {
-            wf = wf.with_fanout(self.fanout).with_fanin(self.fanin);
-            if let Some(w) = self.window {
-                wf = wf.with_stream_window(w);
-            }
-            if let Some(a) = self.agg {
-                wf = wf.with_agg_frames(a);
-            }
-        }
-        wf
-    }
 }
 
 /// Format seconds with an appropriate unit.

@@ -61,17 +61,30 @@ fn table_names_are_unique_and_grid_sizes_pinned() {
     }
 }
 
+/// An unknown experiment, or a flag `all` does not read, ends in exit 2
+/// naming it and the valid experiments. `--backend streaming` once reran
+/// every study on the streaming plane under its scripted labels.
 #[test]
 fn only_rejects_an_unknown_experiment_naming_the_valid_ones() {
-    let out = Command::new(env!("CARGO_BIN_EXE_all"))
-        .args(["--only", "fig5,nosuch"])
-        .output()
-        .expect("run all");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("nosuch"), "{stderr}");
-    for e in EXPERIMENTS {
-        assert!(stderr.contains(e.name), "{} missing from: {stderr}", e.name);
+    let cases: [(&[&str], &str); 2] = [
+        (&["--only", "fig5,nosuch"], "no experiment named nosuch"),
+        (
+            &["--only", "table1", "--backend", "streaming"],
+            "unknown flag --backend",
+        ),
+    ];
+    for (args, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_all"))
+            .args(args)
+            .output()
+            .expect("run all");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        for e in EXPERIMENTS {
+            assert!(stderr.contains(e.name), "{} missing from: {stderr}", e.name);
+        }
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
 }
 
@@ -116,8 +129,8 @@ fn mdflow_run_rejects_malformed_configurations_with_a_typed_error() {
             "window must be at least 1",
         ),
         (
-            &["--solution", "streaming", "--agg", "0"],
-            "agg_frames must be at least 1",
+            &["--solution", "lustre", "--window", "2"],
+            "--fanout/--fanin/--window require --solution streaming",
         ),
         (&["--kvs-shards", "0"], "kvs_shards must be at least 1"),
         (
@@ -142,10 +155,12 @@ fn mdflow_run_rejects_malformed_configurations_with_a_typed_error() {
 }
 
 /// A flag `mdflow-run` does not read, or one that lost its value, ends
-/// in exit 2 naming it. `--pair 2` ran the default four pairs.
+/// in exit 2 naming it. `--pair 2` ran the default four pairs; `--group`
+/// and `--agg` selected partitioned groups and multi-frame steps, which
+/// are gone.
 #[test]
 fn mdflow_run_rejects_a_misspelt_flag_and_a_missing_value() {
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 4] = [
         (
             &["--pair", "2", "--frames", "4", "--reps", "1"],
             "unknown flag --pair",
@@ -153,6 +168,14 @@ fn mdflow_run_rejects_a_misspelt_flag_and_a_missing_value() {
         (
             &["--frames", "4", "--reps", "1", "--pairs"],
             "--pairs needs a value",
+        ),
+        (
+            &["--solution", "streaming", "--group", "partitioned"],
+            "unknown flag --group",
+        ),
+        (
+            &["--solution", "streaming", "--agg", "2"],
+            "unknown flag --agg",
         ),
     ];
     for (args, message) in cases {
@@ -167,18 +190,22 @@ fn mdflow_run_rejects_a_misspelt_flag_and_a_missing_value() {
     }
 }
 
-/// `fig9_10 --backned streaming` printed the scripted figures.
+/// `fig9_10` takes no flags: `--backned streaming` printed the scripted
+/// figures, and `--backend streaming` reran them on the streaming plane.
 #[test]
 fn fig9_10_rejects_a_misspelt_flag() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig9_10"))
-        .args(["--backned", "streaming"])
-        .envs([("MDFLOW_REPS", "1"), ("MDFLOW_FRAMES", "4")])
-        .output()
-        .expect("run fig9_10");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("unknown flag --backned"), "{stderr}");
-    assert!(out.stdout.is_empty(), "printed the figures");
+    for flag in ["--backned", "--backend"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig9_10"))
+            .args([flag, "streaming"])
+            .envs([("MDFLOW_REPS", "1"), ("MDFLOW_FRAMES", "4")])
+            .output()
+            .expect("run fig9_10");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        let named = format!("unknown flag {flag}");
+        assert!(stderr.contains(&named), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} printed the figures");
+    }
 }
 
 /// The four relations the fan-out crossover exists to show, on the

@@ -19,9 +19,9 @@ pub enum Solution {
     /// synchronization benefit from the node-local-storage benefit).
     DyadOnPfs,
     /// ADIOS2 SST-style streaming backend (the `streaming` crate):
-    /// publisher-side step aggregation, subscriber groups, and a bounded
-    /// in-flight window with ack-driven release, opening the M:N
-    /// topology axis (`StreamingConfig`).
+    /// one-frame steps, broadcast fan-out and reducing fan-in groups,
+    /// and a bounded in-flight window with ack-driven release, opening
+    /// the M:N topology axis (`StreamingConfig`).
     Streaming,
 }
 
@@ -273,12 +273,6 @@ pub struct StreamingConfig {
     pub fanin: u32,
     /// Bounded in-flight window: max unacked steps per publisher.
     pub window: u32,
-    /// Frames aggregated per published step (SST step aggregation;
-    /// also the reducer's sliding in-situ analysis window).
-    pub agg_frames: u64,
-    /// How a fan-out group shares the step sequence.
-    #[serde(serialize_with = "group_serde::serialize")]
-    pub group: streaming::GroupMode,
     /// Under faults, reclaim window slots held by crashed subscribers
     /// instead of head-of-line stalling until the restart.
     pub reclaim_on_crash: bool,
@@ -290,18 +284,8 @@ impl Default for StreamingConfig {
             fanout: 1,
             fanin: 1,
             window: 4,
-            agg_frames: 1,
-            group: streaming::GroupMode::Broadcast,
             reclaim_on_crash: true,
         }
-    }
-}
-
-// GroupMode is foreign; serialize via its stable name.
-mod group_serde {
-    use serde::Serializer;
-    pub fn serialize<S: Serializer>(g: &streaming::GroupMode, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(g.name())
     }
 }
 
@@ -532,18 +516,6 @@ impl WorkflowConfig {
         self
     }
 
-    /// Aggregate `n` frames per published step.
-    pub fn with_agg_frames(mut self, n: u64) -> Self {
-        self.streaming.agg_frames = n;
-        self
-    }
-
-    /// Choose how fan-out groups share the step sequence.
-    pub fn with_group_mode(mut self, mode: streaming::GroupMode) -> Self {
-        self.streaming.group = mode;
-        self
-    }
-
     /// Enable/disable window reclaim for crashed subscribers.
     pub fn with_window_reclaim(mut self, reclaim: bool) -> Self {
         self.streaming.reclaim_on_crash = reclaim;
@@ -572,7 +544,6 @@ impl WorkflowConfig {
             ("fanout", u64::from(s.fanout)),
             ("fanin", u64::from(s.fanin)),
             ("window", u64::from(s.window)),
-            ("agg_frames", s.agg_frames),
             ("kvs_shards", u64::from(self.kvs_shards)),
             ("kvs_replication", u64::from(self.kvs_replication)),
         ];
@@ -893,10 +864,6 @@ mod tests {
                 "window must be at least 1",
             ),
             (
-                streaming().with_agg_frames(0),
-                "agg_frames must be at least 1",
-            ),
-            (
                 dyad(2, split(8)).with_kvs_shards(0),
                 "kvs_shards must be at least 1",
             ),
@@ -940,7 +907,7 @@ mod tests {
             WorkflowConfig::new(Solution::Xfs, 4, Placement::SingleNode),
             dyad(8, split(8)).with_faults(FaultConfig::chaos(42, 2)),
             dyad(2, split(8)).with_kvs_shards(2).with_kvs_replication(2),
-            streaming().with_fanin(4).with_agg_frames(3),
+            streaming().with_fanin(4),
         ];
         for wf in accepted {
             assert_eq!(wf.validate(), Ok(()), "{wf:?}");
@@ -983,8 +950,6 @@ mod tests {
                 "streaming.fanout",
                 "streaming.fanin",
                 "streaming.window",
-                "streaming.agg_frames",
-                "streaming.group",
                 "streaming.reclaim_on_crash",
                 "faults.events_per_class",
                 "faults.seed",

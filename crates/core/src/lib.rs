@@ -70,7 +70,6 @@ pub mod prelude {
     pub use cluster::{FabricSpec, TopologySpec};
     pub use faults::{ChaosSpec, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
     pub use mdsim::Model;
-    pub use streaming::GroupMode;
 }
 
 #[cfg(test)]

@@ -1054,24 +1054,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_partitioned_fanout_shares_the_step_sequence() {
-        let cal = Calibration::quiet();
-        let wf = small(
-            Solution::Streaming,
-            1,
-            Placement::Split { pairs_per_node: 8 },
-        )
-        .with_fanout(3)
-        .with_group_mode(streaming::GroupMode::Partitioned);
-        let m = run_once(&wf, &cal, 3);
-        // Each step consumed exactly once across the group.
-        assert_eq!(m.streaming.steps_published, 6);
-        assert_eq!(m.streaming.steps_consumed, 6);
-        assert_eq!(m.streaming.bytes_consumed, m.streaming.bytes_published);
-        assert_eq!(m.staging.acks_published, 6);
-    }
-
-    #[test]
     fn streaming_fanin_reduction_completes() {
         let cal = Calibration::quiet();
         let wf = small(
@@ -1108,22 +1090,6 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.streaming.window_stalls, b.streaming.window_stalls);
         assert_eq!(a.streaming.window_stall_secs, b.streaming.window_stall_secs);
-    }
-
-    #[test]
-    fn streaming_step_aggregation_publishes_fewer_larger_steps() {
-        let cal = Calibration::quiet();
-        let wf = small(
-            Solution::Streaming,
-            1,
-            Placement::Split { pairs_per_node: 8 },
-        )
-        .with_agg_frames(3);
-        let m = run_once(&wf, &cal, 6);
-        // 6 frames at 3 per step = 2 steps, all bytes conserved.
-        assert_eq!(m.streaming.steps_published, 2);
-        assert_eq!(m.streaming.steps_consumed, 2);
-        assert_eq!(m.streaming.bytes_consumed, m.streaming.bytes_published);
     }
 
     #[test]

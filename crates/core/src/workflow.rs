@@ -264,28 +264,20 @@ fn producer_setup(args: &ProducerArgs, rng_stream: u64) -> (Recorder, MdPhase<'_
     (rec, md)
 }
 
-/// The `md_sim` and `serialize` phases of `n` frames from `first` on;
-/// returns their ropes end to end (a streaming step aggregates several
-/// frames, everyone else passes 1).
-fn simulate_frames<'a, 'r>(
+/// The `md_sim` and `serialize` phases of `frame`; returns its rope.
+fn simulate_frame<'a, 'r>(
     run: &'a RunShared,
     rec: &'a Recorder,
     md: &'a mut MdPhase<'r>,
-    first: u64,
-    n: u64,
+    frame: u64,
 ) -> impl Future<Output = Payload> + use<'a, 'r> {
     async move {
         let g = rec.region("md_sim");
-        for _ in 0..n {
-            run.ctx.sleep(md.next(run)).await;
-        }
+        run.ctx.sleep(md.next(run)).await;
         g.end();
         let g = rec.region("serialize");
-        run.ctx.sleep(run.serialize_cpu.mul_f64(n as f64)).await;
-        let mut payload = run.template.frame_segments(first);
-        for frame in first + 1..first + n {
-            payload.extend(run.template.frame_segments(frame));
-        }
+        run.ctx.sleep(run.serialize_cpu).await;
+        let payload = run.template.frame_segments(frame);
         g.end();
         payload
     }
@@ -321,9 +313,8 @@ pub fn pair_session_id(pair: u32) -> String {
 /// managed directory, consumer id)`: the node's evictor holds whatever
 /// lands under the directory until that consumer acknowledged it. One
 /// entry per publisher and session that acks it — a pair's consumer, a
-/// broadcast group's every subscriber, a partitioned group's shared
-/// session, a fan-in group's reducer once per leaf. Empty for a backend
-/// that does not stage.
+/// fan-out group's every subscriber, a fan-in group's reducer once per
+/// leaf. Empty for a backend that does not stage.
 pub(crate) fn registrations(wf: &WorkflowConfig, ens: &Ensemble) -> Vec<(u32, String, String)> {
     let row = wf.solution.row();
     let Some(plane) = row.plane.filter(|_| row.stages_on_nvme) else {
@@ -472,7 +463,7 @@ pub fn producer_dyad(
         let (rec, mut md) = producer_setup(&args, rng_stream);
         args.run.ctx.sleep(args.start_offset).await;
         for frame in 0..args.run.frames {
-            let payload = simulate_frames(&args.run, &rec, &mut md, frame, 1).await;
+            let payload = simulate_frame(&args.run, &rec, &mut md, frame).await;
             let path = frame_path(args.pair, frame);
             // Device-error windows are absorbed inside `try_produce`.
             recovering(
@@ -511,7 +502,7 @@ pub fn producer_manual(
                 // A crashed node runs nothing: freeze until the restart.
                 board.hold_until_up(args.node).await;
             }
-            let payload = simulate_frames(&args.run, &rec, &mut md, frame, 1).await;
+            let payload = simulate_frame(&args.run, &rec, &mut md, frame).await;
             let path = frame_path(args.pair, frame);
             {
                 let g = rec.region("produce");
@@ -583,13 +574,12 @@ fn consumer_setup(args: &ConsumerArgs) -> (Recorder, StdRng) {
     (rec, args.run.ctx.rng(args.rng_stream))
 }
 
-/// The `analytics` phase over `frames` frames' worth of data: one
-/// jittered analytics duration per delivery, scaled by its frame count.
+/// The `analytics` phase of one delivered frame: one jittered analytics
+/// duration.
 fn analytics<'a>(
     run: &'a RunShared,
     rec: &'a Recorder,
     rng: &'a mut StdRng,
-    frames: u64,
 ) -> impl Future<Output = ()> + 'a {
     async move {
         use rand::RngExt;
@@ -598,7 +588,7 @@ fn analytics<'a>(
         if run.jitter > 0.0 {
             d = d.mul_f64(rng.random_range(1.0 - run.jitter..1.0 + run.jitter));
         }
-        run.ctx.sleep(d.mul_f64(frames as f64)).await;
+        run.ctx.sleep(d).await;
         g.end();
     }
 }
@@ -618,8 +608,8 @@ pub fn consumer_dyad(args: ConsumerArgs, svc: Rc<DyadService>) -> impl Future<Ou
             });
             // A typed loss has nothing to analyze; move to the next frame.
             let Some(data) = get.await else { continue };
-            deserialize_step(&args, &rec, &data, frame, 1).await;
-            analytics(&args.run, &rec, &mut rng, 1).await;
+            deserialize_frame(&args, &rec, &data, frame).await;
+            analytics(&args.run, &rec, &mut rng).await;
         }
         rec.finish()
     }
@@ -693,13 +683,13 @@ pub fn consumer_manual(
                 g.end();
                 data
             };
-            deserialize_step(&args, &rec, &data, frame, 1).await;
+            deserialize_frame(&args, &rec, &data, frame).await;
             if mode == ManualSync::Fine {
                 // Fine-grained ablation: release the producer before the
                 // analytics so the next stride overlaps with it.
                 done_tx.send(frame);
             }
-            analytics(&args.run, &rec, &mut rng, 1).await;
+            analytics(&args.run, &rec, &mut rng).await;
             if mode == ManualSync::Coarse {
                 // The paper's coarse-grained barrier: the producer stays
                 // blocked until the consumer has completely finished.
@@ -728,7 +718,7 @@ pub fn producer_dyad_on_pfs(
             if let Some(board) = &args.run.faults {
                 board.hold_until_up(args.node).await;
             }
-            let payload = simulate_frames(&args.run, &rec, &mut md, frame, 1).await;
+            let payload = simulate_frame(&args.run, &rec, &mut md, frame).await;
             let size = transport::payload_len(&payload);
             let path = frame_path(args.pair, frame);
             {
@@ -817,8 +807,8 @@ pub fn consumer_dyad_on_pfs(
                 g.end();
                 data
             };
-            deserialize_step(&args, &rec, &data, frame, 1).await;
-            analytics(&args.run, &rec, &mut rng, 1).await;
+            deserialize_frame(&args, &rec, &data, frame).await;
+            analytics(&args.run, &rec, &mut rng).await;
         }
         rec.finish()
     }
@@ -829,21 +819,17 @@ pub fn consumer_dyad_on_pfs(
 // ---------------------------------------------------------------------------
 
 /// Streaming-group role shared by the publisher/subscriber bodies:
-/// which group, its topology shape, and the step aggregation factor.
+/// which group and its topology shape. A step is one MD frame.
 #[derive(Clone, Copy)]
 pub struct StreamRole {
     /// Group index (the streaming analogue of a pair).
     pub group: u32,
-    /// Delivery mode of a fan-out group.
-    pub mode: streaming::GroupMode,
     /// Subscribers per fan-out group.
     pub fanout: u32,
     /// Publishers per fan-in group.
     pub fanin: u32,
     /// This publisher's leaf index within a fan-in group (0 otherwise).
     pub leaf: u32,
-    /// MD frames aggregated into one published step.
-    pub agg_frames: u64,
 }
 
 impl StreamRole {
@@ -851,17 +837,10 @@ impl StreamRole {
     pub fn new(s: &StreamingConfig, group: u32) -> StreamRole {
         StreamRole {
             group,
-            mode: s.group,
             fanout: s.fanout,
             fanin: s.fanin,
             leaf: 0,
-            agg_frames: s.agg_frames,
         }
-    }
-
-    /// Steps each publisher of this group emits for `frames` MD frames.
-    pub fn steps(&self, frames: u64) -> u64 {
-        frames.div_ceil(self.agg_frames)
     }
 
     /// Logical step name for `(leaf, step)`; fan-in groups get a
@@ -882,40 +861,29 @@ impl StreamRole {
     /// Distinct consumption-ack ids in the group ([`Self::session_id`]
     /// of members `0..sessions()`).
     pub fn sessions(&self) -> u32 {
-        match self.mode {
-            streaming::GroupMode::Broadcast if self.fanin == 1 => self.fanout,
-            _ => 1,
+        if self.fanin > 1 {
+            1
+        } else {
+            self.fanout
         }
     }
 
     /// The consumption-ack id of group member `sub_idx`: what its session
     /// acks under, the publisher's window waits on and the publisher
-    /// node's staging manager has registered. Partitioned members share
-    /// one id (each step has one assignee); a fan-in group has only its
-    /// reducer.
+    /// node's staging manager has registered. A fan-in group has only
+    /// its reducer.
     pub fn session_id(&self, sub_idx: u32) -> String {
-        match self.mode {
-            _ if self.fanin > 1 => format!("g{}r", self.group),
-            streaming::GroupMode::Broadcast => format!("g{}s{sub_idx}", self.group),
-            streaming::GroupMode::Partitioned => format!("g{}p", self.group),
+        if self.fanin > 1 {
+            format!("g{}r", self.group)
+        } else {
+            format!("g{}s{sub_idx}", self.group)
         }
-    }
-
-    /// The ackers whose consumption releases `step`'s window slot:
-    /// every broadcast subscriber, exactly the round-robin assignee of
-    /// a partitioned group, or the fan-in group's single reducer.
-    pub fn step_ackers(&self, step: u64, group_ackers: &[StreamAcker]) -> Vec<StreamAcker> {
-        if self.fanin > 1 || self.mode == streaming::GroupMode::Broadcast {
-            return group_ackers.to_vec();
-        }
-        let a = streaming::partition_assignee(step, self.fanout) as usize;
-        vec![group_ackers[a].clone()]
     }
 }
 
 /// Streaming publisher process: the SST-style writer side of one group.
-/// Each published step aggregates [`StreamRole::agg_frames`] MD frames;
-/// the bounded in-flight window gates publication on subscriber acks.
+/// Each published step is one MD frame; the bounded in-flight window
+/// gates publication on the acks of every member of `group_ackers`.
 pub fn publisher_stream(
     args: ProducerArgs,
     svc: Rc<streaming::StreamService>,
@@ -927,12 +895,8 @@ pub fn publisher_stream(
         let (rec, mut md) = producer_setup(&args, rng_stream);
         args.run.ctx.sleep(args.start_offset).await;
         let mut publisher = svc.publisher();
-        let mut frame = 0u64;
-        for step in 0..role.steps(args.run.frames) {
-            let in_step = role.agg_frames.min(args.run.frames - frame);
-            let payload = simulate_frames(&args.run, &rec, &mut md, frame, in_step).await;
-            frame += in_step;
-            let ackers = role.step_ackers(step, &group_ackers);
+        for step in 0..args.run.frames {
+            let payload = simulate_frame(&args.run, &rec, &mut md, step).await;
             let name = role.step_name(role.leaf, step);
             // Window stalls and device errors are absorbed inside
             // `try_publish`.
@@ -944,7 +908,7 @@ pub fn publisher_stream(
                 rng_stream ^ 0xFA17 ^ step,
                 async |rng| {
                     publisher
-                        .try_publish(&rec, &name, step, &payload, &ackers, rng)
+                        .try_publish(&rec, &name, step, &payload, &group_ackers, rng)
                         .await
                 },
                 terminal,
@@ -956,9 +920,7 @@ pub fn publisher_stream(
 }
 
 /// Streaming fan-out subscriber process: member `sub_idx` of a group of
-/// [`StreamRole::fanout`]. Broadcast members consume every step;
-/// partitioned members consume their round-robin share, acking under
-/// the group's shared session id.
+/// [`StreamRole::fanout`], consuming every step under its own session id.
 pub fn subscriber_stream(
     args: ConsumerArgs,
     svc: Rc<streaming::StreamService>,
@@ -969,22 +931,15 @@ pub fn subscriber_stream(
         let (rec, mut rng) = consumer_setup(&args);
         args.run.ctx.sleep(args.start_offset).await;
         let mut session = svc.subscriber(&role.session_id(sub_idx));
-        let agg = role.agg_frames;
-        let steps = role.steps(args.run.frames);
-        for step in 0..steps {
-            if !streaming::delivers_to(role.mode, step, sub_idx, role.fanout) {
-                continue;
-            }
+        for step in 0..args.run.frames {
             let name = role.step_name(0, step);
             let get = consume_recovering(&args, &rec, step, async |_| {
                 session.try_consume_step(&rec, &name).await
             });
             // A typed loss has nothing to analyze; move to the next step.
             let Some(data) = get.await else { continue };
-            let first = step * agg;
-            let in_step = agg.min(args.run.frames - first);
-            deserialize_step(&args, &rec, &data, first, in_step).await;
-            analytics(&args.run, &rec, &mut rng, in_step).await;
+            deserialize_frame(&args, &rec, &data, step).await;
+            analytics(&args.run, &rec, &mut rng).await;
         }
         rec.finish()
     }
@@ -1004,9 +959,7 @@ pub fn reducer_stream(
         args.run.ctx.sleep(args.start_offset).await;
         let mut session = svc.subscriber(&role.session_id(0));
         let tree = streaming::ReductionTree::new(role.fanin as usize);
-        let agg = role.agg_frames;
-        let steps = role.steps(args.run.frames);
-        for step in 0..steps {
+        for step in 0..args.run.frames {
             let mut leaf_bytes: Vec<u64> = Vec::with_capacity(role.fanin as usize);
             let mut head: Option<Payload> = None;
             for leaf in 0..role.fanin {
@@ -1023,9 +976,7 @@ pub fn reducer_stream(
             }
             // Every leaf lost: nothing to reduce for this step index.
             let Some(head) = head else { continue };
-            let first = step * agg;
-            let in_step = agg.min(args.run.frames - first);
-            deserialize_step(&args, &rec, &head, first, in_step).await;
+            deserialize_frame(&args, &rec, &head, step).await;
             if leaf_bytes.len() == role.fanin as usize {
                 let g = rec.region("stream_reduce");
                 let total: u64 = leaf_bytes.iter().sum();
@@ -1045,42 +996,34 @@ pub fn reducer_stream(
                 // A lost leaf leaves a partial reduction — typed, visible.
                 rec.annotate("partial_reductions", 1.0);
             }
-            analytics(&args.run, &rec, &mut rng, in_step).await;
+            analytics(&args.run, &rec, &mut rng).await;
         }
         rec.finish()
     }
 }
 
-/// Deserialize a step's leading frame header, charge the CPU cost, and
-/// validate as strictly as the step shape allows: full payload equality
-/// for single-frame steps (a pair's frame is one), header identity for
-/// aggregated ones.
-fn deserialize_step<'a>(
+/// Deserialize a delivered frame: charge the CPU cost, then check its
+/// header names `frame` and its payload is the template's, byte for byte.
+fn deserialize_frame<'a>(
     args: &'a ConsumerArgs,
     rec: &'a Recorder,
     data: &'a [Bytes],
-    first_frame: u64,
-    in_step: u64,
+    frame: u64,
 ) -> impl Future<Output = ()> + 'a {
     async move {
         let g = rec.region("deserialize");
-        args.run
-            .ctx
-            .sleep(args.run.deserialize_cpu.mul_f64(in_step as f64))
-            .await;
-        let header = FrameHeader::decode_segments(data).expect("valid step");
+        args.run.ctx.sleep(args.run.deserialize_cpu).await;
+        let header = FrameHeader::decode_segments(data).expect("valid frame");
         assert_eq!(
-            header.step, first_frame,
-            "frame mismatch at the head of a step of consumer {}",
+            header.step, frame,
+            "frame mismatch at consumer {}",
             args.pair
         );
-        if in_step == 1 {
-            assert!(
-                args.run.template.validate(data, first_frame),
-                "payload corrupted in transit (consumer {}, frame {first_frame})",
-                args.pair
-            );
-        }
+        assert!(
+            args.run.template.validate(data, frame),
+            "payload corrupted in transit (consumer {}, frame {frame})",
+            args.pair
+        );
         g.end();
     }
 }
@@ -1126,14 +1069,10 @@ mod tests {
     fn every_registration_names_a_directory_written_to_and_a_session_opened() {
         let split = Placement::Split { pairs_per_node: 2 };
         let streaming = || WorkflowConfig::new(Solution::Streaming, 3, split);
-        let partitioned = streaming()
-            .with_fanout(3)
-            .with_group_mode(streaming::GroupMode::Partitioned);
         // (shape, registrations per group)
         let shapes = [
             (WorkflowConfig::new(Solution::Dyad, 5, split), 1),
             (streaming().with_fanout(3), 3),
-            (partitioned, 1),
             (streaming().with_fanin(4), 4),
         ];
         for (wf, per_group) in shapes {

@@ -1,8 +1,8 @@
 //! # streaming — an ADIOS2 SST-style streaming data plane
 //!
 //! The paper's workflows move frames through files (XFS, Lustre) or the
-//! DYAD managed directory in a strict 1:1 producer→consumer shape.
-//! ROADMAP item 3 points past that, following Poeschel et al.
+//! DYAD managed directory in a strict 1:1 producer→consumer shape. This
+//! extension points past that, following Poeschel et al.
 //! (openPMD/ADIOS2 streaming) and Eisenhauer et al. (SST): a *streaming*
 //! backend where producers publish **steps** and subscriber groups pull
 //! them over the fabric, with flow control instead of unbounded staging.
@@ -10,25 +10,26 @@
 //! This crate is that backend, built as a peer of `dyad` on the same
 //! substrates:
 //!
-//! * **Publishers** aggregate frames into steps, write them to
-//!   node-local storage, and publish `(owner, size)` step metadata to
-//!   the [`kvs`] — the rendezvous path DYAD uses. The two backends differ
-//!   only in protocol, not in plumbing: the plumbing is
-//!   [`staging::plane`], of which this crate holds the [`PLANE`] row.
+//! * **Publishers** write each step (one MD frame) to node-local
+//!   storage and publish `(owner, size)` step metadata to the [`kvs`] —
+//!   the rendezvous path DYAD uses. The two backends differ only in
+//!   protocol, not in plumbing: the plumbing is [`staging::plane`], of
+//!   which this crate holds the [`PLANE`] row.
 //! * A **bounded in-flight window** ([`StreamWindow`]) backpressures the
 //!   publisher: at most `window` unacknowledged steps may be open.
 //!   Release rides the *existing* staging consumption-ack keys
 //!   ([`staging::ack_key`]): subscribers commit acks to the KVS for
 //!   retention anyway, and the publisher watches those same keys, so
 //!   there is no second ack channel to leak slots under faults.
-//! * **Subscriber groups** ([`GroupMode`]) consume each step either
-//!   broadcast (every subscriber gets every step) or partitioned (each
-//!   step goes to exactly one subscriber, round-robin).
+//! * **Subscriber groups** are broadcast: every subscriber of a 1→K
+//!   group consumes every step, and the step's window slot frees once
+//!   all K have acked.
 //! * **Reduction trees** ([`ReductionTree`]) give K→1 fan-in a
 //!   deterministic pairwise combine schedule with byte conservation.
 //! * Under a fault plan, a crashed subscriber's window slots can be
 //!   **reclaimed** (`reclaim_on_crash`) instead of head-of-line
-//!   stalling the publisher until the restart.
+//!   stalling the publisher until the restart; the stalling variant is
+//!   kept as the reference leg of that A/B.
 //! * `try_publish` and `try_consume_step` return the plane's typed
 //!   [`PlaneError`]; the fault board's absence is the infallible case,
 //!   which `publish` and `consume_step` unwrap. How the window waits is
@@ -87,54 +88,6 @@ pub const PLANE: Backend = Backend {
 };
 
 // ---------------------------------------------------------------------------
-// Subscriber groups
-// ---------------------------------------------------------------------------
-
-/// How a subscriber group shares the step sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GroupMode {
-    /// Every subscriber receives every step (K-way in-situ analytics).
-    Broadcast,
-    /// Each step is delivered to exactly one subscriber, round-robin by
-    /// step index (work sharing).
-    Partitioned,
-}
-
-impl GroupMode {
-    /// Stable lowercase name (CLI/serialization).
-    pub fn name(self) -> &'static str {
-        match self {
-            GroupMode::Broadcast => "broadcast",
-            GroupMode::Partitioned => "partitioned",
-        }
-    }
-
-    /// Parse [`GroupMode::name`].
-    pub fn parse(s: &str) -> Option<GroupMode> {
-        match s {
-            "broadcast" => Some(GroupMode::Broadcast),
-            "partitioned" => Some(GroupMode::Partitioned),
-            _ => None,
-        }
-    }
-}
-
-/// The subscriber index a partitioned step is assigned to.
-pub fn partition_assignee(step: u64, fanout: u32) -> u32 {
-    assert!(fanout >= 1, "empty subscriber group");
-    (step % u64::from(fanout)) as u32
-}
-
-/// Whether `subscriber` (of `fanout` group members) receives `step`.
-pub fn delivers_to(mode: GroupMode, step: u64, subscriber: u32, fanout: u32) -> bool {
-    assert!(subscriber < fanout, "subscriber index out of group");
-    match mode {
-        GroupMode::Broadcast => true,
-        GroupMode::Partitioned => partition_assignee(step, fanout) == subscriber,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Bounded in-flight window
 // ---------------------------------------------------------------------------
 
@@ -158,8 +111,8 @@ struct PendingStep {
 }
 
 /// The publisher-side bounded in-flight window: at most `capacity`
-/// steps may be open (published but not acknowledged by every assigned
-/// subscriber) at once. Pure bookkeeping — the async machinery around
+/// steps may be open (published but not acknowledged by each of its
+/// ackers) at once. Pure bookkeeping — the async machinery around
 /// it lives in [`StreamPublisher`] — so the safety invariant
 /// (`in_flight() <= capacity()` always) is property-testable without a
 /// simulator.
@@ -602,8 +555,7 @@ impl StreamPublisher {
     /// Publish step `seq` under logical name `name`: wait for a window
     /// slot, then [`Plane::put`] the step (`jitter` is the caller's
     /// backoff stream under a fault board). `ackers` are the subscribers
-    /// whose acks release the slot (per-step, so partitioned groups pass
-    /// only the assignee).
+    /// whose acks release the slot.
     ///
     /// Call tree: `stream_publish` → { `stream_window_wait`,
     /// `staging_backpressure`, `stream_write`, `stream_commit` }.
@@ -918,20 +870,6 @@ mod tests {
         assert_eq!(t5.merges(), 4);
         assert_eq!(t5.combined_bytes(&[1, 1, 1, 1, 1]), 5);
     }
-
-    #[test]
-    fn partitioned_assignment_is_round_robin() {
-        assert!(delivers_to(GroupMode::Partitioned, 0, 0, 4));
-        assert!(delivers_to(GroupMode::Partitioned, 5, 1, 4));
-        assert!(!delivers_to(GroupMode::Partitioned, 5, 2, 4));
-        assert!(delivers_to(GroupMode::Broadcast, 5, 2, 4));
-        assert_eq!(GroupMode::parse("broadcast"), Some(GroupMode::Broadcast));
-        assert_eq!(
-            GroupMode::parse("partitioned"),
-            Some(GroupMode::Partitioned)
-        );
-        assert_eq!(GroupMode::parse("x"), None);
-    }
 }
 
 #[cfg(test)]
@@ -1004,24 +942,6 @@ mod props {
             // merges.
             let min_depth = usize::BITS - (leaf_bytes.len() - 1).leading_zeros();
             prop_assert_eq!(tree.depth(), min_depth as usize);
-        }
-
-        // Partitioned-group coverage: every step is delivered to
-        // exactly one subscriber; broadcast delivers to all of them.
-        #[test]
-        fn partitioned_steps_have_exactly_one_assignee(
-            step in 0u64..1_000_000,
-            fanout in 1u32..9,
-        ) {
-            let assigned: Vec<u32> = (0..fanout)
-                .filter(|s| delivers_to(GroupMode::Partitioned, step, *s, fanout))
-                .collect();
-            prop_assert_eq!(assigned.len(), 1);
-            prop_assert_eq!(assigned[0], partition_assignee(step, fanout));
-            let broadcast = (0..fanout)
-                .filter(|s| delivers_to(GroupMode::Broadcast, step, *s, fanout))
-                .count();
-            prop_assert_eq!(broadcast, fanout as usize);
         }
     }
 }
