@@ -80,6 +80,12 @@ pub fn intern(s: &str) -> Symbol {
     })
 }
 
+/// The [`Symbol`] of `s` if this thread interned it before; `None`
+/// otherwise, and nothing is interned.
+pub fn interned(s: &str) -> Option<Symbol> {
+    INTERNER.with(|i| i.borrow().ids.get(s).map(|&id| Symbol(id)))
+}
+
 /// The process-wide text arena: every distinct string any thread has
 /// interned, and the unused tail of the chunk the next one goes into.
 struct Text {
@@ -254,6 +260,16 @@ mod tests {
         intern("probe/new");
         intern("probe/new");
         assert_eq!(probes() - before, 2);
+    }
+
+    #[test]
+    fn interned_finds_without_interning() {
+        let before = probes();
+        assert_eq!(interned("lookup/absent"), None);
+        assert_eq!(interned("lookup/absent"), None, "a miss interns nothing");
+        assert_eq!(probes(), before, "a lookup is not an intern call");
+        let s = intern("lookup/present");
+        assert_eq!(interned("lookup/present"), Some(s));
     }
 
     #[test]
