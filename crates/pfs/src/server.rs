@@ -8,14 +8,13 @@
 //! OST, which is what makes Lustre bandwidth a cluster-wide shared
 //! resource in the experiments).
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
 use cluster::NodeId;
-use rand::RngExt;
 use simcore::intern::{intern, FxHashMap, Symbol};
-use simcore::resource::{FifoResource, SharedBandwidth};
+use simcore::resource::{Background, FifoResource, SharedBandwidth};
 use simcore::{Ctx, SimDuration};
 use transport::{payload_len, AmId, Bulk, Payload, Transport};
 
@@ -345,6 +344,8 @@ pub struct OstServer {
     state: Rc<RefCell<OstState>>,
     write_bw: SharedBandwidth,
     read_bw: SharedBandwidth,
+    /// Background-interference streams ([`OstServer::spawn_interference`]).
+    background: OnceCell<Box<[Rc<Background>]>>,
 }
 
 impl OstServer {
@@ -369,6 +370,7 @@ impl OstServer {
             state: state.clone(),
             write_bw: write_bw.clone(),
             read_bw: read_bw.clone(),
+            background: OnceCell::new(),
         });
         let hstate = state;
         // Weak: a strong clone would cycle through the handler table and
@@ -477,44 +479,30 @@ impl OstServer {
         self.state.borrow().objects.len()
     }
 
-    /// Spawn background-interference streams consuming roughly
-    /// `spec.interference` duty cycle per stream on this OST's disk
-    /// channels, with bursty, randomly sized transfers (models the
-    /// "other jobs" the paper blames for Lustre's variability at large
-    /// ensemble sizes). The streams run until the simulation ends.
+    /// Start this OST's background-interference streams:
+    /// `spec.interference_streams` [`Background`] streams on its disk
+    /// channels, each at duty cycle `spec.interference` (at most 0.95),
+    /// with bursty, randomly sized transfers. They model the "other jobs"
+    /// the paper blames for Lustre's variability at large ensemble sizes.
+    /// The OST owns the streams; they run on the calendar, as no process,
+    /// for as long as it lives.
     pub fn spawn_interference(self: &Rc<Self>, ctx: &Ctx, spec: &PfsSpec, stream: u64) {
         if spec.interference <= 0.0 {
             return;
         }
         let intensity = spec.interference.min(0.95);
-        for s in 0..spec.interference_streams {
-            let write_bw = self.write_bw.clone();
-            let read_bw = self.read_bw.clone();
-            let ctx2 = ctx.clone();
-            let mut rng =
-                ctx.rng(0x1F57 ^ stream ^ ((self.index as u64) << 32) ^ ((s as u64) << 48));
-            ctx.spawn(async move {
-                // Stagger stream start.
-                let lead: u64 = rng.random_range(0..20_000_000);
-                ctx2.sleep(SimDuration::from_nanos(lead)).await;
-                loop {
-                    // Burst, then idle sized from the burst's *actual*
-                    // duration so each stream's duty cycle is `intensity`
-                    // regardless of how contended the disk is.
-                    let burst: u64 = rng.random_range(1_000_000..32_000_000);
-                    let t0 = ctx2.now();
-                    if rng.random_bool(0.5) {
-                        write_bw.transfer_counted(burst).await;
-                    } else {
-                        read_bw.transfer_counted(burst).await;
-                    }
-                    let busy = (ctx2.now() - t0).as_secs_f64();
-                    let idle = busy * (1.0 - intensity) / intensity;
-                    let jitter: f64 = rng.random_range(0.5..1.5);
-                    ctx2.sleep(SimDuration::from_secs_f64(idle * jitter)).await;
-                }
-            });
-        }
+        let streams = (0..spec.interference_streams)
+            .map(|s| {
+                let rng =
+                    ctx.rng(0x1F57 ^ stream ^ ((self.index as u64) << 32) ^ ((s as u64) << 48));
+                Background::start(ctx, &self.write_bw, &self.read_bw, intensity, rng)
+            })
+            .collect();
+        assert!(
+            self.background.set(streams).is_ok(),
+            "OST {} already runs its interference",
+            self.index
+        );
     }
 }
 

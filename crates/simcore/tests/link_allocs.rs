@@ -9,12 +9,17 @@
 //! flow slot in place, and its completion timer is a calendar entry that
 //! points back at the block. Only a second concurrent flow or a second
 //! cap class spills, once, into a `Vec` the link keeps.
+//!
+//! A `Background` load stream rides on two such links and costs the
+//! executor as little: its gap is a calendar entry on its own block and
+//! its burst's completion comes from the link, so a warm burst is two
+//! events and nothing else.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use simcore::resource::{SharedBandwidth, TransferFut};
-use simcore::{Sim, SimDuration};
+use simcore::resource::{Background, SharedBandwidth, TransferFut};
+use simcore::{work, Sim, SimDuration, SimTime};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -159,4 +164,50 @@ fn a_second_flow_and_a_second_class_spill_once() {
         "second cap class: {second_class} calls"
     );
     assert_eq!(warm, 0, "a warm link allocates nothing");
+}
+
+/// Streams alone on an OST's two disk channels, past warm-up: a burst
+/// polls no task and queues no wake, and a lone stream's burst makes no
+/// allocator call and is exactly two events — its completion on the link
+/// and the end of the gap that follows. (Eight streams are not held to
+/// the allocator count: the calendar's buckets keep reaching new
+/// high-water marks under them for tens of thousands of bursts, one
+/// 256 B bucket buffer between bursts 5,000 and 7,000 here. That is the
+/// calendar's warm-up, not the stream's.)
+#[test]
+fn a_background_burst_costs_two_events_and_nothing_else() {
+    for streams in [1, 8] {
+        let sim = Sim::new(0);
+        let ctx = sim.ctx();
+        let write = SharedBandwidth::new(&ctx, 2.0e9).with_flow_cap(2.0e9);
+        let read = SharedBandwidth::new(&ctx, 2.5e9).with_flow_cap(2.0e9);
+        let _streams: Vec<_> = (0..streams)
+            .map(|s| Background::start(&ctx, &write, &read, 0.25, ctx.rng(s)))
+            .collect();
+        let bursts = || write.stats().flows_served + read.stats().flows_served;
+        // Run until `n` more bursts completed, stopping within 100 µs of
+        // the last: a lone stream is then in its gap, which at a duty
+        // cycle of 0.25 lasts at least 1.5 times the 0.5 ms of a 1 MB
+        // burst. Returns the events processed so far.
+        let mut deadline = SimTime::ZERO;
+        let mut run_bursts = |n: u64| {
+            let target = bursts() + n;
+            loop {
+                deadline += SimDuration::from_micros(100);
+                let events = sim.run_until(deadline).events_processed;
+                if bursts() >= target {
+                    return events;
+                }
+            }
+        };
+        let events0 = run_bursts(200);
+        let (calls0, polls0, wakes0) = (calls(), work::polls(), work::wakes());
+        let events = run_bursts(2_000) - events0;
+        assert_eq!(work::polls() - polls0, 0, "{streams} streams: task polls");
+        assert_eq!(work::wakes() - wakes0, 0, "{streams} streams: queued wakes");
+        if streams == 1 {
+            assert_eq!(calls() - calls0, 0, "one stream: allocator calls");
+            assert_eq!(events, 4_000, "one stream: events in 2,000 bursts");
+        }
+    }
 }
