@@ -171,6 +171,10 @@ struct Staged {
     kind: FrameKind,
     state: FrameState,
     seq: u64,
+    /// The frame's spill copy on the PFS is whole, as every spilled
+    /// frame's is. A spill whose republish failed keeps it: the next
+    /// pass retries only the republish, and retirement unlinks it.
+    spill_copied: bool,
 }
 
 /// One retirement decision, kept for auditing: the evictor must never
@@ -466,6 +470,7 @@ impl StagingManager {
                 kind,
                 state,
                 seq,
+                spill_copied: false,
             },
         );
         inner.stats.frames_tracked += 1;
@@ -697,15 +702,13 @@ impl StagingManager {
     /// before the keys can follow, they wait in the backlog.
     async fn retire(&self, frame: &Staged, acks_seen: usize, required: usize) {
         let path = frame.path.resolve();
-        match frame.state {
-            FrameState::Spilled => {
-                if let Some(pfs) = &self.pfs {
-                    let _ = pfs.unlink(&spill_path(path)).await;
-                }
-            }
-            FrameState::Lost => {} // no copy anywhere
-            _ => {
-                let _ = self.fs.unlink(path).await;
+        if matches!(frame.state, FrameState::Written | FrameState::Published) {
+            let _ = self.fs.unlink(path).await;
+        }
+        // A spilled frame's copy, or one a failed republish left behind.
+        if frame.spill_copied {
+            if let Some(pfs) = &self.pfs {
+                let _ = pfs.unlink(&spill_path(path)).await;
             }
         }
         let keys_left = frame.kind == FrameKind::Produced && !self.unlink_keys(path).await;
@@ -730,24 +733,19 @@ impl StagingManager {
     }
 
     /// Move a still-needed frame to the PFS and republish its metadata
-    /// so consumer refetches find it there.
+    /// so consumer refetches find it there. The copy is written once: if
+    /// the republish fails, a later pass retries only the republish.
     async fn spill(&self, frame: &Staged) -> bool {
         let Some(pfs) = &self.pfs else { return false };
         let path = frame.path.resolve();
-        let Ok(fd) = self.fs.open(path).await else {
-            return false;
-        };
-        let segs = self.fs.read_segments(fd).await.unwrap_or_default();
-        let _ = self.fs.close(fd).await;
-        let spath = spill_path(path);
-        let Ok(sfd) = pfs.create(&spath).await else {
-            return false;
-        };
-        if pfs.write_segments(sfd, segs).await.is_err() {
-            let _ = pfs.close(sfd).await;
-            return false;
+        if !frame.spill_copied {
+            if !self.copy_to_pfs(pfs, path).await {
+                return false;
+            }
+            if let Some(f) = self.inner.borrow_mut().frames.get_mut(&frame.path) {
+                f.spill_copied = true;
+            }
         }
-        let _ = pfs.close(sfd).await;
         // Republish before unlinking the local copy: a consumer that
         // reads the updated metadata goes straight to the PFS; one that
         // raced ahead with the old metadata gets a not-found from the
@@ -766,6 +764,22 @@ impl StagingManager {
             f.state = FrameState::Spilled;
         }
         true
+    }
+
+    /// Copy `path` from NVMe to its spill path on the PFS; `true` when the
+    /// copy is whole: read, written and closed.
+    async fn copy_to_pfs(&self, pfs: &PfsClient, path: &str) -> bool {
+        let Ok(fd) = self.fs.open(path).await else {
+            return false;
+        };
+        let segs = self.fs.read_segments(fd).await;
+        let _ = self.fs.close(fd).await;
+        let Ok(segs) = segs else { return false };
+        let Ok(sfd) = pfs.create(&spill_path(path)).await else {
+            return false;
+        };
+        let written = pfs.write_segments(sfd, segs).await.is_ok();
+        pfs.close(sfd).await.is_ok() && written
     }
 
     /// Drop a consumer-side cache copy (rebuildable via refetch).

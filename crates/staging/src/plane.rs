@@ -508,9 +508,9 @@ impl Plane {
 
     /// Fetch a spilled frame's PFS copy of `size` bytes; `None` when no
     /// PFS client is configured, the copy is already retired, or it is
-    /// not whole. A spill whose metadata republish failed leaves its copy
-    /// behind, and the next pass re-creates it (truncating) and writes it
-    /// again: a reader falling back to it meanwhile can find it short.
+    /// not whole. A reader falling back to the copy can find it short:
+    /// still being written, or left so by a pass whose copy failed (the
+    /// next pass re-creates it).
     fn fetch_spill<'a>(
         &'a self,
         rec: &'a Recorder,

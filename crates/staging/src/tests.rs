@@ -502,19 +502,25 @@ fn retire_removes_kvs_metadata_and_acks() {
 }
 
 /// A rig whose one 32 KiB frame sits above the low watermark (28 KiB of
-/// a 40 KiB budget), with a fault board attached; `crash_broker` takes
-/// node 0 (manager and broker) off the fabric for 200 ms, `after` from
-/// the call — far longer than the evictor's metadata RPCs retry.
-fn outage_rig(sim: &Sim) -> (Rig, impl Fn(SimDuration)) {
-    use faults::{FaultBoard, FaultEvent, FaultKind, FaultPlan};
+/// a 40 KiB budget), with a fault board attached, and a PFS if `with_pfs`.
+fn faulted_rig(sim: &Sim, with_pfs: bool) -> (Rig, faults::FaultBoard) {
     let spec = StagingSpec {
         budget_bytes: 40 * KIB,
         ..StagingSpec::default()
     };
-    let rig = setup(sim, spec, false);
-    let board = FaultBoard::new(&sim.ctx(), 3, 0);
+    let rig = setup(sim, spec, with_pfs);
+    let board = faults::FaultBoard::new(&sim.ctx(), 3, 0);
     rig.tp.set_faults(board.clone());
     rig.mgr.register_consumer("/dyad/frames", "c0");
+    (rig, board)
+}
+
+/// [`faulted_rig`] without a PFS; `crash_broker` takes node 0 (manager
+/// and broker) off the fabric for 200 ms, `after` from the call — far
+/// longer than the evictor's metadata RPCs retry.
+fn outage_rig(sim: &Sim) -> (Rig, impl Fn(SimDuration)) {
+    use faults::{FaultEvent, FaultKind, FaultPlan};
+    let (rig, board) = faulted_rig(sim, false);
     let crash_broker = move |after| {
         board.arm(&FaultPlan::scheduled(vec![FaultEvent {
             at: after,
@@ -525,6 +531,88 @@ fn outage_rig(sim: &Sim) -> (Rig, impl Fn(SimDuration)) {
         }]))
     };
     (rig, crash_broker)
+}
+
+/// Open a window of `len` in which every KVS op fails and the PFS still
+/// answers: each broker answers 30 ms late, past the client's 20 ms
+/// attempt timeout. (A crash of node 0 would cut its PFS traffic too.)
+fn slow_brokers(board: &faults::FaultBoard, len: SimDuration) {
+    use faults::{FaultEvent, FaultKind, FaultPlan};
+    board.arm(&FaultPlan::scheduled(vec![FaultEvent {
+        at: SimDuration::ZERO,
+        kind: FaultKind::KvsDelay {
+            delay: SimDuration::from_millis(30),
+            duration: len,
+        },
+    }]));
+}
+
+/// A spill whose republish fails keeps its PFS copy: two passes inside
+/// the window create the spill file once, and the pass after it only
+/// republishes — the frame ends spilled, its copy whole.
+#[test]
+fn a_spill_whose_republish_fails_is_copied_once() {
+    let sim = Sim::new(0);
+    let (rig, board) = faulted_rig(&sim, true);
+    let (path, ctx) = ("/dyad/frames/f0", sim.ctx());
+    let h = sim.spawn(async move {
+        produce(&rig, path, 32 * KIB).await;
+        slow_brokers(&board, SimDuration::from_secs(2));
+        ctx.sleep(SimDuration::from_millis(1)).await;
+        let pfs = rig.pfs.as_ref().unwrap();
+        for _ in 0..2 {
+            rig.mgr.evict_pass().await;
+            assert_eq!(rig.mgr.frame_state(path), Some(FrameState::Published));
+            assert!(rig.fs.exists(path));
+        }
+        assert!(board.kvs_delay().is_some(), "both passes ran in the window");
+        assert_eq!(
+            pfs.mds().stats().creates,
+            1,
+            "the spill copy is written once"
+        );
+        ctx.sleep(SimDuration::from_secs(2)).await;
+        rig.mgr.evict_pass().await;
+        assert_eq!(rig.mgr.frame_state(path), Some(FrameState::Spilled));
+        assert!(!rig.fs.exists(path));
+        assert_eq!(pfs.mds().stats().creates, 1);
+        let reader = pfs.client(&ctx, NodeId(0));
+        let fd = reader.open(&spill_path(path)).await.unwrap();
+        let data = reader.read_segments(fd).await.unwrap();
+        reader.close(fd).await.unwrap();
+        transport::payload_len(&data)
+    });
+    run_for(&sim, 10);
+    assert_eq!(h.try_take(), Some(32 * KIB), "the spill copy is whole");
+}
+
+/// A frame acked after its spill copy was written, but before the copy
+/// was republished, retires from NVMe and takes the PFS copy with it.
+#[test]
+fn retiring_a_frame_unlinks_a_spill_copy_its_republish_left() {
+    let sim = Sim::new(0);
+    let (rig, board) = faulted_rig(&sim, true);
+    let (path, ctx) = ("/dyad/frames/f0", sim.ctx());
+    let h = sim.spawn(async move {
+        produce(&rig, path, 32 * KIB).await;
+        rig.mgr.try_publish_ack(path, "c0").await.unwrap();
+        slow_brokers(&board, SimDuration::from_secs(1));
+        ctx.sleep(SimDuration::from_millis(1)).await;
+        // The acks cannot be read, so the pass spills; the republish fails.
+        rig.mgr.evict_pass().await;
+        let pfs = rig.pfs.as_ref().unwrap();
+        assert_eq!(pfs.mds().stats().creates, 1);
+        assert_eq!(rig.mgr.frame_state(path), Some(FrameState::Published));
+        ctx.sleep(SimDuration::from_secs(1)).await;
+        rig.mgr.evict_pass().await;
+        assert_eq!(rig.mgr.stats().retired_frames, 1);
+        assert!(!rig.fs.exists(path));
+        assert_eq!(pfs.mds().stats().unlinks, 1, "the spill copy is unlinked");
+        let reader = pfs.client(&ctx, NodeId(0));
+        reader.open(&spill_path(path)).await.is_err()
+    });
+    run_for(&sim, 10);
+    assert_eq!(h.try_take(), Some(true), "the spill copy is gone");
 }
 
 #[test]
