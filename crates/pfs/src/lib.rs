@@ -12,7 +12,10 @@
 //! * **striped layouts** (RAID-0 across OSTs) with parallel per-stripe
 //!   bulk I/O from the client;
 //! * optional **background interference** per OST, reproducing the
-//!   variability the paper attributes to other jobs on the system.
+//!   variability the paper attributes to other jobs on the system: each
+//!   OST's streams are calendar-driven blocks
+//!   ([`simcore::resource::Background`]) on its disk channels, not
+//!   processes.
 //!
 //! Object contents are real bytes; a striped write read back through a
 //! different client is bit-identical.
@@ -45,8 +48,8 @@ pub struct ParallelFs {
 
 impl ParallelFs {
     /// Start the MDS on `mds_node` and one OST on each of `ost_nodes`.
-    /// If `spec.interference > 0`, each OST gets a background-load
-    /// process.
+    /// If `spec.interference > 0`, each OST gets its background-load
+    /// streams.
     pub fn start(
         ctx: &Ctx,
         tp: &Transport,
