@@ -4,8 +4,7 @@
 //! pays full setup, as `run_once` loops did before the executor),
 //! warm-serial (one worker, shared snapshots + recycled arena) and
 //! warm-parallel (all workers) — plus a single-run cold-vs-warm A/B on
-//! the setup-heaviest workload (STMV, whose ~30 MB frame template
-//! dominates cold setup). Emits `BENCH_PR6.json` with runs/minute, the
+//! an STMV cell. Emits `BENCH_PR6.json` with runs/minute, the
 //! setup-vs-sim split, and the amortization ratios so CI can gate on
 //! the warm-start win staying real.
 //!
@@ -38,8 +37,8 @@ use mdflow::prelude::*;
 
 /// The measured campaign grid: DYAD vs Lustre at two JAC ensemble sizes
 /// (the fig6 shape the suite driver spends most of its time in) plus
-/// one STMV cell per solution, whose template synthesis is what cold
-/// setup mostly pays for across fig8/fig9/fig12.
+/// one STMV cell per solution (the largest frames, as in
+/// fig8/fig9/fig12).
 fn grid(reps: u32, frames: u64) -> Vec<StudyConfig> {
     let split = Placement::Split { pairs_per_node: 8 };
     let mut studies = Vec::new();
@@ -85,7 +84,7 @@ fn measure_campaign(studies: &[StudyConfig]) -> CampaignNumbers {
     let _ = run_once(&studies[0].workflow, &studies[0].calibration, 0x9E37);
 
     // Cold-serial: the pre-executor behavior — every run rebuilds its
-    // snapshot (template included) and a fresh executor.
+    // snapshot and a fresh executor.
     let mut cold_secs = f64::INFINITY;
     let mut events = 0u64;
     let mut runs = 0usize;
@@ -196,9 +195,9 @@ impl SingleRun {
     }
 }
 
-/// Single-run A/B on the setup-heaviest workload: STMV cold setup
-/// synthesizes a ~30 MB frame template per run; warm runs share it
-/// through the snapshot and recycle the executor arena.
+/// Single-run A/B on an STMV cell: a cold run rebuilds its snapshot
+/// and executor; warm runs share one snapshot and recycle the executor
+/// arena.
 fn measure_single_run() -> SingleRun {
     let model = Model::Stmv;
     let wf = WorkflowConfig::new(Solution::Dyad, 4, Placement::Split { pairs_per_node: 8 })
@@ -222,7 +221,7 @@ fn measure_single_run() -> SingleRun {
     let mut warm_secs = f64::INFINITY;
     for _ in 0..rounds() {
         let t0 = Instant::now();
-        let snap = ClusterSnapshot::prepare(&wf, &cal, 0xA11CE ^ 0x7E3A);
+        let snap = ClusterSnapshot::new(&wf, &cal);
         let mut arena = RunArena::new();
         for i in 0..n {
             let _ = run_once_warm(&snap, 0xA11CE + i, &mut arena);

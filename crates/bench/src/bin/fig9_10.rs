@@ -22,9 +22,8 @@ fn consumer_ensemble(solution: Solution, model: Model, scale: Scale) -> AggProfi
         .with_model(model)
         .with_frames(scale.frames);
     let cal = Calibration::corona();
-    // Repetitions share one snapshot and recycle one arena: the STMV
-    // template (~30 MB) is synthesized once per figure cell, not per rep.
-    let snap = ClusterSnapshot::prepare(&wf, &cal, 0xF1905u64 ^ 0x7E3A);
+    // Repetitions share one snapshot and recycle one arena.
+    let snap = ClusterSnapshot::new(&wf, &cal);
     let mut arena = RunArena::new();
     let mut ens = Ensemble::new();
     for rep in 0..scale.reps {

@@ -157,7 +157,7 @@ fn run_point(pairs: u32, frames: u64, arena: &mut RunArena, heap_base: u64) -> P
     let (wf, cal) = workload(pairs, frames);
     let nodes = pairs.div_ceil(pairs.div_ceil(10_000).max(1)) as usize;
     let allocs_before = ALLOC_CALLS.load(Relaxed);
-    let snap = ClusterSnapshot::prepare(&wf, &cal, 0x5CA1E);
+    let snap = ClusterSnapshot::new(&wf, &cal);
     let (m, t) = run_once_warm(&snap, 0x5CA1E, arena);
     Point {
         pairs,

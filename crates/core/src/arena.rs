@@ -2,8 +2,7 @@
 //! snapshots and per-worker run arenas.
 //!
 //! A cold [`crate::runner::run_once`] rebuilds everything from scratch:
-//! the placement plan, the cluster spec, the fault plan, the frame
-//! template (O(atoms) — ~30 MB of synthesis for STMV), and a fresh
+//! the placement plan, the cluster spec, the fault plan, and a fresh
 //! executor with an empty calendar. For a single run that is fine; for a
 //! campaign of thousands of runs the setup tax dominates. This module
 //! splits the per-run state into what is *shareable across runs of the
@@ -13,13 +12,14 @@
 //! * [`ClusterSnapshot`] holds the simulation-independent setup: the
 //!   workflow + calibration, the resolved topology (ensemble shape,
 //!   node count, PFS service-node layout, cluster spec), the fault-board
-//!   template (the pre-built deterministic [`FaultPlan`]), the shared
-//!   frame template, and the staging registration keys. It is
-//!   `Send + Sync` and shared by reference across workers. The live
-//!   substrates (cluster, filesystems, services) are `Rc`-wired into one
-//!   simulation and are rebuilt per run *from* the snapshot — rebuilding
-//!   from precomputed specs is cheap; recomputing the specs (above all
-//!   the template) is not.
+//!   template (the pre-built deterministic [`FaultPlan`]) and the
+//!   staging registration keys. It is `Send + Sync` and shared by
+//!   reference across workers. The live substrates (cluster,
+//!   filesystems, services) are `Rc`-wired into one simulation and are
+//!   rebuilt per run *from* the snapshot — rebuilding from precomputed
+//!   specs is cheap. Frames need nothing here: a frame is a fresh header
+//!   over the one zero body every frame shares
+//!   ([`mdsim::Model::frame_segments`]).
 //! * [`RunArena`] carries a recycled [`simcore::SimArena`] — the event
 //!   calendar, slot slab, task map and wake buffers of the previous run,
 //!   cleared with capacities kept — plus nothing else: interner tables
@@ -28,13 +28,7 @@
 //! Determinism: a warm run is trajectory-identical to a cold run with
 //! the same seed. The arena resets every executor counter; the snapshot
 //! only changes *when* setup work happens, not what the simulation
-//! observes. The one intentional difference is the frame template's
-//! payload bytes (one template per point — shared by the points of a
-//! campaign with the same model and template seed — instead of one per
-//! run seed), which
-//! never influence timing: service times depend on byte *counts*, and
-//! consumers validate frames against the very template object that
-//! produced them.
+//! observes.
 
 use serde::Serialize;
 
@@ -42,7 +36,6 @@ use crate::calibration::Calibration;
 use crate::config::{Ensemble, WorkflowConfig};
 use cluster::{ClusterSpec, NodeId};
 use faults::FaultPlan;
-use mdsim::FrameTemplate;
 use simcore::SimDuration;
 
 /// Wall-clock split of one run: how long setup (building substrates
@@ -96,8 +89,6 @@ pub struct ClusterSnapshot {
     /// Pre-built deterministic fault plan (the fault-board template);
     /// `None` when fault injection is disabled for this point.
     pub(crate) fault_plan: Option<FaultPlan>,
-    /// Shared frame payload template (cheap to clone per run).
-    pub(crate) template: FrameTemplate,
     /// Staging registrations `(publisher node, managed directory,
     /// consumer id)`, one per session that must ack what a publisher
     /// stages before it can retire ([`crate::workflow::registrations`]).
@@ -105,35 +96,12 @@ pub struct ClusterSnapshot {
 }
 
 impl ClusterSnapshot {
-    /// Prepare the shareable setup for `wf` under `cal`. The template is
-    /// synthesized from `template_seed`; any fixed seed works for a
-    /// campaign point (payload bytes never affect timing).
+    /// Prepare the shareable setup for `wf` under `cal`.
     ///
     /// # Panics
     /// With the [`crate::config::ConfigError`] as the message when
     /// [`WorkflowConfig::validate`] rejects `wf`.
-    pub fn prepare(wf: &WorkflowConfig, cal: &Calibration, template_seed: u64) -> ClusterSnapshot {
-        let template = FrameTemplate::generate(wf.model, template_seed);
-        ClusterSnapshot::prepare_with(wf, cal, template)
-    }
-
-    /// The throwaway snapshot of a cold single run at `seed`
-    /// ([`crate::runner::run_once`]), whose template seed has always
-    /// been `seed ^ 0x7E3A`.
-    pub(crate) fn cold(wf: &WorkflowConfig, cal: &Calibration, seed: u64) -> ClusterSnapshot {
-        ClusterSnapshot::prepare(wf, cal, seed ^ 0x7E3A)
-    }
-
-    /// [`ClusterSnapshot::prepare`] around a template the caller already
-    /// holds. A template is a function of `(model, seed)` and a clone
-    /// shares its bytes, so the points of a campaign that agree on both
-    /// synthesize — and keep — it once.
-    pub(crate) fn prepare_with(
-        wf: &WorkflowConfig,
-        cal: &Calibration,
-        template: FrameTemplate,
-    ) -> ClusterSnapshot {
-        assert_eq!(template.model(), wf.model, "template of another model");
+    pub fn new(wf: &WorkflowConfig, cal: &Calibration) -> ClusterSnapshot {
         if let Err(e) = wf.validate() {
             panic!("{e}");
         }
@@ -189,7 +157,6 @@ impl ClusterSnapshot {
             pfs_nodes,
             spec,
             fault_plan,
-            template,
             registrations,
         }
     }
@@ -197,6 +164,13 @@ impl ClusterSnapshot {
     /// The workflow this snapshot was prepared for.
     pub fn workflow(&self) -> &WorkflowConfig {
         &self.workflow
+    }
+
+    /// [`ClusterSnapshot::new`] under the name the frozen benchmark
+    /// package (`perf/`) calls; the seed is ignored. DESIGN.md §12.
+    #[doc(hidden)]
+    pub fn prepare(wf: &WorkflowConfig, cal: &Calibration, _seed: u64) -> ClusterSnapshot {
+        ClusterSnapshot::new(wf, cal)
     }
 }
 
@@ -217,7 +191,7 @@ mod tests {
         let cal = Calibration::corona();
         // Lustre: PFS nodes appended after the compute nodes.
         let wf = WorkflowConfig::new(Solution::Lustre, 8, Placement::Split { pairs_per_node: 8 });
-        let snap = ClusterSnapshot::prepare(&wf, &cal, 1);
+        let snap = ClusterSnapshot::new(&wf, &cal);
         assert_eq!(snap.n_compute, 2);
         assert_eq!(snap.n_total, 2 + 1 + cal.n_osts);
         let (mds, osts) = snap.pfs_nodes.as_ref().unwrap();
@@ -226,7 +200,7 @@ mod tests {
         assert!(snap.registrations.is_empty());
         // DYAD without spill: no PFS nodes, one registration per pair.
         let wf = WorkflowConfig::new(Solution::Dyad, 4, Placement::SingleNode);
-        let snap = ClusterSnapshot::prepare(&wf, &cal, 1);
+        let snap = ClusterSnapshot::new(&wf, &cal);
         assert!(snap.pfs_nodes.is_none());
         assert_eq!(snap.n_total, snap.n_compute);
         assert_eq!(snap.registrations.len(), 4);

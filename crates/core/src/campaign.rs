@@ -5,8 +5,7 @@
 //! ## Execution model
 //!
 //! 1. each study's shareable setup is computed once into a
-//!    [`ClusterSnapshot`], and studies with the same model and seed
-//!    share one frame template;
+//!    [`ClusterSnapshot`];
 //! 2. the `(study, repetition)` units are flattened into a single work
 //!    list and claimed off an atomic cursor by `jobs` worker threads;
 //! 3. each worker owns a [`RunArena`] and runs units warm-started
@@ -33,7 +32,6 @@ use crate::arena::{ClusterSnapshot, RunArena};
 use crate::config::StudyConfig;
 use crate::report::{reduce_run, RunBreakdown, StudyReport};
 use crate::runner::run_once_warm;
-use mdsim::FrameTemplate;
 
 fn cores() -> NonZeroUsize {
     std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
@@ -121,35 +119,6 @@ impl CampaignStats {
     }
 }
 
-/// Shareable setup, once per study. Template seed mirrors the cold
-/// path's `seed ^ 0x7E3A` for the first rep; payload bytes never
-/// influence timing, so sharing one template across reps is safe. Studies
-/// that agree on model and seed share one template: a figure grid — one
-/// seed, a handful of models — synthesizes each model once, not once per
-/// study.
-fn prepare_points(studies: &[StudyConfig]) -> Vec<ClusterSnapshot> {
-    let mut templates: Vec<(u64, FrameTemplate)> = Vec::new();
-    studies
-        .iter()
-        .map(|study| {
-            let wf = &study.workflow;
-            let seed = study.seed ^ 0x7E3A;
-            let shared = templates
-                .iter()
-                .find(|(s, t)| *s == seed && t.model() == wf.model);
-            let template = match shared {
-                Some((_, template)) => template.clone(),
-                None => {
-                    let template = FrameTemplate::generate(wf.model, seed);
-                    templates.push((seed, template.clone()));
-                    template
-                }
-            };
-            ClusterSnapshot::prepare_with(wf, &study.calibration, template)
-        })
-        .collect()
-}
-
 /// Run a batch of studies through one executor invocation, sharing the
 /// worker pool and arenas across all of them; repetition `r` of a study
 /// runs at `study.seed + r`. Reports come back in input order; the stats
@@ -157,7 +126,10 @@ fn prepare_points(studies: &[StudyConfig]) -> Vec<ClusterSnapshot> {
 pub fn run_studies_jobs(studies: &[StudyConfig], jobs: usize) -> (Vec<StudyReport>, CampaignStats) {
     let jobs = jobs.max(1);
     let wall_started = Instant::now();
-    let snaps = prepare_points(studies);
+    let snaps: Vec<ClusterSnapshot> = studies
+        .iter()
+        .map(|study| ClusterSnapshot::new(&study.workflow, &study.calibration))
+        .collect();
     let prep_secs = wall_started.elapsed().as_secs_f64();
 
     // Flatten study-major so reduction can walk units in order.
@@ -232,8 +204,6 @@ pub fn run_study_jobs(study: &StudyConfig, jobs: usize) -> StudyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Placement, Solution, WorkflowConfig};
-    use mdsim::Model;
 
     /// Unset is the default; set is the value or an error that names
     /// the variable and the text, never the default.
@@ -263,33 +233,5 @@ mod tests {
         assert_eq!(parse_env("MDFLOW_CHAOS_SEED", Some("0"), 42u64), Ok(0));
         assert_eq!(parse_env("CAMPAIGN_TOLERANCE", Some("0.5"), 0.25), Ok(0.5));
         assert!(parse_env("CAMPAIGN_TOLERANCE", Some("half"), 0.25).is_err());
-    }
-
-    #[test]
-    fn points_with_one_model_and_seed_share_one_template() {
-        let point = |model, seed| {
-            let wf = WorkflowConfig::new(Solution::Dyad, 1, Placement::SingleNode)
-                .with_model(model)
-                .with_frames(2);
-            let mut study = StudyConfig::paper(wf);
-            (study.seed, study.repetitions) = (seed, 1);
-            study
-        };
-        let points = [
-            point(Model::Jac, 7),
-            point(Model::ApoA1, 7),
-            point(Model::Jac, 7),
-            point(Model::Jac, 8),
-        ];
-        let snaps = prepare_points(&points);
-        // A frame's body segment is a view of its template's bytes.
-        let body = |i: usize| {
-            let segments = snaps[i].template.frame_segments(0);
-            segments.last().expect("a frame has a body").as_ptr()
-        };
-        assert_eq!(body(0), body(2), "same model, same seed: one template");
-        assert_ne!(body(0), body(1), "another model");
-        assert_ne!(body(0), body(3), "another seed");
-        assert_eq!(snaps[1].template.model(), Model::ApoA1);
     }
 }

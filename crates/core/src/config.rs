@@ -532,7 +532,7 @@ impl WorkflowConfig {
     }
 
     /// Check the configuration for shapes no run can execute. Every run
-    /// starts from [`crate::arena::ClusterSnapshot::prepare`], which
+    /// starts from [`crate::arena::ClusterSnapshot::new`], which
     /// refuses what this rejects, so nothing downstream clamps a count.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let s = &self.streaming;

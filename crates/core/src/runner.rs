@@ -213,7 +213,7 @@ pub struct RunMetrics {
 /// Execute one repetition of `wf` with `seed`.
 pub fn run_once(wf: &WorkflowConfig, cal: &Calibration, seed: u64) -> RunMetrics {
     let setup_started = Instant::now();
-    let snap = ClusterSnapshot::cold(wf, cal, seed);
+    let snap = ClusterSnapshot::new(wf, cal);
     run_prepared(&snap, Tracer::disabled(), Sim::new(seed), setup_started).metrics
 }
 
@@ -222,7 +222,7 @@ pub fn run_once(wf: &WorkflowConfig, cal: &Calibration, seed: u64) -> RunMetrics
 /// with [`simcore::trace::Tracer::to_chrome_json`].
 pub fn run_once_traced(wf: &WorkflowConfig, cal: &Calibration, seed: u64) -> (RunMetrics, Tracer) {
     let setup_started = Instant::now();
-    let snap = ClusterSnapshot::cold(wf, cal, seed);
+    let snap = ClusterSnapshot::new(wf, cal);
     let (metrics, _, tracer) = run_once_traced_snap(&snap, seed, setup_started);
     (metrics, tracer)
 }
@@ -594,7 +594,7 @@ impl RoleArgs {
         let run = RunShared {
             ctx: testbed.ctx.clone(),
             frames: wf.frames,
-            template: snap.template.clone(),
+            model: wf.model,
             tracer: tracer.clone(),
             faults: testbed.board.clone(),
             stride: wf.stride,

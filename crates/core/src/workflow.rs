@@ -44,7 +44,7 @@ use faults::FaultBoard;
 use instrument::{Profile, Recorder};
 use kvs::KvsClient;
 use localfs::LocalFs;
-use mdsim::{FrameHeader, FrameTemplate, StepClock};
+use mdsim::{Model, StepClock};
 use pfs::{LdlmClient, LockMode, PfsClient};
 use rand::rngs::StdRng;
 use simcore::sync::{channel, Receiver, Sender};
@@ -184,9 +184,8 @@ pub struct RunShared {
     pub ctx: Ctx,
     /// Frames each pair moves.
     pub frames: u64,
-    /// The run's frame template (producers serialize it, consumers
-    /// validate against it).
-    pub template: FrameTemplate,
+    /// The model whose frames producers emit and consumers check.
+    pub model: Model,
     /// Optional Chrome-trace sink (disabled by default).
     pub tracer: Tracer,
     /// Fault board when injection is armed for this run. `None` keeps
@@ -277,7 +276,7 @@ fn simulate_frame<'a, 'r>(
         g.end();
         let g = rec.region("serialize");
         run.ctx.sleep(run.serialize_cpu).await;
-        let payload = run.template.frame_segments(frame);
+        let payload = run.model.frame_segments(frame);
         g.end();
         payload
     }
@@ -1002,8 +1001,9 @@ pub fn reducer_stream(
     }
 }
 
-/// Deserialize a delivered frame: charge the CPU cost, then check its
-/// header names `frame` and its payload is the template's, byte for byte.
+/// Deserialize a delivered frame: charge the CPU cost, then check it is
+/// the run's model's frame for `frame`, header and length — what
+/// catches a frame delivered for the wrong step or cut short.
 fn deserialize_frame<'a>(
     args: &'a ConsumerArgs,
     rec: &'a Recorder,
@@ -1013,17 +1013,9 @@ fn deserialize_frame<'a>(
     async move {
         let g = rec.region("deserialize");
         args.run.ctx.sleep(args.run.deserialize_cpu).await;
-        let header = FrameHeader::decode_segments(data).expect("valid frame");
-        assert_eq!(
-            header.step, frame,
-            "frame mismatch at consumer {}",
-            args.pair
-        );
-        assert!(
-            args.run.template.validate(data, frame),
-            "payload corrupted in transit (consumer {}, frame {frame})",
-            args.pair
-        );
+        if let Err(e) = args.run.model.check_frame(data, frame) {
+            panic!("consumer {} rejected frame {frame}: {e}", args.pair);
+        }
         g.end();
     }
 }

@@ -12,8 +12,8 @@
 //! number.
 //!
 //! The count is taken as a difference between two run lengths so set-up
-//! (cluster build, template synthesis, first-touch table growth) cancels
-//! and what is left is the steady-state cost of a frame.
+//! (cluster build, the one shared frame body, first-touch table growth)
+//! cancels and what is left is the steady-state cost of a frame.
 //!
 //! A pair also has a fixed cost — its two role blocks, recorders,
 //! clients and sessions, its profiles when it has finished — paid once

@@ -11,8 +11,7 @@ use mdflow::prelude::*;
 /// A 3-solution × 2-model grid, small enough to run three times in a
 /// test but crossing every executor-relevant axis: KVS-backed DYAD,
 /// PFS-backed Lustre, and the DYAD-over-PFS ablation (which needs both
-/// service layers), on two frame sizes. Every study has the same seed,
-/// so studies of one model share a frame template.
+/// service layers), on two frame sizes. Every study has the same seed.
 fn grid() -> Vec<StudyConfig> {
     let mut studies = Vec::new();
     for solution in [Solution::Dyad, Solution::Lustre, Solution::DyadOnPfs] {
@@ -55,8 +54,7 @@ fn warm_start_matches_cold_start_per_run() {
         let wf =
             WorkflowConfig::new(solution, 2, Placement::Split { pairs_per_node: 8 }).with_frames(6);
         let seeds = [41u64, 42, 43];
-        // Cold: every run pays full setup (and synthesizes its own
-        // seed-specific template).
+        // Cold: every run pays full setup.
         let cold: Vec<_> = seeds.iter().map(|&s| run_once(&wf, &cal, s)).collect();
         // Warm: one shared snapshot, one recycled arena across runs.
         let snap = ClusterSnapshot::prepare(&wf, &cal, seeds[0] ^ 0x7E3A);

@@ -1,11 +1,18 @@
-//! The nine names the frozen benchmark still calls, called the way it
-//! calls them (`perf/src/probes/cluster_fabric_leafspine.rs:28–39`,
-//! `perf/src/rep.rs:284`). Tier-1 does not build `perf/`, so without
-//! this a rename fails only CI's `bench-smoke`. DESIGN.md §12 lists the
-//! names; they go with their callers.
+//! The names the frozen benchmark still calls and the simulator does
+//! not, called the way it calls them: the nine shard-era names
+//! (`perf/src/probes/cluster_fabric_leafspine.rs:28–39`,
+//! `perf/src/rep.rs:284`) and the three frame-era shims
+//! (`FrameTemplate::generate(model, seed)` with `.frame_segments(step)`
+//! in the `mdsim`, `dyad` and `streaming` probes, `Frame::decode` in
+//! `mdsim_frame_decode.rs`, `ClusterSnapshot::prepare(wf, cal, seed)` in
+//! `rep.rs:250`). Tier-1 does not build `perf/`, so without this a
+//! rename fails only CI's `bench-smoke`. DESIGN.md §12 lists the names;
+//! they go with their callers.
 
+use bytes::Bytes;
 use cluster::{Cluster, ClusterSpec, FabricSpec, NodeId, NodeSpec, TopologySpec};
 use mdflow::prelude::*;
+use mdsim::{Frame, FrameError, FrameTemplate};
 use simcore::{Sim, SimConfig};
 
 const NODES: u32 = 8;
@@ -48,4 +55,29 @@ fn the_nine_frozen_names_are_callable() {
     let load = t.shard_load.expect("a run reports its calendar load");
     assert_eq!(load.shards, 1);
     assert_eq!(load.imbalance, 1.0);
+}
+
+/// The frame shims forward to `Model::frame_segments` and the header
+/// check; the snapshot shim to `ClusterSnapshot::new`. Seeds change
+/// nothing.
+#[test]
+fn the_frame_shims_forward() {
+    let template = FrameTemplate::generate(Model::ApoA1, 1);
+    let segments = template.frame_segments(7);
+    assert_eq!(segments, Model::ApoA1.frame_segments(7));
+    let flat = transport::flatten_payload(segments);
+    let header = Frame::decode(flat.clone()).expect("valid frame");
+    assert_eq!((header.model, header.step), (Model::ApoA1, 7));
+    let short: Bytes = flat.slice(..flat.len() - 1);
+    assert_eq!(Frame::decode(short), Err(FrameError::WrongLength));
+
+    let wf = WorkflowConfig::new(Solution::Dyad, 2, Placement::SingleNode).with_frames(4);
+    let cal = Calibration::corona();
+    let (a, _) = run_once_warm(
+        &ClusterSnapshot::prepare(&wf, &cal, 1),
+        7,
+        &mut RunArena::new(),
+    );
+    let (b, _) = run_once_warm(&ClusterSnapshot::new(&wf, &cal), 7, &mut RunArena::new());
+    assert_eq!(a.events, b.events);
 }

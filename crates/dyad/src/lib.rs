@@ -214,12 +214,17 @@ impl DyadConsumer {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/frames.rs"]
+mod frames;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frames::{is_patterned_frame, patterned_frame};
     use cluster::{Cluster, ClusterSpec};
     use kvs::{KvsClient, KvsServer, KvsSpec};
     use localfs::LocalFsSpec;
-    use mdsim::{FrameTemplate, Model};
+    use mdsim::Model;
     use simcore::{Sim, SimDuration, SimTime};
     use transport::TransportSpec;
 
@@ -253,10 +258,14 @@ mod tests {
         }
     }
 
-    fn frame(step: u64) -> (FrameTemplate, Payload) {
-        let t = FrameTemplate::generate(Model::Jac, 5);
-        let f = t.frame_segments(step);
-        (t, f)
+    /// The JAC frame of `step` these tests move, its body patterned.
+    fn frame(step: u64) -> Payload {
+        patterned_frame(Model::Jac, step, 5)
+    }
+
+    /// Whether `got` is, byte for byte, [`frame`]`(step)`.
+    fn is_frame(got: &[Bytes], step: u64) -> bool {
+        is_patterned_frame(got, Model::Jac, step, 5)
     }
 
     #[test]
@@ -276,7 +285,7 @@ mod tests {
         sim.spawn(async move {
             let rec = Recorder::new(&ctx);
             ctx.sleep(SimDuration::from_millis(200)).await;
-            let (_, f) = frame(0);
+            let f = frame(0);
             prod.produce(&rec, "late", f).await;
         });
         sim.run();
@@ -295,8 +304,8 @@ mod tests {
         let ctx = sim.ctx();
         sim.spawn(async move {
             let rec = Recorder::new(&ctx);
-            let (_, f0) = frame(0);
-            let (_, f1) = frame(1);
+            let f0 = frame(0);
+            let f1 = frame(1);
             prod.produce(&rec, "a/0", f0).await;
             prod.produce(&rec, "a/1", f1).await;
             let mut consumer = cons.consumer();
@@ -321,7 +330,7 @@ mod tests {
         sim.spawn(async move {
             let rec = Recorder::new(&ctx);
             for i in 0..3 {
-                let (_, f) = frame(i);
+                let f = frame(i);
                 prod.produce(&rec, &format!("b/{i}"), f).await;
             }
             let mut consumer = cons.consumer();
@@ -344,7 +353,7 @@ mod tests {
         let ctx = sim.ctx();
         let h = sim.spawn(async move {
             let rec = Recorder::new(&ctx);
-            let (_, f) = frame(0);
+            let f = frame(0);
             svc.produce(&rec, "p/0", f).await;
             rec.finish()
         });
@@ -380,7 +389,7 @@ mod tests {
                 let rec = Recorder::new(&ctx);
                 for i in 0..10 {
                     ctx.sleep(period).await;
-                    let (_, f) = frame(i);
+                    let f = frame(i);
                     prod.produce(&rec, &format!("s/{i}"), f).await;
                 }
             });
@@ -531,11 +540,10 @@ mod tests {
             let ctx = sim.ctx();
             let h = sim.spawn(async move {
                 let rec = Recorder::new(&ctx);
-                let (t, f) = frame(880);
-                put(&plane, row, &rec, "run0/frame0", f).await;
+                put(&plane, row, &rec, "run0/frame0", frame(880)).await;
                 let mut session = plane.session("c0", false);
                 let got = session.get(&plane, &rec, "run0/frame0").await;
-                (t.validate(&got.unwrap(), 880), rec.finish())
+                (is_frame(&got.unwrap(), 880), rec.finish())
             });
             sim.run();
             let (ok, profile) = h.try_take().unwrap();
@@ -556,10 +564,9 @@ mod tests {
             let ctx = sim.ctx();
             let h = sim.spawn(async move {
                 let rec = Recorder::new(&ctx);
-                let (t, f) = frame(1);
-                put(&prod, row, &rec, "f1", f).await;
+                put(&prod, row, &rec, "f1", frame(1)).await;
                 let got = cons.session("c0", false).get(&cons, &rec, "f1").await;
-                (t.validate(&got.unwrap(), 1), rec.finish())
+                (is_frame(&got.unwrap(), 1), rec.finish())
             });
             sim.run();
             let (ok, profile) = h.try_take().unwrap();
@@ -590,12 +597,10 @@ mod tests {
             let ctx = sim.ctx();
             let h = sim.spawn(async move {
                 let rec = Recorder::new(&ctx);
-                let t = FrameTemplate::generate(Model::ApoA1, 9);
-                let f = t.frame_segments(42);
-                let flat_in = transport::flatten_payload(f.clone());
+                let f = patterned_frame(Model::ApoA1, 42, 9);
                 put(&prod, row, &rec, "x", f).await;
                 let got = cons.session("c0", false).get(&cons, &rec, "x").await;
-                flat_in == transport::flatten_payload(got.unwrap())
+                is_patterned_frame(&got.unwrap(), Model::ApoA1, 42, 9)
             });
             sim.run();
             assert!(h.try_take().unwrap());
@@ -614,7 +619,7 @@ mod tests {
             let (prod, cons) = (rig.planes[0].clone(), rig.planes[1].clone());
             let ctx = sim.ctx();
             sim.spawn(async move {
-                let (_, f) = frame(7);
+                let f = frame(7);
                 put(&prod, row, &Recorder::new(&ctx), "shared", f).await;
             });
             let handles: Vec<_> = ["c0", "c1"]
@@ -625,10 +630,7 @@ mod tests {
                         ctx.sleep(SimDuration::from_millis(100)).await;
                         let rec = Recorder::new(&ctx);
                         let got = cons.session(id, false).get(&cons, &rec, "shared").await;
-                        let (t, f) = frame(7);
-                        let got = got.unwrap();
-                        t.validate(&got, 7)
-                            && transport::flatten_payload(got) == transport::flatten_payload(f)
+                        is_frame(&got.unwrap(), 7)
                     })
                 })
                 .collect();
@@ -693,7 +695,7 @@ mod tests {
             let plane = Plane::start(&ctx, &tp, NodeId(0), fs, kc, None, row, spec);
             let h = sim.spawn(async move {
                 let rec = Recorder::new(&ctx);
-                let (_, f) = frame(0);
+                let f = frame(0);
                 put(&plane, row, &rec, "new/dir/f0", f).await;
                 rec.finish()
             });
@@ -746,7 +748,7 @@ mod tests {
             sim.spawn(async move {
                 let rec = Recorder::new(&ctx);
                 for i in 0..4u64 {
-                    let (_, f) = frame(i);
+                    let f = frame(i);
                     put(&prod, row, &rec, &format!("s/{i}"), f).await;
                     ctx.sleep(SimDuration::from_millis(300)).await;
                 }
@@ -759,9 +761,8 @@ mod tests {
                 let mut session = cons.session("c0", false);
                 let mut all_ok = true;
                 for i in 0..4u64 {
-                    let t = FrameTemplate::generate(Model::Jac, 5);
                     let got = session.get(&cons, &rec, &format!("s/{i}")).await;
-                    all_ok &= t.validate(&got.unwrap(), i);
+                    all_ok &= is_frame(&got.unwrap(), i);
                 }
                 all_ok
             });
@@ -833,7 +834,7 @@ mod tests {
             sim.spawn(async move {
                 let rec = Recorder::new(&ctx);
                 for i in 0..2u64 {
-                    let (_, f) = frame(i);
+                    let f = frame(i);
                     put(&prod, row, &rec, &format!("s/{i}"), f).await;
                     ctx.sleep(SimDuration::from_millis(200)).await;
                 }
@@ -844,9 +845,8 @@ mod tests {
                 ctx2.sleep(SimDuration::from_millis(1_200)).await;
                 let rec = Recorder::new(&ctx2);
                 let mut session = cons.session("c0", false);
-                let t = FrameTemplate::generate(Model::Jac, 5);
                 let spilled = session.get(&cons, &rec, "s/0").await;
-                let ok0 = matches!(&spilled, Ok(got) if t.validate(got, 0));
+                let ok0 = matches!(&spilled, Ok(got) if is_frame(got, 0));
                 let lost = session.get(&cons, &rec, "s/1").await;
                 (ok0, lost)
             });
@@ -888,7 +888,7 @@ mod tests {
                 let ctx = sim.ctx();
                 sim.spawn(async move {
                     let rec = Recorder::new(&ctx);
-                    let (_, f) = frame(0);
+                    let f = frame(0);
                     put(&prod, row, &rec, "s/0", f).await;
                     // Wait out the evictor (budget of one frame forces the
                     // spill), then lose the spill copy.

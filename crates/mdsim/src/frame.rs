@@ -1,5 +1,4 @@
-//! The frame wire format: what producers serialize and consumers
-//! deserialize.
+//! The frame wire format: what producers emit and consumers check.
 //!
 //! Layout (little-endian):
 //!
@@ -15,8 +14,17 @@
 //! ```
 //!
 //! 48 + 28·atoms bytes total, matching Table I's frame sizes.
+//!
+//! Of a frame the study measures its size and its arrival, never its
+//! atoms (the paper's producers emulate MD with a sleep). So a frame is
+//! a fresh header plus a view of one zero body that every frame of
+//! every model shares ([`Model::frame_segments`]), and the consumer's
+//! one check reads the header and the total length
+//! ([`Model::check_frame`]).
 
-use bytes::{Buf, BufMut, Bytes};
+use std::sync::OnceLock;
+
+use bytes::{BufMut, Bytes};
 
 use crate::models::{Model, ATOM_BYTES, HEADER_BYTES};
 
@@ -25,25 +33,10 @@ pub const MAGIC: u64 = 0x4D44_4652_414D_4500;
 /// Current format version.
 pub const VERSION: u32 = 1;
 
-/// A decoded (or to-be-encoded) MD frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Frame {
-    /// Which molecular model produced this frame.
-    pub model: Model,
-    /// MD step at capture time.
-    pub step: u64,
-    /// Simulation box lengths.
-    pub box_lengths: [f32; 3],
-    /// Atom ids.
-    pub ids: Vec<u32>,
-    /// Atom positions.
-    pub positions: Vec<[f64; 3]>,
-}
-
-/// Errors produced while decoding a frame.
+/// Why a delivered frame was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameError {
-    /// Buffer shorter than a header or truncated mid-atom.
+    /// Shorter than a header.
     Truncated,
     /// Bad magic number.
     BadMagic,
@@ -51,83 +44,31 @@ pub enum FrameError {
     BadVersion,
     /// Unknown model id.
     BadModel,
+    /// The header names another model than the one expected.
+    WrongModel,
+    /// The header names another step than the one expected.
+    WrongStep,
+    /// The atom count or the total length is not the model's.
+    WrongLength,
 }
 
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            FrameError::Truncated => "frame buffer truncated",
+            FrameError::Truncated => "frame shorter than its header",
             FrameError::BadMagic => "bad frame magic",
             FrameError::BadVersion => "unsupported frame version",
             FrameError::BadModel => "unknown model id",
+            FrameError::WrongModel => "frame of another model",
+            FrameError::WrongStep => "frame of another step",
+            FrameError::WrongLength => "frame length is not the model's",
         };
         f.write_str(s)
     }
 }
 impl std::error::Error for FrameError {}
 
-impl Frame {
-    /// Serialize to wire bytes. The result is exactly
-    /// [`Model::frame_bytes`] long.
-    pub fn encode(&self) -> Bytes {
-        let len = (HEADER_BYTES + ATOM_BYTES * self.ids.len() as u64) as usize;
-        Bytes::build(len, |buf| {
-            buf.put_u64_le(MAGIC);
-            buf.put_u32_le(VERSION);
-            buf.put_u32_le(self.model.id());
-            buf.put_u64_le(self.step);
-            buf.put_u64_le(self.ids.len() as u64);
-            for b in self.box_lengths {
-                buf.put_f32_le(b);
-            }
-            buf.put_u32_le(0); // reserved
-            for (id, pos) in self.ids.iter().zip(&self.positions) {
-                buf.put_u32_le(*id);
-                buf.put_f64_le(pos[0]);
-                buf.put_f64_le(pos[1]);
-                buf.put_f64_le(pos[2]);
-            }
-        })
-    }
-
-    /// Decode from wire bytes.
-    pub fn decode(mut raw: Bytes) -> Result<Frame, FrameError> {
-        let header = FrameHeader::decode(&raw)?;
-        raw.advance(HEADER_BYTES as usize);
-        let natoms = header.atoms as usize;
-        if (raw.len() as u64) < ATOM_BYTES * header.atoms {
-            return Err(FrameError::Truncated);
-        }
-        let mut ids = Vec::with_capacity(natoms);
-        let mut positions = Vec::with_capacity(natoms);
-        for _ in 0..natoms {
-            ids.push(raw.get_u32_le());
-            positions.push([raw.get_f64_le(), raw.get_f64_le(), raw.get_f64_le()]);
-        }
-        Ok(Frame {
-            model: header.model,
-            step: header.step,
-            box_lengths: header.box_lengths,
-            ids,
-            positions,
-        })
-    }
-
-    /// Decode a frame stored as a rope of segments (as returned by the
-    /// zero-copy read paths) by concatenating once.
-    pub fn decode_segments(segments: &[Bytes]) -> Result<Frame, FrameError> {
-        if segments.len() == 1 {
-            return Frame::decode(segments[0].clone());
-        }
-        let total: usize = segments.iter().map(|s| s.len()).sum();
-        Frame::decode(Bytes::build(total, |flat| {
-            segments.iter().for_each(|s| flat.put_slice(s))
-        }))
-    }
-}
-
-/// The fixed-size frame header, decodable without touching the body —
-/// what the consumer-side workflow uses to validate frames cheaply.
+/// The fixed-size frame header.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameHeader {
     /// Which molecular model produced this frame.
@@ -141,179 +82,216 @@ pub struct FrameHeader {
 }
 
 impl FrameHeader {
-    /// Decode just the header from the first bytes of a frame.
-    pub fn decode(raw: &Bytes) -> Result<FrameHeader, FrameError> {
-        if (raw.len() as u64) < HEADER_BYTES {
+    /// Decode the header from the first bytes of a frame rope, wherever
+    /// the segment boundaries fall.
+    pub fn decode(segments: &[Bytes]) -> Result<FrameHeader, FrameError> {
+        const N: usize = HEADER_BYTES as usize;
+        let mut head = [0u8; N];
+        let mut held = 0;
+        for s in segments {
+            let n = s.len().min(N - held);
+            head[held..held + n].copy_from_slice(&s[..n]);
+            held += n;
+        }
+        if held < N {
             return Err(FrameError::Truncated);
         }
-        let mut h = raw.slice(..HEADER_BYTES as usize);
-        if h.get_u64_le() != MAGIC {
+        let u32_at = |at: usize| u32::from_le_bytes(field(&head, at));
+        let u64_at = |at: usize| u64::from_le_bytes(field(&head, at));
+        let f32_at = |at: usize| f32::from_bits(u32_at(at));
+        if u64_at(0) != MAGIC {
             return Err(FrameError::BadMagic);
         }
-        if h.get_u32_le() != VERSION {
+        if u32_at(8) != VERSION {
             return Err(FrameError::BadVersion);
         }
-        let model = Model::from_id(h.get_u32_le()).ok_or(FrameError::BadModel)?;
-        let step = h.get_u64_le();
-        let atoms = h.get_u64_le();
-        let box_lengths = [h.get_f32_le(), h.get_f32_le(), h.get_f32_le()];
         Ok(FrameHeader {
-            model,
-            step,
-            atoms,
-            box_lengths,
+            model: Model::from_id(u32_at(12)).ok_or(FrameError::BadModel)?,
+            step: u64_at(16),
+            atoms: u64_at(24),
+            box_lengths: [f32_at(32), f32_at(36), f32_at(40)],
         })
     }
 
-    /// Decode the header from the first segment of a rope.
-    pub fn decode_segments(segments: &[Bytes]) -> Result<FrameHeader, FrameError> {
-        match segments.first() {
-            Some(first) if first.len() as u64 >= HEADER_BYTES => FrameHeader::decode(first),
-            Some(_) | None => {
-                // The header straddles segments: gather as much of it as
-                // the rope holds.
-                let held: usize = segments.iter().map(|s| s.len()).sum();
-                let head = Bytes::build(held.min(HEADER_BYTES as usize), |flat| {
-                    for s in segments {
-                        let n = s.len().min(flat.len());
-                        flat.put_slice(&s[..n]);
-                    }
-                });
-                FrameHeader::decode(&head)
+    /// Total frame length implied by the header (saturating: the atom
+    /// count is read off the wire).
+    pub fn frame_bytes(&self) -> u64 {
+        ATOM_BYTES
+            .saturating_mul(self.atoms)
+            .saturating_add(HEADER_BYTES)
+    }
+}
+
+/// The `N` header bytes at `at`.
+fn field<const N: usize>(head: &[u8; HEADER_BYTES as usize], at: usize) -> [u8; N] {
+    head[at..at + N]
+        .try_into()
+        .expect("a header field lies inside the header")
+}
+
+impl Model {
+    /// This model's frame for `step` as a `[header, body]` rope: 48
+    /// fresh header bytes and a view of the one shared zero body,
+    /// [`Model::frame_bytes`] long in total.
+    pub fn frame_segments(self, step: u64) -> Vec<Bytes> {
+        // Box edge: three length units per cube root of the atom count.
+        let box_len = (self.atoms() as f64).cbrt() * 3.0;
+        let header = Bytes::build(HEADER_BYTES as usize, |hdr| {
+            hdr.put_u64_le(MAGIC);
+            hdr.put_u32_le(VERSION);
+            hdr.put_u32_le(self.id());
+            hdr.put_u64_le(step);
+            hdr.put_u64_le(self.atoms());
+            for _ in 0..3 {
+                hdr.put_f32_le(box_len as f32);
             }
-        }
+            hdr.put_u32_le(0); // reserved
+        });
+        vec![header, zero_body((self.atoms() * ATOM_BYTES) as usize)]
     }
 
-    /// Total frame length implied by the header.
-    pub fn frame_bytes(&self) -> u64 {
-        HEADER_BYTES + ATOM_BYTES * self.atoms
+    /// Check that `segments` is this model's frame for `step`: a valid
+    /// header naming this model, `step` and the model's atom count, and
+    /// [`Model::frame_bytes`] in total. What catches a frame delivered
+    /// for the wrong step or cut short; the body is not read.
+    pub fn check_frame(self, segments: &[Bytes], step: u64) -> Result<(), FrameError> {
+        let header = FrameHeader::decode(segments)?;
+        let total: u64 = segments.iter().map(|s| s.len() as u64).sum();
+        if header.model != self {
+            Err(FrameError::WrongModel)
+        } else if header.step != step {
+            Err(FrameError::WrongStep)
+        } else if header.atoms != self.atoms() || total != self.frame_bytes() {
+            Err(FrameError::WrongLength)
+        } else {
+            Ok(())
+        }
     }
+}
+
+/// `len` bytes of the body every frame shares: one zero block as long as
+/// the largest model's body, made once per process and never written.
+/// `vec![0; n]` asks the allocator for zeroed memory, which at this size
+/// is fresh pages that stay non-resident however often they are read;
+/// the block is leaked, so a view of it is a `Bytes::from_static` that
+/// counts no references.
+fn zero_body(len: usize) -> Bytes {
+    static BODY: OnceLock<&'static [u8]> = OnceLock::new();
+    let body = BODY.get_or_init(|| {
+        let largest = Model::ALL.iter().map(|m| m.atoms() * ATOM_BYTES).max();
+        vec![0u8; largest.expect("there are models") as usize].leak()
+    });
+    Bytes::from_static(&body[..len])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn small_frame() -> Frame {
-        Frame {
-            model: Model::Jac,
-            step: 880,
-            box_lengths: [62.2, 62.2, 62.2],
-            ids: (0..100).collect(),
-            positions: (0..100)
-                .map(|i| [i as f64 * 0.1, i as f64 * 0.2, i as f64 * 0.3])
-                .collect(),
+    fn total(segments: &[Bytes]) -> u64 {
+        segments.iter().map(|s| s.len() as u64).sum()
+    }
+
+    #[test]
+    fn full_model_frame_has_table_one_size() {
+        for m in Model::ALL {
+            assert_eq!(total(&m.frame_segments(880)), m.frame_bytes(), "{m}");
         }
     }
 
     #[test]
     fn encode_decode_round_trips() {
-        let f = small_frame();
-        let wire = f.encode();
-        assert_eq!(wire.len() as u64, HEADER_BYTES + 100 * ATOM_BYTES);
-        let back = Frame::decode(wire).unwrap();
-        assert_eq!(back, f);
+        for m in Model::ALL {
+            for step in [0, 880, u64::MAX] {
+                let segs = m.frame_segments(step);
+                let h = FrameHeader::decode(&segs).unwrap();
+                assert_eq!((h.model, h.step, h.atoms), (m, step, m.atoms()));
+                assert_eq!(m.check_frame(&segs, step), Ok(()));
+            }
+        }
     }
 
-    #[test]
-    fn full_model_frame_has_table_one_size() {
-        let n = Model::Jac.atoms() as usize;
-        let f = Frame {
-            model: Model::Jac,
-            step: 0,
-            box_lengths: [1.0; 3],
-            ids: (0..n as u32).collect(),
-            positions: vec![[0.0; 3]; n],
-        };
-        assert_eq!(f.encode().len() as u64, Model::Jac.frame_bytes());
-    }
-
+    /// The header decodes from its own segment, without the body.
     #[test]
     fn header_only_decode() {
-        let wire = small_frame().encode();
-        let h = FrameHeader::decode(&wire).unwrap();
-        assert_eq!(h.model, Model::Jac);
-        assert_eq!(h.step, 880);
-        assert_eq!(h.atoms, 100);
-        assert_eq!(h.frame_bytes(), wire.len() as u64);
+        let segs = Model::Jac.frame_segments(880);
+        let h = FrameHeader::decode(&segs[..1]).unwrap();
+        assert_eq!((h.model, h.step, h.atoms), (Model::Jac, 880, 23_558));
+        assert_eq!(h.frame_bytes(), total(&segs));
     }
 
+    /// Every rejection, each against the one check.
     #[test]
     fn decode_rejects_corruption() {
-        let wire = small_frame().encode();
-        // Truncated.
+        let segs = Model::Jac.frame_segments(5);
+        let with_header_byte = |at: usize, value: u8| {
+            let mut header = segs[0].to_vec();
+            header[at] = value;
+            vec![Bytes::from(header), segs[1].clone()]
+        };
+        let check = |s: &[Bytes]| Model::Jac.check_frame(s, 5);
+        assert_eq!(check(&with_header_byte(0, 0xFF)), Err(FrameError::BadMagic));
         assert_eq!(
-            Frame::decode(wire.slice(..20)).unwrap_err(),
-            FrameError::Truncated
+            check(&with_header_byte(8, 0xFF)),
+            Err(FrameError::BadVersion)
         );
-        // Bad magic.
-        let mut bad = wire.to_vec();
-        bad[0] ^= 0xFF;
         assert_eq!(
-            Frame::decode(Bytes::from(bad)).unwrap_err(),
-            FrameError::BadMagic
+            check(&with_header_byte(12, 0xEE)),
+            Err(FrameError::BadModel)
         );
-        // Bad version.
-        let mut bad = wire.to_vec();
-        bad[8] = 0xFF;
+        assert_eq!(check(&with_header_byte(16, 6)), Err(FrameError::WrongStep));
         assert_eq!(
-            Frame::decode(Bytes::from(bad)).unwrap_err(),
-            FrameError::BadVersion
+            check(&with_header_byte(24, 0)),
+            Err(FrameError::WrongLength)
         );
-        // Bad model.
-        let mut bad = wire.to_vec();
-        bad[12] = 0xEE;
+        assert_eq!(Model::Jac.check_frame(&segs, 6), Err(FrameError::WrongStep));
         assert_eq!(
-            Frame::decode(Bytes::from(bad)).unwrap_err(),
-            FrameError::BadModel
+            Model::ApoA1.check_frame(&segs, 5),
+            Err(FrameError::WrongModel)
         );
-        // Truncated body.
-        assert_eq!(
-            Frame::decode(wire.slice(..wire.len() - 1)).unwrap_err(),
-            FrameError::Truncated
-        );
+        let short = [segs[0].clone(), segs[1].slice(..segs[1].len() - 1)];
+        assert_eq!(check(&short), Err(FrameError::WrongLength));
+        assert_eq!(check(&[segs[0].slice(..47)]), Err(FrameError::Truncated));
+        assert_eq!(check(&[]), Err(FrameError::Truncated));
     }
 
     #[test]
     fn segment_rope_decoding() {
-        let f = small_frame();
-        let wire = f.encode();
-        // Split into header + body segments, as the zero-copy path does.
-        let segs = vec![wire.slice(..48), wire.slice(48..)];
-        assert_eq!(Frame::decode_segments(&segs).unwrap(), f);
-        let h = FrameHeader::decode_segments(&segs).unwrap();
-        assert_eq!(h.step, 880);
-        // Pathological: header split across tiny segments.
-        let segs: Vec<Bytes> = wire.chunks(7).map(Bytes::copy_from_slice).collect();
-        assert_eq!(FrameHeader::decode_segments(&segs).unwrap(), h);
+        let segs = Model::Jac.frame_segments(880);
+        let h = FrameHeader::decode(&segs).unwrap();
+        let mut tiny: Vec<Bytes> = (0..48)
+            .step_by(7)
+            .map(|at| segs[0].slice(at..(at + 7).min(48)))
+            .collect();
+        tiny.push(segs[1].clone());
+        assert_eq!(FrameHeader::decode(&tiny).unwrap(), h);
+        assert_eq!(Model::Jac.check_frame(&tiny, 880), Ok(()));
+        assert_eq!(FrameHeader::decode(&tiny[..3]), Err(FrameError::Truncated));
     }
 
-    #[cfg(test)]
     mod props {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+            // However the header is cut into segments, the check accepts
+            // the frame for its own step, and a flipped bit in any field
+            // it reads (magic, version, model, step, atom count) is
+            // rejected.
             #[test]
             fn round_trip_arbitrary_frames(
                 step in any::<u64>(),
-                n in 0usize..200,
-                seed in any::<u32>(),
+                cut in 1usize..48,
+                bit in 0usize..28 * 8,
             ) {
-                let f = Frame {
-                    model: Model::ApoA1,
-                    step,
-                    box_lengths: [seed as f32, 1.0, 2.0],
-                    ids: (0..n as u32).map(|i| i ^ seed).collect(),
-                    positions: (0..n)
-                        .map(|i| {
-                            let x = (i as f64 + seed as f64).sin();
-                            [x, x * 2.0, x * 3.0]
-                        })
-                        .collect(),
-                };
-                prop_assert_eq!(Frame::decode(f.encode()).unwrap(), f);
+                let segs = Model::ApoA1.frame_segments(step);
+                let split = vec![segs[0].slice(..cut), segs[0].slice(cut..), segs[1].clone()];
+                prop_assert_eq!(Model::ApoA1.check_frame(&split, step), Ok(()));
+                let mut header = segs[0].to_vec();
+                header[bit / 8] ^= 1 << (bit % 8);
+                let flipped = vec![Bytes::from(header), segs[1].clone()];
+                prop_assert!(Model::ApoA1.check_frame(&flipped, step).is_err());
             }
         }
     }

@@ -4,18 +4,23 @@
 //!
 //! * [`Model`] — the four molecular models with Table I/II constants
 //!   (atoms, frame bytes, steps/s, stride, frame period);
-//! * [`Frame`] / [`FrameHeader`] — the frame wire format (48-byte header
-//!   + 28 bytes/atom, reproducing Table I's frame sizes exactly);
-//! * [`FrameTemplate`] + [`StepClock`] — the paper's emulation mode
-//!   (fixed ms/step sleeps, realistic frame payloads emitted zero-copy)
+//! * [`FrameHeader`] and [`Model::frame_segments`] /
+//!   [`Model::check_frame`] — the frame wire format (48-byte header +
+//!   28 bytes/atom, reproducing Table I's frame sizes exactly): a fresh
+//!   header per frame over one shared zero body, and the consumer's one
+//!   check of header and length;
+//! * [`StepClock`] — the paper's emulation mode (fixed ms/step sleeps)
 //!   used inside the discrete-event workflow.
 
 #![warn(missing_docs)]
 
 mod emulator;
 mod frame;
+mod frozen;
 mod models;
 
-pub use emulator::{FrameTemplate, StepClock};
-pub use frame::{Frame, FrameError, FrameHeader, MAGIC, VERSION};
+pub use emulator::StepClock;
+pub use frame::{FrameError, FrameHeader, MAGIC, VERSION};
+#[doc(hidden)]
+pub use frozen::{Frame, FrameTemplate};
 pub use models::{Model, ATOM_BYTES, HEADER_BYTES};

@@ -644,12 +644,17 @@ impl StreamSubscriber {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/frames.rs"]
+mod frames;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frames::{is_patterned_frame, patterned_frame};
     use cluster::{Cluster, ClusterSpec};
     use kvs::{KvsClient, KvsServer, KvsSpec};
     use localfs::LocalFsSpec;
-    use mdsim::{FrameTemplate, Model};
+    use mdsim::Model;
     use rand::SeedableRng;
     use simcore::{Sim, SimTime};
     use transport::TransportSpec;
@@ -686,10 +691,9 @@ mod tests {
         }
     }
 
-    fn step_payload(step: u64) -> (FrameTemplate, Payload) {
-        let t = FrameTemplate::generate(Model::Jac, 5);
-        let f = t.frame_segments(step);
-        (t, f)
+    /// The JAC frame of `step` these tests publish, its body patterned.
+    fn step_payload(step: u64) -> Payload {
+        patterned_frame(Model::Jac, step, 5)
     }
 
     fn acker(consumer: &str, node: u32) -> StreamAcker {
@@ -707,12 +711,12 @@ mod tests {
         let ctx = sim.ctx();
         let h = sim.spawn(async move {
             let rec = Recorder::new(&ctx);
-            let (t, f) = step_payload(880);
+            let f = step_payload(880);
             let mut pb = svc.publisher();
             pb.publish(&rec, "g0/s0", 0, f, &[acker("c0", 0)]).await;
             let mut sub = svc.subscriber("c0");
             let got = sub.consume_step(&rec, "g0/s0").await;
-            (t.validate(&got, 880), rec.finish())
+            (is_patterned_frame(&got, Model::Jac, 880, 5), rec.finish())
         });
         sim.run();
         let (ok, profile) = h.try_take().unwrap();
@@ -742,9 +746,9 @@ mod tests {
         let h = sim.spawn(async move {
             let rec = Recorder::new(&ctx);
             let mut pb = prod.publisher();
-            let (_, f0) = step_payload(0);
+            let f0 = step_payload(0);
             pb.publish(&rec, "w/0", 0, f0, &[acker("c0", 1)]).await;
-            let (_, f1) = step_payload(1);
+            let f1 = step_payload(1);
             pb.publish(&rec, "w/1", 1, f1, &[acker("c0", 1)]).await;
             (ctx.now().as_secs_f64(), pb.window().peak_in_flight())
         });
@@ -787,9 +791,9 @@ mod tests {
                 let rec = Recorder::new(&ctx);
                 let mut pb = prod.publisher();
                 let ackers = [acker("c0", 1), acker("c1", 2)];
-                let (_, f0) = step_payload(0);
+                let f0 = step_payload(0);
                 pb.publish(&rec, "b/0", 0, f0, &ackers).await;
-                let (_, f1) = step_payload(1);
+                let f1 = step_payload(1);
                 pb.publish(&rec, "b/1", 1, f1, &ackers).await;
                 ctx.now().as_secs_f64()
             })
@@ -836,12 +840,12 @@ mod tests {
             let rec = Recorder::new(&ctx);
             let mut pb = prod.publisher();
             let mut rng = StdRng::seed_from_u64(9);
-            let (_, f0) = step_payload(0);
+            let f0 = step_payload(0);
             pb.try_publish(&rec, "r/0", 0, &f0, &[acker("c0", 1)], Some(&mut rng))
                 .await
                 .expect("publish 0");
             ctx.sleep(SimDuration::from_millis(300)).await;
-            let (_, f1) = step_payload(1);
+            let f1 = step_payload(1);
             pb.try_publish(&rec, "r/1", 1, &f1, &[acker("c0", 1)], Some(&mut rng))
                 .await
                 .expect("publish 1");

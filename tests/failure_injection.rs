@@ -5,10 +5,14 @@ use bytes::Bytes;
 use cluster::{Cluster, ClusterSpec, NodeId, NodeSpec, NvmeDevice};
 use kvs::{KvsClient, KvsServer, KvsSpec};
 use localfs::{FsError, LocalFs, LocalFsSpec};
-use mdsim::{Frame, FrameError, FrameTemplate, Model};
+use mdsim::{FrameError, Model};
 use pfs::{ParallelFs, PfsError, PfsSpec};
 use simcore::{Sim, SimDuration, SimTime};
 use transport::{Transport, TransportSpec};
+
+#[path = "support/frames.rs"]
+mod frames;
+use frames::{is_patterned_frame, patterned_frame};
 
 #[test]
 fn localfs_enospc_mid_workflow_is_clean() {
@@ -57,26 +61,25 @@ fn localfs_enospc_mid_workflow_is_clean() {
 
 #[test]
 fn corrupted_frames_are_rejected_not_misread() {
-    let t = FrameTemplate::generate(Model::Jac, 1);
-    let wire = transport::flatten_payload(t.frame_segments(5));
-    // Flip one byte in each header field region and confirm rejection
-    // (or, for the step field, a wrong-step detection via validate).
-    let mut magic = wire.to_vec();
-    magic[3] ^= 0xFF;
+    let wire = transport::flatten_payload(Model::Jac.frame_segments(5));
+    // Flip one byte in each header field region of a flat frame and
+    // confirm the consumers' check rejects it, naming the field.
+    let flipped = |at: usize, mask: u8| {
+        let mut raw = wire.to_vec();
+        raw[at] ^= mask;
+        Model::Jac.check_frame(&[Bytes::from(raw)], 5)
+    };
+    assert_eq!(flipped(3, 0xFF), Err(FrameError::BadMagic));
+    assert_eq!(flipped(9, 0x01), Err(FrameError::BadVersion));
+    assert_eq!(flipped(12, 0x08), Err(FrameError::BadModel));
+    assert_eq!(flipped(16, 0x01), Err(FrameError::WrongStep)); // step is at offset 16
+    assert_eq!(flipped(24, 0x01), Err(FrameError::WrongLength)); // atom count
+    let short = [wire.slice(..wire.len() - 1)];
     assert_eq!(
-        Frame::decode(Bytes::from(magic)).unwrap_err(),
-        FrameError::BadMagic
+        Model::Jac.check_frame(&short, 5),
+        Err(FrameError::WrongLength)
     );
-    let mut version = wire.to_vec();
-    version[9] ^= 0x01;
-    assert_eq!(
-        Frame::decode(Bytes::from(version)).unwrap_err(),
-        FrameError::BadVersion
-    );
-    let mut step = wire.to_vec();
-    step[16] ^= 0x01; // step is at offset 16
-    let segs = vec![Bytes::from(step)];
-    assert!(!t.validate(&segs, 5), "wrong step must fail validation");
+    assert_eq!(Model::Jac.check_frame(&[wire], 5), Ok(()));
 }
 
 #[test]
@@ -155,13 +158,11 @@ fn slow_producer_forces_cold_fallbacks_but_no_data_loss() {
         let ctx = ctx.clone();
         sim.spawn(async move {
             let rec = Recorder::new(&ctx);
-            let t = FrameTemplate::generate(Model::Jac, 9);
             for i in 0..5u64 {
                 // Slow producer: 50 ms per frame.
                 ctx.sleep(SimDuration::from_millis(50)).await;
-                prod2
-                    .produce(&rec, &format!("s/{i}"), t.frame_segments(i))
-                    .await;
+                let frame = patterned_frame(Model::Jac, i, 9);
+                prod2.produce(&rec, &format!("s/{i}"), frame).await;
             }
         });
     }
@@ -169,12 +170,14 @@ fn slow_producer_forces_cold_fallbacks_but_no_data_loss() {
     let ctx2 = ctx.clone();
     let h = sim.spawn(async move {
         let rec = Recorder::new(&ctx2);
-        let t = FrameTemplate::generate(Model::Jac, 9);
         let mut session = cons2.consumer();
         // Eager consumer: no analytics pause at all.
         for i in 0..5u64 {
             let data = session.consume(&rec, &format!("s/{i}")).await;
-            assert!(t.validate(&data, i), "frame {i} corrupted");
+            assert!(
+                is_patterned_frame(&data, Model::Jac, i, 9),
+                "frame {i} corrupted"
+            );
         }
         true
     });
@@ -216,25 +219,26 @@ fn interleaved_producers_do_not_cross_wires() {
         let ctx2 = ctx.clone();
         sim.spawn(async move {
             let rec = Recorder::new(&ctx2);
-            // Distinct template seed per pair -> distinct bodies.
-            let t = FrameTemplate::generate(Model::Jac, 100 + pair);
             for i in 0..3u64 {
                 ctx2.sleep(SimDuration::from_millis(7 + pair)).await;
-                prod.produce(&rec, &format!("p{pair}/f{i}"), t.frame_segments(i))
-                    .await;
+                // A salt per pair: distinct bodies.
+                let frame = patterned_frame(Model::Jac, i, 100 + pair);
+                prod.produce(&rec, &format!("p{pair}/f{i}"), frame).await;
             }
         });
         let cons = cons.clone();
         let ctx3 = ctx.clone();
         handles.push(sim.spawn(async move {
             let rec = Recorder::new(&ctx3);
-            let t = FrameTemplate::generate(Model::Jac, 100 + pair);
             let mut session = cons.consumer();
             for i in 0..3u64 {
                 let data = session.consume(&rec, &format!("p{pair}/f{i}")).await;
-                // validate() checks the shared body bytes, so a frame
-                // from another pair (different seed) would fail.
-                assert!(t.validate(&data, i), "pair {pair} frame {i} cross-wired");
+                // The body bytes carry the pair's salt, so a frame from
+                // another pair fails the comparison.
+                assert!(
+                    is_patterned_frame(&data, Model::Jac, i, 100 + pair),
+                    "pair {pair} frame {i} cross-wired"
+                );
             }
             true
         }));
