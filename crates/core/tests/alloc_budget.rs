@@ -41,6 +41,9 @@ fn run_allocs(solution: Solution, pairs: u32, frames: u64) -> u64 {
         _ => Placement::Split { pairs_per_node: 8 },
     };
     let wf = WorkflowConfig::new(solution, pairs, placement).with_frames(frames);
+    // The one shared frame body is made by a process's first frame, on
+    // whichever test thread emits it; make it before counting.
+    let _ = Model::Jac.frame_segments(0);
     let before = calls();
     let m = run_once(&wf, &Calibration::quiet(), SEED);
     assert_eq!(m.consumers.len(), pairs as usize);

@@ -52,11 +52,15 @@ mod tests {
     /// one block; only the header is fresh.
     #[test]
     fn frame_bodies_are_shared_not_copied() {
-        let a = Model::Jac.frame_segments(1);
-        let b = Model::Stmv.frame_segments(2);
-        assert_eq!(a[1].as_ptr(), b[1].as_ptr());
-        assert_ne!(a[0].as_ptr(), b[0].as_ptr());
-        assert!(a[1].iter().all(|&byte| byte == 0));
+        let first = Model::Jac.frame_segments(0);
+        assert!(first[1].iter().all(|&byte| byte == 0));
+        for m in Model::ALL {
+            for step in [0, 1, 880, u64::MAX] {
+                let frame = m.frame_segments(step);
+                assert_eq!(frame[1].as_ptr(), first[1].as_ptr(), "{m} step {step}");
+                assert_ne!(frame[0].as_ptr(), first[0].as_ptr(), "{m} step {step}");
+            }
+        }
     }
 
     #[test]

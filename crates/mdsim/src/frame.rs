@@ -112,14 +112,6 @@ impl FrameHeader {
             box_lengths: [f32_at(32), f32_at(36), f32_at(40)],
         })
     }
-
-    /// Total frame length implied by the header (saturating: the atom
-    /// count is read off the wire).
-    pub fn frame_bytes(&self) -> u64 {
-        ATOM_BYTES
-            .saturating_mul(self.atoms)
-            .saturating_add(HEADER_BYTES)
-    }
 }
 
 /// The `N` header bytes at `at`.
@@ -195,7 +187,9 @@ mod tests {
     #[test]
     fn full_model_frame_has_table_one_size() {
         for m in Model::ALL {
-            assert_eq!(total(&m.frame_segments(880)), m.frame_bytes(), "{m}");
+            for step in [0, 1, 880, u64::MAX] {
+                assert_eq!(total(&m.frame_segments(step)), m.frame_bytes(), "{m}");
+            }
         }
     }
 
@@ -217,7 +211,7 @@ mod tests {
         let segs = Model::Jac.frame_segments(880);
         let h = FrameHeader::decode(&segs[..1]).unwrap();
         assert_eq!((h.model, h.step, h.atoms), (Model::Jac, 880, 23_558));
-        assert_eq!(h.frame_bytes(), total(&segs));
+        assert_eq!(h.model.frame_bytes(), total(&segs));
     }
 
     /// Every rejection, each against the one check.

@@ -30,10 +30,8 @@ pub enum Frame {}
 impl Frame {
     /// The header of a flat frame whose length is the one it declares.
     pub fn decode(raw: Bytes) -> Result<FrameHeader, FrameError> {
-        let header = FrameHeader::decode(std::slice::from_ref(&raw))?;
-        if raw.len() as u64 != header.frame_bytes() {
-            return Err(FrameError::WrongLength);
-        }
-        Ok(header)
+        let raw = std::slice::from_ref(&raw);
+        let header = FrameHeader::decode(raw)?;
+        header.model.check_frame(raw, header.step).map(|()| header)
     }
 }
