@@ -704,6 +704,20 @@ fn a_retried_put_does_not_wait_on_its_own_copy() {
     );
 }
 
+/// Two producers share a node and a two-frame budget. When the node's
+/// only frame on the device is the other producer's `Written` frame,
+/// whose metadata commit is retrying, an evictor pass frees nothing. It
+/// once signalled release anyway: the blocked producer re-checked, woke
+/// the evictor and waited again, and the clock never moved.
+#[test]
+fn a_pass_that_frees_nothing_does_not_spin_admission() {
+    assert_eq!(
+        spill_run(2, 2, 8, 2),
+        2 * 8,
+        "a frame is neither consumed nor typed as lost"
+    );
+}
+
 /// The spill shape: 64 pairs × 32 frames, 8 pairs and an 8-frame budget
 /// per node. Past the retry stall above, a spill whose metadata
 /// republish fails in a broker outage is re-created by every later pass,

@@ -838,6 +838,8 @@ impl StagingManager {
             return;
         }
 
+        // Whether this pass took a frame off the device.
+        let mut freed = false;
         // Phase 1 — retirement: published, fully-acked frames go first.
         for frame in self.local_frames_oldest_first() {
             let used = self.fs.statvfs().used_bytes;
@@ -852,6 +854,7 @@ impl StagingManager {
                     let (seen, required) = self.count_acks(frame.path.resolve()).await;
                     if required > 0 && seen == required {
                         self.retire(&frame, seen, required).await;
+                        freed = true;
                     }
                 }
                 FrameKind::Cache => {
@@ -870,10 +873,13 @@ impl StagingManager {
                 break;
             }
             match frame.kind {
-                FrameKind::Cache => self.evict_cache(&frame).await,
+                FrameKind::Cache => {
+                    self.evict_cache(&frame).await;
+                    freed = true;
+                }
                 FrameKind::Produced => {
                     if frame.state == FrameState::Published {
-                        self.spill(&frame).await;
+                        freed |= self.spill(&frame).await;
                     }
                 }
             }
@@ -881,7 +887,11 @@ impl StagingManager {
 
         // Unblock producers once below the high watermark (hysteresis:
         // the pass above aims for low, producers re-check against high).
-        if self.fs.statvfs().used_bytes <= self.high_bytes() {
+        // A pass that freed nothing stays quiet: a producer it woke would
+        // find what it left and start the next pass at once, at the same
+        // instant when the pass had nothing to wait on, and so forever.
+        // A blocked producer re-checks after its own period instead.
+        if freed && self.fs.statvfs().used_bytes <= self.high_bytes() {
             self.release.notify_all();
         }
     }
