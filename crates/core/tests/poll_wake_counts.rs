@@ -1,9 +1,8 @@
 //! Task polls and wakes per frame, two work counters.
 //!
 //! Every poll is a dispatch of a task block through the executor, and
-//! every wake through a simulation's wake queue takes its mutex: on
-//! `lustre_ensemble` the queue's lock and atomics are some 5 % of host
-//! samples. A layer that parks once more per frame, or wakes a task that
+//! every wake a push onto a simulation's wake queue and a pass through
+//! its ready queue. A layer that parks once more per frame, or wakes a task that
 //! had nothing to do, adds to these counts and to no allocation count.
 //! Both are exact and deterministic, so they are pinned, and a change to
 //! either reads as a diff of these numbers.

@@ -16,7 +16,8 @@
 //!
 //! # What a spawn costs
 //!
-//! One allocator call in steady state: a `TaskBlock`, an `Rc` allocation
+//! One allocator call, beside the growth of the executor's own slab and
+//! queues: a `TaskBlock`, an `Rc` allocation
 //! that holds where the process's output goes (the join state of its
 //! [`JoinHandle`], or its place in a [`JoinSet`]) and then the process
 //! itself. The executor and the handle share the block.
@@ -44,26 +45,23 @@
 //! once (`pfs` stripe I/O). A caller that must hold many handles for
 //! long should use a set.
 //!
-//! The task's waker is not a second call, because the task *slot* owns
-//! it: a slot keeps its `Arc<TaskWaker>` across tenants and re-labels it
-//! with the next tenant's packed id — but only when `Arc::get_mut`
-//! proves no clone survives. A clone that outlived its task (parked in a
-//! waiter nobody popped yet, say) keeps the old block and its stale id,
-//! which dies at the generation check like any other late wake, and the
-//! slot's next tenant gets a fresh block: a stale waker can never reach
-//! it. Vacant slots together keep no more blocks than there are live
-//! tasks, so what is kept follows live use and not the slab's high-water
-//! mark (kept by every slot the slab ever grew to, the blocks cost the
-//! 16k-pair run 8 MB of peak RSS, +2.6 %).
+//! A spawn makes no second call for a waker, because nothing wakes a
+//! task through one: a poll's `Context` carries [`Waker::noop`]. A
+//! primitive of this crate that parks a task records the task's id and a
+//! weak handle to the running simulation (`Parked`), as [`Sleep`] and a
+//! link's transfer do, and a wake pushes that id onto the core's wake
+//! queue, a plain `Vec`. A wake that outlives its task dies at the task
+//! slot's generation check, so it cannot reach the slot's next tenant; a
+//! wake that outlives the simulation does nothing. A future that stores
+//! the std `Waker` is never woken: this crate's primitives are the only
+//! park points.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,11 +94,9 @@ const fn task_id(slot: u32, gen: u32) -> TaskId {
 
 /// What the calendar fires when an event's timestamp is reached.
 enum EventKind {
-    /// Wake a process directly by task id (timer expiry). Nothing in
-    /// this workspace wraps wakers, so a future polled by task `t` is
-    /// always woken via `t`'s own waker — [`Sleep`] exploits that and
-    /// skips the `Waker`/queue indirection (no `Arc` traffic, no
-    /// mutex) for the most common calendar entry by far.
+    /// Ready a process by task id (a [`Sleep`] expired): the most common
+    /// calendar entry by far goes straight onto the ready queue, not
+    /// through the wake queue, and is not counted as a wake.
     WakeTask(TaskId),
     /// Run an arbitrary callback, boxed per arm ([`Ctx::call_after`]).
     Call(Box<dyn FnOnce()>),
@@ -317,51 +313,51 @@ impl SimConfig {
     }
 }
 
-/// Queue of task ids woken since the last executor dispatch.
-///
-/// `Waker` must be `Send + Sync`, so the wake path goes through a real
-/// mutex even though the simulation itself is single-threaded. The lock is
-/// uncontended in practice.
-#[derive(Default)]
-struct WakeQueue {
-    woken: Mutex<Vec<TaskId>>,
-    /// Cheap "anything queued?" flag so the dispatch loop can skip the
-    /// lock on the (overwhelmingly common) empty check.
-    nonempty: std::sync::atomic::AtomicBool,
+thread_local! {
+    /// The simulation whose run loop is on this thread, if any: where
+    /// [`Parked::current`] finds the task being polled.
+    static RUNNING: RefCell<Weak<RefCell<Core>>> = const { RefCell::new(Weak::new()) };
 }
 
-impl WakeQueue {
-    /// Poisoning is ignored: every holder pushes, swaps or takes the
-    /// vector, each of which leaves it valid at every step.
-    fn lock(&self) -> MutexGuard<'_, Vec<TaskId>> {
-        self.woken.lock().unwrap_or_else(PoisonError::into_inner)
+/// A parked task, by id, in the simulation that polled it: what a
+/// primitive of this crate keeps to wake a waiter.
+pub(crate) struct Parked {
+    core: Weak<RefCell<Core>>,
+    task: TaskId,
+}
+
+impl Parked {
+    /// The task being polled now. Panics outside a simulation's run.
+    pub(crate) fn current() -> Parked {
+        RUNNING.with_borrow(|core| {
+            let sim = core.upgrade();
+            let sim = sim.expect("simcore primitive polled outside a simulation's run");
+            let task = sim.borrow().current;
+            Parked {
+                core: core.clone(),
+                task,
+            }
+        })
+    }
+
+    pub(crate) fn wake(&self) {
+        wake(&self.core, self.task);
     }
 }
 
-struct TaskWaker {
-    id: TaskId,
-    queue: Arc<WakeQueue>,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-    fn wake_by_ref(self: &Arc<Self>) {
-        crate::work::count_wake();
-        self.queue.lock().push(self.id);
-        self.queue
-            .nonempty
-            .store(true, std::sync::atomic::Ordering::Release);
+/// Queue a wake for `task`, to be readied at the next dispatch. A wake
+/// for a finished task dies at the slot's generation check; one for a
+/// simulation that is gone does nothing.
+fn wake(core: &Weak<RefCell<Core>>, task: TaskId) {
+    crate::work::count_wake();
+    if let Some(core) = core.upgrade() {
+        core.borrow_mut().woken.push(task);
     }
 }
 
-/// A spawned process — the executor's reference to its [`TaskBlock`] —
-/// plus a `Waker` over the slot's waker block, so the dispatch loop
-/// polls without touching a reference count.
+/// A spawned process: the executor's reference to its [`TaskBlock`].
 struct Task {
     block: Rc<dyn Runnable>,
-    waker: Waker,
 }
 
 impl Drop for Task {
@@ -378,8 +374,6 @@ impl Drop for Task {
 /// skipped instead of hitting the slot's next tenant.
 struct TaskSlot {
     gen: u32,
-    /// The waker block, kept across tenants (see "What a spawn costs").
-    waker: Option<Arc<TaskWaker>>,
     state: TaskState,
 }
 
@@ -445,13 +439,13 @@ pub(crate) struct Core {
     /// Spawned-but-not-completed processes (what `tasks.len()` was when
     /// tasks lived in a map keyed by a never-reused id).
     live_tasks: usize,
-    /// Vacant task slots holding a waker block for their next tenant.
-    parked_wakers: usize,
     ready: VecDeque<TaskId>,
+    /// Tasks woken since the last dispatch, in wake order. They join
+    /// `ready` at the next dispatch, behind whatever was spawned or
+    /// readied by a timer before it.
+    woken: Vec<TaskId>,
     /// Task currently being polled; only meaningful during dispatch.
     current: TaskId,
-    wakes: Arc<WakeQueue>,
-    wake_scratch: Vec<TaskId>,
     seed: u64,
     events_processed: u64,
     tasks_spawned: u64,
@@ -567,28 +561,13 @@ impl Core {
             let s = u32::try_from(self.tasks.len()).expect("task slab overflow");
             self.tasks.push(TaskSlot {
                 gen: 0,
-                waker: None,
                 state: TaskState::Vacant { next_free: NO_FREE },
             });
             s
         };
         let s = &mut self.tasks[slot as usize];
         let id = task_id(slot, s.gen);
-        self.parked_wakers -= s.waker.is_some() as usize;
-        // Re-label the slot's waker block if nothing else holds it (the
-        // previous tenant's `Waker` went with its `Task`); a surviving
-        // clone keeps the old block and the old, dead id.
-        match s.waker.as_mut().and_then(Arc::get_mut) {
-            Some(w) => w.id = id,
-            None => {
-                s.waker = Some(Arc::new(TaskWaker {
-                    id,
-                    queue: self.wakes.clone(),
-                }))
-            }
-        }
-        let waker = Waker::from(s.waker.clone().expect("slot waker was just set"));
-        s.state = TaskState::Parked(Task { block, waker });
+        s.state = TaskState::Parked(Task { block });
         self.live_tasks += 1;
         self.tasks_spawned += 1;
         id
@@ -611,6 +590,11 @@ impl Core {
         }
     }
 
+    /// Append the tasks woken since the last dispatch to `ready`.
+    fn drain_wakes(&mut self) {
+        self.ready.extend(self.woken.drain(..));
+    }
+
     /// Re-park a task that returned `Pending`.
     fn park_task(&mut self, id: TaskId, task: Task) {
         let s = &mut self.tasks[task_slot(id) as usize];
@@ -619,10 +603,7 @@ impl Core {
     }
 
     /// Retire a completed task: vacate the slot and bump its generation
-    /// so in-flight wakes for this id die at the generation check. The
-    /// slot keeps its waker block for its next tenant unless vacant slots
-    /// already hold one per live task: what is kept follows live use, not
-    /// the slab's high-water mark.
+    /// so in-flight wakes for this id die at the generation check.
     fn finish_task(&mut self, id: TaskId) {
         let slot = task_slot(id);
         let s = &mut self.tasks[slot as usize];
@@ -631,11 +612,6 @@ impl Core {
             next_free: self.task_free,
         };
         s.gen = s.gen.wrapping_add(1);
-        if self.parked_wakers < self.live_tasks {
-            self.parked_wakers += 1;
-        } else {
-            s.waker = None;
-        }
         self.task_free = slot;
         self.live_tasks -= 1;
     }
@@ -740,36 +716,16 @@ impl Sim {
         self.core.borrow().calendar_stats()
     }
 
-    fn drain_wakes(&self) {
-        let mut core = self.core.borrow_mut();
-        let core = &mut *core;
-        // A load, and a store only when it read `true`: the dispatch loop
-        // asks on every turn, and a swap would pay a locked instruction
-        // to hear "no". The queue is synchronised by its own mutex and a
-        // waker pushes *before* it stores `true`, so a push racing this
-        // store is taken below or leaves a spurious `true` — one empty
-        // drain, never a lost wake.
-        use std::sync::atomic::Ordering::{Acquire, Relaxed};
-        if !core.wakes.nonempty.load(Acquire) {
-            return;
-        }
-        core.wakes.nonempty.store(false, Relaxed);
-        // Swap the queue out under the lock, refill `ready` outside it, and
-        // hand the (drained) buffer back so both vectors keep their
-        // capacity: no allocation on the steady-state wake path.
-        let mut woken = std::mem::take(&mut core.wake_scratch);
-        std::mem::swap(&mut woken, &mut *core.wakes.lock());
-        core.ready.extend(woken.drain(..));
-        core.wake_scratch = woken;
-    }
-
     fn run_loop(&self, deadline: Option<SimTime>) -> RunReport {
+        let outer = RUNNING.replace(Rc::downgrade(&self.core));
+        // Nothing wakes a task through the `Context` (module docs).
+        let mut cx = Context::from_waker(Waker::noop());
         loop {
             // Dispatch every runnable process at the current instant.
             loop {
-                self.drain_wakes();
                 let (id, task, now) = {
                     let mut core = self.core.borrow_mut();
+                    core.drain_wakes();
                     let Some(id) = core.ready.pop_front() else {
                         break;
                     };
@@ -784,10 +740,8 @@ impl Sim {
                         None => continue,
                     }
                 };
-                // The waker was built once at spawn and travels with the
-                // block; polling allocates nothing. The clock cannot move
-                // during a poll, so `now` is the completion instant.
-                let mut cx = Context::from_waker(&task.waker);
+                // The clock cannot move during a poll, so `now` is the
+                // completion instant.
                 crate::work::count_poll();
                 match task.block.poll(&mut cx, now) {
                     Poll::Ready(()) => {
@@ -838,13 +792,15 @@ impl Sim {
                 None => {
                     // Calendar dry (or deadline passed); if a straggler wake
                     // arrived during the last callback, keep going.
-                    self.drain_wakes();
-                    if self.core.borrow().ready.is_empty() {
+                    let mut core = self.core.borrow_mut();
+                    core.drain_wakes();
+                    if core.ready.is_empty() {
                         break;
                     }
                 }
             }
         }
+        RUNNING.set(outer);
         let core = self.core.borrow();
         RunReport {
             end_time: core.now,
@@ -862,7 +818,7 @@ impl Default for Sim {
 }
 
 /// Recycled executor allocations: the event calendar, slot slab, task
-/// slab, ready queue and wake buffers of a finished [`Sim`], emptied but
+/// slab, ready queue and wake queue of a finished [`Sim`], emptied but
 /// with their capacities kept. Clearing the task slab drops every slot
 /// outright, so slot generations restart at zero exactly as in a cold
 /// [`Sim::new`].
@@ -884,7 +840,6 @@ pub struct SimArena {
     slots: Vec<Slot>,
     tasks: Vec<TaskSlot>,
     ready: VecDeque<TaskId>,
-    wake_scratch: Vec<TaskId>,
     woken: Vec<TaskId>,
 }
 
@@ -907,7 +862,6 @@ impl Sim {
             slots,
             tasks,
             ready,
-            wake_scratch,
             woken,
         } = arena;
         Sim {
@@ -921,14 +875,9 @@ impl Sim {
                 tasks,
                 task_free: NO_FREE,
                 live_tasks: 0,
-                parked_wakers: 0,
                 ready,
+                woken,
                 current: 0,
-                wake_scratch,
-                wakes: Arc::new(WakeQueue {
-                    woken: Mutex::new(woken),
-                    nonempty: std::sync::atomic::AtomicBool::new(false),
-                }),
                 seed,
                 events_processed: 0,
                 tasks_spawned: 0,
@@ -956,26 +905,22 @@ impl Sim {
             mut slots,
             mut tasks,
             mut ready,
-            mut wake_scratch,
-            wakes,
+            mut woken,
             ..
         } = core;
-        // Dropping tasks first releases their wakers (and any resources
-        // their futures captured); slot payloads may hold callbacks that
-        // also capture resources. Both drop with the core already dead.
+        // Dropping tasks releases any resources their futures captured;
+        // slot payloads may hold callbacks that also capture resources.
+        // Both drop with the core already dead.
         tasks.clear();
         slots.clear();
         calendar.clear();
         ready.clear();
-        wake_scratch.clear();
-        let mut woken = std::mem::take(&mut *wakes.lock());
         woken.clear();
         SimArena {
             calendar,
             slots,
             tasks,
             ready,
-            wake_scratch,
             woken,
         }
     }
@@ -1100,17 +1045,9 @@ impl Ctx {
         self.core().borrow().current
     }
 
-    /// Enqueue a wake for `id` through the same queue the task's waker
-    /// would use, preserving wake ordering while skipping the `Waker`
-    /// clone/wake/drop round trip.
+    /// Queue a wake for task `id`, as a [`Parked`] registration does.
     pub(crate) fn wake_task(&self, id: TaskId) {
-        crate::work::count_wake();
-        let core = self.core();
-        let core = core.borrow();
-        core.wakes.lock().push(id);
-        core.wakes
-            .nonempty
-            .store(true, std::sync::atomic::Ordering::Release);
+        wake(&self.core, id);
     }
 
     /// Snapshot of event-calendar internals. See [`Sim::calendar_stats`].
@@ -1161,7 +1098,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// Dropping an unexpired `Sleep` (e.g. the losing arm of a
 /// [`crate::race`] or [`crate::timeout`]) cancels its calendar entry, so
 /// abandoned timers leave at most a tombstone behind instead of a live
-/// waker that fires into nothing.
+/// entry that readies a task that stopped waiting.
 pub struct Sleep {
     core: Weak<RefCell<Core>>,
     deadline: SimTime,
@@ -1189,7 +1126,7 @@ impl Future for Sleep {
             drop(core);
             self.entry = Some(entry);
         }
-        let _ = cx; // woken through the calendar entry, not the waker
+        let _ = cx; // readied by the calendar entry
         Poll::Pending
     }
 }
@@ -1202,9 +1139,7 @@ impl Drop for Sleep {
         let Some(core) = self.core.upgrade() else {
             return;
         };
-        let cancelled = core.borrow_mut().cancel_entry(slot, gen);
-        // Waker drops outside the core borrow.
-        drop(cancelled);
+        core.borrow_mut().cancel_entry(slot, gen);
     }
 }
 
@@ -1270,8 +1205,8 @@ impl<P> Erased for P {}
 
 struct JoinInner<T> {
     value: Option<T>,
-    waker: Option<Waker>,
-    finished_at: Option<SimTime>,
+    joiner: Option<Parked>,
+    finished: bool,
 }
 
 /// The sink of a process spawned for a [`JoinHandle`].
@@ -1281,19 +1216,19 @@ impl<T> Default for JoinCell<T> {
     fn default() -> Self {
         JoinCell(RefCell::new(JoinInner {
             value: None,
-            waker: None,
-            finished_at: None,
+            joiner: None,
+            finished: false,
         }))
     }
 }
 
 impl<T> Sink<T> for JoinCell<T> {
-    fn complete(&self, value: T, at: SimTime) {
+    fn complete(&self, value: T, _at: SimTime) {
         let mut st = self.0.borrow_mut();
         st.value = Some(value);
-        st.finished_at = Some(at);
-        if let Some(w) = st.waker.take() {
-            w.wake();
+        st.finished = true;
+        if let Some(joiner) = st.joiner.take() {
+            joiner.wake();
         }
     }
 }
@@ -1308,16 +1243,6 @@ pub struct JoinHandle<T> {
 }
 
 impl<T> JoinHandle<T> {
-    /// True once the process has completed.
-    pub fn is_finished(&self) -> bool {
-        self.finished_at().is_some()
-    }
-
-    /// The simulated time at which the process completed, once it has.
-    pub fn finished_at(&self) -> Option<SimTime> {
-        self.block.sink.0.borrow().finished_at
-    }
-
     /// Take the result if the process has completed (non-blocking).
     pub fn try_take(&self) -> Option<T> {
         self.block.sink.0.borrow_mut().value.take()
@@ -1326,16 +1251,16 @@ impl<T> JoinHandle<T> {
 
 impl<T> Future for JoinHandle<T> {
     type Output = T;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<T> {
         let mut st = self.block.sink.0.borrow_mut();
         if let Some(v) = st.value.take() {
             return Poll::Ready(v);
         }
         assert!(
-            st.finished_at.is_none(),
+            !st.finished,
             "JoinHandle polled after its value was already taken"
         );
-        st.waker = Some(cx.waker().clone());
+        st.joiner = Some(Parked::current());
         Poll::Pending
     }
 }
@@ -1893,22 +1818,6 @@ mod tests {
     }
 
     #[test]
-    fn finished_at_is_the_completion_instant() {
-        let sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let h = sim.spawn(async move {
-            ctx.sleep(SimDuration::from_nanos(40)).await;
-        });
-        // A later event, so "when the run ended" is not the answer.
-        let ctx = sim.ctx();
-        sim.spawn(async move { ctx.sleep(SimDuration::from_nanos(90)).await });
-        assert_eq!(h.finished_at(), None);
-        sim.run();
-        assert_eq!(h.finished_at(), Some(SimTime::from_nanos(40)));
-        assert!(h.is_finished());
-    }
-
-    #[test]
     fn dropped_handle_detaches_the_process() {
         let sim = Sim::new(0);
         let ctx = sim.ctx();
@@ -1945,7 +1854,6 @@ mod tests {
         let ctx = sim.ctx();
         sim.spawn(async move { ctx.sleep(SimDuration::from_nanos(50)).await });
         sim.run_until(SimTime::from_nanos(10));
-        assert!(h.is_finished());
         assert_eq!(drops.get(), 1, "the capture outlived its process");
         // Neither tearing the simulation down nor recycling it reaches
         // the result: the join state is the handle's.
@@ -1988,6 +1896,29 @@ mod tests {
         assert!(sim.run().is_clean());
         assert_eq!(joiner.try_take(), Some("done"));
         assert_eq!(polls.get(), 2);
+    }
+
+    /// Wakes wait apart from the ready queue and join it at the next
+    /// dispatch, so a task spawned after a wake within one poll is
+    /// polled before the task that wake readied.
+    #[test]
+    fn a_spawn_after_a_wake_in_one_poll_runs_first() {
+        let sim = Sim::new(0);
+        let order: Rc<RefCell<Vec<&str>>> = Rc::default();
+        let (tx, rx) = crate::sync::oneshot::<()>();
+        let log = order.clone();
+        sim.spawn(async move {
+            let _ = rx.await;
+            log.borrow_mut().push("woken");
+        });
+        let (ctx, log) = (sim.ctx(), order.clone());
+        sim.spawn(async move {
+            ctx.sleep(SimDuration::from_nanos(1)).await;
+            let _ = tx.send(());
+            ctx.spawn(async move { log.borrow_mut().push("spawned") });
+        });
+        assert!(sim.run().is_clean());
+        assert_eq!(*order.borrow(), ["spawned", "woken"]);
     }
 
     /// Tearing a simulation down with parked tasks drops every value a

@@ -681,10 +681,9 @@ impl Link {
                 let p = class.queue.pop().expect("peeked a pending flow");
                 bytes_moved += p.counted_bytes;
                 // Mark done first — the woken future's re-poll looks at
-                // the slot state. Waking goes through the executor's
-                // ordinary wake queue (same ordering as a waker would
-                // produce) and touches neither the link nor any
-                // allocation.
+                // the slot state. Waking goes through the executor's one
+                // wake queue, by task id, and touches neither the link
+                // nor any allocation.
                 let prev =
                     std::mem::replace(&mut inner.flows[p.slot as usize].state, FlowState::Finished);
                 match prev {
@@ -798,8 +797,7 @@ impl Future for TransferFut {
         } else {
             fs.state = FlowState::Parked(task);
             drop(inner);
-            // Woken directly by task id on completion; no waker wraps
-            // exist in this workspace (see `EventKind::WakeTask`).
+            // Woken by task id on completion, as every task is.
             let _ = cx;
             Poll::Pending
         }

@@ -9,22 +9,18 @@
 //! cancellation-safe: dropping a pending wait future removes it from the
 //! wait queue and, for [`Semaphore`], returns any permits that were granted
 //! but never observed.
+//!
+//! A waiter is parked by its task id, never by the poll's
+//! `Waker`: these primitives must be awaited by a simulation's tasks.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-/// Park `cx`'s waker in `slot`. A re-poll by the task already parked
-/// there (the common case) clones and drops nothing.
-fn register(slot: &mut Option<Waker>, cx: &Context<'_>) {
-    match slot {
-        Some(parked) => parked.clone_from(cx.waker()),
-        None => *slot = Some(cx.waker().clone()),
-    }
-}
+use crate::executor::Parked;
 
 // ---------------------------------------------------------------------------
 // oneshot
@@ -34,7 +30,7 @@ fn register(slot: &mut Option<Waker>, cx: &Context<'_>) {
 pub fn oneshot<T>() -> (OneSender<T>, OneReceiver<T>) {
     let st = Rc::new(RefCell::new(OneState {
         value: None,
-        waker: None,
+        receiver: None,
         closed: false,
     }));
     (OneSender { st: st.clone() }, OneReceiver { st })
@@ -42,7 +38,7 @@ pub fn oneshot<T>() -> (OneSender<T>, OneReceiver<T>) {
 
 struct OneState<T> {
     value: Option<T>,
-    waker: Option<Waker>,
+    receiver: Option<Parked>,
     closed: bool,
 }
 
@@ -76,8 +72,8 @@ impl<T> OneSender<T> {
             return Err(value); // receiver gone
         }
         st.value = Some(value);
-        if let Some(w) = st.waker.take() {
-            w.wake();
+        if let Some(receiver) = st.receiver.take() {
+            receiver.wake();
         }
         Ok(())
     }
@@ -87,15 +83,15 @@ impl<T> Drop for OneSender<T> {
     fn drop(&mut self) {
         let mut st = self.st.borrow_mut();
         st.closed = true;
-        if let Some(w) = st.waker.take() {
-            w.wake();
+        if let Some(receiver) = st.receiver.take() {
+            receiver.wake();
         }
     }
 }
 
 impl<T> Future for OneReceiver<T> {
     type Output = Result<T, RecvError>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Self::Output> {
         let mut st = self.st.borrow_mut();
         if let Some(v) = st.value.take() {
             return Poll::Ready(Ok(v));
@@ -103,7 +99,7 @@ impl<T> Future for OneReceiver<T> {
         if st.closed {
             return Poll::Ready(Err(RecvError));
         }
-        register(&mut st.waker, cx);
+        st.receiver = Some(Parked::current());
         Poll::Pending
     }
 }
@@ -116,7 +112,7 @@ impl<T> Future for OneReceiver<T> {
 pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
     let st = Rc::new(RefCell::new(ChanState {
         queue: VecDeque::new(),
-        recv_waker: None,
+        receiver: None,
         senders: 1,
     }));
     (Sender { st: st.clone() }, Receiver { st })
@@ -124,7 +120,7 @@ pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
 
 struct ChanState<T> {
     queue: VecDeque<T>,
-    recv_waker: Option<Waker>,
+    receiver: Option<Parked>,
     senders: usize,
 }
 
@@ -152,8 +148,8 @@ impl<T> Drop for Sender<T> {
         let mut st = self.st.borrow_mut();
         st.senders -= 1;
         if st.senders == 0 {
-            if let Some(w) = st.recv_waker.take() {
-                w.wake();
+            if let Some(receiver) = st.receiver.take() {
+                receiver.wake();
             }
         }
     }
@@ -164,8 +160,8 @@ impl<T> Sender<T> {
     pub fn send(&self, value: T) {
         let mut st = self.st.borrow_mut();
         st.queue.push_back(value);
-        if let Some(w) = st.recv_waker.take() {
-            w.wake();
+        if let Some(receiver) = st.receiver.take() {
+            receiver.wake();
         }
     }
 }
@@ -195,7 +191,7 @@ pub struct Recv<'a, T> {
 
 impl<T> Future for Recv<'_, T> {
     type Output = Option<T>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Self::Output> {
         let mut st = self.rx.st.borrow_mut();
         if let Some(v) = st.queue.pop_front() {
             return Poll::Ready(Some(v));
@@ -203,7 +199,7 @@ impl<T> Future for Recv<'_, T> {
         if st.senders == 0 {
             return Poll::Ready(None);
         }
-        st.recv_waker = Some(cx.waker().clone());
+        st.receiver = Some(Parked::current());
         Poll::Pending
     }
 }
@@ -222,7 +218,7 @@ enum WaitState {
 struct SemWaiter {
     amount: u64,
     state: WaitState,
-    waker: Option<Waker>,
+    task: Parked,
 }
 
 struct SemState {
@@ -276,55 +272,24 @@ impl Semaphore {
         }
     }
 
-    /// Try to acquire without waiting.
-    pub fn try_acquire(&self, amount: u64) -> Option<Permit> {
-        let mut st = self.st.borrow_mut();
-        if st.waiters.is_empty() && st.permits >= amount {
-            st.permits -= amount;
-            Some(Permit {
-                sem: self.clone(),
-                amount,
-            })
-        } else {
-            None
-        }
-    }
-
     /// Return `amount` permits and hand them to queued waiters in order.
     pub fn add_permits(&self, amount: u64) {
-        {
-            // Fast path: nobody queued, so this is a pure counter bump.
-            let mut st = self.st.borrow_mut();
-            st.permits += amount;
-            if st.waiters.is_empty() {
-                return;
-            }
-        }
-        let mut to_wake = Vec::new();
-        {
-            let mut st = self.st.borrow_mut();
-            while let Some(front) = st.waiters.front().cloned() {
-                let mut w = front.borrow_mut();
-                match w.state {
-                    WaitState::Cancelled => {
-                        drop(w);
-                        st.waiters.pop_front();
-                    }
-                    WaitState::Queued if st.permits >= w.amount => {
-                        st.permits -= w.amount;
-                        w.state = WaitState::Granted;
-                        if let Some(wk) = w.waker.take() {
-                            to_wake.push(wk);
-                        }
-                        drop(w);
-                        st.waiters.pop_front();
-                    }
-                    _ => break,
+        let mut st = self.st.borrow_mut();
+        let st = &mut *st;
+        st.permits += amount;
+        while let Some(front) = st.waiters.front() {
+            let mut w = front.borrow_mut();
+            match w.state {
+                WaitState::Cancelled => {}
+                WaitState::Queued if st.permits >= w.amount => {
+                    st.permits -= w.amount;
+                    w.state = WaitState::Granted;
+                    w.task.wake();
                 }
+                _ => break,
             }
-        }
-        for w in to_wake {
-            w.wake();
+            drop(w);
+            st.waiters.pop_front();
         }
     }
 }
@@ -333,13 +298,6 @@ impl Semaphore {
 pub struct Permit {
     sem: Semaphore,
     amount: u64,
-}
-
-impl Permit {
-    /// Number of permits held.
-    pub fn amount(&self) -> u64 {
-        self.amount
-    }
 }
 
 impl Drop for Permit {
@@ -357,7 +315,7 @@ pub struct Acquire {
 
 impl Future for Acquire {
     type Output = Permit;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Permit> {
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<Permit> {
         let amount = self.amount;
         if let Some(waiter) = &self.waiter {
             let mut w = waiter.borrow_mut();
@@ -372,7 +330,7 @@ impl Future for Acquire {
                     });
                 }
                 WaitState::Queued => {
-                    register(&mut w.waker, cx);
+                    w.task = Parked::current();
                     return Poll::Pending;
                 }
                 WaitState::Cancelled => unreachable!("poll after cancellation"),
@@ -390,7 +348,7 @@ impl Future for Acquire {
         let waiter = Rc::new(RefCell::new(SemWaiter {
             amount,
             state: WaitState::Queued,
-            waker: Some(cx.waker().clone()),
+            task: Parked::current(),
         }));
         st.waiters.push_back(waiter.clone());
         let qlen = st.waiters.len();
@@ -404,17 +362,9 @@ impl Future for Acquire {
 impl Drop for Acquire {
     fn drop(&mut self) {
         if let Some(waiter) = self.waiter.take() {
-            let state = {
-                let mut w = waiter.borrow_mut();
-                let s = w.state;
-                w.state = WaitState::Cancelled;
-                // The waiter stays queued until an `add_permits` pops it;
-                // the task's waker must not stay with it (a clone that
-                // outlives its task costs the task slot's next tenant a
-                // fresh waker block).
-                w.waker = None;
-                s
-            };
+            // The waiter stays queued, a tombstone, until an
+            // `add_permits` pops it.
+            let state = std::mem::replace(&mut waiter.borrow_mut().state, WaitState::Cancelled);
             // If permits were granted but the future was dropped before
             // observing them, refund so they are not leaked.
             if state == WaitState::Granted {
@@ -430,7 +380,7 @@ impl Drop for Acquire {
 
 struct NotifyWaiter {
     notified: bool,
-    waker: Option<Waker>,
+    task: Parked,
 }
 
 /// Edge-triggered notification: waiters park until a notify call.
@@ -451,27 +401,8 @@ impl Notify {
         for w in waiters {
             let mut w = w.borrow_mut();
             w.notified = true;
-            if let Some(wk) = w.waker.take() {
-                wk.wake();
-            }
+            w.task.wake();
         }
-    }
-
-    /// Wake the longest-parked waiter, if any. Returns whether one was
-    /// woken.
-    pub fn notify_one(&self) -> bool {
-        let mut st = self.st.borrow_mut();
-        if st.is_empty() {
-            return false;
-        }
-        let w = st.remove(0);
-        drop(st);
-        let mut w = w.borrow_mut();
-        w.notified = true;
-        if let Some(wk) = w.waker.take() {
-            wk.wake();
-        }
-        true
     }
 
     /// Park until the next notification.
@@ -480,11 +411,6 @@ impl Notify {
             notify: self.clone(),
             waiter: None,
         }
-    }
-
-    /// Number of parked waiters.
-    pub fn waiter_count(&self) -> usize {
-        self.st.borrow().len()
     }
 }
 
@@ -496,21 +422,21 @@ pub struct Wait {
 
 impl Future for Wait {
     type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
         match &self.waiter {
             Some(w) => {
                 let mut w = w.borrow_mut();
                 if w.notified {
                     Poll::Ready(())
                 } else {
-                    register(&mut w.waker, cx);
+                    w.task = Parked::current();
                     Poll::Pending
                 }
             }
             None => {
                 let w = Rc::new(RefCell::new(NotifyWaiter {
                     notified: false,
-                    waker: Some(cx.waker().clone()),
+                    task: Parked::current(),
                 }));
                 self.notify.st.borrow_mut().push(w.clone());
                 self.waiter = Some(w);
@@ -523,7 +449,8 @@ impl Future for Wait {
 impl Drop for Wait {
     fn drop(&mut self) {
         if let Some(w) = self.waiter.take() {
-            // Remove ourselves so notify_one is not wasted on a dead waiter.
+            // Leave the list, so the next notify neither wakes a task
+            // that stopped waiting nor keeps this waiter.
             let mut st = self.notify.st.borrow_mut();
             st.retain(|x| !Rc::ptr_eq(x, &w));
         }
@@ -806,57 +733,30 @@ mod tests {
         assert!(got.get());
     }
 
-    /// A waker counted through its `Arc`, to see who still holds a clone.
-    struct CountedWaker;
-    impl std::task::Wake for CountedWaker {
-        fn wake(self: std::sync::Arc<Self>) {}
-    }
-
+    /// An abandoned waiter (a timed-out RPC attempt) stays queued as a
+    /// tombstone; grants skip it and still go in arrival order.
     #[test]
-    fn dropped_queued_acquire_keeps_no_waker_and_fifo_order_holds() {
-        use std::sync::Arc;
-        let sem = Semaphore::new(0);
-        let counted = Arc::new(CountedWaker);
-        let waker = Waker::from(counted.clone());
-        let mut cx = Context::from_waker(&waker);
-        let mut queue: Vec<_> = (0..3).map(|_| Box::pin(sem.acquire(1))).collect();
-        for acq in &mut queue {
-            assert!(acq.as_mut().poll(&mut cx).is_pending());
-            // Re-polled by the same task: no second clone.
-            assert!(acq.as_mut().poll(&mut cx).is_pending());
-        }
-        assert_eq!(Arc::strong_count(&counted), 2 + 3);
-        // The middle waiter is abandoned (a timed-out RPC attempt). It
-        // stays queued as a tombstone, but lets go of the waker at once.
-        drop(queue.remove(1));
-        assert_eq!(sem.queue_len(), 3);
-        assert_eq!(Arc::strong_count(&counted), 2 + 2);
-        // Grants still go to the survivors in arrival order.
-        sem.add_permits(1);
-        assert!(queue[1].as_mut().poll(&mut cx).is_pending());
-        let first = queue[0].as_mut().poll(&mut cx);
-        assert!(first.is_ready());
-        drop(first);
-        assert!(queue[1].as_mut().poll(&mut cx).is_ready());
-        assert_eq!(sem.queue_len(), 0);
-        assert_eq!(Arc::strong_count(&counted), 2);
-    }
-
-    #[test]
-    fn try_acquire_respects_queue() {
+    fn a_dropped_queued_acquire_keeps_fifo_order() {
         let sim = Sim::new(0);
-        let sem = Semaphore::new(1);
-        let p = sem.try_acquire(1).unwrap();
-        assert!(sem.try_acquire(1).is_none());
-        // Park a waiter, then release: try_acquire must not barge.
-        let sem2 = sem.clone();
-        let h = sim.spawn(async move {
-            let _p = sem2.acquire(1).await;
-            true
-        });
-        drop(p);
-        sim.run();
-        assert_eq!(h.try_take(), Some(true));
+        let sem = Semaphore::new(0);
+        let order: Rc<RefCell<Vec<u32>>> = Rc::default();
+        for i in 0..3u32 {
+            let (sem, order, ctx) = (sem.clone(), order.clone(), sim.ctx());
+            sim.spawn(async move {
+                let patience = SimDuration::from_nanos(if i == 1 { 5 } else { 1_000 });
+                if let Ok(_permit) = crate::timeout(&ctx, patience, sem.acquire(1)).await {
+                    order.borrow_mut().push(i);
+                }
+            });
+        }
+        sim.run_until(crate::SimTime::from_nanos(10));
+        assert_eq!(sem.queue_len(), 3);
+        // Granted from outside any task; the first waiter's permit, handed
+        // back, goes past the tombstone to the third.
+        sem.add_permits(1);
+        assert!(sim.run().is_clean());
+        assert_eq!(*order.borrow(), [0, 2]);
+        assert_eq!(sem.queue_len(), 0);
     }
 
     #[test]
@@ -872,40 +772,13 @@ mod tests {
                 count.set(count.get() + 1);
             });
         }
-        let ctx = sim.ctx();
-        let n2 = n.clone();
+        let (ctx, n2, seen) = (sim.ctx(), n.clone(), count.clone());
         sim.spawn(async move {
             ctx.sleep(SimDuration::from_nanos(1)).await;
-            assert_eq!(n2.waiter_count(), 3);
+            assert_eq!(seen.get(), 0);
             n2.notify_all();
         });
         assert!(sim.run().is_clean());
         assert_eq!(count.get(), 3);
-    }
-
-    #[test]
-    fn notify_one_wakes_in_order() {
-        let sim = Sim::new(0);
-        let n = Notify::new();
-        let order: Rc<RefCell<Vec<u32>>> = Rc::default();
-        for i in 0..3u32 {
-            let n = n.clone();
-            let order = order.clone();
-            let ctx = sim.ctx();
-            sim.spawn(async move {
-                ctx.sleep(SimDuration::from_nanos(i as u64)).await;
-                n.wait().await;
-                order.borrow_mut().push(i);
-            });
-        }
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            for _ in 0..3 {
-                ctx.sleep(SimDuration::from_nanos(10)).await;
-                n.notify_one();
-            }
-        });
-        assert!(sim.run().is_clean());
-        assert_eq!(*order.borrow(), vec![0, 1, 2]);
     }
 }

@@ -20,10 +20,10 @@ pub fn polls() -> u64 {
     POLLS.with(Cell::get)
 }
 
-/// Wakes pushed through a simulation's wake queue on this thread (a
-/// `Waker` fired, or a primitive's direct wake), every simulation summed.
-/// Each takes the queue's mutex. A timer that fires readies its task
-/// without the queue and is not counted.
+/// Wakes pushed onto a simulation's wake queue on this thread (a
+/// primitive of this crate woke its waiter, or a link its transfer),
+/// every simulation summed. A timer that fires readies its task without
+/// the queue and is not counted.
 pub fn wakes() -> u64 {
     WAKES.with(Cell::get)
 }

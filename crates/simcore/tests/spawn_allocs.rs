@@ -1,30 +1,32 @@
-//! What a spawn costs the allocator, and what the saving must not cost.
+//! What a spawn costs the allocator, and what waking by task id must
+//! not cost.
 //!
 //! `Ctx::spawn` is under every per-frame task of every backend (stripe
 //! I/Os, ack publishers, evict passes), so a call it makes is paid
 //! `pairs × frames` times and shows in the benchmark's
-//! `allocs_per_event`. In steady state it makes one — the block that
-//! holds the process and the place its result goes — because a task slot
-//! keeps its waker block across tenants. That reuse is only sound while
-//! no clone of the old tenant's waker survives; the second test holds
-//! one and checks that it can neither wake the slot's next tenant nor
-//! share a block with it. One block is only cheap while no handle
-//! outlives its process by long; the third test spawns into a `JoinSet`,
-//! where nothing does.
+//! `allocs_per_event`. It makes one — the block that holds the process
+//! and the place its result goes — because a task slot holds nothing
+//! else: a parked task is its id, which costs no block. What that must
+//! not cost is a wake reaching the wrong task: a registration left
+//! behind by a finished task, or by a simulation that is gone, must
+//! reach nothing. One block is only cheap while no handle outlives its
+//! process by long; the last test spawns into a `JoinSet`, where nothing
+//! does.
 
-use std::cell::{Cell, RefCell};
-use std::future::poll_fn;
+use std::cell::Cell;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Poll, Waker};
 
-use simcore::{JoinSet, Sim, SimDuration, SimTime};
+use simcore::sync::{channel, oneshot};
+use simcore::{timeout, JoinSet, Sim, SimDuration, SimTime};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 use counting_alloc::calls;
 
-const WHY_ONE: &str = "a steady-state spawn is one allocator call — join state and \
-    process share a block; the waker block stays with the task slot";
+const WHY_ONE: &str = "a spawn is one allocator call — join state and process share \
+    a block, and a task slot holds nothing else";
 
 #[test]
 fn the_10_001st_spawn_costs_one_call_detached_or_joined() {
@@ -56,61 +58,138 @@ fn the_10_001st_spawn_costs_one_call_detached_or_joined() {
     assert_eq!(cost.get(), (1, 1), "{WHY_ONE}");
 }
 
+/// Every slot of a run on a recycled arena is fresh — the slab was
+/// emptied, generations restart at zero — and its spawns cost one call
+/// each: the slab and the ready queue kept their capacity, and a slot
+/// holds nothing but the task. A cold run pays more only where one of
+/// the two grows.
 #[test]
-fn a_waker_kept_past_its_task_cannot_reach_the_slots_next_tenant() {
-    let sim = Sim::new(0);
-    // One task that parks its waker in `seen`, counts its polls in
-    // `polls` and finishes once `done` is set; returns its spawn's cost.
-    let tenant =
-        |seen: &Rc<RefCell<Option<Waker>>>, polls: &Rc<Cell<u32>>, done: &Rc<Cell<bool>>| {
-            let (seen, polls, done) = (seen.clone(), polls.clone(), done.clone());
+fn every_spawn_costs_one_call_fresh_slots_and_recycled_runs_included() {
+    const TASKS: u64 = 1_000;
+    // `TASKS` tasks live at once, each in a slot of its own.
+    let spawn_all = |sim: &Sim| -> Vec<u64> {
+        let spawn = |i: u64| {
+            let c = sim.ctx();
             let before = calls();
-            sim.spawn(poll_fn(move |cx| {
-                polls.set(polls.get() + 1);
-                *seen.borrow_mut() = Some(cx.waker().clone());
-                if done.get() {
-                    Poll::Ready(())
-                } else {
-                    Poll::Pending
-                }
-            }));
+            drop(sim.spawn(async move { c.sleep(SimDuration::from_nanos(1 + i)).await }));
             calls() - before
         };
-    let (seen, polls, done) = (Rc::default(), Rc::default(), Rc::new(Cell::new(true)));
-
-    // Warm-up tenants, each dropping the clone it took before the next is
-    // spawned: the slot's block is re-labelled, a spawn is one call.
+        (0..TASKS).map(spawn).collect()
+    };
+    let sim = Sim::new(0);
+    let cold = spawn_all(&sim);
+    assert!(sim.run().is_clean());
+    // Each of the two is allocated at four and doubles to 1,024: nine calls.
+    let grew = cold.iter().filter(|&&c| c > 1).count();
+    assert!(
+        cold.iter().all(|&c| c >= 1) && grew <= 2 * 9,
+        "{grew} spawns paid more than one call"
+    );
+    let mut arena = sim.into_arena();
     for _ in 0..3 {
-        tenant(&seen, &polls, &done);
-        sim.run();
-        seen.borrow_mut().take();
+        let sim = Sim::with_arena(0, arena);
+        let costs = spawn_all(&sim);
+        assert!(costs.iter().all(|&c| c == 1), "{WHY_ONE}: {costs:?}");
+        assert!(sim.run().is_clean());
+        arena = sim.into_arena();
     }
-    assert_eq!(tenant(&seen, &polls, &done), 1);
-    sim.run();
+}
 
-    // This tenant's clone outlives it.
-    let stale = seen.borrow_mut().take().expect("the tenant ran");
-    polls.set(0);
-    done.set(false);
-    // The next tenant takes the same slot (the only vacant one) and must
-    // get a block of its own: exactly here a spawn costs a second call.
-    assert_eq!(tenant(&seen, &polls, &done), 2, "no fresh waker block");
+/// `fut`, counting its polls in `polls`.
+fn counted<F: Future + Unpin>(
+    polls: &Rc<Cell<u32>>,
+    mut fut: F,
+) -> impl Future<Output = F::Output> {
+    let polls = polls.clone();
+    poll_fn(move |cx| {
+        polls.set(polls.get() + 1);
+        Pin::new(&mut fut).poll(cx)
+    })
+}
+
+/// A task parked on a channel stops waiting (its timer wins) and
+/// finishes, leaving its registration with the channel. The slot's next
+/// tenant carries a new generation, so the send that wakes the stale
+/// registration dies at the generation check and never polls the tenant.
+#[test]
+fn a_stale_registration_cannot_reach_the_slots_next_tenant() {
+    let sim = Sim::new(0);
+    let ctx = sim.ctx();
+    let (tx, mut rx) = channel::<u32>();
+    let gave_up = sim.spawn(async move {
+        let patience = SimDuration::from_nanos(5);
+        timeout(&ctx, patience, rx.recv()).await.is_err()
+    });
+    assert!(sim.run().is_clean());
+    assert_eq!(gave_up.try_take(), Some(true));
+    // The tenant takes the finished task's slot, the only vacant one.
+    let polls = Rc::new(Cell::new(0));
+    let (go, wait) = oneshot::<()>();
+    let tenant = sim.spawn(counted(&polls, wait));
     sim.run();
     assert_eq!(polls.get(), 1);
-    let current = seen.borrow_mut().take().expect("the tenant ran");
-    assert!(!stale.will_wake(&current), "one block, two tenants");
-    // The stale waker still names the finished task: its wake dies at
-    // the slot's generation check.
-    stale.wake_by_ref();
+    tx.send(7);
+    sim.run();
+    assert_eq!(polls.get(), 1, "a stale wake polled the slot's next tenant");
+    // The tenant's own registration works.
+    go.send(()).unwrap();
+    assert!(sim.run().is_clean());
+    assert_eq!((polls.get(), tenant.try_take()), (2, Some(Ok(()))));
+}
+
+/// A wake from outside any task, between two slices of a run, waits in
+/// the wake queue and is delivered when the next slice starts, at the
+/// instant the last one stopped.
+#[test]
+fn a_wake_between_two_slices_is_delivered_at_the_next() {
+    let sim = Sim::new(0);
+    let ctx = sim.ctx();
+    let (tx, mut rx) = channel::<u32>();
+    let got = sim.spawn(async move { (rx.recv().await, ctx.now()) });
+    // A later timer, so the first slice stops at its deadline.
+    let ctx = sim.ctx();
+    sim.spawn(async move { ctx.sleep(SimDuration::from_nanos(100)).await });
+    let ns = SimTime::from_nanos;
+    assert_eq!(sim.run_until(ns(10)).deadlocked_tasks, 2);
+    tx.send(3);
+    assert_eq!(got.try_take(), None);
+    assert_eq!(sim.run_until(ns(20)).deadlocked_tasks, 1);
+    assert_eq!(got.try_take(), Some((Some(3), ns(10))));
+    assert!(sim.run().is_clean());
+}
+
+/// A registration can outlive its simulation. A wake through it then
+/// does nothing: not after the `Sim` is dropped, and not from a task of
+/// the run that recycled it, whose first task has the very id the stale
+/// registration names (slot 0, generation 0).
+#[test]
+fn a_wake_after_the_sim_is_gone_is_a_no_op() {
+    // Leaves one task parked on a channel's receiver.
+    let park = |sim: &Sim| {
+        let (tx, mut rx) = channel::<u32>();
+        sim.spawn(async move { rx.recv().await });
+        assert_eq!(sim.run().deadlocked_tasks, 1);
+        tx
+    };
+    let sim = Sim::new(0);
+    let tx = park(&sim);
+    drop(sim);
+    tx.send(1);
+
+    let sim = Sim::new(0);
+    let tx = park(&sim);
+    let sim = Sim::with_arena(0, sim.into_arena());
+    let polls = Rc::new(Cell::new(0));
+    let (go, wait) = oneshot::<()>();
+    sim.spawn(counted(&polls, wait));
+    sim.spawn(async move { tx.send(1) });
     sim.run();
     assert_eq!(
         polls.get(),
         1,
-        "a stale wake reached the slot's next tenant"
+        "a recycled simulation's wake polled this run's task"
     );
-    // The tenant's own waker works.
-    done.set(true);
-    current.wake_by_ref();
+    go.send(()).unwrap();
     assert!(sim.run().is_clean());
     assert_eq!(polls.get(), 2);
 }
@@ -129,8 +208,8 @@ fn a_join_set_member_costs_one_call_and_drops_its_captures_at_completion() {
     }
     let sim = Sim::new(0);
     let ctx = sim.ctx();
-    // Four finished tasks leave four vacant slots, each with its waker
-    // block: vacant slots keep one per live task, and eight are live.
+    // Four finished tasks leave four vacant slots beside eight live
+    // ones, so the set's spawns grow nothing.
     for _ in 0..8 {
         let c = ctx.clone();
         sim.spawn(async move { c.sleep(SimDuration::from_nanos(1_000)).await });
