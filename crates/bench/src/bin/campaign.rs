@@ -3,9 +3,8 @@
 //! Measures the same study grid three ways — cold-serial (every run
 //! pays full setup, as `run_once` loops did before the executor),
 //! warm-serial (one worker, shared snapshots + recycled arena) and
-//! warm-parallel (all workers) — plus a single-run cold-vs-warm A/B on
-//! an STMV cell. Emits `BENCH_PR6.json` with runs/minute, the
-//! setup-vs-sim split, and the amortization ratios so CI can gate on
+//! warm-parallel (all workers). Emits `BENCH_PR6.json` with runs/minute,
+//! the setup-vs-sim split, and the amortization ratio so CI can gate on
 //! the warm-start win staying real.
 //!
 //! Modes:
@@ -13,12 +12,11 @@
 //! * `campaign` — run the grid, print a table, write `BENCH_PR6.json`
 //!   (into `--out DIR`, default the current directory).
 //! * `campaign --check BASELINE.json` — additionally fail (exit 1) if
-//!   the warm-over-cold ratio, the single-run improvement or the
-//!   setup-fraction ceiling regressed more than `CAMPAIGN_TOLERANCE`
-//!   (default 0.25) versus the baseline. All three are ratios of this
-//!   host against itself; absolute throughput is `perf`'s to check
-//!   (`events_per_s` on `paper_suite`, parent against change with the
-//!   host-slowdown yardstick).
+//!   the warm-over-cold ratio or the setup-fraction ceiling regressed
+//!   more than `CAMPAIGN_TOLERANCE` (default 0.25) versus the baseline.
+//!   Both are ratios of this host against itself; absolute throughput
+//!   is `perf`'s to check (`events_per_s` on `paper_suite`, parent
+//!   against change with the host-slowdown yardstick).
 //!
 //! Scale knobs: `CAMPAIGN_REPS` (default 4) and `CAMPAIGN_FRAMES`
 //! (default 16). The checked-in baseline is captured at the CI grid
@@ -183,65 +181,7 @@ fn measure_jobs_sweep(studies: &[StudyConfig], runs: usize) -> Vec<JobsPoint> {
         .collect()
 }
 
-struct SingleRun {
-    model: Model,
-    cold_secs: f64,
-    warm_secs: f64,
-}
-
-impl SingleRun {
-    fn improvement(&self) -> f64 {
-        self.cold_secs / self.warm_secs.max(1e-9)
-    }
-}
-
-/// Single-run A/B on an STMV cell: a cold run rebuilds its snapshot
-/// and executor; warm runs share one snapshot and recycle the executor
-/// arena.
-fn measure_single_run() -> SingleRun {
-    let model = Model::Stmv;
-    let wf = WorkflowConfig::new(Solution::Dyad, 4, Placement::Split { pairs_per_node: 8 })
-        .with_model(model)
-        .with_frames(2);
-    let cal = Calibration::corona();
-    let n = 3u64;
-    let _ = run_once(&wf, &cal, 0xA11CE); // untimed warmup
-
-    let mut cold_secs = f64::INFINITY;
-    for _ in 0..rounds() {
-        let t0 = Instant::now();
-        for i in 0..n {
-            let _ = run_once(&wf, &cal, 0xA11CE + i);
-        }
-        cold_secs = cold_secs.min(t0.elapsed().as_secs_f64() / n as f64);
-    }
-
-    // Snapshot preparation is inside the timed region: the warm number
-    // is the honest amortized per-run cost including one-time setup.
-    let mut warm_secs = f64::INFINITY;
-    for _ in 0..rounds() {
-        let t0 = Instant::now();
-        let snap = ClusterSnapshot::new(&wf, &cal);
-        let mut arena = RunArena::new();
-        for i in 0..n {
-            let _ = run_once_warm(&snap, 0xA11CE + i, &mut arena);
-        }
-        warm_secs = warm_secs.min(t0.elapsed().as_secs_f64() / n as f64);
-    }
-    SingleRun {
-        model,
-        cold_secs,
-        warm_secs,
-    }
-}
-
-fn record(
-    c: &CampaignNumbers,
-    s: &SingleRun,
-    sweep: &[JobsPoint],
-    reps: u64,
-    frames: u64,
-) -> serde_json::Value {
+fn record(c: &CampaignNumbers, sweep: &[JobsPoint], reps: u64, frames: u64) -> serde_json::Value {
     let base_rpm = sweep.first().map(|p| p.rpm).unwrap_or(0.0);
     let sweep_rows: Vec<serde_json::Value> = sweep
         .iter()
@@ -280,23 +220,11 @@ fn record(
             ]),
         ),
         ("jobs_sweep", serde_json::Value::Array(sweep_rows)),
-        (
-            "single_run",
-            obj(vec![
-                (
-                    "model",
-                    serde_json::Value::String(s.model.name().to_string()),
-                ),
-                ("cold_secs", num_f64(s.cold_secs)),
-                ("warm_secs", num_f64(s.warm_secs)),
-                ("improvement", num_f64(s.improvement())),
-            ]),
-        ),
         ("peak_rss_bytes", num_u64(rss_peak_bytes())),
     ])
 }
 
-fn check_baseline(c: &CampaignNumbers, s: &SingleRun, baseline_path: &str) -> bool {
+fn check_baseline(c: &CampaignNumbers, baseline_path: &str) -> bool {
     let tolerance: f64 = env_or("CAMPAIGN_TOLERANCE", 0.25);
     let raw = match std::fs::read_to_string(baseline_path) {
         Ok(r) => r,
@@ -307,27 +235,17 @@ fn check_baseline(c: &CampaignNumbers, s: &SingleRun, baseline_path: &str) -> bo
     };
     let base: serde_json::Value = serde_json::from_str(&raw).expect("baseline json");
     let mut ok = true;
-    // Ratio gates are machine-independent: they compare this host
-    // against itself.
-    let mut gate_floor = |what: &str, cur: f64, base: f64| {
-        if base > 0.0 && cur < base * (1.0 - tolerance) {
-            eprintln!(
-                "campaign: REGRESSION {what}: {cur:.2} vs baseline {base:.2} (> {:.0}% below)",
-                tolerance * 100.0
-            );
-            ok = false;
-        }
-    };
-    gate_floor(
-        "warm_over_cold",
-        c.warm_serial_rpm / c.cold_serial_rpm.max(1e-9),
-        base["campaign"]["warm_over_cold"].as_f64().unwrap_or(0.0),
-    );
-    gate_floor(
-        "single_run.improvement",
-        s.improvement(),
-        base["single_run"]["improvement"].as_f64().unwrap_or(0.0),
-    );
+    // Both gates are machine-independent: they compare this host against
+    // itself.
+    let ratio = c.warm_serial_rpm / c.cold_serial_rpm.max(1e-9);
+    let floor = base["campaign"]["warm_over_cold"].as_f64().unwrap_or(0.0);
+    if floor > 0.0 && ratio < floor * (1.0 - tolerance) {
+        eprintln!(
+            "campaign: REGRESSION warm_over_cold: {ratio:.2} vs baseline {floor:.2} (> {:.0}% below)",
+            tolerance * 100.0
+        );
+        ok = false;
+    }
     let base_fraction = base["campaign"]["setup_fraction_warm"]
         .as_f64()
         .unwrap_or(1.0);
@@ -387,23 +305,15 @@ fn main() {
             p.rpm / sweep_base.max(1e-9)
         );
     }
-    let s = measure_single_run();
-    println!(
-        "  single run ({}, 8 pairs): cold {:.3} s -> warm {:.3} s ({:.2}x)",
-        s.model,
-        s.cold_secs,
-        s.warm_secs,
-        s.improvement()
-    );
     println!("  peak RSS: {} MiB", rss_peak_bytes() / (1 << 20));
 
     write_record(
         &args,
         "BENCH_PR6.json",
-        &record(&c, &s, &sweep, reps as u64, frames),
+        &record(&c, &sweep, reps as u64, frames),
     );
     if let Some(baseline) = flag_value(&args, "--check") {
-        if !check_baseline(&c, &s, baseline) {
+        if !check_baseline(&c, baseline) {
             std::process::exit(1);
         }
         println!("  perf check vs {baseline}: OK");
