@@ -761,3 +761,48 @@ fn a_stalled_run_is_a_catchable_panic() {
         "{msg}"
     );
 }
+
+/// Consumed, typed-lost and given-up step deliveries of a streaming
+/// fan-out run under `chaos(42, 2)` at run seed 7, 8 groups per node,
+/// against the deliveries planned (steps × subscribers).
+fn stream_deliveries(groups: u32, steps: u64, fanout: u32) -> (u64, u64) {
+    let wf = WorkflowConfig::new(
+        Solution::Streaming,
+        groups,
+        Placement::Split { pairs_per_node: 8 },
+    )
+    .with_frames(steps)
+    .with_fanout(fanout)
+    .with_faults(FaultConfig::chaos(42, 2));
+    let m = run_once(&wf, &Calibration::corona(), 7);
+    let accounted =
+        m.streaming.steps_consumed + m.faults.frames_lost_observed + m.faults.consume_failures;
+    (accounted, u64::from(groups * fanout) * steps)
+}
+
+/// A crash of the publishers' node loses the steps staged there; the
+/// restart tombstones them, and each subscriber reads the tombstone as a
+/// typed loss and never acks. The publisher's window once kept those
+/// steps open: at 3 groups × 40 steps × fan-out 4 a publisher sat on a
+/// window of lost steps while its subscribers waited for steps it could
+/// not publish, until the hard stop. Every delivery now ends consumed or
+/// typed as lost.
+#[test]
+fn a_step_lost_in_a_crash_frees_its_window_slot() {
+    let (accounted, total) = stream_deliveries(3, 40, 4);
+    assert_eq!(
+        accounted, total,
+        "a delivery is neither consumed nor typed as lost"
+    );
+}
+
+/// The same fault plan at 4 groups × 64 steps × fan-out 4 spun past a
+/// 150 s host timeout for the same reason.
+#[test]
+fn the_streaming_shape_finishes_under_chaos() {
+    let (accounted, total) = stream_deliveries(4, 64, 4);
+    assert_eq!(
+        accounted, total,
+        "a delivery is neither consumed nor typed as lost"
+    );
+}

@@ -44,7 +44,7 @@ use simcore::resource::FifoResource;
 use simcore::{Ctx, SimDuration};
 use transport::{AmId, Bulk, Endpoint, Payload, Transport, TransportError};
 
-use crate::{ack_key, spill_path, FrameLocation, FrameMeta, StagingManager};
+use crate::{ack_key, spill_path, FrameLocation, FrameMeta, FrameState, StagingManager};
 
 /// What differs between the backends of the staged plane. The region
 /// names are what pinned traces, Thicket queries and `mdflow::report`
@@ -300,6 +300,13 @@ impl Plane {
     /// The fault board, when one is attached to the transport.
     pub fn faults(&self) -> Option<faults::FaultBoard> {
         self.ep.faults()
+    }
+
+    /// Whether this node's staging manager holds `path` as
+    /// [`FrameState::Lost`]: a crash took every copy, and its tombstone
+    /// is all a consumer will find.
+    pub fn is_lost(&self, path: &str) -> bool {
+        self.staging.as_ref().and_then(|st| st.frame_state(path)) == Some(FrameState::Lost)
     }
 
     /// Operation counters.

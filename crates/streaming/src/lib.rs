@@ -220,6 +220,12 @@ impl StreamWindow {
         reclaimed
     }
 
+    /// Forget every open step whose path `lost` names: its frame is gone,
+    /// so no subscriber will ever ack it.
+    fn forget_lost(&mut self, lost: impl Fn(&str) -> bool) {
+        self.pending.retain(|_, p| !lost(&p.path));
+    }
+
     /// Every outstanding `(step, path, waiters)`, oldest step first.
     pub fn entries(&self) -> Vec<(u64, String, Vec<StreamAcker>)> {
         self.pending
@@ -486,11 +492,16 @@ impl StreamPublisher {
         }
     }
 
-    /// Drop outstanding acks owed by subscribers on crashed nodes.
+    /// Drop outstanding acks owed by subscribers on crashed nodes, and
+    /// every step a crash of this node lost: its subscribers read the
+    /// tombstone as a typed loss and never ack it, with or without
+    /// `reclaim_on_crash`.
     fn reclaim_crashed(&mut self, board: Option<&FaultBoard>) {
         let Some(board) = board else {
             return;
         };
+        let plane = &self.svc.plane;
+        self.window.forget_lost(|path| plane.is_lost(path));
         if !self.svc.spec.reclaim_on_crash {
             return;
         }
