@@ -9,10 +9,9 @@
 
 #![warn(missing_docs)]
 
-/// A dense symmetric contact matrix over `n` selected atoms.
+/// A dense symmetric contact matrix over `n` selected atoms, row-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ContactMatrix {
-    n: usize,
     data: Vec<f64>,
 }
 
@@ -49,35 +48,7 @@ impl ContactMatrix {
                 }
             })
             .collect();
-        ContactMatrix { n, data }
-    }
-
-    /// Matrix dimension.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True for the empty matrix.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Entry (i, j).
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        self.data[i * self.n + j]
-    }
-
-    /// Number of contacts (off-diagonal 1s, counted once per pair).
-    pub fn contact_count(&self) -> usize {
-        let mut c = 0;
-        for i in 0..self.n {
-            for j in (i + 1)..self.n {
-                if self.get(i, j) > 0.5 {
-                    c += 1;
-                }
-            }
-        }
-        c
+        ContactMatrix { data }
     }
 }
 
@@ -89,11 +60,7 @@ mod tests {
     fn contact_matrix_flags_close_pairs() {
         let pos = vec![[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [10.0, 0.0, 0.0]];
         let cm = ContactMatrix::build(&pos, [100.0; 3], 2.0);
-        assert_eq!(cm.get(0, 1), 1.0);
-        assert_eq!(cm.get(1, 0), 1.0);
-        assert_eq!(cm.get(0, 2), 0.0);
-        assert_eq!(cm.get(0, 0), 1.0);
-        assert_eq!(cm.contact_count(), 1);
+        assert_eq!(cm.data, [1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]
@@ -101,6 +68,6 @@ mod tests {
         // Two atoms separated by 9.5 in a 10-box are 0.5 apart.
         let pos = vec![[0.25, 0.0, 0.0], [9.75, 0.0, 0.0]];
         let cm = ContactMatrix::build(&pos, [10.0; 3], 1.0);
-        assert_eq!(cm.get(0, 1), 1.0);
+        assert_eq!(cm.data, [1.0, 1.0, 1.0, 1.0]);
     }
 }

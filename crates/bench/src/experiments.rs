@@ -16,7 +16,7 @@ use crate::{
 };
 
 /// An experiment's labelled reports, in the order of its grid.
-pub type Rows = [(String, StudyReport)];
+pub(crate) type Rows = [(String, StudyReport)];
 
 /// One row of the experiment table.
 pub struct Experiment {

@@ -66,7 +66,7 @@ pub fn check_flags(args: &[String], valued: &[&str], bare: &[&str]) -> Result<()
 /// The paper-calibrated study of `wf` at `scale`. Seeding is
 /// `StudyConfig::paper`'s, so a study's report does not depend on which
 /// other studies share its executor invocation.
-pub fn study_at(wf: WorkflowConfig, scale: Scale) -> StudyConfig {
+pub(crate) fn study_at(wf: WorkflowConfig, scale: Scale) -> StudyConfig {
     StudyConfig::paper(wf.with_frames(scale.frames)).with_repetitions(scale.reps)
 }
 
@@ -82,7 +82,7 @@ pub fn fmt_secs(s: f64) -> String {
 }
 
 /// Print one figure bar: label, movement, idle, total.
-pub fn print_bar(label: &str, r: &StudyReport) {
+pub(crate) fn print_bar(label: &str, r: &StudyReport) {
     println!(
         "  {label:<28} prod: move {:>11} idle {:>11} | cons: move {:>11} idle {:>11} | cons total {:>11}",
         fmt_secs(r.production_movement.mean),
@@ -128,7 +128,7 @@ pub fn reports_json(rows: &[(String, StudyReport)]) -> String {
 /// red/blue bar figures. Bars are log-scaled when values span more than
 /// two decades so µs-scale movement stays visible next to near-second
 /// idle bars.
-pub fn render_bars(title: &str, rows: &[(String, f64, f64)]) -> String {
+pub(crate) fn render_bars(title: &str, rows: &[(String, f64, f64)]) -> String {
     const WIDTH: f64 = 56.0;
     let mut out = format!(
         "  {title}
@@ -177,7 +177,7 @@ pub fn render_bars(title: &str, rows: &[(String, f64, f64)]) -> String {
 }
 
 /// Convenience: chart rows from labelled reports (consumption view).
-pub fn consumption_chart(title: &str, rows: &[(String, StudyReport)]) -> String {
+pub(crate) fn consumption_chart(title: &str, rows: &[(String, StudyReport)]) -> String {
     let bars: Vec<(String, f64, f64)> = rows
         .iter()
         .map(|(l, r)| {
@@ -192,7 +192,7 @@ pub fn consumption_chart(title: &str, rows: &[(String, StudyReport)]) -> String 
 }
 
 /// Convenience: chart rows from labelled reports (production view).
-pub fn production_chart(title: &str, rows: &[(String, StudyReport)]) -> String {
+pub(crate) fn production_chart(title: &str, rows: &[(String, StudyReport)]) -> String {
     let bars: Vec<(String, f64, f64)> = rows
         .iter()
         .map(|(l, r)| {

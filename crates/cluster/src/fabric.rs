@@ -173,7 +173,7 @@ impl Fabric {
     /// Build a fabric joining `n_nodes` NICs through the spec's switch
     /// topology. `mem_bw` is the intra-node copy bandwidth used when
     /// source and destination are the same node.
-    pub fn new(ctx: &Ctx, n_nodes: usize, spec: FabricSpec, mem_bw: f64) -> Self {
+    pub(crate) fn new(ctx: &Ctx, n_nodes: usize, spec: FabricSpec, mem_bw: f64) -> Self {
         let nics = (0..n_nodes)
             .map(|_| Nic {
                 tx: SharedBandwidth::new(ctx, spec.link_bw),
@@ -231,18 +231,13 @@ impl Fabric {
         self.nics.len()
     }
 
-    /// The fabric's static parameters.
-    pub fn spec(&self) -> FabricSpec {
-        self.spec
-    }
-
     fn nic(&self, node: NodeId) -> &Nic {
         &self.nics[node.0 as usize]
     }
 
     /// One-way end-to-end message latency excluding payload streaming
     /// (intra-leaf / flat path: node→switch→node).
-    pub fn base_latency(&self) -> SimDuration {
+    pub(crate) fn base_latency(&self) -> SimDuration {
         self.spec.msg_overhead + self.spec.hop_latency * 2
     }
 
@@ -333,22 +328,6 @@ impl Fabric {
     /// Ingress statistics for a node's NIC.
     pub fn rx_stats(&self, node: NodeId) -> BwStats {
         self.nic(node).rx.stats()
-    }
-
-    /// Number of leaf switches actually instantiated (1 for a flat
-    /// fabric or a leaf/spine that degenerated to a single leaf).
-    pub fn n_leaves(&self) -> usize {
-        self.tiers.as_ref().map_or(1, |t| t.leaves.len())
-    }
-
-    /// Uplink statistics for leaf `leaf`, when switch tiers exist.
-    pub fn uplink_stats(&self, leaf: usize) -> Option<BwStats> {
-        Some(self.tiers.as_ref()?.leaves.get(leaf)?.up.stats())
-    }
-
-    /// Spine statistics, when switch tiers exist.
-    pub fn spine_stats(&self) -> Option<BwStats> {
-        Some(self.tiers.as_ref()?.spine.stats())
     }
 }
 
@@ -476,7 +455,7 @@ mod tests {
         let sim = Sim::new(0);
         let ctx = sim.ctx();
         let f = ls_fabric(&sim, 4, 2, 1.0);
-        assert_eq!(f.n_leaves(), 2);
+        assert_eq!(f.tiers.as_ref().unwrap().leaves.len(), 2);
         let h = sim.spawn(async move {
             f.send(NodeId(0), NodeId(1), 0).await; // intra-leaf: 2 hops
             let intra = ctx.now();
@@ -496,8 +475,7 @@ mod tests {
         let sim = Sim::new(0);
         let ctx = sim.ctx();
         let f = ls_fabric(&sim, 2, 64, 1.0);
-        assert_eq!(f.n_leaves(), 1);
-        assert!(f.spine_stats().is_none());
+        assert!(f.tiers.is_none());
         let h = sim.spawn(async move {
             f.send(NodeId(0), NodeId(1), 4_000_000_000).await;
             ctx.now().as_secs_f64()
@@ -562,7 +540,13 @@ mod tests {
             let t = h.try_take().unwrap();
             assert!((t - 2.000007).abs() < 1e-5, "took {t}");
         }
-        assert_eq!(f.uplink_stats(0).unwrap().peak_concurrency, 2);
+        assert_eq!(
+            f.tiers.as_ref().unwrap().leaves[0]
+                .up
+                .stats()
+                .peak_concurrency,
+            2
+        );
     }
 
     #[test]
@@ -578,8 +562,11 @@ mod tests {
         sim.run();
         let t = h.try_take().unwrap();
         assert!((t - 1.000004).abs() < 1e-6, "took {t}");
-        assert_eq!(f.uplink_stats(0).unwrap().flows_served, 0);
-        assert_eq!(f.spine_stats().unwrap().flows_served, 0);
+        assert_eq!(
+            f.tiers.as_ref().unwrap().leaves[0].up.stats().flows_served,
+            0
+        );
+        assert_eq!(f.tiers.as_ref().unwrap().spine.stats().flows_served, 0);
     }
 
     mod conservation {
@@ -644,7 +631,7 @@ mod tests {
         sim.run();
         assert_eq!(f.tx_stats(NodeId(0)).bytes_moved, 1_000_000);
         assert_eq!(f.rx_stats(NodeId(2)).bytes_moved, 1_000_000);
-        assert_eq!(f.spine_stats().unwrap().bytes_moved, 0);
-        assert_eq!(f.spine_stats().unwrap().flows_served, 1);
+        assert_eq!(f.tiers.as_ref().unwrap().spine.stats().bytes_moved, 0);
+        assert_eq!(f.tiers.as_ref().unwrap().spine.stats().flows_served, 1);
     }
 }

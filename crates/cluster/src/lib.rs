@@ -1,7 +1,7 @@
 //! # cluster — a simulated HPC machine
 //!
 //! Substrate for the DYAD reproduction: a deterministic model of the
-//! paper's testbed (LLNL Corona). A [`Cluster`] is a set of [`Node`]s —
+//! paper's testbed (LLNL Corona). A [`Cluster`] is a set of `Node`s —
 //! each with a node-local [`NvmeDevice`] — joined by a
 //! [`Fabric`] modelling per-NIC bandwidth contention and wire latency,
 //! with RDMA read/write primitives.
@@ -18,5 +18,5 @@ mod node;
 mod topology;
 
 pub use fabric::{Fabric, FabricSpec, TopologySpec};
-pub use node::{Node, NodeId, NodeSpec, NvmeDevice};
+pub use node::{NodeId, NodeSpec, NvmeDevice};
 pub use topology::{Cluster, ClusterSpec};

@@ -127,11 +127,6 @@ impl NvmeDevice {
         }
     }
 
-    /// Per-operation latency.
-    pub fn op_latency(&self) -> SimDuration {
-        self.op_latency
-    }
-
     /// Write-channel statistics.
     pub fn write_stats(&self) -> BwStats {
         self.write_bw.stats()
@@ -150,7 +145,7 @@ pub struct Node {
 
 impl Node {
     /// Build a node.
-    pub fn new(ctx: &Ctx, id: NodeId, spec: NodeSpec) -> Self {
+    pub(crate) fn new(ctx: &Ctx, id: NodeId, spec: NodeSpec) -> Self {
         Node {
             id,
             spec,

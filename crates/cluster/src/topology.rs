@@ -31,16 +31,6 @@ impl ClusterSpec {
     pub fn corona(n: usize) -> Self {
         ClusterSpec::homogeneous(n, NodeSpec::corona(), FabricSpec::infiniband_qdr())
     }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the spec has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
 }
 
 /// An instantiated cluster living inside one simulation.
@@ -52,7 +42,7 @@ pub struct Cluster {
 impl Cluster {
     /// Instantiate every node and the fabric.
     pub fn build(ctx: &Ctx, spec: &ClusterSpec) -> Self {
-        assert!(!spec.is_empty(), "cluster needs at least one node");
+        assert!(!spec.nodes.is_empty(), "cluster needs at least one node");
         let mem_bw = spec.nodes[0].mem_bw;
         let fabric = Fabric::new(ctx, spec.nodes.len(), spec.fabric, mem_bw);
         let nodes = spec
@@ -69,21 +59,6 @@ impl Cluster {
         self.nodes[id.0 as usize].clone()
     }
 
-    /// All nodes.
-    pub fn nodes(&self) -> &[Rc<Node>] {
-        &self.nodes
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the cluster has no nodes (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// The interconnect.
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
@@ -98,7 +73,7 @@ mod tests {
     #[test]
     fn corona_preset_shapes() {
         let spec = ClusterSpec::corona(4);
-        assert_eq!(spec.len(), 4);
+        assert_eq!(spec.nodes.len(), 4);
         assert!((spec.fabric.link_bw - 4.0e9).abs() < 1.0);
     }
 
@@ -106,7 +81,7 @@ mod tests {
     fn build_wires_nodes_and_fabric() {
         let sim = Sim::new(0);
         let cl = Cluster::build(&sim.ctx(), &ClusterSpec::corona(3));
-        assert_eq!(cl.len(), 3);
+        assert_eq!(cl.nodes.len(), 3);
         assert_eq!(cl.fabric().n_nodes(), 3);
         assert_eq!(cl.node(NodeId(2)).id, NodeId(2));
     }

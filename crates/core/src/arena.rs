@@ -161,11 +161,6 @@ impl ClusterSnapshot {
         }
     }
 
-    /// The workflow this snapshot was prepared for.
-    pub fn workflow(&self) -> &WorkflowConfig {
-        &self.workflow
-    }
-
     /// [`ClusterSnapshot::new`] under the name the frozen benchmark
     /// package (`perf/`) calls; the seed is ignored. DESIGN.md §12.
     #[doc(hidden)]

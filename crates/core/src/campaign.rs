@@ -47,7 +47,7 @@ pub fn host_cores() -> usize {
 /// when unset, else the text (surrounding whitespace aside) as a `T`.
 /// Text that is no `T` is an error naming the variable and the value;
 /// read a count as a `NonZero*`, for which `0` is no value either.
-pub fn parse_env<T>(key: &str, raw: Option<&str>, default: T) -> Result<T, String>
+pub(crate) fn parse_env<T>(key: &str, raw: Option<&str>, default: T) -> Result<T, String>
 where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
@@ -59,7 +59,7 @@ where
     value.map_err(|e| format!("{key}={text:?}: {e}"))
 }
 
-/// [`parse_env`] on the process environment. A value that does not
+/// `parse_env` on the process environment. A value that does not
 /// parse is a usage error like a malformed flag: the message on stderr
 /// and exit 2, not a silent fall back to `default`.
 pub fn env_or<T>(key: &str, default: T) -> T

@@ -120,7 +120,7 @@ const BACKENDS: [BackendRow; 5] = [
 
 impl Solution {
     /// Every solution, in declaration order.
-    pub const ALL: [Solution; 5] = [
+    pub(crate) const ALL: [Solution; 5] = [
         Solution::Dyad,
         Solution::Xfs,
         Solution::Lustre,
@@ -210,7 +210,7 @@ pub enum ManualSync {
 
 impl ManualSync {
     /// Every protocol, in declaration order.
-    pub const ALL: [ManualSync; 4] = [
+    pub(crate) const ALL: [ManualSync; 4] = [
         ManualSync::Coarse,
         ManualSync::Fine,
         ManualSync::Polling,
@@ -218,7 +218,7 @@ impl ManualSync {
     ];
 
     /// Command-line spelling; `FromStr` is its inverse.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ManualSync::Coarse => "coarse",
             ManualSync::Fine => "fine",
@@ -327,7 +327,7 @@ impl FaultConfig {
     }
 
     /// Whether the run should build and arm a fault board at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.events_per_class > 0 || !self.scheduled.is_empty()
     }
 
@@ -411,7 +411,7 @@ pub struct WorkflowConfig {
 mod model_serde {
     use super::*;
     use serde::Serializer;
-    pub fn serialize<S: Serializer>(m: &Model, s: S) -> Result<S::Ok, S::Error> {
+    pub(crate) fn serialize<S: Serializer>(m: &Model, s: S) -> Result<S::Ok, S::Error> {
         s.serialize_str(m.name())
     }
 }
@@ -524,7 +524,7 @@ impl WorkflowConfig {
 
     /// Mean seconds between frames for this configuration (the
     /// schedule's long-run mean when one is set).
-    pub fn frame_period_secs(&self) -> f64 {
+    pub(crate) fn frame_period_secs(&self) -> f64 {
         match &self.schedule {
             Some(s) => s.mean_gap().as_secs_f64(),
             None => self.model.period_for_stride(self.stride),
@@ -565,7 +565,7 @@ impl WorkflowConfig {
     /// The ensemble's shape and placement: `pairs` groups, each 1 → 1 for
     /// the pairwise backends and `fanin` → `fanout` (one of them 1) for a
     /// backend that runs M:N groups.
-    pub fn ensemble(&self) -> Ensemble {
+    pub(crate) fn ensemble(&self) -> Ensemble {
         let (pubs, subs) = if self.solution.row().groups {
             (self.streaming.fanin, self.streaming.fanout)
         } else {
@@ -625,7 +625,7 @@ impl std::error::Error for ConfigError {}
 /// paper's multi-node discipline. Node indices are relative to the
 /// compute section of the cluster (service nodes are appended after).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ensemble {
+pub(crate) struct Ensemble {
     /// Groups (the `pairs` of the configuration).
     pub groups: u32,
     /// Publishers per group.
@@ -638,29 +638,29 @@ pub struct Ensemble {
 
 impl Ensemble {
     /// Publishers (producer processes) of the whole ensemble.
-    pub fn publishers(&self) -> u32 {
+    pub(crate) fn publishers(&self) -> u32 {
         self.groups * self.pubs
     }
 
     /// Subscribers (consumer processes) of the whole ensemble.
-    pub fn subscribers(&self) -> u32 {
+    pub(crate) fn subscribers(&self) -> u32 {
         self.groups * self.subs
     }
 
     /// Compute nodes required.
-    pub fn compute_nodes(&self) -> usize {
+    pub(crate) fn compute_nodes(&self) -> usize {
         self.per_node.map_or(1, |per| {
             (self.publishers().div_ceil(per) + self.subscribers().div_ceil(per)) as usize
         })
     }
 
     /// Node of publisher `p`.
-    pub fn publisher_node(&self, p: u32) -> u32 {
+    pub(crate) fn publisher_node(&self, p: u32) -> u32 {
         self.per_node.map_or(0, |per| p / per)
     }
 
     /// Node of subscriber `c`.
-    pub fn subscriber_node(&self, c: u32) -> u32 {
+    pub(crate) fn subscriber_node(&self, c: u32) -> u32 {
         self.per_node
             .map_or(0, |per| self.publishers().div_ceil(per) + c / per)
     }

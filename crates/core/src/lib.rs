@@ -52,23 +52,21 @@ pub mod workflow;
 
 /// One-stop imports for examples and benches.
 pub mod prelude {
-    pub use crate::arena::{ClusterSnapshot, RunArena, RunTimings};
+    pub use crate::arena::{ClusterSnapshot, RunArena};
     pub use crate::calibration::Calibration;
     pub use crate::campaign::{
         default_jobs, host_cores, run_studies_jobs, run_study_jobs, CampaignStats,
     };
     pub use crate::config::{
-        FaultConfig, ManualSync, Placement, Solution, StagingConfig, StreamingConfig, StudyConfig,
-        WorkflowConfig,
+        FaultConfig, ManualSync, Placement, Solution, StudyConfig, WorkflowConfig,
     };
-    pub use crate::report::{speedup, Breakdown, StudyReport};
+    pub use crate::report::StudyReport;
     pub use crate::runner::{
-        run_once, run_once_traced, run_once_traced_snap, run_once_warm, run_study, FaultTotals,
-        RunMetrics, StagingTotals, StreamTotals,
+        run_once, run_once_traced, run_once_traced_snap, run_once_warm, run_study, RunMetrics,
     };
     pub use crate::schedule::FrameSchedule;
     pub use cluster::{FabricSpec, TopologySpec};
-    pub use faults::{ChaosSpec, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
+    pub use faults::{FaultEvent, FaultKind};
     pub use mdsim::Model;
 }
 

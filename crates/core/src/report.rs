@@ -203,7 +203,7 @@ impl StudyReport {
     /// Mean and spread over repetitions already reduced by
     /// [`reduce_run`] — what the campaign executor's workers hand back,
     /// so no run's profiles outlive the worker that ran it.
-    pub fn from_breakdowns(wf: &WorkflowConfig, reduced: Vec<RunBreakdown>) -> StudyReport {
+    pub(crate) fn from_breakdowns(wf: &WorkflowConfig, reduced: Vec<RunBreakdown>) -> StudyReport {
         StudyReport {
             workflow: wf.clone(),
             production_movement: MeanStd::from_samples(
@@ -269,7 +269,7 @@ impl StudyReport {
 }
 
 /// Paper-style comparison: how many times faster is `a` than `b`.
-pub fn speedup(slower: f64, faster: f64) -> f64 {
+pub(crate) fn speedup(slower: f64, faster: f64) -> f64 {
     if faster <= 0.0 {
         f64::INFINITY
     } else {

@@ -752,7 +752,7 @@ fn stall_summary(sides: [&Roles; 2]) -> String {
         counts.push(format!(
             "{} of {} {}s",
             unfinished.len(),
-            roles.set.len(),
+            roles.nodes.len(),
             roles.side
         ));
         for i in unfinished {

@@ -43,15 +43,8 @@ pub enum FrameSchedule {
 }
 
 impl FrameSchedule {
-    /// A periodic schedule from seconds.
-    pub fn periodic_secs(period: f64) -> FrameSchedule {
-        FrameSchedule::Periodic {
-            period: SimDuration::from_secs_f64(period),
-        }
-    }
-
     /// Instantiate a stateful generator for one producer.
-    pub fn generator(&self, rng: StdRng) -> ScheduleGen<'_> {
+    pub(crate) fn generator(&self, rng: StdRng) -> ScheduleGen<'_> {
         ScheduleGen {
             schedule: self,
             rng,
@@ -94,7 +87,7 @@ impl FrameSchedule {
 }
 
 /// Stateful per-producer gap generator over a borrowed schedule.
-pub struct ScheduleGen<'a> {
+pub(crate) struct ScheduleGen<'a> {
     schedule: &'a FrameSchedule,
     rng: StdRng,
     in_burst: bool,
@@ -103,7 +96,7 @@ pub struct ScheduleGen<'a> {
 
 impl ScheduleGen<'_> {
     /// The gap to sleep before producing the next frame.
-    pub fn next_gap(&mut self) -> SimDuration {
+    pub(crate) fn next_gap(&mut self) -> SimDuration {
         match self.schedule {
             FrameSchedule::Periodic { period } => *period,
             FrameSchedule::Bursty {
@@ -143,7 +136,9 @@ mod tests {
 
     #[test]
     fn periodic_is_constant() {
-        let s = FrameSchedule::periodic_secs(0.82);
+        let s = FrameSchedule::Periodic {
+            period: SimDuration::from_secs_f64(0.82),
+        };
         let mut g = s.generator(StdRng::seed_from_u64(1));
         for _ in 0..5 {
             assert_eq!(g.next_gap(), SimDuration::from_secs_f64(0.82));

@@ -68,7 +68,7 @@ pub enum Storage {
 
 impl Storage {
     /// Write a frame rope to `path` (create, write segments, close).
-    pub fn write_frame<'a>(
+    pub(crate) fn write_frame<'a>(
         &'a self,
         path: &'a str,
         frame: Payload,
@@ -92,7 +92,7 @@ impl Storage {
     }
 
     /// Read the whole frame at `path` as a rope.
-    pub fn read_frame<'a>(&'a self, path: &'a str) -> impl Future<Output = Payload> + 'a {
+    pub(crate) fn read_frame<'a>(&'a self, path: &'a str) -> impl Future<Output = Payload> + 'a {
         async move {
             match self {
                 Storage::Local(fs) => {
@@ -113,7 +113,7 @@ impl Storage {
 
     /// Make sure the parent directory exists (local fs only; the PFS
     /// namespace is flat).
-    pub fn ensure_dir<'a>(&'a self, dir: &'a str) -> impl Future<Output = ()> + 'a {
+    pub(crate) fn ensure_dir<'a>(&'a self, dir: &'a str) -> impl Future<Output = ()> + 'a {
         async move {
             if let Storage::Local(fs) = self {
                 let _ = fs.mkdir_p(dir).await;
@@ -123,7 +123,7 @@ impl Storage {
 
     /// Probe whether `path` exists, charging one metadata operation (a
     /// `stat`, as a polling workflow manager would issue).
-    pub fn probe<'a>(&'a self, path: &'a str) -> impl Future<Output = bool> + 'a {
+    pub(crate) fn probe<'a>(&'a self, path: &'a str) -> impl Future<Output = bool> + 'a {
         async move {
             match self {
                 Storage::Local(fs) => fs.stat(path).await.is_ok(),
@@ -134,7 +134,7 @@ impl Storage {
 
     /// Write an empty `.done` marker next to a frame (the Pegasus-style
     /// completion convention for polling synchronization).
-    pub fn write_marker<'a>(&'a self, path: &'a str) -> impl Future<Output = ()> + 'a {
+    pub(crate) fn write_marker<'a>(&'a self, path: &'a str) -> impl Future<Output = ()> + 'a {
         async move {
             let marker = format!("{path}.done");
             match self {
@@ -153,7 +153,7 @@ impl Storage {
 
 /// Per-pair rendezvous used by the manual baselines: `ready` announces a
 /// written frame; `done` releases the producer for the next stride.
-pub struct PairSync {
+pub(crate) struct PairSync {
     /// Producer side.
     pub ready_tx: Sender<u64>,
     /// Producer side.
@@ -165,7 +165,7 @@ pub struct PairSync {
 }
 
 /// Build the two channels for one pair.
-pub fn pair_sync() -> PairSync {
+pub(crate) fn pair_sync() -> PairSync {
     let (ready_tx, ready_rx) = channel();
     let (done_tx, done_rx) = channel();
     PairSync {
@@ -283,7 +283,7 @@ fn simulate_frame<'a, 'r>(
 }
 
 /// Frame path for `(pair, frame)` in a run's namespace.
-pub fn frame_path(pair: u32, frame: u64) -> String {
+pub(crate) fn frame_path(pair: u32, frame: u64) -> String {
     format!("frames/p{pair:04}/f{frame:05}")
 }
 
@@ -298,13 +298,13 @@ fn parent_dir(mut name: String) -> String {
 }
 
 /// The directory of `pair`'s frames.
-pub fn frame_dir(pair: u32) -> String {
+pub(crate) fn frame_dir(pair: u32) -> String {
     parent_dir(frame_path(pair, 0))
 }
 
 /// The consumption-ack id of `pair`'s consumer: what its DYAD session
 /// acks under and the producer node's staging manager has registered.
-pub fn pair_session_id(pair: u32) -> String {
+pub(crate) fn pair_session_id(pair: u32) -> String {
     format!("c{pair}")
 }
 
@@ -340,7 +340,7 @@ pub(crate) fn registrations(wf: &WorkflowConfig, ens: &Ensemble) -> Vec<(u32, St
 }
 
 /// DLM lock resource name for `(pair, frame)`.
-pub fn lock_path(pair: u32, frame: u64) -> String {
+pub(crate) fn lock_path(pair: u32, frame: u64) -> String {
     format!("locks/p{pair:04}/f{frame:05}")
 }
 
@@ -833,7 +833,7 @@ pub struct StreamRole {
 
 impl StreamRole {
     /// Member 0 of `group` under `s` (publishers set their own `leaf`).
-    pub fn new(s: &StreamingConfig, group: u32) -> StreamRole {
+    pub(crate) fn new(s: &StreamingConfig, group: u32) -> StreamRole {
         StreamRole {
             group,
             fanout: s.fanout,
@@ -844,7 +844,7 @@ impl StreamRole {
 
     /// Logical step name for `(leaf, step)`; fan-in groups get a
     /// per-leaf namespace so every publisher owns its own sequence.
-    pub fn step_name(&self, leaf: u32, step: u64) -> String {
+    pub(crate) fn step_name(&self, leaf: u32, step: u64) -> String {
         if self.fanin > 1 {
             format!("steps/g{:04}/l{leaf:02}/s{step:05}", self.group)
         } else {
@@ -853,13 +853,13 @@ impl StreamRole {
     }
 
     /// The directory of `leaf`'s steps.
-    pub fn step_dir(&self, leaf: u32) -> String {
+    pub(crate) fn step_dir(&self, leaf: u32) -> String {
         parent_dir(self.step_name(leaf, 0))
     }
 
     /// Distinct consumption-ack ids in the group ([`Self::session_id`]
     /// of members `0..sessions()`).
-    pub fn sessions(&self) -> u32 {
+    pub(crate) fn sessions(&self) -> u32 {
         if self.fanin > 1 {
             1
         } else {
@@ -871,7 +871,7 @@ impl StreamRole {
     /// acks under, the publisher's window waits on and the publisher
     /// node's staging manager has registered. A fan-in group has only
     /// its reducer.
-    pub fn session_id(&self, sub_idx: u32) -> String {
+    pub(crate) fn session_id(&self, sub_idx: u32) -> String {
         if self.fanin > 1 {
             format!("g{}r", self.group)
         } else {

@@ -45,7 +45,7 @@ use staging::plane::{Backend, Plane, PlaneSpec, Session};
 use staging::StagingManager;
 use transport::{AmId, Payload, Transport};
 
-pub use staging::plane::{PlaneError, PlaneStats as DyadStats};
+pub(crate) use staging::plane::{PlaneError, PlaneStats as DyadStats};
 pub use staging::{FrameLocation, FrameMeta};
 
 /// DYAD's row of the staged plane.
@@ -116,7 +116,7 @@ impl DyadService {
     }
 
     /// The node this service runs on.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.plane.node()
     }
 

@@ -108,21 +108,7 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {
-    /// Short class label used in schedules and stats.
-    pub fn class(&self) -> &'static str {
-        match self {
-            FaultKind::NodeCrash { .. } => "node_crash",
-            FaultKind::NvmeDegrade { .. } => "nvme_degrade",
-            FaultKind::NvmeError { .. } => "nvme_error",
-            FaultKind::LinkDown { .. } => "link_down",
-            FaultKind::OstDegrade { .. } => "ost_degrade",
-            FaultKind::MdsStall { .. } => "mds_stall",
-            FaultKind::KvsDelay { .. } => "kvs_delay",
-            FaultKind::KvsShardCrash { .. } => "kvs_shard_crash",
-        }
-    }
-}
+impl FaultKind {}
 
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -354,7 +340,7 @@ pub struct FaultStats {
 
 /// Recovery-hook callback invoked with the node index at crash / restart
 /// instants.
-pub type NodeHook = Box<dyn Fn(u32)>;
+pub(crate) type NodeHook = Box<dyn Fn(u32)>;
 
 #[derive(Default)]
 struct BoardInner {
@@ -715,7 +701,7 @@ impl RetryPolicy {
 
     /// The nominal (pre-jitter) backoff before retry `attempt` (0-based):
     /// `min(cap, base · 2^attempt)`, monotone non-decreasing in `attempt`.
-    pub fn nominal_backoff(&self, attempt: u32) -> SimDuration {
+    pub(crate) fn nominal_backoff(&self, attempt: u32) -> SimDuration {
         let mult = 1u64.checked_shl(attempt).unwrap_or(u64::MAX);
         let shifted = self.base.nanos().saturating_mul(mult);
         SimDuration::from_nanos(shifted.min(self.cap.nanos()))

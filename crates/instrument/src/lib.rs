@@ -350,12 +350,6 @@ impl Recorder {
         }
     }
 
-    /// Run `f` inside a region (synchronous convenience).
-    pub fn scope<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
-        let _g = self.region(name);
-        f()
-    }
-
     /// Attach a numeric metric to the current path (summed across calls).
     pub fn annotate(&self, key: &'static str, value: f64) {
         let mut st = self.shared.state.borrow_mut();
@@ -428,6 +422,14 @@ pub struct ShardLoad {
 mod tests {
     use super::*;
     use simcore::Sim;
+
+    impl Recorder {
+        /// Run `f` inside a region.
+        fn scope<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
+            let _g = self.region(name);
+            f()
+        }
+    }
 
     #[test]
     fn nested_regions_build_a_tree() {

@@ -12,7 +12,7 @@ use simcore::intern::{intern, Symbol};
 
 /// Why wire bytes did not decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
+pub(crate) enum CodecError {
     /// The message ends inside a field it announces.
     Truncated,
     /// The leading tag names no message of this kind.
@@ -202,7 +202,7 @@ impl Request {
     }
 
     /// Decode from wire bytes; values share the buffer.
-    pub fn try_decode(mut raw: Bytes) -> Result<Request, CodecError> {
+    pub(crate) fn try_decode(mut raw: Bytes) -> Result<Request, CodecError> {
         let raw = &mut raw;
         Ok(match get_int(raw, u8::from_be_bytes)? {
             OP_COMMIT => Request::Commit {
@@ -244,7 +244,7 @@ impl Request {
         })
     }
 
-    /// [`Request::try_decode`] for bytes an encoder here wrote (the
+    /// `Request::try_decode` for bytes an encoder here wrote (the
     /// simulation is a closed world; corruption would be a program bug).
     pub fn decode(raw: Bytes) -> Request {
         Self::try_decode(raw).expect("malformed kvs request")
@@ -291,7 +291,7 @@ impl Response {
     }
 
     /// Decode from wire bytes; a value shares the buffer.
-    pub fn try_decode(mut raw: Bytes) -> Result<Response, CodecError> {
+    pub(crate) fn try_decode(mut raw: Bytes) -> Result<Response, CodecError> {
         let raw = &mut raw;
         Ok(match get_int(raw, u8::from_be_bytes)? {
             RESP_COMMITTED => Response::Committed {
@@ -309,7 +309,7 @@ impl Response {
         })
     }
 
-    /// [`Response::try_decode`] for bytes an encoder here wrote.
+    /// `Response::try_decode` for bytes an encoder here wrote.
     pub fn decode(raw: Bytes) -> Response {
         Self::try_decode(raw).expect("malformed kvs response")
     }

@@ -32,8 +32,9 @@
 mod codec;
 pub mod mesh;
 
-pub use codec::{CodecError, Request, Response};
-pub use mesh::{shard_for, CausalBuffer, Delta, KvsMesh, MeshTopology};
+pub use codec::{Request, Response};
+pub(crate) use mesh::shard_for;
+pub use mesh::KvsMesh;
 
 use std::cell::RefCell;
 use std::future::Future;
@@ -51,7 +52,7 @@ use simcore::{Ctx, SimDuration};
 use transport::{AmId, Endpoint, Transport, TransportError};
 
 /// The AM id shard 0 listens on (shard `s` listens on `KVS_AM + s`).
-pub const KVS_AM: AmId = AmId(0x4B56);
+pub(crate) const KVS_AM: AmId = AmId(0x4B56);
 
 /// Broker tuning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -131,13 +132,12 @@ pub(crate) struct Store {
 /// One broker shard: owns its store and services RPCs on its node.
 pub struct KvsServer {
     node: NodeId,
-    shard: u32,
     store: Rc<RefCell<Store>>,
 }
 
 impl KvsServer {
     /// Start a standalone broker on `node`: shard 0 of a one-shard
-    /// mesh. It listens on [`KVS_AM`], never replicates, and dies to a
+    /// mesh. It listens on `KVS_AM`, never replicates, and dies to a
     /// `KvsShardCrash { shard: 0 }` fault.
     pub fn start(ctx: &Ctx, tp: &Transport, node: NodeId, spec: KvsSpec) -> Rc<KvsServer> {
         let topo = Rc::new(mesh::MeshTopology::new(vec![node], 1));
@@ -167,7 +167,6 @@ impl KvsServer {
         let service = FifoResource::new(ctx, spec.server_threads);
         let server = Rc::new(KvsServer {
             node,
-            shard,
             store: store.clone(),
         });
         // A permanent shard crash: mark the store down and flush every
@@ -237,34 +236,9 @@ impl KvsServer {
         self.node
     }
 
-    /// The shard id this broker serves (0 for a standalone broker).
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// True once a `KvsShardCrash` fault has killed this shard.
-    pub fn is_down(&self) -> bool {
-        self.store.borrow().down
-    }
-
     /// Operation counters.
     pub fn stats(&self) -> KvsStats {
         self.store.borrow().stats
-    }
-
-    /// Current global version.
-    pub fn version(&self) -> u64 {
-        self.store.borrow().version
-    }
-
-    /// Number of stored keys.
-    pub fn len(&self) -> usize {
-        self.store.borrow().map.len()
-    }
-
-    /// True if the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -513,15 +487,6 @@ impl KvsClient {
                 .expect("wait_key cannot fail without a fault board")
         }
     }
-
-    /// [`KvsClient::try_unlink`] for callers running without a fault board.
-    pub fn unlink<'a>(&'a self, key: &'a str) -> impl Future<Output = ()> + 'a {
-        async move {
-            self.try_unlink(key)
-                .await
-                .expect("unlink cannot fail without a fault board")
-        }
-    }
 }
 
 #[cfg(test)]
@@ -654,12 +619,12 @@ mod tests {
         let c = client(&sim, &rig, 1);
         let h = sim.spawn(async move {
             c.commit("k", Bytes::from_static(b"v")).await;
-            c.unlink("k").await;
+            c.try_unlink("k").await.unwrap();
             c.lookup("k").await
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), None);
-        assert!(rig.server.is_empty());
+        assert!(rig.server.store.borrow().map.is_empty());
     }
 
     #[test]
@@ -684,7 +649,7 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (1..=10).collect::<Vec<u64>>());
-        assert_eq!(rig.server.version(), 10);
+        assert_eq!(rig.server.store.borrow().version, 10);
     }
 
     #[test]

@@ -14,14 +14,14 @@
 //!   boundaries (no mod-N reshuffle).
 //! * **Replication** — with a replication factor R, a key's *preference
 //!   order* is its top-R shards by the same score. The owner applies a
-//!   commit/unlink locally, then synchronously ships a [`Delta`] to
+//!   commit/unlink locally, then synchronously ships a `Delta` to
 //!   every other *live* member of the preference order and waits for the
 //!   acks before acknowledging the client, so an acked write survives
 //!   the permanent crash of any R−1 shards.
 //! * **Causal delivery** — each delta carries `(origin, seq, deps)`
 //!   where `deps` is the origin's per-key version vector before the
 //!   write. A replica applies a delta only once its parents have
-//!   applied; out-of-order arrivals buffer in a [`CausalBuffer`] and
+//!   applied; out-of-order arrivals buffer in a `CausalBuffer` and
 //!   drain as their dependencies land.
 //! * **Failover** — [`KvsClient`] routes every operation to the first
 //!   *live* shard of the key's preference order. A shard killed by a
@@ -78,7 +78,7 @@ fn shard_score(key_hash: u64, shard: u32) -> u64 {
 /// Rendezvous property: growing the mesh from N to N+1 shards moves a
 /// key only if the new shard out-scores all N incumbents — so routing
 /// changes *only* at rebalance boundaries, never by mod-N reshuffle.
-pub fn shard_for(key: &str, shards: u32) -> u32 {
+pub(crate) fn shard_for(key: &str, shards: u32) -> u32 {
     assert!(shards > 0, "mesh needs at least one shard");
     let h = fnv1a(key);
     let mut best = 0u32;
@@ -126,7 +126,7 @@ pub(crate) fn preference(key: &str, shards: u32, r: u32) -> impl Iterator<Item =
 /// (origin's per-key version vector before this write). `value: None`
 /// is an unlink tombstone.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Delta<K> {
+pub(crate) struct Delta<K> {
     /// Key the write applies to.
     pub key: K,
     /// Shard the write originated on.
@@ -148,7 +148,7 @@ pub struct Delta<K> {
 /// that are not ready buffer, and each application drains any buffered
 /// children that became ready.
 #[derive(Default)]
-pub struct CausalBuffer<K: Hash + Eq + Clone> {
+pub(crate) struct CausalBuffer<K: Hash + Eq + Clone> {
     /// Per-key version vector: for each origin shard, the highest
     /// contiguously-applied sequence number. Kept sorted by origin.
     applied: FxHashMap<K, Vec<(u32, u64)>>,
@@ -159,7 +159,7 @@ pub struct CausalBuffer<K: Hash + Eq + Clone> {
 
 impl<K: Hash + Eq + Clone> CausalBuffer<K> {
     /// An empty buffer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CausalBuffer {
             applied: FxHashMap::default(),
             pending: Vec::new(),
@@ -183,7 +183,7 @@ impl<K: Hash + Eq + Clone> CausalBuffer<K> {
 
     /// Record a local write to `key` at shard `origin`; returns the
     /// `(seq, deps)` to stamp on the outgoing [`Delta`].
-    pub fn record_local(&mut self, key: &K, origin: u32) -> (u64, Vec<(u32, u64)>) {
+    pub(crate) fn record_local(&mut self, key: &K, origin: u32) -> (u64, Vec<(u32, u64)>) {
         let vv = self.applied.entry(key.clone()).or_default();
         let deps = vv.clone();
         let seq = Self::seen(vv, origin) + 1;
@@ -209,7 +209,7 @@ impl<K: Hash + Eq + Clone> CausalBuffer<K> {
     /// — the offered one plus any buffered children it unblocked, in
     /// causal application order — or an empty vec if it buffered (or
     /// was a stale duplicate).
-    pub fn offer(&mut self, d: Delta<K>) -> Vec<Delta<K>> {
+    pub(crate) fn offer(&mut self, d: Delta<K>) -> Vec<Delta<K>> {
         let already = {
             let vv = self.applied.get(&d.key);
             vv.is_some_and(|vv| Self::seen(vv, d.origin) >= d.seq)
@@ -232,13 +232,8 @@ impl<K: Hash + Eq + Clone> CausalBuffer<K> {
         out
     }
 
-    /// Deltas still waiting for causal parents.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Total offers that had to buffer (monotone counter).
-    pub fn buffered_total(&self) -> u64 {
+    pub(crate) fn buffered_total(&self) -> u64 {
         self.buffered_total
     }
 }
@@ -258,7 +253,7 @@ pub struct MeshTopology {
 impl MeshTopology {
     /// A mesh of one shard per entry of `shard_nodes`, replicating each
     /// key to `replication` shards (clamped to the shard count).
-    pub fn new(shard_nodes: Vec<NodeId>, replication: u32) -> MeshTopology {
+    pub(crate) fn new(shard_nodes: Vec<NodeId>, replication: u32) -> MeshTopology {
         assert!(!shard_nodes.is_empty(), "mesh needs at least one shard");
         let n = shard_nodes.len() as u32;
         MeshTopology {
@@ -268,7 +263,7 @@ impl MeshTopology {
     }
 
     /// Number of shards.
-    pub fn shards(&self) -> u32 {
+    pub(crate) fn shards(&self) -> u32 {
         self.shard_nodes.len() as u32
     }
 
@@ -278,12 +273,12 @@ impl MeshTopology {
     }
 
     /// The node hosting `shard`.
-    pub fn node(&self, shard: u32) -> NodeId {
+    pub(crate) fn node(&self, shard: u32) -> NodeId {
         self.shard_nodes[shard as usize]
     }
 
     /// The preference order (owner first, then replicas) of `key`.
-    pub fn preference(&self, key: &str) -> impl Iterator<Item = u32> {
+    pub(crate) fn preference(&self, key: &str) -> impl Iterator<Item = u32> {
         preference(key, self.shards(), self.replication)
     }
 }
@@ -495,11 +490,6 @@ impl KvsMesh {
         self.topo.shards()
     }
 
-    /// The broker serving `shard`.
-    pub fn shard(&self, shard: u32) -> &Rc<KvsServer> {
-        &self.shards[shard as usize]
-    }
-
     /// Aggregate counters over all shards (sums; `peak_queue` is the
     /// max over shards).
     pub fn stats(&self) -> KvsStats {
@@ -602,18 +592,18 @@ mod tests {
             value: Some(Bytes::from_static(b"v")),
         };
         assert!(buf.offer(d(3)).is_empty());
-        assert_eq!(buf.pending_len(), 1);
+        assert_eq!(buf.pending.len(), 1);
         let first = buf.offer(d(1));
         assert_eq!(first.len(), 1);
         assert_eq!(first[0].seq, 1);
         // Offering 2 applies 2 and drains the buffered 3.
         let rest = buf.offer(d(2));
         assert_eq!(rest.iter().map(|d| d.seq).collect::<Vec<_>>(), vec![2, 3]);
-        assert_eq!(buf.pending_len(), 0);
+        assert_eq!(buf.pending.len(), 0);
         assert_eq!(buf.buffered_total(), 1);
         // A stale duplicate is dropped.
         assert!(buf.offer(d(2)).is_empty());
-        assert_eq!(buf.pending_len(), 0);
+        assert_eq!(buf.pending.len(), 0);
     }
 
     #[test]
@@ -731,7 +721,7 @@ mod tests {
         assert!(sim.run().is_clean());
         let found = h.try_take().unwrap();
         assert!(found.iter().all(|&f| f), "replica lost a committed key");
-        assert!(mesh.shard(1).is_down());
+        assert!(mesh.shards[1].store.borrow().down);
     }
 
     #[test]
@@ -928,7 +918,7 @@ mod tests {
                     applied.len() as u64,
                     u64::from(n_origins) * writes_per_origin
                 );
-                prop_assert_eq!(buf.pending_len(), 0);
+                prop_assert_eq!(buf.pending.len(), 0);
             }
         }
     }

@@ -25,23 +25,16 @@ use crate::error::{FsError, FsResult};
 
 /// A contiguous run of blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Extent {
+pub(crate) struct Extent {
     /// First block of the run (volume-absolute).
     pub start: u64,
     /// Number of blocks.
     pub len: u64,
 }
 
-impl Extent {
-    /// One past the last block.
-    pub fn end(&self) -> u64 {
-        self.start + self.len
-    }
-}
-
 /// The volume-wide extent allocator.
 #[derive(Debug, Clone)]
-pub struct ExtentAllocator {
+pub(crate) struct ExtentAllocator {
     /// start -> len of every free extent of every group.
     free: BTreeMap<u64, u64>,
     free_blocks: u64,
@@ -54,7 +47,7 @@ pub struct ExtentAllocator {
 impl ExtentAllocator {
     /// Create an allocator over `total_blocks` split into `ag_count`
     /// allocation groups.
-    pub fn new(total_blocks: u64, ag_count: usize) -> Self {
+    pub(crate) fn new(total_blocks: u64, ag_count: usize) -> Self {
         assert!(ag_count >= 1 && total_blocks >= ag_count as u64);
         let mut a = ExtentAllocator {
             free: BTreeMap::new(),
@@ -82,7 +75,7 @@ impl ExtentAllocator {
     }
 
     /// Total free blocks across all groups.
-    pub fn free_blocks(&self) -> u64 {
+    pub(crate) fn free_blocks(&self) -> u64 {
         self.free_blocks
     }
 
@@ -102,7 +95,7 @@ impl ExtentAllocator {
     /// Allocate `blocks` blocks, possibly as multiple extents. New
     /// allocations start in the next AG round-robin (XFS-style rotoring),
     /// spilling into other groups when one runs dry.
-    pub fn alloc(&mut self, blocks: u64) -> FsResult<Vec<Extent>> {
+    pub(crate) fn alloc(&mut self, blocks: u64) -> FsResult<Vec<Extent>> {
         if blocks == 0 {
             return Ok(Vec::new());
         }
@@ -127,7 +120,7 @@ impl ExtentAllocator {
 
     /// Free the given extents, coalescing each with its neighbours in
     /// the same group.
-    pub fn free(&mut self, extents: &[Extent]) {
+    pub(crate) fn free(&mut self, extents: &[Extent]) {
         for &ext in extents {
             let ag = ((ext.start / self.ag_blocks) as usize).min(self.ag_count - 1);
             let group = self.bounds(ag);
@@ -149,16 +142,6 @@ impl ExtentAllocator {
             self.free.insert(start, len);
             self.free_blocks += ext.len;
         }
-    }
-
-    /// Number of allocation groups.
-    pub fn ag_count(&self) -> usize {
-        self.ag_count
-    }
-
-    /// Number of free extents (fragmentation indicator).
-    pub fn fragments(&self) -> usize {
-        self.free.len()
     }
 }
 
@@ -212,10 +195,10 @@ mod tests {
         a.free(&e1);
         a.free(&e3);
         // Free list: [0..30) and [60..100) (e3 coalesced with the tail).
-        assert_eq!(a.fragments(), 2);
+        assert_eq!(a.free.len(), 2);
         a.free(&e2);
         // Everything merges back into one extent.
-        assert_eq!(a.fragments(), 1);
+        assert_eq!(a.free.len(), 1);
         assert_eq!(a.free_blocks(), 100);
     }
 
@@ -406,7 +389,7 @@ mod tests {
                     .flat_map(|g| g.free.iter().map(|(&s, &l)| (s, l)))
                     .collect();
                 let new_map: Vec<(u64, u64)> = new.free.iter().map(|(&s, &l)| (s, l)).collect();
-                if (new.free_blocks(), new.fragments()) != (old.free_blocks(), old.fragments())
+                if (new.free_blocks(), new.free.len()) != (old.free_blocks(), old.fragments())
                     || new_map != old_map
                 {
                     return Err(format!(
@@ -491,12 +474,12 @@ mod tests {
             let mut a = ExtentAllocator::new(10, 2);
             let (lo, hi) = (a.alloc(5).unwrap(), a.alloc(5).unwrap());
             a.free(&[Extent { start: 4, len: 1 }, hi[0]]);
-            assert_eq!(a.fragments(), 2, "{:?}", a.free);
+            assert_eq!(a.free.len(), 2, "{:?}", a.free);
             a.free(&[Extent {
                 start: lo[0].start,
                 len: 4,
             }]);
-            assert_eq!((a.fragments(), a.free_blocks()), (2, 10));
+            assert_eq!((a.free.len(), a.free_blocks()), (2, 10));
         }
     }
 
@@ -526,7 +509,7 @@ mod tests {
                 let mut all: Vec<Extent> = held.into_iter().flatten().collect();
                 all.sort_by_key(|e| e.start);
                 for w in all.windows(2) {
-                    prop_assert!(w[0].end() <= w[1].start,
+                    prop_assert!(w[0].start + w[0].len <= w[1].start,
                         "overlap: {:?} then {:?}", w[0], w[1]);
                 }
             }

@@ -70,7 +70,7 @@ impl Default for LocalFsSpec {
 
 /// Inode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ino(u64);
+pub(crate) struct Ino(u64);
 
 /// Open file descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -112,23 +112,6 @@ pub struct StatVfs {
     pub used_bytes: u64,
     /// Volume block size.
     pub block_size: u64,
-}
-
-/// Aggregate filesystem statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FsStats {
-    /// Files created.
-    pub creates: u64,
-    /// [`LocalFs::write_bytes`] calls.
-    pub writes: u64,
-    /// [`LocalFs::read_segments`] calls.
-    pub reads: u64,
-    /// Bytes written.
-    pub bytes_written: u64,
-    /// Bytes read.
-    pub bytes_read: u64,
-    /// Files unlinked.
-    pub unlinks: u64,
 }
 
 enum InodeKind {
@@ -231,14 +214,6 @@ impl InodeTable {
         self.free.push(ino);
         node
     }
-
-    /// Live inodes in inode-number order.
-    fn iter(&self) -> impl Iterator<Item = (Ino, &Inode)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| Some((Ino(i as u64 + 1), n.as_ref()?)))
-    }
 }
 
 impl std::ops::Index<Ino> for InodeTable {
@@ -261,6 +236,7 @@ struct FsInner {
     next_fd: u64,
     alloc: ExtentAllocator,
     journal: Journal,
+    #[cfg(test)]
     stats: FsStats,
     /// Blocks currently allocated to file extents, tracked independently
     /// of the allocator so fsck can cross-check the two accountings.
@@ -363,6 +339,7 @@ impl LocalFs {
                 next_fd: 3, // 0,1,2 "reserved", POSIX-style
                 alloc: ExtentAllocator::new(total_blocks, spec.ag_count),
                 journal: Journal::new(spec.journal_record_bytes),
+                #[cfg(test)]
                 stats: FsStats::default(),
                 used_blocks: 0,
                 orphans: FxHashSet::default(),
@@ -387,21 +364,6 @@ impl LocalFs {
         }
     }
 
-    /// The spec the filesystem was formatted with.
-    pub fn spec(&self) -> LocalFsSpec {
-        self.spec
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> FsStats {
-        self.inner.borrow().stats
-    }
-
-    /// Journal statistics.
-    pub fn journal_stats(&self) -> crate::journal::JournalStats {
-        self.inner.borrow().journal.stats()
-    }
-
     /// `statfs(2)`-style volume usage query. Zero sim-time cost: the
     /// superblock counters are in memory, as on a real kernel, and the
     /// staging watermark logic polls this on every admission check.
@@ -416,61 +378,6 @@ impl LocalFs {
             used_bytes: inner.used_blocks * self.spec.block_size,
             block_size: self.spec.block_size,
         }
-    }
-
-    /// Snapshot the structures fsck needs: per-inode entries, total
-    /// blocks, allocator-reported free blocks, the block size, and the
-    /// superblock's independent used-blocks counter.
-    pub(crate) fn fsck_snapshot(&self) -> (Vec<crate::fsck::FsckEntry>, u64, u64, u64, u64) {
-        let inner = self.inner.borrow();
-        let mut entries = Vec::new();
-        // Reachability: which inodes do directory entries reference?
-        let mut referenced: Vec<Ino> = vec![inner.root];
-        for (_, node) in inner.inodes.iter() {
-            if let InodeKind::Dir { children } = &node.kind {
-                referenced.extend(children.values().copied());
-            }
-        }
-        // Dangling dirents: references to inodes that do not exist.
-        for &ino in &referenced {
-            if inner.inodes.get(ino).is_none() {
-                entries.push(crate::fsck::FsckEntry {
-                    ino: ino.0,
-                    is_dir: false,
-                    size: 0,
-                    extents: Vec::new(),
-                    dangling: true,
-                });
-            }
-        }
-        for (ino, node) in inner.inodes.iter() {
-            match &node.kind {
-                InodeKind::File { size, extents, .. } => {
-                    entries.push(crate::fsck::FsckEntry {
-                        ino: ino.0,
-                        is_dir: false,
-                        size: *size,
-                        extents: extents.iter().map(|e| (e.start, e.len)).collect(),
-                        dangling: false,
-                    });
-                }
-                InodeKind::Dir { .. } => entries.push(crate::fsck::FsckEntry {
-                    ino: ino.0,
-                    is_dir: true,
-                    size: 0,
-                    extents: Vec::new(),
-                    dangling: false,
-                }),
-            }
-        }
-        let total_blocks = self.spec.capacity_bytes / self.spec.block_size;
-        (
-            entries,
-            total_blocks,
-            inner.alloc.free_blocks(),
-            self.spec.block_size,
-            inner.used_blocks,
-        )
     }
 
     /// Resolve a directory path, consulting the dentry cache first. A
@@ -612,7 +519,6 @@ impl LocalFs {
                     }
                     inner.journal.append(RecordKind::DirEntry);
                     inner.journal.append(RecordKind::InodeUpdate);
-                    inner.stats.creates += 1;
                     ino
                 }
             };
@@ -681,8 +587,10 @@ impl LocalFs {
                 }
                 inner.fds.get_mut(&fd).unwrap().offset = end;
                 inner.journal.append(RecordKind::InodeUpdate);
-                inner.stats.writes += 1;
-                inner.stats.bytes_written += bytes;
+                #[cfg(test)]
+                {
+                    inner.stats.bytes_written += bytes;
+                }
             }
             // Charge the device outside the borrow.
             self.dev.write(bytes).await;
@@ -719,8 +627,10 @@ impl LocalFs {
                 };
                 let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
                 inner.fds.get_mut(&fd).unwrap().offset = offset + n;
-                inner.stats.reads += 1;
-                inner.stats.bytes_read += n;
+                #[cfg(test)]
+                {
+                    inner.stats.reads += 1;
+                }
                 (parts, n)
             };
             if n > 0 {
@@ -844,7 +754,6 @@ impl LocalFs {
             inner.remove_or_orphan(ino);
             inner.journal.append(RecordKind::DirEntry);
             inner.journal.append(RecordKind::ExtentMap);
-            inner.stats.unlinks += 1;
             Ok(())
         }
     }
@@ -917,5 +826,99 @@ impl LocalFs {
             lock?.expect("funlock without flock").release(kind);
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+impl InodeTable {
+    /// Live inodes in inode-number order.
+    fn iter(&self) -> impl Iterator<Item = (Ino, &Inode)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, n)| Some((Ino(i as u64 + 1), n.as_ref()?)))
+    }
+}
+
+/// What the tests count of a filesystem's operations.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FsStats {
+    /// [`LocalFs::read_segments`] calls.
+    pub(crate) reads: u64,
+    /// Bytes written.
+    pub(crate) bytes_written: u64,
+}
+
+#[cfg(test)]
+impl LocalFs {
+    /// The spec the filesystem was formatted with.
+    pub(crate) fn spec(&self) -> LocalFsSpec {
+        self.spec
+    }
+
+    /// Accumulated statistics.
+    pub(crate) fn stats(&self) -> FsStats {
+        self.inner.borrow().stats
+    }
+
+    /// Journal statistics.
+    pub(crate) fn journal_stats(&self) -> crate::journal::JournalStats {
+        self.inner.borrow().journal.stats
+    }
+
+    /// Snapshot the structures fsck needs: per-inode entries, total
+    /// blocks, allocator-reported free blocks, the block size, and the
+    /// superblock's independent used-blocks counter.
+    pub(crate) fn fsck_snapshot(&self) -> (Vec<crate::fsck::FsckEntry>, u64, u64, u64, u64) {
+        let inner = self.inner.borrow();
+        let mut entries = Vec::new();
+        // Reachability: which inodes do directory entries reference?
+        let mut referenced: Vec<Ino> = vec![inner.root];
+        for (_, node) in inner.inodes.iter() {
+            if let InodeKind::Dir { children } = &node.kind {
+                referenced.extend(children.values().copied());
+            }
+        }
+        // Dangling dirents: references to inodes that do not exist.
+        for &ino in &referenced {
+            if inner.inodes.get(ino).is_none() {
+                entries.push(crate::fsck::FsckEntry {
+                    ino: ino.0,
+                    is_dir: false,
+                    size: 0,
+                    extents: Vec::new(),
+                    dangling: true,
+                });
+            }
+        }
+        for (ino, node) in inner.inodes.iter() {
+            match &node.kind {
+                InodeKind::File { size, extents, .. } => {
+                    entries.push(crate::fsck::FsckEntry {
+                        ino: ino.0,
+                        is_dir: false,
+                        size: *size,
+                        extents: extents.iter().map(|e| (e.start, e.len)).collect(),
+                        dangling: false,
+                    });
+                }
+                InodeKind::Dir { .. } => entries.push(crate::fsck::FsckEntry {
+                    ino: ino.0,
+                    is_dir: true,
+                    size: 0,
+                    extents: Vec::new(),
+                    dangling: false,
+                }),
+            }
+        }
+        let total_blocks = self.spec.capacity_bytes / self.spec.block_size;
+        (
+            entries,
+            total_blocks,
+            inner.alloc.free_blocks(),
+            self.spec.block_size,
+            inner.used_blocks,
+        )
     }
 }

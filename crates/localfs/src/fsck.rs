@@ -7,7 +7,7 @@ use crate::fs::LocalFs;
 
 /// A consistency violation found by [`LocalFs::fsck`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FsckIssue {
+pub(crate) enum FsckIssue {
     /// Two files (or one file twice) claim the same block.
     OverlappingExtents {
         /// First block of the overlap.
@@ -47,7 +47,7 @@ pub enum FsckIssue {
 
 /// Result of a consistency check.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FsckReport {
+pub(crate) struct FsckReport {
     /// All violations found (empty = consistent).
     pub issues: Vec<FsckIssue>,
     /// Files visited.
@@ -60,7 +60,7 @@ pub struct FsckReport {
 
 impl FsckReport {
     /// True when no violations were found.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.issues.is_empty()
     }
 }
@@ -70,7 +70,7 @@ impl LocalFs {
     /// within allocated capacity, allocator free-space accounting, and
     /// no dangling directory entries. Zero simulated cost (a debugging
     /// facility, not an I/O operation).
-    pub fn fsck(&self) -> FsckReport {
+    pub(crate) fn fsck(&self) -> FsckReport {
         let mut report = FsckReport::default();
         let (entries, total_blocks, allocator_free, block_size, used_counter) =
             self.fsck_snapshot();

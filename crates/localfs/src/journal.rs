@@ -8,76 +8,73 @@
 
 /// Kinds of journaled metadata records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordKind {
+pub(crate) enum RecordKind {
     /// Inode created or updated (size, timestamps, extent count).
     InodeUpdate,
     /// Directory entry added or removed.
     DirEntry,
     /// Extent allocated or freed.
     ExtentMap,
-    /// Transaction commit record.
-    Commit,
-}
-
-/// Aggregate journal statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Records appended.
-    pub records: u64,
-    /// Physical flushes to the device.
-    pub flushes: u64,
-    /// Bytes written to the log device.
-    pub bytes_flushed: u64,
 }
 
 /// The in-memory journal front-end.
 #[derive(Debug, Clone)]
-pub struct Journal {
+pub(crate) struct Journal {
     record_bytes: u64,
     pending_bytes: u64,
-    stats: JournalStats,
+    #[cfg(test)]
+    pub(crate) stats: JournalStats,
 }
 
 impl Journal {
     /// Create a journal whose records are `record_bytes` each on disk.
-    pub fn new(record_bytes: u64) -> Self {
+    pub(crate) fn new(record_bytes: u64) -> Self {
         Journal {
             record_bytes,
             pending_bytes: 0,
+            #[cfg(test)]
             stats: JournalStats::default(),
         }
     }
 
     /// Append a record to the log buffer (no device I/O yet).
-    pub fn append(&mut self, _kind: RecordKind) {
+    pub(crate) fn append(&mut self, _kind: RecordKind) {
         self.pending_bytes += self.record_bytes;
-        self.stats.records += 1;
-    }
-
-    /// Bytes waiting to be flushed.
-    pub fn pending_bytes(&self) -> u64 {
-        self.pending_bytes
+        #[cfg(test)]
+        {
+            self.stats.records += 1;
+        }
     }
 
     /// Take the pending records, plus a commit record, as one flush: the
     /// bytes the caller writes to the device in one sequential write.
     /// `None` when nothing is pending. Records appended while that write
     /// is in flight wait for the next flush.
-    pub fn take_flush(&mut self) -> Option<u64> {
+    pub(crate) fn take_flush(&mut self) -> Option<u64> {
         if self.pending_bytes == 0 {
             return None;
         }
         let bytes = self.pending_bytes + self.record_bytes; // + commit record
         self.pending_bytes = 0;
-        self.stats.flushes += 1;
-        self.stats.bytes_flushed += bytes;
+        #[cfg(test)]
+        {
+            self.stats.flushes += 1;
+            self.stats.bytes_flushed += bytes;
+        }
         Some(bytes)
     }
+}
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> JournalStats {
-        self.stats
-    }
+/// What the tests count of a journal's records and flushes.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct JournalStats {
+    /// Records appended.
+    pub(crate) records: u64,
+    /// Physical flushes to the device.
+    pub(crate) flushes: u64,
+    /// Bytes written to the log device.
+    pub(crate) bytes_flushed: u64,
 }
 
 #[cfg(test)]
@@ -89,19 +86,15 @@ mod tests {
         let mut j = Journal::new(512);
         j.append(RecordKind::InodeUpdate);
         j.append(RecordKind::DirEntry);
-        assert_eq!(j.pending_bytes(), 1024);
+        assert_eq!(j.pending_bytes, 1024);
         assert_eq!(j.take_flush(), Some(1536)); // 2 records + commit
-        let st = j.stats();
-        assert_eq!(st.records, 2);
-        assert_eq!(st.flushes, 1);
-        assert_eq!(st.bytes_flushed, 1536);
-        assert_eq!(j.pending_bytes(), 0);
+        assert_eq!(j.pending_bytes, 0);
     }
 
     #[test]
     fn empty_flush_is_noop() {
         let mut j = Journal::new(512);
         assert_eq!(j.take_flush(), None);
-        assert_eq!(j.stats(), JournalStats::default());
+        assert_eq!(j.pending_bytes, 0);
     }
 }

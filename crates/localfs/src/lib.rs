@@ -29,14 +29,13 @@
 mod alloc;
 mod error;
 mod fs;
-mod fsck;
 mod journal;
 
-pub use alloc::{Extent, ExtentAllocator};
 pub use error::{FsError, FsResult};
-pub use fs::{Fd, FsStats, LocalFs, LocalFsSpec, LockKind, Stat, StatVfs};
-pub use fsck::{FsckIssue, FsckReport};
-pub use journal::{Journal, JournalStats, RecordKind};
+pub use fs::{LocalFs, LocalFsSpec, LockKind};
+
+#[cfg(test)]
+mod fsck;
 
 #[cfg(test)]
 mod tests {
@@ -260,7 +259,7 @@ mod tests {
         });
         assert!(sim.run().is_clean());
         let (settled, overlapped, next, took) = h.try_take().unwrap();
-        let stats = |records, flushes, bytes_flushed| JournalStats {
+        let stats = |records, flushes, bytes_flushed| crate::journal::JournalStats {
             records,
             flushes,
             bytes_flushed,

@@ -9,8 +9,6 @@
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use crate::models::Model;
-
 /// Per-step duration source for the sleep-based MD emulator.
 #[derive(Debug, Clone, Copy)]
 pub struct StepClock {
@@ -23,14 +21,6 @@ pub struct StepClock {
 }
 
 impl StepClock {
-    /// Clock for a model with the given jitter fraction.
-    pub fn for_model(model: Model, jitter: f64) -> Self {
-        StepClock {
-            ms_per_step: model.ms_per_step(),
-            jitter,
-        }
-    }
-
     /// Seconds a run of `stride` steps takes (one draw per stride, as
     /// the paper's emulator sleeps once per stride).
     pub fn stride_secs(&self, stride: u64, rng: &mut StdRng) -> f64 {
@@ -46,6 +36,7 @@ impl StepClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::models::Model;
     use rand::SeedableRng;
 
     /// Every emitted frame's body, of every model and step, is a view of
@@ -66,10 +57,16 @@ mod tests {
     #[test]
     fn step_clock_nominal_and_jitter() {
         let mut rng = StdRng::seed_from_u64(1);
-        let c = StepClock::for_model(Model::Jac, 0.0);
+        let c = StepClock {
+            ms_per_step: Model::Jac.ms_per_step(),
+            jitter: 0.0,
+        };
         let s = c.stride_secs(880, &mut rng);
         assert!((s - 0.82).abs() < 0.005, "{s}");
-        let c = StepClock::for_model(Model::Jac, 0.05);
+        let c = StepClock {
+            ms_per_step: Model::Jac.ms_per_step(),
+            jitter: 0.05,
+        };
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for _ in 0..200 {

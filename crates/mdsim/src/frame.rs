@@ -29,9 +29,9 @@ use bytes::{BufMut, Bytes};
 use crate::models::{Model, ATOM_BYTES, HEADER_BYTES};
 
 /// Magic number identifying a frame ("MDFRAME\0").
-pub const MAGIC: u64 = 0x4D44_4652_414D_4500;
+pub(crate) const MAGIC: u64 = 0x4D44_4652_414D_4500;
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub(crate) const VERSION: u32 = 1;
 
 /// Why a delivered frame was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +84,7 @@ pub struct FrameHeader {
 impl FrameHeader {
     /// Decode the header from the first bytes of a frame rope, wherever
     /// the segment boundaries fall.
-    pub fn decode(segments: &[Bytes]) -> Result<FrameHeader, FrameError> {
+    pub(crate) fn decode(segments: &[Bytes]) -> Result<FrameHeader, FrameError> {
         const N: usize = HEADER_BYTES as usize;
         let mut head = [0u8; N];
         let mut held = 0;

@@ -4,7 +4,7 @@
 //!
 //! * [`Model`] — the four molecular models with Table I/II constants
 //!   (atoms, frame bytes, steps/s, stride, frame period);
-//! * [`FrameHeader`] and [`Model::frame_segments`] /
+//! * `FrameHeader` and [`Model::frame_segments`] /
 //!   [`Model::check_frame`] — the frame wire format (48-byte header +
 //!   28 bytes/atom, reproducing Table I's frame sizes exactly): a fresh
 //!   header per frame over one shared zero body, and the consumer's one
@@ -20,7 +20,7 @@ mod frozen;
 mod models;
 
 pub use emulator::StepClock;
-pub use frame::{FrameError, FrameHeader, MAGIC, VERSION};
+pub use frame::FrameError;
 #[doc(hidden)]
 pub use frozen::{Frame, FrameTemplate};
-pub use models::{Model, ATOM_BYTES, HEADER_BYTES};
+pub use models::Model;

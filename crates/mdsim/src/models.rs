@@ -10,9 +10,9 @@
 //! emits a frame every ~0.82 s.
 
 /// Bytes per atom on the wire: `u32` id + 3 × `f64` position.
-pub const ATOM_BYTES: u64 = 28;
+pub(crate) const ATOM_BYTES: u64 = 28;
 /// Frame header bytes (magic, version, model, step, atom count, box).
-pub const HEADER_BYTES: u64 = 48;
+pub(crate) const HEADER_BYTES: u64 = 48;
 
 /// The four molecular models of the study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -42,7 +42,7 @@ impl Model {
     }
 
     /// Stable numeric id used in the frame header.
-    pub fn id(self) -> u32 {
+    pub(crate) fn id(self) -> u32 {
         match self {
             Model::Jac => 1,
             Model::ApoA1 => 2,
@@ -52,7 +52,7 @@ impl Model {
     }
 
     /// Model from its numeric id.
-    pub fn from_id(id: u32) -> Option<Model> {
+    pub(crate) fn from_id(id: u32) -> Option<Model> {
         Model::ALL.into_iter().find(|m| m.id() == id)
     }
 

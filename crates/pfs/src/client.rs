@@ -151,7 +151,6 @@ struct ClientState {
 /// A Lustre-like client bound to one compute node.
 #[derive(Clone)]
 pub struct PfsClient {
-    #[allow(dead_code)]
     ctx: Ctx,
     ep: Endpoint,
     mds: NodeId,
@@ -167,7 +166,7 @@ pub struct PfsClient {
 
 impl PfsClient {
     /// Create a client on `node`; `ost_nodes[i]` hosts OST `i`.
-    pub fn new(
+    pub(crate) fn new(
         ctx: &Ctx,
         tp: &Transport,
         node: NodeId,

@@ -15,7 +15,7 @@ use bytes::{BufMut, Bytes};
 
 /// Why wire bytes did not decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
+pub(crate) enum CodecError {
     /// The message ends inside a field it announces.
     Truncated,
     /// The leading tag names no message of this kind.
@@ -74,7 +74,7 @@ pub struct Layout {
 
 impl Layout {
     /// Number of stripe columns.
-    pub fn stripe_count(&self) -> usize {
+    pub(crate) fn stripe_count(&self) -> usize {
         self.osts.len()
     }
 
@@ -82,7 +82,7 @@ impl Layout {
     /// `(column, object_offset, len)` triples covering
     /// `offset..offset+len` in file order. The iterator copies the two
     /// numbers it needs, so it neither borrows the layout nor allocates.
-    pub fn chunks(&self, offset: u64, len: u64) -> impl Iterator<Item = (usize, u64, u64)> {
+    pub(crate) fn chunks(&self, offset: u64, len: u64) -> impl Iterator<Item = (usize, u64, u64)> {
         let (stripe_size, sc) = (self.stripe_size, self.stripe_count() as u64);
         let mut pos = offset;
         let end = offset + len;
@@ -286,7 +286,7 @@ impl MdsRequest {
     }
 
     /// Decode wire bytes, or say why they are not an MDS request.
-    pub fn try_decode(raw: &[u8]) -> Result<MdsRequest, CodecError> {
+    pub(crate) fn try_decode(raw: &[u8]) -> Result<MdsRequest, CodecError> {
         let MdsRequestRef { op, path, size } = MdsRequestRef::try_decode(raw)?;
         let path = path.to_owned();
         Ok(match op {
@@ -344,7 +344,7 @@ impl MdsResponse {
     }
 
     /// Decode wire bytes, or say why they are not an MDS response.
-    pub fn try_decode(raw: &[u8]) -> Result<MdsResponse, CodecError> {
+    pub(crate) fn try_decode(raw: &[u8]) -> Result<MdsResponse, CodecError> {
         let mut raw = Reader(raw);
         match raw.int(u8::from_be_bytes)? {
             1 => {
@@ -391,7 +391,7 @@ impl OssRequest {
     }
 
     /// Decode wire bytes, or say why they are not an OSS request.
-    pub fn try_decode(raw: &[u8]) -> Result<OssRequest, CodecError> {
+    pub(crate) fn try_decode(raw: &[u8]) -> Result<OssRequest, CodecError> {
         let mut raw = Reader(raw);
         let op = raw.int(u8::from_be_bytes)?;
         // Fields are read in the order written, which is wire order.
@@ -433,7 +433,7 @@ impl OssResponse {
     }
 
     /// Decode wire bytes, or say why they are not an OSS response.
-    pub fn try_decode(raw: &[u8]) -> Result<OssResponse, CodecError> {
+    pub(crate) fn try_decode(raw: &[u8]) -> Result<OssResponse, CodecError> {
         let mut raw = Reader(raw);
         match raw.int(u8::from_be_bytes)? {
             1 => Ok(OssResponse::Ok),

@@ -26,7 +26,7 @@ use simcore::{Ctx, SimDuration};
 use transport::{AmId, Endpoint, Transport};
 
 /// The AM id of the lock server.
-pub const LDLM_AM: AmId = AmId(0x4C44);
+pub(crate) const LDLM_AM: AmId = AmId(0x4C44);
 
 /// Lock compatibility modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,28 +37,15 @@ pub enum LockMode {
     Exclusive,
 }
 
-/// Counters for tests and reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LdlmStats {
-    /// Grants issued (including after waiting).
-    pub grants: u64,
-    /// Requests that had to queue.
-    pub waits: u64,
-    /// Releases processed.
-    pub releases: u64,
-}
-
 struct ServerState {
     // Lock names intern once per RPC; repeated lock/unlock cycles on the
     // same resource hash a 4-byte symbol.
     locks: FxHashMap<Symbol, SharedLock>,
-    stats: LdlmStats,
 }
 
 /// The lock server (start it on the MDS node).
 pub struct LdlmServer {
     node: NodeId,
-    state: Rc<RefCell<ServerState>>,
 }
 
 /// Lock service tuning.
@@ -104,7 +91,6 @@ impl LdlmServer {
     pub fn start(ctx: &Ctx, tp: &Transport, node: NodeId, spec: LdlmSpec) -> Rc<LdlmServer> {
         let state = Rc::new(RefCell::new(ServerState {
             locks: FxHashMap::default(),
-            stats: LdlmStats::default(),
         }));
         let service = FifoResource::new(ctx, spec.threads);
         let hstate = state.clone();
@@ -129,29 +115,20 @@ impl LdlmServer {
                         other => panic!("unknown ldlm op {other}"),
                     };
                     if matches!(op, OP_LOCK_PR | OP_LOCK_EX) {
-                        let parked = lock.acquire(kind).await;
-                        let mut sv = state.borrow_mut();
-                        sv.stats.grants += 1;
-                        sv.stats.waits += u64::from(parked);
+                        lock.acquire(kind).await;
                     } else {
                         lock.release(kind);
-                        state.borrow_mut().stats.releases += 1;
                     }
                     Bytes::new()
                 }
             }),
         );
-        Rc::new(LdlmServer { node, state })
+        Rc::new(LdlmServer { node })
     }
 
     /// Node hosting the lock server.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> LdlmStats {
-        self.state.borrow().stats
     }
 }
 
@@ -208,7 +185,6 @@ mod tests {
     struct Rig {
         sim: Sim,
         tp: Transport,
-        server: Rc<LdlmServer>,
     }
 
     fn rig(nodes: usize) -> Rig {
@@ -216,8 +192,8 @@ mod tests {
         let ctx = sim.ctx();
         let cl = Cluster::build(&ctx, &ClusterSpec::corona(nodes));
         let tp = Transport::new(&ctx, cl.fabric().clone(), TransportSpec::default());
-        let server = LdlmServer::start(&ctx, &tp, NodeId(0), LdlmSpec::default());
-        Rig { sim, tp, server }
+        LdlmServer::start(&ctx, &tp, NodeId(0), LdlmSpec::default());
+        Rig { sim, tp }
     }
 
     #[test]
@@ -240,8 +216,6 @@ mod tests {
         }
         assert!(r.sim.run().is_clean());
         assert_eq!(*order.borrow(), vec![1, 2]);
-        assert_eq!(r.server.stats().grants, 2);
-        assert_eq!(r.server.stats().waits, 1);
     }
 
     #[test]

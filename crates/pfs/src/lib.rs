@@ -27,10 +27,11 @@ mod codec;
 mod ldlm;
 mod server;
 
-pub use client::{PfsClient, PfsError, PfsFd};
-pub use codec::{CodecError, Layout, MdsRequest, MdsResponse, OssRequest, OssResponse};
-pub use ldlm::{LdlmClient, LdlmServer, LdlmSpec, LdlmStats, LockMode, LDLM_AM};
-pub use server::{MdsServer, MdsStats, OstServer, OstStats, PfsSpec, MDS_AM, OSS_AM_BASE};
+pub use client::{PfsClient, PfsError};
+pub use codec::{Layout, MdsRequest, MdsResponse, OssRequest, OssResponse};
+pub use ldlm::{LdlmClient, LdlmServer, LdlmSpec, LockMode};
+pub use server::PfsSpec;
+pub(crate) use server::{MdsServer, OstServer};
 
 use cluster::NodeId;
 use simcore::Ctx;
@@ -41,7 +42,6 @@ use transport::Transport;
 pub struct ParallelFs {
     mds: Rc<MdsServer>,
     osts: Vec<Rc<OstServer>>,
-    ost_nodes: Vec<NodeId>,
     tp: Transport,
     spec: PfsSpec,
 }
@@ -69,7 +69,6 @@ impl ParallelFs {
         ParallelFs {
             mds,
             osts,
-            ost_nodes,
             tp: tp.clone(),
             spec,
         }
@@ -82,7 +81,7 @@ impl ParallelFs {
             &self.tp,
             node,
             self.mds.node(),
-            self.ost_nodes.clone(),
+            self.osts.iter().map(|ost| ost.node()).collect(),
             self.spec,
         )
     }
@@ -90,16 +89,6 @@ impl ParallelFs {
     /// The metadata server.
     pub fn mds(&self) -> &Rc<MdsServer> {
         &self.mds
-    }
-
-    /// The object servers.
-    pub fn osts(&self) -> &[Rc<OstServer>] {
-        &self.osts
-    }
-
-    /// The spec the filesystem was started with.
-    pub fn spec(&self) -> PfsSpec {
-        self.spec
     }
 }
 
@@ -166,9 +155,8 @@ mod tests {
             c.close(fd).await.unwrap();
         });
         sim.run();
-        for ost in fs.osts() {
-            let st = ost.stats();
-            assert_eq!(st.bytes_written, 2 << 20, "ost {}", ost.index());
+        for (i, ost) in fs.osts.iter().enumerate() {
+            assert_eq!(ost.stats().bytes_written, 2 << 20, "ost {i}");
         }
     }
 
@@ -215,7 +203,7 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take().unwrap(), Some(PfsError::NotFound));
-        for ost in fs.osts() {
+        for ost in &fs.osts {
             assert_eq!(ost.object_count(), 0);
         }
     }

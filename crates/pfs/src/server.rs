@@ -21,9 +21,9 @@ use transport::{payload_len, AmId, Bulk, Payload, Transport};
 use crate::codec::{encode_meta, MdsOp, MdsRequestRef, MdsResponse, OssRequest, OssResponse};
 
 /// AM id of the MDS.
-pub const MDS_AM: AmId = AmId(0x4D44);
+pub(crate) const MDS_AM: AmId = AmId(0x4D44);
 /// Base AM id of the OSS servers (`OSS_AM_BASE + ost_index`).
-pub const OSS_AM_BASE: u32 = 0x4F00;
+pub(crate) const OSS_AM_BASE: u32 = 0x4F00;
 
 /// Server tuning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -129,7 +129,7 @@ pub struct MdsServer {
 
 impl MdsServer {
     /// Start the MDS on `node`, laying files out across `n_osts` OSTs.
-    pub fn start(
+    pub(crate) fn start(
         ctx: &Ctx,
         tp: &Transport,
         node: NodeId,
@@ -184,11 +184,6 @@ impl MdsServer {
     /// Operation counters.
     pub fn stats(&self) -> MdsStats {
         self.state.borrow().stats
-    }
-
-    /// Number of files in the namespace.
-    pub fn file_count(&self) -> usize {
-        self.state.borrow().files.len()
     }
 }
 
@@ -259,7 +254,7 @@ fn mds_handle(state: &RefCell<MdsState>, spec: &PfsSpec, req: MdsRequestRef<'_>)
 
 /// Per-OST counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OstStats {
+pub(crate) struct OstStats {
     /// Bulk writes served.
     pub writes: u64,
     /// Bulk reads served.
@@ -338,9 +333,10 @@ fn gather_object(segments: &[(u64, Bytes)], offset: u64, len: u64) -> Vec<Bytes>
 }
 
 /// One object storage target and its OSS front-end.
-pub struct OstServer {
+pub(crate) struct OstServer {
     node: NodeId,
     index: u32,
+    #[cfg(test)]
     state: Rc<RefCell<OstState>>,
     write_bw: SharedBandwidth,
     read_bw: SharedBandwidth,
@@ -350,7 +346,7 @@ pub struct OstServer {
 
 impl OstServer {
     /// Start OST `index` on `node`.
-    pub fn start(
+    pub(crate) fn start(
         ctx: &Ctx,
         tp: &Transport,
         node: NodeId,
@@ -367,6 +363,7 @@ impl OstServer {
         let server = Rc::new(OstServer {
             node,
             index,
+            #[cfg(test)]
             state: state.clone(),
             write_bw: write_bw.clone(),
             read_bw: read_bw.clone(),
@@ -460,23 +457,8 @@ impl OstServer {
     }
 
     /// Node hosting this OST.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// OST index.
-    pub fn index(&self) -> u32 {
-        self.index
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> OstStats {
-        self.state.borrow().stats
-    }
-
-    /// Number of live objects.
-    pub fn object_count(&self) -> usize {
-        self.state.borrow().objects.len()
     }
 
     /// Start this OST's background-interference streams:
@@ -486,7 +468,7 @@ impl OstServer {
     /// the paper blames for Lustre's variability at large ensemble sizes.
     /// The OST owns the streams; they run on the calendar, as no process,
     /// for as long as it lives.
-    pub fn spawn_interference(self: &Rc<Self>, ctx: &Ctx, spec: &PfsSpec, stream: u64) {
+    pub(crate) fn spawn_interference(self: &Rc<Self>, ctx: &Ctx, spec: &PfsSpec, stream: u64) {
         if spec.interference <= 0.0 {
             return;
         }
@@ -503,6 +485,19 @@ impl OstServer {
             "OST {} already runs its interference",
             self.index
         );
+    }
+}
+
+#[cfg(test)]
+impl OstServer {
+    /// Operation counters.
+    pub(crate) fn stats(&self) -> OstStats {
+        self.state.borrow().stats
+    }
+
+    /// Number of live objects.
+    pub(crate) fn object_count(&self) -> usize {
+        self.state.borrow().objects.len()
     }
 }
 
@@ -553,7 +548,7 @@ mod tests {
         // Second file starts on the next OST after the first file's span.
         assert_ne!(l1.objects, l2.objects);
         assert_eq!(mds.stats().creates, 2);
-        assert_eq!(mds.file_count(), 2);
+        assert_eq!(mds.state.borrow().files.len(), 2);
     }
 
     /// Layouts wrap round the OSTs mod their count, object ids run on,

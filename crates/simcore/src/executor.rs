@@ -693,11 +693,6 @@ impl Sim {
         self.ctx().spawn(fut)
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.core.borrow().now
-    }
-
     /// Run until the calendar is empty or `deadline` is reached.
     pub fn run_until(&self, deadline: SimTime) -> RunReport {
         self.run_loop(Some(deadline))
@@ -846,7 +841,7 @@ pub struct SimArena {
 impl SimArena {
     /// An empty arena (no pre-warmed capacity); equivalent to starting
     /// from [`Sim::new`] on first use.
-    pub fn new() -> SimArena {
+    pub(crate) fn new() -> SimArena {
         SimArena::default()
     }
 }
@@ -957,7 +952,7 @@ impl Ctx {
     }
 
     /// Seed this simulation was created with.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.core().borrow().seed
     }
 
@@ -1049,11 +1044,6 @@ impl Ctx {
     pub(crate) fn wake_task(&self, id: TaskId) {
         wake(&self.core, id);
     }
-
-    /// Snapshot of event-calendar internals. See [`Sim::calendar_stats`].
-    pub fn calendar_stats(&self) -> CalendarStats {
-        self.core().borrow().calendar_stats()
-    }
 }
 
 /// Handle to a scheduled [`Ctx::call_after`] callback.
@@ -1072,7 +1062,7 @@ pub struct TimerHandle {
 impl TimerHandle {
     /// Cancel the scheduled callback. Returns `true` if the callback had
     /// not yet fired (i.e. this call actually cancelled it).
-    pub fn cancel(&self) -> bool {
+    pub(crate) fn cancel(&self) -> bool {
         let Some(core) = self.core.upgrade() else {
             return false;
         };
@@ -1319,13 +1309,8 @@ impl<T: 'static> JoinSet<T> {
     }
 
     /// Members spawned so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shared.results.borrow().len()
-    }
-
-    /// True when nothing was spawned into the set.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// True once every member has completed.
@@ -1711,7 +1696,7 @@ mod tests {
             sim.spawn(async move {
                 loop {
                     ctx.sleep(SimDuration::from_nanos(7)).await;
-                    let st = ctx.calendar_stats();
+                    let st = ctx.core().borrow().calendar_stats();
                     assert!(
                         st.tombstones <= COMPACT_FLOOR.max(st.pending),
                         "tombstones {} exceed bound (pending {})",
@@ -2111,7 +2096,7 @@ mod tests {
                 burst(r, x % room.max(1), x >> 7);
             };
             let check = |r: &Reference| {
-                assert_eq!(sim.now().nanos(), r.now);
+                assert_eq!(sim.ctx().now().nanos(), r.now);
                 let live = r.armed.iter().filter(|&&a| a).count();
                 assert_eq!(sim.calendar_stats().pending, live);
                 live

@@ -41,9 +41,6 @@ mod time;
 pub mod trace;
 pub mod work;
 
-pub use combinators::{race, timeout, Either, Race, TimedOut, Timeout};
-pub use executor::{
-    splitmix64, CalendarStats, Ctx, JoinHandle, JoinSet, RunReport, Sim, SimArena, SimConfig,
-    Sleep, TimerHandle,
-};
+pub use combinators::{race, timeout};
+pub use executor::{splitmix64, Ctx, JoinHandle, JoinSet, RunReport, Sim, SimArena, SimConfig};
 pub use time::{SimDuration, SimTime};

@@ -89,25 +89,11 @@ use crate::time::{SimDuration, SimTime};
 // FifoResource
 // ---------------------------------------------------------------------------
 
-/// Aggregate statistics for a [`FifoResource`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FifoStats {
-    /// Requests completed.
-    pub served: u64,
-    /// Total time requests spent in service (not queueing).
-    pub busy: SimDuration,
-    /// Total time requests spent waiting for a slot.
-    pub waited: SimDuration,
-    /// Largest number of queued requests observed.
-    pub peak_queue: usize,
-}
-
 /// A server pool with `slots` parallel servers and FIFO admission.
 #[derive(Clone)]
 pub struct FifoResource {
     ctx: Ctx,
     sem: Semaphore,
-    stats: Rc<RefCell<FifoStats>>,
 }
 
 impl FifoResource {
@@ -117,39 +103,15 @@ impl FifoResource {
         FifoResource {
             ctx: ctx.clone(),
             sem: Semaphore::new(slots),
-            stats: Rc::default(),
         }
     }
 
     /// Queue for a slot, hold it for `service`, then release it.
     pub fn request(&self, service: SimDuration) -> impl Future<Output = ()> + '_ {
         async move {
-            let queued_at = self.ctx.now();
-            let permit = self.sem.acquire(1).await;
-            let start = self.ctx.now();
+            let _permit = self.sem.acquire(1).await;
             self.ctx.sleep(service).await;
-            drop(permit);
-            let mut st = self.stats.borrow_mut();
-            st.served += 1;
-            st.busy += service;
-            st.waited += start - queued_at;
         }
-    }
-
-    /// Snapshot of accumulated statistics.
-    ///
-    /// `peak_queue` is observed in exactly one place — the semaphore's
-    /// waiter-enqueue path — and only read here, so it is monotone by
-    /// construction and never under-reports between snapshots.
-    pub fn stats(&self) -> FifoStats {
-        let mut s = *self.stats.borrow();
-        s.peak_queue = self.sem.peak_queue();
-        s
-    }
-
-    /// Requests currently waiting for a slot.
-    pub fn queue_len(&self) -> usize {
-        self.sem.queue_len()
     }
 }
 
@@ -558,11 +520,6 @@ impl SharedBandwidth {
         assert!(cap > 0.0 && cap.is_finite());
         self.link.inner.borrow_mut().flow_cap = Some(cap);
         self
-    }
-
-    /// Aggregate rate in bytes/second.
-    pub fn rate(&self) -> f64 {
-        self.link.inner.borrow().rate
     }
 
     /// Snapshot of accumulated statistics.
@@ -1112,25 +1069,6 @@ mod tests {
         let mut ends: Vec<f64> = handles.into_iter().map(|h| h.try_take().unwrap()).collect();
         ends.sort_by(f64::total_cmp);
         assert_eq!(ends, vec![1.0, 1.0, 2.0, 2.0]);
-        let st = res.stats();
-        assert_eq!(st.served, 4);
-        assert!((st.busy.as_secs_f64() - 4.0).abs() < 1e-9);
-        assert!((st.waited.as_secs_f64() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fifo_resource_tracks_peak_queue() {
-        let sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let res = FifoResource::new(&ctx, 1);
-        for _ in 0..5 {
-            let res = res.clone();
-            sim.spawn(async move {
-                res.request(SimDuration::from_nanos(10)).await;
-            });
-        }
-        sim.run();
-        assert_eq!(res.stats().peak_queue, 4);
     }
 
     /// The order "What a link costs" describes, in bytes from the start
@@ -1164,64 +1102,5 @@ mod tests {
     #[test]
     fn proptest_secs_helper() {
         assert_eq!(secs(1_500_000_000), 1.5);
-    }
-
-    /// Regression test for the peak-queue observation point: waiters
-    /// arrive in two waves with drains in between, and the reported peak
-    /// must be the true high-water mark (observed exactly once, at
-    /// waiter enqueue) and monotone across snapshots.
-    #[test]
-    fn peak_queue_survives_interleaved_waves_and_drains() {
-        let sim = Sim::new(0);
-        let ctx = sim.ctx();
-        let res = FifoResource::new(&ctx, 1);
-        let service = SimDuration::from_nanos(100);
-        // Wave 1 at t=0: one runs, two queue.
-        for _ in 0..3 {
-            let res = res.clone();
-            sim.spawn(async move {
-                res.request(service).await;
-            });
-        }
-        // Wave 2 at t=10ns while wave 1 still queues: queue hits 4.
-        for _ in 0..2 {
-            let res = res.clone();
-            let ctx2 = ctx.clone();
-            sim.spawn(async move {
-                ctx2.sleep(SimDuration::from_nanos(10)).await;
-                res.request(service).await;
-            });
-        }
-        // Wave 3 long after everything drained: queue only reaches 1, so
-        // the peak must not be reset by the idle period.
-        for _ in 0..2 {
-            let res = res.clone();
-            let ctx2 = ctx.clone();
-            sim.spawn(async move {
-                ctx2.sleep(SimDuration::from_micros(10)).await;
-                res.request(service).await;
-            });
-        }
-        // Monitor: snapshots are monotone and never exceed the true max.
-        let peaks: Rc<RefCell<Vec<usize>>> = Rc::default();
-        {
-            let res = res.clone();
-            let ctx2 = ctx.clone();
-            let peaks = peaks.clone();
-            sim.spawn(async move {
-                for _ in 0..8 {
-                    ctx2.sleep(SimDuration::from_nanos(60)).await;
-                    peaks.borrow_mut().push(res.stats().peak_queue);
-                }
-            });
-        }
-        assert!(sim.run().is_clean());
-        assert_eq!(res.stats().peak_queue, 4);
-        let peaks = peaks.borrow();
-        assert!(
-            peaks.windows(2).all(|w| w[0] <= w[1]),
-            "non-monotone: {peaks:?}"
-        );
-        assert!(peaks.iter().all(|&p| p <= 4), "over-report: {peaks:?}");
     }
 }

@@ -172,16 +172,6 @@ impl<T> Receiver<T> {
     pub fn recv(&mut self) -> Recv<'_, T> {
         Recv { rx: self }
     }
-
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.st.borrow().queue.len()
-    }
-
-    /// True if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Future returned by [`Receiver::recv`].
@@ -224,7 +214,6 @@ struct SemWaiter {
 struct SemState {
     permits: u64,
     waiters: VecDeque<Rc<RefCell<SemWaiter>>>,
-    peak_queue: usize,
 }
 
 /// A counting semaphore with FIFO wakeups.
@@ -243,7 +232,6 @@ impl Semaphore {
             st: Rc::new(RefCell::new(SemState {
                 permits,
                 waiters: VecDeque::new(),
-                peak_queue: 0,
             })),
         }
     }
@@ -258,11 +246,6 @@ impl Semaphore {
         self.st.borrow().waiters.len()
     }
 
-    /// Largest queue length observed so far.
-    pub fn peak_queue(&self) -> usize {
-        self.st.borrow().peak_queue
-    }
-
     /// Acquire `amount` permits; the returned guard releases them on drop.
     pub fn acquire(&self, amount: u64) -> Acquire {
         Acquire {
@@ -273,7 +256,7 @@ impl Semaphore {
     }
 
     /// Return `amount` permits and hand them to queued waiters in order.
-    pub fn add_permits(&self, amount: u64) {
+    pub(crate) fn add_permits(&self, amount: u64) {
         let mut st = self.st.borrow_mut();
         let st = &mut *st;
         st.permits += amount;
@@ -351,8 +334,6 @@ impl Future for Acquire {
             task: Parked::current(),
         }));
         st.waiters.push_back(waiter.clone());
-        let qlen = st.waiters.len();
-        st.peak_queue = st.peak_queue.max(qlen);
         drop(st);
         self.waiter = Some(waiter);
         Poll::Pending

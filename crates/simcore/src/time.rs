@@ -45,9 +45,6 @@ impl SimTime {
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
-
     /// Construct from nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimDuration(ns)
@@ -88,7 +85,7 @@ impl SimDuration {
     /// instant, so the work is fully done when the event is handled (no
     /// residual-byte epsilon needed). Negative and non-finite inputs
     /// clamp to zero.
-    pub fn from_secs_f64_ceil(s: f64) -> Self {
+    pub(crate) fn from_secs_f64_ceil(s: f64) -> Self {
         if s.is_nan() || s <= 0.0 {
             return SimDuration(0);
         }
@@ -253,7 +250,10 @@ mod tests {
     fn from_secs_f64_edge_cases() {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::from_secs_f64(f64::INFINITY),
+            SimDuration::from_nanos(u64::MAX)
+        );
         // Sub-nanosecond values round.
         assert_eq!(SimDuration::from_secs_f64(0.6e-9).nanos(), 1);
         assert_eq!(SimDuration::from_secs_f64(0.4e-9).nanos(), 0);
@@ -269,7 +269,7 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64_ceil(f64::NAN), SimDuration::ZERO);
         assert_eq!(
             SimDuration::from_secs_f64_ceil(f64::INFINITY),
-            SimDuration::MAX
+            SimDuration::from_nanos(u64::MAX)
         );
     }
 

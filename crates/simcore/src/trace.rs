@@ -82,19 +82,6 @@ impl Tracer {
         self.state.borrow().enabled
     }
 
-    /// Record a point event at the current simulated time.
-    pub fn instant(&self, ctx: &Ctx, track: &str, category: &'static str, name: &str) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.state.borrow_mut().events.push(TraceEvent::Instant {
-            at: ctx.now(),
-            track: track.to_string(),
-            category,
-            name: name.to_string(),
-        });
-    }
-
     /// Open a span; it closes (and records) when the guard drops.
     /// A disabled tracer returns an inert guard without copying the
     /// labels, so spans on hot paths cost two empty strings at most.
@@ -260,6 +247,21 @@ mod tests {
     use super::*;
     use crate::executor::Sim;
     use crate::time::SimDuration;
+
+    impl Tracer {
+        /// Record a point event at the current simulated time.
+        fn instant(&self, ctx: &Ctx, track: &str, category: &'static str, name: &str) {
+            if !self.is_enabled() {
+                return;
+            }
+            self.state.borrow_mut().events.push(TraceEvent::Instant {
+                at: ctx.now(),
+                track: track.to_string(),
+                category,
+                name: name.to_string(),
+            });
+        }
+    }
 
     #[test]
     fn spans_record_simulated_durations() {

@@ -99,7 +99,7 @@ impl FrameMeta {
     }
 
     /// Decode from a KVS value.
-    pub fn decode(mut raw: Bytes) -> FrameMeta {
+    pub(crate) fn decode(mut raw: Bytes) -> FrameMeta {
         let owner = NodeId(raw.get_u32());
         let size = raw.get_u64();
         let location = match raw.get_u8() {
@@ -142,7 +142,7 @@ impl Default for StagingSpec {
 
 /// Why a frame is on this node's NVMe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
+pub(crate) enum FrameKind {
     /// Produced here; the KVS metadata points at this copy.
     Produced,
     /// Consumer-side cache copy of a remote frame; evictable without
@@ -152,7 +152,7 @@ pub enum FrameKind {
 
 /// Lifecycle state of a tracked frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameState {
+pub(crate) enum FrameState {
     /// Bytes written to NVMe, metadata not yet committed.
     Written,
     /// Metadata committed; consumers can find it.
@@ -285,7 +285,7 @@ pub fn ack_key(path: &str, consumer: &str) -> String {
 }
 
 /// Where frame `path` lives on the PFS after a spill.
-pub fn spill_path(path: &str) -> String {
+pub(crate) fn spill_path(path: &str) -> String {
     ["/spill", path].concat()
 }
 
@@ -317,18 +317,8 @@ impl StagingManager {
         })
     }
 
-    /// The node this manager serves.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The spec the manager was built with.
-    pub fn spec(&self) -> StagingSpec {
-        self.spec
-    }
-
     /// The PFS client used for spills/fallback fetches, if any.
-    pub fn pfs_client(&self) -> Option<&PfsClient> {
+    pub(crate) fn pfs_client(&self) -> Option<&PfsClient> {
         self.pfs.as_ref()
     }
 
@@ -386,7 +376,7 @@ impl StagingManager {
     /// [`FrameState::Written`], which no evictor pass frees; waiting on
     /// them would wait forever. Cheap and non-blocking — callers use it
     /// to decide whether to open a backpressure instrumentation region.
-    pub fn would_block(&self, path: &str, incoming: u64) -> bool {
+    pub(crate) fn would_block(&self, path: &str, incoming: u64) -> bool {
         self.is_bounded()
             && self.fs.statvfs().used_bytes + incoming > self.high_bytes()
             && !self.on_device(path)
@@ -497,14 +487,14 @@ impl StagingManager {
     /// A consumer-side cache copy of a remote frame landed on this
     /// node's NVMe. Tracked as [`FrameKind::Cache`]: evictable without
     /// acks once the budget tightens.
-    pub fn cache_inserted(&self, path: &str, size: u64) {
+    pub(crate) fn cache_inserted(&self, path: &str, size: u64) {
         self.track(path, size, FrameKind::Cache, FrameState::Published);
     }
 
     /// Commit the consumption acknowledgement for (`path`, `consumer`).
     /// A commit that fails inside a fault window is counted
     /// (`acks_dropped`), not fatal: the frame is merely retained longer.
-    pub fn try_publish_ack<'a>(
+    pub(crate) fn try_publish_ack<'a>(
         &'a self,
         path: &'a str,
         consumer: &'a str,
@@ -523,7 +513,7 @@ impl StagingManager {
         }
     }
 
-    /// [`StagingManager::try_publish_ack`] without a fault board.
+    /// `StagingManager::try_publish_ack` without a fault board.
     pub fn publish_ack<'a>(
         &'a self,
         path: &'a str,
@@ -537,12 +527,12 @@ impl StagingManager {
     }
 
     /// Note a consumer fetch that fell back to the PFS copy.
-    pub fn note_pfs_fallback(&self) {
+    pub(crate) fn note_pfs_fallback(&self) {
         self.inner.borrow_mut().stats.pfs_fallbacks += 1;
     }
 
     /// Lifecycle state of a tracked frame, if tracked.
-    pub fn frame_state(&self, path: &str) -> Option<FrameState> {
+    pub(crate) fn frame_state(&self, path: &str) -> Option<FrameState> {
         self.inner
             .borrow()
             .frames
@@ -634,7 +624,7 @@ impl StagingManager {
     }
 
     /// A spilled frame's PFS copy is gone (dropped by a crash or an
-    /// external unlink). The frame becomes [`FrameState::Lost`] and its
+    /// external unlink). The frame becomes `FrameState::Lost` and its
     /// metadata is tombstoned so consumer fetches fail typed rather
     /// than reading a missing file.
     pub async fn mark_spill_lost(&self, path: &str) {
@@ -816,7 +806,7 @@ impl StagingManager {
     /// One evictor pass: retire fully-acked frames first, then spill
     /// (or drop cache copies of) still-needed ones until usage reaches
     /// the low watermark.
-    pub async fn evict_pass(&self) {
+    pub(crate) async fn evict_pass(&self) {
         let backlog = std::mem::take(&mut self.inner.borrow_mut().unlink_backlog);
         for p in backlog {
             if !self.unlink_keys(p.resolve()).await {

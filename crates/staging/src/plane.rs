@@ -303,7 +303,7 @@ impl Plane {
     }
 
     /// Whether this node's staging manager holds `path` as
-    /// [`FrameState::Lost`]: a crash took every copy, and its tombstone
+    /// `FrameState::Lost`: a crash took every copy, and its tombstone
     /// is all a consumer will find.
     pub fn is_lost(&self, path: &str) -> bool {
         self.staging.as_ref().and_then(|st| st.frame_state(path)) == Some(FrameState::Lost)

@@ -15,7 +15,7 @@
 //!   the rendezvous path DYAD uses. The two backends differ only in
 //!   protocol, not in plumbing: the plumbing is [`staging::plane`], of
 //!   which this crate holds the [`PLANE`] row.
-//! * A **bounded in-flight window** ([`StreamWindow`]) backpressures the
+//! * A **bounded in-flight window** (`StreamWindow`) backpressures the
 //!   publisher: at most `window` unacknowledged steps may be open.
 //!   Release rides the *existing* staging consumption-ack keys
 //!   ([`staging::ack_key`]): subscribers commit acks to the KVS for
@@ -63,8 +63,7 @@ use staging::plane::{Backend, Plane, PlaneSpec, PlaneStats, Session};
 use staging::{ack_key, StagingManager};
 use transport::{AmId, Payload, Transport, TransportError};
 
-pub use staging::plane::PlaneError;
-pub use staging::{FrameLocation, FrameMeta};
+pub(crate) use staging::plane::PlaneError;
 
 /// The window stall inside `stream_publish`.
 const WINDOW_WAIT: &str = "stream_window_wait";
@@ -114,50 +113,33 @@ struct PendingStep {
 /// steps may be open (published but not acknowledged by each of its
 /// ackers) at once. Pure bookkeeping — the async machinery around
 /// it lives in [`StreamPublisher`] — so the safety invariant
-/// (`in_flight() <= capacity()` always) is property-testable without a
+/// (never more than `capacity` open steps) is property-testable without a
 /// simulator.
 #[derive(Debug, Clone)]
-pub struct StreamWindow {
+pub(crate) struct StreamWindow {
     capacity: usize,
     pending: BTreeMap<u64, PendingStep>,
-    peak: usize,
 }
 
 impl StreamWindow {
     /// A window admitting `capacity >= 1` concurrent open steps.
-    pub fn new(capacity: usize) -> StreamWindow {
+    pub(crate) fn new(capacity: usize) -> StreamWindow {
         assert!(capacity >= 1, "window capacity must be at least 1");
         StreamWindow {
             capacity,
             pending: BTreeMap::new(),
-            peak: 0,
         }
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Currently open steps.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// High-water mark of open steps over the window's lifetime.
-    pub fn peak_in_flight(&self) -> usize {
-        self.peak
-    }
-
     /// Whether another step may open without violating the bound.
-    pub fn can_open(&self) -> bool {
+    pub(crate) fn can_open(&self) -> bool {
         self.pending.len() < self.capacity
     }
 
     /// Open `step` (published under `path`), waiting on `ackers`.
     /// Panics if the window is full or the step is already open — the
     /// publisher must gate on [`StreamWindow::can_open`] first.
-    pub fn open(&mut self, step: u64, path: &str, ackers: &[StreamAcker]) {
+    pub(crate) fn open(&mut self, step: u64, path: &str, ackers: &[StreamAcker]) {
         assert!(
             self.can_open(),
             "window overflow: opening step {step} with {} already in flight",
@@ -176,13 +158,12 @@ impl StreamWindow {
             },
         );
         assert!(prev.is_none(), "step {step} opened twice");
-        self.peak = self.peak.max(self.pending.len());
     }
 
     /// Record `consumer`'s ack of `step`. Returns `true` when this ack
     /// freed the step's slot. Unknown steps and duplicate acks are
     /// ignored (acks are idempotent KVS keys).
-    pub fn ack(&mut self, step: u64, consumer: &str) -> bool {
+    pub(crate) fn ack(&mut self, step: u64, consumer: &str) -> bool {
         let Some(p) = self.pending.get_mut(&step) else {
             return false;
         };
@@ -198,14 +179,14 @@ impl StreamWindow {
     /// Forget `step` entirely: a publish failed before the
     /// step became consumable, so no ack will ever arrive for it.
     /// Returns whether the step was open.
-    pub fn abort(&mut self, step: u64) -> bool {
+    pub(crate) fn abort(&mut self, step: u64) -> bool {
         self.pending.remove(&step).is_some()
     }
 
     /// Drop every outstanding ack whose node is reported down, freeing
     /// any step left with no waiters. Returns the number of waiter
     /// entries reclaimed (the subscriber-crash recovery path).
-    pub fn reclaim_down(&mut self, down: impl Fn(u32) -> bool) -> u64 {
+    pub(crate) fn reclaim_down(&mut self, down: impl Fn(u32) -> bool) -> u64 {
         let mut reclaimed = 0;
         let steps: Vec<u64> = self.pending.keys().copied().collect();
         for step in steps {
@@ -227,7 +208,7 @@ impl StreamWindow {
     }
 
     /// Every outstanding `(step, path, waiters)`, oldest step first.
-    pub fn entries(&self) -> Vec<(u64, String, Vec<StreamAcker>)> {
+    pub(crate) fn entries(&self) -> Vec<(u64, String, Vec<StreamAcker>)> {
         self.pending
             .iter()
             .map(|(step, p)| {
@@ -246,7 +227,7 @@ impl StreamWindow {
 
     /// The oldest step's first outstanding `(step, path, consumer)` —
     /// the head-of-line ack the publisher parks on when full.
-    pub fn oldest_waiter(&self) -> Option<(u64, String, String)> {
+    pub(crate) fn oldest_waiter(&self) -> Option<(u64, String, String)> {
         self.pending.iter().next().map(|(step, p)| {
             let consumer = p.waiting.keys().next().expect("open step has waiters");
             (*step, p.path.clone(), consumer.clone())
@@ -284,22 +265,6 @@ impl ReductionTree {
             stride *= 2;
         }
         ReductionTree { leaves, stages }
-    }
-
-    /// Number of leaf inputs.
-    pub fn leaves(&self) -> usize {
-        self.leaves
-    }
-
-    /// The merge schedule: `stages()[s]` is the list of `(dst, src)`
-    /// merges of stage `s`; merges within a stage are independent.
-    pub fn stages(&self) -> &[Vec<(usize, usize)>] {
-        &self.stages
-    }
-
-    /// Tree depth (`ceil(log2 leaves)`).
-    pub fn depth(&self) -> usize {
-        self.stages.len()
     }
 
     /// Total pairwise merges (`leaves - 1`).
@@ -469,11 +434,6 @@ pub struct StreamPublisher {
 }
 
 impl StreamPublisher {
-    /// The window (inspection/tests).
-    pub fn window(&self) -> &StreamWindow {
-        &self.window
-    }
-
     /// Sweep the KVS ack keys of every pending step and release the
     /// fully-acked ones. Lazy: only called when the window looks full,
     /// so steady-state publishes cost no extra metadata traffic.
@@ -761,7 +721,7 @@ mod tests {
             pb.publish(&rec, "w/0", 0, f0, &[acker("c0", 1)]).await;
             let f1 = step_payload(1);
             pb.publish(&rec, "w/1", 1, f1, &[acker("c0", 1)]).await;
-            (ctx.now().as_secs_f64(), pb.window().peak_in_flight())
+            (ctx.now().as_secs_f64(), pb.window.pending.len())
         });
         let ctx2 = sim.ctx();
         let hc = sim.spawn(async move {
@@ -772,12 +732,12 @@ mod tests {
             transport::payload_len(&got)
         });
         sim.run_until(SimTime::from_nanos(5_000_000_000));
-        let (t_second_publish, peak) = h.try_take().expect("publisher hung on the window");
+        let (t_second_publish, open) = h.try_take().expect("publisher hung on the window");
         assert!(
             t_second_publish >= 0.3,
             "second publish at {t_second_publish}s beat the ack"
         );
-        assert_eq!(peak, 1, "window bound violated");
+        assert_eq!(open, 1, "window bound violated");
         assert_eq!(hc.try_take().unwrap(), Model::Jac.frame_bytes());
         assert!(rig.services[0].window_stats().window_stalls >= 1);
         assert!(rig.services[0].window_stats().window_stall_ns > 0);
@@ -871,17 +831,17 @@ mod tests {
     #[test]
     fn reduction_tree_shapes() {
         let t1 = ReductionTree::new(1);
-        assert_eq!(t1.depth(), 0);
+        assert_eq!(t1.stages.len(), 0);
         assert_eq!(t1.merges(), 0);
         assert_eq!(t1.combined_bytes(&[7]), 7);
         let t4 = ReductionTree::new(4);
-        assert_eq!(t4.depth(), 2);
+        assert_eq!(t4.stages.len(), 2);
         assert_eq!(t4.merges(), 3);
-        assert_eq!(t4.stages()[0], vec![(0, 1), (2, 3)]);
-        assert_eq!(t4.stages()[1], vec![(0, 2)]);
+        assert_eq!(t4.stages[0], vec![(0, 1), (2, 3)]);
+        assert_eq!(t4.stages[1], vec![(0, 2)]);
         assert_eq!(t4.combined_bytes(&[1, 2, 3, 4]), 10);
         let t5 = ReductionTree::new(5);
-        assert_eq!(t5.depth(), 3);
+        assert_eq!(t5.stages.len(), 3);
         assert_eq!(t5.merges(), 4);
         assert_eq!(t5.combined_bytes(&[1, 1, 1, 1, 1]), 5);
     }
@@ -930,8 +890,7 @@ mod props {
                         let _ = w.reclaim_down(|n| n == down);
                     }
                 }
-                prop_assert!(w.in_flight() <= w.capacity());
-                prop_assert!(w.peak_in_flight() <= w.capacity());
+                prop_assert!(w.pending.len() <= w.capacity);
             }
             // Drain: ack every outstanding waiter.
             for (step, _, waiters) in w.entries() {
@@ -939,7 +898,7 @@ mod props {
                     w.ack(step, &a.consumer);
                 }
             }
-            prop_assert_eq!(w.in_flight(), 0);
+            prop_assert!(w.pending.is_empty());
         }
 
         // Reduction-tree byte conservation: for any leaf sizes, the
@@ -956,7 +915,7 @@ mod props {
             // Depth is the information-theoretic minimum for pairwise
             // merges.
             let min_depth = usize::BITS - (leaf_bytes.len() - 1).leading_zeros();
-            prop_assert_eq!(tree.depth(), min_depth as usize);
+            prop_assert_eq!(tree.stages.len(), min_depth as usize);
         }
     }
 }

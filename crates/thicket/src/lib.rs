@@ -63,16 +63,6 @@ impl Ensemble {
         self.profiles.push(p);
     }
 
-    /// Number of member profiles.
-    pub fn len(&self) -> usize {
-        self.profiles.len()
-    }
-
-    /// True when the ensemble has no profiles.
-    pub fn is_empty(&self) -> bool {
-        self.profiles.is_empty()
-    }
-
     /// Aggregate into per-path statistics.
     ///
     /// Profiles are flat arenas (`instrument`'s "Profile layout"), and so
@@ -255,7 +245,7 @@ impl AggProfile {
 
 /// A side-by-side comparison row from [`AggProfile::compare`].
 #[derive(Debug, Clone, Serialize)]
-pub struct CompareRow {
+pub(crate) struct CompareRow {
     /// Call path (joined with `/`).
     pub path: String,
     /// Mean inclusive seconds in `self`.
@@ -270,7 +260,7 @@ impl AggProfile {
     /// Compare two aggregated profiles path by path — the Figure 9-vs-10
     /// view ("how does each region scale between runs?"). Rows follow
     /// `self`'s path order; paths only in `other` are appended.
-    pub fn compare(&self, other: &AggProfile) -> Vec<CompareRow> {
+    pub(crate) fn compare(&self, other: &AggProfile) -> Vec<CompareRow> {
         let mut rows: Vec<CompareRow> = self
             .nodes
             .iter()

@@ -477,7 +477,7 @@ impl Transport {
     }
 
     /// Protocol parameters.
-    pub fn spec(&self) -> TransportSpec {
+    pub(crate) fn spec(&self) -> TransportSpec {
         self.inner.spec
     }
 
@@ -574,11 +574,6 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    /// The node this endpoint belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The transport's fault board, if one is attached.
     pub fn faults(&self) -> Option<FaultBoard> {
         self.tp.faults()
