@@ -455,7 +455,7 @@ mod tests {
         let sim = Sim::new(0);
         let ctx = sim.ctx();
         let f = ls_fabric(&sim, 4, 2, 1.0);
-        assert_eq!(f.tiers.as_ref().unwrap().leaves.len(), 2);
+        assert_eq!(f.tiers.as_deref().unwrap().leaves.len(), 2);
         let h = sim.spawn(async move {
             f.send(NodeId(0), NodeId(1), 0).await; // intra-leaf: 2 hops
             let intra = ctx.now();
@@ -540,13 +540,8 @@ mod tests {
             let t = h.try_take().unwrap();
             assert!((t - 2.000007).abs() < 1e-5, "took {t}");
         }
-        assert_eq!(
-            f.tiers.as_ref().unwrap().leaves[0]
-                .up
-                .stats()
-                .peak_concurrency,
-            2
-        );
+        let tiers = f.tiers.as_deref().unwrap();
+        assert_eq!(tiers.leaves[0].up.stats().peak_concurrency, 2);
     }
 
     #[test]
@@ -562,11 +557,9 @@ mod tests {
         sim.run();
         let t = h.try_take().unwrap();
         assert!((t - 1.000004).abs() < 1e-6, "took {t}");
-        assert_eq!(
-            f.tiers.as_ref().unwrap().leaves[0].up.stats().flows_served,
-            0
-        );
-        assert_eq!(f.tiers.as_ref().unwrap().spine.stats().flows_served, 0);
+        let tiers = f.tiers.as_deref().unwrap();
+        assert_eq!(tiers.leaves[0].up.stats().flows_served, 0);
+        assert_eq!(tiers.spine.stats().flows_served, 0);
     }
 
     mod conservation {
@@ -631,7 +624,7 @@ mod tests {
         sim.run();
         assert_eq!(f.tx_stats(NodeId(0)).bytes_moved, 1_000_000);
         assert_eq!(f.rx_stats(NodeId(2)).bytes_moved, 1_000_000);
-        assert_eq!(f.tiers.as_ref().unwrap().spine.stats().bytes_moved, 0);
-        assert_eq!(f.tiers.as_ref().unwrap().spine.stats().flows_served, 1);
+        let spine = f.tiers.as_deref().unwrap().spine.stats();
+        assert_eq!((spine.bytes_moved, spine.flows_served), (0, 1));
     }
 }

@@ -108,8 +108,6 @@ pub enum FaultKind {
     },
 }
 
-impl FaultKind {}
-
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

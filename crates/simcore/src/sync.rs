@@ -469,11 +469,10 @@ pub struct SharedLock {
 
 impl SharedLock {
     /// Take the lock as `kind`, parking while an incompatible holder has
-    /// it. Resolves to whether the acquire had to park.
+    /// it.
     #[allow(clippy::manual_async_fn)] // each argument stored once
-    pub fn acquire(&self, kind: LockKind) -> impl Future<Output = bool> + '_ {
+    pub fn acquire(&self, kind: LockKind) -> impl Future<Output = ()> + '_ {
         async move {
-            let mut parked = false;
             loop {
                 let wait = {
                     let mut st = self.st.borrow_mut();
@@ -486,11 +485,10 @@ impl SharedLock {
                             LockKind::Shared => st.readers += 1,
                             LockKind::Exclusive => st.writer = true,
                         }
-                        return parked;
+                        return;
                     }
                     st.queue.wait()
                 };
-                parked = true;
                 wait.await;
             }
         }
