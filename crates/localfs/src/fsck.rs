@@ -1,5 +1,5 @@
 //! Filesystem consistency checking — the invariants a real `xfs_repair`
-//! would verify, used by the property tests and available to embedders.
+//! would verify: the oracle the property tests check the filesystem against.
 
 use std::collections::HashMap;
 
