@@ -41,11 +41,10 @@ use kvs::KvsClient;
 use localfs::LocalFs;
 use rand::rngs::StdRng;
 use simcore::Ctx;
-use staging::plane::{Backend, Plane, PlaneSpec, Session};
+use staging::plane::{Backend, Plane, PlaneError, PlaneSpec, PlaneStats, Session};
 use staging::StagingManager;
 use transport::{AmId, Payload, Transport};
 
-pub(crate) use staging::plane::{PlaneError, PlaneStats as DyadStats};
 pub use staging::{FrameLocation, FrameMeta};
 
 /// DYAD's row of the staged plane.
@@ -121,7 +120,7 @@ impl DyadService {
     }
 
     /// Operation counters.
-    pub fn stats(&self) -> DyadStats {
+    pub fn stats(&self) -> PlaneStats {
         self.plane.stats()
     }
 

@@ -33,7 +33,7 @@ mod codec;
 pub mod mesh;
 
 pub use codec::{Request, Response};
-pub(crate) use mesh::shard_for;
+use mesh::shard_for;
 pub use mesh::KvsMesh;
 
 use std::cell::RefCell;

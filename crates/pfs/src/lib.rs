@@ -31,7 +31,7 @@ pub use client::{PfsClient, PfsError};
 pub use codec::{Layout, MdsRequest, MdsResponse, OssRequest, OssResponse};
 pub use ldlm::{LdlmClient, LdlmServer, LdlmSpec, LockMode};
 pub use server::PfsSpec;
-pub(crate) use server::{MdsServer, OstServer};
+use server::{MdsServer, OstServer};
 
 use cluster::NodeId;
 use simcore::Ctx;
