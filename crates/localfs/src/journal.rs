@@ -88,6 +88,14 @@ mod tests {
         j.append(RecordKind::DirEntry);
         assert_eq!(j.pending_bytes, 1024);
         assert_eq!(j.take_flush(), Some(1536)); // 2 records + commit
+        assert_eq!(
+            j.stats,
+            JournalStats {
+                records: 2,
+                flushes: 1,
+                bytes_flushed: 1536
+            }
+        );
         assert_eq!(j.pending_bytes, 0);
     }
 
@@ -95,6 +103,6 @@ mod tests {
     fn empty_flush_is_noop() {
         let mut j = Journal::new(512);
         assert_eq!(j.take_flush(), None);
-        assert_eq!(j.pending_bytes, 0);
+        assert_eq!(j.stats, JournalStats::default());
     }
 }

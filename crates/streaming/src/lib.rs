@@ -59,11 +59,9 @@ use kvs::KvsClient;
 use localfs::LocalFs;
 use rand::rngs::StdRng;
 use simcore::{Ctx, SimDuration};
-use staging::plane::{Backend, Plane, PlaneSpec, PlaneStats, Session};
+use staging::plane::{Backend, Plane, PlaneError, PlaneSpec, PlaneStats, Session};
 use staging::{ack_key, StagingManager};
 use transport::{AmId, Payload, Transport, TransportError};
-
-pub(crate) use staging::plane::PlaneError;
 
 /// The window stall inside `stream_publish`.
 const WINDOW_WAIT: &str = "stream_window_wait";
@@ -475,9 +473,10 @@ impl StreamPublisher {
     /// stall if it actually waited. How it waits is selected on the
     /// fault board: without one it parks on the head-of-line ack's KVS
     /// watch (no polling); with one it polls every `stall_poll` (the
-    /// watch could park on a key whose committer crashed), reclaiming
-    /// crashed subscribers' slots each sweep when `reclaim_on_crash` is
-    /// set.
+    /// watch could park on a key whose committer crashed). Each sweep
+    /// under a board forgets the open steps whose frames a crash lost,
+    /// and, when `reclaim_on_crash` is set, also reclaims crashed
+    /// subscribers' slots.
     fn await_window<'a>(
         &'a mut self,
         rec: &'a Recorder,
@@ -862,7 +861,7 @@ mod props {
         #[test]
         fn window_never_exceeds_capacity(
             capacity in 1usize..6,
-            ops in proptest::collection::vec((0u8..4, 0u64..32, 0u32..4), 1..200),
+            ops in proptest::collection::vec((0u8..5, 0u64..32, 0u32..4), 1..200),
         ) {
             let mut w = StreamWindow::new(capacity);
             let ackers: Vec<StreamAcker> = (0..3)
@@ -885,9 +884,15 @@ mod props {
                         let _ = w.ack(step, &format!("c{}", who % 3));
                     }
                     // Reclaim an arbitrary node.
-                    _ => {
+                    3 => {
                         let down = who % 3;
                         let _ = w.reclaim_down(|n| n == down);
+                    }
+                    // Lose an arbitrary step's frame, open or not.
+                    _ => {
+                        let lost = format!("/s/{step}");
+                        w.forget_lost(|path| path == lost);
+                        prop_assert!(!w.pending.contains_key(&step));
                     }
                 }
                 prop_assert!(w.pending.len() <= w.capacity);
