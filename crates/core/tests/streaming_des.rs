@@ -7,8 +7,9 @@
 //!
 //! * the executor replays freshly captured pinned schedules for
 //!   fan-out ∈ {1, 4} on both a `Flat` fabric and a genuinely
-//!   multi-leaf `LeafSpine` fabric — makespans and event counts
-//!   exactly.
+//!   multi-leaf `LeafSpine` fabric, and for fan-in 4 on the multi-leaf
+//!   one (whose reducer charges one deserialize per leaf after the
+//!   first) — makespans and event counts exactly.
 //! * a cold run and two runs through one recycled arena produce
 //!   byte-identical serialized reports *and* byte-identical Chrome
 //!   traces on the fan-out 4 multi-leaf scenario.
@@ -38,13 +39,14 @@ const MULTI_LEAF: TopologySpec = TopologySpec::LeafSpine {
 };
 const _: () = assert!(MIN_NODES.div_ceil(RADIX as usize) > 1);
 
-/// Pinned `(fanout, topo, makespan_ns, events)` captures for the
-/// current model.
-const PINS: &[(u32, Topo, u64, u64)] = &[
-    (1, Topo::Flat, 11_471_638_645, 11_193),
-    (4, Topo::Flat, 11_505_111_950, 23_581),
-    (1, Topo::MultiLeaf, 11_471_647_501, 14_973),
-    (4, Topo::MultiLeaf, 11_505_120_768, 31_620),
+/// Pinned `(fanout, fanin, topo, makespan_ns, events)` captures for
+/// the current model.
+const PINS: &[(u32, u32, Topo, u64, u64)] = &[
+    (1, 1, Topo::Flat, 11_471_638_645, 11_193),
+    (4, 1, Topo::Flat, 11_505_111_950, 23_581),
+    (1, 1, Topo::MultiLeaf, 11_471_647_501, 14_973),
+    (4, 1, Topo::MultiLeaf, 11_505_120_768, 31_620),
+    (1, 4, Topo::MultiLeaf, 11_472_566_166, 63_732),
 ];
 
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -53,7 +55,7 @@ enum Topo {
     MultiLeaf,
 }
 
-fn workflow(fanout: u32) -> WorkflowConfig {
+fn workflow(fanout: u32, fanin: u32) -> WorkflowConfig {
     WorkflowConfig::new(
         Solution::Streaming,
         GROUPS,
@@ -63,6 +65,7 @@ fn workflow(fanout: u32) -> WorkflowConfig {
     )
     .with_frames(FRAMES)
     .with_fanout(fanout)
+    .with_fanin(fanin)
 }
 
 fn calibration(topo: Topo) -> Calibration {
@@ -95,25 +98,28 @@ fn report_bytes(m: &RunMetrics) -> String {
 
 /// The executor replays the pinned streaming schedules exactly, on the
 /// `Flat` fabric and on a multi-leaf `LeafSpine` fabric alike, at
-/// fan-out 1 and 4.
+/// fan-out 1 and 4 and at fan-in 4.
 #[test]
 fn streaming_replays_pinned_schedules() {
-    for &(fanout, topo, makespan_ns, events) in PINS {
-        let wf = workflow(fanout);
+    for &(fanout, fanin, topo, makespan_ns, events) in PINS {
+        let wf = workflow(fanout, fanin);
         let cal = calibration(topo);
         let m = run_once(&wf, &cal, SEED);
         // Sanity: the topology actually ran M:N and every step landed.
-        assert_eq!(m.producers.len(), GROUPS as usize);
+        assert_eq!(m.producers.len(), (GROUPS * fanin) as usize);
         assert_eq!(m.consumers.len(), (GROUPS * fanout) as usize);
-        assert_eq!(m.streaming.steps_published, u64::from(GROUPS) * FRAMES);
+        assert_eq!(
+            m.streaming.steps_published,
+            u64::from(GROUPS * fanin) * FRAMES
+        );
         assert_eq!(
             m.streaming.steps_consumed,
-            u64::from(GROUPS * fanout) * FRAMES
+            u64::from(GROUPS * fanout * fanin) * FRAMES
         );
         assert_eq!(
             (m.makespan.nanos(), m.events),
             (makespan_ns, events),
-            "fanout {fanout} under {topo:?}: schedule drifted from pinned capture \
+            "fanout {fanout} fanin {fanin} under {topo:?}: schedule drifted from pinned capture \
              (got makespan {} events {})",
             m.makespan.nanos(),
             m.events,
@@ -127,7 +133,7 @@ fn streaming_replays_pinned_schedules() {
 /// traces are byte-identical.
 #[test]
 fn streaming_cold_and_warm_arena_reports_and_traces_are_byte_identical() {
-    let wf = workflow(4);
+    let wf = workflow(4, 1);
     let cal = calibration(Topo::MultiLeaf);
     let snap = ClusterSnapshot::prepare(&wf, &cal, SEED ^ 0x7E3A);
     let traced = || {
@@ -157,7 +163,7 @@ fn streaming_cold_and_warm_arena_reports_and_traces_are_byte_identical() {
 #[test]
 fn streaming_fanout1_stays_in_dyads_regime() {
     let cal = calibration(Topo::Flat);
-    let stream_wf = workflow(1);
+    let stream_wf = workflow(1, 1);
     let dyad_wf = WorkflowConfig::new(
         Solution::Dyad,
         GROUPS,
