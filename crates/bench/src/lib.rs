@@ -273,8 +273,6 @@ pub struct MetadataCell {
     pub waits: u64,
     /// Replication deltas shipped shard→shard.
     pub deltas_sent: u64,
-    /// Simulated makespan, seconds.
-    pub makespan_secs: f64,
 }
 
 /// Run one metadata-plane cell (seed 11): DYAD on a quiet testbed with
@@ -323,7 +321,6 @@ pub fn run_cell(pairs: u32, shards: u32, replication: u32, frames: u64) -> Metad
         peak_queue: m.kvs.peak_queue,
         waits: m.kvs.waits,
         deltas_sent: m.kvs.deltas_sent,
-        makespan_secs: m.makespan.as_secs_f64(),
     }
 }
 

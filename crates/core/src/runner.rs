@@ -605,7 +605,6 @@ impl RoleArgs {
             schedule: wf.schedule.clone(),
             serialize_cpu: cal.serialize_cpu,
             analytics: period,
-            jitter: cal.md_jitter,
             deserialize_cpu: cal.deserialize_cpu,
         };
         RoleArgs {

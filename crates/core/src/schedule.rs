@@ -5,8 +5,9 @@
 //! only runs fixed strides. This module adds the missing axis: a
 //! [`FrameSchedule`] produces the inter-frame gap for every frame, and
 //! the bursty-production experiment (the `bursty` entry of `all`) runs the
-//! paper's comparison under realistic non-uniform output rates
-//! (adaptive timesteps, event-triggered dumps, replayed traces).
+//! paper's comparison under non-uniform output rates (adaptive
+//! timesteps, event-triggered dumps), modelled as a two-state Markov
+//! chain of burst and quiet gaps.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -34,12 +35,6 @@ pub enum FrameSchedule {
         /// P(enter burst from quiet) per frame.
         burst_entry: f64,
     },
-    /// Replay an explicit trace of inter-frame gaps (cycled if shorter
-    /// than the frame count) — for users with measured MD output traces.
-    Trace {
-        /// Recorded inter-frame gaps.
-        gaps: Vec<SimDuration>,
-    },
 }
 
 impl FrameSchedule {
@@ -49,7 +44,6 @@ impl FrameSchedule {
             schedule: self,
             rng,
             in_burst: false,
-            idx: 0,
         }
     }
 
@@ -74,14 +68,6 @@ impl FrameSchedule {
                     p_burst * burst_gap.as_secs_f64() + (1.0 - p_burst) * quiet_gap.as_secs_f64(),
                 )
             }
-            FrameSchedule::Trace { gaps } => {
-                if gaps.is_empty() {
-                    SimDuration::ZERO
-                } else {
-                    let total: f64 = gaps.iter().map(|g| g.as_secs_f64()).sum();
-                    SimDuration::from_secs_f64(total / gaps.len() as f64)
-                }
-            }
         }
     }
 }
@@ -91,7 +77,6 @@ pub(crate) struct ScheduleGen<'a> {
     schedule: &'a FrameSchedule,
     rng: StdRng,
     in_burst: bool,
-    idx: usize,
 }
 
 impl ScheduleGen<'_> {
@@ -117,14 +102,6 @@ impl ScheduleGen<'_> {
                     *quiet_gap
                 }
             }
-            FrameSchedule::Trace { gaps } => {
-                if gaps.is_empty() {
-                    return SimDuration::ZERO;
-                }
-                let g = gaps[self.idx % gaps.len()];
-                self.idx += 1;
-                g
-            }
         }
     }
 }
@@ -144,17 +121,6 @@ mod tests {
             assert_eq!(g.next_gap(), SimDuration::from_secs_f64(0.82));
         }
         assert_eq!(s.mean_gap(), SimDuration::from_secs_f64(0.82));
-    }
-
-    #[test]
-    fn trace_cycles() {
-        let gaps = vec![SimDuration::from_millis(10), SimDuration::from_millis(20)];
-        let s = FrameSchedule::Trace { gaps };
-        let mut g = s.generator(StdRng::seed_from_u64(1));
-        assert_eq!(g.next_gap().millis(), 10);
-        assert_eq!(g.next_gap().millis(), 20);
-        assert_eq!(g.next_gap().millis(), 10);
-        assert_eq!(s.mean_gap().millis(), 15);
     }
 
     #[test]

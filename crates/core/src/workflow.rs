@@ -201,8 +201,6 @@ pub struct RunShared {
     pub serialize_cpu: SimDuration,
     /// Analytics duration per frame (the frame period).
     pub analytics: SimDuration,
-    /// Relative jitter on the analytics duration.
-    pub jitter: f64,
     /// CPU cost of deserializing a frame header.
     pub deserialize_cpu: SimDuration,
 }
@@ -584,8 +582,9 @@ fn analytics<'a>(
         use rand::RngExt;
         let g = rec.region("analytics");
         let mut d = run.analytics;
-        if run.jitter > 0.0 {
-            d = d.mul_f64(rng.random_range(1.0 - run.jitter..1.0 + run.jitter));
+        let jitter = run.clock.jitter;
+        if jitter > 0.0 {
+            d = d.mul_f64(rng.random_range(1.0 - jitter..1.0 + jitter));
         }
         run.ctx.sleep(d).await;
         g.end();
@@ -945,9 +944,8 @@ pub fn subscriber_stream(
 }
 
 /// Streaming fan-in reducer: consumes one step from every leaf
-/// publisher, folds the leaf payloads through the group's binary
-/// reduction tree (one deserialize charge per pairwise merge, byte
-/// conservation asserted at the root), then runs the analytics phase.
+/// publisher, merges the leaves when all arrived (one deserialize
+/// charge per leaf after the first), then runs the analytics phase.
 pub fn reducer_stream(
     args: ConsumerArgs,
     svc: Rc<streaming::StreamService>,
@@ -957,9 +955,8 @@ pub fn reducer_stream(
         let (rec, mut rng) = consumer_setup(&args);
         args.run.ctx.sleep(args.start_offset).await;
         let mut session = svc.subscriber(&role.session_id(0));
-        let tree = streaming::ReductionTree::new(role.fanin as usize);
         for step in 0..args.run.frames {
-            let mut leaf_bytes: Vec<u64> = Vec::with_capacity(role.fanin as usize);
+            let mut delivered = 0;
             let mut head: Option<Payload> = None;
             for leaf in 0..role.fanin {
                 let name = role.step_name(leaf, step);
@@ -968,7 +965,7 @@ pub fn reducer_stream(
                     session.try_consume_step(&rec, &name).await
                 });
                 let Some(data) = get.await else { continue };
-                leaf_bytes.push(transport::payload_len(&data));
+                delivered += 1;
                 if head.is_none() {
                     head = Some(data);
                 }
@@ -976,18 +973,11 @@ pub fn reducer_stream(
             // Every leaf lost: nothing to reduce for this step index.
             let Some(head) = head else { continue };
             deserialize_frame(&args, &rec, &head, step).await;
-            if leaf_bytes.len() == role.fanin as usize {
+            if delivered == role.fanin {
                 let g = rec.region("stream_reduce");
-                let total: u64 = leaf_bytes.iter().sum();
-                assert_eq!(
-                    tree.combined_bytes(&leaf_bytes),
-                    total,
-                    "reduction dropped bytes (group {}, step {step})",
-                    role.group
-                );
                 args.run
                     .ctx
-                    .sleep(args.run.deserialize_cpu.mul_f64(tree.merges() as f64))
+                    .sleep(args.run.deserialize_cpu.mul_f64(f64::from(role.fanin - 1)))
                     .await;
                 rec.annotate("reduced_steps", 1.0);
                 g.end();

@@ -320,18 +320,6 @@ pub struct FaultStats {
     pub crashes: u64,
     /// Node restarts completed.
     pub restarts: u64,
-    /// NVMe degrade windows.
-    pub nvme_degrades: u64,
-    /// NVMe error windows.
-    pub nvme_errors: u64,
-    /// Link-down windows.
-    pub link_downs: u64,
-    /// OST degrade windows.
-    pub ost_degrades: u64,
-    /// MDS stall windows.
-    pub mds_stalls: u64,
-    /// KVS delay windows.
-    pub kvs_delays: u64,
     /// KVS broker shards killed.
     pub kvs_shard_crashes: u64,
 }
@@ -450,7 +438,6 @@ impl FaultBoard {
             } if node < n_nodes => {
                 {
                     let mut b = self.inner.borrow_mut();
-                    b.stats.nvme_degrades += 1;
                     b.nvme_factor[node as usize] *= factor.max(1.0);
                 }
                 let board = self.clone();
@@ -461,7 +448,6 @@ impl FaultBoard {
             FaultKind::NvmeError { node, duration } if node < n_nodes => {
                 {
                     let mut b = self.inner.borrow_mut();
-                    b.stats.nvme_errors += 1;
                     b.nvme_error[node as usize] += 1;
                 }
                 let board = self.clone();
@@ -472,7 +458,6 @@ impl FaultBoard {
             FaultKind::LinkDown { node, duration } if node < n_nodes => {
                 {
                     let mut b = self.inner.borrow_mut();
-                    b.stats.link_downs += 1;
                     b.link_down[node as usize] += 1;
                 }
                 let board = self.clone();
@@ -487,7 +472,6 @@ impl FaultBoard {
             } if ost < n_osts => {
                 {
                     let mut b = self.inner.borrow_mut();
-                    b.stats.ost_degrades += 1;
                     b.ost_factor[ost as usize] *= factor.max(1.0);
                 }
                 let board = self.clone();
@@ -499,7 +483,6 @@ impl FaultBoard {
                 let until = self.ctx.now() + duration;
                 {
                     let mut b = self.inner.borrow_mut();
-                    b.stats.mds_stalls += 1;
                     b.mds_stall_until = Some(match b.mds_stall_until {
                         Some(t) if t > until => t,
                         _ => until,
@@ -517,7 +500,6 @@ impl FaultBoard {
             FaultKind::KvsDelay { delay, duration } => {
                 {
                     let mut b = self.inner.borrow_mut();
-                    b.stats.kvs_delays += 1;
                     b.kvs_delay_depth += 1;
                     b.kvs_delay = Some(match b.kvs_delay {
                         Some(d) if d > delay => d,

@@ -15,8 +15,6 @@ pub enum FsError {
     NotDirectory,
     /// File descriptor is stale or of the wrong mode (EBADF).
     BadDescriptor,
-    /// Directory not empty on rmdir (ENOTEMPTY).
-    NotEmpty,
     /// Device-level I/O error (EIO) — injected while the backing NVMe is
     /// in a fault window.
     Io,
@@ -31,7 +29,6 @@ impl std::fmt::Display for FsError {
             FsError::IsDirectory => "is a directory",
             FsError::NotDirectory => "not a directory",
             FsError::BadDescriptor => "bad file descriptor",
-            FsError::NotEmpty => "directory not empty",
             FsError::Io => "input/output error",
         };
         f.write_str(s)

@@ -31,7 +31,7 @@ use simcore::{Ctx, SimDuration};
 
 use crate::alloc::{Extent, ExtentAllocator};
 use crate::error::{FsError, FsResult};
-use crate::journal::{Journal, RecordKind};
+use crate::journal::Journal;
 
 /// Filesystem tuning parameters.
 #[derive(Debug, Clone, Copy)]
@@ -467,8 +467,8 @@ impl LocalFs {
                             }
                             InodeKind::File { .. } => unreachable!(),
                         }
-                        inner.journal.append(RecordKind::DirEntry);
-                        inner.journal.append(RecordKind::InodeUpdate);
+                        inner.journal.append(); // directory entry
+                        inner.journal.append(); // inode
                         ino
                     }
                 };
@@ -506,7 +506,7 @@ impl LocalFs {
                         }
                     };
                     inner.free_extents(&freed);
-                    inner.journal.append(RecordKind::InodeUpdate);
+                    inner.journal.append(); // inode
                     ino
                 }
                 None => {
@@ -517,8 +517,8 @@ impl LocalFs {
                         }
                         InodeKind::File { .. } => unreachable!(),
                     }
-                    inner.journal.append(RecordKind::DirEntry);
-                    inner.journal.append(RecordKind::InodeUpdate);
+                    inner.journal.append(); // directory entry
+                    inner.journal.append(); // inode
                     ino
                 }
             };
@@ -575,7 +575,7 @@ impl LocalFs {
                         InodeKind::Dir { .. } => unreachable!(),
                     }
                     for _ in 0..n_new {
-                        inner.journal.append(RecordKind::ExtentMap);
+                        inner.journal.append(); // extent map
                     }
                 }
                 match &mut inner.inodes[ino].kind {
@@ -586,7 +586,7 @@ impl LocalFs {
                     InodeKind::Dir { .. } => unreachable!(),
                 }
                 inner.fds.get_mut(&fd).unwrap().offset = end;
-                inner.journal.append(RecordKind::InodeUpdate);
+                inner.journal.append(); // inode
                 #[cfg(test)]
                 {
                     inner.stats.bytes_written += bytes;
@@ -671,7 +671,7 @@ impl LocalFs {
                 // Reap an orphaned inode once its last descriptor closes.
                 if !still_open && inner.orphans.remove(&of.ino) {
                     inner.reap(of.ino);
-                    inner.journal.append(RecordKind::ExtentMap);
+                    inner.journal.append(); // extent map
                 }
                 of.mode != OpenMode::Read
             };
@@ -727,8 +727,8 @@ impl LocalFs {
                 }
                 InodeKind::File { .. } => unreachable!(),
             }
-            inner.journal.append(RecordKind::DirEntry);
-            inner.journal.append(RecordKind::DirEntry);
+            inner.journal.append(); // directory entry, removed
+            inner.journal.append(); // directory entry, added
             Ok(())
         }
     }
@@ -752,8 +752,8 @@ impl LocalFs {
                 InodeKind::File { .. } => unreachable!(),
             }
             inner.remove_or_orphan(ino);
-            inner.journal.append(RecordKind::DirEntry);
-            inner.journal.append(RecordKind::ExtentMap);
+            inner.journal.append(); // directory entry
+            inner.journal.append(); // extent map
             Ok(())
         }
     }

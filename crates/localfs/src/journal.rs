@@ -6,17 +6,6 @@
 //! device as one sequential write. The journal never stores file *data*
 //! (XFS journals metadata only; data is written in place).
 
-/// Kinds of journaled metadata records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RecordKind {
-    /// Inode created or updated (size, timestamps, extent count).
-    InodeUpdate,
-    /// Directory entry added or removed.
-    DirEntry,
-    /// Extent allocated or freed.
-    ExtentMap,
-}
-
 /// The in-memory journal front-end.
 #[derive(Debug, Clone)]
 pub(crate) struct Journal {
@@ -38,7 +27,7 @@ impl Journal {
     }
 
     /// Append a record to the log buffer (no device I/O yet).
-    pub(crate) fn append(&mut self, _kind: RecordKind) {
+    pub(crate) fn append(&mut self) {
         self.pending_bytes += self.record_bytes;
         #[cfg(test)]
         {
@@ -84,8 +73,8 @@ mod tests {
     #[test]
     fn append_accumulates_and_flush_clears() {
         let mut j = Journal::new(512);
-        j.append(RecordKind::InodeUpdate);
-        j.append(RecordKind::DirEntry);
+        j.append();
+        j.append();
         assert_eq!(j.pending_bytes, 1024);
         assert_eq!(j.take_flush(), Some(1536)); // 2 records + commit
         assert_eq!(

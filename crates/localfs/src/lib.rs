@@ -126,7 +126,7 @@ mod tests {
             f.write_bytes(fd, Bytes::from(vec![0u8; 3_000_000]))
                 .await
                 .unwrap();
-            (ctx.now() - before).as_micros_f64()
+            (ctx.now() - before).nanos() as f64 / 1e3
         });
         sim.run();
         let us = h.try_take().unwrap();
@@ -147,7 +147,7 @@ mod tests {
             let rope = f.read_segments(fd).await.unwrap();
             let took = ctx.now() - before;
             (
-                took.as_micros_f64(),
+                took.nanos() as f64 / 1e3,
                 rope.iter().map(|seg| seg.len()).sum::<usize>(),
             )
         });

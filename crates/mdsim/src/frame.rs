@@ -77,8 +77,6 @@ pub struct FrameHeader {
     pub step: u64,
     /// Atom count.
     pub atoms: u64,
-    /// Simulation box lengths.
-    pub box_lengths: [f32; 3],
 }
 
 impl FrameHeader {
@@ -98,7 +96,6 @@ impl FrameHeader {
         }
         let u32_at = |at: usize| u32::from_le_bytes(field(&head, at));
         let u64_at = |at: usize| u64::from_le_bytes(field(&head, at));
-        let f32_at = |at: usize| f32::from_bits(u32_at(at));
         if u64_at(0) != MAGIC {
             return Err(FrameError::BadMagic);
         }
@@ -109,7 +106,6 @@ impl FrameHeader {
             model: Model::from_id(u32_at(12)).ok_or(FrameError::BadModel)?,
             step: u64_at(16),
             atoms: u64_at(24),
-            box_lengths: [f32_at(32), f32_at(36), f32_at(40)],
         })
     }
 }

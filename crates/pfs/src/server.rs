@@ -261,8 +261,6 @@ pub(crate) struct OstStats {
     pub reads: u64,
     /// Bytes written to the backing disk.
     pub bytes_written: u64,
-    /// Bytes read from the backing disk.
-    pub bytes_read: u64,
 }
 
 struct OstState {
@@ -442,7 +440,6 @@ impl OstServer {
                             }
                             let mut st = state.borrow_mut();
                             st.stats.reads += 1;
-                            st.stats.bytes_read += dlen;
                             (OssResponse::Data { len: dlen }.encode(), data)
                         }
                         OssRequest::Destroy { object } => {

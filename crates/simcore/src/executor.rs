@@ -418,9 +418,6 @@ pub struct CalendarStats {
     pub tombstones: usize,
     /// Number of tombstone-triggered sweeps so far.
     pub compactions: u64,
-    /// Slots currently allocated in the entry slab (high-water mark of
-    /// simultaneously scheduled entries).
-    pub slab_slots: usize,
     /// Entries moved between calendar buckets so far: the calendar's
     /// work beyond one push and one pop per entry. Deterministic.
     pub moved: u64,
@@ -621,7 +618,6 @@ impl Core {
             pending: self.calendar.len - self.tombstones,
             tombstones: self.tombstones,
             compactions: self.compactions,
-            slab_slots: self.slots.len(),
             moved: self.calendar.moved,
         }
     }

@@ -117,11 +117,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional microseconds (reporting only).
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Fractional milliseconds (reporting only).
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6

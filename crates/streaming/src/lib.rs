@@ -24,8 +24,9 @@
 //! * **Subscriber groups** are broadcast: every subscriber of a 1→K
 //!   group consumes every step, and the step's window slot frees once
 //!   all K have acked.
-//! * **Reduction trees** ([`ReductionTree`]) give K→1 fan-in a
-//!   deterministic pairwise combine schedule with byte conservation.
+//! * **Fan-in groups** are K→1: one reducer consumes every step of its
+//!   K publishers and merges them, one merge per leaf after the first
+//!   (the reducer role lives in `mdflow::workflow`).
 //! * Under a fault plan, a crashed subscriber's window slots can be
 //!   **reclaimed** (`reclaim_on_crash`) instead of head-of-line
 //!   stalling the publisher until the restart; the stalling variant is
@@ -230,68 +231,6 @@ impl StreamWindow {
             let consumer = p.waiting.keys().next().expect("open step has waiters");
             (*step, p.path.clone(), consumer.clone())
         })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reduction tree
-// ---------------------------------------------------------------------------
-
-/// A deterministic pairwise (binary) reduction schedule over K leaves,
-/// used by the K→1 fan-in reducer: stage s merges leaves `2^s` apart,
-/// so leaf 0 accumulates everything in `ceil(log2 K)` stages.
-#[derive(Debug, Clone)]
-pub struct ReductionTree {
-    leaves: usize,
-    stages: Vec<Vec<(usize, usize)>>,
-}
-
-impl ReductionTree {
-    /// The canonical binary tree over `leaves >= 1` inputs.
-    pub fn new(leaves: usize) -> ReductionTree {
-        assert!(leaves >= 1, "reduction over zero leaves");
-        let mut stages = Vec::new();
-        let mut stride = 1;
-        while stride < leaves {
-            let mut merges = Vec::new();
-            let mut i = 0;
-            while i + stride < leaves {
-                merges.push((i, i + stride));
-                i += 2 * stride;
-            }
-            stages.push(merges);
-            stride *= 2;
-        }
-        ReductionTree { leaves, stages }
-    }
-
-    /// Total pairwise merges (`leaves - 1`).
-    pub fn merges(&self) -> usize {
-        self.stages.iter().map(Vec::len).sum()
-    }
-
-    /// Fold leaf payload sizes through the schedule, asserting that
-    /// every leaf is consumed exactly once, and return the root size.
-    /// Byte conservation — the result always equals the sum of the
-    /// inputs — is pinned by a proptest.
-    pub fn combined_bytes(&self, leaf_bytes: &[u64]) -> u64 {
-        assert_eq!(leaf_bytes.len(), self.leaves, "leaf count mismatch");
-        let mut sizes = leaf_bytes.to_vec();
-        let mut alive = vec![true; self.leaves];
-        for stage in &self.stages {
-            for &(dst, src) in stage {
-                assert!(alive[dst] && alive[src], "merge of a consumed leaf");
-                sizes[dst] += sizes[src];
-                alive[src] = false;
-            }
-        }
-        assert_eq!(
-            alive.iter().filter(|a| **a).count(),
-            1,
-            "schedule left more than one root"
-        );
-        assert!(alive[0], "root must be leaf 0");
-        sizes[0]
     }
 }
 
@@ -826,24 +765,6 @@ mod tests {
         assert!(t < 1.0, "reclaim took until {t}s");
         assert!(rig.services[0].window_stats().slots_reclaimed >= 1);
     }
-
-    #[test]
-    fn reduction_tree_shapes() {
-        let t1 = ReductionTree::new(1);
-        assert_eq!(t1.stages.len(), 0);
-        assert_eq!(t1.merges(), 0);
-        assert_eq!(t1.combined_bytes(&[7]), 7);
-        let t4 = ReductionTree::new(4);
-        assert_eq!(t4.stages.len(), 2);
-        assert_eq!(t4.merges(), 3);
-        assert_eq!(t4.stages[0], vec![(0, 1), (2, 3)]);
-        assert_eq!(t4.stages[1], vec![(0, 2)]);
-        assert_eq!(t4.combined_bytes(&[1, 2, 3, 4]), 10);
-        let t5 = ReductionTree::new(5);
-        assert_eq!(t5.stages.len(), 3);
-        assert_eq!(t5.merges(), 4);
-        assert_eq!(t5.combined_bytes(&[1, 1, 1, 1, 1]), 5);
-    }
 }
 
 #[cfg(test)]
@@ -904,23 +825,6 @@ mod props {
                 }
             }
             prop_assert!(w.pending.is_empty());
-        }
-
-        // Reduction-tree byte conservation: for any leaf sizes, the
-        // combined root size equals the sum of the leaves, and the
-        // schedule performs exactly `leaves - 1` merges.
-        #[test]
-        fn reduction_tree_conserves_bytes(
-            leaf_bytes in proptest::collection::vec(0u64..1_000_000_000, 1..33),
-        ) {
-            let tree = ReductionTree::new(leaf_bytes.len());
-            let total: u64 = leaf_bytes.iter().sum();
-            prop_assert_eq!(tree.combined_bytes(&leaf_bytes), total);
-            prop_assert_eq!(tree.merges(), leaf_bytes.len() - 1);
-            // Depth is the information-theoretic minimum for pairwise
-            // merges.
-            let min_depth = usize::BITS - (leaf_bytes.len() - 1).leading_zeros();
-            prop_assert_eq!(tree.stages.len(), min_depth as usize);
         }
     }
 }
