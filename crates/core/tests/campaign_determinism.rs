@@ -4,7 +4,8 @@
 //! byte-identical JSON reports — which, since a `StudyReport` embeds
 //! every repetition's raw run breakdown, also pins the per-seed
 //! schedules bit-for-bit. Likewise a warm-started run (snapshot +
-//! recycled arena) must match a cold `run_once` exactly.
+//! recycled arena) must match a cold `run_once` exactly, and a faulted
+//! study must not depend on which study its worker thread ran before.
 
 use mdflow::prelude::*;
 
@@ -45,6 +46,39 @@ fn parallel_campaign_is_byte_identical_to_serial() {
         assert_eq!(stats.runs, serial_stats.runs);
         assert_eq!(serial, parallel, "campaign diverged at jobs={jobs}");
     }
+}
+
+/// Faulted DYAD and streaming studies after a fault-free one. At
+/// `jobs = 1` the calling thread runs all three, so the faulted runs see
+/// the paths the studies before them interned; at `jobs = 2` each run
+/// lands on whichever fresh worker is free. A crash's recovery order
+/// once followed the interner's numbering, so the faulted streaming
+/// study's report moved with the split.
+#[test]
+fn faulted_studies_do_not_depend_on_what_their_worker_ran_before() {
+    let split = Placement::Split { pairs_per_node: 8 };
+    let before = WorkflowConfig::new(Solution::Streaming, 4, split)
+        .with_frames(32)
+        .with_fanout(4);
+    let dyad = WorkflowConfig::new(Solution::Dyad, 4, split)
+        .with_frames(32)
+        .with_faults(FaultConfig::chaos(42, 2));
+    let streaming = WorkflowConfig::new(Solution::Streaming, 3, split)
+        .with_frames(40)
+        .with_fanout(4)
+        .with_faults(FaultConfig::chaos(42, 2));
+    let studies: Vec<StudyConfig> = [before, dyad, streaming]
+        .into_iter()
+        .map(|wf| {
+            let mut study = StudyConfig::paper(wf);
+            study.repetitions = 2;
+            study.seed = 7;
+            study
+        })
+        .collect();
+    let (serial, _) = run_grid(&studies, 1);
+    let (parallel, _) = run_grid(&studies, 2);
+    assert_eq!(serial, parallel, "faulted campaign diverged at jobs=2");
 }
 
 #[test]

@@ -171,17 +171,20 @@ impl KvsServer {
         });
         // A permanent shard crash: mark the store down and flush every
         // parked watch so in-flight waits observe `ShardDown` instead of
-        // parking forever on a dead broker.
+        // parking forever on a dead broker. Watches wake in key order: a
+        // `Symbol`'s hash order depends on what the thread interned
+        // before the run.
         if let Some(board) = tp.faults() {
             let hook_store = store.clone();
             board.on_kvs_shard_crash(move |crashed| {
                 if crashed == shard {
-                    let watches = {
+                    let mut watches: Vec<_> = {
                         let mut st = hook_store.borrow_mut();
                         st.down = true;
-                        std::mem::take(&mut st.watches)
+                        std::mem::take(&mut st.watches).into_iter().collect()
                     };
-                    for notify in watches.values() {
+                    watches.sort_unstable_by_key(|(key, _)| key.resolve());
+                    for (_, notify) in watches {
                         notify.notify_all();
                     }
                 }
