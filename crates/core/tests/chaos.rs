@@ -848,3 +848,56 @@ fn a_faulted_run_does_not_depend_on_the_threads_interner() {
         "(events, steps consumed, typed losses, consume failures)"
     );
 }
+
+/// A producer node restarts while the KVS broker's node is down. Its
+/// lost frames' `Lost` tombstones cannot be committed then; each was
+/// tried once and dropped, the broker kept pointing at the dead copies,
+/// and every consumer re-resolved them for its whole retry budget
+/// (~130 s of simulated time) before giving up. Consumers launch late,
+/// so node 1's first two frames are committed but unconsumed when it
+/// crashes at 2 s; it restarts at 2.3 s, and the broker's node 0 is down
+/// from 2.1 s to 4.1 s. The tombstones now land when the broker returns,
+/// and each consumer reads its frame as lost.
+#[test]
+fn a_tombstone_committed_during_a_broker_outage_lands_when_it_returns() {
+    let wf = WorkflowConfig::new(Solution::Dyad, 16, Placement::Split { pairs_per_node: 8 })
+        .with_frames(4)
+        .with_faults(FaultConfig::scheduled(vec![
+            FaultEvent {
+                at: ms(2000),
+                kind: FaultKind::NodeCrash {
+                    node: 1,
+                    down_for: ms(300),
+                },
+            },
+            FaultEvent {
+                at: ms(2100),
+                kind: FaultKind::NodeCrash {
+                    node: 0,
+                    down_for: ms(2000),
+                },
+            },
+        ]));
+    let mut cal = Calibration::quiet();
+    cal.consumer_launch_delay = 4.0;
+    let m = run_once(&wf, &cal, 7);
+    assert_eq!(m.faults.restarts, 2);
+    assert_eq!(
+        m.faults.consume_failures, 0,
+        "a consumer gave up on a frame"
+    );
+    assert!(
+        m.faults.frames_lost_observed > 0,
+        "no lost frame was observed"
+    );
+    let consumed: u64 = m
+        .consumers
+        .iter()
+        .map(|p| p.node(&["analytics"]).map_or(0, |n| n.count))
+        .sum();
+    assert_eq!(
+        consumed + m.faults.frames_lost_observed,
+        16 * 4,
+        "a frame is neither consumed nor typed as lost"
+    );
+}

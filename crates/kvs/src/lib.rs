@@ -393,6 +393,15 @@ impl KvsClient {
         }
     }
 
+    /// Whether no retry can reach `key`: a fault board reports every
+    /// shard of its preference order permanently down.
+    pub fn unreachable_for_good(&self, key: &str) -> bool {
+        self.ep.faults().is_some_and(|board| {
+            mesh::preference(key, self.shards(), self.replication)
+                .all(|shard| !board.kvs_shard_up(shard))
+        })
+    }
+
     /// Read `key` from its first live replica (always a round trip).
     pub fn try_lookup<'a>(
         &'a self,

@@ -579,7 +579,11 @@ impl StagingManager {
     /// progress — spilled frames are re-pointed at their PFS copy and
     /// lost frames are tombstoned ([`FrameLocation::Lost`]) so waiting
     /// consumers surface a typed error instead of blocking forever. In
-    /// tracking order, as [`StagingManager::on_node_crash`] unlinks.
+    /// tracking order, as [`StagingManager::on_node_crash`] unlinks. A
+    /// commit that fails (the broker's node is down) is retried with
+    /// [`plane::retry_policy`] backoff until it lands, the frame moves on
+    /// to another state, or every shard of its key is dead for good: a
+    /// dropped tombstone leaves the KVS pointing at the dead copy.
     pub async fn on_node_restart(&self) {
         let mut to_publish: Vec<(u64, Symbol, u64, FrameState)> = {
             let inner = self.inner.borrow();
@@ -594,13 +598,27 @@ impl StagingManager {
                 .collect()
         };
         to_publish.sort_unstable_by_key(|&(seq, ..)| seq);
+        let mut jitter = None;
         for (_, path, size, state) in to_publish {
             let location = match state {
                 FrameState::Spilled => FrameLocation::Pfs,
                 _ => FrameLocation::Lost,
             };
-            if self.republish(path.resolve(), size, location).await {
-                self.inner.borrow_mut().stats.republished_frames += 1;
+            let mut attempt = 0;
+            loop {
+                if self.republish(path.resolve(), size, location).await {
+                    self.inner.borrow_mut().stats.republished_frames += 1;
+                    break;
+                }
+                let now = self.inner.borrow().frames.get(&path).map(|f| f.state);
+                if now != Some(state) || self.kvs.unreachable_for_good(path.resolve()) {
+                    break;
+                }
+                let rng = jitter
+                    .get_or_insert_with(|| self.ctx.rng(0x5354_0000 | u64::from(self.node.0)));
+                let pause = plane::retry_policy().backoff(attempt.min(9), rng);
+                self.ctx.sleep(pause).await;
+                attempt += 1;
             }
         }
     }
