@@ -3,15 +3,16 @@
 //! one `run_studies_jobs` call, so the whole suite shares one worker
 //! pool, one warm arena per worker and one snapshot per sweep point;
 //! each entry is then handed its slice of the reports to print and
-//! `target/experiments/<name>.json` is written under the entry's labels.
-//! A study's seeds are its own, so an entry's numbers do not depend on
+//! `target/experiments/<name>.json` is written under the entry's labels
+//! (Figures 9/10, whose runs are not studies, write their own). A
+//! study's seeds are its own, so an entry's numbers do not depend on
 //! what else was selected.
 //!
 //! ```text
 //! all [--only a,b] [--list] [--jobs N]
 //! ```
 //!
-//! * `--only a,b` — run these entries (table order); default all 13.
+//! * `--only a,b` — run these entries (table order); default all 14.
 //! * `--list` — print the entries and exit.
 //! * `--jobs N` — worker threads (default: all cores, `MDFLOW_JOBS`
 //!   overrides).
@@ -21,8 +22,11 @@
 //!   positive integer is an error (exit 2), not the default.
 
 use bench::experiments::{Experiment, EXPERIMENTS};
-use bench::{fmt_secs, reports_json, save_json, Scale};
+use bench::{check_flags, flag_value, fmt_secs, reports_json, write_record, Scale};
 use mdflow::prelude::*;
+
+const JOBS: &str = "--jobs needs a positive integer";
+const ONLY: &str = "--only needs a comma-separated list of experiments";
 
 fn usage(problem: &str) -> ! {
     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
@@ -34,39 +38,36 @@ fn usage(problem: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut jobs = default_jobs();
-    let mut selected: Vec<&Experiment> = EXPERIMENTS.iter().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--list" => {
-                for e in EXPERIMENTS {
-                    println!("{:<17} {}", e.name, e.title);
-                }
-                return;
-            }
-            "--jobs" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| usage("--jobs needs a positive integer"));
-            }
-            "--only" => {
-                let names: Vec<&str> = match it.next() {
-                    Some(v) => v.split(',').collect(),
-                    None => usage("--only needs a comma-separated list of experiments"),
-                };
-                if let Some(bad) = names
-                    .iter()
-                    .find(|n| !EXPERIMENTS.iter().any(|e| e.name == **n))
-                {
-                    usage(&format!("no experiment named {bad}"));
-                }
-                selected.retain(|e| names.contains(&e.name));
-            }
-            other => usage(&format!("unknown flag {other}")),
+    if let Err(e) = check_flags(&args, &["--jobs", "--only"], &["--list"]) {
+        // A valued flag that ends the line names what it needs.
+        usage(match e.strip_suffix(" needs a value") {
+            Some("--jobs") => JOBS,
+            Some(_) => ONLY,
+            None => &e,
+        })
+    }
+    let jobs = match flag_value(&args, "--jobs") {
+        Some(v) => (v.parse().ok())
+            .filter(|&n: &usize| n >= 1)
+            .unwrap_or_else(|| usage(JOBS)),
+        None => default_jobs(),
+    };
+    if args.iter().any(|a| a == "--list") {
+        for e in EXPERIMENTS {
+            println!("{:<17} {}", e.name, e.title);
         }
+        return;
+    }
+    let mut selected: Vec<&Experiment> = EXPERIMENTS.iter().collect();
+    if let Some(only) = flag_value(&args, "--only") {
+        let names: Vec<&str> = only.split(',').collect();
+        if let Some(bad) = names
+            .iter()
+            .find(|n| !EXPERIMENTS.iter().any(|e| e.name == **n))
+        {
+            usage(&format!("no experiment named {bad}"));
+        }
+        selected.retain(|e| names.contains(&e.name));
     }
     let scale = Scale::from_env();
 
@@ -101,7 +102,7 @@ fn main() {
         }
         (e.report)(&rows);
         if !rows.is_empty() {
-            save_json(e.name, &reports_json(&rows));
+            write_record(bench::EXPERIMENTS_DIR, e.name, &reports_json(&rows));
         }
     }
 

@@ -307,11 +307,9 @@ fn main() {
     }
     println!("  peak RSS: {} MiB", rss_peak_bytes() / (1 << 20));
 
-    write_record(
-        &args,
-        "BENCH_PR6.json",
-        &record(&c, &sweep, reps as u64, frames),
-    );
+    let dir = flag_value(&args, "--out").unwrap_or(".");
+    let json = serde_json::to_string_pretty(&record(&c, &sweep, reps as u64, frames));
+    write_record(dir, "BENCH_PR6", &json.expect("json"));
     if let Some(baseline) = flag_value(&args, "--check") {
         if !check_baseline(&c, baseline) {
             std::process::exit(1);

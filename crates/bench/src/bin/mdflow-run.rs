@@ -262,10 +262,8 @@ fn trace(study: &StudyConfig) {
         wf.solution, wf.pairs, wf.frames
     );
     let (metrics, tracer) = run_once_traced(wf, &study.calibration, study.seed);
-    bench::save_json(
-        &format!("trace_{}", wf.solution.name()),
-        &tracer.to_chrome_json(),
-    );
+    let name = format!("trace_{}", wf.solution.name());
+    bench::write_record(bench::EXPERIMENTS_DIR, &name, &tracer.to_chrome_json());
     println!(
         "  {} trace events over {:.2} simulated s ({} discrete events)",
         tracer.len(),

@@ -301,7 +301,9 @@ fn main() {
         points.push(p);
     }
 
-    write_record(&args, "BENCH_PR9.json", &record(&points, heap_base));
+    let dir = bench::flag_value(&args, "--out").unwrap_or(".");
+    let json = serde_json::to_string_pretty(&record(&points, heap_base)).expect("json");
+    write_record(dir, "BENCH_PR9", &json);
 
     let enforce_requested = args.iter().any(|a| a == "--enforce")
         || std::env::var("SCALE_ENFORCE").is_ok_and(|v| v == "1");

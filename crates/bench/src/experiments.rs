@@ -1,18 +1,18 @@
-//! The experiment table. Every experiment of the evaluation that is
-//! "studies in, reports out" — Tables I–II, Figures 5–8 and 11–12, and
-//! the capacity, chaos, bursty, ablation and streaming fan-out
-//! extensions — is one [`Experiment`] row: its grid of studies, written
-//! once, and what the paper's figure shows of the reports. The `all`
-//! binary is the only driver.
+//! The experiment table. Every experiment of the evaluation — Tables
+//! I–II, Figures 5–12, and the capacity, chaos, bursty, ablation and
+//! streaming fan-out extensions — is one [`Experiment`] row: its grid of
+//! studies, written once, and what the paper's figure shows of the
+//! reports. The `all` binary is the only driver.
 
 use mdflow::findings::{self, FindingCheck};
 use mdflow::prelude::*;
 use mdflow::report::MeanStd;
 use simcore::SimDuration;
+use thicket::{AggProfile, Ensemble, Query};
 
 use crate::{
-    consumption_chart, fmt_secs, print_bar, print_ratio, production_chart, render_bars, study_at,
-    Scale,
+    chart, fmt_secs, print_bar, print_ratio, render_bars, study_at, write_record, Scale,
+    EXPERIMENTS_DIR,
 };
 
 /// An experiment's labelled reports, in the order of its grid.
@@ -74,6 +74,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
             })
         },
         report: fig8_report,
+    },
+    Experiment {
+        name: "fig9_10",
+        title: "FIGURES 9 & 10 — Thicket call trees, 2 nodes, 16 pairs",
+        studies: |_| Vec::new(),
+        report: fig9_10_report,
     },
     Experiment {
         name: "fig11",
@@ -234,9 +240,9 @@ fn finding_and_charts(check: FindingCheck, rows: &Rows) {
         check.number, check.statement, check.holds, check.evidence
     );
     println!();
-    print!("{}", production_chart("production time per frame", rows));
+    print!("{}", chart("production time per frame", rows, true));
     println!();
-    print!("{}", consumption_chart("consumption time per frame", rows));
+    print!("{}", chart("consumption time per frame", rows, false));
 }
 
 /// The movement and overall-consumption headlines Figures 6 and 7 share.
@@ -444,6 +450,107 @@ fn fig8_report(rows: &Rows) {
         },
     );
     finding_and_charts(findings::finding4(&by_axis(rows)), rows);
+}
+
+/// The consumer call trees of `solution` running `model`: 16 pairs on
+/// two nodes, one snapshot and one recycled arena for every repetition.
+fn consumer_ensemble(solution: Solution, model: Model, scale: Scale) -> AggProfile {
+    let wf = WorkflowConfig::new(solution, 16, SPLIT16)
+        .with_model(model)
+        .with_frames(scale.frames);
+    let snap = ClusterSnapshot::new(&wf, &Calibration::corona());
+    let mut arena = RunArena::new();
+    let consumers = (0..scale.reps).flat_map(|rep| {
+        run_once_warm(&snap, 0xF1905 + u64::from(rep), &mut arena)
+            .0
+            .consumers
+    });
+    Ensemble::from_profiles(consumers.collect()).aggregate()
+}
+
+/// Figures 9 and 10: Thicket call-tree analysis of the consumer side for
+/// JAC vs STMV at Table II's strides. The four ensembles are not
+/// studies: the entry runs them at the scale `all` read and writes its
+/// record itself.
+///
+/// Figure 9 (DYAD): moving 45.3× more data (STMV vs JAC) costs only
+/// ~33.6× more data-movement time, and the KVS synchronization
+/// (`dyad_fetch`) gets ~2.1× cheaper per call for STMV (fewer, larger
+/// transfers stress the KVS less).
+///
+/// Figure 10 (Lustre): data movement (`consume/read_single_buf`)
+/// grows ~12.3× for the 45.3× larger model, while `explicit_sync` stays
+/// roughly constant — synchronization, not movement, limits Lustre.
+fn fig9_10_report(_: &Rows) {
+    let scale = Scale::from_env();
+    println!("{} frames, {} reps", scale.frames, scale.reps);
+    // A solution's JAC and STMV ensembles, their trees printed as the
+    // figure's panels a and b.
+    let trees = |figure: u32, solution: Solution| {
+        let [jac, stmv] = [Model::Jac, Model::Stmv].map(|m| consumer_ensemble(solution, m, scale));
+        for (panel, model, tree) in [('a', Model::Jac, &jac), ('b', Model::Stmv, &stmv)] {
+            println!("\n[Figure {figure}{panel}] {solution} consumer call tree, {model}:");
+            print!("{}", tree.render_tree());
+        }
+        (jac, stmv)
+    };
+    let time = |p: &AggProfile, region: &str| p.query_time(&Query::parse(region));
+
+    let (dyad_jac, dyad_stmv) = trees(9, Solution::Dyad);
+    let movement = |p: &AggProfile| {
+        ["dyad_get_data", "dyad_cons_store", "read_single_buf"]
+            .map(|leaf| time(p, &format!("dyad_consume/{leaf}")))
+            .iter()
+            .sum::<f64>()
+    };
+    let data_ratio = Model::Stmv.frame_bytes() as f64 / Model::Jac.frame_bytes() as f64;
+    println!("\nFigure 9 analysis:");
+    print_ratio("data moved, STMV vs JAC", "45.3x", data_ratio);
+    print_ratio(
+        "DYAD data-movement time, STMV vs JAC",
+        "33.6x",
+        movement(&dyad_stmv) / movement(&dyad_jac),
+    );
+    // Total KVS sync time under `dyad_fetch`, the one cold wait included:
+    // the paper reports 2.1x cheaper for STMV.
+    let fetch = |p| time(p, "dyad_consume/dyad_fetch");
+    print_ratio(
+        "KVS sync (dyad_fetch) cheaper for STMV",
+        "2.1x",
+        fetch(&dyad_jac) / fetch(&dyad_stmv).max(1e-12),
+    );
+
+    let (lus_jac, lus_stmv) = trees(10, Solution::Lustre);
+    let growth = |region| time(&lus_stmv, region) / time(&lus_jac, region).max(1e-12);
+    println!("\nFigure 10 analysis:");
+    print_ratio(
+        "Lustre data-movement time, STMV vs JAC",
+        "12.3x",
+        growth("consume/read_single_buf"),
+    );
+    print_ratio(
+        "Lustre explicit_sync, STMV vs JAC (≈constant)",
+        "~1x",
+        growth("consume/explicit_sync"),
+    );
+
+    println!("\nregion-by-region scaling, JAC → STMV (Thicket compare):");
+    for (label, jac, stmv) in [
+        ("DYAD", &dyad_jac, &dyad_stmv),
+        ("Lustre", &lus_jac, &lus_stmv),
+    ] {
+        println!("[{label}]");
+        print!("{}", jac.compare_table(stmv));
+    }
+
+    let json = format!(
+        "{{\"dyad_jac\":{},\"dyad_stmv\":{},\"lustre_jac\":{},\"lustre_stmv\":{}}}",
+        dyad_jac.to_json(),
+        dyad_stmv.to_json(),
+        lus_jac.to_json(),
+        lus_stmv.to_json()
+    );
+    write_record(EXPERIMENTS_DIR, "fig9_10", &json);
 }
 
 /// Figure 11: DYAD's production is 4.8× faster than Lustre across

@@ -1,17 +1,17 @@
 //! Shared plumbing for the experiment regenerators. The paper's
 //! evaluation is one table ([`experiments::EXPERIMENTS`]) behind one
 //! driver (`all`); this crate root holds what the table, the driver and
-//! the four binaries that are not "studies in, reports out" share: the
-//! experiment scale, flag checking, bar/ratio/chart printing, the JSON
-//! record writers and the metadata-plane cell. A study runs the
-//! `solution` its experiment row scripts; `mdflow-run --solution` is the
-//! one ad-hoc way to pick another.
+//! the three binaries that are not "studies in, reports out" share: the
+//! experiment scale, flag checking, bar/ratio/chart printing and the
+//! JSON record writer. A study runs the `solution` its experiment row
+//! scripts; `mdflow-run --solution` is the one ad-hoc way to pick
+//! another.
 
 use std::num::{NonZeroU32, NonZeroU64};
 
 pub use mdflow::campaign::env_or;
 use mdflow::prelude::*;
-use simcore::SimDuration;
+use serde::{Content, Serialize};
 
 pub mod experiments;
 
@@ -98,29 +98,37 @@ pub fn print_ratio(what: &str, paper: &str, measured: f64) {
     println!("  {what:<58} paper: {paper:<14} measured: {measured:.1}x");
 }
 
-/// Append a JSON experiment record to `target/experiments/<name>.json`.
-pub fn save_json(name: &str, payload: &str) {
-    let dir = std::path::Path::new("target/experiments");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, payload) {
-        eprintln!("warning: could not save {path:?}: {e}");
-    } else {
-        println!("  [saved {path:?}]");
+/// Where `all` and `mdflow-run --trace` write their records.
+pub const EXPERIMENTS_DIR: &str = "target/experiments";
+
+/// Write the record `json` to `dir/<name>.json`, creating `dir`. A
+/// record that cannot be written ends the process (exit 1).
+pub fn write_record(dir: &str, name: &str, json: &str) {
+    let path = std::path::Path::new(dir).join(format!("{name}.json"));
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
+        eprintln!("error: could not write {}: {e}", path.display());
+        std::process::exit(1)
+    }
+    println!("  [saved {}]", path.display());
+}
+
+/// A report with its label appended as the last field.
+struct Labelled<'a>(&'a str, &'a StudyReport);
+
+impl Serialize for Labelled<'_> {
+    fn to_content(&self) -> Content {
+        let Content::Map(mut fields) = self.1.to_content() else {
+            unreachable!("a report is a JSON object")
+        };
+        fields.push(("label".to_string(), self.0.to_content()));
+        Content::Map(fields)
     }
 }
 
 /// Serialize a list of labelled reports.
 pub fn reports_json(rows: &[(String, StudyReport)]) -> String {
-    let objs: Vec<serde_json::Value> = rows
-        .iter()
-        .map(|(label, r)| {
-            let mut v: serde_json::Value = serde_json::from_str(&r.to_json()).expect("report json");
-            v["label"] = serde_json::Value::String(label.clone());
-            v
-        })
-        .collect();
-    serde_json::to_string_pretty(&objs).expect("json")
+    let labelled: Vec<Labelled> = rows.iter().map(|(l, r)| Labelled(l, r)).collect();
+    serde_json::to_string_pretty(&labelled).expect("json")
 }
 
 /// Render a grouped horizontal bar chart of `(label, movement, idle)`
@@ -176,31 +184,18 @@ pub(crate) fn render_bars(title: &str, rows: &[(String, f64, f64)]) -> String {
     out
 }
 
-/// Convenience: chart rows from labelled reports (consumption view).
-pub(crate) fn consumption_chart(title: &str, rows: &[(String, StudyReport)]) -> String {
+/// The stacked-bar chart of labelled reports: the production side's
+/// movement and idle per frame, or the consumption side's.
+pub(crate) fn chart(title: &str, rows: &[(String, StudyReport)], production: bool) -> String {
     let bars: Vec<(String, f64, f64)> = rows
         .iter()
         .map(|(l, r)| {
-            (
-                l.clone(),
-                r.consumption_movement.mean,
-                r.consumption_idle.mean,
-            )
-        })
-        .collect();
-    render_bars(title, &bars)
-}
-
-/// Convenience: chart rows from labelled reports (production view).
-pub(crate) fn production_chart(title: &str, rows: &[(String, StudyReport)]) -> String {
-    let bars: Vec<(String, f64, f64)> = rows
-        .iter()
-        .map(|(l, r)| {
-            (
-                l.clone(),
-                r.production_movement.mean,
-                r.production_idle.mean,
-            )
+            let (movement, idle) = if production {
+                (r.production_movement, r.production_idle)
+            } else {
+                (r.consumption_movement, r.consumption_idle)
+            };
+            (l.clone(), movement.mean, idle.mean)
         })
         .collect();
     render_bars(title, &bars)
@@ -229,17 +224,6 @@ pub fn num_f64(v: f64) -> serde_json::Value {
     serde_json::Value::Number(serde_json::Number::F64(v))
 }
 
-/// Write a harness record (`BENCH_PR*.json`) into `--out DIR`, default
-/// the current directory.
-pub fn write_record(args: &[String], file: &str, record: &serde_json::Value) {
-    let dir = flag_value(args, "--out").unwrap_or(".");
-    std::fs::create_dir_all(dir).expect("create output directory");
-    let out = format!("{dir}/{file}");
-    let json = serde_json::to_string_pretty(record).expect("json");
-    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    println!("  [saved {out}]");
-}
-
 /// Process high-water RSS. `VmHWM` is linux-only; other platforms
 /// report 0 rather than lying.
 pub fn rss_peak_bytes() -> u64 {
@@ -254,74 +238,6 @@ pub fn rss_peak_bytes() -> u64 {
         })
         .map(|kb| kb * 1024)
         .unwrap_or(0)
-}
-
-/// One measured cell of the metadata-plane shard sweep.
-pub struct MetadataCell {
-    /// Producer-consumer pairs.
-    pub pairs: u32,
-    /// KVS shards.
-    pub shards: u32,
-    /// Replicas per key.
-    pub replication: u32,
-    /// Mean consumer sync latency per consume, milliseconds (sim time).
-    pub sync_ms: f64,
-    /// Worst per-shard peak of in-flight broker requests (queued,
-    /// in service, or parked server-side watches).
-    pub peak_queue: u64,
-    /// Server-side watches served across all shards.
-    pub waits: u64,
-    /// Replication deltas shipped shard→shard.
-    pub deltas_sent: u64,
-}
-
-/// Run one metadata-plane cell (seed 11): DYAD on a quiet testbed with
-/// the metadata plane, not MD compute, bounding the pipeline. The
-/// tier-1 shard-sweep test (`tests/experiments.rs`) reads it;
-/// EXPERIMENTS.md has the recorded sweep.
-pub fn run_cell(pairs: u32, shards: u32, replication: u32, frames: u64) -> MetadataCell {
-    let mut cal = Calibration::quiet();
-    // The stock flux-broker profile (20 µs/op, 4 service threads), not
-    // corona's beefier 8-thread broker: the sweep's variable is the
-    // *number* of brokers, so per-broker capacity sits where a single
-    // broker saturates inside the measured pair range.
-    cal.kvs = kvs::KvsSpec::default();
-    let mut wf = WorkflowConfig::new(
-        Solution::Dyad,
-        pairs,
-        Placement::Split { pairs_per_node: 64 },
-    )
-    .with_frames(frames)
-    // 80x the paper's JAC frame rate (the frequency-scaling ablation):
-    // at stride 880 the MD phase dominates the consumer's wait and the
-    // broker idles between frames; at stride 11 a frame arrives every
-    // ~2.5 ms, the per-pair commit + wait + ack RPC stream saturates a
-    // single broker past several hundred pairs, and the metadata plane
-    // bounds the pipeline. That is the regime a shard sweep is about.
-    .with_stride(11)
-    .with_kvs_shards(shards)
-    .with_kvs_replication(replication);
-    // Re-synchronize through the KVS on every frame, not just the first.
-    wf.dyad_warm_sync = false;
-    let m = run_once(&wf, &cal, 11);
-
-    let mut sync = SimDuration::ZERO;
-    let mut consumes = 0u64;
-    for p in &m.consumers {
-        if let Some(n) = p.node(&["dyad_consume", "dyad_fetch"]) {
-            sync += n.inclusive;
-            consumes += n.count;
-        }
-    }
-    MetadataCell {
-        pairs,
-        shards,
-        replication,
-        sync_ms: sync.as_secs_f64() * 1e3 / consumes.max(1) as f64,
-        peak_queue: m.kvs.peak_queue,
-        waits: m.kvs.waits,
-        deltas_sent: m.kvs.deltas_sent,
-    }
 }
 
 #[cfg(test)]
