@@ -11,7 +11,11 @@
 //!   mix. Staging lifecycle counters must match exactly everywhere.
 //! * `determinism_pr4_pinned.json` — captured on the *current* model.
 //!   Everything, including event counts, must match exactly; any change
-//!   here means a code change silently altered trajectories.
+//!   here means a code change silently altered trajectories. Its
+//!   `shapes` rows add what the DYAD/XFS/Lustre-coarse rows miss — every
+//!   manual sync protocol, DYAD-on-PFS with and without the warm sync,
+//!   streaming fan-out and fan-in — each fault-free and under a chaos
+//!   plan, with fault totals and the reduced movement/idle split.
 //!
 //! To re-pin after an intentional trajectory change, run
 //! `cargo test -p mdflow --test determinism_fixtures -- --ignored
@@ -79,8 +83,12 @@ fn run_with_calibration(f: &Fixture, cal: Calibration) -> RunMetrics {
 }
 
 fn staging_value(m: &RunMetrics) -> serde_json::Value {
-    serde_json::from_str(&serde_json::to_string(&m.staging).expect("staging json"))
-        .expect("staging value")
+    json_value(&m.staging)
+}
+
+/// `v` as the fixture file holds it: printed, then parsed back.
+fn json_value(v: &impl serde::Serialize) -> serde_json::Value {
+    serde_json::from_str(&serde_json::to_string(v).expect("json")).expect("json value")
 }
 
 /// DYAD and XFS reproduce the before-overhaul makespans bit-for-bit;
@@ -149,7 +157,8 @@ fn results_match_pinned_fixtures_exactly() {
 }
 
 /// Prints a fresh `determinism_pr4_pinned.json`: DYAD, XFS and Lustre at
-/// 8 and 64 pairs × 12 frames, seed 2024, in the file's own layout.
+/// 8 and 64 pairs × 12 frames, seed 2024, then the `shapes` rows, in the
+/// file's own layout.
 #[test]
 #[ignore = "regenerates the pinned fixture; see the file header"]
 fn print_pinned_fixtures() {
@@ -176,9 +185,101 @@ fn print_pinned_fixtures() {
             ));
         }
     }
-    let fixtures = [("fixtures".to_string(), Value::Array(rows))];
-    let json = Value::Object(fixtures.into_iter().collect());
+    let shapes = SHAPES
+        .into_iter()
+        .flat_map(|name| [shape_row(name, false), shape_row(name, true)])
+        .collect();
+    let json = Value::Object(vec![
+        ("fixtures".to_string(), Value::Array(rows)),
+        ("shapes".to_string(), Value::Array(shapes)),
+    ]);
     println!("{}", serde_json::to_string_pretty(&json).expect("json"));
+}
+
+/// The `shapes` rows of the pinned capture, by name.
+const SHAPES: [&str; 10] = [
+    "dyad",
+    "xfs",
+    "lustre",
+    "lustre-fine",
+    "lustre-polling",
+    "lustre-lock",
+    "dyad-on-pfs",
+    "dyad-on-pfs-no-warm-sync",
+    "streaming-1to3",
+    "streaming-4to1",
+];
+
+/// Shape `name` at 8 pairs (groups) × 12 frames.
+fn shape(name: &str) -> WorkflowConfig {
+    let base = |solution| workflow(solution, 8, 12);
+    let manual = |sync| {
+        let mut wf = base(Solution::Lustre);
+        wf.manual_sync = sync;
+        wf
+    };
+    match name {
+        "dyad" => base(Solution::Dyad),
+        "xfs" => base(Solution::Xfs),
+        "lustre" => base(Solution::Lustre),
+        "lustre-fine" => manual(ManualSync::Fine),
+        "lustre-polling" => manual(ManualSync::Polling),
+        "lustre-lock" => manual(ManualSync::LockBased),
+        "dyad-on-pfs" => base(Solution::DyadOnPfs),
+        "dyad-on-pfs-no-warm-sync" => {
+            let mut wf = base(Solution::DyadOnPfs);
+            wf.dyad_warm_sync = false;
+            wf
+        }
+        "streaming-1to3" => base(Solution::Streaming).with_fanout(3),
+        "streaming-4to1" => base(Solution::Streaming).with_fanin(4),
+        _ => panic!("unknown shape {name}"),
+    }
+}
+
+/// What the pinned capture holds of shape `name` at seed 2024, under
+/// `FaultConfig::chaos(42, 2)` when `chaos`: makespan, events, staging
+/// and fault totals, and the reduced movement/idle split, every float
+/// to the bit.
+fn shape_row(name: &str, chaos: bool) -> serde_json::Value {
+    use serde_json::{Number, Value};
+    let mut wf = shape(name);
+    if chaos {
+        wf = wf.with_faults(FaultConfig::chaos(42, 2));
+    }
+    let m = run_once(&wf, &Calibration::corona(), 2024);
+    let b = mdflow::report::reduce_run(&wf, &m);
+    let fields = [
+        ("shape", Value::String(name.to_string())),
+        ("chaos", Value::Bool(chaos)),
+        (
+            "makespan_ns",
+            Value::Number(Number::U64(m.makespan.nanos())),
+        ),
+        ("events", Value::Number(Number::U64(m.events))),
+        ("staging", staging_value(&m)),
+        ("faults", json_value(&m.faults)),
+        ("production", json_value(&b.production)),
+        ("consumption", json_value(&b.consumption)),
+    ];
+    Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+/// Every `shapes` row of the pinned capture replays exactly.
+#[test]
+fn shapes_match_pinned_fixtures_exactly() {
+    let pinned: serde_json::Value = serde_json::from_str(PINNED).expect("fixture json");
+    let rows = pinned["shapes"].as_array().expect("shapes array");
+    assert_eq!(rows.len(), 2 * SHAPES.len());
+    for row in rows {
+        let name = row["shape"].as_str().expect("shape");
+        let chaos = row["chaos"].as_bool().expect("chaos");
+        assert_eq!(
+            shape_row(name, chaos),
+            *row,
+            "{name} (chaos: {chaos}) changed vs pinned capture"
+        );
+    }
 }
 
 /// `TopologySpec::Flat` is the pinned-capture topology, and a leaf/spine
