@@ -10,6 +10,7 @@ use staging::plane;
 
 use crate::config::WorkflowConfig;
 use crate::runner::RunMetrics;
+use crate::workflow::MANUAL_REGIONS;
 
 /// Movement/idle split, in seconds per frame per process.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
@@ -91,16 +92,19 @@ pub fn reduce_run(wf: &WorkflowConfig, run: &RunMetrics) -> RunBreakdown {
                 },
             )
         }
-        None => (
-            Breakdown {
-                movement: secs(&prod, &["produce", "write_single_buf"]) / per_frame,
-                idle: secs(&prod, &["produce", "explicit_sync"]) / per_frame,
-            },
-            Breakdown {
-                movement: secs(&cons, &["consume", "read_single_buf"]) / per_frame,
-                idle: secs(&cons, &["consume", "explicit_sync"]) / per_frame,
-            },
-        ),
+        None => {
+            let r = &MANUAL_REGIONS;
+            (
+                Breakdown {
+                    movement: secs(&prod, &[r.put, r.write]) / per_frame,
+                    idle: secs(&prod, &[r.put, r.announce]) / per_frame,
+                },
+                Breakdown {
+                    movement: secs(&cons, &[r.get, plane::READ]) / per_frame,
+                    idle: secs(&cons, &[r.get, r.sync]) / per_frame,
+                },
+            )
+        }
     };
     let group_sync_secs = if backend.groups {
         consumption.idle
