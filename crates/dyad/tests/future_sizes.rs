@@ -1,8 +1,8 @@
 //! Bytes of DYAD's produce future as the producer role holds it.
 //!
-//! `producer_dyad` awaits `try_produce`'s future under its recovery
-//! wrapper, so the role's task block is at least this large, once per
-//! pair. `crates/core/tests/footprint.rs` names the role that grew; this
+//! The DYAD producer (`workflow::staged_producer`) awaits
+//! `try_produce`'s future under its recovery wrapper, so the role's task
+//! block is at least this large, once per pair. `crates/core/tests/footprint.rs` names the role that grew; this
 //! names the layer. The budget is the size measured when it was set
 //! (rustc 1.95, x86-64, release) plus at most 32 B.
 
