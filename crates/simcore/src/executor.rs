@@ -1645,6 +1645,43 @@ mod tests {
         assert_eq!(sim.calendar_stats().moved, 37_337);
     }
 
+    /// Nothing: a timer that fires into a block that is gone.
+    struct Gone;
+    impl TimerTarget for Gone {
+        fn fire(self: Rc<Self>) {}
+    }
+
+    /// The same schedule, with each task re-arming a timer the way a link
+    /// re-arms its completion: at every step the armed one is cancelled
+    /// and another is armed, one step's span beyond the step's sleep. The
+    /// 8,000 cancelled timers are tombstones among the sleeps, in the same
+    /// buckets; none fires, so what `moved` gains over the schedule
+    /// without them is the price of holding them.
+    #[test]
+    fn calendar_moves_under_cancels_are_pinned() {
+        let sim = Sim::new(0);
+        for i in 0..1_000u64 {
+            let ctx = sim.ctx();
+            sim.spawn(async move {
+                let mut armed: Option<TimerHandle> = None;
+                for k in 0..8u64 {
+                    let d = 1 + splitmix64(i << 3 | k) % (1 << (4 * k + 4));
+                    let far = SimDuration::from_nanos(d + (1 << (4 * k + 4)));
+                    if let Some(t) = armed.take() {
+                        t.cancel();
+                    }
+                    armed = Some(ctx.fire_after(far, Weak::<Gone>::new()));
+                    ctx.sleep(SimDuration::from_nanos(d)).await;
+                }
+                if let Some(t) = armed {
+                    t.cancel();
+                }
+            });
+        }
+        assert_eq!(sim.run().events_processed, 8_000);
+        assert_eq!(sim.calendar_stats().moved, 76_908);
+    }
+
     #[test]
     fn many_tasks_scale() {
         let sim = Sim::new(0);
