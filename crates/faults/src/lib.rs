@@ -10,7 +10,7 @@
 //!   is pure data: generating it twice from the same spec and seed yields
 //!   a byte-identical [`FaultPlan::describe`] listing.
 //! * [`FaultBoard`] — the armed runtime form. [`FaultBoard::arm`] turns
-//!   each event into cancellable simulator timers ([`Ctx::call_after`])
+//!   each event into simulator timers ([`Ctx::call_after`])
 //!   that flip shared state on and off; subsystems consult the board on
 //!   their hot paths (`node_up`, `nvme_factor`, `mds_stall_until`, …) and
 //!   block on [`FaultBoard::hold_until_up`] while their node is down.

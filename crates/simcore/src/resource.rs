@@ -53,6 +53,12 @@
 //! (`TimerTarget`); which class and tag it completes is read back from
 //! the block when it fires. There is no closure beside the link to
 //! allocate, to keep a reference count on, or to miss the cache on.
+//! The link keeps the entry's slot and generation, not a handle, and
+//! moves it with one call into the executor (`Ctx::rearm`), which
+//! borrows the core once to retire the old entry and file the new one;
+//! a link that empties only retires. The retired entry is a tombstone
+//! that costs nothing more: the calendar drops it the first time it
+//! would move it.
 //!
 //! *Who waits on a flow.* A flow slot names its waiter: a task, parked
 //! by a [`TransferFut`], or a [`Background`] stream, which has no future.
@@ -81,7 +87,7 @@ use std::task::{Context, Poll};
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-use crate::executor::{Ctx, TaskId, TimerHandle, TimerTarget};
+use crate::executor::{Ctx, TaskId, TimerTarget};
 use crate::sync::Semaphore;
 use crate::time::{SimDuration, SimTime};
 
@@ -374,9 +380,10 @@ struct BwInner {
     /// Monotonic arrival counter, used only for the heap tie-break.
     next_seq: u64,
     flow_cap: Option<f64>,
-    /// Provisional next-completion event; retired (cancelled) whenever
-    /// the flow set changes instead of firing as a stale no-op.
-    timer: Option<TimerHandle>,
+    /// The calendar entry `(slot, generation)` of the provisional
+    /// next-completion event; retired (cancelled) whenever the flow set
+    /// changes instead of firing as a stale no-op.
+    timer: Option<(u32, u32)>,
     /// `(class index, finish tag)` the armed timer will complete: the
     /// calendar entry carries only a pointer to the block, and
     /// [`TimerTarget::fire`] reads its parameters back from here.
@@ -401,11 +408,12 @@ impl BwInner {
     /// Advance every class virtual clock across the interval since
     /// `last_update`. O(#classes), independent of the flow count.
     fn advance(&mut self, now: SimTime) {
-        let dt = (now - self.last_update).as_secs_f64();
+        let elapsed = now - self.last_update;
         self.last_update = now;
-        if dt <= 0.0 || self.n_total == 0 {
+        if elapsed == SimDuration::ZERO || self.n_total == 0 {
             return;
         }
+        let dt = elapsed.as_secs_f64();
         for i in 0..self.classes.len() {
             if self.classes[i].queue.is_empty() {
                 continue;
@@ -413,7 +421,7 @@ impl BwInner {
             let r = self.class_rate(self.classes[i].cap);
             self.classes[i].s += dt * r;
         }
-        self.stats.busy += SimDuration::from_secs_f64(dt);
+        self.stats.busy += elapsed;
     }
 
     /// Allocate a flow slot for `waiter`, returning `(slot, gen)`.
@@ -616,14 +624,12 @@ impl SharedBandwidth {
 }
 
 impl Link {
-    /// Complete every flow whose finish tag has been reached and arm a
-    /// timer for the next completion. Called after any flow-set change;
-    /// the previously armed timer (if any) is retired first, so exactly
-    /// one provisional completion event exists per link.
+    /// Complete every flow whose finish tag has been reached and move the
+    /// timer to the next completion. Called after any flow-set change;
+    /// the previously armed timer (if any) is retired in the same call
+    /// that arms the next, so exactly one provisional completion event
+    /// exists per link.
     fn reschedule(self: &Rc<Self>, inner: &mut BwInner) {
-        if let Some(t) = inner.timer.take() {
-            t.cancel();
-        }
         let mut served = 0u64;
         let mut bytes_moved = 0u64;
         for ci in 0..inner.classes.len() {
@@ -667,6 +673,7 @@ impl Link {
         inner.stats.flows_served += served;
         inner.stats.bytes_moved += bytes_moved;
         if inner.n_total == 0 {
+            inner.timer = self.ctx.rearm(inner.timer.take(), None);
             return;
         }
         // Earliest completion across classes: each class clock runs at
@@ -687,7 +694,7 @@ impl Link {
         // Weak: the calendar does not keep the link alive.
         let target: Weak<Link> = Rc::downgrade(self);
         let delay = SimDuration::from_secs_f64_ceil(secs);
-        inner.timer = Some(self.ctx.fire_after(delay, target));
+        inner.timer = self.ctx.rearm(inner.timer.take(), Some((delay, target)));
     }
 }
 

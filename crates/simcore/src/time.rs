@@ -66,35 +66,21 @@ impl SimDuration {
     }
 
     /// Construct from fractional seconds, rounding to the nearest
-    /// nanosecond. Negative and non-finite inputs clamp to zero.
+    /// nanosecond, ties up. Negative and NaN inputs clamp to zero, values
+    /// past `u64::MAX` nanoseconds to that.
     pub fn from_secs_f64(s: f64) -> Self {
-        if s.is_nan() || s <= 0.0 {
-            return SimDuration(0);
-        }
-        let ns = (s * 1e9).round();
-        if ns >= u64::MAX as f64 {
-            SimDuration(u64::MAX)
-        } else {
-            SimDuration(ns as u64)
-        }
+        let (whole, frac) = split_nanos(s);
+        SimDuration(whole + (frac >= 0.5) as u64)
     }
 
     /// Construct from fractional seconds, rounding *up* to the next
     /// nanosecond. Used for scheduling completion events: rounding up
     /// guarantees the event fires at-or-after the exact completion
     /// instant, so the work is fully done when the event is handled (no
-    /// residual-byte epsilon needed). Negative and non-finite inputs
-    /// clamp to zero.
+    /// residual-byte epsilon needed). Clamps as [`Self::from_secs_f64`].
     pub(crate) fn from_secs_f64_ceil(s: f64) -> Self {
-        if s.is_nan() || s <= 0.0 {
-            return SimDuration(0);
-        }
-        let ns = (s * 1e9).ceil();
-        if ns >= u64::MAX as f64 {
-            SimDuration(u64::MAX)
-        } else {
-            SimDuration(ns as u64)
-        }
+        let (whole, frac) = split_nanos(s);
+        SimDuration(whole + (frac > 0.0) as u64)
     }
 
     /// Raw nanoseconds.
@@ -217,6 +203,26 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `s` seconds as whole nanoseconds, truncated, and the fraction the
+/// truncation dropped, both exact: `(0, 0.0)` for a negative or NaN `s`,
+/// `(u64::MAX, 0.0)` from `u64::MAX` nanoseconds on. A cast truncates
+/// where `f64::round` and `f64::ceil` are library calls on a baseline
+/// x86-64 target, and this is on every flow's path.
+#[inline]
+fn split_nanos(s: f64) -> (u64, f64) {
+    let ns = s * 1e9;
+    if ns.is_nan() || ns <= 0.0 {
+        (0, 0.0)
+    } else if ns >= u64::MAX as f64 {
+        (u64::MAX, 0.0)
+    } else {
+        // Below 2^52 both the whole part and the difference are exact;
+        // from 2^52 on every `f64` is a whole number.
+        let whole = ns as u64;
+        (whole, ns - whole as f64)
+    }
+}
+
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.3}s", ns as f64 / 1e9)
@@ -266,6 +272,91 @@ mod tests {
             SimDuration::from_secs_f64_ceil(f64::INFINITY),
             SimDuration::from_nanos(u64::MAX)
         );
+    }
+
+    /// The conversions against the library rounding they replaced, which
+    /// these keep as the reference.
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn reference(s: f64, up: bool) -> u64 {
+            if s.is_nan() || s <= 0.0 {
+                return 0;
+            }
+            let ns = if up {
+                (s * 1e9).ceil()
+            } else {
+                (s * 1e9).round()
+            };
+            if ns >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                ns as u64
+            }
+        }
+
+        /// `s` and the `f64`s on either side of it.
+        fn check_around(s: f64) {
+            for s in [f64::from_bits(s.to_bits().wrapping_sub(1)), s, s.next_up()] {
+                let (near, up) = (
+                    SimDuration::from_secs_f64(s),
+                    SimDuration::from_secs_f64_ceil(s),
+                );
+                assert_eq!(near.nanos(), reference(s, false), "nearest of {s:e} s");
+                assert_eq!(up.nanos(), reference(s, true), "ceiling of {s:e} s");
+            }
+        }
+
+        #[test]
+        fn conversions_match_the_library_at_the_edges() {
+            let mut edges = vec![
+                0.0,
+                -0.0,
+                -1.0,
+                -1e-300,
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::from_bits(1),
+                f64::MIN_POSITIVE,
+                f64::MIN_POSITIVE / 2.0,
+                f64::MAX,
+                u64::MAX as f64 / 1e9,
+            ];
+            // Ties of every size up to where an `f64` holds no halves.
+            edges.extend((0..53).map(|b| ((1u64 << b) as f64 + 0.5) / 1e9));
+            edges.extend((0..40).map(|k| (k as f64 + 0.5) / 1e9));
+            // Where an `f64` stops holding fractions, and where a `u64` ends.
+            for b in 51..=64 {
+                edges.push((1u128 << b) as f64 / 1e9);
+            }
+            edges.iter().for_each(|&s| check_around(s));
+        }
+
+        proptest! {
+            #[test]
+            fn conversions_match_the_library_on_any_bits(bits in any::<u64>()) {
+                check_around(f64::from_bits(bits));
+            }
+
+            #[test]
+            fn conversions_match_the_library_on_simulated_spans(
+                ns in 0u64..1 << 62,
+                half in any::<bool>(),
+            ) {
+                check_around((ns as f64 + if half { 0.5 } else { 0.0 }) / 1e9);
+            }
+
+            // What lets a link add the integer interval to its busy time:
+            // below 2^51 ns it is what the float round trip gave.
+            #[test]
+            fn whole_intervals_survive_the_float_round_trip(ns in 0u64..1 << 51) {
+                let d = SimDuration::from_nanos(ns);
+                prop_assert_eq!(SimDuration::from_secs_f64(d.as_secs_f64()), d);
+            }
+        }
     }
 
     #[test]
